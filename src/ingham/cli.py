@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from . import catalog, geometry, search, spectral
+from . import catalog, geometry, gram, search, spectral
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
 from .errors import InghamError, UnknownTilingError
 from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
@@ -32,16 +32,21 @@ def _a2_tol(args) -> float:
 
 
 def _entry(args) -> catalog.CatalogEntry:
-    if getattr(args, "spec_file", None):
-        spec = load_spec_file(args.spec_file)
+    if args.spec_file:
+        try:
+            spec = load_spec_file(args.spec_file)
+        except OSError as exc:
+            raise ValueError(f"cannot read --spec-file: {exc}") from None
         return catalog.CatalogEntry(
             spec=spec,
             default_configs={},
             expected=(),
             primary_config="",
         )
-    r = Fraction(args.r) if getattr(args, "r", None) else None
-    R = Fraction(args.R) if getattr(args, "R", None) else None
+    r = Fraction(args.r) if args.r else None
+    R = Fraction(args.R) if args.R else None
+    if not args.tiling:
+        raise ValueError("one of --tiling or --spec-file is required")
     return catalog.get(args.tiling, r=r, R=R)
 
 
@@ -180,11 +185,8 @@ def cmd_verify(args) -> int:
             for s, lam in zip(supports, lambdas)
         ]
         if args.csv:
-            _write_csv(
-                args.csv,
-                ["support_size", "lambda_min"],
-                [(len(s), f"{lam:.12g}") for s, lam in zip(supports, lambdas)],
-            )
+            rows = gram.witness_csv_rows(supports, lambdas)
+            _write_csv(args.csv, ["support_size", "lambda_min"], rows)
     _emit_json(data)
     return 0 if fb.passed else 1
 

@@ -16,9 +16,7 @@ import numpy as np
 
 from .errors import SizeTooLargeError
 from .lattice import LatticeSpec, mat_float
-from .spectral import TranslationConfig
-
-TWO_PI = 2.0 * math.pi
+from .spectral import TWO_PI, TranslationConfig
 
 POLYOMINO_MAX = 8
 
@@ -60,15 +58,14 @@ class PolyominoShape:
         return PolyominoShape(tuple(sorted((x - mx, y - my) for x, y in pts)))
 
 
-def _l_inverse(spec: LatticeSpec) -> np.ndarray:
-    """L^{-1} as floats; L is the transpose of the stored adjoint."""
-    l = np.array(mat_float(spec.l_star)).T
-    return np.linalg.inv(l)
+def ambient_l(spec: LatticeSpec) -> np.ndarray:
+    """L as floats; L is the transpose of the stored adjoint."""
+    return np.array(mat_float(spec.l_star)).T
 
 
 def omega_cells(spec: LatticeSpec, config: TranslationConfig) -> DomainGeometry:
     """Construct the M parallelogram cells L^{-1}(2*pi*n_k + (0,2*pi)^2)."""
-    linv = _l_inverse(spec)
+    linv = np.linalg.inv(ambient_l(spec))
     corners = np.array([(0.0, 0.0), (TWO_PI, 0.0), (TWO_PI, TWO_PI), (0.0, TWO_PI)])
     cells = np.empty((config.m, 4, 2))
     for k, n in enumerate(config.ns):

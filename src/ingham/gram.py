@@ -22,16 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import HoleOutsideDomainError
-from .lattice import LatticePoint, LatticeSpec, Vec2, mat_float, vec_add, vec_sub
+from .geometry import ambient_l
+from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
 from .spectral import (
     A2_DET_TOL,
+    TWO_PI,
     TranslationConfig,
-    _phase_angle,
     hermitian_extremes,
     ingham_constants,
+    phase,
 )
-
-TWO_PI = 2.0 * math.pi
 
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 
@@ -94,8 +94,7 @@ def _phi(t) -> complex:
         return complex(TWO_PI)
     if t.is_integer():
         return 0.0j
-    angle = _phase_angle(t)
-    return (cmath.exp(1j * angle) - 1.0) / (1j * float(t))
+    return (phase(t) - 1.0) / (1j * float(t))
 
 
 def inner_product(
@@ -111,8 +110,7 @@ def inner_product(
         return 0.0j
     total = 0.0j
     for n in config.ns:
-        t = mu[0] * n[0] + mu[1] * n[1]
-        total += cmath.exp(1j * _phase_angle(t))
+        total += phase(vec_dot(mu, n))
     return total * factor / spec.det_l()
 
 
@@ -166,16 +164,12 @@ def frame_bound_check(
 # -- removal of an open subset ------------------------------------------------
 
 
-def _ambient_l(spec: LatticeSpec) -> np.ndarray:
-    return np.array(mat_float(spec.l_star)).T
-
-
 def _cell_of_rect(spec: LatticeSpec, config: TranslationConfig, hole: Rect) -> int:
     """Index of the cell strictly containing the rectangle, or raise."""
     x0, y0, x1, y1 = hole
     if not (x1 > x0 and y1 > y0):
         raise HoleOutsideDomainError("hole rectangle has no interior")
-    l = _ambient_l(spec)
+    l = ambient_l(spec)
     corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]) @ l.T
     for k, n in enumerate(config.ns):
         lo = TWO_PI * np.asarray(n, dtype=float)
@@ -191,7 +185,7 @@ def inscribed_hole(
     area_fraction: float = 0.25,
 ) -> Rect:
     """Axis-aligned square centered in a cell with the given area fraction."""
-    linv = np.linalg.inv(_ambient_l(spec))
+    linv = np.linalg.inv(ambient_l(spec))
     n = np.asarray(config.ns[cell_index], dtype=float)
     centroid = linv @ (TWO_PI * n + math.pi)
     cell_area = TWO_PI**2 / spec.det_l()

@@ -14,6 +14,7 @@ import json
 import platform
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Any
 
@@ -23,7 +24,6 @@ from . import catalog, geometry, search, spectral
 from .catalog import CatalogEntry, ExpectedRecord
 from .gram import SupportSet, frame_bound_check
 from .lattice import minimality_certificate
-from .spectral import A2_SWEEP
 
 SEED = 20240801
 
@@ -54,11 +54,6 @@ def _pair_close(got, want, tol) -> bool:
 
 def _survey(entry: CatalogEntry, grid_max: int) -> search.SurveyResult:
     return search.classify_all(entry.spec, grid_max, entry.spec.m)
-
-
-def _sweep_stable(result: search.SurveyResult) -> bool:
-    fails = {tol: sum(1 for r in result.records if r.det_abs <= tol) for tol in A2_SWEEP}
-    return len(set(fails.values())) == 1
 
 
 def _eval_record(entry: CatalogEntry, rec: ExpectedRecord) -> ReportEntry:
@@ -98,20 +93,18 @@ def _eval_record(entry: CatalogEntry, rec: ExpectedRecord) -> ReportEntry:
         hc_geom = geometry.omega_cells(spec, entry.default_configs["right"])
         computed = tri_geom.area / hc_geom.area
         passed = _close(computed, rec.want, rec.tol)
-    elif kind == "survey_fail_count":
+    elif kind in ("survey_fail_count", "survey_pass_count"):
         sub = entry
         if "r" in params:
             sub = catalog.get("two_square", r=params["r"], R=params["R"])
         result = _survey(sub, params["grid_max"])
-        computed = result.failing
-        passed = computed == rec.want
-        if params.get("sweep_stable") and not _sweep_stable(result):
-            passed = False
-    elif kind == "survey_pass_count":
-        result = _survey(entry, params["grid_max"])
-        computed = result.passing
-        passed = computed == rec.want and result.total == params["total"]
-        if params.get("sweep_stable") and not _sweep_stable(result):
+        if kind == "survey_fail_count":
+            computed = result.failing
+            passed = computed == rec.want
+        else:
+            computed = result.passing
+            passed = computed == rec.want and result.total == params["total"]
+        if params.get("sweep_stable") and len(set(search.sweep_counts(result).values())) > 1:
             passed = False
     elif kind == "survey_pass_kappas":
         result = _survey(entry, params["grid_max"])
@@ -137,25 +130,15 @@ def _eval_record(entry: CatalogEntry, rec: ExpectedRecord) -> ReportEntry:
     elif kind == "class_pairs":
         computed, passed = _eval_class_pairs(entry, rec)
     elif kind == "rank_order":
-        records = _cell_block_classes(spec)
-        ranked = search.rank_by_conditioning(
-            search.SurveyResult(
-                total=len(records),
-                passing=sum(1 for r in records if r.a2),
-                failing=sum(1 for r in records if not r.a2),
-                records=tuple(records),
-            )
-        )
+        ranked = search.rank_by_conditioning(search.as_result(_cell_block_classes(spec)))
         computed = [[list(p) for p in r.config] for r in ranked]
         passed = computed == rec.want
     elif kind == "delta_matches_det":
         diffs = []
         for r, R in params["pairs"]:
             sub = catalog.get("two_square", r=r, R=R)
-            e = spectral.build_e(sub.spec, sub.default_configs["canonical"])
-            diffs.append(
-                abs(abs(np.linalg.det(e)) - abs(spectral.two_square_delta(r, R)))
-            )
+            sr = spectral.ingham_constants(sub.spec, sub.default_configs["canonical"])
+            diffs.append(abs(sr.det_abs - abs(spectral.two_square_delta(r, R))))
         computed = max(diffs)
         passed = computed <= rec.tol
     elif kind == "delta_nonzero":
@@ -188,16 +171,10 @@ def _eval_record(entry: CatalogEntry, rec: ExpectedRecord) -> ReportEntry:
 
 def _cell_block_classes(spec) -> list[search.SurveyRecord]:
     """One record per translation class of m-subsets of the 2x2 cell block."""
-    from itertools import combinations
-
     classes = search.translation_classes(
         combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m)
     )
-    out = []
-    for cls in classes:
-        result = search.classify_configs(spec, [cls.representative])
-        out.append(result[0])
-    return out
+    return search.classify_configs(spec, [cls.representative for cls in classes])
 
 
 def _eval_class_pairs(entry: CatalogEntry, rec: ExpectedRecord):

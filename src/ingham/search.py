@@ -1,9 +1,10 @@
 """Exhaustive surveys of translation configurations.
 
-classify_all evaluates every m-subset of an integer grid in one batched
-eigendecomposition (phases computed exactly per grid point, stacked E's fed
-to the LAPACK Hermitian solver), so surveys of all C(16,4) = 1820
+classify_all hands every m-subset of an integer grid to the spectral kernel
+(`spectral.spectra`) as one batch, so surveys of all C(16,4) = 1820
 configurations finish in milliseconds and two runs give identical records.
+This module owns enumeration, connectivity, record building, grouping and
+ranking; phases, determinants and eigenvalues belong to the kernel.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import fixed_polyominoes, is_connected
+from .geometry import PolyominoShape, fixed_polyominoes, is_connected
 from .lattice import LatticeSpec
-from .spectral import A2_DET_TOL, A2_SWEEP, _phase_angle
+from .spectral import A2_DET_TOL, A2_SWEEP, a2_holds, spectra
 
 Config = tuple[tuple[int, int], ...]
 
@@ -64,44 +65,26 @@ def config_count(grid_max: int, m: int) -> int:
     return math.comb((grid_max + 1) ** 2, m)
 
 
-def _phase_columns(spec: LatticeSpec, points: Sequence[tuple[int, int]]) -> np.ndarray:
-    """W[j, p] = exp(2*pi*i*<u_j, points[p]>), phases from exact arithmetic."""
-    w = np.empty((spec.m, len(points)), dtype=complex)
-    for j, u in enumerate(spec.us):
-        for p, n in enumerate(points):
-            t = u[0] * n[0] + u[1] * n[1]
-            w[j, p] = np.exp(1j * _phase_angle(t))
-    return w
-
-
 def classify_configs(
     spec: LatticeSpec, configs: list[Config], tol: float = A2_DET_TOL
 ) -> list[SurveyRecord]:
     """Batched spectral classification of an explicit configuration list."""
-    points = sorted({n for cfg in configs for n in cfg})
-    index = {n: i for i, n in enumerate(points)}
-    w = _phase_columns(spec, points)
-    idx = np.array([[index[n] for n in cfg] for cfg in configs])
-    es = w[:, idx].transpose(1, 0, 2)  # (n_configs, M, m)
-    hs = es @ es.conj().transpose(0, 2, 1)
-    eigs = np.linalg.eigvalsh(hs)
-    dets = np.abs(np.linalg.det(es))
-    records = []
-    for i, cfg in enumerate(configs):
-        records.append(
-            SurveyRecord(
-                config=cfg,
-                connected=is_connected(cfg),
-                a2=bool(dets[i] > tol),
-                kappa1=max(float(eigs[i, 0]), 0.0),
-                kappa2=float(eigs[i, -1]),
-                det_abs=float(dets[i]),
-            )
+    dets, eigs = spectra(spec, configs)
+    a2 = a2_holds(dets, tol)
+    return [
+        SurveyRecord(
+            config=cfg,
+            connected=is_connected(cfg),
+            a2=bool(a2[i]),
+            kappa1=max(float(eigs[i, 0]), 0.0),
+            kappa2=float(eigs[i, -1]),
+            det_abs=float(dets[i]),
         )
-    return records
+        for i, cfg in enumerate(configs)
+    ]
 
 
-def _as_result(records: list[SurveyRecord]) -> SurveyResult:
+def as_result(records: list[SurveyRecord]) -> SurveyResult:
     passing = sum(1 for r in records if r.a2)
     return SurveyResult(
         total=len(records),
@@ -117,7 +100,9 @@ def classify_all(
     """Classify every m-subset of {0..grid_max}^2; records in lexicographic order."""
     if m != spec.m:
         raise ValueError(f"survey needs m = {spec.m} for {spec.name}, got {m}")
-    return _as_result(classify_configs(spec, list(enumerate_configs(grid_max, m)), tol))
+    if grid_max < 0 or (grid_max + 1) ** 2 < m:
+        raise ValueError(f"grid [0,{grid_max}]^2 has fewer than m = {m} points")
+    return as_result(classify_configs(spec, list(enumerate_configs(grid_max, m)), tol))
 
 
 def connected_survey(
@@ -128,7 +113,7 @@ def connected_survey(
     if m != spec.m:
         raise ValueError(f"survey needs m = {spec.m} for {spec.name}, got {m}")
     configs = [shape.cells for shape in fixed_polyominoes(m)]
-    return _as_result(classify_configs(spec, configs, tol))
+    return as_result(classify_configs(spec, configs, tol))
 
 
 def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
@@ -138,10 +123,8 @@ def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
 
 
 def canonical_config(config: Iterable[tuple[int, int]]) -> Config:
-    pts = [tuple(p) for p in config]
-    mx = min(p[0] for p in pts)
-    my = min(p[1] for p in pts)
-    return tuple(sorted((x - mx, y - my) for x, y in pts))
+    """The translate of the configuration with minimum coordinates 0, sorted."""
+    return PolyominoShape.canonical(config).cells
 
 
 def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
@@ -153,6 +136,14 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
     return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
 
 
+def sweep_counts(
+    result: SurveyResult, tols: Sequence[float] = A2_SWEEP
+) -> dict[float, int]:
+    """Failing configurations per (A2) threshold."""
+    dets = np.array([r.det_abs for r in result.records])
+    return {tol: int(np.count_nonzero(~a2_holds(dets, tol))) for tol in tols}
+
+
 def a2_sweep_unstable(
     spec: LatticeSpec,
     grid_max: int,
@@ -160,16 +151,11 @@ def a2_sweep_unstable(
     tols: Sequence[float] = A2_SWEEP,
 ) -> tuple[dict[float, int], list[Config]]:
     """Failing counts per threshold and any config whose verdict flips."""
-    records = classify_configs(spec, list(enumerate_configs(grid_max, m)), tols[0])
-    counts = {
-        tol: sum(1 for r in records if r.det_abs <= tol) for tol in tols
-    }
-    unstable = [
-        r.config
-        for r in records
-        if any(r.det_abs <= t for t in tols) != all(r.det_abs <= t for t in tols)
-    ]
-    return counts, unstable
+    result = classify_all(spec, grid_max, m, tols[0])
+    dets = np.array([r.det_abs for r in result.records])
+    flips = a2_holds(dets, min(tols)) & ~a2_holds(dets, max(tols))
+    unstable = [r.config for r, flip in zip(result.records, flips) if flip]
+    return sweep_counts(result, tols), unstable
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:

@@ -1,9 +1,12 @@
-"""Exponential matrix, invertibility test and the optimal frame constants.
+"""The spectral kernel: E, its determinant and the eigenvalues of E E^*.
 
 For translates u_1..u_M and translation vectors v_k = 2*pi*n_k the matrix
-E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: the optimal
-constants are the extreme eigenvalues of E E^*.  Phases are computed from
-exact field arithmetic and only exponentiated in floating point.
+E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
+when E is invertible, and the optimal constants are the extreme eigenvalues
+of E E^*.  `phase` is the only place an exact inner product becomes a unit
+complex number; `spectra` is the only place determinants and eigenvalues of
+E E^* are taken.  A single configuration is a batch of one, so single
+configurations and surveys give the same bits.
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateTilingError, NotHermitianError, SizeMismatchError
-from .lattice import LatticeSpec, qvec
+from .lattice import LatticeSpec, Vec2, qvec, vec_dot
 from .qfield import QuadNumber, Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
@@ -28,6 +32,8 @@ from .qfield import QuadNumber, Rational
 A2_DET_TOL = 1e-8
 
 A2_SWEEP = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
+
+TWO_PI = 2.0 * math.pi
 
 TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -81,21 +87,59 @@ def _phase_angle(t: QuadNumber) -> float:
     irr = 0.0
     if t.radical_part():
         irr = float(t.radical_part()) * math.sqrt(t.d)
-    return 2.0 * math.pi * (float(frac) + irr)
+    return TWO_PI * (float(frac) + irr)
+
+
+def phase(t: QuadNumber) -> complex:
+    """exp(2*pi*i*t) for an exactly known t."""
+    return cmath.exp(1j * _phase_angle(t))
+
+
+def phase_columns(
+    vectors: Sequence[Vec2], points: Sequence[tuple[int, int]]
+) -> np.ndarray:
+    """W[j, p] = exp(2*pi*i*<vectors[j], points[p]>)."""
+    w = np.empty((len(vectors), len(points)), dtype=complex)
+    for j, u in enumerate(vectors):
+        for p, n in enumerate(points):
+            w[j, p] = phase(vec_dot(u, n))
+    return w
+
+
+def _check_size(spec: LatticeSpec, m: int) -> None:
+    if m != spec.m:
+        raise SizeMismatchError(
+            f"config has {m} vectors, lattice has {spec.m} translates"
+        )
 
 
 def build_e(spec: LatticeSpec, config: TranslationConfig) -> np.ndarray:
     """The M x M matrix E[j,k] = exp(2*pi*i*<u_j, n_k>)."""
-    if config.m != spec.m:
-        raise SizeMismatchError(
-            f"config has {config.m} vectors, lattice has {spec.m} translates"
-        )
-    out = np.empty((spec.m, config.m), dtype=complex)
-    for j, u in enumerate(spec.us):
-        for k, n in enumerate(config.ns):
-            t = u[0] * n[0] + u[1] * n[1]
-            out[j, k] = cmath.exp(1j * _phase_angle(t))
-    return out
+    _check_size(spec, config.m)
+    return phase_columns(spec.us, config.ns)
+
+
+def spectra(
+    spec: LatticeSpec, configs: Sequence[Sequence[tuple[int, int]]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """|det E| and the ascending eigenvalues of E E^* for a batch of configurations.
+
+    Phases are computed once per distinct grid point; the stacked E's go to
+    the batched LAPACK determinant and Hermitian eigensolver.
+    """
+    points = sorted({n for cfg in configs for n in cfg})
+    index = {n: i for i, n in enumerate(points)}
+    idx = np.array([[index[n] for n in cfg] for cfg in configs])
+    _check_size(spec, idx.shape[-1])
+    w = phase_columns(spec.us, points)
+    es = w[:, idx].transpose(1, 0, 2)  # (n_configs, M, m)
+    hs = es @ es.conj().transpose(0, 2, 1)
+    return np.abs(np.linalg.det(es)), np.linalg.eigvalsh(hs)
+
+
+def a2_holds(det_abs, tol: float = A2_DET_TOL):
+    """The (A2) verdict |det E| > tol, elementwise for a batch."""
+    return det_abs > tol
 
 
 def hermitian_extremes(h: np.ndarray, asym_tol: float = 1e-10) -> tuple[float, float]:
@@ -112,7 +156,7 @@ def check_a2(
     spec: LatticeSpec, config: TranslationConfig, tol: float = A2_DET_TOL
 ) -> bool:
     """Whether E is invertible: |det E| > tol."""
-    return bool(abs(np.linalg.det(build_e(spec, config))) > tol)
+    return ingham_constants(spec, config, tol).satisfies_a2
 
 
 def ingham_constants(
@@ -123,16 +167,15 @@ def ingham_constants(
     c1_full/c2_full carry the (2*pi)^2 / |det L| volume factor, turning the
     kappas into the frame bounds of the exponentials over the domain.
     """
-    e = build_e(spec, config)
-    k1, k2 = hermitian_extremes(e @ e.conj().T)
-    k1 = max(k1, 0.0)
-    det_abs = float(abs(np.linalg.det(e)))
-    scale = (2.0 * math.pi) ** 2 / spec.det_l()
+    dets, eigs = spectra(spec, [config.ns])
+    k1 = max(float(eigs[0, 0]), 0.0)
+    k2 = float(eigs[0, -1])
+    scale = TWO_PI**2 / spec.det_l()
     return SpectralResult(
         kappa1=k1,
         kappa2=k2,
-        det_abs=det_abs,
-        satisfies_a2=det_abs > tol,
+        det_abs=float(dets[0]),
+        satisfies_a2=bool(a2_holds(dets[0], tol)),
         c1_full=k1 * scale,
         c2_full=k2 * scale,
     )

@@ -194,3 +194,27 @@ def test_reproduce_exit_zero(capsys, tmp_path):
     report = json.loads((tmp_path / "rep" / "report.json").read_text())
     assert report["summary"]["all_pass"] is True
     assert (tmp_path / "rep" / "survey_truncated_square.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "tiling, grid", [("trihexagonal", "-1"), ("truncated_trihexagonal", "1")]
+)
+def test_survey_grid_too_small_is_usage_error(capsys, tiling, grid):
+    code, _, err = run_cli(capsys, "survey", "--tiling", tiling, "--grid", grid)
+    assert code == 2
+    assert "usage error" in err
+
+
+def test_constants_without_tiling_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "constants", "--config", "0,0")
+    assert code == 2
+    assert "--tiling" in err
+
+
+def test_missing_spec_file_is_usage_error(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "constants", "--spec-file", str(tmp_path / "nosuch.json"),
+        "--config", "0,0",
+    )
+    assert code == 2
+    assert "--spec-file" in err

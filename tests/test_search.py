@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from ingham import catalog
@@ -16,7 +17,7 @@ from ingham.search import (
     survey_csv_rows,
     translation_classes,
 )
-from ingham.spectral import ingham_constants, TranslationConfig
+from ingham.spectral import build_e, check_a2, ingham_constants, TranslationConfig
 
 
 def test_enumerate_counts():
@@ -41,6 +42,25 @@ def test_classify_matches_per_config_path():
         assert rec.kappa2 == pytest.approx(sr.kappa2, abs=1e-9)
         assert rec.a2 == sr.satisfies_a2
         assert rec.det_abs == pytest.approx(sr.det_abs, abs=1e-9)
+
+
+def test_named_configs_share_one_spectral_path(catalog_entries):
+    """A single configuration is a survey batch of one: same bits, same verdict."""
+    checked = 0
+    for entry in catalog_entries.values():
+        spec = entry.spec
+        for name, config in sorted(entry.default_configs.items()):
+            sr = ingham_constants(spec, config)
+            rec = classify_configs(spec, [config.ns])[0]
+            single = [sr.kappa1.hex(), sr.kappa2.hex(), sr.det_abs.hex(), sr.satisfies_a2]
+            batch = [rec.kappa1.hex(), rec.kappa2.hex(), rec.det_abs.hex(), rec.a2]
+            assert single == batch, (spec.name, name)
+            assert check_a2(spec, config) is sr.satisfies_a2
+            e = build_e(spec, config)
+            h = e @ e.conj().T
+            assert np.max(np.abs(h - h.conj().T)) < 1e-12, (spec.name, name)
+            checked += 1
+    assert checked == 21
 
 
 def test_trihexagonal_survey():
