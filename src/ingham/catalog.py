@@ -72,10 +72,6 @@ def _cfg(ns) -> TranslationConfig:
     return TranslationConfig(tuple(tuple(n) for n in ns))
 
 
-def _records(rows) -> tuple[ExpectedRecord, ...]:
-    return tuple(rows)
-
-
 # -- exact tiling data --------------------------------------------------------
 
 
@@ -416,7 +412,7 @@ def _entry(
     return CatalogEntry(
         spec=spec,
         default_configs={k: _cfg(v) for k, v in configs.items()},
-        expected=_records(_EXPECTED.get(spec.name, [])),
+        expected=tuple(_EXPECTED.get(spec.name, [])),
         primary_config=primary,
     )
 
@@ -485,7 +481,7 @@ def get(name: str, r=None, R=None) -> CatalogEntry:
         return CatalogEntry(
             spec=spec,
             default_configs={"canonical": _cfg(TWO_SQUARE_CONFIG)},
-            expected=_records(_EXPECTED["two_square"]),
+            expected=tuple(_EXPECTED["two_square"]),
             primary_config="canonical",
         )
     try:
@@ -505,7 +501,7 @@ def _parse_two_square_name(name: str) -> tuple[Fraction, Fraction]:
 
 def expected_results(name: str) -> tuple[ExpectedRecord, ...]:
     if name == "two_square" or name.startswith("two_square_"):
-        return _records(_EXPECTED["two_square"])
+        return tuple(_EXPECTED["two_square"])
     if name in _catalog():
         return _catalog()[name].expected
     raise UnknownTilingError(f"unknown tiling {name!r}")

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, geometry, gram, search, spectral
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
-from .errors import InghamError, UnknownTilingError
+from .errors import DegenerateTilingError, InghamError, UnknownTilingError
 from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
 from .lattice import minimality_certificate, realize_points
 from .reproduce import build_report
@@ -74,6 +74,8 @@ def cmd_catalog(args) -> int:
             else:
                 print(name)
         return 0
+    if not args.name:
+        raise ValueError("catalog show needs a tiling name")
     entry = catalog.get(args.name, r=Fraction(args.r) if args.r else None,
                         R=Fraction(args.R) if args.R else None)
     data = spec_to_json(entry.spec) if _single_field(entry) else _spec_json_loose(entry)
@@ -171,7 +173,7 @@ def cmd_verify(args) -> int:
         "c2_full": fb.c2_full,
         "frame_bounds_pass": fb.passed,
     }
-    if args.hole or args.hole_fraction:
+    if args.hole or args.hole_fraction is not None:
         if args.hole:
             hole = tuple(float(v) for v in args.hole.split(","))
         else:
@@ -250,15 +252,16 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--spec-file", default=None)
         p.add_argument("--r", default=None)
         p.add_argument("--R", default=None)
-        p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("constants", help="spectral constants of one configuration")
     common(p)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--config", required=True, help="integer pairs 'a,b;a,b;...'")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("survey", help="exhaustive grid or connected-shape survey")
     common(p)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--grid", type=int, default=3)
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--csv", default=None, help="write per-config records to a CSV file")
@@ -266,6 +269,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="frame-bound and removal-witness checks")
     common(p)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--config", required=True)
     p.add_argument("--support-radius", type=int, default=1)
     p.add_argument("--hole", default=None, help="x0,y0,x1,y1")
@@ -294,15 +298,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UnknownTilingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UnknownTilingError, DegenerateTilingError, ValueError, KeyError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except InghamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

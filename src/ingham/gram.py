@@ -64,6 +64,8 @@ class SupportSet:
     @classmethod
     def centered(cls, spec: LatticeSpec, radius: int) -> SupportSet:
         """All translates crossed with {m : |m|_inf <= radius}."""
+        if radius < 0:
+            raise ValueError(f"support radius must be >= 0, got {radius}")
         rng = range(-radius, radius + 1)
         return cls.box(spec, rng, rng)
 
@@ -185,6 +187,10 @@ def inscribed_hole(
     area_fraction: float = 0.25,
 ) -> Rect:
     """Axis-aligned square centered in a cell with the given area fraction."""
+    if not 0 <= cell_index < spec.m:
+        raise ValueError(f"hole cell must be in [0, {spec.m}), got {cell_index}")
+    if not area_fraction > 0:  # fractions >= 1 fail the containment check below
+        raise ValueError(f"hole area fraction must be > 0, got {area_fraction}")
     linv = np.linalg.inv(ambient_l(spec))
     n = np.asarray(config.ns[cell_index], dtype=float)
     centroid = linv @ (TWO_PI * n + math.pi)

@@ -73,10 +73,6 @@ class QuadNumber:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def rational(cls, value: Rational) -> QuadNumber:
-        return cls(Fraction(value))
-
-    @classmethod
     def sqrt(cls, n: Rational) -> QuadNumber:
         """Exact square root of a nonnegative rational, if it stays quadratic."""
         n = Fraction(n)
@@ -224,7 +220,3 @@ class QuadNumber:
         if self.b == 0:
             return f"QuadNumber({self.a})"
         return f"QuadNumber({self.a} + {self.b}*sqrt({self.d}))"
-
-
-ZERO = QuadNumber(0)
-ONE = QuadNumber(1)

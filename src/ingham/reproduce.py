@@ -1,10 +1,12 @@
 """One-shot reproduction harness over the catalog's expected-result tables.
 
-Evaluates every ExpectedRecord, collects pass/fail entries into a
-deterministic report (no timestamps, sorted keys, fixed seeds), and writes
-the report plus survey CSVs.  Records that carry a `printed` value document
-a published figure that the data provably contradicts; they gate on the
-frozen computed value and surface the printed one in the report.
+`KINDS` maps each ExpectedRecord kind to an evaluator that gives `(computed,
+passed)`; kinds doing the same work share one.  `_report_entry` builds every
+report entry, frame bounds included.  The report is deterministic (no
+timestamps, sorted keys, fixed seeds) and is written with the survey CSVs.
+Records with a `printed` value document a published figure that the data
+provably contradicts; they gate on the frozen computed value and surface the
+printed one in the report.
 """
 
 from __future__ import annotations
@@ -12,11 +14,10 @@ from __future__ import annotations
 import csv
 import json
 import platform
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,226 +28,213 @@ from .lattice import minimality_certificate
 
 SEED = 20240801
 
-
-@dataclass
-class ReportEntry:
-    tiling: str
-    kind: str
-    key: str
-    want: Any
-    computed: Any
-    tol: float
-    passed: bool
-    source: str
-    printed: Any = None
-    note: str = ""
+Evaluator = Callable[[CatalogEntry, ExpectedRecord], tuple[Any, bool]]
 
 
-def _close(a: float, b: float, tol: float, relative: bool = False) -> bool:
-    if relative:
-        return abs(a - b) <= tol * abs(b)
-    return abs(a - b) <= tol
+def _close(got, want, tol: float, relative: bool = False) -> bool:
+    """|got - want| <= tol (times |want| if relative), elementwise on sequences."""
+    if isinstance(got, (tuple, list)):
+        return all(_close(g, w, tol, relative) for g, w in zip(got, want))
+    return abs(got - want) <= (tol * abs(want) if relative else tol)
 
 
-def _pair_close(got, want, tol) -> bool:
-    return _close(got[0], want[0], tol) and _close(got[1], want[1], tol)
+def _equal(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
+    """Pass when the computed value equals `want`."""
+    def evaluate(entry, rec):
+        computed = compute(entry, rec)
+        return computed, computed == rec.want
+
+    return evaluate
 
 
-def _survey(entry: CatalogEntry, grid_max: int) -> search.SurveyResult:
-    return search.classify_all(entry.spec, grid_max, entry.spec.m)
+def _within(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
+    """Pass when the computed value is within `tol` of `want`."""
+    def evaluate(entry, rec):
+        computed = compute(entry, rec)
+        return computed, _close(computed, rec.want, rec.tol, rec.params.get("relative", False))
+
+    return evaluate
 
 
-def _eval_record(entry: CatalogEntry, rec: ExpectedRecord) -> ReportEntry:
-    spec = entry.spec
-    kind, params = rec.kind, rec.params
-    computed: Any
-    passed: bool
+def _config(entry: CatalogEntry, rec: ExpectedRecord) -> spectral.TranslationConfig:
+    return entry.default_configs[rec.params["config"]]
 
-    if kind == "kappa_pair":
-        sr = spectral.ingham_constants(spec, entry.default_configs[params["config"]])
-        computed = (sr.kappa1, sr.kappa2)
-        passed = _pair_close(computed, rec.want, rec.tol)
-    elif kind == "a2_verdict":
-        computed = spectral.check_a2(spec, entry.default_configs[params["config"]])
-        passed = computed == rec.want
-    elif kind == "area":
-        geom = geometry.omega_cells(spec, entry.default_configs[params["config"]])
-        computed = geometry.area_check(geom, spec)
-        passed = _close(computed, rec.want, rec.tol, params.get("relative", False))
-    elif kind == "half_diameter":
-        geom = geometry.omega_cells(spec, entry.default_configs[params["config"]])
-        computed = geometry.disk_bounds(geom).r_sufficient
-        passed = _close(computed, rec.want, rec.tol)
-    elif kind == "radius_necessary":
-        geom = geometry.omega_cells(spec, entry.default_configs[params["config"]])
-        computed = geometry.disk_bounds(geom).r_necessary
-        passed = _close(computed, rec.want, rec.tol)
-    elif kind == "bessel_bound":
-        computed = 2.0 * geometry.bessel_j0_root()
-        passed = _close(computed, rec.want, rec.tol)
-    elif kind == "minimality":
-        computed = minimality_certificate(spec, catalog.minimality_witnesses(entry))
-        passed = computed == rec.want
-    elif kind == "density_ratio":
-        tri = catalog.get("triangular")
-        tri_geom = geometry.omega_cells(tri.spec, tri.default_configs["base"])
-        hc_geom = geometry.omega_cells(spec, entry.default_configs["right"])
-        computed = tri_geom.area / hc_geom.area
-        passed = _close(computed, rec.want, rec.tol)
-    elif kind in ("survey_fail_count", "survey_pass_count"):
-        sub = entry
+
+def _domain(entry: CatalogEntry, rec: ExpectedRecord) -> geometry.DomainGeometry:
+    return geometry.omega_cells(entry.spec, _config(entry, rec))
+
+
+def _kappas(entry: CatalogEntry, rec: ExpectedRecord) -> tuple[float, float]:
+    sr = spectral.ingham_constants(entry.spec, _config(entry, rec))
+    return (sr.kappa1, sr.kappa2)
+
+
+def _disk_bound(field: str) -> Evaluator:
+    """One field of the domain's disk bounds (half diameter, necessary radius)."""
+    return _within(lambda entry, rec: getattr(geometry.disk_bounds(_domain(entry, rec)), field))
+
+
+def _density_ratio(entry: CatalogEntry, rec: ExpectedRecord) -> float:
+    tri = catalog.get("triangular")
+    tri_geom = geometry.omega_cells(tri.spec, tri.default_configs["base"])
+    return tri_geom.area / geometry.omega_cells(entry.spec, entry.default_configs["right"]).area
+
+
+def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) -> Evaluator:
+    """Grid-survey kinds: `measure` gives (computed, passed) from one survey, and the
+    record's `total` and `sweep_stable` params add their gates."""
+    def evaluate(entry, rec):
+        params = rec.params
         if "r" in params:
-            sub = catalog.get("two_square", r=params["r"], R=params["R"])
-        result = _survey(sub, params["grid_max"])
-        if kind == "survey_fail_count":
-            computed = result.failing
-            passed = computed == rec.want
-        else:
-            computed = result.passing
-            passed = computed == rec.want and result.total == params["total"]
-        if params.get("sweep_stable") and len(set(search.sweep_counts(result).values())) > 1:
-            passed = False
-    elif kind == "survey_pass_kappas":
-        result = _survey(entry, params["grid_max"])
-        pairs = [(r.kappa1, r.kappa2) for r in result.records if r.a2]
-        k1s = [p[0] for p in pairs]
-        k2s = [p[1] for p in pairs]
-        computed = (min(k1s), max(k1s), min(k2s), max(k2s))
-        passed = all(
-            _close(v, w, rec.tol)
-            for v, w in zip(computed, (rec.want[0], rec.want[0], rec.want[1], rec.want[1]))
-        )
-    elif kind == "connected_pass_count":
-        result = search.connected_survey(spec)
-        computed = result.passing
-        passed = computed == rec.want
-    elif kind == "connected_all_pass":
-        result = search.connected_survey(spec)
-        computed = result.failing == 0
-        passed = computed == rec.want
-    elif kind == "polyomino_count":
-        computed = len(geometry.fixed_polyominoes(params["size"]))
-        passed = computed == rec.want
-    elif kind == "class_pairs":
-        computed, passed = _eval_class_pairs(entry, rec)
-    elif kind == "rank_order":
-        ranked = search.rank_by_conditioning(search.as_result(_cell_block_classes(spec)))
-        computed = [[list(p) for p in r.config] for r in ranked]
-        passed = computed == rec.want
-    elif kind == "delta_matches_det":
-        diffs = []
-        for r, R in params["pairs"]:
-            sub = catalog.get("two_square", r=r, R=R)
-            sr = spectral.ingham_constants(sub.spec, sub.default_configs["canonical"])
-            diffs.append(abs(sr.det_abs - abs(spectral.two_square_delta(r, R))))
-        computed = max(diffs)
-        passed = computed <= rec.tol
-    elif kind == "delta_nonzero":
-        rng = np.random.default_rng(params["seed"])
-        vals = []
-        for _ in range(params["count"]):
-            r = Fraction(int(rng.integers(1, 1000)), 100)
-            R = r + Fraction(int(rng.integers(1, 1000)), 100)
-            if R > 10:
-                r, R = r / 2, R / 2
-            vals.append(abs(spectral.two_square_delta(r, R)))
-        computed = min(vals)
-        passed = computed > rec.want
-    else:
-        raise ValueError(f"unknown expected-record kind {kind!r}")
+            entry = catalog.get("two_square", r=params["r"], R=params["R"])
+        result = search.classify_all(entry.spec, params["grid_max"], entry.spec.m)
+        computed, passed = measure(result, rec)
+        passed = passed and result.total == params.get("total", result.total)
+        if params.get("sweep_stable"):
+            passed = passed and len(set(search.sweep_counts(result).values())) == 1
+        return computed, passed
 
-    return ReportEntry(
-        tiling=spec.name,
-        kind=kind,
-        key=rec.key,
-        want=rec.want,
-        computed=computed,
-        tol=rec.tol,
-        passed=bool(passed),
-        source=rec.source,
-        printed=rec.printed,
-        note=rec.note or params.get("note", ""),
-    )
+    return evaluate
+
+
+def _pass_kappas(result: search.SurveyResult, rec: ExpectedRecord):
+    """Extremes of kappa1 and kappa2 over the passing configurations."""
+    k1s = [r.kappa1 for r in result.records if r.a2]
+    k2s = [r.kappa2 for r in result.records if r.a2]
+    computed = (min(k1s), max(k1s), min(k2s), max(k2s))
+    want1, want2 = rec.want
+    return computed, _close(computed, (want1, want1, want2, want2), rec.tol)
 
 
 def _cell_block_classes(spec) -> list[search.SurveyRecord]:
     """One record per translation class of m-subsets of the 2x2 cell block."""
-    classes = search.translation_classes(
-        combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m)
-    )
+    classes = search.translation_classes(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
     return search.classify_configs(spec, [cls.representative for cls in classes])
 
 
-def _eval_class_pairs(entry: CatalogEntry, rec: ExpectedRecord):
-    spec = entry.spec
-    if rec.key == "cells-2x2":
-        records = _cell_block_classes(spec)
-        computed = [
+def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord):
+    """Constant pairs per class: each wanted pair within 1e-6 (matched by cells
+    when the rows are labelled with them), each printed pair within `tol`."""
+    labelled = rec.key == "cells-2x2"
+    if labelled:
+        rows = [
             [list(r.config[0]), list(r.config[1]), round(r.kappa1, 7), round(r.kappa2, 7)]
-            for r in records
+            for r in _cell_block_classes(entry.spec)
         ]
-        by_config = {tuple(map(tuple, row[:2])): (row[2], row[3]) for row in computed}
-        passed = len(records) == len(rec.want)
-        for row in rec.want:
-            key = (tuple(row[0]), tuple(row[1]))
-            passed = passed and key in by_config
-            passed = passed and _pair_close(by_config[key], (row[2], row[3]), 1e-6)
-        for printed in rec.params.get("printed_pairs", []):
-            passed = passed and any(
-                _pair_close((row[2], row[3]), printed, rec.tol) for row in computed
-            )
-        return computed, passed
-    # tetromino classes: group the connected survey by free symmetry class
-    result = search.connected_survey(spec)
-    pairs = sorted(
-        {(round(r.kappa1, 7), round(r.kappa2, 7)) for r in result.records if r.a2}
-    )
-    computed = [[k1, k2] for k1, k2 in pairs]
-    want_pairs = [row[-2:] for row in rec.want]
-    passed = len(computed) == len(want_pairs)
-    for wk1, wk2 in want_pairs:
-        passed = passed and any(_pair_close((k1, k2), (wk1, wk2), 1e-6) for k1, k2 in computed)
-    for printed in rec.params.get("printed_pairs", []):
-        passed = passed and any(
-            _pair_close((k1, k2), printed, rec.tol) for k1, k2 in computed
+    else:  # tetromino classes: distinct pairs among the passing connected shapes
+        records = search.connected_survey(entry.spec).records
+        pairs = {(round(r.kappa1, 7), round(r.kappa2, 7)) for r in records if r.a2}
+        rows = [[k1, k2] for k1, k2 in sorted(pairs)]
+
+    def found(pair, tol, cells=None) -> bool:
+        return any(
+            (cells is None or row[:-2] == cells) and _close(row[-2:], pair, tol) for row in rows
         )
-    return computed, passed
+
+    passed = (
+        len(rows) == len(rec.want)
+        and all(found(w[-2:], 1e-6, w[:-2] if labelled else None) for w in rec.want)
+        and all(found(p, rec.tol) for p in rec.params.get("printed_pairs", []))
+    )
+    return rows, passed
+
+
+def _rank_order(entry: CatalogEntry, rec: ExpectedRecord) -> list:
+    ranked = search.rank_by_conditioning(search.as_result(_cell_block_classes(entry.spec)))
+    return [[list(p) for p in r.config] for r in ranked]
+
+
+def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord):
+    """Largest gap between the kernel's |det E| and the closed-form delta."""
+    diffs = []
+    for r, R in rec.params["pairs"]:
+        sub = catalog.get("two_square", r=r, R=R)
+        sr = spectral.ingham_constants(sub.spec, sub.default_configs["canonical"])
+        diffs.append(abs(sr.det_abs - abs(spectral.two_square_delta(r, R))))
+    return max(diffs), max(diffs) <= rec.tol
+
+
+def _delta_nonzero(entry: CatalogEntry, rec: ExpectedRecord):
+    """Smallest |delta| over seeded random side lengths; must exceed `want`."""
+    rng = np.random.default_rng(rec.params["seed"])
+    vals = []
+    for _ in range(rec.params["count"]):
+        r = Fraction(int(rng.integers(1, 1000)), 100)
+        R = r + Fraction(int(rng.integers(1, 1000)), 100)
+        if R > 10:
+            r, R = r / 2, R / 2
+        vals.append(abs(spectral.two_square_delta(r, R)))
+    return min(vals), min(vals) > rec.want
+
+
+KINDS: dict[str, Evaluator] = {
+    "kappa_pair": _within(_kappas),
+    "a2_verdict": _equal(lambda entry, rec: spectral.check_a2(entry.spec, _config(entry, rec))),
+    "area": _within(lambda entry, rec: geometry.area_check(_domain(entry, rec), entry.spec)),
+    "half_diameter": _disk_bound("r_sufficient"),
+    "radius_necessary": _disk_bound("r_necessary"),
+    "bessel_bound": _within(lambda entry, rec: 2.0 * geometry.bessel_j0_root()),
+    "minimality": _equal(
+        lambda entry, rec: minimality_certificate(entry.spec, catalog.minimality_witnesses(entry))
+    ),
+    "density_ratio": _within(_density_ratio),
+    "survey_fail_count": _survey_kind(lambda res, rec: (res.failing, res.failing == rec.want)),
+    "survey_pass_count": _survey_kind(lambda res, rec: (res.passing, res.passing == rec.want)),
+    "survey_pass_kappas": _survey_kind(_pass_kappas),
+    "connected_pass_count": _equal(lambda entry, rec: search.connected_survey(entry.spec).passing),
+    "connected_all_pass": _equal(
+        lambda entry, rec: search.connected_survey(entry.spec).failing == 0
+    ),
+    "polyomino_count": _equal(
+        lambda entry, rec: len(geometry.fixed_polyominoes(rec.params["size"]))
+    ),
+    "class_pairs": _class_pairs,
+    "rank_order": _equal(_rank_order),
+    "delta_matches_det": _delta_matches_det,
+    "delta_nonzero": _delta_nonzero,
+}
+
+
+def _report_entry(tiling: str, rec: ExpectedRecord, computed: Any, passed: bool) -> dict:
+    """One report.json entry; `printed` and `note` appear only when present."""
+    note = rec.note or rec.params.get("note", "")
+    return {
+        "tiling": tiling,
+        "kind": rec.kind,
+        "key": rec.key,
+        "want": rec.want,
+        "computed": computed,
+        "tol": rec.tol,
+        "pass": bool(passed),
+        "source": rec.source,
+        **({"printed": rec.printed} if rec.printed is not None else {}),
+        **({"note": note} if note else {}),
+    }
+
+
+def _evaluate(entry: CatalogEntry, rec: ExpectedRecord) -> dict:
+    if rec.kind not in KINDS:
+        raise ValueError(f"unknown expected-record kind {rec.kind!r}")
+    computed, passed = KINDS[rec.kind](entry, rec)
+    return _report_entry(entry.spec.name, rec, computed, passed)
+
+
+def _tilings(R: int):
+    """Every catalog entry, the two-square family at r=1 and the given R."""
+    for name in catalog.names():
+        yield catalog.get(name, r=1, R=R) if name == "two_square" else catalog.get(name)
 
 
 def build_report(out_dir: str | Path | None = None) -> dict:
     """Run every expected record; optionally write report.json and CSVs."""
-    entries: list[ReportEntry] = []
-    for name in catalog.names():
-        entry = catalog.get(name, r=1, R=2) if name == "two_square" else catalog.get(name)
-        for rec in entry.expected:
-            entries.append(_eval_record(entry, rec))
+    entries = [_evaluate(entry, rec) for entry in _tilings(R=2) for rec in entry.expected]
+    entries += [_frame_bound_entry(entry) for entry in _tilings(R=3)]
 
-    frame_entries = _frame_bound_entries()
-    entries.extend(frame_entries)
-
-    passed = sum(1 for e in entries if e.passed)
-    discrepancies = [
-        {"tiling": e.tiling, "kind": e.kind, "key": e.key, "printed": e.printed,
-         "computed": e.computed, "note": e.note}
-        for e in entries
-        if e.printed is not None
-    ]
+    passed = sum(1 for e in entries if e["pass"])
+    fields = ("tiling", "kind", "key", "printed", "computed", "note")
+    discrepancies = [{k: e.get(k, "") for k in fields} for e in entries if "printed" in e]
     report = {
-        "entries": [
-            {
-                "tiling": e.tiling,
-                "kind": e.kind,
-                "key": e.key,
-                "want": e.want,
-                "computed": e.computed,
-                "tol": e.tol,
-                "pass": e.passed,
-                "source": e.source,
-                **({"printed": e.printed} if e.printed is not None else {}),
-                **({"note": e.note} if e.note else {}),
-            }
-            for e in entries
-        ],
+        "entries": entries,
         "summary": {
             "total": len(entries),
             "passed": passed,
@@ -265,43 +253,26 @@ def build_report(out_dir: str | Path | None = None) -> dict:
     return report
 
 
-def _frame_bound_entries() -> list[ReportEntry]:
-    """Frame-bound containment for each tiling's primary configuration."""
-    out = []
-    for name in catalog.names():
-        entry = catalog.get(name, r=1, R=3) if name == "two_square" else catalog.get(name)
-        spec = entry.spec
-        config = entry.default_configs[entry.primary_config]
-        support = _acceptance_support(spec)
-        fb = frame_bound_check(spec, config, support)
-        out.append(
-            ReportEntry(
-                tiling=spec.name,
-                kind="frame_bounds",
-                key=f"{entry.primary_config}/S{len(support)}",
-                want=[fb.c1_full, fb.c2_full],
-                computed=[fb.lambda_min, fb.lambda_max],
-                tol=1e-6 * fb.c2_full,
-                passed=fb.passed and fb.a2,
-                source="derived: Gram spectrum within the frame bounds",
-            )
-        )
-    return out
+def _frame_bound_entry(entry: CatalogEntry) -> dict:
+    """Frame-bound containment for the tiling's primary configuration."""
+    support = _acceptance_support(entry.spec)
+    fb = frame_bound_check(entry.spec, entry.default_configs[entry.primary_config], support)
+    rec = ExpectedRecord(
+        kind="frame_bounds",
+        key=f"{entry.primary_config}/S{len(support)}",
+        want=[fb.c1_full, fb.c2_full],
+        source="derived: Gram spectrum within the frame bounds",
+        tol=1e-6 * fb.c2_full,
+    )
+    return _report_entry(entry.spec.name, rec, [fb.lambda_min, fb.lambda_max], fb.passed and fb.a2)
 
 
 def _acceptance_support(spec) -> SupportSet:
     """Largest centered-box support with at most 50 exponentials."""
-    m = spec.m
-    best = None
-    for nx in range(1, 8):
-        for ny in range(1, 8):
-            size = m * nx * ny
-            if size <= 50 and (best is None or size > best[0]):
-                best = (size, nx, ny)
-    _, nx, ny = best
-    xs = range(-(nx // 2), nx - nx // 2)
-    ys = range(-(ny // 2), ny - ny // 2)
-    return SupportSet.box(spec, list(xs), list(ys))
+    boxes = [(nx, ny) for nx in range(1, 8) for ny in range(1, 8) if spec.m * nx * ny <= 50]
+    nx, ny = max(boxes, key=lambda box: box[0] * box[1])
+    xs, ys = (range(-(n // 2), n - n // 2) for n in (nx, ny))
+    return SupportSet.box(spec, xs, ys)
 
 
 def _write_outputs(out_dir: Path, report: dict) -> None:
@@ -309,13 +280,8 @@ def _write_outputs(out_dir: Path, report: dict) -> None:
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    surveys = {
-        "two_square_r1_R2": catalog.get("two_square", r=1, R=2),
-        "snub_square": catalog.get("snub_square"),
-        "truncated_square": catalog.get("truncated_square"),
-        "trihexagonal": catalog.get("trihexagonal"),
-    }
-    for label, entry in surveys.items():
+    for label in ("two_square_r1_R2", "snub_square", "truncated_square", "trihexagonal"):
+        entry = catalog.get(label)
         grid = 2 if entry.spec.m == 3 else 3
         result = search.classify_all(entry.spec, grid, entry.spec.m)
         with open(out_dir / f"survey_{label}.csv", "w", newline="", encoding="utf-8") as fh:

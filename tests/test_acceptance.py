@@ -23,7 +23,7 @@ from ingham.geometry import bessel_j0_root, disk_bounds, fixed_polyominoes, omeg
 from ingham.gram import SupportSet, frame_bound_check, gram_matrix, inscribed_hole, removal_witness
 from ingham.lattice import LatticePoint, LatticeSpec, minimality_certificate, qvec
 from ingham.qfield import QuadNumber
-from ingham.reproduce import build_report
+from ingham.reproduce import _acceptance_support, build_report
 from ingham.search import classify_all, classify_configs, connected_survey, translation_classes
 from ingham.spectral import (
     A2_SWEEP,
@@ -255,19 +255,6 @@ def test_criterion_3_geometry():
 
 
 # -- criterion 4: two-sided estimate, finite shadows ---------------------------
-
-
-def _acceptance_support(spec):
-    best = None
-    for nx in range(1, 8):
-        for ny in range(1, 8):
-            size = spec.m * nx * ny
-            if size <= 50 and (best is None or size > best[0]):
-                best = (size, nx, ny)
-    _, nx, ny = best
-    return SupportSet.box(
-        spec, range(-(nx // 2), nx - nx // 2), range(-(ny // 2), ny - ny // 2)
-    )
 
 
 def test_criterion_4_frame_bound_suite(catalog_entries):

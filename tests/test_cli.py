@@ -218,3 +218,48 @@ def test_missing_spec_file_is_usage_error(capsys, tmp_path):
     )
     assert code == 2
     assert "--spec-file" in err
+
+
+HONEYCOMB_VERIFY = ("verify", "--tiling", "honeycomb", "--config", "0,0;1,0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("catalog", "show"), "tiling name"),
+        (HONEYCOMB_VERIFY + ("--hole-fraction", "0.25", "--hole-cell", "5"), "hole cell"),
+        (HONEYCOMB_VERIFY + ("--hole-fraction", "0.25", "--hole-cell", "-1"), "hole cell"),
+        (HONEYCOMB_VERIFY + ("--hole-fraction", "0"), "area fraction"),
+        (HONEYCOMB_VERIFY + ("--hole-fraction", "-0.5"), "area fraction"),
+    ],
+)
+def test_catalog_show_and_hole_misuse_is_usage_error(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err and message in err
+
+
+@pytest.mark.parametrize(
+    "extra", [("--support-radius", "-1"), ("--hole-fraction", "0.25", "--witness-radii", "-1")]
+)
+def test_negative_support_radius_is_usage_error(capsys, extra):
+    code, _, err = run_cli(capsys, *HONEYCOMB_VERIFY, *extra)
+    assert code == 2
+    assert "radius must be >= 0" in err
+
+
+@pytest.mark.parametrize("r, R", [("2", "1"), ("0", "1")])
+def test_degenerate_two_square_is_usage_error(capsys, r, R):
+    code, _, err = run_cli(
+        capsys, "constants", "--tiling", "two_square", "--r", r, "--R", R,
+        "--config", "0,0;0,1;1,0;1,1",
+    )
+    assert code == 2
+    assert "need 0 < r < R" in err
+
+
+def test_export_rejects_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", "--tiling", "square", "--what", "domain", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 import dataclasses
 
+import pytest
+
 from ingham import catalog
 from ingham.reproduce import build_report
 
@@ -53,3 +55,78 @@ def test_corrupted_entry_gives_nonzero_exit(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL  square/kappa_pair" in out
+
+
+# One corrupted record per expected-record kind, keyed by (tiling, kind, key).
+# Most get a wrong `want`; the two determinant checks gate on `tol` / a floor.
+CORRUPTIONS = {
+    ("square", "area", "cell"): {"want": 1.0},
+    ("triangular", "half_diameter", "domain"): {"want": 1.0},
+    ("triangular", "radius_necessary", "domain"): {"want": 1.0},
+    ("triangular", "bessel_bound", "j0"): {"want": 1.0},
+    ("honeycomb", "a2_verdict", "right"): {"want": False},
+    ("honeycomb", "kappa_pair", "right"): {"want": (1.0, 2.5)},
+    ("honeycomb", "minimality", "witnesses"): {"want": False},
+    ("honeycomb", "density_ratio", "vs-triangular"): {"want": 2.0},
+    # every pair exists, but two are listed under each other's cells
+    ("elongated_triangular", "class_pairs", "cells-2x2"): {"want": [
+        [[0, 0], [0, 1], 0.3678748, 3.6321252],
+        [[0, 0], [1, 0], 0.6677382, 3.3322618],
+        [[0, 0], [1, 1], 0.6677382, 3.3322618],
+        [[0, 1], [1, 0], 1.7749216, 2.2250784],
+    ]},
+    ("elongated_triangular", "rank_order", "cells-2x2"): {"want": [
+        [[0, 1], [1, 0]], [[0, 0], [1, 1]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
+    ]},
+    ("elongated_triangular", "connected_all_pass", "dominoes"): {"want": False},
+    ("trihexagonal", "survey_pass_count", "grid-0-2"): {"want": 35},
+    ("trihexagonal", "survey_pass_kappas", "grid-0-2"): {"want": (1.0, 5.0)},
+    ("snub_square", "connected_pass_count", "tetrominoes"): {"want": 18},
+    ("snub_square", "polyomino_count", "size-4"): {"want": 18},
+    ("two_square", "survey_fail_count", "r1-R2"): {"want": 10},
+    ("two_square", "delta_matches_det", "closed-form"): {"tol": 1e-20},
+    ("two_square", "delta_nonzero", "random-100"): {"want": 1e6},
+}
+
+
+def _corrupt(name, records):
+    return [
+        dataclasses.replace(rec, **CORRUPTIONS.get((name, rec.kind, rec.key), {}))
+        for rec in records
+    ]
+
+
+def test_every_record_kind_fails_when_corrupted(monkeypatch):
+    entries = {
+        name: dataclasses.replace(entry, expected=tuple(_corrupt(name, entry.expected)))
+        for name, entry in catalog._catalog().items()
+    }
+    monkeypatch.setattr(catalog, "_CATALOG", entries)
+    monkeypatch.setitem(
+        catalog._EXPECTED, "two_square", _corrupt("two_square", catalog._EXPECTED["two_square"])
+    )
+    kinds = {kind for _, kind, _ in CORRUPTIONS}
+    records = [rec for e in entries.values() for rec in e.expected]
+    records += catalog._EXPECTED["two_square"]
+    assert kinds == {rec.kind for rec in records}
+    assert len(kinds) == len(CORRUPTIONS) == 18
+
+    report = build_report()
+    failed = {
+        (e["tiling"].replace("_r1_R2", ""), e["kind"], e["key"])
+        for e in report["entries"]
+        if not e["pass"]
+    }
+    assert failed == set(CORRUPTIONS)
+    assert report["summary"]["failed"] == 18
+    assert report["summary"]["total"] == 61
+
+
+def test_unknown_record_kind_raises(monkeypatch):
+    entries = dict(catalog._catalog())
+    first = catalog.names()[0]
+    bogus = catalog.ExpectedRecord("no_such_kind", "x", 0, "test")
+    entries[first] = dataclasses.replace(entries[first], expected=(bogus,))
+    monkeypatch.setattr(catalog, "_CATALOG", entries)
+    with pytest.raises(ValueError, match="no_such_kind"):
+        build_report()
