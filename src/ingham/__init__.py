@@ -69,6 +69,7 @@ from .gram import (
     SupportSet,
     frame_bound_check,
     gram_matrix,
+    hole_inner_product,
     inner_product,
     inscribed_hole,
     removal_witness,

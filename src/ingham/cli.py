@@ -17,7 +17,12 @@ from fractions import Fraction
 
 from . import catalog, geometry, gram, search, spectral
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
-from .errors import DegenerateTilingError, InghamError, UnknownTilingError
+from .errors import (
+    DegenerateTilingError,
+    HoleOutsideDomainError,
+    InghamError,
+    UnknownTilingError,
+)
 from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
 from .lattice import minimality_certificate, realize_points
 from .reproduce import build_report
@@ -174,13 +179,16 @@ def cmd_verify(args) -> int:
         "frame_bounds_pass": fb.passed,
     }
     if args.hole or args.hole_fraction is not None:
-        if args.hole:
-            hole = tuple(float(v) for v in args.hole.split(","))
-        else:
-            hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
         radii = [int(v) for v in args.witness_radii.split(",")]
         supports = [SupportSet.centered(entry.spec, k) for k in radii]
-        lambdas = removal_witness(entry.spec, config, hole, supports)
+        try:
+            if args.hole:
+                hole = tuple(float(v) for v in args.hole.split(","))
+            else:
+                hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
+            lambdas = removal_witness(entry.spec, config, hole, supports)
+        except HoleOutsideDomainError as exc:  # the hole is the user's input
+            raise ValueError(f"hole: {exc}") from None
         data["hole"] = list(hole)
         data["witness"] = [
             {"support_size": len(s), "lambda_min": lam}

@@ -10,6 +10,17 @@ with mu the difference of translate-plus-integer indices and
 phi(t) = (e^{2 pi i t} - 1)/(i t), phi(0) = 2 pi.  Whether a component of mu
 is zero or integer is decided in exact arithmetic, so Fourier orthogonality
 is exact and no quadrature enters the main path.
+
+mu = (u_p - u_q) + (m_p - m_q) splits into a translate pair and an integer
+shift.  The phase sum depends on the pair alone (an integer shift leaves the
+fractional and radical parts of <mu, n_k> unchanged), and phi(mu_d) on the
+pair and the shift along axis d.  `gram_matrix` therefore does its exact work
+once per translate pair (M^2 phase sums) and once per distinct pair and axis
+shift (phi, where the zero/integer branch is decided), and `hole_gram_matrix`
+once per distinct pair and shift vector.  numpy gathers those values into the
+S^2 entries and multiplies them component by component in CPython's rounding
+order, so every entry has the bits of the scalar `inner_product` and
+`hole_inner_product`, which stay as the test oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +46,19 @@ from .spectral import (
 
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 
+# Largest support a SupportSet may hold.  A Gram matrix of S points is S^2
+# complex entries (16 B each); it is filled one slab of SLAB_ROWS rows at a
+# time, through upper-triangle index and value arrays of up to about 150 B per
+# entry of the slab.  At S = 4000 that is 256 MB of matrix plus about 150 MB
+# of slab temporaries, before the eigensolve of frame_bound_check copies the
+# matrix.
+MAX_SUPPORT = 4000
+SLAB_ROWS = 256
+
+# Support coordinates stay below this in absolute value, so the int64 shifts
+# m_p - m_q the Gram kernels take cannot overflow.
+COORD_LIMIT = 2**62
+
 
 @dataclass(frozen=True)
 class SupportSet:
@@ -45,6 +69,10 @@ class SupportSet:
     def __post_init__(self) -> None:
         if len(set(self.items)) != len(self.items):
             raise ValueError("support items must be pairwise distinct")
+        if any(abs(c) >= COORD_LIMIT for p in self.items for c in p.m):
+            raise ValueError(
+                f"support coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})"
+            )
 
     def __len__(self) -> int:
         return len(self.items)
@@ -52,6 +80,9 @@ class SupportSet:
     @classmethod
     def box(cls, spec: LatticeSpec, xs: Sequence[int], ys: Sequence[int]) -> SupportSet:
         """All translates crossed with the integer box xs x ys."""
+        size = spec.m * len(xs) * len(ys)
+        if size > MAX_SUPPORT:
+            raise ValueError(f"support of {size} points exceeds {MAX_SUPPORT}")
         return cls(
             tuple(
                 LatticePoint(j, (int(a), int(b)))
@@ -99,6 +130,13 @@ def _phi(t) -> complex:
     return (phase(t) - 1.0) / (1j * float(t))
 
 
+def _phase_sum(config: TranslationConfig, mu: Vec2) -> complex:
+    total = 0.0j
+    for n in config.ns:
+        total += phase(vec_dot(mu, n))
+    return total
+
+
 def inner_product(
     spec: LatticeSpec,
     config: TranslationConfig,
@@ -110,26 +148,98 @@ def inner_product(
     factor = _phi(mu[0]) * _phi(mu[1])
     if factor == 0:
         return 0.0j
-    total = 0.0j
-    for n in config.ns:
-        total += phase(vec_dot(mu, n))
-    return total * factor / spec.det_l()
+    return _phase_sum(config, mu) * factor / spec.det_l()
+
+
+def _ranks(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of an integer column and each entry's index
+    among them: np.unique(column, return_inverse=True) through one stable
+    argsort, which touches fewer numpy kernels (resident memory)."""
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(ordered), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return ordered[new], rank
+
+
+def _distinct_rows(shift: np.ndarray):
+    """Distinct rows (s0, s1) of an (n, 2) integer array, and each row's index
+    among them."""
+    v0, r0 = _ranks(shift[:, 0])
+    v1, r1 = _ranks(shift[:, 1])
+    codes, inverse = _ranks(r0 * len(v1) + r1)
+    keys = zip(v0[codes // len(v1)].tolist(), v1[codes % len(v1)].tolist())
+    return keys, inverse
+
+
+def _product(x, y):
+    """(re, im) of x * y for (re, im) pairs of arrays, in CPython's rounding.
+
+    numpy's complex multiply may use fused multiply-add and round differently
+    from the scalar product in `inner_product`.
+    """
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _assemble(spec: LatticeSpec, support: SupportSet, block) -> np.ndarray:
+    """Hermitian S x S matrix, one translate pair (x, y) at a time.
+
+    block(x, y, shift) returns the entries (a, b), a <= b, whose points have
+    translates x and y, from their integer shifts m_a - m_b; the rows a come
+    in slabs of at most SLAB_ROWS.  The lower triangle holds the conjugates,
+    written first so the diagonal keeps the values themselves.
+    """
+    items = support.items
+    j = np.array([p.j for p in items], dtype=np.intp)
+    m = np.array([p.m for p in items], dtype=np.int64).reshape(-1, 2)
+    where = [np.flatnonzero(j == x) for x in range(spec.m)]
+    slabs = [
+        (x, px[k : k + SLAB_ROWS])
+        for x, px in enumerate(where)
+        for k in range(0, len(px), SLAB_ROWS)
+    ]
+    g = np.empty((len(items), len(items)), dtype=complex)
+    for x, pa in slabs:
+        for y, pb in enumerate(where):
+            r, c = np.nonzero(pa[:, None] <= pb[None, :])
+            if not len(r):
+                continue
+            rows, cols = pa[r], pb[c]
+            upper = block(x, y, m[rows] - m[cols])
+            g[cols, rows] = upper.conj()
+            g[rows, cols] = upper
+    return g
 
 
 def gram_matrix(
     spec: LatticeSpec, config: TranslationConfig, support: SupportSet
 ) -> np.ndarray:
-    """Hermitian S x S matrix of pairwise inner products over the domain."""
-    items = support.items
-    s = len(items)
-    g = np.empty((s, s), dtype=complex)
-    for a in range(s):
-        g[a, a] = inner_product(spec, config, items[a], items[a])
-        for b in range(a + 1, s):
-            v = inner_product(spec, config, items[a], items[b])
-            g[a, b] = v
-            g[b, a] = v.conjugate()
-    return g
+    """Hermitian S x S matrix of pairwise inner products over the domain.
+
+    Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
+    """
+    det = spec.det_l()
+
+    def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
+        mu = vec_sub(spec.us[x], spec.us[y])
+        phi = []
+        for d in range(2):
+            keys, inverse = _ranks(shift[:, d])
+            table = np.array([_phi(mu[d] + s) for s in keys.tolist()], dtype=complex)
+            phi.append(table[inverse])
+        factor = _product(*((v.real, v.imag) for v in phi))
+        total = _phase_sum(config, mu)
+        re, im = _product((total.real, total.imag), factor)
+        upper = np.empty(len(shift), dtype=complex)
+        upper.real = re / det
+        upper.imag = im / det
+        upper[(factor[0] == 0) & (factor[1] == 0)] = 0
+        return upper
+
+    return _assemble(spec, support, block)
 
 
 def frame_bound_check(
@@ -169,8 +279,10 @@ def frame_bound_check(
 def _cell_of_rect(spec: LatticeSpec, config: TranslationConfig, hole: Rect) -> int:
     """Index of the cell strictly containing the rectangle, or raise."""
     x0, y0, x1, y1 = hole
+    if not all(math.isfinite(v) for v in hole):
+        raise HoleOutsideDomainError("rectangle corners must be finite")
     if not (x1 > x0 and y1 > y0):
-        raise HoleOutsideDomainError("hole rectangle has no interior")
+        raise HoleOutsideDomainError("rectangle has no interior")
     l = ambient_l(spec)
     corners = np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)]) @ l.T
     for k, n in enumerate(config.ns):
@@ -189,8 +301,12 @@ def inscribed_hole(
     """Axis-aligned square centered in a cell with the given area fraction."""
     if not 0 <= cell_index < spec.m:
         raise ValueError(f"hole cell must be in [0, {spec.m}), got {cell_index}")
-    if not area_fraction > 0:  # fractions >= 1 fail the containment check below
+    if not area_fraction > 0:
         raise ValueError(f"hole area fraction must be > 0, got {area_fraction}")
+    if area_fraction >= 1:
+        raise HoleOutsideDomainError(
+            f"area fraction {area_fraction} >= 1 cannot fit inside one cell"
+        )
     linv = np.linalg.inv(ambient_l(spec))
     n = np.asarray(config.ns[cell_index], dtype=float)
     centroid = linv @ (TWO_PI * n + math.pi)
@@ -206,39 +322,51 @@ def inscribed_hole(
     return hole
 
 
-def hole_gram_matrix(
-    spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
-) -> np.ndarray:
-    """Gram matrix of the exponentials over the hole rectangle alone.
+def hole_inner_product(
+    spec: LatticeSpec, hole: Rect, p: LatticePoint, q: LatticePoint
+) -> complex:
+    """Integral of e_p conj(e_q) over the hole rectangle alone.
 
     Uses the ambient closed form with delta = L* mu per coordinate,
     prod_d (e^{i delta_d b_d} - e^{i delta_d a_d})/(i delta_d), the zero
     branch contributing the side length.  delta_d = 0 is decided exactly.
     """
-    _cell_of_rect(spec, config, hole)
     x0, y0, x1, y1 = hole
     sides = ((x0, x1), (y0, y1))
-    items = support.items
-    s = len(items)
-    g = np.empty((s, s), dtype=complex)
     rows = spec.l_star
-    for a in range(s):
-        for b in range(a, s):
-            mu = _mu(spec, items[a], items[b])
-            val = 1.0 + 0.0j
-            for d in range(2):
-                delta = rows[d][0] * mu[0] + rows[d][1] * mu[1]
-                lo, hi = sides[d]
-                if delta.is_zero():
-                    val *= hi - lo
-                else:
-                    df = float(delta)
-                    val *= (cmath.exp(1j * df * hi) - cmath.exp(1j * df * lo)) / (
-                        1j * df
-                    )
-            g[a, b] = val
-            g[b, a] = val.conjugate()
-    return g
+    mu = _mu(spec, p, q)
+    val = 1.0 + 0.0j
+    for d in range(2):
+        delta = rows[d][0] * mu[0] + rows[d][1] * mu[1]
+        lo, hi = sides[d]
+        if delta.is_zero():
+            val *= hi - lo
+        else:
+            df = float(delta)
+            val *= (cmath.exp(1j * df * hi) - cmath.exp(1j * df * lo)) / (1j * df)
+    return val
+
+
+def hole_gram_matrix(
+    spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
+) -> np.ndarray:
+    """Gram matrix of the exponentials over the hole rectangle alone.
+
+    Entry (a, b), a <= b, is hole_inner_product(items[a], items[b]), which
+    depends only on the translate pair and the shift m_a - m_b.
+    """
+    _cell_of_rect(spec, config, hole)
+
+    def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
+        keys, inverse = _distinct_rows(shift)
+        origin = LatticePoint(y, (0, 0))
+        table = [
+            hole_inner_product(spec, hole, LatticePoint(x, (s0, s1)), origin)
+            for s0, s1 in keys
+        ]
+        return np.array(table, dtype=complex)[inverse]
+
+    return _assemble(spec, support, block)
 
 
 def removal_witness(

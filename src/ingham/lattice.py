@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -61,6 +62,12 @@ def mat_inv(m: Mat2) -> Mat2:
         (m[1][1] * inv, -m[0][1] * inv),
         (-m[1][0] * inv, m[0][0] * inv),
     )
+
+
+@lru_cache(maxsize=64)
+def l_star_inverse(l_star: Mat2) -> Mat2:
+    """mat_inv(l_star), computed once per exact matrix."""
+    return mat_inv(l_star)
 
 
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
@@ -126,7 +133,7 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
 
 def contains(spec: LatticeSpec, p: Vec2) -> LatticePoint | None:
     """Exact membership: the (j, m) with p = l_star @ (u_j + m), if any."""
-    y = mat_vec(mat_inv(spec.l_star), p)
+    y = mat_vec(l_star_inverse(spec.l_star), p)
     for j, u in enumerate(spec.us):
         r = vec_sub(y, u)
         if vec_is_integer(r):
@@ -145,7 +152,7 @@ def realize_points(
     x0, y0, x1, y1 = bbox
     if not (x1 > x0 and y1 > y0):
         return []
-    inv = [[float(e) for e in row] for row in mat_inv(spec.l_star)]
+    inv = [[float(e) for e in row] for row in l_star_inverse(spec.l_star)]
     corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
     pre = [
         (inv[0][0] * cx + inv[0][1] * cy, inv[1][0] * cx + inv[1][1] * cy)
@@ -187,7 +194,7 @@ def line_lattice_subset(spec: LatticeSpec, a: Vec2, b: Vec2) -> bool:
     """
     if contains(spec, a) is None or contains(spec, b) is None:
         raise NotInLatticeError("endpoints must belong to the lattice")
-    inv = mat_inv(spec.l_star)
+    inv = l_star_inverse(spec.l_star)
     x0 = mat_vec(inv, a)
     delta = mat_vec(inv, vec_sub(b, a))
     if not (delta[0].is_rational() and delta[1].is_rational()):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import pytest
 
@@ -246,6 +247,36 @@ def test_negative_support_radius_is_usage_error(capsys, extra):
     code, _, err = run_cli(capsys, *HONEYCOMB_VERIFY, *extra)
     assert code == 2
     assert "radius must be >= 0" in err
+
+
+@pytest.mark.parametrize(
+    "hole",
+    [
+        ("--hole-fraction", "1.0"),
+        ("--hole-fraction", "inf"),
+        ("--hole=-50,-50,-49,-49",),
+        ("--hole=1,1,0,0",),
+    ],
+)
+def test_misplaced_hole_is_usage_error(capsys, hole):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *HONEYCOMB_VERIFY, *hole)
+    assert code == 2
+    assert "usage error: hole:" in err
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--support-radius", "1000000"),
+        ("--hole-fraction", "0.25", "--witness-radii", "0,1000000"),
+    ],
+)
+def test_oversized_support_is_usage_error(capsys, extra):
+    code, _, err = run_cli(capsys, *HONEYCOMB_VERIFY, *extra)
+    assert code == 2
+    assert "usage error: support of" in err
 
 
 @pytest.mark.parametrize("r, R", [("2", "1"), ("0", "1")])

@@ -2,16 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import quadrature_inner_product
 
-from ingham import catalog
+from ingham import catalog, gram
 from ingham.errors import HoleOutsideDomainError
 from ingham.gram import (
+    MAX_SUPPORT,
     SupportSet,
     frame_bound_check,
     gram_matrix,
     hole_gram_matrix,
+    hole_inner_product,
     inner_product,
     inscribed_hole,
     removal_witness,
@@ -229,3 +233,87 @@ def test_hole_gram_is_psd_and_bounded():
     assert eigs_hole[0] >= -1e-9
     eigs_rest = np.linalg.eigvalsh(g_all - g_hole)
     assert eigs_rest[0] >= -1e-9
+
+
+# -- the table-built matrices against their scalar oracles ---------------------
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _oracle(entry, items):
+    """Upper triangle entry by entry, the lower one conjugated."""
+    s = len(items)
+    g = np.empty((s, s), dtype=complex)
+    for a in range(s):
+        for b in range(a, s):
+            v = entry(items[a], items[b])
+            g[b, a] = v.conjugate()
+            g[a, b] = v
+    return g
+
+
+def _shuffled_support(spec, seed):
+    """A shuffled subset of the radius-1 box plus a far point: not a box."""
+    rng = np.random.default_rng(seed)
+    items = SupportSet.centered(spec, 1).items
+    picked = [items[k] for k in rng.permutation(len(items))[:16]]
+    return SupportSet(tuple(picked) + (lp(spec.m - 1, 5, -3),))
+
+
+def test_gram_matrix_equals_inner_product_oracle(catalog_entries):
+    for seed, entry in enumerate(catalog_entries.values()):
+        spec = entry.spec
+        config = entry.default_configs[entry.primary_config]
+        support = _shuffled_support(spec, seed)
+        want = _oracle(lambda p, q: inner_product(spec, config, p, q), support.items)
+        assert _same_bits(gram_matrix(spec, config, support), want), spec.name
+
+
+def test_hole_gram_matrix_equals_hole_inner_product_oracle(catalog_entries):
+    for seed, (name, entry) in enumerate(catalog_entries.items()):
+        if name == "two_square":  # L* and the translates lie in different fields
+            continue
+        spec = entry.spec
+        config = entry.default_configs[entry.primary_config]
+        hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
+        support = _shuffled_support(spec, seed)
+        want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
+        assert _same_bits(hole_gram_matrix(spec, config, support, hole), want), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_gram_matrix_random_subsets_match_oracle(catalog_entries, data):
+    entry = catalog_entries[data.draw(st.sampled_from(sorted(catalog_entries)))]
+    spec = entry.spec
+    config = entry.default_configs[entry.primary_config]
+    items = SupportSet.centered(spec, 2).items
+    chosen = data.draw(
+        st.lists(st.sampled_from(items), min_size=1, max_size=10, unique=True)
+    )
+    g = gram_matrix(spec, config, SupportSet(tuple(chosen)))
+    assert _same_bits(g, _oracle(lambda p, q: inner_product(spec, config, p, q), chosen))
+    assert np.array_equal(g, g.conj().T)
+
+
+def test_slabs_leave_the_bits_unchanged(monkeypatch):
+    spec, config, hole = _hole_setup()
+    support = SupportSet.centered(spec, 2)  # 25 rows per translate
+    g = gram_matrix(spec, config, support)
+    h = hole_gram_matrix(spec, config, support, hole)
+    monkeypatch.setattr(gram, "SLAB_ROWS", 4)
+    assert gram_matrix(spec, config, support).tobytes() == g.tobytes()
+    assert hole_gram_matrix(spec, config, support, hole).tobytes() == h.tobytes()
+
+
+def test_oversized_support_is_refused_before_building():
+    spec = catalog.get("truncated_trihexagonal").spec
+    assert len(SupportSet.centered(spec, 2)) == 300 <= MAX_SUPPORT
+    with pytest.raises(ValueError, match="exceeds"):
+        SupportSet.centered(spec, 10**6)
+    with pytest.raises(ValueError, match="exceeds"):
+        SupportSet.box(spec, range(10**9), range(10**9))
+    with pytest.raises(ValueError, match="coordinates"):
+        SupportSet((lp(0, 0, 0), lp(0, -(2**62), 0)))

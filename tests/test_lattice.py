@@ -13,7 +13,9 @@ from ingham.lattice import (
     LatticePoint,
     LatticeSpec,
     contains,
+    l_star_inverse,
     line_lattice_subset,
+    mat_inv,
     mat_vec,
     minimality_certificate,
     qvec,
@@ -87,6 +89,14 @@ def test_contains_exactness_catalog():
                     p = mat_vec(spec.l_star, (u[0] + m0, u[1] + m1))
                     got = contains(spec, p)
                     assert got == LatticePoint(j, (m0, m1)), (name, j, m0, m1)
+
+
+def test_l_star_inverse_is_cached_and_exact(catalog_entries):
+    for entry in catalog_entries.values():
+        l_star = entry.spec.l_star
+        inv = l_star_inverse(l_star)
+        assert inv == mat_inv(l_star)
+        assert l_star_inverse(tuple(tuple(row) for row in l_star)) is inv
 
 
 def test_contains_field_mismatch():
