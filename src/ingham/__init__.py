@@ -49,6 +49,7 @@ from .geometry import (
     PolyominoShape,
     area_check,
     bessel_j0_root,
+    connected_rows,
     disk_bounds,
     fixed_polyominoes,
     is_connected,
@@ -56,6 +57,7 @@ from .geometry import (
 )
 from .search import (
     SurveyRecord,
+    SurveyRecords,
     SurveyResult,
     TranslationClass,
     classify_all,

@@ -19,6 +19,7 @@ from . import catalog, geometry, gram, search, spectral
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
 from .errors import (
     DegenerateTilingError,
+    FieldMismatchError,
     HoleOutsideDomainError,
     InghamError,
     UnknownTilingError,
@@ -187,7 +188,7 @@ def cmd_verify(args) -> int:
             else:
                 hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
             lambdas = removal_witness(entry.spec, config, hole, supports)
-        except HoleOutsideDomainError as exc:  # the hole is the user's input
+        except (HoleOutsideDomainError, FieldMismatchError) as exc:  # user's hole or spec
             raise ValueError(f"hole: {exc}") from None
         data["hole"] = list(hole)
         data["witness"] = [

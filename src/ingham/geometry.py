@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SizeTooLargeError
 from .lattice import LatticeSpec, mat_float
-from .spectral import TWO_PI, TranslationConfig
+from .spectral import TWO_PI, TranslationConfig, chunks
 
 POLYOMINO_MAX = 8
 
@@ -151,6 +151,27 @@ def is_connected(cells) -> bool:
                 todo.discard(nb)
                 stack.append(nb)
     return not todo
+
+
+def connected_rows(points, idx: np.ndarray) -> np.ndarray:
+    """Edge connectivity of each configuration points[idx[i]], as `is_connected`.
+
+    Per chunk of configurations (`spectral.chunks`): the m x m adjacency
+    |dx| + |dy| == 1 with the identity added, squared ceil(log2 m) times in
+    boolean arithmetic, reaches every path of length m - 1 or less; a
+    configuration is connected when row 0 reaches every cell.
+    """
+    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    m = idx.shape[-1]
+    eye = np.eye(m, dtype=bool)
+    out = np.empty(len(idx), dtype=bool)
+    for rows in chunks(len(idx)):
+        cells = pts[idx[rows]]  # (chunk, m, 2)
+        reach = (np.abs(cells[:, :, None] - cells[:, None]).sum(-1) == 1) | eye
+        for _ in range((m - 1).bit_length()):
+            reach = reach @ reach
+        out[rows] = reach[:, 0].all(-1)
+    return out
 
 
 def fixed_polyominoes(size: int) -> list[PolyominoShape]:

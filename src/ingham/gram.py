@@ -32,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import HoleOutsideDomainError
+from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
 from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
 from .spectral import (
@@ -333,18 +333,38 @@ def hole_inner_product(
     """
     x0, y0, x1, y1 = hole
     sides = ((x0, x1), (y0, y1))
-    rows = spec.l_star
     mu = _mu(spec, p, q)
     val = 1.0 + 0.0j
     for d in range(2):
-        delta = rows[d][0] * mu[0] + rows[d][1] * mu[1]
+        df = _hole_delta(spec, mu, d)
         lo, hi = sides[d]
-        if delta.is_zero():
+        if df is None:
             val *= hi - lo
         else:
-            df = float(delta)
             val *= (cmath.exp(1j * df * hi) - cmath.exp(1j * df * lo)) / (1j * df)
     return val
+
+
+def _hole_delta(spec: LatticeSpec, mu: Vec2, d: int) -> float | None:
+    """delta_d = (L* mu)_d as a float, or None when it is exactly 0.
+
+    When L* and mu lie in different quadratic fields (two-square tilings
+    whose sqrt(R^2 + r^2) is not in Q(sqrt 2)), L* must be a homothety s*I:
+    then delta_d = s*mu_d vanishes exactly when mu_d does, and its float is
+    float(s)*float(mu_d).  Any other mixed-field L* raises FieldMismatchError.
+    """
+    row = spec.l_star[d]
+    try:
+        delta = row[0] * mu[0] + row[1] * mu[1]
+    except FieldMismatchError:
+        (s, b), (c, e) = spec.l_star
+        if not (b.is_zero() and c.is_zero() and s == e):
+            raise FieldMismatchError(
+                f"hole integrals need L* in the field of the translates or a "
+                f"homothety; {spec.name} has neither"
+            ) from None
+        return None if mu[d].is_zero() else float(s) * float(mu[d])
+    return None if delta.is_zero() else float(delta)
 
 
 def hole_gram_matrix(

@@ -99,14 +99,14 @@ def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) 
 
 def _pass_kappas(result: search.SurveyResult, rec: ExpectedRecord):
     """Extremes of kappa1 and kappa2 over the passing configurations."""
-    k1s = [r.kappa1 for r in result.records if r.a2]
-    k2s = [r.kappa2 for r in result.records if r.a2]
-    computed = (min(k1s), max(k1s), min(k2s), max(k2s))
+    cols = result.records
+    k1s, k2s = cols.kappa1[cols.a2], cols.kappa2[cols.a2]
+    computed = (float(k1s.min()), float(k1s.max()), float(k2s.min()), float(k2s.max()))
     want1, want2 = rec.want
     return computed, _close(computed, (want1, want1, want2, want2), rec.tol)
 
 
-def _cell_block_classes(spec) -> list[search.SurveyRecord]:
+def _cell_block_classes(spec) -> search.SurveyRecords:
     """One record per translation class of m-subsets of the 2x2 cell block."""
     classes = search.translation_classes(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
     return search.classify_configs(spec, [cls.representative for cls in classes])

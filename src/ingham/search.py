@@ -1,26 +1,38 @@
 """Exhaustive surveys of translation configurations.
 
-classify_all hands every m-subset of an integer grid to the spectral kernel
-(`spectral.spectra`) as one batch, so surveys of all C(16,4) = 1820
-configurations finish in milliseconds and two runs give identical records.
-This module owns enumeration, connectivity, record building, grouping and
-ranking; phases, determinants and eigenvalues belong to the kernel.
+A survey is columnar from enumeration to CSV.  classify_all enumerates the
+m-subsets of an integer grid as an (N, m) index array into `grid_points`,
+the spectral kernel (`spectral.spectra`) and `geometry.connected_rows` walk
+that array in chunks of `spectral.CHUNK_ROWS` configurations, and the result
+holds numpy columns (`SurveyRecords`) that build a `SurveyRecord` only when
+one is indexed.  Counts, sweeps and CSV rows read the columns directly.
+Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.  This
+module owns enumeration, columns, grouping and ranking; phases, determinants
+and eigenvalues belong to the kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import PolyominoShape, fixed_polyominoes, is_connected
+from .geometry import PolyominoShape, connected_rows, fixed_polyominoes
 from .lattice import LatticeSpec
-from .spectral import A2_DET_TOL, A2_SWEEP, a2_holds, spectra
+from .spectral import A2_DET_TOL, A2_SWEEP, a2_holds, config_index, spectra
 
 Config = tuple[tuple[int, int], ...]
+
+# Largest grid survey classify_all enumerates.  A configuration costs its m
+# indices (8 B each, at most 12) plus 26 B of columns, at most 122 B, so the
+# result of 2M configurations is at most 244 MB; the kernel adds one chunk of
+# working memory.  The CSV rows of survey_csv_rows are Python strings, about
+# 500 B per configuration more (snub square at grid 7: 635,376 configurations,
+# 42 MB of columns, 317 MB of rows).  Snub square (M = 4) at grid 8 is 1.66M.
+MAX_SURVEY_CONFIGS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -38,12 +50,62 @@ class SurveyRecord:
         return self.kappa2 / self.kappa1 if self.a2 and self.kappa1 > 0 else None
 
 
+@dataclass(frozen=True, eq=False)
+class SurveyRecords(Sequence[SurveyRecord]):
+    """Survey records as numpy columns; row i is the configuration
+    points[idx[i]], and a SurveyRecord is built only when one is indexed."""
+
+    points: tuple[tuple[int, int], ...]
+    idx: np.ndarray  # (N, m) indices into points
+    connected: np.ndarray  # (N,) bool
+    a2: np.ndarray  # (N,) bool
+    kappa1: np.ndarray  # (N,) float
+    kappa2: np.ndarray  # (N,) float
+    det_abs: np.ndarray  # (N,) float
+
+    @classmethod
+    def of(cls, records: Sequence[SurveyRecord]) -> SurveyRecords:
+        """Columns of a sequence of records, in their order."""
+        points, idx = config_index([r.config for r in records])
+        column = lambda name: np.array([getattr(r, name) for r in records])
+        return cls(
+            tuple(points), idx, *map(column, ("connected", "a2", "kappa1", "kappa2", "det_abs"))
+        )
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __iter__(self) -> Iterator[SurveyRecord]:
+        configs = (tuple(self.points[k] for k in row) for row in self.idx.tolist())
+        columns = (self.connected, self.a2, self.kappa1, self.kappa2, self.det_abs)
+        return map(SurveyRecord, configs, *(col.tolist() for col in columns))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return SurveyRecord(
+            config=tuple(self.points[k] for k in self.idx[i].tolist()),
+            connected=bool(self.connected[i]),
+            a2=bool(self.a2[i]),
+            kappa1=float(self.kappa1[i]),
+            kappa2=float(self.kappa2[i]),
+            det_abs=float(self.det_abs[i]),
+        )
+
+
 @dataclass(frozen=True)
 class SurveyResult:
+    """Survey counts and columnar records; records given as any sequence of
+    SurveyRecord are stored as SurveyRecords."""
+
     total: int
     passing: int
     failing: int
-    records: tuple[SurveyRecord, ...]
+    records: SurveyRecords
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.records, SurveyRecords):
+            object.__setattr__(self, "records", SurveyRecords.of(self.records))
 
 
 @dataclass(frozen=True)
@@ -65,32 +127,28 @@ def config_count(grid_max: int, m: int) -> int:
     return math.comb((grid_max + 1) ** 2, m)
 
 
+def _classify(
+    spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray, tol: float
+) -> SurveyRecords:
+    det, kappa1, kappa2 = spectra(spec, points, idx)
+    connected = connected_rows(points, idx)
+    return SurveyRecords(tuple(points), idx, connected, a2_holds(det, tol), kappa1, kappa2, det)
+
+
 def classify_configs(
     spec: LatticeSpec, configs: list[Config], tol: float = A2_DET_TOL
-) -> list[SurveyRecord]:
+) -> SurveyRecords:
     """Batched spectral classification of an explicit configuration list."""
-    dets, eigs = spectra(spec, configs)
-    a2 = a2_holds(dets, tol)
-    return [
-        SurveyRecord(
-            config=cfg,
-            connected=is_connected(cfg),
-            a2=bool(a2[i]),
-            kappa1=max(float(eigs[i, 0]), 0.0),
-            kappa2=float(eigs[i, -1]),
-            det_abs=float(dets[i]),
-        )
-        for i, cfg in enumerate(configs)
-    ]
+    return _classify(spec, *config_index(configs), tol)
 
 
-def as_result(records: list[SurveyRecord]) -> SurveyResult:
-    passing = sum(1 for r in records if r.a2)
+def as_result(records: SurveyRecords) -> SurveyResult:
+    passing = int(np.count_nonzero(records.a2))
     return SurveyResult(
         total=len(records),
         passing=passing,
         failing=len(records) - passing,
-        records=tuple(records),
+        records=records,
     )
 
 
@@ -102,7 +160,15 @@ def classify_all(
         raise ValueError(f"survey needs m = {spec.m} for {spec.name}, got {m}")
     if grid_max < 0 or (grid_max + 1) ** 2 < m:
         raise ValueError(f"grid [0,{grid_max}]^2 has fewer than m = {m} points")
-    return as_result(classify_configs(spec, list(enumerate_configs(grid_max, m)), tol))
+    count = config_count(grid_max, m)
+    if count > MAX_SURVEY_CONFIGS:
+        raise ValueError(
+            f"survey of {count} configurations exceeds {MAX_SURVEY_CONFIGS}"
+        )
+    points = grid_points(grid_max)
+    flat = chain.from_iterable(combinations(range(len(points)), m))
+    idx = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
+    return as_result(_classify(spec, points, idx, tol))
 
 
 def connected_survey(
@@ -140,7 +206,7 @@ def sweep_counts(
     result: SurveyResult, tols: Sequence[float] = A2_SWEEP
 ) -> dict[float, int]:
     """Failing configurations per (A2) threshold."""
-    dets = np.array([r.det_abs for r in result.records])
+    dets = result.records.det_abs
     return {tol: int(np.count_nonzero(~a2_holds(dets, tol))) for tol in tols}
 
 
@@ -152,24 +218,26 @@ def a2_sweep_unstable(
 ) -> tuple[dict[float, int], list[Config]]:
     """Failing counts per threshold and any config whose verdict flips."""
     result = classify_all(spec, grid_max, m, tols[0])
-    dets = np.array([r.det_abs for r in result.records])
+    dets = result.records.det_abs
     flips = a2_holds(dets, min(tols)) & ~a2_holds(dets, max(tols))
-    unstable = [r.config for r, flip in zip(result.records, flips) if flip]
+    unstable = [result.records[i].config for i in np.flatnonzero(flips)]
     return sweep_counts(result, tols), unstable
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
-    rows = []
-    for r in result.records:
-        rows.append(
-            (
-                ";".join(f"{a},{b}" for a, b in r.config),
-                int(r.connected),
-                int(r.a2),
-                f"{r.kappa1:.12g}",
-                f"{r.kappa2:.12g}",
-                f"{r.ratio:.12g}" if r.ratio is not None else "",
-            )
+    rec = result.records
+    labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
+    ok = rec.a2 & (rec.kappa1 > 0)
+    ratio = np.divide(rec.kappa2, rec.kappa1, out=np.zeros(len(rec)), where=ok)
+    fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
+    return list(
+        zip(
+            map(";".join, labels[rec.idx].tolist()),
+            rec.connected.astype(int).tolist(),
+            rec.a2.astype(int).tolist(),
+            fmt(rec.kappa1),
+            fmt(rec.kappa2),
+            [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())],
         )
-    return rows
+    )

@@ -5,8 +5,11 @@ E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
 of E E^*.  `phase` is the only place an exact inner product becomes a unit
 complex number; `spectra` is the only place determinants and eigenvalues of
-E E^* are taken.  A single configuration is a batch of one, so single
-configurations and surveys give the same bits.
+E E^* are taken.  It takes a point list and an (N, m) index array into it
+(`config_index` builds both from a configuration list) and walks the array
+in chunks of CHUNK_ROWS configurations, so its memory does not grow with the
+survey.  A single configuration is a batch of one, and neither the batch
+nor the chunk changes a configuration's bits.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +37,12 @@ A2_DET_TOL = 1e-8
 A2_SWEEP = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
 
 TWO_PI = 2.0 * math.pi
+
+# Configurations per chunk of `spectra` and `geometry.connected_rows`.  A
+# chunk holds its E's, their conjugates and E E^* (three complex M x M
+# matrices, 16 B an entry) plus the eigensolver's workspace: at M = 12 about
+# 9 KB per configuration, so 20 MB per chunk whatever the survey's size.
+CHUNK_ROWS = 2048
 
 TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
 
@@ -119,22 +128,46 @@ def build_e(spec: LatticeSpec, config: TranslationConfig) -> np.ndarray:
     return phase_columns(spec.us, config.ns)
 
 
-def spectra(
-    spec: LatticeSpec, configs: Sequence[Sequence[tuple[int, int]]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """|det E| and the ascending eigenvalues of E E^* for a batch of configurations.
-
-    Phases are computed once per distinct grid point; the stacked E's go to
-    the batched LAPACK determinant and Hermitian eigensolver.
-    """
+def config_index(
+    configs: Sequence[Sequence[tuple[int, int]]],
+) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """Sorted distinct points of a configuration list and the (N, m) index
+    array into them, the form `spectra` takes."""
     points = sorted({n for cfg in configs for n in cfg})
     index = {n: i for i, n in enumerate(points)}
-    idx = np.array([[index[n] for n in cfg] for cfg in configs])
+    return points, np.array([[index[n] for n in cfg] for cfg in configs], dtype=np.intp)
+
+
+def chunks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most CHUNK_ROWS rows covering range(n)."""
+    return (slice(k, k + CHUNK_ROWS) for k in range(0, n, CHUNK_ROWS))
+
+
+def spectra(
+    spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|det E|, kappa1 and kappa2 of the configurations points[idx[i]].
+
+    kappa1 and kappa2 are the extreme eigenvalues of E E^*, kappa1 clamped
+    at 0.  Phases are computed once per point; the stacked E's of one chunk
+    of CHUNK_ROWS configurations at a time go to the batched LAPACK
+    determinant and Hermitian eigensolver, which treat each matrix alone, so
+    the bits of a configuration do not depend on its batch or chunk.  For a
+    configuration list, `spectra(spec, *config_index(configs))`.
+    """
     _check_size(spec, idx.shape[-1])
     w = phase_columns(spec.us, points)
-    es = w[:, idx].transpose(1, 0, 2)  # (n_configs, M, m)
-    hs = es @ es.conj().transpose(0, 2, 1)
-    return np.abs(np.linalg.det(es)), np.linalg.eigvalsh(hs)
+    det = np.empty(len(idx))
+    lo = np.empty(len(idx))
+    hi = np.empty(len(idx))
+    for rows in chunks(len(idx)):
+        es = w[:, idx[rows]].transpose(1, 0, 2)  # (chunk, M, m)
+        hs = es @ es.conj().transpose(0, 2, 1)
+        det[rows] = np.abs(np.linalg.det(es))
+        eigs = np.linalg.eigvalsh(hs)
+        lo[rows] = eigs[:, 0]
+        hi[rows] = eigs[:, -1]
+    return det, np.where(0.0 > lo, 0.0, lo), hi
 
 
 def a2_holds(det_abs, tol: float = A2_DET_TOL):
@@ -167,9 +200,9 @@ def ingham_constants(
     c1_full/c2_full carry the (2*pi)^2 / |det L| volume factor, turning the
     kappas into the frame bounds of the exponentials over the domain.
     """
-    dets, eigs = spectra(spec, [config.ns])
-    k1 = max(float(eigs[0, 0]), 0.0)
-    k2 = float(eigs[0, -1])
+    dets, k1s, k2s = spectra(spec, *config_index([config.ns]))
+    k1 = float(k1s[0])
+    k2 = float(k2s[0])
     scale = TWO_PI**2 / spec.det_l()
     return SpectralResult(
         kappa1=k1,

@@ -23,10 +23,7 @@ def quadrature_inner_product(spec, config, p, q):
 
     l = ambient_l(spec)
     linv = np.linalg.inv(l)
-    lst = l.T
-    up = np.array([float(c) for c in spec.us[p.j]]) + np.asarray(p.m, dtype=float)
-    uq = np.array([float(c) for c in spec.us[q.j]]) + np.asarray(q.m, dtype=float)
-    delta = lst @ (up - uq)
+    delta = _ambient_delta(spec, p, q)
     e1 = linv @ np.array([2 * np.pi, 0.0])
     e2 = linv @ np.array([0.0, 2 * np.pi])
     jac = abs(e1[0] * e2[1] - e1[1] * e2[0])
@@ -43,6 +40,26 @@ def quadrature_inner_product(spec, config, p, q):
         )
         total += jac * (re + 1j * im)
     return total
+
+
+def quadrature_hole_inner_product(spec, hole, p, q):
+    """Numerically integrate e^{i(lambda_p - lambda_q, x)} over the hole rectangle."""
+    from scipy.integrate import dblquad
+
+    delta = _ambient_delta(spec, p, q)
+    x0, y0, x1, y1 = hole
+    parts = [
+        dblquad(lambda y, x: f(delta @ (x, y)), x0, x1, y0, y1, epsabs=1e-10, epsrel=1e-10)[0]
+        for f in (np.cos, np.sin)
+    ]
+    return parts[0] + 1j * parts[1]
+
+
+def _ambient_delta(spec, p, q):
+    """lambda_p - lambda_q = L* (u_p + m_p - u_q - m_q) in floats."""
+    up = np.array([float(c) for c in spec.us[p.j]]) + np.asarray(p.m, dtype=float)
+    uq = np.array([float(c) for c in spec.us[q.j]]) + np.asarray(q.m, dtype=float)
+    return ambient_l(spec).T @ (up - uq)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,10 @@ import warnings
 
 import pytest
 
+from ingham import catalog, search
 from ingham.cli import main
+from ingham.lattice import LatticeSpec
+from ingham.qfield import QuadNumber
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +209,17 @@ def test_survey_grid_too_small_is_usage_error(capsys, tiling, grid):
     assert "usage error" in err
 
 
+def test_oversized_survey_is_usage_error(capsys, monkeypatch):
+    """C(100, 12) ~ 1e15 configurations: refused before anything is enumerated."""
+    def enumerate_nothing(grid_max):
+        raise AssertionError("the survey was enumerated")
+
+    monkeypatch.setattr(search, "grid_points", enumerate_nothing)
+    code, _, err = run_cli(capsys, "survey", "--tiling", "truncated_trihexagonal", "--grid", "9")
+    assert code == 2
+    assert "exceeds" in err
+
+
 def test_constants_without_tiling_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "constants", "--config", "0,0")
     assert code == 2
@@ -294,3 +308,30 @@ def test_export_rejects_tol(capsys):
         main(["export", "--tiling", "square", "--what", "domain", "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
+
+
+TWO_SQUARE_HOLE = (
+    "verify", "--tiling", "two_square", "--r", "1", "--R", "2",
+    "--config", "0,0;1,0;0,1;1,1", "--hole-fraction", "0.25",
+)
+
+
+def test_two_square_hole_across_fields(capsys):
+    """L* in Q(sqrt 5), translates in Q(sqrt 2): a homothety, so the hole works."""
+    code, out, _ = run_cli(capsys, *TWO_SQUARE_HOLE)
+    assert code == 0
+    lams = [w["lambda_min"] for w in json.loads(out)["witness"]]
+    assert len(lams) == 4 and all(b < a for a, b in zip(lams, lams[1:]))
+
+
+def test_mixed_field_hole_without_homothety_is_usage_error(capsys, monkeypatch):
+    entry = catalog.get("two_square", r=1, R=2)
+    (s, zero), _ = entry.spec.l_star
+    sheared = LatticeSpec("sheared", ((s, QuadNumber(1)), (zero, s)), entry.spec.us)
+    sheared_entry = catalog.CatalogEntry(
+        spec=sheared, default_configs={}, expected=(), primary_config=""
+    )
+    monkeypatch.setattr(catalog, "get", lambda *args, **kwargs: sheared_entry)
+    code, _, err = run_cli(capsys, *TWO_SQUARE_HOLE)
+    assert code == 2
+    assert "usage error: hole:" in err and "homothety" in err

@@ -1,6 +1,9 @@
 import math
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ingham import catalog
 from ingham.errors import SizeTooLargeError
@@ -10,13 +13,14 @@ from ingham.geometry import (
     bessel_j0,
     bessel_j0_root,
     cells_csv_rows,
+    connected_rows,
     disk_bounds,
     expected_area,
     fixed_polyominoes,
     is_connected,
     omega_cells,
 )
-from ingham.spectral import TranslationConfig
+from ingham.spectral import TranslationConfig, config_index
 
 TWO_PI = 2 * math.pi
 
@@ -166,3 +170,54 @@ def test_cells_csv_rows():
     assert len(rows) == 8
     assert rows[0][:2] == (0, 0)
     assert rows[-1][:2] == (1, 3)
+
+
+# -- vectorised connectivity against the breadth-first search -------------------
+
+CELL = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+STEPS = [(1, 0), (-1, 0), (0, 1), (0, -1), (2, 0), (1, 1)]  # the last two may disconnect
+
+
+@st.composite
+def configurations(draw, m: int):
+    """m distinct cells: scattered, on a line with at most one gap, or grown
+    from a cell by steps that mostly keep it connected."""
+    kind = draw(st.sampled_from(["scattered", "line", "grown"]))
+    if kind == "scattered":
+        return draw(st.lists(CELL, min_size=m, max_size=m, unique=True))
+    x0, y0 = draw(CELL)
+    if kind == "line":
+        gap = draw(st.integers(0, m))  # gap == m: no gap
+        along = [k + (k >= gap) for k in range(m)]
+        if draw(st.booleans()):
+            return [(x0 + k, y0) for k in along]
+        return [(x0, y0 + k) for k in along]
+    cells = [(x0, y0)]
+    while len(cells) < m:
+        x, y = draw(st.sampled_from(cells))
+        dx, dy = draw(st.sampled_from(STEPS))
+        if (x + dx, y + dy) not in cells:
+            cells.append((x + dx, y + dy))
+    return cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_connected_rows_matches_is_connected(data):
+    m = data.draw(st.integers(1, 12), label="m")
+    configs = data.draw(st.lists(configurations(m), min_size=1, max_size=4), label="configs")
+    points, idx = config_index(configs)
+    assert connected_rows(points, idx).tolist() == [is_connected(c) for c in configs]
+
+
+def test_connected_rows_on_every_small_configuration():
+    grid = [(a, b) for a in range(4) for b in range(4)]
+    for m in (1, 2, 3, 4, 5):
+        configs = list(combinations(grid, m))
+        points, idx = config_index(configs)
+        assert connected_rows(points, idx).tolist() == [is_connected(c) for c in configs]
+    line = [(k, 0) for k in range(12)]
+    hook = line[:11] + [(10, 1)]
+    split = line[:6] + [(k, 0) for k in range(7, 13)]
+    points, idx = config_index([line, hook, split])
+    assert connected_rows(points, idx).tolist() == [True, True, False]

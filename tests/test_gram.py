@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quadrature_inner_product
+from conftest import quadrature_hole_inner_product, quadrature_inner_product
 
 from ingham import catalog, gram
-from ingham.errors import HoleOutsideDomainError
+from ingham.errors import FieldMismatchError, HoleOutsideDomainError
 from ingham.gram import (
     MAX_SUPPORT,
     SupportSet,
@@ -20,7 +20,8 @@ from ingham.gram import (
     inscribed_hole,
     removal_witness,
 )
-from ingham.lattice import LatticePoint
+from ingham.lattice import LatticePoint, LatticeSpec
+from ingham.qfield import QuadNumber
 
 TWO_PI = 2 * math.pi
 
@@ -317,3 +318,39 @@ def test_oversized_support_is_refused_before_building():
         SupportSet.box(spec, range(10**9), range(10**9))
     with pytest.raises(ValueError, match="coordinates"):
         SupportSet((lp(0, 0, 0), lp(0, -(2**62), 0)))
+
+
+# -- holes when L* and the translates lie in different fields -------------------
+
+
+def _two_square_hole():
+    entry = catalog.get("two_square", r=1, R=2)  # L* in Q(sqrt 5), translates in Q(sqrt 2)
+    config = entry.default_configs[entry.primary_config]
+    return entry.spec, config, inscribed_hole(entry.spec, config, 0, area_fraction=0.25)
+
+
+def test_mixed_field_hole_matches_quadrature_oracle():
+    spec, config, hole = _two_square_hole()
+    pairs = [
+        (lp(0, 0, 0), lp(0, 0, 0)),  # delta = 0 on both axes
+        (lp(1, 2, 0), lp(1, 0, 0)),  # delta = 0 on the second axis only
+        (lp(0, 0, 0), lp(1, 0, 0)),
+        (lp(2, 1, -1), lp(3, 0, 2)),
+        (lp(3, -2, 1), lp(0, 1, 1)),
+    ]
+    for p, q in pairs:
+        got = hole_inner_product(spec, hole, p, q)
+        want = quadrature_hole_inner_product(spec, hole, p, q)
+        assert abs(got - want) < 1e-8, (p, q)
+    support = _shuffled_support(spec, 0)
+    want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
+    assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
+
+
+def test_mixed_field_hole_needs_a_homothety():
+    spec, _, hole = _two_square_hole()
+    (s, zero), _ = spec.l_star
+    sheared = LatticeSpec("sheared", ((s, QuadNumber(1)), (zero, s)), spec.us)
+    assert hole_inner_product(sheared, hole, lp(1, 0, 0), lp(1, 1, 0)) != 0  # one field
+    with pytest.raises(FieldMismatchError, match="homothety"):
+        hole_inner_product(sheared, hole, lp(0, 0, 0), lp(1, 0, 0))

@@ -1,10 +1,15 @@
+import csv
+import hashlib
+import io
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from ingham import catalog
+from ingham import catalog, spectral
 from ingham.search import (
+    MAX_SURVEY_CONFIGS,
+    SurveyRecords,
     SurveyResult,
     a2_sweep_unstable,
     canonical_config,
@@ -183,3 +188,104 @@ def test_determinism_byte_identical():
     a = survey_csv_rows(classify_all(entry.spec, 3, 4))
     b = survey_csv_rows(classify_all(entry.spec, 3, 4))
     assert a == b
+
+
+# -- columns, chunks and CSV rows -------------------------------------------------
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _csv_oracle(result):
+    """survey_csv_rows as it was written before the columns: record by record."""
+    return [
+        (
+            ";".join(f"{a},{b}" for a, b in r.config),
+            int(r.connected),
+            int(r.a2),
+            f"{r.kappa1:.12g}",
+            f"{r.kappa2:.12g}",
+            f"{r.ratio:.12g}" if r.ratio is not None else "",
+        )
+        for r in result.records
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, params, grid",
+    [
+        ("trihexagonal", {}, 2),
+        ("snub_square", {}, 3),
+        ("two_square", {"r": 1, "R": 2}, 3),
+        ("snub_hexagonal", {}, None),  # connected survey: 216 hexominoes
+    ],
+)
+def test_csv_rows_match_record_by_record_oracle(name, params, grid):
+    spec = catalog.get(name, **params).spec
+    if grid is None:
+        result = connected_survey(spec)
+    else:
+        result = classify_all(spec, grid, spec.m)
+    rows = survey_csv_rows(result)
+    assert len(rows) == result.total
+    assert _csv_text(rows) == _csv_text(_csv_oracle(result))
+
+
+def test_snub_square_csv_rows_pinned():
+    """sha256 of the grid-3 rows as csv.writer writes them, from the per-record
+    implementation that preceded the columns."""
+    rows = survey_csv_rows(classify_all(catalog.get("snub_square").spec, 3, 4))
+    digest = hashlib.sha256(_csv_text(rows).encode()).hexdigest()
+    assert digest == "9d539f8fff60711d7a1885cb386bf02d73ffec9e4cafd1822295703550c5d3a5"
+
+
+def _column_bytes(records: SurveyRecords, order=slice(None)) -> list[bytes]:
+    cols = (records.connected, records.a2, records.kappa1, records.kappa2, records.det_abs)
+    return [col[order].tobytes() for col in cols]
+
+
+def test_chunks_leave_the_bits_unchanged(monkeypatch):
+    spec = catalog.get("snub_square").spec
+    chunked = classify_all(spec, 4, 4).records  # 12650 configurations
+    assert len(chunked) > spectral.CHUNK_ROWS
+    monkeypatch.setattr(spectral, "CHUNK_ROWS", len(chunked))
+    whole = classify_all(spec, 4, 4).records
+    monkeypatch.setattr(spectral, "CHUNK_ROWS", 7)
+    small = classify_all(spec, 4, 4).records
+    assert _column_bytes(chunked) == _column_bytes(whole) == _column_bytes(small)
+    assert np.array_equal(chunked.idx, whole.idx)
+
+
+def test_shuffled_explicit_list_gives_the_survey_bits():
+    spec = catalog.get("snub_square").spec
+    survey = classify_all(spec, 3, 4).records
+    configs = list(enumerate_configs(3, 4))
+    perm = np.random.default_rng(7).permutation(len(configs))
+    shuffled = classify_configs(spec, [configs[k] for k in perm])
+    assert [shuffled[i].config for i in range(5)] == [configs[k] for k in perm[:5]]
+    assert _column_bytes(shuffled) == _column_bytes(survey, perm)
+
+
+def test_records_are_a_sequence_of_survey_records():
+    spec = catalog.get("trihexagonal").spec
+    records = classify_all(spec, 2, 3).records
+    listed = list(records)
+    assert len(listed) == len(records) == 84
+    assert listed == [records[i] for i in range(84)]
+    assert records[-1] == listed[-1] == records[83]
+    assert records[10:13] == listed[10:13]
+    with pytest.raises(IndexError):
+        records[84]
+    rebuilt = SurveyResult(84, 36, 48, tuple(listed)).records
+    assert isinstance(rebuilt, SurveyRecords)
+    assert list(rebuilt) == listed
+
+
+def test_oversized_survey_is_refused_before_enumerating():
+    assert config_count(8, 4) == 1_663_740 <= MAX_SURVEY_CONFIGS  # snub square grid 8 fits
+    spec = catalog.get("truncated_trihexagonal").spec
+    with pytest.raises(ValueError, match="exceeds"):
+        classify_all(spec, 9, 12)  # C(100, 12) ~ 1.05e15
