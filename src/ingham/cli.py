@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from . import catalog, geometry, gram, search, spectral
@@ -27,14 +27,7 @@ from .errors import (
 from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
 from .lattice import minimality_certificate, realize_points
 from .reproduce import build_report
-from .spectral import A2_DET_TOL, TranslationConfig
-
-
-def _a2_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("INGHAM_TOL")
-    return float(env) if env else A2_DET_TOL
+from .spectral import TranslationConfig
 
 
 def _entry(args) -> catalog.CatalogEntry:
@@ -61,15 +54,10 @@ def _emit_json(data) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], rows) -> None:
-    if path:
-        fh = open(path, "w", newline="", encoding="utf-8")
-    else:
-        fh = sys.stdout
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows(rows)
-    if path:
-        fh.close()
+    with open(path, "w", newline="", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_catalog(args) -> int:
@@ -120,7 +108,7 @@ def _minimality_status(entry) -> bool | None:
 def cmd_constants(args) -> int:
     entry = _entry(args)
     config = TranslationConfig.parse(args.config)
-    sr = spectral.ingham_constants(entry.spec, config, tol=_a2_tol(args))
+    sr = spectral.ingham_constants(entry.spec, config)
     _emit_json(
         {
             "tiling": entry.spec.name,
@@ -139,17 +127,12 @@ def cmd_constants(args) -> int:
 
 def cmd_survey(args) -> int:
     entry = _entry(args)
-    tol = _a2_tol(args)
     if args.connected_only:
-        result = search.connected_survey(entry.spec, tol=tol)
+        result = search.connected_survey(entry.spec)
     else:
-        result = search.classify_all(entry.spec, args.grid, entry.spec.m, tol=tol)
+        result = search.classify_all(entry.spec, args.grid, entry.spec.m)
     if args.csv:
-        _write_csv(
-            args.csv,
-            ["config", "connected", "a2", "kappa1", "kappa2", "ratio"],
-            search.survey_csv_rows(result),
-        )
+        search.write_survey_csv(args.csv, result)
     _emit_json(
         {
             "tiling": entry.spec.name,
@@ -167,7 +150,7 @@ def cmd_verify(args) -> int:
     entry = _entry(args)
     config = TranslationConfig.parse(args.config)
     support = SupportSet.centered(entry.spec, args.support_radius)
-    fb = frame_bound_check(entry.spec, config, support, tol=_a2_tol(args))
+    fb = frame_bound_check(entry.spec, config, support)
     data = {
         "tiling": entry.spec.name,
         "config": str(config),
@@ -264,13 +247,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="spectral constants of one configuration")
     common(p)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--config", required=True, help="integer pairs 'a,b;a,b;...'")
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("survey", help="exhaustive grid or connected-shape survey")
     common(p)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--grid", type=int, default=3)
     p.add_argument("--connected-only", action="store_true")
     p.add_argument("--csv", default=None, help="write per-config records to a CSV file")
@@ -278,7 +259,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="frame-bound and removal-witness checks")
     common(p)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--config", required=True)
     p.add_argument("--support-radius", type=int, default=1)
     p.add_argument("--hole", default=None, help="x0,y0,x1,y1")

@@ -35,14 +35,7 @@ import numpy as np
 from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
 from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
-from .spectral import (
-    A2_DET_TOL,
-    TWO_PI,
-    TranslationConfig,
-    hermitian_extremes,
-    ingham_constants,
-    phase,
-)
+from .spectral import TWO_PI, TranslationConfig, hermitian_extremes, ingham_constants, phase
 
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 
@@ -246,7 +239,6 @@ def frame_bound_check(
     spec: LatticeSpec,
     config: TranslationConfig,
     support: SupportSet,
-    tol: float = A2_DET_TOL,
 ) -> FrameBoundReport:
     """Check the Gram spectrum against the frame bounds [c1_full, c2_full].
 
@@ -254,7 +246,7 @@ def frame_bound_check(
     f with coefficients a.  When (A2) fails the lower constant degrades to 0
     and only the upper bound is asserted.
     """
-    sr = ingham_constants(spec, config, tol)
+    sr = ingham_constants(spec, config)
     lam_min, lam_max = hermitian_extremes(gram_matrix(spec, config, support))
     eps = 1e-6 * sr.c2_full
     if sr.satisfies_a2:

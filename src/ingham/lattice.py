@@ -27,6 +27,12 @@ Mat2 = tuple[Vec2, Vec2]  # rows
 
 PERIOD_CAP = 10**6
 
+# Most candidate points realize_points tests, M per integer vector of the
+# bbox's preimage.  Each point inside the bbox costs about 450 B as a
+# RealizedPoint plus its CSV row (measured), so the output stays below about
+# 225 MB, produced in about 3 s.
+MAX_REALIZE_CANDIDATES = 500_000
+
 
 def qvec(x: QuadNumber | Rational, y: QuadNumber | Rational) -> Vec2:
     cast = lambda v: v if isinstance(v, QuadNumber) else QuadNumber(v)
@@ -104,7 +110,6 @@ class LatticeSpec:
     name: str
     l_star: Mat2
     us: tuple[Vec2, ...]
-    dim: int = 2
 
     @property
     def m(self) -> int:
@@ -147,9 +152,13 @@ def realize_points(
     """All lattice points inside the closed bbox (x0, y0, x1, y1), as floats.
 
     Points are tagged with their (j, m) index and sorted lexicographically
-    by (x, y, j).  A degenerate bbox yields an empty list.
+    by (x, y, j).  A degenerate bbox yields an empty list.  A non-finite
+    corner, or a bbox needing more than MAX_REALIZE_CANDIDATES candidates,
+    raises ValueError before any point is built.
     """
     x0, y0, x1, y1 = bbox
+    if not all(map(math.isfinite, bbox)):
+        raise ValueError(f"bbox corners must be finite, got {bbox}")
     if not (x1 > x0 and y1 > y0):
         return []
     inv = [[float(e) for e in row] for row in l_star_inverse(spec.l_star)]
@@ -158,6 +167,12 @@ def realize_points(
         (inv[0][0] * cx + inv[0][1] * cy, inv[1][0] * cx + inv[1][1] * cy)
         for cx, cy in corners
     ]
+    # An upper bound on the candidates of the loop; inf or nan if pre overflowed.
+    count = spec.m * math.prod(max(c) - min(c) + 3 for c in zip(*pre))
+    if not count <= MAX_REALIZE_CANDIDATES:
+        raise ValueError(
+            f"bbox needs about {count:.3g} candidate points, over {MAX_REALIZE_CANDIDATES}"
+        )
     lo0 = math.floor(min(p[0] for p in pre)) - 1
     hi0 = math.ceil(max(p[0] for p in pre)) + 1
     lo1 = math.floor(min(p[1] for p in pre)) - 1

@@ -11,7 +11,6 @@ printed one in the report.
 
 from __future__ import annotations
 
-import csv
 import json
 import platform
 from fractions import Fraction
@@ -284,7 +283,4 @@ def _write_outputs(out_dir: Path, report: dict) -> None:
         entry = catalog.get(label)
         grid = 2 if entry.spec.m == 3 else 3
         result = search.classify_all(entry.spec, grid, entry.spec.m)
-        with open(out_dir / f"survey_{label}.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["config", "connected", "a2", "kappa1", "kappa2", "ratio"])
-            writer.writerows(search.survey_csv_rows(result))
+        search.write_survey_csv(out_dir / f"survey_{label}.csv", result)

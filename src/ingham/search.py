@@ -5,14 +5,16 @@ m-subsets of an integer grid as an (N, m) index array into `grid_points`,
 the spectral kernel (`spectral.spectra`) and `geometry.connected_rows` walk
 that array in chunks of `spectral.CHUNK_ROWS` configurations, and the result
 holds numpy columns (`SurveyRecords`) that build a `SurveyRecord` only when
-one is indexed.  Counts, sweeps and CSV rows read the columns directly.
-Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.  This
-module owns enumeration, columns, grouping and ranking; phases, determinants
-and eigenvalues belong to the kernel.
+one is indexed.  Counts, sweeps and CSV rows read the columns directly;
+`write_survey_csv` formats the rows one chunk at a time.  Surveys larger
+than MAX_SURVEY_CONFIGS are refused before enumeration.  This module owns
+enumeration, columns, grouping and ranking; phases, determinants,
+eigenvalues and the (A2) verdict (`spectral.a2_holds`) belong to the kernel.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from itertools import chain, combinations
@@ -22,16 +24,17 @@ import numpy as np
 
 from .geometry import PolyominoShape, connected_rows, fixed_polyominoes
 from .lattice import LatticeSpec
-from .spectral import A2_DET_TOL, A2_SWEEP, a2_holds, config_index, spectra
+from .spectral import A2_SWEEP, a2_holds, chunks, config_index, spectra
 
 Config = tuple[tuple[int, int], ...]
 
 # Largest grid survey classify_all enumerates.  A configuration costs its m
 # indices (8 B each, at most 12) plus 26 B of columns, at most 122 B, so the
 # result of 2M configurations is at most 244 MB; the kernel adds one chunk of
-# working memory.  The CSV rows of survey_csv_rows are Python strings, about
-# 500 B per configuration more (snub square at grid 7: 635,376 configurations,
-# 42 MB of columns, 317 MB of rows).  Snub square (M = 4) at grid 8 is 1.66M.
+# working memory.  write_survey_csv formats one chunk of rows at a time; the
+# full list of survey_csv_rows would cost about 500 B per configuration more
+# (snub square at grid 7: 635,376 configurations, 42 MB of columns, 317 MB of
+# rows).  Snub square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -128,18 +131,16 @@ def config_count(grid_max: int, m: int) -> int:
 
 
 def _classify(
-    spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray, tol: float
+    spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
 ) -> SurveyRecords:
     det, kappa1, kappa2 = spectra(spec, points, idx)
     connected = connected_rows(points, idx)
-    return SurveyRecords(tuple(points), idx, connected, a2_holds(det, tol), kappa1, kappa2, det)
+    return SurveyRecords(tuple(points), idx, connected, a2_holds(det), kappa1, kappa2, det)
 
 
-def classify_configs(
-    spec: LatticeSpec, configs: list[Config], tol: float = A2_DET_TOL
-) -> SurveyRecords:
+def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
     """Batched spectral classification of an explicit configuration list."""
-    return _classify(spec, *config_index(configs), tol)
+    return _classify(spec, *config_index(configs))
 
 
 def as_result(records: SurveyRecords) -> SurveyResult:
@@ -152,9 +153,7 @@ def as_result(records: SurveyRecords) -> SurveyResult:
     )
 
 
-def classify_all(
-    spec: LatticeSpec, grid_max: int, m: int, tol: float = A2_DET_TOL
-) -> SurveyResult:
+def classify_all(spec: LatticeSpec, grid_max: int, m: int) -> SurveyResult:
     """Classify every m-subset of {0..grid_max}^2; records in lexicographic order."""
     if m != spec.m:
         raise ValueError(f"survey needs m = {spec.m} for {spec.name}, got {m}")
@@ -168,18 +167,13 @@ def classify_all(
     points = grid_points(grid_max)
     flat = chain.from_iterable(combinations(range(len(points)), m))
     idx = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
-    return as_result(_classify(spec, points, idx, tol))
+    return as_result(_classify(spec, points, idx))
 
 
-def connected_survey(
-    spec: LatticeSpec, m: int | None = None, tol: float = A2_DET_TOL
-) -> SurveyResult:
+def connected_survey(spec: LatticeSpec) -> SurveyResult:
     """Survey restricted to the edge-connected configurations (fixed polyominoes)."""
-    m = spec.m if m is None else m
-    if m != spec.m:
-        raise ValueError(f"survey needs m = {spec.m} for {spec.name}, got {m}")
-    configs = [shape.cells for shape in fixed_polyominoes(m)]
-    return as_result(classify_configs(spec, configs, tol))
+    configs = [shape.cells for shape in fixed_polyominoes(spec.m)]
+    return as_result(classify_configs(spec, configs))
 
 
 def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
@@ -202,42 +196,42 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
     return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
 
 
-def sweep_counts(
-    result: SurveyResult, tols: Sequence[float] = A2_SWEEP
-) -> dict[float, int]:
-    """Failing configurations per (A2) threshold."""
+def sweep_counts(result: SurveyResult) -> dict[float, int]:
+    """Failing configurations per A2_SWEEP threshold; equal counts mean that
+    no verdict moves, because the thresholds nest."""
     dets = result.records.det_abs
-    return {tol: int(np.count_nonzero(~a2_holds(dets, tol))) for tol in tols}
+    return {tol: int(np.count_nonzero(~a2_holds(dets, tol))) for tol in A2_SWEEP}
 
 
-def a2_sweep_unstable(
-    spec: LatticeSpec,
-    grid_max: int,
-    m: int,
-    tols: Sequence[float] = A2_SWEEP,
-) -> tuple[dict[float, int], list[Config]]:
-    """Failing counts per threshold and any config whose verdict flips."""
-    result = classify_all(spec, grid_max, m, tols[0])
-    dets = result.records.det_abs
-    flips = a2_holds(dets, min(tols)) & ~a2_holds(dets, max(tols))
-    unstable = [result.records[i].config for i in np.flatnonzero(flips)]
-    return sweep_counts(result, tols), unstable
+def _csv_rows(rec: SurveyRecords, rows: slice) -> list[tuple]:
+    """CSV rows of records[rows], formatted from the columns."""
+    labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
+    a2, kappa1, kappa2 = rec.a2[rows], rec.kappa1[rows], rec.kappa2[rows]
+    ok = a2 & (kappa1 > 0)
+    ratio = np.divide(kappa2, kappa1, out=np.zeros(len(ok)), where=ok)
+    fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
+    return list(
+        zip(
+            map(";".join, labels[rec.idx[rows]].tolist()),
+            rec.connected[rows].astype(int).tolist(),
+            a2.astype(int).tolist(),
+            fmt(kappa1),
+            fmt(kappa2),
+            [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())],
+        )
+    )
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
-    rec = result.records
-    labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
-    ok = rec.a2 & (rec.kappa1 > 0)
-    ratio = np.divide(rec.kappa2, rec.kappa1, out=np.zeros(len(rec)), where=ok)
-    fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
-    return list(
-        zip(
-            map(";".join, labels[rec.idx].tolist()),
-            rec.connected.astype(int).tolist(),
-            rec.a2.astype(int).tolist(),
-            fmt(rec.kappa1),
-            fmt(rec.kappa2),
-            [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())],
-        )
-    )
+    return _csv_rows(result.records, slice(None))
+
+
+def write_survey_csv(path, result: SurveyResult) -> None:
+    """The header and survey_csv_rows as a CSV file, formatted one chunk of
+    `spectral.chunks` at a time, so the rows never all exist at once."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["config", "connected", "a2", "kappa1", "kappa2", "ratio"])
+        for rows in chunks(len(result.records)):
+            writer.writerows(_csv_rows(result.records, rows))

@@ -9,7 +9,9 @@ E E^* are taken.  It takes a point list and an (N, m) index array into it
 (`config_index` builds both from a configuration list) and walks the array
 in chunks of CHUNK_ROWS configurations, so its memory does not grow with the
 survey.  A single configuration is a batch of one, and neither the batch
-nor the chunk changes a configuration's bits.
+nor the chunk changes a configuration's bits.  `a2_holds` is the only place
+the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a heuristic
+whose stability the report checks by sweeping the threshold over A2_SWEEP.
 """
 
 from __future__ import annotations
@@ -171,30 +173,27 @@ def spectra(
 
 
 def a2_holds(det_abs, tol: float = A2_DET_TOL):
-    """The (A2) verdict |det E| > tol, elementwise for a batch."""
+    """The (A2) verdict |det E| > tol, elementwise for a batch; the only place
+    the rule is written.  Only `search.sweep_counts` passes another tol."""
     return det_abs > tol
 
 
-def hermitian_extremes(h: np.ndarray, asym_tol: float = 1e-10) -> tuple[float, float]:
+def hermitian_extremes(h: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian matrix (full symmetric eigensolve)."""
     h = np.asarray(h, dtype=complex)
     asym = np.max(np.abs(h - h.conj().T))
-    if asym > asym_tol:
-        raise NotHermitianError(f"asymmetry {asym:.2e} exceeds {asym_tol:.0e}")
+    if asym > 1e-10:
+        raise NotHermitianError(f"asymmetry {asym:.2e} exceeds 1e-10")
     w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
     return float(w[0]), float(w[-1])
 
 
-def check_a2(
-    spec: LatticeSpec, config: TranslationConfig, tol: float = A2_DET_TOL
-) -> bool:
-    """Whether E is invertible: |det E| > tol."""
-    return ingham_constants(spec, config, tol).satisfies_a2
+def check_a2(spec: LatticeSpec, config: TranslationConfig) -> bool:
+    """Whether E is invertible, by `a2_holds`."""
+    return ingham_constants(spec, config).satisfies_a2
 
 
-def ingham_constants(
-    spec: LatticeSpec, config: TranslationConfig, tol: float = A2_DET_TOL
-) -> SpectralResult:
+def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralResult:
     """Optimal constants: kappas are the extreme eigenvalues of E E^*.
 
     c1_full/c2_full carry the (2*pi)^2 / |det L| volume factor, turning the
@@ -208,7 +207,7 @@ def ingham_constants(
         kappa1=k1,
         kappa2=k2,
         det_abs=float(dets[0]),
-        satisfies_a2=bool(a2_holds(dets[0], tol)),
+        satisfies_a2=bool(a2_holds(dets[0])),
         c1_full=k1 * scale,
         c2_full=k2 * scale,
     )

@@ -1,10 +1,45 @@
-"""Shared fixtures and the independent quadrature oracle for inner products."""
+"""Shared fixtures, hypothesis strategies and the independent quadrature
+oracle for inner products."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ingham import catalog
-from ingham.lattice import mat_float
+from ingham.lattice import LatticeSpec, mat_det, mat_float, validate_spec
+from ingham.qfield import QuadNumber
+
+# Square-free d of the fields Q(sqrt d) the random specs live in; 1 is Q.
+FIELDS = (1, 2, 3, 5, 6, 7)
+
+
+def rationals():
+    """Rationals in [-99, 99] with denominators up to 12."""
+    return st.builds(Fraction, st.integers(-99, 99), st.integers(1, 12))
+
+
+def quad_numbers(d):
+    return st.builds(QuadNumber, rationals(), rationals(), st.just(d))
+
+
+def _class_mod_z2(u):
+    """Translates u, v give the same lattice coset exactly when u - v is integer."""
+    return tuple((c.a - math.floor(c.a), c.b) for c in u)
+
+
+@st.composite
+def lattice_specs(draw):
+    """Valid single-field specs: a nonsingular l_star and 1..4 translates that
+    are distinct mod Z^2, all entries in one Q(sqrt d)."""
+    d = draw(st.sampled_from(FIELDS))
+    vec = st.tuples(quad_numbers(d), quad_numbers(d))
+    l_star = draw(st.tuples(vec, vec).filter(lambda m: not mat_det(m).is_zero()))
+    us = draw(st.lists(vec, min_size=1, max_size=4, unique_by=_class_mod_z2))
+    name = draw(st.text(max_size=8))
+    return validate_spec(LatticeSpec(name=name, l_star=l_star, us=tuple(us)))
 
 
 def ambient_l(spec):

@@ -1,7 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given
 
+from conftest import lattice_specs
 from ingham.catalog import (
     get,
     expected_results,
@@ -135,6 +137,11 @@ def test_json_round_trip(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(data))
     assert load_spec_file(str(path)) == spec
+
+
+@given(lattice_specs())
+def test_json_round_trip_property(spec):
+    assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
 
 
 def test_json_rejects_mixed_fields():

@@ -82,7 +82,7 @@ def test_constants_env_tolerance(capsys, monkeypatch):
         "--config", "0,1;1,1;1,3;3,3",
     )
     assert code == 0
-    assert json.loads(out)["a2"] is False  # |det| ~ 1.1e-3 below the forced 1e-2
+    assert json.loads(out)["a2"] is True  # |det| ~ 1.1e-3 above A2_DET_TOL = 1e-8
 
 
 def test_survey_two_square_r5(capsys):
@@ -170,6 +170,22 @@ def test_export_empty_bbox(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows == [["x", "y", "j", "m0", "m1"]]
+
+
+@pytest.mark.parametrize("bbox, message", [
+    ("0,0,inf,1", "must be finite"),
+    ("0,0,nan,1", "must be finite"),
+    ("-inf,0,1,1", "must be finite"),
+    ("0,0,1e6,1e6", "candidate points"),
+    ("-1e308,0,1e308,1", "candidate points"),
+])
+def test_export_bad_bbox_is_usage_error(capsys, bbox, message):
+    code, out, err = run_cli(
+        capsys, "export", "--tiling", "honeycomb", "--what", "points", f"--bbox={bbox}",
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_custom_spec_file(capsys, tmp_path):
@@ -303,9 +319,15 @@ def test_degenerate_two_square_is_usage_error(capsys, r, R):
     assert "need 0 < r < R" in err
 
 
-def test_export_rejects_tol(capsys):
+@pytest.mark.parametrize("argv", [
+    ("constants", "--config", "0,0"),
+    ("survey", "--grid", "1"),
+    ("verify", "--config", "0,0"),
+    ("export", "--what", "domain"),
+], ids=lambda argv: argv[0])
+def test_tol_is_rejected(capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        main(["export", "--tiling", "square", "--what", "domain", "--tol", "1e-3"])
+        main([argv[0], "--tiling", "square", *argv[1:], "--tol", "1e-3"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
 

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import lattice_specs
 from ingham import catalog
 from ingham.errors import (
     DuplicateTranslateError,
@@ -21,6 +24,7 @@ from ingham.lattice import (
     qvec,
     realize_points,
     validate_spec,
+    vec_add,
 )
 from ingham.qfield import QuadNumber
 
@@ -89,6 +93,13 @@ def test_contains_exactness_catalog():
                     p = mat_vec(spec.l_star, (u[0] + m0, u[1] + m1))
                     got = contains(spec, p)
                     assert got == LatticePoint(j, (m0, m1)), (name, j, m0, m1)
+
+
+@given(lattice_specs(), st.data())
+def test_contains_inverts_realization(spec, data):
+    j = data.draw(st.integers(0, spec.m - 1))
+    m = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * 2))
+    assert contains(spec, mat_vec(spec.l_star, vec_add(spec.us[j], qvec(*m)))) == LatticePoint(j, m)
 
 
 def test_l_star_inverse_is_cached_and_exact(catalog_entries):

@@ -1,9 +1,17 @@
+import math
+import operator
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import FIELDS, quad_numbers, rationals
 from ingham.errors import FieldMismatchError
 from ingham.qfield import QuadNumber
+
+IRRATIONAL = FIELDS[1:]
 
 
 def test_rational_normalizes_to_d1():
@@ -91,3 +99,56 @@ def test_random_field_axioms():
             assert (x / y) * y == x
         got = float(x) * float(y)
         assert abs(float(x * y) - got) <= 1e-9 * (1 + abs(got))
+
+
+@st.composite
+def same_field(draw, n):
+    d = draw(st.sampled_from(FIELDS))
+    return draw(st.lists(quad_numbers(d), min_size=n, max_size=n))
+
+
+@given(same_field(3))
+def test_field_axioms_within_one_field(xyz):
+    x, y, z = xyz
+    zero, one = QuadNumber(0), QuadNumber(1)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert x + zero == x and x * one == x
+    assert x + (-x) == zero and x - y == x + (-y)
+    if not x.is_zero():
+        assert x * x.inverse() == one and (y / x) * x == y
+
+
+@given(st.data())
+def test_radicals_of_different_fields_do_not_mix(data):
+    d1, d2 = data.draw(st.lists(st.sampled_from(IRRATIONAL), min_size=2, max_size=2, unique=True))
+    nonzero = rationals().filter(bool)
+    x = QuadNumber(data.draw(rationals()), data.draw(nonzero), d1)
+    y = QuadNumber(data.draw(rationals()), data.draw(nonzero), d2)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(FieldMismatchError):
+            op(x, y)
+    assert x + y.rational_part() == QuadNumber(x.a + y.a, x.b, d1)
+    assert x != QuadNumber(x.a, x.b, d2)
+
+
+@st.composite
+def near_cancelling(draw):
+    """a close to -b*sqrt(d): the opposite-sign case sign() decides by squares."""
+    d = draw(st.sampled_from(IRRATIONAL))
+    b = draw(rationals())
+    a = Fraction(-float(b) * math.sqrt(d)).limit_denominator(draw(st.integers(1, 10**6)))
+    return QuadNumber(a, b, d)
+
+
+@given(st.one_of(st.builds(QuadNumber, rationals(), rationals(), st.sampled_from(FIELDS)),
+                 near_cancelling()))
+def test_sign_matches_decimal(x):
+    # A nonzero a + b*sqrt(d) here has |a^2 - b^2 d| >= 1/(12e6)^2 and
+    # |a - b*sqrt(d)| <= 530, so |x| > 1e-17; 50 digits decide its sign.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dec = lambda f: Decimal(f.numerator) / Decimal(f.denominator)
+        value = dec(x.a) + dec(x.b) * Decimal(x.d).sqrt()
+    assert x.sign() == (value > 0) - (value < 0)

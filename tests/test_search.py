@@ -11,7 +11,6 @@ from ingham.search import (
     MAX_SURVEY_CONFIGS,
     SurveyRecords,
     SurveyResult,
-    a2_sweep_unstable,
     canonical_config,
     classify_all,
     classify_configs,
@@ -20,7 +19,9 @@ from ingham.search import (
     enumerate_configs,
     rank_by_conditioning,
     survey_csv_rows,
+    sweep_counts,
     translation_classes,
+    write_survey_csv,
 )
 from ingham.spectral import build_e, check_a2, ingham_constants, TranslationConfig
 
@@ -178,9 +179,8 @@ def test_a2_sweep_stability_catalog_surveys():
         (catalog.get("truncated_square").spec, 3, 4),
     ]
     for spec, grid, m in jobs:
-        counts, unstable = a2_sweep_unstable(spec, grid, m)
+        counts = sweep_counts(classify_all(spec, grid, m))
         assert len(set(counts.values())) == 1, (spec.name, counts)
-        assert unstable == []
 
 
 def test_determinism_byte_identical():
@@ -257,6 +257,15 @@ def test_chunks_leave_the_bits_unchanged(monkeypatch):
     small = classify_all(spec, 4, 4).records
     assert _column_bytes(chunked) == _column_bytes(whole) == _column_bytes(small)
     assert np.array_equal(chunked.idx, whole.idx)
+
+
+def test_written_csv_is_the_header_and_rows(tmp_path, monkeypatch):
+    result = classify_all(catalog.get("two_square", r=1, R=2).spec, 3, 4)
+    header = ("config", "connected", "a2", "kappa1", "kappa2", "ratio")
+    want = _csv_text([header, *survey_csv_rows(result)]).encode()
+    monkeypatch.setattr(spectral, "CHUNK_ROWS", 300)  # 7 chunks, the last one short
+    write_survey_csv(tmp_path / "survey.csv", result)
+    assert (tmp_path / "survey.csv").read_bytes() == want
 
 
 def test_shuffled_explicit_list_gives_the_survey_bits():
