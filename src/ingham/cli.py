@@ -13,19 +13,13 @@ import csv
 import json
 import sys
 from contextlib import nullcontext
-from fractions import Fraction
 
-from . import catalog, geometry, gram, search, spectral
+from . import catalog, geometry, search, spectral
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
-from .errors import (
-    DegenerateTilingError,
-    FieldMismatchError,
-    HoleOutsideDomainError,
-    InghamError,
-    UnknownTilingError,
-)
+from .errors import FieldMismatchError, HoleOutsideDomainError, InghamError
 from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
-from .lattice import minimality_certificate, realize_points
+from .lattice import mat_float, minimality_certificate, realize_points
+from .qfield import rational
 from .reproduce import build_report
 from .spectral import TranslationConfig
 
@@ -42,11 +36,9 @@ def _entry(args) -> catalog.CatalogEntry:
             expected=(),
             primary_config="",
         )
-    r = Fraction(args.r) if args.r else None
-    R = Fraction(args.R) if args.R else None
     if not args.tiling:
         raise ValueError("one of --tiling or --spec-file is required")
-    return catalog.get(args.tiling, r=r, R=R)
+    return catalog.get(args.tiling, r=args.r, R=args.R)
 
 
 def _emit_json(data) -> None:
@@ -70,32 +62,21 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.name:
         raise ValueError("catalog show needs a tiling name")
-    entry = catalog.get(args.name, r=Fraction(args.r) if args.r else None,
-                        R=Fraction(args.R) if args.R else None)
-    data = spec_to_json(entry.spec) if _single_field(entry) else _spec_json_loose(entry)
+    entry = catalog.get(args.name, r=args.r, R=args.R)
+    try:
+        data = spec_to_json(entry.spec)
+    except ValueError:  # mixed radicals have no exact JSON form
+        data = {
+            "name": entry.spec.name,
+            "l_star": mat_float(entry.spec.l_star),
+            "us": [[float(c) for c in u] for u in entry.spec.us],
+            "note": "mixed radicals; entries shown as floats",
+        }
     data["m"] = entry.spec.m
     data["configs"] = {k: str(v) for k, v in sorted(entry.default_configs.items())}
     data["minimality_certified"] = _minimality_status(entry)
     _emit_json(data)
     return 0
-
-
-def _single_field(entry) -> bool:
-    try:
-        spec_to_json(entry.spec)
-        return True
-    except ValueError:
-        return False
-
-
-def _spec_json_loose(entry) -> dict:
-    spec = entry.spec
-    return {
-        "name": spec.name,
-        "l_star": [[float(e) for e in row] for row in spec.l_star],
-        "us": [[float(c) for c in u] for u in spec.us],
-        "note": "mixed radicals; entries shown as floats",
-    }
 
 
 def _minimality_status(entry) -> bool | None:
@@ -179,7 +160,7 @@ def cmd_verify(args) -> int:
             for s, lam in zip(supports, lambdas)
         ]
         if args.csv:
-            rows = gram.witness_csv_rows(supports, lambdas)
+            rows = [(len(s), f"{lam:.12g}") for s, lam in zip(supports, lambdas)]
             _write_csv(args.csv, ["support_size", "lambda_min"], rows)
     _emit_json(data)
     return 0 if fb.passed else 1
@@ -195,11 +176,12 @@ def cmd_export(args) -> int:
         ]
         _write_csv(args.csv, ["x", "y", "j", "m0", "m1"], rows)
         return 0
-    config = (
-        TranslationConfig.parse(args.config)
-        if args.config
-        else entry.default_configs[entry.primary_config]
-    )
+    if args.config:
+        config = TranslationConfig.parse(args.config)
+    elif args.spec_file:
+        raise ValueError("export --what domain needs --config with --spec-file")
+    else:
+        config = entry.default_configs[entry.primary_config]
     geom = geometry.omega_cells(entry.spec, config)
     rows = [
         (cell, vertex, f"{x:.12g}", f"{y:.12g}")
@@ -235,15 +217,15 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("catalog", help="list tilings or show one")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("name", nargs="?")
-    p.add_argument("--r", default=None)
-    p.add_argument("--R", default=None)
+    p.add_argument("--r", type=rational, default=None)
+    p.add_argument("--R", type=rational, default=None)
     p.set_defaults(func=cmd_catalog)
 
     def common(p):
         p.add_argument("--tiling", required=False)
         p.add_argument("--spec-file", default=None)
-        p.add_argument("--r", default=None)
-        p.add_argument("--R", default=None)
+        p.add_argument("--r", type=rational, default=None)
+        p.add_argument("--R", type=rational, default=None)
 
     p = sub.add_parser("constants", help="spectral constants of one configuration")
     common(p)
@@ -287,12 +269,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (UnknownTilingError, DegenerateTilingError, ValueError, KeyError) as exc:
+    # The one exception-to-exit-code rule: a command returns 1 only for a
+    # failed check, and whatever it raises comes from its input.
+    except (InghamError, ValueError, KeyError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InghamError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -46,10 +46,6 @@ class PolyominoShape:
 
     cells: tuple[tuple[int, int], ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
     @staticmethod
     def canonical(cells) -> "PolyominoShape":
         pts = [(int(x), int(y)) for x, y in cells]

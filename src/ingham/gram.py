@@ -400,9 +400,3 @@ def removal_witness(
         lam_min, _ = hermitian_extremes(g)
         out.append(float(lam_min))
     return out
-
-
-def witness_csv_rows(
-    supports: Sequence[SupportSet], lambdas: Sequence[float]
-) -> list[tuple[int, str]]:
-    return [(len(s), f"{lam:.12g}") for s, lam in zip(supports, lambdas)]

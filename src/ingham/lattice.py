@@ -161,7 +161,7 @@ def realize_points(
         raise ValueError(f"bbox corners must be finite, got {bbox}")
     if not (x1 > x0 and y1 > y0):
         return []
-    inv = [[float(e) for e in row] for row in l_star_inverse(spec.l_star)]
+    inv = mat_float(l_star_inverse(spec.l_star))
     corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
     pre = [
         (inv[0][0] * cx + inv[0][1] * cy, inv[1][0] * cx + inv[1][1] * cy)
@@ -214,13 +214,13 @@ def line_lattice_subset(spec: LatticeSpec, a: Vec2, b: Vec2) -> bool:
     delta = mat_vec(inv, vec_sub(b, a))
     if not (delta[0].is_rational() and delta[1].is_rational()):
         return False
-    dx, dy = delta[0].rational_part(), delta[1].rational_part()
+    dx, dy = delta[0].a, delta[1].a
     residues = []
     denoms = [dx, dy]
     for u in spec.us:
         r = vec_sub(x0, u)
         if r[0].is_rational() and r[1].is_rational():
-            rx, ry = r[0].rational_part(), r[1].rational_part()
+            rx, ry = r[0].a, r[1].a
             residues.append((rx, ry))
             denoms.extend((rx, ry))
     if not residues:

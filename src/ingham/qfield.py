@@ -12,17 +12,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import sqrt
 
 from .errors import FieldMismatchError
 
 Rational = int | Fraction
+
+# Largest integer _square_free_split factors, so the largest radicand d and
+# the largest numerator * denominator QuadNumber.sqrt takes.  Trial division
+# runs up to sqrt(n): the prime 999999999989 takes 0.07 s (CPython 3.11, one
+# x86 core), while the catalog's largest radicand is 26 (two_square r=1 R=5).
+MAX_RADICAND = 10**12
+
+
+def rational(text: str | int | float) -> Fraction:
+    """The exact rational a text such as '3', '-1/2' or '2.5e-1' (or a finite
+    JSON number) denotes; the one parser of rationals from argv and spec
+    files.  Anything else, '1/0' and infinities included, raises ValueError."""
+    if not isinstance(text, (str, int, float)):
+        raise ValueError(f"expected a rational, got {type(text).__name__}")
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError(f"not a finite rational: {text!r}") from None
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d and d square-free."""
     if n <= 0:
         raise ValueError("expected a positive integer")
+    if n > MAX_RADICAND:
+        raise ValueError(f"radicand exceeds {MAX_RADICAND}")
     s, d = 1, 1
     p = 2
     m = n
@@ -40,10 +60,6 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, d
 
 
-def _is_square_free(n: int) -> bool:
-    return n >= 1 and _square_free_split(n)[1] == n
-
-
 @dataclass(frozen=True)
 class QuadNumber:
     """Exact element a + b*sqrt(d) of a real quadratic field."""
@@ -59,11 +75,10 @@ class QuadNumber:
             raise ValueError("d must be a positive integer")
         if b == 0:
             d = 1
-        elif d == 1:
-            a, b = a + b, Fraction(0)
-        elif not _is_square_free(d):
-            s, d0 = _square_free_split(d)
-            b, d = b * s, d0
+        else:
+            s, d = _square_free_split(d)
+            if s != 1:
+                b *= s
             if d == 1:
                 a, b = a + b, Fraction(0)
         object.__setattr__(self, "a", a)
@@ -87,7 +102,7 @@ class QuadNumber:
     @classmethod
     def parse(cls, a: str, b: str = "0", d: int = 1) -> QuadNumber:
         """Build from 'p/q' strings, the JSON interchange encoding."""
-        return cls(Fraction(a), Fraction(b), d)
+        return cls(rational(a), rational(b), d)
 
     # -- field compatibility -----------------------------------------------
 
@@ -190,19 +205,10 @@ class QuadNumber:
             return 1 if lhs > rhs else -1
         return 1 if lhs < rhs else -1
 
-    def rational_part(self) -> Fraction:
-        return self.a
-
-    def radical_part(self) -> Fraction:
-        return self.b
-
     def __float__(self) -> float:
-        extra = 0.0
-        if self.b:
-            root = isqrt(self.d)
-            rd = float(root) if root * root == self.d else sqrt(self.d)
-            extra = float(self.b) * rd
-        return float(self.a) + extra
+        if self.b:  # the canonical form makes d square-free and > 1
+            return float(self.a) + float(self.b) * sqrt(self.d)
+        return float(self.a)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -214,7 +220,8 @@ class QuadNumber:
         )
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        # a rational value hashes as its Fraction, as __eq__ equates them
+        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
 
     def __repr__(self) -> str:
         if self.b == 0:

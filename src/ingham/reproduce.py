@@ -196,7 +196,6 @@ KINDS: dict[str, Evaluator] = {
 
 def _report_entry(tiling: str, rec: ExpectedRecord, computed: Any, passed: bool) -> dict:
     """One report.json entry; `printed` and `note` appear only when present."""
-    note = rec.note or rec.params.get("note", "")
     return {
         "tiling": tiling,
         "kind": rec.kind,
@@ -207,7 +206,7 @@ def _report_entry(tiling: str, rec: ExpectedRecord, computed: Any, passed: bool)
         "pass": bool(passed),
         "source": rec.source,
         **({"printed": rec.printed} if rec.printed is not None else {}),
-        **({"note": note} if note else {}),
+        **({"note": rec.note} if rec.note else {}),
     }
 
 

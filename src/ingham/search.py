@@ -178,20 +178,15 @@ def connected_survey(spec: LatticeSpec) -> SurveyResult:
 
 def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
     """Passing records sorted by ascending kappa2/kappa1, ties lexicographic."""
-    passing = [r for r in result.records if r.a2 and r.ratio is not None]
+    passing = [r for r in result.records if r.ratio is not None]
     return sorted(passing, key=lambda r: (r.ratio, r.config))
-
-
-def canonical_config(config: Iterable[tuple[int, int]]) -> Config:
-    """The translate of the configuration with minimum coordinates 0, sorted."""
-    return PolyominoShape.canonical(config).cells
 
 
 def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
     """Group configurations by translation; deterministic representatives."""
     groups: dict[Config, int] = {}
     for cfg in configs:
-        canon = canonical_config(cfg)
+        canon = PolyominoShape.canonical(cfg).cells
         groups[canon] = groups.get(canon, 0) + 1
     return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
 

@@ -94,10 +94,10 @@ class SpectralResult:
 
 def _phase_angle(t: QuadNumber) -> float:
     """2*pi*t with the rational part reduced mod 1 exactly."""
-    frac = t.rational_part() - math.floor(t.rational_part())
+    frac = t.a - math.floor(t.a)
     irr = 0.0
-    if t.radical_part():
-        irr = float(t.radical_part()) * math.sqrt(t.d)
+    if t.b:
+        irr = float(t.b) * math.sqrt(t.d)
     return TWO_PI * (float(frac) + irr)
 
 

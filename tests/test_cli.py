@@ -1,9 +1,13 @@
+import contextlib
 import csv
 import io
 import json
+import time
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ingham import catalog, search
 from ingham.cli import main
@@ -357,3 +361,184 @@ def test_mixed_field_hole_without_homothety_is_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, *TWO_SQUARE_HOLE)
     assert code == 2
     assert "usage error: hole:" in err and "homothety" in err
+
+
+SKEW = {
+    "name": "skew",
+    "d": 1,
+    "l_star": [[{"a": "1", "b": "0"}, {"a": "1/2", "b": "0"}],
+               [{"a": "0", "b": "0"}, {"a": "1", "b": "0"}]],
+    "us": [[{"a": "0", "b": "0"}, {"a": "0", "b": "0"}]],
+}
+
+
+def _skew_with(**changes):
+    spec = json.loads(json.dumps(SKEW))
+    spec.update(changes)
+    return spec
+
+
+# Spec files whose content is not a valid spec; each must be a usage error.
+BAD_SPECS = {
+    "top_level_list": ([SKEW], "JSON object"),
+    "zero_denominator": (
+        _skew_with(l_star=[[{"a": "1/0"}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
+        "not a finite rational",
+    ),
+    "huge_radicand": (
+        _skew_with(d=100000000000000000039,
+                   l_star=[[{"a": "0", "b": "1"}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
+        "radicand exceeds",
+    ),
+    "singular_l_star": (
+        _skew_with(l_star=[[{"a": "1"}, {"a": "1"}], [{"a": "1"}, {"a": "1"}]]),
+        "singular",
+    ),
+    "duplicate_translates": (
+        _skew_with(us=[[{"a": "0"}, {"a": "0"}], [{"a": "1"}, {"a": "0"}]]),
+        "coincide",
+    ),
+    "bare_numbers": (_skew_with(l_star=[[1, 0], [0, 1]]), "must be objects"),
+    "three_rows": (_skew_with(l_star=[[{"a": "1"}, {"a": "0"}]] * 3), "a list of 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_malformed_spec_file_is_usage_error(capsys, tmp_path, name):
+    spec, message = BAD_SPECS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, "constants", "--spec-file", str(path), "--config", "0,0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "usage error" in err and message in err
+
+
+def test_huge_two_square_side_is_refused_fast(capsys):
+    start = time.perf_counter()
+    code, _, err = run_cli(
+        capsys, "survey", "--tiling", "two_square", "--r", "1", "--R", "1e400", "--grid", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "radicand exceeds" in err
+
+
+@pytest.mark.parametrize("flag", ["--r", "--R"])
+@pytest.mark.parametrize("value", ["1/0", "inf", "x", ""])
+def test_malformed_side_is_argparse_error(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--tiling", "two_square", "--r", "1", "--R", "2", f"{flag}={value}",
+              "--config", "0,0;0,1;1,0;1,1"])
+    assert exc.value.code == 2
+    assert "invalid rational value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("constants", "--tiling", "honeycomb", "--config", "0,0"), "lattice has 2 translates"),
+    (("survey", "--tiling", "truncated_trihexagonal", "--connected-only"), "size must be"),
+])
+def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("survey", "--tiling", "square", "--grid", "1", "--csv"),
+    ("verify", *HONEYCOMB_VERIFY[1:], "--hole-fraction", "0.25", "--witness-radii", "0",
+     "--csv"),
+    ("export", "--tiling", "square", "--what", "points", "--csv"),
+    ("reproduce", "--out"),
+], ids=lambda argv: argv[0])
+def test_unwritable_output_path_is_usage_error(capsys, tmp_path, argv):
+    (tmp_path / "file").write_text("")
+    # reproduce creates missing directories, so its --out sits under a file
+    path = tmp_path / ("file/out" if argv[0] == "reproduce" else "missing/x.csv")
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert "usage error" in err
+
+
+def test_export_domain_from_spec_file_needs_config(capsys, tmp_path):
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(SKEW))
+    code, out, err = run_cli(capsys, "export", "--spec-file", str(path), "--what", "domain")
+    assert code == 2
+    assert out == ""
+    assert "needs --config with --spec-file" in err
+    code, out, _ = run_cli(
+        capsys, "export", "--spec-file", str(path), "--what", "domain", "--config", "0,0"
+    )
+    assert code == 0
+    assert len(list(csv.reader(io.StringIO(out)))) == 5
+
+
+# -- no traceback on random argv ------------------------------------------------
+
+TILINGS = ("square", "honeycomb", "trihexagonal", "snub_square", "truncated_trihexagonal",
+           "two_square", "two_square_r1_R3", "two_square_rx", "nosuch", "")
+RATIONALS = ("1", "2", "3/2", "0", "-1", "1/0", "x", "", "inf", "nan", "1e400", "1e-400")
+CONFIGS = ("0,0", "0,0;1,0", "0,0;0,1;1,0", "0,0;0,1;1,0;1,1", "0,0;0,0", "a,b", "",
+           "0,0;", "1,2,3", "99999999999999999999,0", "-1,-1;0,0")
+INTS = ("-1", "0", "1", "2", "x", "", "1000000000")
+FLOATS = ("0.25", "0", "-0.5", "1", "1e-300", "inf", "nan", "x", "")
+RECTS = ("0.1,0.1,0.3,0.3", "0,0,4,4", "1,1,0,0", "nan,0,1,1", "0,0,inf,1",
+         "0,0,1e6,1e6", "1,2", "x", "")
+RADII = ("0", "0,1", "-1", "x")
+PATHS = ("{root}/out.csv", "{root}/missing/out.csv", "")
+SPEC_FILES = tuple(f"{{root}}/{name}" for name in
+                   ("good.json", "list.json", "zero.json", "huge_d.json", "missing.json", ""))
+COMMON = {"tiling": TILINGS, "spec-file": SPEC_FILES, "r": RATIONALS, "R": RATIONALS}
+OPTIONS = {
+    "constants": {**COMMON, "config": CONFIGS},
+    "survey": {**COMMON, "grid": INTS, "csv": PATHS},
+    "verify": {**COMMON, "config": CONFIGS, "support-radius": INTS[:5], "hole": RECTS,
+               "hole-fraction": FLOATS, "hole-cell": INTS, "witness-radii": RADII, "csv": PATHS},
+    "export": {**COMMON, "what": ("points", "domain", "x"), "bbox": RECTS, "config": CONFIGS,
+               "csv": PATHS},
+}
+# Flags always given: argparse requires --config and --what, and the default
+# --witness-radii 0,1,2,3 would cost about 0.5 s per hole.
+ALWAYS = {"config", "what", "witness-radii"}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    for name, spec in [("good.json", SKEW), ("list.json", [SKEW]),
+                       ("zero.json", BAD_SPECS["zero_denominator"][0]),
+                       ("huge_d.json", BAD_SPECS["huge_radicand"][0])]:
+        (root / name).write_text(json.dumps(spec))
+    return root
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_argv_never_shows_a_traceback(argv_files, data):
+    """main returns 0 or 2, or 1 from a failed verify check, or argparse exits
+    2; nothing else escapes."""
+    draw = data.draw
+    command = draw(st.sampled_from(("catalog", "constants", "survey", "verify", "export")))
+    if command == "catalog":
+        argv = [draw(st.sampled_from(("list", "show", "x")))]
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(TILINGS)))
+        options = {"r": RATIONALS, "R": RATIONALS}
+    else:
+        argv, options = [], OPTIONS[command]
+        if command == "survey" and draw(st.booleans()):
+            argv.append("--connected-only")
+    for flag, values in options.items():
+        if flag in ALWAYS or draw(st.booleans()):
+            value = draw(st.sampled_from(values)).replace("{root}", str(argv_files))
+            argv.append(f"--{flag}={value}")
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main([command, *argv])
+    except SystemExit as exc:  # argparse refusing the argv
+        assert exc.code == 2, sink.getvalue()
+    else:
+        assert code in ((0, 1, 2) if command == "verify" else (0, 2)), sink.getvalue()

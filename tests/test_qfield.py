@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import FIELDS, quad_numbers, rationals
 from ingham.errors import FieldMismatchError
-from ingham.qfield import QuadNumber
+from ingham.qfield import QuadNumber, rational
 
 IRRATIONAL = FIELDS[1:]
 
@@ -129,7 +129,7 @@ def test_radicals_of_different_fields_do_not_mix(data):
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         with pytest.raises(FieldMismatchError):
             op(x, y)
-    assert x + y.rational_part() == QuadNumber(x.a + y.a, x.b, d1)
+    assert x + y.a == QuadNumber(x.a + y.a, x.b, d1)
     assert x != QuadNumber(x.a, x.b, d2)
 
 
@@ -152,3 +152,30 @@ def test_sign_matches_decimal(x):
         dec = lambda f: Decimal(f.numerator) / Decimal(f.denominator)
         value = dec(x.a) + dec(x.b) * Decimal(x.d).sqrt()
     assert x.sign() == (value > 0) - (value < 0)
+
+
+@given(st.sampled_from(FIELDS), rationals(), st.one_of(st.just(Fraction(0)), rationals()),
+       st.integers(1, 5))
+def test_equal_values_hash_equal(d, a, b, k):
+    x = QuadNumber(a, b, d)
+    same = [QuadNumber(a, b / k, d * k * k), x + 0, QuadNumber(0) + x]
+    if x.is_rational():
+        same.append(x.a)
+        if x.is_integer():
+            same.append(int(x.a))
+    for y in same:
+        assert y == x and hash(y) == hash(x) and len({x, y}) == 1
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-1/2", Fraction(-1, 2)), ("2.5e-1", Fraction(1, 4)),
+    (7, Fraction(7)), (0.5, Fraction(1, 2)),
+])
+def test_rational_parses_text_and_json_numbers(text, value):
+    assert rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1/0", "", "x", "inf", "nan", float("inf"), None, [1]])
+def test_rational_refuses_anything_else(text):
+    with pytest.raises(ValueError):
+        rational(text)

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from ingham import catalog, spectral
+from ingham.geometry import PolyominoShape
 from ingham.search import (
     MAX_SURVEY_CONFIGS,
     SurveyRecords,
     SurveyResult,
-    canonical_config,
     classify_all,
     classify_configs,
     config_count,
@@ -161,7 +161,7 @@ def test_translation_classes_count_matches_pattern_oracle():
     classes = translation_classes(enumerate_configs(3, 4))
     patterns = set()
     for cfg in combinations([(a, b) for a in range(4) for b in range(4)], 4):
-        canon = canonical_config(cfg)
+        canon = PolyominoShape.canonical(cfg).cells
         w = max(p[0] for p in canon)
         h = max(p[1] for p in canon)
         if w <= 3 and h <= 3:
