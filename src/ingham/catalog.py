@@ -490,7 +490,7 @@ def _parse_two_square_name(name: str) -> tuple[Fraction, Fraction]:
     # "two_square_r1_R3" style
     try:
         _, _, rpart, Rpart = name.split("_")
-        return Fraction(rpart[1:]), Fraction(Rpart[1:])
+        return rational(rpart[1:]), rational(Rpart[1:])
     except ValueError:
         raise UnknownTilingError(f"cannot parse two_square name {name!r}") from None
 

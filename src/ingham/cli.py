@@ -16,7 +16,7 @@ from contextlib import nullcontext
 
 from . import catalog, geometry, search, spectral
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
-from .errors import FieldMismatchError, HoleOutsideDomainError, InghamError
+from .errors import FieldMismatchError, HoleOutsideDomainError, InghamError, NotHermitianError
 from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
 from .lattice import mat_float, minimality_certificate, realize_points
 from .qfield import rational
@@ -270,8 +270,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     # The one exception-to-exit-code rule: a command returns 1 only for a
-    # failed check, and whatever it raises comes from its input.
-    except (InghamError, ValueError, KeyError, OSError) as exc:
+    # failed check, and what it raises comes from its input, except a failed
+    # internal numerical check and a failure while writing (a full disk, a
+    # closed pipe), which propagate.  The OSErrors caught are those of opening
+    # or creating a path the user named.
+    except NotHermitianError:
+        raise
+    except (InghamError, ValueError, KeyError, FileExistsError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
 

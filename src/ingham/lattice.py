@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -125,8 +126,19 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
     """Check the structural invariants; return the spec unchanged if valid."""
     if spec.m < 1:
         raise DuplicateTranslateError("spec needs at least one translate")
-    if mat_det(spec.l_star).is_zero():
+    det = mat_det(spec.l_star)
+    if det.is_zero():
         raise SingularMatrixError(f"{spec.name}: l_star is singular")
+    # Everything past the exact layer computes in floats.
+    try:
+        floats = [float(x) for x in (det, *spec.l_star[0], *spec.l_star[1], *chain(*spec.us))]
+    except OverflowError:
+        floats = [math.inf]
+    if floats[0] == 0 or not all(map(math.isfinite, floats)):
+        raise ValueError(
+            f"{spec.name}: l_star, its determinant and the translates must be finite "
+            "as floats, and the determinant nonzero"
+        )
     for i in range(spec.m):
         for k in range(i + 1, spec.m):
             if vec_is_integer(vec_sub(spec.us[i], spec.us[k])):

@@ -18,11 +18,14 @@ from .errors import FieldMismatchError
 
 Rational = int | Fraction
 
-# Largest integer _square_free_split factors, so the largest radicand d and
-# the largest numerator * denominator QuadNumber.sqrt takes.  Trial division
-# runs up to sqrt(n): the prime 999999999989 takes 0.07 s (CPython 3.11, one
-# x86 core), while the catalog's largest radicand is 26 (two_square r=1 R=5).
-MAX_RADICAND = 10**12
+# Work bound of _square_free_split: trial division stops, refusing n, once
+# the divisor times the bit length of the cofactor left exceeds it.  A
+# division costs more the longer the cofactor, so a long cofactor gets fewer
+# divisors.  Every n up to 10**12 (40 bits, divisors up to 10**6) is split;
+# its worst case, the prime 999999999989, takes 0.09 s (CPython 3.11, one x86
+# core), while a 2,658-bit cofactor such as 10**800 + 1 is refused after
+# 0.01 s.  The catalog's largest radicand is 26.
+MAX_TRIAL_WORK = 40 * 10**6
 
 
 def rational(text: str | int | float) -> Fraction:
@@ -41,12 +44,18 @@ def _square_free_split(n: int) -> tuple[int, int]:
     """Return (s, d) with n = s*s*d and d square-free."""
     if n <= 0:
         raise ValueError("expected a positive integer")
-    if n > MAX_RADICAND:
-        raise ValueError(f"radicand exceeds {MAX_RADICAND}")
     s, d = 1, 1
     p = 2
     m = n
+    limit = 0  # MAX_TRIAL_WORK // m.bit_length(), refreshed only once p passes it
     while p * p <= m:
+        if p > limit:
+            limit = MAX_TRIAL_WORK // m.bit_length()
+            if p > limit:
+                raise ValueError(
+                    f"radicand exceeds the trial-division bound: a {m.bit_length()}-bit "
+                    f"cofactor has no factor below {p}"
+                )
         if m % p == 0:
             e = 0
             while m % p == 0:

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import DegenerateTilingError, NotHermitianError, SizeMismatchError
-from .lattice import LatticeSpec, Vec2, qvec, vec_dot
+from .lattice import LatticeSpec, Vec2, qvec, validate_spec, vec_dot
 from .qfield import QuadNumber, Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
@@ -247,7 +247,7 @@ def two_square_spec(r: Rational, R: Rational) -> LatticeSpec:
         qvec(ac, -as_),  # angle -alpha + 2 pi
     )
     l_star = ((scale, zero), (zero, scale))
-    return LatticeSpec(name=f"two_square_r{r}_R{R}", l_star=l_star, us=us)
+    return validate_spec(LatticeSpec(name=f"two_square_r{r}_R{R}", l_star=l_star, us=us))
 
 
 def two_square_delta(r: Rational, R: Rational) -> complex:

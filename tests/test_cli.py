@@ -1,16 +1,19 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import time
 import warnings
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ingham import catalog, search
+from ingham import catalog, search, spectral
 from ingham.cli import main
+from ingham.errors import NotHermitianError
 from ingham.lattice import LatticeSpec
 from ingham.qfield import QuadNumber
 
@@ -425,6 +428,16 @@ def test_huge_two_square_side_is_refused_fast(capsys):
     assert "radicand exceeds" in err
 
 
+@pytest.mark.parametrize("r, R", [("0.001", "1"), ("1", "1000000")])
+def test_two_square_side_with_long_radicand_is_split(capsys, r, R):
+    # R^2 + r^2 = 1000001/10^6 and 10^12 + 1 = 73 * 137 * 99990001: radicands
+    # above 10^12 whose factors are all found well inside the trial bound
+    code, out, _ = run_cli(capsys, "constants", "--tiling", "two_square", "--r", r, "--R", R,
+                           "--config", "0,0;0,1;1,0;1,1")
+    assert code == 0
+    assert json.loads(out)["tiling"] == f"two_square_r{Fraction(r)}_R{Fraction(R)}"
+
+
 @pytest.mark.parametrize("flag", ["--r", "--R"])
 @pytest.mark.parametrize("value", ["1/0", "inf", "x", ""])
 def test_malformed_side_is_argparse_error(capsys, flag, value):
@@ -438,11 +451,32 @@ def test_malformed_side_is_argparse_error(capsys, flag, value):
 @pytest.mark.parametrize("argv, message", [
     (("constants", "--tiling", "honeycomb", "--config", "0,0"), "lattice has 2 translates"),
     (("survey", "--tiling", "truncated_trihexagonal", "--connected-only"), "size must be"),
+    (("catalog", "show", "two_square_r1_R1/0"), "cannot parse two_square name"),
+    (("catalog", "show", "two_square", "--r", "5e399", "--R", "1e400"), "finite as floats"),
+    (("catalog", "show", "two_square", "--r", "3e-200", "--R", "4e-200"), "finite as floats"),
 ])
 def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "usage error" in err and message in err
+
+
+def test_internal_failures_propagate(monkeypatch, tmp_path):
+    """A failed internal numerical check and a failure while writing are not
+    usage errors: main lets them escape."""
+    def not_hermitian(*_):
+        raise NotHermitianError("asymmetry 1e-3 exceeds 1e-10")
+
+    def disk_full(*_):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(spectral, "ingham_constants", not_hermitian)
+    with pytest.raises(NotHermitianError):
+        main(["constants", "--tiling", "square", "--config", "0,0"])
+    monkeypatch.setattr(search, "write_survey_csv", disk_full)
+    with pytest.raises(OSError) as exc:
+        main(["survey", "--tiling", "square", "--grid", "1", "--csv", str(tmp_path / "x.csv")])
+    assert exc.value.errno == errno.ENOSPC
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,8 +512,10 @@ def test_export_domain_from_spec_file_needs_config(capsys, tmp_path):
 # -- no traceback on random argv ------------------------------------------------
 
 TILINGS = ("square", "honeycomb", "trihexagonal", "snub_square", "truncated_trihexagonal",
-           "two_square", "two_square_r1_R3", "two_square_rx", "nosuch", "")
-RATIONALS = ("1", "2", "3/2", "0", "-1", "1/0", "x", "", "inf", "nan", "1e400", "1e-400")
+           "two_square", "two_square_r1_R3", "two_square_rx", "two_square_r1_R1/0", "nosuch",
+           "")
+RATIONALS = ("1", "2", "3/2", "0", "-1", "1/0", "x", "", "inf", "nan", "1e400", "5e399",
+             "1e-400", "0.001")
 CONFIGS = ("0,0", "0,0;1,0", "0,0;0,1;1,0", "0,0;0,1;1,0;1,1", "0,0;0,0", "a,b", "",
            "0,0;", "1,2,3", "99999999999999999999,0", "-1,-1;0,0")
 INTS = ("-1", "0", "1", "2", "x", "", "1000000000")

@@ -28,6 +28,16 @@ def test_square_factor_extraction():
     assert QuadNumber.sqrt(9) == QuadNumber(3)
 
 
+def test_trial_division_bounds_work_not_size():
+    # radicands above 10**12 whose factors lie inside the bound are split
+    assert QuadNumber.sqrt(Fraction(1000001, 10**6)) == QuadNumber(0, Fraction(1, 1000), 1000001)
+    assert QuadNumber(0, 1, 2**60 * 3) == QuadNumber(0, 2**30, 3)
+    # a cofactor with no factor inside the bound is refused, long or short
+    for n in (10**800 + 1, 1000003 * 1000033):
+        with pytest.raises(ValueError, match="trial-division bound"):
+            QuadNumber.sqrt(n)
+
+
 def test_arithmetic_exact():
     s3 = QuadNumber.sqrt(3)
     x = QuadNumber(-1, 1, 3)  # -1 + sqrt3
