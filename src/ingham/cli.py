@@ -41,6 +41,17 @@ def _entry(args) -> catalog.CatalogEntry:
     return catalog.get(args.tiling, r=args.r, R=args.R)
 
 
+def _box(text: str, flag: str) -> tuple[float, ...]:
+    """The corners x0,y0,x1,y1 given to --hole or --bbox."""
+    try:
+        box = tuple(float(v) for v in text.split(","))
+    except ValueError:
+        box = ()
+    if len(box) != 4:
+        raise ValueError(f"{flag} needs 4 values x0,y0,x1,y1")
+    return box
+
+
 def _emit_json(data) -> None:
     print(json.dumps(data, indent=2, sort_keys=True))
 
@@ -148,7 +159,7 @@ def cmd_verify(args) -> int:
         supports = [SupportSet.centered(entry.spec, k) for k in radii]
         try:
             if args.hole:
-                hole = tuple(float(v) for v in args.hole.split(","))
+                hole = _box(args.hole, "--hole")
             else:
                 hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
             lambdas = removal_witness(entry.spec, config, hole, supports)
@@ -169,7 +180,7 @@ def cmd_verify(args) -> int:
 def cmd_export(args) -> int:
     entry = _entry(args)
     if args.what == "points":
-        bbox = tuple(float(v) for v in args.bbox.split(","))
+        bbox = _box(args.bbox, "--bbox")
         rows = [
             (f"{p.x:.12g}", f"{p.y:.12g}", p.j, p.m[0], p.m[1])
             for p in realize_points(entry.spec, bbox)

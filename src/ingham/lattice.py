@@ -34,6 +34,16 @@ PERIOD_CAP = 10**6
 # 225 MB, produced in about 3 s.
 MAX_REALIZE_CANDIDATES = 500_000
 
+# Range of the float |det l_star| that validate_spec accepts.  The float
+# layers divide by the determinant (c1_full = 4 pi^2 kappa1 / |det|, every
+# Gram entry), so a determinant near the ends of the float range (about
+# 1e-308 and 1e308) turns results into inf or 0: two-square sides 3e-160,
+# 4e-160 (|det| = 2.5e-319) gave c1_full = Infinity.  1e-100 and 1e100
+# leave about 200 orders of magnitude for the products that follow.  A
+# two-square spec has |det| = r^2 + R^2, 1.000001 for sides 0.001, 1 and
+# about 1e12 for sides 1, 10**6; the catalog's lie between 0.87 and 6.5.
+DET_MIN, DET_MAX = 1e-100, 1e100
+
 
 def qvec(x: QuadNumber | Rational, y: QuadNumber | Rational) -> Vec2:
     cast = lambda v: v if isinstance(v, QuadNumber) else QuadNumber(v)
@@ -134,10 +144,10 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
         floats = [float(x) for x in (det, *spec.l_star[0], *spec.l_star[1], *chain(*spec.us))]
     except OverflowError:
         floats = [math.inf]
-    if floats[0] == 0 or not all(map(math.isfinite, floats)):
+    if not all(map(math.isfinite, floats)) or not DET_MIN <= abs(floats[0]) <= DET_MAX:
         raise ValueError(
-            f"{spec.name}: l_star, its determinant and the translates must be finite "
-            "as floats, and the determinant nonzero"
+            f"{spec.name}: l_star and the translates must be finite as floats, and "
+            f"|det l_star| within [{DET_MIN:g}, {DET_MAX:g}]"
         )
     for i in range(spec.m):
         for k in range(i + 1, spec.m):
@@ -154,7 +164,7 @@ def contains(spec: LatticeSpec, p: Vec2) -> LatticePoint | None:
     for j, u in enumerate(spec.us):
         r = vec_sub(y, u)
         if vec_is_integer(r):
-            return LatticePoint(j, (int(r[0].a), int(r[1].a)))
+            return LatticePoint(j, (r[0].p, r[1].p))
     return None
 
 

@@ -1,18 +1,22 @@
 """Exact arithmetic in real quadratic fields Q(sqrt(d)).
 
-A QuadNumber stores a + b*sqrt(d) with rational a, b and a square-free
-positive integer d.  Numbers are kept in a canonical form: a rational value
-always has b = 0 and d = 1, so equality is plain componentwise comparison.
-Mixed radicals (a + b*sqrt(2) + c*sqrt(3)) are deliberately unsupported;
-combining two numbers whose radical parts live in different fields raises
+A QuadNumber stores (p + q*sqrt(d))/r in four integers, with r > 0,
+gcd(p, q, r) = 1 and a square-free positive d that is 1 exactly when q = 0.
+This form is canonical, so equality compares the four integers, and the
+arithmetic is integer arithmetic over one common denominator (H. Cohen, *A
+Course in Computational Algebraic Number Theory*, GTM 138, 1993): no
+Fraction is built and d is never factored again.  The rational and radical
+parts stay readable as Fractions through .a and .b.  Mixed radicals
+(a + b*sqrt(2) + c*sqrt(3)) are deliberately unsupported; combining two
+numbers whose radical parts live in different fields raises
 FieldMismatchError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
-from math import sqrt
+from math import gcd, lcm, sqrt
 
 from .errors import FieldMismatchError
 
@@ -27,13 +31,27 @@ Rational = int | Fraction
 # 0.01 s.  The catalog's largest radicand is 26.
 MAX_TRIAL_WORK = 40 * 10**6
 
+# Largest decimal exponent rational() expands.  Fraction('1e<k>') builds
+# 10**k in time and memory growing with k ('1e10000000' took 12.7 s) before
+# any bound downstream applies, so a larger k is refused first.  The value is
+# CPython's default int-string limit (sys.int_info.default_max_str_digits):
+# past it the expansion has more digits than int() accepts from a string.
+MAX_DECIMAL_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def rational(text: str | int | float) -> Fraction:
     """The exact rational a text such as '3', '-1/2' or '2.5e-1' (or a finite
     JSON number) denotes; the one parser of rationals from argv and spec
-    files.  Anything else, '1/0' and infinities included, raises ValueError."""
+    files.  Anything else, '1/0', infinities and decimal exponents beyond
+    MAX_DECIMAL_EXPONENT included, raises ValueError."""
     if not isinstance(text, (str, int, float)):
         raise ValueError(f"expected a rational, got {type(text).__name__}")
+    exponent = isinstance(text, str) and _EXPONENT.search(text)
+    if exponent:
+        digits = exponent[1].replace("_", "").lstrip("0")
+        if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in a rational")
     try:
         return Fraction(text)
     except (ZeroDivisionError, OverflowError):
@@ -69,15 +87,19 @@ def _square_free_split(n: int) -> tuple[int, int]:
     return s, d
 
 
-@dataclass(frozen=True)
 class QuadNumber:
-    """Exact element a + b*sqrt(d) of a real quadratic field."""
+    """Exact element (p + q*sqrt(d))/r of a real quadratic field."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("p", "q", "r", "d")
+    p: int
+    q: int
+    r: int
     d: int
 
-    def __init__(self, a: Rational = 0, b: Rational = 0, d: int = 1):
+    # -- constructors ------------------------------------------------------
+
+    def __new__(cls, a: Rational = 0, b: Rational = 0, d: int = 1) -> QuadNumber:
+        """a + b*sqrt(d) for rationals a, b and a positive integer d."""
         a = Fraction(a)
         b = Fraction(b)
         if d < 1:
@@ -90,11 +112,9 @@ class QuadNumber:
                 b *= s
             if d == 1:
                 a, b = a + b, Fraction(0)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "d", d)
-
-    # -- constructors ------------------------------------------------------
+        r = lcm(a.denominator, b.denominator)
+        return _make(int(a.numerator * (r // a.denominator)),
+                     int(b.numerator * (r // b.denominator)), r, d)
 
     @classmethod
     def sqrt(cls, n: Rational) -> QuadNumber:
@@ -113,126 +133,168 @@ class QuadNumber:
         """Build from 'p/q' strings, the JSON interchange encoding."""
         return cls(rational(a), rational(b), d)
 
-    # -- field compatibility -----------------------------------------------
+    # -- the value as Fractions ----------------------------------------------
 
-    def _joint_d(self, other: QuadNumber) -> int:
-        if self.b == 0:
-            return other.d
-        if other.b == 0:
-            return self.d
-        if self.d != other.d:
-            raise FieldMismatchError(
-                f"cannot combine sqrt({self.d}) with sqrt({other.d})"
-            )
-        return self.d
+    @property
+    def a(self) -> Fraction:
+        """The rational part."""
+        return Fraction(self.p, self.r)
 
-    @staticmethod
-    def _coerce(value: QuadNumber | Rational) -> QuadNumber:
-        if isinstance(value, QuadNumber):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QuadNumber(value)
-        return NotImplemented  # type: ignore[return-value]
+    @property
+    def b(self) -> Fraction:
+        """The coefficient of sqrt(d)."""
+        return Fraction(self.q, self.r)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"QuadNumber is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"QuadNumber is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _make, (self.p, self.q, self.r, self.d)
 
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: QuadNumber | Rational) -> QuadNumber:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = self._joint_d(other)
-        return QuadNumber(self.a + other.a, self.b + other.b, d)
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
-    def __neg__(self) -> QuadNumber:
-        return QuadNumber(-self.a, -self.b, self.d)
-
     def __sub__(self, other: QuadNumber | Rational) -> QuadNumber:
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other: QuadNumber | Rational) -> QuadNumber:
         return (-self) + other
 
-    def __mul__(self, other: QuadNumber | Rational) -> QuadNumber:
-        other = self._coerce(other)
+    def __neg__(self) -> QuadNumber:
+        return _make(-self.p, -self.q, self.r, self.d)
+
+    def _plus(self, other: QuadNumber | Rational, sign: int) -> QuadNumber:
+        """self + sign*other."""
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._joint_d(other)
-        return QuadNumber(
-            self.a * other.a + self.b * other.b * d,
-            self.a * other.b + self.b * other.a,
-            d,
-        )
+        d = _joint_d(self, other)
+        r, s, p, q = self.r, other.r, sign * other.p, sign * other.q
+        if r == s:
+            return _make(self.p + p, self.q + q, r, d)
+        return _make(self.p * s + p * r, self.q * s + q * r, r * s, d)
+
+    def __mul__(self, other: QuadNumber | Rational) -> QuadNumber:
+        other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        d = _joint_d(self, other)
+        p, q, s, t = self.p, self.q, other.p, other.q
+        return _make(p * s + q * t * d, p * t + q * s, self.r * other.r, d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> QuadNumber:
-        """Multiplicative inverse; norm a^2 - b^2 d never vanishes for d square-free."""
+        """Multiplicative inverse; the norm p^2 - q^2 d never vanishes for d square-free."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        norm = self.a * self.a - self.b * self.b * self.d
-        return QuadNumber(self.a / norm, -self.b / norm, self.d)
+        p, q = self.p, self.q
+        return _make(self.r * p, -self.r * q, p * p - q * q * self.d, self.d)
 
     def __truediv__(self, other: QuadNumber | Rational) -> QuadNumber:
-        other = self._coerce(other)
+        other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other: QuadNumber | Rational) -> QuadNumber:
-        return self._coerce(other) * self.inverse()
+        return _coerce(other) * self.inverse()
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.p == 0 and self.q == 0
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.q == 0
 
     def is_integer(self) -> bool:
-        return self.b == 0 and self.a.denominator == 1
+        return self.q == 0 and self.r == 1
 
     def sign(self) -> int:
-        """Exact sign of the real value."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 with b^2 d
-        lhs = self.a * self.a
-        rhs = self.b * self.b * self.d
-        if self.a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if lhs < rhs else -1
+        """Exact sign of the real value, that of p + q*sqrt(d) as r > 0."""
+        p, q = self.p, self.q
+        if q == 0:
+            return (p > 0) - (p < 0)
+        if p == 0 or (p > 0) == (q > 0):
+            return 1 if q > 0 else -1
+        # opposite signs: compare p^2 with q^2 d
+        if p * p > q * q * self.d:
+            return 1 if p > 0 else -1
+        return 1 if q > 0 else -1
 
     def __float__(self) -> float:
-        if self.b:  # the canonical form makes d square-free and > 1
-            return float(self.a) + float(self.b) * sqrt(self.d)
-        return float(self.a)
+        # int true division rounds correctly, so p / r has the bits of float(self.a)
+        if self.q:
+            return self.p / self.r + (self.q / self.r) * sqrt(self.d)
+        return self.p / self.r
 
     def __eq__(self, other: object) -> bool:
+        if isinstance(other, QuadNumber):
+            return (self.p == other.p and self.q == other.q and self.r == other.r
+                    and self.d == other.d)
         if isinstance(other, (int, Fraction)):
-            other = QuadNumber(other)
-        if not isinstance(other, QuadNumber):
-            return NotImplemented
-        return self.a == other.a and self.b == other.b and (
-            self.b == 0 or self.d == other.d
-        )
+            return self.q == 0 and self.p == other.numerator and self.r == other.denominator
+        return NotImplemented
 
     def __hash__(self) -> int:
         # a rational value hashes as its Fraction, as __eq__ equates them
-        return hash((self.a, self.b, self.d)) if self.b else hash(self.a)
+        if self.q:
+            return hash((self.p, self.q, self.r, self.d))
+        return hash(self.p) if self.r == 1 else hash(Fraction(self.p, self.r))
 
     def __repr__(self) -> str:
-        if self.b == 0:
+        if self.q == 0:
             return f"QuadNumber({self.a})"
         return f"QuadNumber({self.a} + {self.b}*sqrt({self.d}))"
+
+
+# __setattr__ refuses assignment, so _make writes the slots through their
+# descriptors.
+_new = object.__new__
+_set_p, _set_q, _set_r, _set_d = (
+    getattr(QuadNumber, name).__set__ for name in QuadNumber.__slots__
+)
+
+
+def _make(p: int, q: int, r: int, d: int) -> QuadNumber:
+    """The QuadNumber (p + q*sqrt(d))/r, for r != 0 and d square-free (any d if q = 0).
+
+    Divides out gcd(p, q, r) and the sign of r; d is never factored here."""
+    g = gcd(p, q, r)
+    if r < 0:
+        g = -g
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    x = _new(QuadNumber)
+    _set_p(x, p)
+    _set_q(x, q)
+    _set_r(x, r)
+    _set_d(x, d if q else 1)
+    return x
+
+
+def _coerce(value: QuadNumber | Rational) -> QuadNumber:
+    if isinstance(value, QuadNumber):
+        return value
+    if isinstance(value, int):
+        return _make(int(value), 0, 1, 1)
+    if isinstance(value, Fraction):
+        return _make(int(value.numerator), 0, int(value.denominator), 1)
+    return NotImplemented  # type: ignore[return-value]
+
+
+def _joint_d(x: QuadNumber, y: QuadNumber) -> int:
+    """The field of x and y: a rational operand (d = 1) joins any field."""
+    if x.d == y.d or y.d == 1:
+        return x.d
+    if x.d == 1:
+        return y.d
+    raise FieldMismatchError(f"cannot combine sqrt({x.d}) with sqrt({y.d})")

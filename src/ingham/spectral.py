@@ -94,11 +94,8 @@ class SpectralResult:
 
 def _phase_angle(t: QuadNumber) -> float:
     """2*pi*t with the rational part reduced mod 1 exactly."""
-    frac = t.a - math.floor(t.a)
-    irr = 0.0
-    if t.b:
-        irr = float(t.b) * math.sqrt(t.d)
-    return TWO_PI * (float(frac) + irr)
+    irr = (t.q / t.r) * math.sqrt(t.d) if t.q else 0.0
+    return TWO_PI * (t.p % t.r / t.r + irr)
 
 
 def phase(t: QuadNumber) -> complex:

@@ -82,8 +82,7 @@ def test_constants_square(capsys):
     assert data["kappa2"] == pytest.approx(1.0)
 
 
-def test_constants_env_tolerance(capsys, monkeypatch):
-    monkeypatch.setenv("INGHAM_TOL", "1e-2")
+def test_constants_two_square_small_det_passes_a2(capsys):
     code, out, _ = run_cli(
         capsys, "constants", "--tiling", "two_square", "--r", "1", "--R", "4",
         "--config", "0,1;1,1;1,3;3,3",
@@ -303,6 +302,18 @@ def test_misplaced_hole_is_usage_error(capsys, hole):
     assert "usage error: hole:" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (HONEYCOMB_VERIFY + ("--hole", "1,2"), "--hole"),
+    (HONEYCOMB_VERIFY + ("--hole", "0,0,x,1"), "--hole"),
+    (("export", "--tiling", "square", "--what", "points", "--bbox", "0,0,1"), "--bbox"),
+    (("export", "--tiling", "square", "--what", "points", "--bbox", "0,0,1,1,2"), "--bbox"),
+])
+def test_box_of_wrong_arity_names_its_flag(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"usage error: {flag} needs 4 values x0,y0,x1,y1" in err
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -459,6 +470,16 @@ def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "usage error" in err and message in err
+
+
+@pytest.mark.parametrize("r, R", [("3e-160", "4e-160"), ("3e60", "4e60")])
+def test_determinant_beyond_float_scale_is_usage_error(capsys, r, R):
+    # |det l_star| = r^2 + R^2 = 2.5e-319 (subnormal, once printed c1_full =
+    # Infinity) and 2.5e121: finite floats, but outside [1e-100, 1e100]
+    code, out, err = run_cli(capsys, "constants", "--tiling", "two_square", "--r", r, "--R", R,
+                             "--config", "0,0;0,1;1,0;1,1")
+    assert code == 2 and out == ""
+    assert "|det l_star| within [1e-100, 1e+100]" in err
 
 
 def test_internal_failures_propagate(monkeypatch, tmp_path):

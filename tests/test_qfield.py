@@ -1,5 +1,8 @@
+import copy
 import math
 import operator
+import pickle
+import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -189,3 +192,104 @@ def test_rational_parses_text_and_json_numbers(text, value):
 def test_rational_refuses_anything_else(text):
     with pytest.raises(ValueError):
         rational(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("2.5e-1", Fraction(1, 4)), ("1e300", Fraction(10**300)), ("1/3", Fraction(1, 3)),
+    ("1e4300", Fraction(10**4300)), ("1E-0004300", Fraction(1, 10**4300)),
+])
+def test_rational_expands_exponents_up_to_the_limit(text, value):
+    assert rational(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e10000000", "1e4301", "-2.5E-4301", "1e" + "9" * 10**5])
+def test_rational_refuses_huge_exponents_before_expanding(text):
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="decimal exponent"):
+        rational(text)
+    assert time.perf_counter() - t0 < 0.1
+
+
+# -- the integer form (p + q*sqrt(d))/r against Fraction formulas -------------
+#
+# The reference keeps a value as Fractions (a, b) of a + b*sqrt(d), with the
+# formulas QuadNumber used before it stored integers.
+
+
+def _ref_mul(x, y, d):
+    return (x[0] * y[0] + x[1] * y[1] * d, x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_inverse(x, d):
+    norm = x[0] * x[0] - x[1] * x[1] * d
+    return (x[0] / norm, -x[1] / norm)
+
+
+REF_OPS = {
+    "add": (operator.add, lambda x, y, d: (x[0] + y[0], x[1] + y[1])),
+    "sub": (operator.sub, lambda x, y, d: (x[0] - y[0], x[1] - y[1])),
+    "mul": (operator.mul, _ref_mul),
+    "div": (operator.truediv, lambda x, y, d: _ref_mul(x, _ref_inverse(y, d), d)),
+}
+
+
+def _ref_sign(x, d):
+    a, b = x
+    if b == 0 or a == 0 or (a > 0) == (b > 0):
+        return (a > 0) - (a < 0) or (b > 0) - (b < 0)
+    return (a > 0) - (a < 0) if a * a > b * b * d else (b > 0) - (b < 0)
+
+
+def _ref(a, b, d):
+    """a + b*sqrt(d), with b folded into a when d = 1."""
+    return (a + b, Fraction(0)) if d == 1 else (a, b)
+
+
+def _assert_matches(got, ref, d):
+    a, b = ref
+    d = d if b else 1
+    assert (got.a, got.b, got.d) == (a, b, d)
+    assert math.gcd(got.p, got.q, got.r) == 1 and got.r > 0
+    assert got.q != 0 or got.d == 1
+    assert Fraction(got.p, got.r) == a and Fraction(got.q, got.r) == b
+    assert float(got).hex() == (float(a) + float(b) * math.sqrt(d)).hex()
+    assert got.sign() == _ref_sign((a, b), d)
+
+
+wide_rationals = st.one_of(
+    rationals(), st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6))
+)
+
+
+@given(st.sampled_from(FIELDS), wide_rationals, wide_rationals, wide_rationals, wide_rationals,
+       st.sampled_from(sorted(REF_OPS)), st.booleans())
+def test_integer_form_matches_fraction_formulas(d, a1, b1, a2, b2, name, rational_operand):
+    x = QuadNumber(a1, b1, d)
+    y = QuadNumber(a2, 0 if rational_operand else b2, d)
+    rx, ry = _ref(a1, b1, d), _ref(a2, 0 if rational_operand else b2, d)
+    _assert_matches(x, rx, d)
+    _assert_matches(-x, (-rx[0], -rx[1]), d)
+    op, ref = REF_OPS[name]
+    if name == "div" and y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            op(x, y)
+        return
+    # a rational right operand also enters as a plain Fraction
+    for operand in (y, a2) if rational_operand else (y,):
+        _assert_matches(op(x, operand), ref(rx, ry, d), d)
+    if not x.is_zero():
+        _assert_matches(x.inverse(), _ref_inverse(rx, d), d)
+
+
+@given(st.sampled_from(FIELDS), wide_rationals, wide_rationals)
+def test_integer_form_copies_pickles_and_refuses_assignment(d, a, b):
+    x = QuadNumber(a, b, d)
+    for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+        assert (y.p, y.q, y.r, y.d) == (x.p, x.q, x.r, x.d)
+    for name in ("p", "q", "r", "d", "a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == QuadNumber(a, b, d)
