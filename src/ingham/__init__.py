@@ -14,7 +14,6 @@ from .errors import (
     InghamError,
     NotHermitianError,
     NotInLatticeError,
-    PeriodTooLargeError,
     SingularMatrixError,
     SizeMismatchError,
     SizeTooLargeError,

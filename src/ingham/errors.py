@@ -21,10 +21,6 @@ class NotInLatticeError(InghamError):
     """A point expected to lie in the lattice does not."""
 
 
-class PeriodTooLargeError(InghamError):
-    """The exact membership period of a line lattice exceeds the search cap."""
-
-
 class SizeMismatchError(InghamError):
     """A translation configuration does not match the lattice's translate count."""
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SizeTooLargeError
 from .lattice import LatticeSpec, mat_float
-from .spectral import TWO_PI, TranslationConfig, chunks
+from .spectral import TWO_PI, TranslationConfig, _check_size, chunks
 
 POLYOMINO_MAX = 8
 
@@ -61,6 +61,7 @@ def ambient_l(spec: LatticeSpec) -> np.ndarray:
 
 def omega_cells(spec: LatticeSpec, config: TranslationConfig) -> DomainGeometry:
     """Construct the M parallelogram cells L^{-1}(2*pi*n_k + (0,2*pi)^2)."""
+    _check_size(spec, config.m)
     linv = np.linalg.inv(ambient_l(spec))
     corners = np.array([(0.0, 0.0), (TWO_PI, 0.0), (TWO_PI, TWO_PI), (0.0, TWO_PI)])
     cells = np.empty((config.m, 4, 2))

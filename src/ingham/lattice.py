@@ -3,30 +3,24 @@
 A lattice is the union over j of l_star @ (u_j + Z^2), stored exactly.
 Membership, line-lattice containment and the minimal-translate certificate
 are decided in exact arithmetic; floating point appears only when points
-are realized for output.
+are realized for output.  A translate's class mod Z^2 has a hashable key,
+`_residue`, so duplicate translates and the classes a line lattice meets
+are found by set lookups, in work bounded by the number of translates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (
-    DuplicateTranslateError,
-    NotInLatticeError,
-    PeriodTooLargeError,
-    SingularMatrixError,
-)
+from .errors import DuplicateTranslateError, NotInLatticeError, SingularMatrixError
 from .qfield import QuadNumber, Rational
 
 Vec2 = tuple[QuadNumber, QuadNumber]
 Mat2 = tuple[Vec2, Vec2]  # rows
-
-PERIOD_CAP = 10**6
 
 # Most candidate points realize_points tests, M per integer vector of the
 # bbox's preimage.  Each point inside the bbox costs about 450 B as a
@@ -64,6 +58,13 @@ def vec_dot(u: Vec2, v: Vec2) -> QuadNumber:
 
 def vec_is_integer(u: Vec2) -> bool:
     return u[0].is_integer() and u[1].is_integer()
+
+
+def _residue(v: Vec2) -> tuple[tuple[int, int, int, int], ...]:
+    """Key of v mod Z^2: equal for u and v exactly when u - v is an integer
+    vector, since adding n to (p + q*sqrt d)/r gives the canonical
+    (p + n*r, q, r, d)."""
+    return tuple((x.p % x.r, x.q, x.r, x.d) for x in v)
 
 
 def mat_det(m: Mat2) -> QuadNumber:
@@ -149,12 +150,11 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
             f"{spec.name}: l_star and the translates must be finite as floats, and "
             f"|det l_star| within [{DET_MIN:g}, {DET_MAX:g}]"
         )
-    for i in range(spec.m):
-        for k in range(i + 1, spec.m):
-            if vec_is_integer(vec_sub(spec.us[i], spec.us[k])):
-                raise DuplicateTranslateError(
-                    f"{spec.name}: translates {i} and {k} coincide mod Z^2"
-                )
+    first: dict[tuple, int] = {}
+    for k, u in enumerate(spec.us):
+        i = first.setdefault(_residue(u), k)
+        if i != k:
+            raise DuplicateTranslateError(f"{spec.name}: translates {i} and {k} coincide mod Z^2")
     return spec
 
 
@@ -214,47 +214,31 @@ def realize_points(
     return out
 
 
-def _fraction_lcm(values: Iterable[Fraction]) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v.denominator)
-    return out
-
-
 def line_lattice_subset(spec: LatticeSpec, a: Vec2, b: Vec2) -> bool:
     """Whether the progression {a + k(b-a) : k in Z} lies inside the lattice.
 
-    Decided exactly: in (l_star)^-1 coordinates the membership pattern is
-    periodic in k; the period is the lcm of the relevant denominators, and
-    every residue is tested.  An irrational direction can meet the lattice
-    at only finitely many k, hence yields False.
+    Decided exactly from the endpoints' translates: with a = l_star @ (u_ja +
+    m_a) and b = l_star @ (u_jb + m_b), the k-th point lies in the class of
+    u_ja + k*step mod Z^2, step = u_jb - u_ja.  An irrational step visits
+    each class at most once, hence yields False.  A rational step visits q
+    classes in turn, q = the lcm of its denominators, so the progression lies
+    in the lattice exactly when q <= M and each of those classes is a
+    translate's.
     """
-    if contains(spec, a) is None or contains(spec, b) is None:
+    pa, pb = contains(spec, a), contains(spec, b)
+    if pa is None or pb is None:
         raise NotInLatticeError("endpoints must belong to the lattice")
-    inv = l_star_inverse(spec.l_star)
-    x0 = mat_vec(inv, a)
-    delta = mat_vec(inv, vec_sub(b, a))
-    if not (delta[0].is_rational() and delta[1].is_rational()):
+    point = spec.us[pa.j]
+    step = vec_sub(spec.us[pb.j], point)
+    if not (step[0].is_rational() and step[1].is_rational()):
         return False
-    dx, dy = delta[0].a, delta[1].a
-    residues = []
-    denoms = [dx, dy]
-    for u in spec.us:
-        r = vec_sub(x0, u)
-        if r[0].is_rational() and r[1].is_rational():
-            rx, ry = r[0].a, r[1].a
-            residues.append((rx, ry))
-            denoms.extend((rx, ry))
-    if not residues:
+    q = math.lcm(step[0].r, step[1].r)
+    if q > spec.m:
         return False
-    period = _fraction_lcm(denoms)
-    if period > PERIOD_CAP:
-        raise PeriodTooLargeError(f"membership period {period} exceeds {PERIOD_CAP}")
-    for k in range(period):
-        if not any(
-            (rx + k * dx).denominator == 1 and (ry + k * dy).denominator == 1
-            for rx, ry in residues
-        ):
+    keys = {_residue(u) for u in spec.us}
+    for _ in range(q - 1):
+        point = vec_add(point, step)
+        if _residue(point) not in keys:
             return False
     return True
 

@@ -216,6 +216,13 @@ def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralRe
 def _two_square_fractions(r: Rational, R: Rational) -> tuple[Fraction, Fraction]:
     r = Fraction(r)
     R = Fraction(R)
+    # The spec's name prints both sides, and str() refuses an integer past
+    # the interpreter's int-string limit (CPython's default: 4300 digits).
+    for side, x in (("r", r), ("R", R)):
+        try:
+            str(x)
+        except ValueError:
+            raise ValueError(f"two-square side {side} has too many digits to print") from None
     if r <= 0 or R <= r:
         raise DegenerateTilingError(
             f"need 0 < r < R (got r={r}, R={R}): coinciding lattice points"

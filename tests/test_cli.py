@@ -465,6 +465,15 @@ def test_malformed_side_is_argparse_error(capsys, flag, value):
     (("catalog", "show", "two_square_r1_R1/0"), "cannot parse two_square name"),
     (("catalog", "show", "two_square", "--r", "5e399", "--R", "1e400"), "finite as floats"),
     (("catalog", "show", "two_square", "--r", "3e-200", "--R", "4e-200"), "finite as floats"),
+    (("export", "--what", "domain", "--tiling", "square", "--config", "0,0;1,0"),
+     "lattice has 1 translates"),
+    # 10**4300 has 4301 digits, past the int-string limit the spec's name is printed with
+    (("catalog", "show", "two_square", "--r", "1e4300", "--R", "2e4300"),
+     "two-square side r has too many digits"),
+    (("catalog", "show", "two_square", "--r", "3e-4300", "--R", "4e-4300"),
+     "two-square side r has too many digits"),
+    (("catalog", "show", "two_square", "--r", "1", "--R", "1e4300"),
+     "two-square side R has too many digits"),
 ])
 def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)

@@ -1,20 +1,18 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_specs
+from conftest import lattice_specs, quad_numbers
 from ingham import catalog
-from ingham.errors import (
-    DuplicateTranslateError,
-    NotInLatticeError,
-    PeriodTooLargeError,
-    SingularMatrixError,
-)
+from ingham.errors import DuplicateTranslateError, NotInLatticeError, SingularMatrixError
 from ingham.lattice import (
     LatticePoint,
     LatticeSpec,
+    _residue,
     contains,
     l_star_inverse,
     line_lattice_subset,
@@ -25,6 +23,8 @@ from ingham.lattice import (
     realize_points,
     validate_spec,
     vec_add,
+    vec_is_integer,
+    vec_sub,
 )
 from ingham.qfield import QuadNumber
 
@@ -67,6 +67,27 @@ def test_validate_rejects_duplicate_translates():
     )
     with pytest.raises(DuplicateTranslateError):
         validate_spec(spec)
+
+
+def test_duplicate_among_many_translates_is_found_fast():
+    q = QuadNumber
+    us = [(q(Fraction(k, 5001)), q(0)) for k in range(5000)]
+    us.append((q(Fraction(7, 5001) + 1), q(-3)))
+    spec = LatticeSpec("many", ((q(1), q(0)), (q(0), q(1))), tuple(us))
+    start = time.perf_counter()
+    with pytest.raises(DuplicateTranslateError, match="translates 7 and 5000 coincide"):
+        validate_spec(spec)
+    assert time.perf_counter() - start < 1.0
+
+
+@given(st.sampled_from((1, 2, 3)).flatmap(lambda d: st.tuples(
+    st.tuples(quad_numbers(d), quad_numbers(d)), st.tuples(quad_numbers(d), quad_numbers(d)),
+    st.tuples(st.integers(-9, 9), st.integers(-9, 9)), st.booleans())))
+def test_residue_is_the_class_mod_z2(args):
+    u, v, n, shift = args
+    if shift:  # half of the pairs in one class
+        v = vec_add(u, qvec(*n))
+    assert (_residue(u) == _residue(v)) == vec_is_integer(vec_sub(u, v))
 
 
 def test_contains_triangular_examples():
@@ -194,7 +215,8 @@ def test_line_lattice_rejects_outside_points():
         line_lattice_subset(TRIANGULAR, qvec(0, 0), qvec(Fraction(1, 3), 0))
 
 
-def test_line_lattice_period_cap():
+def test_line_lattice_long_period():
+    # step 1/1000003 visits 1000003 classes mod Z^2, more than the 2 translates
     prime = 1000003
     q = QuadNumber
     spec = LatticeSpec(
@@ -202,10 +224,100 @@ def test_line_lattice_period_cap():
         ((q(1), q(0)), (q(0), q(1))),
         ((q(0), q(0)), (q(Fraction(1, prime)), q(0))),
     )
-    with pytest.raises(PeriodTooLargeError):
-        line_lattice_subset(
-            spec, qvec(0, 0), qvec(Fraction(1, prime), 0)
-        )
+    assert line_lattice_subset(spec, qvec(0, 0), qvec(Fraction(1, prime), 0)) is False
+
+
+def test_line_lattice_fine_translates_are_decided_fast():
+    # the endpoints share a translate, though the lcm of all denominators is 999999
+    q = QuadNumber
+    spec = LatticeSpec(
+        "fine",
+        ((q(1), q(0)), (q(0), q(1))),
+        ((q(0), q(0)), (q(Fraction(1, 999999)), q(0))),
+    )
+    start = time.perf_counter()
+    assert line_lattice_subset(spec, qvec(0, 0), qvec(1, 0)) is True
+    assert time.perf_counter() - start < 0.1
+
+
+def period_scan(spec, a, b):
+    """Oracle: test every k of the membership period in Fraction arithmetic.
+
+    In (l_star)^-1 coordinates the point a + k(b-a) is x0 + k*delta; it lies
+    in translate u's coset when x0 - u + k*delta is integer, a pattern
+    periodic in k with period the lcm of all the denominators involved.
+    """
+    inv = l_star_inverse(spec.l_star)
+    x0 = mat_vec(inv, a)
+    delta = mat_vec(inv, vec_sub(b, a))
+    if not (delta[0].is_rational() and delta[1].is_rational()):
+        return False
+    dx, dy = delta[0].a, delta[1].a
+    residues = [
+        (r[0].a, r[1].a)
+        for r in (vec_sub(x0, u) for u in spec.us)
+        if r[0].is_rational() and r[1].is_rational()
+    ]
+    period = math.lcm(dx.denominator, dy.denominator, *(x.denominator for r in residues for x in r))
+    return all(
+        any((rx + k * dx).denominator == 1 and (ry + k * dy).denominator == 1 for rx, ry in residues)
+        for k in range(period)
+    )
+
+
+SIXTHS = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6))
+L_STARS = (
+    ((QuadNumber(1), QuadNumber(0)), (QuadNumber(0), QuadNumber(1))),
+    ((QuadNumber(2), QuadNumber(Fraction(1, 2))), (QuadNumber(-1), QuadNumber(3))),
+    TRIANGULAR.l_star,
+)
+
+
+@st.composite
+def progression_specs(draw):
+    """Rational translates with denominators up to 6, at most 6 of them.  The
+    first few form a progression u0 + k*s, so that some line lattices lie
+    inside; the rest are random."""
+    u0 = draw(st.tuples(SIXTHS, SIXTHS))
+    s = draw(st.tuples(SIXTHS, SIXTHS))
+    n = draw(st.integers(1, 6))
+    candidates = [(u0[0] + k * s[0], u0[1] + k * s[1]) for k in range(n)]
+    candidates += draw(st.lists(st.tuples(SIXTHS, SIXTHS), max_size=6))
+    classes = {}
+    for x, y in candidates:
+        classes.setdefault((x % 1, y % 1), qvec(x, y))
+    us = tuple(classes.values())[:6]
+    return validate_spec(LatticeSpec("progression", draw(st.sampled_from(L_STARS)), us))
+
+
+def lattice_point_pair(spec, data):
+    ends = []
+    for _ in range(2):
+        j = data.draw(st.integers(0, spec.m - 1))
+        m = data.draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+        ends.append(mat_vec(spec.l_star, vec_add(spec.us[j], qvec(*m))))
+    return ends
+
+
+@settings(max_examples=400, deadline=None)
+@given(progression_specs(), st.data())
+def test_line_lattice_matches_period_scan_on_random_specs(spec, data):
+    a, b = lattice_point_pair(spec, data)
+    assert line_lattice_subset(spec, a, b) is period_scan(spec, a, b)
+
+
+# every catalog lattice; two-square sides 1, 7 keep l_star in Q(sqrt2)
+CATALOG_SPECS = [
+    (catalog.get(name, r=1, R=7) if name == "two_square" else catalog.get(name)).spec
+    for name in catalog.names()
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(CATALOG_SPECS), st.data())
+def test_line_lattice_matches_period_scan_on_catalog(spec, data):
+    a, b = lattice_point_pair(spec, data)
+    assert line_lattice_subset(spec, a, b) is period_scan(spec, a, b)
 
 
 def test_minimality_honeycomb():
