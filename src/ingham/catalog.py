@@ -52,10 +52,6 @@ class CatalogEntry:
     expected: tuple[ExpectedRecord, ...]
     primary_config: str
 
-    @property
-    def name(self) -> str:
-        return self.spec.name
-
 
 def _q(d: int) -> Callable[[Any, Any], QuadNumber]:
     def build(a: Any = 0, b: Any = 0) -> QuadNumber:
@@ -266,13 +262,13 @@ _EXPECTED["honeycomb"] = [
 
 _EXPECTED["two_square"] = [
     ExpectedRecord("survey_fail_count", "r1-R2", 9, "reference: 9 over 1820", 0.0,
-                   {"r": 1, "R": 2, "grid_max": 3, "sweep_stable": True}),
+                   {"r": 1, "R": 2, "grid_max": 3}),
     ExpectedRecord("survey_fail_count", "r1-R3", 28, "reference: 28 over 1820", 0.0,
-                   {"r": 1, "R": 3, "grid_max": 3, "sweep_stable": True}),
+                   {"r": 1, "R": 3, "grid_max": 3}),
     ExpectedRecord("survey_fail_count", "r1-R4", 0, "reference: all satisfy (A2)", 0.0,
-                   {"r": 1, "R": 4, "grid_max": 3, "sweep_stable": True}),
+                   {"r": 1, "R": 4, "grid_max": 3}),
     ExpectedRecord("survey_fail_count", "r1-R5", 4, "reference: 4 over 1820", 0.0,
-                   {"r": 1, "R": 5, "grid_max": 3, "sweep_stable": True}),
+                   {"r": 1, "R": 5, "grid_max": 3}),
     ExpectedRecord("delta_matches_det", "closed-form", 1e-8,
                    "derived: determinant oracle", 1e-8,
                    {"pairs": [[1, 2], [1, 3], [2, 5]]}),
@@ -299,7 +295,7 @@ _EXPECTED["elongated_triangular"] = [
 _EXPECTED["trihexagonal"] = [
     ExpectedRecord("survey_pass_count", "grid-0-2", 36,
                    "reference: 36 over the 84 domains", 0.0,
-                   {"grid_max": 2, "total": 84, "sweep_stable": True},
+                   {"grid_max": 2, "total": 84},
                    note="grid [0,2]^2 per the count C(9,3)=84; a caption says [0,3]^2"),
     ExpectedRecord("survey_pass_kappas", "grid-0-2", (1.0, 4.0),
                    "reference: constants constantly equal to 1 and 4", 1e-9,
@@ -310,7 +306,7 @@ _EXPECTED["trihexagonal"] = [
 
 _EXPECTED["snub_square"] = [
     ExpectedRecord("survey_fail_count", "grid-0-3", 76, "reference: 76 over 1820", 0.0,
-                   {"grid_max": 3, "sweep_stable": True}),
+                   {"grid_max": 3}),
     ExpectedRecord("connected_pass_count", "tetrominoes", 19,
                    "reference: every connected domain satisfies (A2)", 0.0, {}),
     ExpectedRecord("polyomino_count", "size-4", 19, "reference: the 19 fixed tetrominoes",
@@ -334,7 +330,7 @@ _EXPECTED["snub_square"] = [
 _EXPECTED["truncated_square"] = [
     ExpectedRecord("survey_fail_count", "grid-0-3", 278,
                    "computed; published count is 892", 0.0,
-                   {"grid_max": 3, "sweep_stable": True},
+                   {"grid_max": 3},
                    printed=892,
                    note="published pairs all match this data yet no reading of the "
                         "translate data reproduces 892; computed count is sweep-stable"),
@@ -467,9 +463,13 @@ def names() -> list[str]:
 
 
 def get(name: str, r=None, R=None) -> CatalogEntry:
-    """Catalog entry by name; two_square requires the side lengths r < R."""
+    """Catalog entry by name; two_square requires the side lengths r < R, given
+    either as r and R or in the name ("two_square_r1_R3"), not both."""
     if name == "two_square" or name.startswith("two_square_"):
-        if name.startswith("two_square_") and r is None and R is None:
+        if name != "two_square":
+            if r is not None or R is not None:
+                raise UnknownTilingError(
+                    f"two_square sides given twice: in the name {name!r} and as r={r}, R={R}")
             r, R = _parse_two_square_name(name)
         if r is None or R is None:
             raise UnknownTilingError("two_square needs parameters r and R")

@@ -28,7 +28,6 @@ class DomainGeometry:
     cells: np.ndarray  # (M, 4, 2) vertices, cells[k] counterclockwise in preimage
     area: float
     diameter: float
-    connected: bool
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ def omega_cells(spec: LatticeSpec, config: TranslationConfig) -> DomainGeometry:
         cells=cells,
         area=sum(_shoelace(c) for c in cells),
         diameter=diameter,
-        connected=is_connected(config.ns),
     )
 
 

@@ -4,9 +4,10 @@
 passed)`; kinds doing the same work share one.  `_report_entry` builds every
 report entry, frame bounds included.  The report is deterministic (no
 timestamps, sorted keys, fixed seeds) and is written with the survey CSVs.
-Records with a `printed` value document a published figure that the data
-provably contradicts; they gate on the frozen computed value and surface the
-printed one in the report.
+Every grid survey gates on `spectral.a2_stable` (no |det E| near the (A2)
+threshold).  Records with a `printed` value document a published figure that
+the data provably contradicts; they gate on the frozen computed value and
+surface the printed one in the report.
 """
 
 from __future__ import annotations
@@ -80,8 +81,8 @@ def _density_ratio(entry: CatalogEntry, rec: ExpectedRecord) -> float:
 
 
 def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) -> Evaluator:
-    """Grid-survey kinds: `measure` gives (computed, passed) from one survey, and the
-    record's `total` and `sweep_stable` params add their gates."""
+    """Grid-survey kinds: `measure` gives (computed, passed) from one survey; the
+    record's `total` param and the survey's (A2) stability add their gates."""
     def evaluate(entry, rec):
         params = rec.params
         if "r" in params:
@@ -89,9 +90,7 @@ def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) 
         result = search.classify_all(entry.spec, params["grid_max"], entry.spec.m)
         computed, passed = measure(result, rec)
         passed = passed and result.total == params.get("total", result.total)
-        if params.get("sweep_stable"):
-            passed = passed and len(set(search.sweep_counts(result).values())) == 1
-        return computed, passed
+        return computed, passed and spectral.a2_stable(result.records.det_abs)
 
     return evaluate
 

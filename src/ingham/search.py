@@ -5,11 +5,11 @@ m-subsets of an integer grid as an (N, m) index array into `grid_points`,
 the spectral kernel (`spectral.spectra`) and `geometry.connected_rows` walk
 that array in chunks of `spectral.CHUNK_ROWS` configurations, and the result
 holds numpy columns (`SurveyRecords`) that build a `SurveyRecord` only when
-one is indexed.  Counts, sweeps and CSV rows read the columns directly;
+one is indexed.  Counts and CSV rows read the columns directly;
 `write_survey_csv` formats the rows one chunk at a time.  Surveys larger
 than MAX_SURVEY_CONFIGS are refused before enumeration.  This module owns
 enumeration, columns, grouping and ranking; phases, determinants,
-eigenvalues and the (A2) verdict (`spectral.a2_holds`) belong to the kernel.
+eigenvalues, the (A2) verdict and its thresholds belong to the kernel.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .geometry import PolyominoShape, connected_rows, fixed_polyominoes
 from .lattice import LatticeSpec
-from .spectral import A2_SWEEP, a2_holds, chunks, config_index, spectra
+from .spectral import a2_holds, chunks, config_index, spectra
 
 Config = tuple[tuple[int, int], ...]
 
@@ -189,13 +189,6 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
         canon = PolyominoShape.canonical(cfg).cells
         groups[canon] = groups.get(canon, 0) + 1
     return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
-
-
-def sweep_counts(result: SurveyResult) -> dict[float, int]:
-    """Failing configurations per A2_SWEEP threshold; equal counts mean that
-    no verdict moves, because the thresholds nest."""
-    dets = result.records.det_abs
-    return {tol: int(np.count_nonzero(~a2_holds(dets, tol))) for tol in A2_SWEEP}
 
 
 def _csv_rows(rec: SurveyRecords, rows: slice) -> list[tuple]:

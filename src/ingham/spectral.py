@@ -10,8 +10,10 @@ E E^* are taken.  It takes a point list and an (N, m) index array into it
 in chunks of CHUNK_ROWS configurations, so its memory does not grow with the
 survey.  A single configuration is a batch of one, and neither the batch
 nor the chunk changes a configuration's bits.  `a2_holds` is the only place
-the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a heuristic
-whose stability the report checks by sweeping the threshold over A2_SWEEP.
+the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a heuristic.
+`a2_stable` is the only place its stability is judged: a batch is stable when
+no |det E| lies between the ends of A2_SWEEP, so no threshold there moves a
+verdict; the report gates every grid survey on it.
 """
 
 from __future__ import annotations
@@ -169,10 +171,16 @@ def spectra(
     return det, np.where(0.0 > lo, 0.0, lo), hi
 
 
-def a2_holds(det_abs, tol: float = A2_DET_TOL):
-    """The (A2) verdict |det E| > tol, elementwise for a batch; the only place
-    the rule is written.  Only `search.sweep_counts` passes another tol."""
-    return det_abs > tol
+def a2_holds(det_abs):
+    """The (A2) verdict |det E| > A2_DET_TOL, elementwise for a batch; the only
+    place the rule is written."""
+    return det_abs > A2_DET_TOL
+
+
+def a2_stable(det_abs) -> bool:
+    """Whether no |det E| lies in (min(A2_SWEEP), max(A2_SWEEP)]: the thresholds
+    nest, so exactly when every one gives the same failing count (NaN fails at all)."""
+    return not np.any((det_abs > min(A2_SWEEP)) & (det_abs <= max(A2_SWEEP)))
 
 
 def hermitian_extremes(h: np.ndarray) -> tuple[float, float]:

@@ -38,7 +38,10 @@ def lattice_specs(draw):
     vec = st.tuples(quad_numbers(d), quad_numbers(d))
     l_star = draw(st.tuples(vec, vec).filter(lambda m: not mat_det(m).is_zero()))
     us = draw(st.lists(vec, min_size=1, max_size=4, unique_by=_class_mod_z2))
-    name = draw(st.text(max_size=8))
+    # code points over st.text()'s default range (all but surrogates), drawn
+    # without the unicode charmap st.text() builds on a cold cache
+    code_points = st.integers(0, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF)
+    name = draw(st.lists(code_points.map(chr), max_size=8).map("".join))
     return validate_spec(LatticeSpec(name=name, l_star=l_star, us=tuple(us)))
 
 

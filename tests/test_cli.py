@@ -474,6 +474,11 @@ def test_malformed_side_is_argparse_error(capsys, flag, value):
      "two-square side r has too many digits"),
     (("catalog", "show", "two_square", "--r", "1", "--R", "1e4300"),
      "two-square side R has too many digits"),
+    # sides in the name and as --r/--R: refused, not silently resolved
+    (("constants", "--tiling", "two_square_r1_R3", "--r", "1", "--R", "5",
+      "--config", "0,0;0,1;1,0;1,1"), "in the name 'two_square_r1_R3' and as r=1, R=5"),
+    (("catalog", "show", "two_square_garbage", "--r", "1", "--R", "2"),
+     "in the name 'two_square_garbage' and as r=1, R=2"),
 ])
 def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)

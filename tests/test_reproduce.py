@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ingham import catalog
+from ingham import catalog, spectral
 from ingham.reproduce import build_report
 
 
@@ -120,6 +120,24 @@ def test_every_record_kind_fails_when_corrupted(monkeypatch):
     assert failed == set(CORRUPTIONS)
     assert report["summary"]["failed"] == 18
     assert report["summary"]["total"] == 61
+
+
+# (tiling, kind, key) of the eight grid-survey records
+GRID_SURVEYS = {("two_square_r1_R2", "survey_fail_count", f"r1-R{R}") for R in (2, 3, 4, 5)} | {
+    ("trihexagonal", "survey_pass_count", "grid-0-2"),
+    ("trihexagonal", "survey_pass_kappas", "grid-0-2"),
+    ("snub_square", "survey_fail_count", "grid-0-3"),
+    ("truncated_square", "survey_fail_count", "grid-0-3"),
+}
+
+
+def test_every_grid_survey_gates_on_a2_stability(monkeypatch):
+    # a sweep band reaching past passing determinants makes every grid survey
+    # unstable, and nothing else reads the band
+    monkeypatch.setattr(spectral, "A2_SWEEP", (1e-12, 10.0))
+    report = build_report()
+    failed = {(e["tiling"], e["kind"], e["key"]) for e in report["entries"] if not e["pass"]}
+    assert failed == GRID_SURVEYS
 
 
 def test_unknown_record_kind_raises(monkeypatch):

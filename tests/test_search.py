@@ -19,7 +19,6 @@ from ingham.search import (
     enumerate_configs,
     rank_by_conditioning,
     survey_csv_rows,
-    sweep_counts,
     translation_classes,
     write_survey_csv,
 )
@@ -179,8 +178,10 @@ def test_a2_sweep_stability_catalog_surveys():
         (catalog.get("truncated_square").spec, 3, 4),
     ]
     for spec, grid, m in jobs:
-        counts = sweep_counts(classify_all(spec, grid, m))
+        dets = classify_all(spec, grid, m).records.det_abs
+        counts = {tol: int(np.count_nonzero(dets <= tol)) for tol in spectral.A2_SWEEP}
         assert len(set(counts.values())) == 1, (spec.name, counts)
+        assert spectral.a2_stable(dets), spec.name
 
 
 def test_determinism_byte_identical():

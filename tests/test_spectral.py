@@ -1,8 +1,11 @@
 import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ingham import catalog
 from ingham.errors import (
@@ -13,8 +16,10 @@ from ingham.errors import (
 from ingham.lattice import LatticeSpec
 from ingham.qfield import QuadNumber
 from ingham.spectral import (
+    A2_SWEEP,
     TWO_SQUARE_CONFIG,
     TranslationConfig,
+    a2_stable,
     build_e,
     check_a2,
     hermitian_extremes,
@@ -167,6 +172,20 @@ def test_check_a2_two_square_r4_has_no_failures_but_tiny_gaps():
     assert sr.satisfies_a2
     assert sr.det_abs == pytest.approx(1.0916498e-3, rel=1e-4)
     assert sr.kappa1 / sr.kappa2 < 1e-8  # why a ratio criterion cannot work
+
+
+# each threshold, its float neighbours, and the values no threshold separates
+SWEEP_EDGES = (0.0, math.inf, math.nan, *A2_SWEEP) + tuple(
+    float(np.nextafter(t, side)) for t in A2_SWEEP for side in (0.0, math.inf)
+)
+
+
+@given(st.lists(st.sampled_from(SWEEP_EDGES) | st.floats(0.0, 1.0), max_size=6))
+@example(list(SWEEP_EDGES))  # every edge, also one at a time
+def test_a2_stable_is_one_failing_count_over_the_sweep(dets):
+    for batch in [dets] + [[d] for d in dets]:
+        counts = {sum(1 for d in batch if d <= t) for t in A2_SWEEP}
+        assert a2_stable(np.array(batch, dtype=float)) is (len(counts) == 1), batch
 
 
 def test_two_square_spec_exact_components():
