@@ -34,8 +34,17 @@ import numpy as np
 
 from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
-from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
-from .spectral import TWO_PI, TranslationConfig, hermitian_extremes, ingham_constants, phase
+from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_sub
+from .spectral import (
+    TWO_PI,
+    TranslationConfig,
+    _lex_ids,
+    _ranks,
+    hermitian_extremes,
+    ingham_constants,
+    phase,
+    phase_columns,
+)
 
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 
@@ -124,9 +133,10 @@ def _phi(t) -> complex:
 
 
 def _phase_sum(config: TranslationConfig, mu: Vec2) -> complex:
+    """sum_k e^{2 pi i <mu, n_k>}, added in the order of the n_k."""
     total = 0.0j
-    for n in config.ns:
-        total += phase(vec_dot(mu, n))
+    for w in phase_columns([mu], config.ns)[0].tolist():
+        total += w
     return total
 
 
@@ -142,30 +152,6 @@ def inner_product(
     if factor == 0:
         return 0.0j
     return _phase_sum(config, mu) * factor / spec.det_l()
-
-
-def _ranks(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of an integer column and each entry's index
-    among them: np.unique(column, return_inverse=True) through one stable
-    argsort, which touches fewer numpy kernels (resident memory)."""
-    order = np.argsort(column, kind="stable")
-    ordered = column[order]
-    new = np.empty(len(ordered), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty(len(ordered), dtype=np.intp)
-    rank[order] = np.cumsum(new) - 1
-    return ordered[new], rank
-
-
-def _distinct_rows(shift: np.ndarray):
-    """Distinct rows (s0, s1) of an (n, 2) integer array, and each row's index
-    among them."""
-    v0, r0 = _ranks(shift[:, 0])
-    v1, r1 = _ranks(shift[:, 1])
-    codes, inverse = _ranks(r0 * len(v1) + r1)
-    keys = zip(v0[codes // len(v1)].tolist(), v1[codes % len(v1)].tolist())
-    return keys, inverse
 
 
 def _product(x, y):
@@ -370,11 +356,11 @@ def hole_gram_matrix(
     _cell_of_rect(spec, config, hole)
 
     def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
-        keys, inverse = _distinct_rows(shift)
+        inverse, first = _lex_ids(shift)
         origin = LatticePoint(y, (0, 0))
         table = [
             hole_inner_product(spec, hole, LatticePoint(x, (s0, s1)), origin)
-            for s0, s1 in keys
+            for s0, s1 in shift[first].tolist()
         ]
         return np.array(table, dtype=complex)[inverse]
 

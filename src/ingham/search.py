@@ -1,40 +1,48 @@
 """Exhaustive surveys of translation configurations.
 
 A survey is columnar from enumeration to CSV.  classify_all enumerates the
-m-subsets of an integer grid as an (N, m) index array into `grid_points`,
-the spectral kernel (`spectral.spectra`) and `geometry.connected_rows` walk
-that array in chunks of `spectral.CHUNK_ROWS` configurations, and the result
-holds numpy columns (`SurveyRecords`) that build a `SurveyRecord` only when
-one is indexed.  Counts and CSV rows read the columns directly;
-`write_survey_csv` formats the rows one chunk at a time.  Surveys larger
-than MAX_SURVEY_CONFIGS are refused before enumeration.  This module owns
-enumeration, columns, grouping and ranking; phases, determinants,
-eigenvalues, the (A2) verdict and its thresholds belong to the kernel.
+m-subsets of an integer grid as an (N, m) index array into `grid_points`;
+`spectral.classes` maps each row to the canonical configuration of its class
+under translation and the tiling's certified symmetries, and the spectral
+kernel (`spectral.spectra`) and `geometry.connected_rows` run on those
+representatives alone, in chunks of `spectral.CHUNK_ROWS`.  The result holds
+numpy columns (`SurveyRecords`): one value per class, each row's class, and
+the per-row columns gathered from them; a `SurveyRecord` is built only when
+one is indexed.  Every configuration carries its class representative's
+values, so its bits do not depend on the survey, the grid or the list it
+came in.  Counts and CSV rows read the columns directly; the CSV formats each
+class's numbers once and `write_survey_csv` writes the rows one chunk at a
+time.  Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.
+This module owns enumeration, columns, grouping and ranking; phases,
+symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
+belong to the kernel.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .geometry import PolyominoShape, connected_rows, fixed_polyominoes
 from .lattice import LatticeSpec
-from .spectral import a2_holds, chunks, config_index, spectra
+from .spectral import a2_holds, chunks, classes, config_index, spectra
 
 Config = tuple[tuple[int, int], ...]
 
 # Largest grid survey classify_all enumerates.  A configuration costs its m
-# indices (8 B each, at most 12) plus 26 B of columns, at most 122 B, so the
-# result of 2M configurations is at most 244 MB; the kernel adds one chunk of
-# working memory.  write_survey_csv formats one chunk of rows at a time; the
-# full list of survey_csv_rows would cost about 500 B per configuration more
-# (snub square at grid 7: 635,376 configurations, 42 MB of columns, 317 MB of
-# rows).  Snub square (M = 4) at grid 8 is 1.66M.
+# indices (8 B each, at most 12) plus 34 B of columns and class index, at
+# most 130 B, so the result of 2M configurations is at most 260 MB; while it
+# runs, the class reduction adds about 180 B per configuration (measured at
+# m = 4) and the kernel one chunk of working memory.  write_survey_csv formats
+# one chunk of rows at a time.  The full list of survey_csv_rows costs about
+# 170 B per configuration more, as rows share their class's number strings:
+# the survey benchmark (snub square at grid 6, 211,876 configurations, its
+# largest) peaks at 103 MB.  Snub square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -53,35 +61,52 @@ class SurveyRecord:
         return self.kappa2 / self.kappa1 if self.a2 and self.kappa1 > 0 else None
 
 
+COLUMNS = ("connected", "a2", "kappa1", "kappa2", "det_abs")
+
+
+class ClassColumns(NamedTuple):
+    """Values of each symmetry class, shared by all its configurations."""
+
+    connected: np.ndarray  # (K,) bool
+    a2: np.ndarray  # (K,) bool
+    kappa1: np.ndarray  # (K,) float
+    kappa2: np.ndarray  # (K,) float
+    det_abs: np.ndarray  # (K,) float
+
+
 @dataclass(frozen=True, eq=False)
 class SurveyRecords(Sequence[SurveyRecord]):
     """Survey records as numpy columns; row i is the configuration
-    points[idx[i]], and a SurveyRecord is built only when one is indexed."""
+    points[idx[i]] of class klass[i], and a SurveyRecord is built only when one
+    is indexed.  The per-row columns are the class columns gathered by klass."""
 
     points: tuple[tuple[int, int], ...]
     idx: np.ndarray  # (N, m) indices into points
-    connected: np.ndarray  # (N,) bool
-    a2: np.ndarray  # (N,) bool
-    kappa1: np.ndarray  # (N,) float
-    kappa2: np.ndarray  # (N,) float
-    det_abs: np.ndarray  # (N,) float
+    klass: np.ndarray  # (N,) class of each row
+    classes: ClassColumns
+    connected: np.ndarray = field(init=False)  # (N,) bool
+    a2: np.ndarray = field(init=False)  # (N,) bool
+    kappa1: np.ndarray = field(init=False)  # (N,) float
+    kappa2: np.ndarray = field(init=False)  # (N,) float
+    det_abs: np.ndarray = field(init=False)  # (N,) float
+
+    def __post_init__(self) -> None:
+        for name, col in zip(COLUMNS, self.classes):
+            object.__setattr__(self, name, col[self.klass])
 
     @classmethod
     def of(cls, records: Sequence[SurveyRecord]) -> SurveyRecords:
-        """Columns of a sequence of records, in their order."""
+        """Columns of a sequence of records, in their order, each its own class."""
         points, idx = config_index([r.config for r in records])
         column = lambda name: np.array([getattr(r, name) for r in records])
-        return cls(
-            tuple(points), idx, *map(column, ("connected", "a2", "kappa1", "kappa2", "det_abs"))
-        )
+        return cls(tuple(points), idx, np.arange(len(idx)), ClassColumns(*map(column, COLUMNS)))
 
     def __len__(self) -> int:
         return len(self.idx)
 
     def __iter__(self) -> Iterator[SurveyRecord]:
         configs = (tuple(self.points[k] for k in row) for row in self.idx.tolist())
-        columns = (self.connected, self.a2, self.kappa1, self.kappa2, self.det_abs)
-        return map(SurveyRecord, configs, *(col.tolist() for col in columns))
+        return map(SurveyRecord, configs, *(getattr(self, name).tolist() for name in COLUMNS))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -133,9 +158,12 @@ def config_count(grid_max: int, m: int) -> int:
 def _classify(
     spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
 ) -> SurveyRecords:
-    det, kappa1, kappa2 = spectra(spec, points, idx)
-    connected = connected_rows(points, idx)
-    return SurveyRecords(tuple(points), idx, connected, a2_holds(det), kappa1, kappa2, det)
+    """The kernel and connectivity on each class's canonical configuration."""
+    cls = classes(spec, points, idx)
+    det, kappa1, kappa2 = spectra(spec, cls.points, cls.idx)
+    connected = connected_rows(cls.points, cls.idx)
+    columns = ClassColumns(connected, a2_holds(det), kappa1, kappa2, det)
+    return SurveyRecords(tuple(points), idx, cls.of, columns)
 
 
 def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
@@ -176,10 +204,21 @@ def connected_survey(spec: LatticeSpec) -> SurveyResult:
     return as_result(classify_configs(spec, configs))
 
 
+def _ratios(rec: SurveyRecords | ClassColumns) -> tuple[np.ndarray, np.ndarray]:
+    """kappa2/kappa1 where it is defined (a passing row with kappa1 > 0), and that mask."""
+    ok = rec.a2 & (rec.kappa1 > 0)
+    return np.divide(rec.kappa2, rec.kappa1, out=np.zeros(len(ok)), where=ok), ok
+
+
 def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
-    """Passing records sorted by ascending kappa2/kappa1, ties lexicographic."""
-    passing = [r for r in result.records if r.ratio is not None]
-    return sorted(passing, key=lambda r: (r.ratio, r.config))
+    """Passing records sorted by ascending kappa2/kappa1, ties lexicographic.
+
+    idx rows compare as their configurations do, because points is sorted."""
+    rec = result.records
+    ratio, ok = _ratios(rec)
+    rows = np.flatnonzero(ok)
+    order = np.lexsort((*rec.idx[rows].T[::-1], ratio[rows]))
+    return [rec[i] for i in rows[order].tolist()]
 
 
 def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
@@ -191,35 +230,40 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
     return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
 
 
-def _csv_rows(rec: SurveyRecords, rows: slice) -> list[tuple]:
-    """CSV rows of records[rows], formatted from the columns."""
-    labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
-    a2, kappa1, kappa2 = rec.a2[rows], rec.kappa1[rows], rec.kappa2[rows]
-    ok = a2 & (kappa1 > 0)
-    ratio = np.divide(kappa2, kappa1, out=np.zeros(len(ok)), where=ok)
+def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
+    """The CSV rows, one chunk of `spectral.chunks` at a time.  The point
+    labels and each class's kappa1, kappa2 and ratio strings are formatted
+    once; a row joins its configuration's labels and takes its class's
+    strings."""
+    rec = result.records
+    ratio, ok = _ratios(rec.classes)
     fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
-    return list(
-        zip(
-            map(";".join, labels[rec.idx[rows]].tolist()),
-            rec.connected[rows].astype(int).tolist(),
-            a2.astype(int).tolist(),
-            fmt(kappa1),
-            fmt(kappa2),
-            [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())],
+    ratios = [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())]
+    per_class = [np.array(col, dtype=object) for col in
+                 (fmt(rec.classes.kappa1), fmt(rec.classes.kappa2), ratios)]
+    labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
+    for rows in chunks(len(rec)):
+        klass = rec.klass[rows]
+        yield list(
+            zip(
+                map(";".join, labels[rec.idx[rows]].tolist()),
+                rec.connected[rows].astype(int).tolist(),
+                rec.a2[rows].astype(int).tolist(),
+                *(col[klass].tolist() for col in per_class),
+            )
         )
-    )
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
-    return _csv_rows(result.records, slice(None))
+    return [row for chunk in _csv_chunks(result) for row in chunk]
 
 
 def write_survey_csv(path, result: SurveyResult) -> None:
-    """The header and survey_csv_rows as a CSV file, formatted one chunk of
-    `spectral.chunks` at a time, so the rows never all exist at once."""
+    """The header and survey_csv_rows as a CSV file, written one chunk at a
+    time, so the rows never all exist at once."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "connected", "a2", "kappa1", "kappa2", "ratio"])
-        for rows in chunks(len(result.records)):
-            writer.writerows(_csv_rows(result.records, rows))
+        for chunk in _csv_chunks(result):
+            writer.writerows(chunk)

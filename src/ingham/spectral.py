@@ -3,17 +3,25 @@
 For translates u_1..u_M and translation vectors v_k = 2*pi*n_k the matrix
 E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
-of E E^*.  `phase` is the only place an exact inner product becomes a unit
-complex number; `spectra` is the only place determinants and eigenvalues of
-E E^* are taken.  It takes a point list and an (N, m) index array into it
-(`config_index` builds both from a configuration list) and walks the array
-in chunks of CHUNK_ROWS configurations, so its memory does not grow with the
-survey.  A single configuration is a batch of one, and neither the batch
-nor the chunk changes a configuration's bits.  `a2_holds` is the only place
-the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a heuristic.
-`a2_stable` is the only place its stability is judged: a batch is stable when
-no |det E| lies between the ends of A2_SWEEP, so no threshold there moves a
-verdict; the report gates every grid survey on it.
+of E E^*.  `_phase_angle` is the only place an exact inner product becomes
+an angle: `phase` takes it from a QuadNumber, `phase_columns` from integers
+over a common denominator, bit for bit alike.  `spectra` is the only place
+determinants and eigenvalues of E E^* are taken.  It takes a point list and
+an (N, m) index array into it (`config_index` builds both from a
+configuration list) and walks the array in chunks of CHUNK_ROWS
+configurations, so its memory does not grow with the survey.
+
+Translating a configuration, or applying one of the tiling's certified
+symmetries of the square (`symmetries`), changes neither |det E| nor the
+spectrum of E E^*, nor edge connectivity.  `classes` maps configurations to
+their canonical representatives, and every caller (`ingham_constants`, the
+surveys of `search`) runs the kernel on those alone: a configuration takes
+its class representative's bits, so neither the batch, its order nor the
+chunk changes them.  `a2_holds` is the only place the (A2) verdict is
+decided: |det E| > A2_DET_TOL in floats, a heuristic.  `a2_stable` is the
+only place its stability is judged: a batch is stable when no |det E| lies
+between the ends of A2_SWEEP, so no threshold there moves a verdict; the
+report gates every grid survey on it.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,10 +41,17 @@ from .qfield import QuadNumber, Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
 # determinant threshold separates the structurally singular configurations
-# (float |det| below ~1e-13 for M <= 12) from every genuinely invertible one
-# in the catalog (smallest observed |det| = 1.09e-3), so the verdict is stable
-# for thresholds anywhere in [1e-12, 1e-4].  A relative eigenvalue-gap test is
-# not: several invertible two-square configurations have kappa1/kappa2 ~ 1e-9.
+# from the invertible ones.  Measured over the grid surveys of the report and
+# of the survey benchmark (snub square to grid 6, truncated square and
+# trihexagonal to grid 4, fifteen two-square side pairs up to 7 at grid 4),
+# the largest failing float |det| is 2.5e-14 and the smallest passing one
+# 8.5e-4, so there the verdict is stable for thresholds anywhere in
+# [1e-12, 1e-4].  At M = 12 it is not: over 50,000 random truncated
+# trihexagonal configurations in grid 5 the float |det| of singular E reaches
+# 4.8e-10, inside that band (every such case checked is exactly singular in
+# 60-digit arithmetic), so the threshold clears the failing end by only 20x.
+# A relative eigenvalue-gap test is worse: several invertible two-square
+# configurations have kappa1/kappa2 ~ 1e-9.
 A2_DET_TOL = 1e-8
 
 A2_SWEEP = (1e-12, 1e-10, 1e-8, 1e-6, 1e-4)
@@ -49,6 +65,21 @@ TWO_PI = 2.0 * math.pi
 CHUNK_ROWS = 2048
 
 TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+# The symmetries of the square: the eight signed permutation matrices (D4),
+# the identity first.
+D4 = (
+    ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)),
+    ((0, 1), (1, 0)), ((0, -1), (-1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
+)
+
+# Configuration coordinates `classes` accepts lie in (-COORD_LIMIT,
+# COORD_LIMIT), so its int64 offsets, moved cells and shifted key columns stay
+# below 2**63.
+COORD_LIMIT = 2**61
+
+# `_lex_ids` keeps its mixed-radix keys at or below this.
+KEY_LIMIT = 2**62
 
 
 @dataclass(frozen=True)
@@ -94,25 +125,37 @@ class SpectralResult:
     c2_full: float
 
 
-def _phase_angle(t: QuadNumber) -> float:
-    """2*pi*t with the rational part reduced mod 1 exactly."""
-    irr = (t.q / t.r) * math.sqrt(t.d) if t.q else 0.0
-    return TWO_PI * (t.p % t.r / t.r + irr)
+def _phase_angle(p: int, q: int, r: int, d: int) -> float:
+    """2*pi*(p + q*sqrt d)/r with the rational part reduced mod 1 exactly.
+
+    Integer true division is correctly rounded, so the float depends only
+    on the rationals p/r and q/r, not on how far the fraction is reduced."""
+    irr = (q / r) * math.sqrt(d) if q else 0.0
+    return TWO_PI * (p % r / r + irr)
 
 
 def phase(t: QuadNumber) -> complex:
     """exp(2*pi*i*t) for an exactly known t."""
-    return cmath.exp(1j * _phase_angle(t))
+    return cmath.exp(1j * _phase_angle(t.p, t.q, t.r, t.d))
 
 
 def phase_columns(
     vectors: Sequence[Vec2], points: Sequence[tuple[int, int]]
 ) -> np.ndarray:
-    """W[j, p] = exp(2*pi*i*<vectors[j], points[p]>)."""
+    """W[j, p] = exp(2*pi*i*<vectors[j], points[p]>), each entry with the bits
+    of `phase(vec_dot(vectors[j], points[p]))`: over the common denominator r
+    of u = (x, y), <u, n> = (P + Q*sqrt d)/r with integers P and Q linear in n.
+    A translate mixing two radicals keeps the exact path, which refuses the
+    points where both meet."""
     w = np.empty((len(vectors), len(points)), dtype=complex)
-    for j, u in enumerate(vectors):
-        for p, n in enumerate(points):
-            w[j, p] = phase(vec_dot(u, n))
+    for j, (x, y) in enumerate(vectors):
+        if x.q and y.q and x.d != y.d:
+            w[j] = [phase(vec_dot((x, y), n)) for n in points]
+            continue
+        d, r = x.d if x.q else y.d, math.lcm(x.r, y.r)
+        px, qx, py, qy = x.p * (r // x.r), x.q * (r // x.r), y.p * (r // y.r), y.q * (r // y.r)
+        for k, (a, b) in enumerate(points):
+            w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, qx * a + qy * b, r, d))
     return w
 
 
@@ -142,6 +185,191 @@ def config_index(
 def chunks(n: int) -> Iterator[slice]:
     """Consecutive slices of at most CHUNK_ROWS rows covering range(n)."""
     return (slice(k, k + CHUNK_ROWS) for k in range(0, n, CHUNK_ROWS))
+
+
+def _coset_forms(us: Sequence[Vec2]) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
+    """Each translate's coordinates as integer vectors over the basis 1,
+    sqrt(d_1), sqrt(d_2), ... of the radicands present, all scaled by one
+    common denominator `den`.  Two coordinates differ by an integer exactly
+    when their rational entries agree mod den and their radical entries
+    agree, since 1 and the square roots of distinct square-free d > 1 are
+    linearly independent over Q: `lattice._residue`'s key, for translates
+    that may mix fields."""
+    ds = sorted({x.d for u in us for x in u if x.q})
+    den = math.lcm(*(x.r for u in us for x in u))
+
+    def form(x: QuadNumber) -> tuple[int, ...]:
+        k = den // x.r
+        return (x.p * k, *(x.q * k if x.d == d else 0 for d in ds))
+
+    return den, [tuple(form(x) for x in u) for u in us]
+
+
+@lru_cache(maxsize=32)
+def symmetries(spec: LatticeSpec) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+    """The elements A of D4 that are spectral symmetries of the tiling, in D4's order.
+
+    A is certified when a permutation sigma, one sign s and one vector c
+    give A^T u_j = s*u_sigma(j) + c (mod Z^2) for every j, decided exactly on
+    `_coset_forms` keys: sigma(0) is tried against each translate, which fixes
+    c, and the moved translates must then land on M distinct keys of the
+    s*u_i.  Proof that such an A keeps the spectrum: with e(t) = exp(2*pi*i*t),
+
+        E(A n)[j,k] = e(<u_j, A n_k>) = e(<A^T u_j, n_k>)
+                    = e(s <u_sigma(j), n_k>) e(<c, n_k>),
+
+    since the integer vector A^T u_j - s u_sigma(j) - c contributes an integer
+    to the exponent.  So E(A n) = P E(n) D for s = 1 and P conj(E(n)) D for
+    s = -1, with P the permutation matrix of sigma and D = diag(e(<c, n_k>))
+    unitary.  Then |det E(A n)| = |det E(n)|, and E(A n) E(A n)^* equals
+    P (E E^*) P^T or P conj(E E^*) P^T, which has the spectrum of the
+    Hermitian E E^*.  Likewise a translation t gives E(n + t) = D' E(n) with
+    D' = diag(e(<u_j, t>)), and reordering the n_k permutes the columns of E.
+    D4 and translations map the unit steps (+-1, 0), (0, +-1) to unit steps,
+    so they keep edge (4-neighbour) adjacency too.  The certified elements
+    form a group, since B^T maps Z^2 to Z^2: A and B certified with (sigma,
+    s, c) and (tau, t, d) certify AB with (tau sigma, s t, s d + B^T c).
+    -I (sigma the identity, s = -1, c = 0) is always in it.
+    """
+    den, forms = _coset_forms(spec.us)
+    key = lambda v: tuple((c[0] % den, *c[1:]) for c in v)
+    scaled = lambda s, v: tuple(tuple(s * x for x in c) for c in v)
+    minus = lambda v, w: tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(v, w))
+
+    def certified(a) -> bool:
+        # (A^T u)_k = sum_i A[i][k] u_i, coordinate by coordinate on the forms
+        moved = [
+            tuple(tuple(a[0][k] * x + a[1][k] * y for x, y in zip(*f)) for k in range(2))
+            for f in forms
+        ]
+        for s in (1, -1):
+            targets = {key(scaled(s, f)) for f in forms}
+            for f0 in forms:
+                c = minus(moved[0], scaled(s, f0))
+                if all(key(minus(v, c)) in targets for v in moved):
+                    return True
+        return False
+
+    return tuple(a for a in D4 if certified(a))
+
+
+def _ranks(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values of an integer column and each entry's index
+    among them: np.unique(column, return_inverse=True) through one stable
+    argsort, which touches fewer numpy kernels (resident memory)."""
+    order = np.argsort(column, kind="stable")
+    ordered = column[order]
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(ordered), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return ordered[new], rank
+
+
+def _lex_ids(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids of the rows of an (n, k) int64 array, numbered in the rows'
+    lexicographic order, and the index of one row of each id.
+
+    Exact for columns of span below 2**63 and n below 2**31: with each
+    column shifted to minimum 0, runs of columns are folded into one int64
+    key in mixed radix while it stays at most KEY_LIMIT.  Before a column
+    would pass it, the key, and if need be that column, is replaced by its
+    rank (`_ranks`), which keeps the order; so no key collides or wraps.
+    """
+    n, k = cols.shape
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    cols = cols - cols.min(axis=0)
+    bases = (cols.max(axis=0) + 1).tolist()
+    key, bound, start = np.zeros(n, dtype=np.int64), 1, 0
+    while start < k:
+        if bound * bases[start] > KEY_LIMIT:
+            uniq, key = _ranks(key)
+            bound = len(uniq)
+        if bound * bases[start] > KEY_LIMIT:
+            uniq, cols[:, start] = _ranks(cols[:, start])
+            bases[start] = len(uniq)
+        stop, weights = start, []
+        while stop < k and bound * bases[stop] <= KEY_LIMIT:
+            weights = [w * bases[stop] for w in weights] + [1]
+            bound *= bases[stop]
+            stop += 1
+        key = key * (weights[0] * bases[start]) + cols[:, start:stop] @ np.array(weights)
+        start = stop
+    uniq, ids = _ranks(key)
+    first = np.empty(len(uniq), dtype=np.intp)
+    first[ids] = np.arange(n)
+    return ids, first
+
+
+@dataclass(frozen=True, eq=False)
+class Classes:
+    """Configurations grouped into classes under translation and the certified
+    symmetries: each class's canonical configuration, as sorted distinct
+    points and a (K, m) index array into them, and the class of each input
+    row."""
+
+    points: list[tuple[int, int]]
+    idx: np.ndarray  # (K, m) canonical configurations, cells sorted
+    of: np.ndarray  # (N,) class of each input row
+
+
+def classes(spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray) -> Classes:
+    """The classes of the configurations points[idx[i]] under translation and
+    `symmetries(spec)`; each has one value of |det E|, of the spectrum of
+    E E^* and of edge connectivity.
+
+    A class's canonical configuration is the lexicographically least, over
+    the certified A, of A n translated to minimum 0 with its cells sorted
+    (compared as the sequence x_1, y_1, x_2, y_2, ...).  It depends on the
+    class alone, not on the batch.  Translation classes come first: a row's
+    offsets from its cell of least index fix it up to translation, and with
+    the points sorted (as `config_index` gives them) that cell is the least
+    in every translate, so all translates share the key.  The group then
+    acts on one configuration per translation class.  All keys are exact
+    (`_lex_ids`).
+    """
+    if not all(-COORD_LIMIT < c < COORD_LIMIT for p in points for c in p):
+        raise ValueError(f"configuration coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})")
+    pts = np.array(points, dtype=np.int64).reshape(-1, 2)
+    px, py = pts[:, 0], pts[:, 1]
+    n, m = idx.shape
+    rows = np.sort(idx, axis=1)
+    offsets = np.concatenate(
+        [px[rows[:, 1:]] - px[rows[:, :1]], py[rows[:, 1:]] - py[rows[:, :1]]], axis=1
+    )
+    translation_class, first = _lex_ids(offsets)
+    # one configuration per translation class, at minimum 0
+    x, y = px[rows[first]], py[rows[first]]
+    x -= x.min(axis=1, keepdims=True)
+    y -= y.min(axis=1, keepdims=True)
+    group = np.array(symmetries(spec))[:, :, :, None, None]  # (G, 2, 2, 1, 1)
+    shift = np.maximum(-group, 0)
+    best = np.empty((len(x), 2 * m), dtype=np.int64)
+    for part in chunks(len(x)):
+        cx, cy = x[part], y[part]
+        w, h = cx.max(axis=1, keepdims=True), cy.max(axis=1, keepdims=True)
+        # A n for every A at once, moved to minimum 0: a coordinate that A
+        # negates shifts by the box width w or height h; then cells sorted
+        ax = group[:, 0, 0] * cx + group[:, 0, 1] * cy + shift[:, 0, 0] * w + shift[:, 0, 1] * h
+        ay = group[:, 1, 0] * cx + group[:, 1, 1] * cy + shift[:, 1, 0] * w + shift[:, 1, 1] * h
+        order = np.lexsort((ay, ax), axis=-1)
+        moved = np.empty(ax.shape[:2] + (2 * m,), dtype=np.int64)  # (G, rows, 2m)
+        moved[..., 0::2] = np.take_along_axis(ax, order, -1)
+        moved[..., 1::2] = np.take_along_axis(ay, order, -1)
+        while len(moved) > 1:  # lexicographic minima of pairs of images, halving them
+            half = (len(moved) + 1) // 2
+            a, b = moved[:half], moved[-half:]
+            differ = a != b
+            first_differ = differ.argmax(axis=-1)[..., None]
+            moved = np.where(np.take_along_axis(differ & (a < b), first_differ, -1), a, b)
+        best[part] = moved[0]
+    klass, rep = _lex_ids(best)
+    cells = best[rep].reshape(-1, 2)
+    cell, cell_first = _lex_ids(cells)
+    canon = [tuple(c) for c in cells[cell_first].tolist()]
+    return Classes(canon, cell.reshape(-1, m), klass[translation_class])
 
 
 def spectra(
@@ -204,7 +432,8 @@ def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralRe
     c1_full/c2_full carry the (2*pi)^2 / |det L| volume factor, turning the
     kappas into the frame bounds of the exponentials over the domain.
     """
-    dets, k1s, k2s = spectra(spec, *config_index([config.ns]))
+    cls = classes(spec, *config_index([config.ns]))
+    dets, k1s, k2s = spectra(spec, cls.points, cls.idx)
     k1 = float(k1s[0])
     k2 = float(k2s[0])
     scale = TWO_PI**2 / spec.det_l()

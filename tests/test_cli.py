@@ -544,6 +544,14 @@ def test_export_domain_from_spec_file_needs_config(capsys, tmp_path):
     assert len(list(csv.reader(io.StringIO(out)))) == 5
 
 
+def test_configuration_past_the_coordinate_limit_is_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "constants", "--tiling", "square", "--config", "99999999999999999999,0"
+    )
+    assert (code, out) == (2, "")
+    assert "coordinates must lie in" in err
+
+
 # -- no traceback on random argv ------------------------------------------------
 
 TILINGS = ("square", "honeycomb", "trihexagonal", "snub_square", "truncated_trihexagonal",

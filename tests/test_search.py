@@ -10,8 +10,10 @@ from ingham import catalog, spectral
 from ingham.geometry import PolyominoShape
 from ingham.search import (
     MAX_SURVEY_CONFIGS,
+    SurveyRecord,
     SurveyRecords,
     SurveyResult,
+    as_result,
     classify_all,
     classify_configs,
     config_count,
@@ -236,11 +238,11 @@ def test_csv_rows_match_record_by_record_oracle(name, params, grid):
 
 
 def test_snub_square_csv_rows_pinned():
-    """sha256 of the grid-3 rows as csv.writer writes them, from the per-record
-    implementation that preceded the columns."""
+    """sha256 of the grid-3 rows as csv.writer writes them, each configuration
+    with its symmetry class representative's values."""
     rows = survey_csv_rows(classify_all(catalog.get("snub_square").spec, 3, 4))
     digest = hashlib.sha256(_csv_text(rows).encode()).hexdigest()
-    assert digest == "9d539f8fff60711d7a1885cb386bf02d73ffec9e4cafd1822295703550c5d3a5"
+    assert digest == "060ee94e26ca4e2bb9bbf32426a352f33b9907843995e04f22bd3c195b50f0c6"
 
 
 def _column_bytes(records: SurveyRecords, order=slice(None)) -> list[bytes]:
@@ -299,3 +301,87 @@ def test_oversized_survey_is_refused_before_enumerating():
     spec = catalog.get("truncated_trihexagonal").spec
     with pytest.raises(ValueError, match="exceeds"):
         classify_all(spec, 9, 12)  # C(100, 12) ~ 1.05e15
+
+
+# -- symmetry classes ---------------------------------------------------------------
+
+
+def _catalog_spec(name):
+    entry = catalog.get("two_square", r=1, R=2) if name == "two_square" else catalog.get(name)
+    return entry.spec
+
+
+def _brute_canonical(cells, group):
+    """Least over the group of A n moved to minimum 0, cells sorted: in Python."""
+    forms = []
+    for a in group:
+        moved = [(a[0][0] * x + a[0][1] * y, a[1][0] * x + a[1][1] * y) for x, y in cells]
+        mx, my = min(x for x, _ in moved), min(y for _, y in moved)
+        forms.append(tuple(sorted((x - mx, y - my) for x, y in moved)))
+    return min(forms)
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_classes_match_brute_force_canonicalisation(name):
+    spec = _catalog_spec(name)
+    group = spectral.symmetries(spec)
+    for grid in range(1, 4):
+        if (grid + 1) ** 2 < spec.m:
+            continue
+        configs = list(enumerate_configs(grid, spec.m))
+        cls = spectral.classes(spec, *spectral.config_index(configs))
+        want = [_brute_canonical(c, group) for c in configs]
+        got = [tuple(cls.points[k] for k in cls.idx[c]) for c in cls.of.tolist()]
+        assert got == want, (name, grid)
+        assert len(cls.idx) == len(set(want))
+        records = classify_all(spec, grid, spec.m).records
+        assert np.array_equal(records.klass, cls.of)
+
+
+def test_snub_square_grid6_class_counts(monkeypatch):
+    spec = catalog.get("snub_square").spec
+    records = classify_all(spec, 6, 4).records
+    assert len(records) == 211_876
+    assert len(records.classes.kappa1) == int(records.klass.max()) + 1 == 6_138
+    monkeypatch.setattr(spectral, "symmetries", lambda spec: (((1, 0), (0, 1)),))
+    assert int(classify_all(spec, 6, 4).records.klass.max()) + 1 == 46_921
+
+
+@pytest.mark.parametrize("name, params", [("snub_square", {}), ("two_square", {"r": 1, "R": 2}),
+                                          ("truncated_square", {})])
+def test_a_configuration_has_one_set_of_bits(name, params):
+    """Grid 3, grid 4, a shuffled list of translated copies and one
+    configuration at a time all give a configuration the same bits."""
+    spec = catalog.get(name, **params).spec
+    grid3 = classify_all(spec, 3, 4).records
+    configs = list(enumerate_configs(3, 4))
+    where4 = {c: i for i, c in enumerate(enumerate_configs(4, 4))}
+    grid4 = classify_all(spec, 4, 4).records
+    assert _column_bytes(grid3) == _column_bytes(grid4, [where4[c] for c in configs])
+    perm = np.random.default_rng(3).permutation(len(configs))
+    moved = [tuple((x + 5, y - 7) for x, y in configs[k]) for k in perm]
+    assert _column_bytes(classify_configs(spec, moved)) == _column_bytes(grid3, perm)
+    for i in (0, 77, 1819):
+        sr = ingham_constants(spec, TranslationConfig(configs[i]))
+        bits = [sr.kappa1.hex(), sr.kappa2.hex(), sr.det_abs.hex(), sr.satisfies_a2]
+        rec = grid3[i]
+        assert bits == [rec.kappa1.hex(), rec.kappa2.hex(), rec.det_abs.hex(), rec.a2]
+
+
+def _rank_oracle(result):
+    """rank_by_conditioning as it was written before the columns."""
+    passing = [r for r in result.records if r.ratio is not None]
+    return sorted(passing, key=lambda r: (r.ratio, r.config))
+
+
+@pytest.mark.parametrize("name", catalog.names())
+def test_rank_by_conditioning_matches_the_record_sort(name):
+    spec = _catalog_spec(name)
+    results = [classify_all(spec, 3, spec.m)]
+    if spec.m <= 4:  # the m-subsets of the 2x2 cell block, one per translation class
+        block = translation_classes(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
+        results.append(as_result(classify_configs(spec, [c.representative for c in block])))
+    for result in results:
+        ranked = rank_by_conditioning(result)
+        assert ranked == _rank_oracle(result)
+        assert all(isinstance(r, SurveyRecord) for r in ranked)

@@ -7,9 +7,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from ingham import catalog
+from conftest import lattice_specs
+
+from ingham import catalog, spectral
+from ingham.lattice import vec_dot
 from ingham.errors import (
     DegenerateTilingError,
+    FieldMismatchError,
     NotHermitianError,
     SizeMismatchError,
 )
@@ -17,13 +21,22 @@ from ingham.lattice import LatticeSpec
 from ingham.qfield import QuadNumber
 from ingham.spectral import (
     A2_SWEEP,
+    COORD_LIMIT,
+    D4,
     TWO_SQUARE_CONFIG,
     TranslationConfig,
+    a2_holds,
     a2_stable,
     build_e,
+    classes,
+    config_index,
+    spectra,
+    symmetries,
     check_a2,
     hermitian_extremes,
     ingham_constants,
+    phase,
+    phase_columns,
     trig_identity_residual,
     two_square_delta,
     two_square_spec,
@@ -310,3 +323,181 @@ def test_snub_square_symmetry_of_pairs():
         sr = ingham_constants(entry.spec, TranslationConfig(img))
         pairs.add((round(sr.kappa1, 9), round(sr.kappa2, 9)))
     assert len(pairs) == 1
+
+
+# -- certified symmetries and classes -------------------------------------------
+
+IDENTITY, MINUS_I = ((1, 0), (0, 1)), ((-1, 0), (0, -1))
+
+GROUP_ORDERS = {
+    "square": 8, "triangular": 8, "trihexagonal": 8, "snub_square": 8,
+    "honeycomb": 4, "rhombitrihexagonal": 4, "truncated_hexagonal": 4,
+    "truncated_trihexagonal": 4, "two_square_r1_R2": 4,
+    "elongated_triangular": 2, "snub_hexagonal": 2, "truncated_square": 2,
+}
+
+
+def _spec(name):
+    return catalog.get(name).spec
+
+
+def _move(a, cells, t=(0, 0)):
+    """A n + t for each cell n."""
+    return [
+        (a[0][0] * x + a[0][1] * y + t[0], a[1][0] * x + a[1][1] * y + t[1]) for x, y in cells
+    ]
+
+
+def _oracle(spec, cells):
+    """|det E|, kappa1 and kappa2 of one configuration, straight from build_e."""
+    e = build_e(spec, TranslationConfig(tuple(cells)))
+    eigs = np.linalg.eigvalsh(e @ e.conj().T)
+    return abs(np.linalg.det(e)), max(eigs[0], 0.0), eigs[-1]
+
+
+def test_symmetry_group_orders():
+    assert set(GROUP_ORDERS) == set(catalog.names()) - {"two_square"} | {"two_square_r1_R2"}
+    for name, order in GROUP_ORDERS.items():
+        group = symmetries(_spec(name))
+        assert len(group) == order, name
+        assert group[0] == IDENTITY and MINUS_I in group, name
+        assert all(a in D4 for a in group)
+        # a group: closed under products
+        for a in group:
+            for b in group:
+                ab = tuple(
+                    tuple(sum(a[i][k] * b[k][j] for k in range(2)) for j in range(2))
+                    for i in range(2)
+                )
+                assert ab in group, (name, a, b)
+
+
+def test_symmetries_of_a_spec_mixing_fields():
+    """x in Q(sqrt 2), y in Q(sqrt 3): no element swapping the axes, nor a
+    single reflection, maps the translates onto themselves."""
+    one, zero = QuadNumber(1), QuadNumber(0)
+    u = (QuadNumber(0, Fraction(1, 4), 2), QuadNumber(0, Fraction(1, 4), 3))
+    spec = LatticeSpec("mixed", ((one, zero), (zero, one)), ((zero, zero), u))
+    assert symmetries(spec) == (IDENTITY, MINUS_I)
+
+
+@given(
+    name=st.sampled_from(sorted(GROUP_ORDERS)),
+    data=st.data(),
+)
+def test_certified_symmetries_keep_the_spectrum(name, data):
+    """Against build_e and numpy per configuration: a configuration, its
+    image under a certified A and a translation, reordered, have one verdict
+    and kappas within 1e-13 * kappa2; the class path gives both of them
+    identical bits and agrees with the oracle."""
+    spec = _spec(name)
+    box = [(x, y) for x in range(5) for y in range(5)]
+    cells = data.draw(st.lists(st.sampled_from(box), min_size=spec.m, max_size=spec.m,
+                               unique=True))
+    a = data.draw(st.sampled_from(symmetries(spec)))
+    t = data.draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
+    moved = _move(a, cells, t)[::-1]
+    det0, k10, k20 = _oracle(spec, cells)
+    det1, k11, k21 = _oracle(spec, moved)
+    assert a2_holds(det0) == a2_holds(det1)
+    assert abs(k10 - k11) <= 1e-13 * k20 and abs(k20 - k21) <= 1e-13 * k20
+    cls = classes(spec, *config_index([cells, moved]))
+    assert cls.of[0] == cls.of[1] and len(cls.idx) == 1
+    det, k1, k2 = spectra(spec, cls.points, cls.idx)
+    assert bool(a2_holds(det[0])) == a2_holds(det0)
+    assert abs(k1[0] - k10) <= 1e-13 * k20 and abs(k2[0] - k20) <= 1e-13 * k20
+    sr = ingham_constants(spec, TranslationConfig(tuple(moved)))
+    assert (sr.kappa1, sr.kappa2, sr.det_abs) == (k1[0], k2[0], det[0])
+
+
+def test_uncertified_symmetries_change_verdicts():
+    """The negative control: every element of D4 outside a tiling's certified
+    group changes the (A2) verdict of some of 300 seeded configurations."""
+    rng = np.random.default_rng(20240801)
+    box = [(x, y) for x in range(5) for y in range(5)]
+    checked = 0
+    for name in sorted(GROUP_ORDERS):
+        spec = _spec(name)
+        configs = [[box[k] for k in rng.choice(len(box), spec.m, replace=False)]
+                   for _ in range(300)]
+        verdict = lambda cfgs: a2_holds(spectra(spec, *config_index(cfgs))[0])
+        base = verdict(configs)
+        for a in D4:
+            if a not in symmetries(spec):
+                assert np.any(verdict([_move(a, c) for c in configs]) != base), (name, a)
+                checked += 1
+    assert checked == 5 * 4 + 3 * 6  # orders 4 and 2; the four of order 8 have none
+
+
+def _rational_spec(m, seed):
+    """l_star = I and m random rational translates distinct mod Z^2, so every
+    phase is exact mod 1 however large the coordinates."""
+    rng = np.random.default_rng(seed)
+    one, zero = QuadNumber(1), QuadNumber(0)
+    us = {}
+    while len(us) < m:
+        u = tuple(Fraction(int(rng.integers(0, 97)), 97) for _ in range(2))
+        us[u] = (QuadNumber(u[0]), QuadNumber(u[1]))
+    return LatticeSpec("rational", ((one, zero), (zero, one)), tuple(us.values()))
+
+
+def _canonical(cells, group):
+    """The canonical configuration, by brute force in Python."""
+    forms = []
+    for a in group:
+        moved = _move(a, cells)
+        mx, my = min(x for x, _ in moved), min(y for _, y in moved)
+        forms.append(tuple(sorted((x - mx, y - my) for x, y in moved)))
+    return min(forms)
+
+
+def test_wide_m12_configurations_match_the_oracle():
+    """Coordinates near +-10**6 at M = 12: one row is 24 numbers of span 2e6,
+    far past one int64, so a packed or wrapped key would merge classes."""
+    spec = _rational_spec(12, 5)
+    rng = np.random.default_rng(11)
+    base = [
+        [tuple(int(v) for v in rng.integers(-10**6, 10**6, 2)) for _ in range(12)]
+        for _ in range(6)
+    ]
+    configs = base + [_move(MINUS_I, c, (3, -10**6)) for c in base]
+    configs += [_move(IDENTITY, c, (7, 7)) for c in base]
+    assert symmetries(spec) == (IDENTITY, MINUS_I)
+    cls = classes(spec, *config_index(configs))
+    canon = [_canonical(c, symmetries(spec)) for c in configs]
+    assert [tuple(cls.points[k] for k in cls.idx[c]) for c in cls.of] == canon
+    assert len(cls.idx) == 6
+    det, k1, k2 = spectra(spec, cls.points, cls.idx)
+    for i, cells in enumerate(configs):
+        want = _oracle(spec, cells)
+        c = cls.of[i]
+        assert bool(a2_holds(det[c])) == bool(a2_holds(want[0]))
+        assert abs(k1[c] - want[1]) <= 1e-13 * want[2]
+        assert abs(k2[c] - want[2]) <= 1e-13 * want[2]
+
+
+def test_coordinates_past_the_limit_are_refused():
+    square = _spec("square")
+    assert ingham_constants(square, cfg((COORD_LIMIT - 1, 1 - COORD_LIMIT))).satisfies_a2
+    for n in [(COORD_LIMIT, 0), (0, -COORD_LIMIT), (10**20, 0)]:
+        with pytest.raises(ValueError, match="coordinates must lie"):
+            ingham_constants(square, cfg(n))
+
+
+@given(
+    spec=lattice_specs(),
+    points=st.lists(st.tuples(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9)),
+                    min_size=1, max_size=6),
+)
+def test_phase_columns_have_the_bits_of_phase_of_vec_dot(spec, points):
+    w = phase_columns(spec.us, points)
+    want = [[phase(vec_dot(u, n)) for n in points] for u in spec.us]
+    assert w.tolist() == want
+
+
+def test_phase_columns_of_a_translate_mixing_radicals():
+    x, y = QuadNumber(0, Fraction(1, 4), 2), QuadNumber(0, Fraction(1, 4), 3)
+    w = phase_columns([(x, y)], [(1, 0), (0, 3)])
+    assert w.tolist() == [[phase(x), phase(3 * y)]]
+    with pytest.raises(FieldMismatchError):
+        phase_columns([(x, y)], [(1, 1)])
