@@ -12,15 +12,21 @@ is zero or integer is decided in exact arithmetic, so Fourier orthogonality
 is exact and no quadrature enters the main path.
 
 mu = (u_p - u_q) + (m_p - m_q) splits into a translate pair and an integer
-shift.  The phase sum depends on the pair alone (an integer shift leaves the
-fractional and radical parts of <mu, n_k> unchanged), and phi(mu_d) on the
-pair and the shift along axis d.  `gram_matrix` therefore does its exact work
-once per translate pair (M^2 phase sums) and once per distinct pair and axis
-shift (phi, where the zero/integer branch is decided), and `hole_gram_matrix`
-once per distinct pair and shift vector.  numpy gathers those values into the
-S^2 entries and multiplies them component by component in CPython's rounding
-order, so every entry has the bits of the scalar `inner_product` and
-`hole_inner_product`, which stay as the test oracles.
+shift s.  The phase sum depends on the pair alone (an integer shift leaves
+the fractional and radical parts of <mu, n_k> unchanged), so `gram_matrix`
+takes M^2 of them.  QuadNumber arithmetic also runs once per translate pair,
+not once per shift.  With (u_p - u_q)_d = (p + q*sqrt d)/r, mu_d is the
+canonical (p + s_d*r, q, r, d), whose zero and integer tests are p = q = 0
+and q = 0, r = 1; the hole's delta_d = (L* mu)_d is (P + Q*sqrt D)/R over one
+denominator R and radicand D per pair and axis, with P and Q linear in s
+(`_delta_form`).  Each distinct shift then costs integer additions and
+floats formed as float(QuadNumber) forms them (`qfield.quad_float`,
+`spectral._phase_angle`): from the correctly rounded integer quotients p/r
+and q/r, which depend on the rationals alone, not on the denominator they
+are written over.  So the per-shift values have the bits of the scalar
+`inner_product` and `hole_inner_product`, which stay as the test oracles;
+numpy gathers them into the S^2 entries and multiplies them component by
+component in CPython's rounding order, which keeps those bits.
 """
 
 from __future__ import annotations
@@ -34,15 +40,16 @@ import numpy as np
 
 from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
-from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_sub
+from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
+from .qfield import QuadNumber, quad_float
 from .spectral import (
     TWO_PI,
     TranslationConfig,
     _lex_ids,
+    _phase_angle,
     _ranks,
     hermitian_extremes,
     ingham_constants,
-    phase,
     phase_columns,
 )
 
@@ -119,17 +126,18 @@ def _mu(spec: LatticeSpec, p: LatticePoint, q: LatticePoint) -> Vec2:
     return vec_sub(up, uq)
 
 
-def _phi(t) -> complex:
-    """Integral of e^{2 pi i t s} over s in (0, 2 pi) of one coordinate.
+def _phi(p: int, q: int, r: int, d: int) -> complex:
+    """Integral of e^{2 pi i t s} over s in (0, 2 pi) of one coordinate, for
+    t = (p + q*sqrt d)/r in canonical form.
 
     Branches on the exactly-known arithmetic type of t: zero gives the cube
     edge 2 pi, any other integer gives exactly 0.
     """
-    if t.is_zero():
+    if q == 0 and p == 0:
         return complex(TWO_PI)
-    if t.is_integer():
+    if q == 0 and r == 1:
         return 0.0j
-    return (phase(t) - 1.0) / (1j * float(t))
+    return (cmath.exp(1j * _phase_angle(p, q, r, d)) - 1.0) / (1j * quad_float(p, q, r, d))
 
 
 def _phase_sum(config: TranslationConfig, mu: Vec2) -> complex:
@@ -147,8 +155,8 @@ def inner_product(
     q: LatticePoint,
 ) -> complex:
     """Exact closed-form integral of e_p conj(e_q) over the domain."""
-    mu = _mu(spec, p, q)
-    factor = _phi(mu[0]) * _phi(mu[1])
+    mu = a, b = _mu(spec, p, q)
+    factor = _phi(a.p, a.q, a.r, a.d) * _phi(b.p, b.q, b.r, b.d)
     if factor == 0:
         return 0.0j
     return _phase_sum(config, mu) * factor / spec.det_l()
@@ -205,10 +213,10 @@ def gram_matrix(
     def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
         mu = vec_sub(spec.us[x], spec.us[y])
         phi = []
-        for d in range(2):
+        for d, t in enumerate(mu):
             keys, inverse = _ranks(shift[:, d])
-            table = np.array([_phi(mu[d] + s) for s in keys.tolist()], dtype=complex)
-            phi.append(table[inverse])
+            table = [_phi(t.p + s * t.r, t.q, t.r, t.d) for s in keys.tolist()]
+            phi.append(np.array(table, dtype=complex)[inverse])
         factor = _product(*((v.real, v.imag) for v in phi))
         total = _phase_sum(config, mu)
         re, im = _product((total.real, total.imag), factor)
@@ -300,22 +308,13 @@ def inscribed_hole(
     return hole
 
 
-def hole_inner_product(
-    spec: LatticeSpec, hole: Rect, p: LatticePoint, q: LatticePoint
-) -> complex:
-    """Integral of e_p conj(e_q) over the hole rectangle alone.
-
-    Uses the ambient closed form with delta = L* mu per coordinate,
-    prod_d (e^{i delta_d b_d} - e^{i delta_d a_d})/(i delta_d), the zero
-    branch contributing the side length.  delta_d = 0 is decided exactly.
-    """
+def _hole_entry(hole: Rect, deltas: Sequence[float | None]) -> complex:
+    """prod_d (e^{i delta_d b_d} - e^{i delta_d a_d})/(i delta_d) over the
+    hole's sides (a_d, b_d), a delta_d of None (exactly 0) contributing the
+    side length."""
     x0, y0, x1, y1 = hole
-    sides = ((x0, x1), (y0, y1))
-    mu = _mu(spec, p, q)
     val = 1.0 + 0.0j
-    for d in range(2):
-        df = _hole_delta(spec, mu, d)
-        lo, hi = sides[d]
+    for df, (lo, hi) in zip(deltas, ((x0, x1), (y0, y1))):
         if df is None:
             val *= hi - lo
         else:
@@ -323,26 +322,77 @@ def hole_inner_product(
     return val
 
 
-def _hole_delta(spec: LatticeSpec, mu: Vec2, d: int) -> float | None:
-    """delta_d = (L* mu)_d as a float, or None when it is exactly 0.
+def _homothety(spec: LatticeSpec) -> QuadNumber:
+    """The c of L* = c*I, or FieldMismatchError.
 
     When L* and mu lie in different quadratic fields (two-square tilings
-    whose sqrt(R^2 + r^2) is not in Q(sqrt 2)), L* must be a homothety s*I:
-    then delta_d = s*mu_d vanishes exactly when mu_d does, and its float is
-    float(s)*float(mu_d).  Any other mixed-field L* raises FieldMismatchError.
+    whose sqrt(R^2 + r^2) is not in Q(sqrt 2)), L* must be a homothety: then
+    delta_d = c*mu_d vanishes exactly when mu_d does, and its float is
+    float(c)*float(mu_d).
+    """
+    (c, b), (b2, e) = spec.l_star
+    if not (b.is_zero() and b2.is_zero() and c == e):
+        raise FieldMismatchError(
+            f"hole integrals need L* in the field of the translates or a "
+            f"homothety; {spec.name} has neither"
+        )
+    return c
+
+
+def hole_inner_product(
+    spec: LatticeSpec, hole: Rect, p: LatticePoint, q: LatticePoint
+) -> complex:
+    """Integral of e_p conj(e_q) over the hole rectangle alone.
+
+    Uses the ambient closed form with delta = L* mu per coordinate (see
+    `_hole_entry`).  delta_d = 0 is decided exactly; across fields L* must be
+    a homothety (`_homothety`).
+    """
+    mu = _mu(spec, p, q)
+    deltas = []
+    for row, t in zip(spec.l_star, mu):
+        try:
+            delta = vec_dot(row, mu)
+        except FieldMismatchError:
+            scale = float(_homothety(spec))
+            deltas.append(None if t.is_zero() else scale * float(t))
+        else:
+            deltas.append(None if delta.is_zero() else float(delta))
+    return _hole_entry(hole, deltas)
+
+
+def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
+    """delta_d over the integer shifts s of the translate pair mu = u_x - u_y:
+    (scale, P, a0, a1, Q, b0, b1, R, D) in integers but the float scale, with
+
+        delta_d(s) = (L* (mu + s))_d = scale * ((P + a.s) + (Q + b.s)*sqrt D)/R.
+
+    scale is 1.0, which leaves a float's bits alone, when L*_d . mu, L*_d0
+    and L*_d1 lie in one field; then `hole_inner_product` computes the same
+    number exactly at every shift.  Otherwise L* must be a homothety c*I
+    (`_homothety`), whose reference branch every shift takes: scale is
+    float(c) and the form that of mu_d + s_d.
     """
     row = spec.l_star[d]
     try:
-        delta = row[0] * mu[0] + row[1] * mu[1]
+        terms = (vec_dot(row, mu), *row)
     except FieldMismatchError:
-        (s, b), (c, e) = spec.l_star
-        if not (b.is_zero() and c.is_zero() and s == e):
-            raise FieldMismatchError(
-                f"hole integrals need L* in the field of the translates or a "
-                f"homothety; {spec.name} has neither"
-            ) from None
-        return None if mu[d].is_zero() else float(s) * float(mu[d])
-    return None if delta.is_zero() else float(delta)
+        terms = ()
+    if not terms or len({t.d for t in terms if t.q}) > 1:
+        scale, t = float(_homothety(spec)), mu[d]
+        return (scale, t.p, t.r * (d == 0), t.r * (d == 1), t.q, 0, 0, t.r, t.d)
+    r = math.lcm(*(t.r for t in terms))
+    (p, q), (a0, b0), (a1, b1) = ((t.p * (r // t.r), t.q * (r // t.r)) for t in terms)
+    return (1.0, p, a0, a1, q, b0, b1, r, max(t.d for t in terms))
+
+
+def _delta(form: tuple, s0: int, s1: int) -> float | None:
+    """The float of delta_d(s) from its `_delta_form`, or None when it is
+    exactly 0: the bits of the float of the QuadNumber (`qfield.quad_float`)."""
+    scale, p, a0, a1, q, b0, b1, r, d = form
+    p += a0 * s0 + a1 * s1
+    q += b0 * s0 + b1 * s1
+    return None if p == 0 and q == 0 else scale * quad_float(p, q, r, d)
 
 
 def hole_gram_matrix(
@@ -357,9 +407,10 @@ def hole_gram_matrix(
 
     def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
         inverse, first = _lex_ids(shift)
-        origin = LatticePoint(y, (0, 0))
+        mu = vec_sub(spec.us[x], spec.us[y])
+        forms = [_delta_form(spec, mu, d) for d in range(2)]
         table = [
-            hole_inner_product(spec, hole, LatticePoint(x, (s0, s1)), origin)
+            _hole_entry(hole, [_delta(form, s0, s1) for form in forms])
             for s0, s1 in shift[first].tolist()
         ]
         return np.array(table, dtype=complex)[inverse]

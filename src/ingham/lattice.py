@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cmp_to_key, lru_cache
 from itertools import chain
 from typing import Sequence
 
 from .errors import DuplicateTranslateError, NotInLatticeError, SingularMatrixError
-from .qfield import QuadNumber, Rational
+from .qfield import QuadNumber, Rational, quad_float
 
 Vec2 = tuple[QuadNumber, QuadNumber]
 Mat2 = tuple[Vec2, Vec2]  # rows
@@ -36,6 +37,8 @@ MAX_REALIZE_CANDIDATES = 500_000
 # leave about 200 orders of magnitude for the products that follow.  A
 # two-square spec has |det| = r^2 + R^2, 1.000001 for sides 0.001, 1 and
 # about 1e12 for sides 1, 10**6; the catalog's lie between 0.87 and 6.5.
+# Translates whose difference is a non-integer within DET_MIN of Z are
+# refused too (`_least_gap_mod_1`).
 DET_MIN, DET_MAX = 1e-100, 1e100
 
 
@@ -65,6 +68,45 @@ def _residue(v: Vec2) -> tuple[tuple[int, int, int, int], ...]:
     vector, since adding n to (p + q*sqrt d)/r gives the canonical
     (p + n*r, q, r, d)."""
     return tuple((x.p % x.r, x.q, x.r, x.d) for x in v)
+
+
+def _fraction_part(x: QuadNumber) -> QuadNumber:
+    """x - floor(x), exactly: floor((p + q*sqrt d)/r) = (p + floor(q*sqrt d)) // r
+    for r > 0, and q*sqrt d is irrational when q != 0."""
+    root = math.isqrt(x.q * x.q * x.d)
+    return x - (x.p + (root if x.q >= 0 else -root - 1)) // x.r
+
+
+_exact_order = cmp_to_key(lambda x, y: (x - y).sign())
+
+
+def _least_gap_mod_1(classes: set[tuple[int, int, int, int]]) -> float:
+    """The float of the least distance to Z of a difference of two numbers
+    of distinct classes mod 1 (`_residue` keys), when it may be below
+    DET_MIN; otherwise a float above it (inf when there is none).
+
+    The float layers see this distance as the float of mu_d + s, so below
+    DET_MIN it rounds to 0 (a 1e-400 became 0.0: a ZeroDivisionError in the
+    Gram phi, det E = 0 in the (A2) verdict).  On the circle R/Z the least
+    such distance is a gap between neighbours.  The floats of the classes
+    are within err of them, so when every float gap exceeds 4 err no exact
+    one is small; otherwise the classes are sorted exactly.  A difference of
+    two irrational fields is not exact and is skipped there.
+    """
+    ring = sorted([quad_float(*k) % 1.0 for k in classes])
+    err = 2.0**-50 * max([1.0 + abs(q / r) * math.sqrt(d) for _, q, r, d in classes])
+    least = min([b - a for a, b in zip(ring, ring[1:])] + [ring[0] + 1.0 - ring[-1]])
+    if least > 4 * err:
+        return least
+    fractions = {_fraction_part(QuadNumber(Fraction(p, r), Fraction(q, r), d))
+                 for p, q, r, d in classes}
+    least = math.inf
+    for field in {x.d for x in fractions if x.q} or {1}:
+        ring = sorted((x for x in fractions if x.d in (1, field)), key=_exact_order)
+        if len(ring) > 1:
+            gaps = [b - a for a, b in zip(ring, ring[1:])] + [ring[0] + 1 - ring[-1]]
+            least = min(least, *map(float, gaps))
+    return least
 
 
 def mat_det(m: Mat2) -> QuadNumber:
@@ -155,6 +197,13 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
         i = first.setdefault(_residue(u), k)
         if i != k:
             raise DuplicateTranslateError(f"{spec.name}: translates {i} and {k} coincide mod Z^2")
+    for axis in range(2):
+        gap = _least_gap_mod_1({key[axis] for key in first})
+        if gap < DET_MIN:
+            raise ValueError(
+                f"{spec.name}: two translates differ in coordinate {axis} by a "
+                f"non-integer at float distance {gap:g} from Z, below {DET_MIN:g}"
+            )
     return spec
 
 

@@ -231,10 +231,7 @@ class QuadNumber:
         return 1 if q > 0 else -1
 
     def __float__(self) -> float:
-        # int true division rounds correctly, so p / r has the bits of float(self.a)
-        if self.q:
-            return self.p / self.r + (self.q / self.r) * sqrt(self.d)
-        return self.p / self.r
+        return quad_float(self.p, self.q, self.r, self.d)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadNumber):
@@ -262,6 +259,18 @@ _new = object.__new__
 _set_p, _set_q, _set_r, _set_d = (
     getattr(QuadNumber, name).__set__ for name in QuadNumber.__slots__
 )
+
+
+def quad_float(p: int, q: int, r: int, d: int) -> float:
+    """The float of (p + q*sqrt(d))/r for integers p, q, r != 0 and d >= 1.
+
+    Integer true division rounds correctly, so p / r and q / r have the bits
+    of the rationals p/r and q/r: the float does not depend on the
+    denominator the value is written over, reduced or not.  float(x) of a
+    QuadNumber is quad_float of its four integers."""
+    if q:
+        return p / r + (q / r) * sqrt(d)
+    return p / r
 
 
 def _make(p: int, q: int, r: int, d: int) -> QuadNumber:

@@ -429,6 +429,21 @@ def test_malformed_spec_file_is_usage_error(capsys, tmp_path, name):
     assert "usage error" in err and message in err
 
 
+@pytest.mark.parametrize("command", ["verify", "constants"])
+def test_translates_apart_by_less_than_float_scale_are_usage_error(capsys, tmp_path, command):
+    # the honeycomb spec with L* = I and u_1 = (1e-400, 1/2): 1e-400 became
+    # 0.0, a ZeroDivisionError in the Gram phi and `a2: false` though
+    # det E = e(1e-400) - 1 is not 0
+    spec = catalog.spec_to_json(catalog.get("honeycomb").spec)
+    spec["l_star"] = [[{"a": "1"}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]
+    spec["us"][1] = [{"a": "1e-400"}, {"a": "1/2"}]
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, command, "--spec-file", str(path), "--config", "0,0;1,0")
+    assert (code, out) == (2, "")
+    assert "usage error" in err and "below 1e-100" in err
+
+
 def test_huge_two_square_side_is_refused_fast(capsys):
     start = time.perf_counter()
     code, _, err = run_cli(

@@ -1,13 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import quadrature_hole_inner_product, quadrature_inner_product
 
-from ingham import catalog, gram
+from ingham import catalog, gram, qfield
 from ingham.errors import FieldMismatchError, HoleOutsideDomainError
 from ingham.gram import (
     MAX_SUPPORT,
@@ -20,8 +21,9 @@ from ingham.gram import (
     inscribed_hole,
     removal_witness,
 )
-from ingham.lattice import LatticePoint, LatticeSpec
+from ingham.lattice import LatticePoint, LatticeSpec, vec_add, vec_dot
 from ingham.qfield import QuadNumber
+from ingham.spectral import phase
 
 TWO_PI = 2 * math.pi
 
@@ -274,8 +276,6 @@ def test_gram_matrix_equals_inner_product_oracle(catalog_entries):
 
 def test_hole_gram_matrix_equals_hole_inner_product_oracle(catalog_entries):
     for seed, (name, entry) in enumerate(catalog_entries.items()):
-        if name == "two_square":  # L* and the translates lie in different fields
-            continue
         spec = entry.spec
         config = entry.default_configs[entry.primary_config]
         hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
@@ -354,3 +354,82 @@ def test_mixed_field_hole_needs_a_homothety():
     assert hole_inner_product(sheared, hole, lp(1, 0, 0), lp(1, 1, 0)) != 0  # one field
     with pytest.raises(FieldMismatchError, match="homothety"):
         hole_inner_product(sheared, hole, lp(0, 0, 0), lp(1, 0, 0))
+
+
+# -- the per-shift integer forms against QuadNumber arithmetic ------------------
+
+
+def _bits(value):
+    """A float, complex or None as comparable bits, the sign of a zero included."""
+    if value is None:
+        return None
+    return np.array([value], dtype=complex).tobytes()
+
+
+def _phi_reference(t):
+    """phi(t) from a QuadNumber, with the zero and integer tests of its methods."""
+    if t.is_zero():
+        return complex(TWO_PI)
+    if t.is_integer():
+        return 0.0j
+    return (phase(t) - 1.0) / (1j * float(t))
+
+
+@st.composite
+def _field_numbers(draw, n):
+    """n numbers of one field Q(sqrt d), d drawn with square factors, often
+    integer or zero so that the exact branches are taken."""
+    d = draw(st.sampled_from((1, 2, 3, 5, 8, 12, 13, 18, 50)))
+    dens = st.sampled_from((1, 1, 1, 2, 3, 7, 12, 97, 10**12 + 39))
+
+    def number():
+        a = Fraction(draw(st.integers(-9, 9)), draw(dens))
+        b = Fraction(draw(st.integers(-3, 3)), draw(dens)) if draw(st.booleans()) else 0
+        return QuadNumber(a, b, d)
+
+    return [number() for _ in range(n)]
+
+
+_INTS = [QuadNumber(k) for k in (1, 0, 0, 2, 3, -1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(numbers=_field_numbers(6), s0=st.integers(-6, 6), s1=st.integers(-6, 6))
+@example(numbers=_INTS, s0=-3, s1=1)  # mu + s = 0: phi's zero branch, both deltas 0
+@example(numbers=_INTS, s0=-2, s1=1)  # mu_0 + s_0 = 1: phi's integer branch
+def test_integer_forms_match_quadnumber_arithmetic(numbers, s0, s1):
+    """phi of (p + s*r, q, r, d) and the float of a `_delta_form` at shift s
+    have the bits of phi(mu + s) and float(row . (mu + s)) in QuadNumbers."""
+    r00, r01, r10, r11, *mu = numbers
+    t = mu[0]
+    assert _bits(gram._phi(t.p + s0 * t.r, t.q, t.r, t.d)) == _bits(_phi_reference(t + s0))
+    spec = LatticeSpec("random", ((r00, r01), (r10, r11)), ())
+    for d, row in enumerate(spec.l_star):
+        delta = vec_dot(row, vec_add(mu, (QuadNumber(s0), QuadNumber(s1))))
+        want = None if delta.is_zero() else float(delta)
+        got = gram._delta(gram._delta_form(spec, tuple(mu), d), s0, s1)
+        assert _bits(got) == _bits(want)
+
+
+def test_exact_arithmetic_does_not_grow_with_the_support(monkeypatch):
+    """QuadNumbers are built once per translate pair: as many at support
+    radius 1 (25 shift vectors per pair) as at radius 3 (169)."""
+    made = []
+    make = qfield._make
+    monkeypatch.setattr(qfield, "_make", lambda *parts: made.append(1) or make(*parts))
+    cases = [(catalog.get(name), "right" if name == "honeycomb" else None)
+             for name in ("honeycomb", "snub_square")]
+    cases.append((catalog.get("two_square", r=1, R=2), None))  # the homothety branch
+    for entry, config_name in cases:
+        spec = entry.spec
+        config = entry.default_configs[config_name or entry.primary_config]
+        hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+        counts = []
+        for radius in (1, 3):
+            support = SupportSet.centered(spec, radius)
+            made.clear()
+            gram_matrix(spec, config, support)
+            built = len(made)
+            hole_gram_matrix(spec, config, support, hole)
+            counts.append((built, len(made) - built))
+        assert counts[0] == counts[1], (spec.name, counts)

@@ -69,6 +69,33 @@ def test_validate_rejects_duplicate_translates():
         validate_spec(spec)
 
 
+_SQRT2 = QuadNumber(0, 1, 2)
+_SQRT2_BELOW = Fraction(math.isqrt(2 * 10**420), 10**210)  # within 1e-210 below sqrt 2
+
+
+@pytest.mark.parametrize("a, b, refused", [
+    (0, Fraction(1, 10**400), True),
+    (0, 1 - Fraction(1, 10**400), True),  # within 1e-400 of 1: around the circle
+    (0, Fraction(1, 10**50), False),
+    (0, Fraction(1, 10**20), False),  # float gap below the fast test's margin
+    (_SQRT2, _SQRT2 + Fraction(1, 10**20), False),  # the same, in Q(sqrt 2)
+    (0, 3 + _SQRT2 - _SQRT2_BELOW, True),  # 0 < sqrt 2 - p/q < 1e-210
+    # exactly about -1.7e-20, but its float p/r + (q/r)*sqrt 2 cancels to 0.0
+    (0, QuadNumber(Fraction(14142135623730950488, 10**19), -1, 2), True),
+])
+def test_validate_rejects_translates_closer_than_float_scale_mod_1(a, b, refused):
+    """A translate difference within DET_MIN of Z, not in Z, becomes an
+    integer as a float: refused."""
+    q = lambda v: v if isinstance(v, QuadNumber) else QuadNumber(v)
+    spec = LatticeSpec("near", ((q(1), q(0)), (q(0), q(1))),
+                       ((q(a), q(0)), (q(b), q(Fraction(1, 2)))))
+    if refused:
+        with pytest.raises(ValueError, match="below 1e-100"):
+            validate_spec(spec)
+    else:
+        assert validate_spec(spec) is spec
+
+
 def test_duplicate_among_many_translates_is_found_fast():
     q = QuadNumber
     us = [(q(Fraction(k, 5001)), q(0)) for k in range(5000)]
