@@ -311,12 +311,15 @@ def inscribed_hole(
 def _hole_entry(hole: Rect, deltas: Sequence[float | None]) -> complex:
     """prod_d (e^{i delta_d b_d} - e^{i delta_d a_d})/(i delta_d) over the
     hole's sides (a_d, b_d), a delta_d of None (exactly 0) contributing the
-    side length."""
+    side length.  A float 0.0 is an exactly nonzero delta_d that underflowed,
+    and is refused: the quotient has no float value."""
     x0, y0, x1, y1 = hole
     val = 1.0 + 0.0j
     for df, (lo, hi) in zip(deltas, ((x0, x1), (y0, y1))):
         if df is None:
             val *= hi - lo
+        elif df == 0.0:
+            raise ValueError("hole integral: a nonzero delta_d = (L* mu)_d underflows to 0.0")
         else:
             val *= (cmath.exp(1j * df * hi) - cmath.exp(1j * df * lo)) / (1j * df)
     return val

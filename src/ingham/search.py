@@ -3,16 +3,20 @@
 A survey is columnar from enumeration to CSV.  classify_all enumerates the
 m-subsets of an integer grid as an (N, m) index array into `grid_points`;
 `spectral.classes` maps each row to the canonical configuration of its class
-under translation and the tiling's certified symmetries, and the spectral
-kernel (`spectral.spectra`) and `geometry.connected_rows` run on those
-representatives alone, in chunks of `spectral.CHUNK_ROWS`.  The result holds
-numpy columns (`SurveyRecords`): one value per class, each row's class, and
-the per-row columns gathered from them; a `SurveyRecord` is built only when
-one is indexed.  Every configuration carries its class representative's
-values, so its bits do not depend on the survey, the grid or the list it
-came in.  Counts and CSV rows read the columns directly; the CSV formats each
-class's numbers once and `write_survey_csv` writes the rows one chunk at a
-time.  Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.
+under translation and the tiling's certified symmetries, on integer keys (one
+int64 code per point and per image cell, each symmetry image folded into
+int64 words), and the spectral kernel (`spectral.spectra`) and
+`geometry.connected_rows` run on those representatives alone, in chunks of
+`spectral.CHUNK_ROWS`.  The result holds numpy columns (`SurveyRecords`): one
+value per class, each row's class, and the per-row columns gathered from
+them; a `SurveyRecord` is built only when one is indexed.  Every
+configuration carries its class representative's values, so its bits do not
+depend on the survey, the grid or the list it came in.  Counts and CSV rows
+read the columns directly; the CSV formats each class's numbers once, takes
+a row's configuration string from a table of prefixes shared by consecutive
+rows plus its last cell's label, and `write_survey_csv` writes the rows one
+chunk at a time.  Surveys larger than MAX_SURVEY_CONFIGS are refused before
+enumeration.
 This module owns enumeration, columns, grouping and ranking; phases,
 symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
 belong to the kernel.
@@ -37,12 +41,13 @@ Config = tuple[tuple[int, int], ...]
 # Largest grid survey classify_all enumerates.  A configuration costs its m
 # indices (8 B each, at most 12) plus 34 B of columns and class index, at
 # most 130 B, so the result of 2M configurations is at most 260 MB; while it
-# runs, the class reduction adds about 180 B per configuration (measured at
-# m = 4) and the kernel one chunk of working memory.  write_survey_csv formats
-# one chunk of rows at a time.  The full list of survey_csv_rows costs about
-# 170 B per configuration more, as rows share their class's number strings:
-# the survey benchmark (snub square at grid 6, 211,876 configurations, its
-# largest) peaks at 103 MB.  Snub square (M = 4) at grid 8 is 1.66M.
+# runs, the class reduction adds about 97 B per configuration (tracemalloc
+# peak, snub square at grids 6 and 7, m = 4) and the kernel one chunk of
+# working memory.  write_survey_csv formats one chunk of rows at a time.  The
+# full list of survey_csv_rows costs about 165 B per configuration more, as
+# rows share their class's number strings: the survey benchmark (snub square
+# at grid 6, 211,876 configurations, its largest) peaks at 107 MB.  Snub
+# square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -233,8 +238,11 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
 def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
     """The CSV rows, one chunk of `spectral.chunks` at a time.  The point
     labels and each class's kappa1, kappa2 and ratio strings are formatted
-    once; a row joins its configuration's labels and takes its class's
-    strings."""
+    once; a row takes its class's strings.  A run of consecutive rows that
+    share their first m - 1 cells shares one prefix string "a,b;...;" (a grid
+    survey's rows are lexicographic, so its runs are long).  The prefixes
+    are built once per survey, and a row's configuration string is its
+    run's prefix plus the label of its last cell."""
     rec = result.records
     ratio, ok = _ratios(rec.classes)
     fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
@@ -242,11 +250,20 @@ def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
     per_class = [np.array(col, dtype=object) for col in
                  (fmt(rec.classes.kappa1), fmt(rec.classes.kappa2), ratios)]
     labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
+    fresh = np.zeros(len(rec), dtype=bool)  # a row whose first m - 1 cells start a run
+    fresh[:1] = True
+    for col in rec.idx[:, :-1].T:
+        fresh[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(fresh)
+    joined = [f"{a},{b};" for a, b in rec.points]
+    heads = rec.idx[starts, :-1].tolist()
+    prefixes = np.array(["".join(joined[k] for k in head) for head in heads], dtype=object)
     for rows in chunks(len(rec)):
         klass = rec.klass[rows]
+        run = np.searchsorted(starts, np.arange(*rows.indices(len(rec))), side="right") - 1
         yield list(
             zip(
-                map(";".join, labels[rec.idx[rows]].tolist()),
+                (prefixes[run] + labels[rec.idx[rows, -1]]).tolist(),
                 rec.connected[rows].astype(int).tolist(),
                 rec.a2[rows].astype(int).tolist(),
                 *(col[klass].tolist() for col in per_class),

@@ -78,7 +78,8 @@ D4 = (
 # below 2**63.
 COORD_LIMIT = 2**61
 
-# `_lex_ids` keeps its mixed-radix keys at or below this.
+# `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its
+# point codes and image words.
 KEY_LIMIT = 2**62
 
 
@@ -280,7 +281,8 @@ def _lex_ids(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, k = cols.shape
     if n == 0:
         return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    cols = cols - cols.min(axis=0)
+    cols = np.array(cols, order="F")  # a copy by columns, whose reductions are fast
+    cols -= cols.min(axis=0)
     bases = (cols.max(axis=0) + 1).tolist()
     key, bound, start = np.zeros(n, dtype=np.int64), 1, 0
     while start < k:
@@ -326,49 +328,81 @@ def classes(spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarra
     class alone, not on the batch.  Translation classes come first: a row's
     offsets from its cell of least index fix it up to translation, and with
     the points sorted (as `config_index` gives them) that cell is the least
-    in every translate, so all translates share the key.  The group then
-    acts on one configuration per translation class.  All keys are exact
-    (`_lex_ids`).
+    in every translate, so all translates share the key.  With the points
+    moved to minimum 0 and spans sx, sy, the code x*(2*sy + 1) + y of a
+    point shifts by the same amount for every cell under a translation, and
+    a difference of codes fixes the offset (dx, dy), as |dy| <= sy; so the
+    m - 1 code differences are the key when the codes stay below KEY_LIMIT,
+    and the 2(m - 1) coordinate offsets otherwise.  The group then acts on
+    one configuration per translation class.
+
+    Each image cell gets one code x*base + y, base = box side + 1; codes
+    order as the cells (x, y) do, so sorting a row's codes sorts its cells.
+    Folding the m sorted codes in mixed radix base**2, as many as fit below
+    KEY_LIMIT to an int64 word, keeps the order of the sequences: the words
+    compare lexicographically as the images do, and the least words are the
+    class's key.  A box too wide for one code per cell (base**2 past
+    KEY_LIMIT) has its coordinates replaced by their ranks among all the
+    image coordinates first, which keeps every comparison (exact for fewer
+    than 2**31 distinct coordinates).  All keys are exact (`_lex_ids`), and
+    the representatives are decoded from their keys.
     """
     if not all(-COORD_LIMIT < c < COORD_LIMIT for p in points for c in p):
         raise ValueError(f"configuration coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})")
     pts = np.array(points, dtype=np.int64).reshape(-1, 2)
-    px, py = pts[:, 0], pts[:, 1]
     n, m = idx.shape
-    rows = np.sort(idx, axis=1)
-    offsets = np.concatenate(
-        [px[rows[:, 1:]] - px[rows[:, :1]], py[rows[:, 1:]] - py[rows[:, :1]]], axis=1
-    )
-    translation_class, first = _lex_ids(offsets)
+    if len(pts):
+        pts = pts - pts.min(axis=0)
+    sx, sy = pts.max(axis=0, initial=0).tolist()
+    # one code per point while the codes fit a key column, else both coordinates
+    codes = pts[:, 0] * (2 * sy + 1) + pts[:, 1] if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT else pts
+    key = codes[np.sort(idx, axis=1)]
+    key = (key[:, 1:] - key[:, :1]).reshape(n, (m - 1) * codes.ndim)
+    translation_class, first = _lex_ids(key)
+    del key  # before the image work
     # one configuration per translation class, at minimum 0
-    x, y = px[rows[first]], py[rows[first]]
+    x, y = pts[idx[first], 0], pts[idx[first], 1]
     x -= x.min(axis=1, keepdims=True)
     y -= y.min(axis=1, keepdims=True)
-    group = np.array(symmetries(spec))[:, :, :, None, None]  # (G, 2, 2, 1, 1)
-    shift = np.maximum(-group, 0)
-    best = np.empty((len(x), 2 * m), dtype=np.int64)
+    w, h = x.max(axis=1, keepdims=True), y.max(axis=1, keepdims=True)
+    base, values = max(int(w.max(initial=0)), int(h.max(initial=0))) + 1, None
+    if base * base > KEY_LIMIT:
+        values = np.unique(np.concatenate([x, y, w - x, h - y], axis=None))
+        base = len(values)
+    radix = base * base
+    per_word = max(k for k in range(1, m + 1) if radix**k <= KEY_LIMIT)  # codes per int64 word
+    words = [(lo, min(lo + per_word, m)) for lo in range(0, m, per_word)]
+    weights = [radix ** np.arange(hi - lo - 1, -1, -1) for lo, hi in words]
+    # (G, 2): where each A takes the coordinates of A n among (x, w - x, y,
+    # h - y), a coordinate that A negates moved to minimum 0 by the box width
+    # w or height h
+    pick = np.array([[2 * (s != 0) + (r + s < 0) for r, s in a] for a in symmetries(spec)])
+    keys = np.empty((len(x), len(words)), dtype=np.int64)
     for part in chunks(len(x)):
         cx, cy = x[part], y[part]
-        w, h = cx.max(axis=1, keepdims=True), cy.max(axis=1, keepdims=True)
-        # A n for every A at once, moved to minimum 0: a coordinate that A
-        # negates shifts by the box width w or height h; then cells sorted
-        ax = group[:, 0, 0] * cx + group[:, 0, 1] * cy + shift[:, 0, 0] * w + shift[:, 0, 1] * h
-        ay = group[:, 1, 0] * cx + group[:, 1, 1] * cy + shift[:, 1, 0] * w + shift[:, 1, 1] * h
-        order = np.lexsort((ay, ax), axis=-1)
-        moved = np.empty(ax.shape[:2] + (2 * m,), dtype=np.int64)  # (G, rows, 2m)
-        moved[..., 0::2] = np.take_along_axis(ax, order, -1)
-        moved[..., 1::2] = np.take_along_axis(ay, order, -1)
-        while len(moved) > 1:  # lexicographic minima of pairs of images, halving them
-            half = (len(moved) + 1) // 2
-            a, b = moved[:half], moved[-half:]
-            differ = a != b
-            first_differ = differ.argmax(axis=-1)[..., None]
-            moved = np.where(np.take_along_axis(differ & (a < b), first_differ, -1), a, b)
-        best[part] = moved[0]
-    klass, rep = _lex_ids(best)
-    cells = best[rep].reshape(-1, 2)
-    cell, cell_first = _lex_ids(cells)
-    canon = [tuple(c) for c in cells[cell_first].tolist()]
+        coords = np.stack([cx, w[part] - cx, cy, h[part] - cy])
+        if values is not None:
+            coords = np.searchsorted(values, coords)
+        code = coords[pick[:, 0]]  # (G, rows, m) cell codes of A n for every A at once
+        code *= base
+        code += coords[pick[:, 1]]
+        code.sort(axis=-1)
+        # the lexicographic least image: the least first word, then the
+        # least next word among the images tied so far
+        tie = np.ones(code.shape[:2], dtype=bool)
+        for k, ((lo, hi), weight) in enumerate(zip(words, weights)):
+            word = np.where(tie, code[..., lo:hi] @ weight, KEY_LIMIT)
+            keys[part, k] = least = word.min(axis=0)
+            tie &= word == least
+    klass, rep = _lex_ids(keys)
+    cell_codes = np.concatenate(
+        [keys[rep, k, None] // weight % radix for k, weight in enumerate(weights)], axis=1
+    )
+    uniq, cell = _ranks(cell_codes.ravel())
+    cx, cy = uniq // base, uniq % base
+    if values is not None:
+        cx, cy = values[cx], values[cy]
+    canon = list(zip(cx.tolist(), cy.tolist()))
     return Classes(canon, cell.reshape(-1, m), klass[translation_class])
 
 

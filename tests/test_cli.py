@@ -444,6 +444,22 @@ def test_translates_apart_by_less_than_float_scale_are_usage_error(capsys, tmp_p
     assert "usage error" in err and "below 1e-100" in err
 
 
+def test_hole_integral_underflow_is_usage_error(capsys, tmp_path):
+    # L*_00 = 1e-250 times mu_0 = 1e-80 is exactly nonzero but 0.0 in floats:
+    # a ZeroDivisionError traceback in the hole integral before
+    spec = {
+        "name": "stretched", "d": 1,
+        "l_star": [[{"a": "1e-250"}, {"a": "0"}], [{"a": "0"}, {"a": "1e250"}]],
+        "us": [[{"a": "0"}, {"a": "0"}], [{"a": "1e-80"}, {"a": "1/2"}]],
+    }
+    path = tmp_path / "stretched.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "verify", "--spec-file", str(path), "--config", "0,0;1,0",
+                             "--hole=1e249,1e-251,2e249,2e-251", "--witness-radii", "0")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and "underflows to 0.0" in err
+
+
 def test_huge_two_square_side_is_refused_fast(capsys):
     start = time.perf_counter()
     code, _, err = run_cli(

@@ -23,7 +23,7 @@ from ingham.gram import (
 )
 from ingham.lattice import LatticePoint, LatticeSpec, vec_add, vec_dot
 from ingham.qfield import QuadNumber
-from ingham.spectral import phase
+from ingham.spectral import TranslationConfig, phase
 
 TWO_PI = 2 * math.pi
 
@@ -354,6 +354,28 @@ def test_mixed_field_hole_needs_a_homothety():
     assert hole_inner_product(sheared, hole, lp(1, 0, 0), lp(1, 1, 0)) != 0  # one field
     with pytest.raises(FieldMismatchError, match="homothety"):
         hole_inner_product(sheared, hole, lp(0, 0, 0), lp(1, 0, 0))
+
+
+# L*_00 = 1e-250 and u_1 - u_0 = (1e-80, 1/2): delta_0 = 1e-330 is not 0, but
+# its float is
+STRETCHED = {
+    "name": "stretched", "d": 1,
+    "l_star": [[{"a": "1e-250"}, {"a": "0"}], [{"a": "0"}, {"a": "1e250"}]],
+    "us": [[{"a": "0"}, {"a": "0"}], [{"a": "1e-80"}, {"a": "1/2"}]],
+}
+STRETCHED_HOLE = (1e249, 1e-251, 2e249, 2e-251)
+
+
+def test_a_delta_that_underflows_is_refused():
+    """The scalar reference and the table both refuse the entry, instead of
+    dividing by the float 0.0."""
+    spec = catalog.spec_from_json(STRETCHED)
+    p, q = lp(0, 0, 0), lp(1, 0, 0)
+    with pytest.raises(ValueError, match="underflows"):
+        hole_inner_product(spec, STRETCHED_HOLE, p, q)
+    config = TranslationConfig.of((0, 0), (1, 0))
+    with pytest.raises(ValueError, match="underflows"):
+        hole_gram_matrix(spec, config, SupportSet((p, q)), STRETCHED_HOLE)
 
 
 # -- the per-shift integer forms against QuadNumber arithmetic ------------------

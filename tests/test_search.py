@@ -237,6 +237,43 @@ def test_csv_rows_match_record_by_record_oracle(name, params, grid):
     assert _csv_text(rows) == _csv_text(_csv_oracle(result))
 
 
+def _assert_rows_match_oracle(result):
+    rows, want = survey_csv_rows(result), _csv_oracle(result)
+    assert len(rows) == len(want)
+    bad = next((i for i, (row, good) in enumerate(zip(rows, want)) if row != good), None)
+    assert bad is None, (bad, rows[bad], want[bad])
+
+
+def _shuffled_snub_square():
+    configs = list(enumerate_configs(3, 4))
+    perm = np.random.default_rng(5).permutation(len(configs))
+    return as_result(classify_configs(catalog.get("snub_square").spec,
+                                      [configs[k] for k in perm]))
+
+
+@pytest.mark.parametrize("make", [
+    _shuffled_snub_square,  # 5 of 1820 rows share their prefix with the row before
+    lambda: classify_all(catalog.get("square").spec, 4, 1),  # m = 1: no prefix at all
+    lambda: classify_all(catalog.get("truncated_trihexagonal").spec, 3, 12),  # m = 12
+], ids=["shuffled", "m1", "m12"])
+def test_csv_rows_of_the_degenerate_prefix_cases(make):
+    _assert_rows_match_oracle(make())
+
+
+@pytest.mark.parametrize("chunk_rows", [7, 300, None])
+def test_csv_prefix_runs_across_chunk_boundaries(monkeypatch, chunk_rows):
+    """Grid 4 rows in chunks of 7, 300 and CHUNK_ROWS: runs of rows sharing
+    their first three cells cross chunk boundaries."""
+    result = classify_all(catalog.get("snub_square").spec, 4, 4)  # 12650 configurations
+    if chunk_rows is not None:
+        monkeypatch.setattr(spectral, "CHUNK_ROWS", chunk_rows)
+    size = spectral.CHUNK_ROWS
+    assert len(result.records) > size
+    head = result.records.idx[:, :-1]
+    assert any((head[k - 1] == head[k]).all() for k in range(size, len(head), size))
+    _assert_rows_match_oracle(result)
+
+
 def test_snub_square_csv_rows_pinned():
     """sha256 of the grid-3 rows as csv.writer writes them, each configuration
     with its symmetry class representative's values."""

@@ -1,12 +1,14 @@
 import cmath
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import classes_oracle
 from conftest import lattice_specs
 
 from ingham import catalog, spectral
@@ -474,6 +476,70 @@ def test_wide_m12_configurations_match_the_oracle():
         assert bool(a2_holds(det[c])) == bool(a2_holds(want[0]))
         assert abs(k1[c] - want[1]) <= 1e-13 * want[2]
         assert abs(k2[c] - want[2]) <= 1e-13 * want[2]
+
+
+def _assert_same_classes(got, want):
+    assert got.points == want.points
+    for a, b in ((got.idx, want.idx), (got.of, want.of)):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# coordinates: a 6 x 6 box (twelve cells there need two key words), a wide
+# square, and values within 2 of +-COORD_LIMIT (ranked image coordinates)
+CLASS_COORDS = {
+    "box": st.integers(0, 5),
+    "wide": st.integers(-10**6, 10**6),
+    "limit": st.sampled_from([COORD_LIMIT - 1, COORD_LIMIT - 2, 2 - COORD_LIMIT, 1 - COORD_LIMIT,
+                              -1, 0, 1]),
+}
+
+
+@st.composite
+def class_batches(draw):
+    """A catalog tiling's spec, a point list and an index array: configurations
+    of 1 to 12 cells, some of them images of others under the tiling's group
+    and a translation, some repeated, cells in any order, the points sorted
+    or not."""
+    spec = _spec(draw(st.sampled_from(sorted(GROUP_ORDERS))))
+    m = draw(st.integers(1, 12))
+    coord = CLASS_COORDS[draw(st.sampled_from(sorted(CLASS_COORDS)))]
+    cells = st.lists(st.tuples(coord, coord), min_size=m, max_size=m, unique=True)
+    configs = draw(st.lists(cells, min_size=1, max_size=8))
+    for k, a, t in draw(st.lists(st.tuples(st.integers(0, len(configs) - 1),
+                                           st.sampled_from(symmetries(spec)),
+                                           st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+                                 max_size=8)):
+        moved = _move(a, configs[k], t)
+        if all(-COORD_LIMIT < c < COORD_LIMIT for p in moved for c in p):
+            configs.append(moved)
+    configs += [configs[k] for k in draw(st.lists(st.integers(0, len(configs) - 1), max_size=4))]
+    configs = [draw(st.permutations(c)) for c in configs]
+    points, idx = config_index(configs)
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(len(points))))
+        where = np.argsort(order)
+        points, idx = [points[k] for k in order], where[idx]
+    return spec, points, idx
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_batches())
+@example((_spec("square"), [], np.zeros((0, 1), dtype=np.intp)))  # no configurations
+@example((_spec("snub_square"), [(0, 0), (1, 2)], np.zeros((0, 4), dtype=np.intp)))
+def test_classes_match_the_coordinate_pair_reduction(batch):
+    _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
+
+
+@pytest.mark.parametrize("name, grid", [("snub_square", 4), ("truncated_square", 4),
+                                        ("two_square_r1_R2", 4), ("truncated_trihexagonal", 3)])
+def test_classes_of_a_grid_match_the_coordinate_pair_reduction(name, grid, monkeypatch):
+    """Whole grid surveys, in one chunk and in chunks of 7 translation classes."""
+    spec = catalog.get("two_square", r=1, R=2).spec if name.startswith("two") else _spec(name)
+    grid_points = [(a, b) for a in range(grid + 1) for b in range(grid + 1)]
+    batch = (spec, *config_index(list(combinations(grid_points, spec.m))))
+    _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
+    monkeypatch.setattr(spectral, "CHUNK_ROWS", 7)
+    _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
 
 
 def test_coordinates_past_the_limit_are_refused():
