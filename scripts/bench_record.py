@@ -1,14 +1,15 @@
 """Record a parent-versus-change benchmark comparison as a BENCH_*.json file.
 
     python3 scripts/bench_record.py --parent REV --out BENCH_name.json \
-        [--workload W ...] [--seeds 11-20] [--traced-seeds 11-13] [--seconds 8]
+        [--workload W ...] [--seeds 11-20] [--traced-seeds 11-13]
 
 The change is this working tree; the parent is `git archive REV`, unpacked
 into a temporary directory.  For every workload and seed, perfbench/run.py
 runs once on each side, the two runs of a pair back to back and the side
 that goes first alternating with the seed, so a drift of the machine's
-speed falls on both sides alike.  Seeds in --traced-seeds are also run with
---trace 1 on both sides, for the per-layer metrics.
+speed falls on both sides alike.  Every run lasts BENCHMARK.json's
+run_seconds.  Seeds in --traced-seeds are also run with --trace 1 on both
+sides, for the per-layer metrics.
 
 The file holds, per workload and side: the median and quartiles of each
 end-to-end metric over the seeds and every run's value; the pairs in which
@@ -79,10 +80,10 @@ def main(argv=None) -> int:
                     choices=["reproduce", "survey", "certify", "exact"])
     ap.add_argument("--seeds", type=seed_range, default=seed_range("11-20"))
     ap.add_argument("--traced-seeds", type=seed_range, default=[])
-    ap.add_argument("--seconds", type=float, default=8.0)
     args = ap.parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
 
     import numpy as np
 
@@ -100,7 +101,7 @@ def main(argv=None) -> int:
         },
         "seeds": args.seeds,
         "traced_seeds": args.traced_seeds,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
@@ -112,12 +113,12 @@ def main(argv=None) -> int:
             traced = {"parent": [], "change": []}
             for k, seed in enumerate(args.seeds):
                 for side in (("parent", "change") if k % 2 == 0 else ("change", "parent")):
-                    runs[side].append(run(trees[side], workload, seed, args.seconds, 0))
+                    runs[side].append(run(trees[side], workload, seed, seconds, 0))
                     print(workload, seed, side, runs[side][-1]["metrics"]["pass_s"]["value"],
                           file=sys.stderr)
                 if seed in args.traced_seeds:
                     for side in ("parent", "change"):
-                        traced[side].append(run(trees[side], workload, seed, args.seconds, 1))
+                        traced[side].append(run(trees[side], workload, seed, seconds, 1))
             metric = lambda side, name: [r["metrics"][name]["value"] for r in runs[side]]
             end_to_end = {}
             for spec in bench["end_to_end"]:

@@ -43,11 +43,14 @@ Config = tuple[tuple[int, int], ...]
 # most 130 B, so the result of 2M configurations is at most 260 MB; while it
 # runs, the class reduction adds about 97 B per configuration (tracemalloc
 # peak, snub square at grids 6 and 7, m = 4) and the kernel one chunk of
-# working memory.  write_survey_csv formats one chunk of rows at a time.  The
-# full list of survey_csv_rows costs about 165 B per configuration more, as
-# rows share their class's number strings: the survey benchmark (snub square
-# at grid 6, 211,876 configurations, its largest) peaks at 107 MB.  Snub
-# square (M = 4) at grid 8 is 1.66M.
+# working memory.  write_survey_csv formats one chunk of rows at a time,
+# beside a table of one prefix string per run of rows that share their first
+# m - 1 cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4
+# (m = 4), but about 2 in a fixed-polyomino list, whose table then holds a
+# string for every other row.  The full list of survey_csv_rows costs about
+# 165 B per configuration more, as rows share their class's number strings:
+# the survey benchmark (snub square at grid 6, 211,876 configurations, its
+# largest) peaks at 107 MB.  Snub square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -240,9 +243,11 @@ def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
     labels and each class's kappa1, kappa2 and ratio strings are formatted
     once; a row takes its class's strings.  A run of consecutive rows that
     share their first m - 1 cells shares one prefix string "a,b;...;" (a grid
-    survey's rows are lexicographic, so its runs are long).  The prefixes
-    are built once per survey, and a row's configuration string is its
-    run's prefix plus the label of its last cell."""
+    survey's rows are lexicographic, so its runs are long; fixed-polyomino
+    lists have about 2 rows a run, and a shuffled list one).  The prefixes
+    are built once per survey, one string per run, and a row's
+    configuration string is its run's prefix plus the label of its last
+    cell."""
     rec = result.records
     ratio, ok = _ratios(rec.classes)
     fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
@@ -278,7 +283,9 @@ def survey_csv_rows(result: SurveyResult) -> list[tuple]:
 
 def write_survey_csv(path, result: SurveyResult) -> None:
     """The header and survey_csv_rows as a CSV file, written one chunk at a
-    time, so the rows never all exist at once."""
+    time, so the rows never all exist at once; the prefix table of
+    `_csv_chunks` (one string per run of rows sharing their first m - 1
+    cells) does."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["config", "connected", "a2", "kappa1", "kappa2", "ratio"])
