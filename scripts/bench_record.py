@@ -13,9 +13,8 @@ sides, for the per-layer metrics.
 
 The file holds, per workload and side: the median and quartiles of each
 end-to-end metric over the seeds and every run's value; the pairs in which
-the change was better; peak_rss_mb per seed; the median of the traced
-search.classify_s, search.csv_rows_s, spectral.constants_us and
-process.slowdown; and whether every run matched the references.  The python
+the change was better; peak_rss_mb per seed; the median of each traced
+metric in TRACED; and whether every run matched the references.  The python
 and numpy versions, the machine and the two commits are recorded beside
 them.  Progress goes to stderr, one line per run.
 """
@@ -33,7 +32,8 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED = ("search.classify_s", "search.csv_rows_s", "spectral.constants_us", "process.slowdown")
+TRACED = ("search.classify_s", "search.csv_rows_s", "spectral.constants_us",
+          "lattice.contains_us", "lattice.minimality_ms", "catalog.busy_s", "process.slowdown")
 
 
 def seed_range(text: str) -> list[int]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable
 
 from .errors import UnknownTilingError
@@ -511,13 +512,19 @@ def minimality_witnesses(entry: CatalogEntry) -> list[Vec2]:
 # -- JSON interchange ----------------------------------------------------------
 
 
+def _ratio_text(n: int, r: int) -> str:
+    """n/r in lowest terms as str(Fraction(n, r)) writes it, for r > 0."""
+    g = gcd(n, r)
+    return str(n // g) if r == g else f"{n // g}/{r // g}"
+
+
 def _qn_json(x: QuadNumber) -> dict[str, str]:
-    return {"a": str(x.a), "b": str(x.b)}
+    return {"a": _ratio_text(x.p, x.r), "b": _ratio_text(x.q, x.r)}
 
 
 def spec_to_json(spec: LatticeSpec) -> dict:
-    ds = {e.d for row in spec.l_star for e in row if e.b} | {
-        c.d for u in spec.us for c in u if c.b
+    ds = {e.d for row in spec.l_star for e in row if e.q} | {
+        c.d for u in spec.us for c in u if c.q
     }
     if len(ds) > 1:
         raise ValueError("spec mixes radicals; not representable in the schema")

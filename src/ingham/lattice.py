@@ -5,7 +5,14 @@ Membership, line-lattice containment and the minimal-translate certificate
 are decided in exact arithmetic; floating point appears only when points
 are realized for output.  A translate's class mod Z^2 has a hashable key,
 `_residue`, so duplicate translates and the classes a line lattice meets
-are found by set lookups, in work bounded by the number of translates.
+are found by dict lookups, in work bounded by the number of translates.
+
+Each LatticeSpec builds its membership tables once, on first use, and keeps
+them on the instance (cached properties that are not dataclass fields, so
+equality, hashing and repr see only name, l_star and us): `_inverse`, the
+exact l_star^-1, and `_translate_index`, each translate's `_residue` key
+mapped to its index j.  Membership of p is then one key lookup: p lies in
+the lattice exactly when the key of l_star^-1 p is a translate's.
 """
 
 from __future__ import annotations
@@ -13,12 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key, lru_cache
 from itertools import chain
 from typing import Sequence
 
 from .errors import DuplicateTranslateError, NotInLatticeError, SingularMatrixError
-from .qfield import QuadNumber, Rational, quad_float
+from .qfield import QuadNumber, Rational, _coerce, _joint_d, _make, quad_float
 
 Vec2 = tuple[QuadNumber, QuadNumber]
 Mat2 = tuple[Vec2, Vec2]  # rows
@@ -67,7 +74,8 @@ def _residue(v: Vec2) -> tuple[tuple[int, int, int, int], ...]:
     """Key of v mod Z^2: equal for u and v exactly when u - v is an integer
     vector, since adding n to (p + q*sqrt d)/r gives the canonical
     (p + n*r, q, r, d)."""
-    return tuple((x.p % x.r, x.q, x.r, x.d) for x in v)
+    x, y = v
+    return (x.p % x.r, x.q, x.r, x.d), (y.p % y.r, y.q, y.r, y.d)
 
 
 def _fraction_part(x: QuadNumber) -> QuadNumber:
@@ -126,15 +134,33 @@ def mat_inv(m: Mat2) -> Mat2:
 
 @lru_cache(maxsize=64)
 def l_star_inverse(l_star: Mat2) -> Mat2:
-    """mat_inv(l_star), computed once per exact matrix."""
+    """mat_inv(l_star), computed once per exact matrix.  A LatticeSpec reads
+    it once into its `_inverse` table; a caller holding a spec should use
+    that, since this cache hashes the four entries on every call."""
     return mat_inv(l_star)
 
 
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
-    return (
-        m[0][0] * v[0] + m[0][1] * v[1],
-        m[1][0] * v[0] + m[1][1] * v[1],
-    )
+    """m @ v exactly; v's coordinates may be ints or Fractions."""
+    x, y = _coerce(v[0]), _coerce(v[1])
+    if x is NotImplemented or y is NotImplemented:
+        raise TypeError(f"cannot multiply a matrix by {type(v[0]).__name__}, {type(v[1]).__name__}")
+    return _dot(m[0][0], x, m[0][1], y), _dot(m[1][0], x, m[1][1], y)
+
+
+def _dot(a: QuadNumber, x: QuadNumber, b: QuadNumber, y: QuadNumber) -> QuadNumber:
+    """a*x + b*y over the one denominator a.r*x.r*b.r*y.r, reduced once.
+
+    Raises what a*x + b*y raises: each product's operands must share a
+    field, and so must the products (a product whose radical part cancels
+    is rational and joins any field)."""
+    d1, d2 = _joint_d(a.d, x.d), _joint_d(b.d, y.d)
+    q1, q2 = a.p * x.q + a.q * x.p, b.p * y.q + b.q * y.p
+    d = _joint_d(d1 if q1 else 1, d2 if q2 else 1)
+    # both radical parts nonzero share a.d with x.d, and b.d with y.d
+    p1, p2 = a.p * x.p + a.q * x.q * a.d, b.p * y.p + b.q * y.q * b.d
+    r1, r2 = a.r * x.r, b.r * y.r
+    return _make(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
 
 
 def mat_float(m: Mat2) -> list[list[float]]:
@@ -174,6 +200,19 @@ class LatticeSpec:
         """|det L| = |det L*| as a float."""
         return abs(float(mat_det(self.l_star)))
 
+    @cached_property
+    def _inverse(self) -> Mat2:
+        """l_star^-1, exact."""
+        return l_star_inverse(self.l_star)
+
+    @cached_property
+    def _translate_index(self) -> dict[tuple, int]:
+        """The first j of each translate class mod Z^2, by `_residue` key."""
+        index: dict[tuple, int] = {}
+        for j, u in enumerate(self.us):
+            index.setdefault(_residue(u), j)
+        return index
+
 
 def validate_spec(spec: LatticeSpec) -> LatticeSpec:
     """Check the structural invariants; return the spec unchanged if valid."""
@@ -192,9 +231,9 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
             f"{spec.name}: l_star and the translates must be finite as floats, and "
             f"|det l_star| within [{DET_MIN:g}, {DET_MAX:g}]"
         )
-    first: dict[tuple, int] = {}
+    first = spec._translate_index
     for k, u in enumerate(spec.us):
-        i = first.setdefault(_residue(u), k)
+        i = first[_residue(u)]
         if i != k:
             raise DuplicateTranslateError(f"{spec.name}: translates {i} and {k} coincide mod Z^2")
     for axis in range(2):
@@ -208,13 +247,17 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
 
 
 def contains(spec: LatticeSpec, p: Vec2) -> LatticePoint | None:
-    """Exact membership: the (j, m) with p = l_star @ (u_j + m), if any."""
-    y = mat_vec(l_star_inverse(spec.l_star), p)
-    for j, u in enumerate(spec.us):
-        r = vec_sub(y, u)
-        if vec_is_integer(r):
-            return LatticePoint(j, (r[0].p, r[1].p))
-    return None
+    """Exact membership: the (j, m) with p = l_star @ (u_j + m), if any.
+
+    One lookup of the key of y = l_star^-1 p in the spec's translate index;
+    a hit j has y and u_j equal but for the numerators, whose difference over
+    the shared denominator is m."""
+    y0, y1 = y = mat_vec(spec._inverse, p)
+    j = spec._translate_index.get(_residue(y))
+    if j is None:
+        return None
+    u0, u1 = spec.us[j]
+    return LatticePoint(j, ((y0.p - u0.p) // y0.r, (y1.p - u1.p) // y1.r))
 
 
 def realize_points(
@@ -232,7 +275,7 @@ def realize_points(
         raise ValueError(f"bbox corners must be finite, got {bbox}")
     if not (x1 > x0 and y1 > y0):
         return []
-    inv = mat_float(l_star_inverse(spec.l_star))
+    inv = mat_float(spec._inverse)
     corners = [(x0, y0), (x0, y1), (x1, y0), (x1, y1)]
     pre = [
         (inv[0][0] * cx + inv[0][1] * cy, inv[1][0] * cx + inv[1][1] * cy)
@@ -284,7 +327,7 @@ def line_lattice_subset(spec: LatticeSpec, a: Vec2, b: Vec2) -> bool:
     q = math.lcm(step[0].r, step[1].r)
     if q > spec.m:
         return False
-    keys = {_residue(u) for u in spec.us}
+    keys = spec._translate_index
     for _ in range(q - 1):
         point = vec_add(point, step)
         if _residue(point) not in keys:

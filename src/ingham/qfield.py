@@ -38,24 +38,45 @@ MAX_TRIAL_WORK = 40 * 10**6
 # past it the expansion has more digits than int() accepts from a string.
 MAX_DECIMAL_EXPONENT = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+_PLAIN = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(text: str | int | float) -> Fraction:
     """The exact rational a text such as '3', '-1/2' or '2.5e-1' (or a finite
     JSON number) denotes; the one parser of rationals from argv and spec
-    files.  Anything else, '1/0', infinities and decimal exponents beyond
+    files.  It accepts what Fraction(text) accepts and gives the same value.
+    Anything else, '1/0', infinities and decimal exponents beyond
     MAX_DECIMAL_EXPONENT included, raises ValueError."""
-    if not isinstance(text, (str, int, float)):
+    return Fraction(*_ratio(text))
+
+
+def _ratio(text: str | int | float) -> tuple[int, int]:
+    """Integers (n, m), m > 0 and not always coprime, with n/m = rational(text).
+
+    Plain '[sign]digits[/digits]' text in ASCII digits, as spec files hold
+    it, is split into its two integers directly.  Any other text (decimals,
+    exponents, whitespace, underscores, other digits) goes through Fraction,
+    after the MAX_DECIMAL_EXPONENT guard."""
+    if isinstance(text, int):
+        return text, 1
+    if not isinstance(text, (str, float)):
         raise ValueError(f"expected a rational, got {type(text).__name__}")
+    plain = isinstance(text, str) and _PLAIN.fullmatch(text)
+    if plain:
+        m = int(plain[2] or 1)
+        if m:
+            return int(plain[1]), m
+        raise ValueError(f"not a finite rational: {text!r}")
     exponent = isinstance(text, str) and _EXPONENT.search(text)
     if exponent:
         digits = exponent[1].replace("_", "").lstrip("0")
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in a rational")
     try:
-        return Fraction(text)
+        x = Fraction(text)
     except (ZeroDivisionError, OverflowError):
         raise ValueError(f"not a finite rational: {text!r}") from None
+    return x.numerator, x.denominator
 
 
 def _square_free_split(n: int) -> tuple[int, int]:
@@ -100,21 +121,11 @@ class QuadNumber:
 
     def __new__(cls, a: Rational = 0, b: Rational = 0, d: int = 1) -> QuadNumber:
         """a + b*sqrt(d) for rationals a, b and a positive integer d."""
-        a = Fraction(a)
-        b = Fraction(b)
-        if d < 1:
-            raise ValueError("d must be a positive integer")
-        if b == 0:
-            d = 1
-        else:
-            s, d = _square_free_split(d)
-            if s != 1:
-                b *= s
-            if d == 1:
-                a, b = a + b, Fraction(0)
-        r = lcm(a.denominator, b.denominator)
-        return _make(int(a.numerator * (r // a.denominator)),
-                     int(b.numerator * (r // b.denominator)), r, d)
+        if not isinstance(a, (int, Fraction)):
+            a = Fraction(a)
+        if not isinstance(b, (int, Fraction)):
+            b = Fraction(b)
+        return _from_ratios(a.numerator, a.denominator, b.numerator, b.denominator, d)
 
     @classmethod
     def sqrt(cls, n: Rational) -> QuadNumber:
@@ -130,8 +141,11 @@ class QuadNumber:
 
     @classmethod
     def parse(cls, a: str, b: str = "0", d: int = 1) -> QuadNumber:
-        """Build from 'p/q' strings, the JSON interchange encoding."""
-        return cls(rational(a), rational(b), d)
+        """a + b*sqrt(d) from the texts of the rationals a and b, the JSON
+        interchange encoding ('p/q' strings, or what else `rational` reads).
+        Each text becomes its integer numerator and denominator (`_ratio`), so
+        plain 'p/q' text builds no Fraction."""
+        return _from_ratios(*_ratio(a), *_ratio(b), d)
 
     # -- the value as Fractions ----------------------------------------------
 
@@ -175,7 +189,7 @@ class QuadNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = _joint_d(self, other)
+        d = _joint_d(self.d, other.d)
         r, s, p, q = self.r, other.r, sign * other.p, sign * other.q
         if r == s:
             return _make(self.p + p, self.q + q, r, d)
@@ -185,7 +199,7 @@ class QuadNumber:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = _joint_d(self, other)
+        d = _joint_d(self.d, other.d)
         p, q, s, t = self.p, self.q, other.p, other.q
         return _make(p * s + q * t * d, p * t + q * s, self.r * other.r, d)
 
@@ -273,6 +287,23 @@ def quad_float(p: int, q: int, r: int, d: int) -> float:
     return p / r
 
 
+def _from_ratios(an: int, ad: int, bn: int, bd: int, d: int) -> QuadNumber:
+    """The QuadNumber an/ad + (bn/bd)*sqrt(d), for denominators ad, bd > 0 and a
+    positive integer d: the square part of d moves into b, and b joins a when
+    d is a square."""
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+    if bn == 0:
+        d = 1
+    else:
+        s, d = _square_free_split(d)
+        bn *= s
+        if d == 1:
+            an, ad, bn = an * bd + bn * ad, ad * bd, 0
+    r = lcm(ad, bd)
+    return _make(int(an * (r // ad)), int(bn * (r // bd)), r, d)
+
+
 def _make(p: int, q: int, r: int, d: int) -> QuadNumber:
     """The QuadNumber (p + q*sqrt(d))/r, for r != 0 and d square-free (any d if q = 0).
 
@@ -300,10 +331,10 @@ def _coerce(value: QuadNumber | Rational) -> QuadNumber:
     return NotImplemented  # type: ignore[return-value]
 
 
-def _joint_d(x: QuadNumber, y: QuadNumber) -> int:
-    """The field of x and y: a rational operand (d = 1) joins any field."""
-    if x.d == y.d or y.d == 1:
-        return x.d
-    if x.d == 1:
-        return y.d
-    raise FieldMismatchError(f"cannot combine sqrt({x.d}) with sqrt({y.d})")
+def _joint_d(dx: int, dy: int) -> int:
+    """The field of two numbers of fields dx and dy: a rational (d = 1) joins any field."""
+    if dx == dy or dy == 1:
+        return dx
+    if dx == 1:
+        return dy
+    raise FieldMismatchError(f"cannot combine sqrt({dx}) with sqrt({dy})")

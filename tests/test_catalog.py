@@ -2,9 +2,11 @@ import json
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import lattice_specs
+from conftest import FIELDS, lattice_specs
 from ingham.catalog import (
+    _qn_json,
     get,
     expected_results,
     load_spec_file,
@@ -15,6 +17,7 @@ from ingham.catalog import (
 )
 from ingham.errors import UnknownTilingError
 from ingham.lattice import minimality_certificate, validate_spec
+from ingham.qfield import QuadNumber
 
 
 def test_names_cover_twelve_tilings():
@@ -159,3 +162,43 @@ def test_catalog_data_uses_small_radicals(catalog_entries):
                 assert e.d in (1, 2, 3)
         for u in entry.spec.us:
             assert u[0].d in (1, 2, 3) and u[1].d in (1, 2, 3)
+
+
+# -- JSON numbers from the integer form, against the Fraction formulas ---------
+
+
+def _fraction_spec_to_json(spec):
+    """spec_to_json as it was written on the Fractions x.a and x.b."""
+    qn = lambda x: {"a": str(x.a), "b": str(x.b)}
+    ds = {e.d for row in spec.l_star for e in row if e.b} | {
+        c.d for u in spec.us for c in u if c.b
+    }
+    if len(ds) > 1:
+        raise ValueError("spec mixes radicals; not representable in the schema")
+    return {
+        "name": spec.name,
+        "d": ds.pop() if ds else 1,
+        "l_star": [[qn(e) for e in row] for row in spec.l_star],
+        "us": [[qn(c) for c in u] for u in spec.us],
+    }
+
+
+@given(st.sampled_from(FIELDS).flatmap(lambda d: st.builds(
+    QuadNumber, st.fractions(max_denominator=10**12), st.fractions(max_denominator=10**12),
+    st.just(d))))
+def test_qn_json_writes_the_fraction_strings(x):
+    assert _qn_json(x) == {"a": str(x.a), "b": str(x.b)}
+
+
+def test_spec_to_json_bytes_match_the_fraction_formulas():
+    specs = [get(name).spec for name in names() if name != "two_square"]
+    specs.append(get("two_square", r=1, R=7).spec)
+    assert len(specs) == 12
+    for spec in specs:
+        want = json.dumps(_fraction_spec_to_json(spec), indent=2, sort_keys=True)
+        assert json.dumps(spec_to_json(spec), indent=2, sort_keys=True) == want, spec.name
+    mixed = get("two_square", r=1, R=3).spec
+    with pytest.raises(ValueError):
+        _fraction_spec_to_json(mixed)
+    with pytest.raises(ValueError):
+        spec_to_json(mixed)

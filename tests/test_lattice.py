@@ -6,9 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_specs, quad_numbers
+import contains_oracle
+from conftest import FIELDS, lattice_specs, quad_numbers, rationals
 from ingham import catalog
-from ingham.errors import DuplicateTranslateError, NotInLatticeError, SingularMatrixError
+from ingham.errors import (
+    DuplicateTranslateError,
+    FieldMismatchError,
+    NotInLatticeError,
+    SingularMatrixError,
+)
 from ingham.lattice import (
     LatticePoint,
     LatticeSpec,
@@ -362,3 +368,79 @@ def test_minimality_two_coset_counterexample():
 
 def test_minimality_single_translate_vacuous():
     assert minimality_certificate(TRIANGULAR, [qvec(0, 0)]) is True
+
+
+# -- membership by translate index against the operator-built oracle ----------
+
+
+def _outcome(fn, *args):
+    """fn's result, or its exception as (type, message)."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _offsets(d):
+    """0, a non-integer rational, or a number of Q(sqrt d) or of another field."""
+    return st.one_of(
+        st.just(0),
+        rationals().filter(lambda x: x.denominator != 1),
+        quad_numbers(d),
+        st.sampled_from(FIELDS).flatmap(quad_numbers),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_specs(), st.data())
+def test_contains_matches_operator_oracle(spec, data):
+    d = max(x.d for x in (*spec.l_star[0], *spec.l_star[1], *spec.us[0]))
+    j = data.draw(st.integers(0, spec.m - 1))
+    m = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * 2))
+    o = data.draw(st.tuples(_offsets(d), _offsets(d)))
+    coordinate = st.one_of(st.integers(-50, 50), rationals())
+    u = vec_add(spec.us[j], qvec(*m))
+    points = [contains_oracle.mat_vec(spec.l_star, u), o, data.draw(st.tuples(coordinate, coordinate))]
+    try:  # u_j + m + o in the plane, unless o's field is not the spec's
+        points.append(contains_oracle.mat_vec(spec.l_star, (u[0] + o[0], u[1] + o[1])))
+    except FieldMismatchError:
+        pass
+    for p in points:
+        want = _outcome(contains_oracle.contains, spec, p)
+        got = _outcome(contains, spec, p)
+        if want != got:
+            # the one allowed difference: the translate loop raised, as the
+            # preimage shares no field with a translate, so no class matches
+            contains_oracle.mat_vec(l_star_inverse(spec.l_star), p)
+            assert want[0] is FieldMismatchError and got is None, (p, want, got)
+
+
+def test_contains_preimage_in_no_translate_field_is_none():
+    spec = catalog.get("two_square", r=1, R=2).spec  # sqrt5 l_star, sqrt2 translates
+    p = qvec(5, 0)  # preimage (sqrt5, 0)
+    with pytest.raises(FieldMismatchError):
+        contains_oracle.contains(spec, p)
+    assert contains(spec, p) is None
+
+
+def _mixed_numbers():
+    """Numbers of Q, Q(sqrt2) or Q(sqrt3), often with a zero part, so that
+    products cancel to rationals and fields mismatch."""
+    part = st.one_of(st.just(0), rationals())
+    return st.builds(QuadNumber, part, part, st.sampled_from((1, 2, 3)))
+
+
+@given(st.tuples(*[_mixed_numbers()] * 4),
+       st.tuples(*[st.one_of(_mixed_numbers(), st.integers(-9, 9), rationals())] * 2))
+def test_mat_vec_matches_operator_oracle(entries, v):
+    m = (entries[:2], entries[2:])
+    assert _outcome(mat_vec, m, v) == _outcome(contains_oracle.mat_vec, m, v)
+
+
+def test_membership_tables_are_not_fields():
+    spec = validate_spec(LatticeSpec(name="h", l_star=HONEYCOMB.l_star, us=HONEYCOMB.us))
+    before = (repr(spec), hash(spec))
+    assert contains(spec, qvec(0, 0)) == LatticePoint(0, (0, 0))
+    assert "_inverse" in vars(spec) and "_translate_index" in vars(spec)
+    assert (repr(spec), hash(spec)) == before
+    assert spec == LatticeSpec(name="h", l_star=HONEYCOMB.l_star, us=HONEYCOMB.us)

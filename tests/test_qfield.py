@@ -293,3 +293,63 @@ def test_integer_form_copies_pickles_and_refuses_assignment(d, a, b):
         with pytest.raises(AttributeError):
             delattr(x, name)
     assert x == QuadNumber(a, b, d)
+
+
+# -- rational and parse against Fraction ---------------------------------------
+
+
+def _numerals():
+    """Digit runs, ASCII or not (Arabic-Indic three, fullwidth five), some
+    joined by underscores, well or badly."""
+    digits = st.one_of(st.from_regex(r"[0-9]{1,4}", fullmatch=True),
+                       st.text(alphabet="0123456789\u0663\uff15", min_size=1, max_size=4))
+    return st.one_of(digits, st.lists(digits, min_size=2, max_size=3).map("_".join),
+                     st.sampled_from(["1__0", "_1", "1_", "007", "0"]))
+
+
+def _rational_texts():
+    """Integers, ratios, decimals and exponents with signs and whitespace,
+    well formed or not; exponents stay far below MAX_DECIMAL_EXPONENT."""
+    sign = st.sampled_from(["", "-", "+", "--", "+-"])
+    space = st.sampled_from(["", "", "", " ", "\t", "\xa0"])
+    exponent = st.tuples(st.sampled_from("eE"), sign, st.integers(0, 40).map(str)).map("".join)
+    ratio = st.tuples(sign, _numerals(), space, st.just("/"), space, sign, _numerals())
+    decimal = st.tuples(sign, st.one_of(st.just(""), _numerals()), st.just("."),
+                        st.one_of(st.just(""), _numerals()), st.one_of(st.just(""), exponent))
+    scientific = st.tuples(sign, _numerals(), exponent)
+    body = st.one_of(
+        st.from_regex(r"[-+]?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+        st.tuples(sign, _numerals()).map("".join),
+        ratio.map("".join), decimal.map("".join), scientific.map("".join),
+        st.sampled_from(["3/-2", "1/0", "-0", "-0/5", "0/0", "", "/", "1/", ".", "e5", "x"]),
+        st.text(alphabet="0123456789+-/._eE \u0663", max_size=5),
+    )
+    return st.tuples(space, body, space).map("".join)
+
+
+def _fraction_or_refused(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@given(_rational_texts())
+def test_rational_is_fraction_of_text(text):
+    want = _fraction_or_refused(text)
+    if want is None:
+        with pytest.raises(ValueError):
+            rational(text)
+    else:
+        got = rational(text)
+        assert got == want and type(got) is Fraction
+
+
+@given(_rational_texts(), _rational_texts(), st.sampled_from(FIELDS + (4, 12)))
+def test_parse_is_quad_number_of_fractions(a, b, d):
+    fa, fb = _fraction_or_refused(a), _fraction_or_refused(b)
+    if fa is None or fb is None:
+        with pytest.raises(ValueError):
+            QuadNumber.parse(a, b, d)
+    else:
+        assert QuadNumber.parse(a, b, d) == QuadNumber(fa, fb, d)
