@@ -409,7 +409,8 @@ def test_contains_matches_operator_oracle(spec, data):
         want = _outcome(contains_oracle.contains, spec, p)
         got = _outcome(contains, spec, p)
         if want != got:
-            # the one allowed difference: the translate loop raised, as the
+            # the one allowed difference: the oracle's preimage exists (this
+            # mat_vec does not raise) but its translate loop raised, as the
             # preimage shares no field with a translate, so no class matches
             contains_oracle.mat_vec(l_star_inverse(spec.l_star), p)
             assert want[0] is FieldMismatchError and got is None, (p, want, got)
