@@ -32,8 +32,9 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED = ("search.classify_s", "search.csv_rows_s", "spectral.constants_us",
-          "lattice.contains_us", "lattice.minimality_ms", "catalog.busy_s", "process.slowdown")
+TRACED = ("search.classify_s", "search.csv_rows_s", "geometry.polyominoes_ms",
+          "spectral.constants_us", "lattice.contains_us", "lattice.minimality_ms",
+          "catalog.busy_s", "process.slowdown")
 
 
 def seed_range(text: str) -> list[int]:

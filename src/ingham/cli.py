@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from contextlib import nullcontext
 
@@ -279,14 +280,22 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return status
     # The one exception-to-exit-code rule: a command returns 1 only for a
     # failed check, and what it raises comes from its input, except a failed
-    # internal numerical check and a failure while writing (a full disk, a
-    # closed pipe), which propagate.  The OSErrors caught are those of opening
-    # or creating a path the user named.
+    # internal numerical check and a failure while writing (a full disk),
+    # which propagate.  The OSErrors caught are those of opening or creating
+    # a path the user named.  A reader that closed stdout (`| head`) took
+    # what it wanted: the command stops quietly with 141, the status of a
+    # process ended by SIGPIPE, and stdout goes to os.devnull so that the
+    # interpreter's final flush of it does not raise again.
     except NotHermitianError:
         raise
+    except BrokenPipeError:
+        sys.stdout = open(os.devnull, "w", encoding="utf-8")
+        return 141
     except (InghamError, ValueError, KeyError, FileExistsError, FileNotFoundError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

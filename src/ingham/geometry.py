@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -169,21 +170,59 @@ def connected_rows(points, idx: np.ndarray) -> np.ndarray:
     return out
 
 
+def _redelmeier(size: int) -> Iterator[tuple[int, ...]]:
+    """Each fixed polyomino of `size` cells exactly once, by Redelmeier's
+    algorithm (D. H. Redelmeier, "Counting polyominoes: yet another attack",
+    Discrete Math. 36 (1981) 191-203).
+
+    Polyominoes grow from the cell (0, 0) over the half-plane y > 0 or
+    (y == 0 and x >= 0), in which (0, 0) is the least cell, so each fixed
+    polyomino has one placement with its least cell there.  `untried` holds
+    the cells the current polyomino may still grow by; `seen` holds every
+    cell that was ever untried at this or an outer level.  A cell taken from
+    `untried` stays in `seen`, so no later polyomino in this branch adds it,
+    and no polyomino is reached twice.  Cell (x, y) is the code
+    y * (2 * size + 1) + x + size, so that codes of the half-plane are those
+    >= size and the neighbours are at +-1 and +-(2 * size + 1); a polyomino
+    is the tuple of its codes in the order they were added.
+    """
+    width = 2 * size + 1
+    steps = (1, width, -1, -width)
+    poly: list[int] = []
+    seen = {size}
+
+    def extend(untried: list[int]) -> Iterator[tuple[int, ...]]:
+        while untried:
+            cell = untried.pop()
+            poly.append(cell)
+            if len(poly) == size:
+                yield tuple(poly)
+            else:
+                fresh = [nb for nb in (cell + s for s in steps) if nb >= size and nb not in seen]
+                seen.update(fresh)
+                yield from extend(untried + fresh)
+                seen.difference_update(fresh)
+            poly.pop()
+
+    yield from extend([size])
+
+
 def fixed_polyominoes(size: int) -> list[PolyominoShape]:
-    """All fixed (translation-only) polyominoes of the given size, sorted."""
+    """All fixed (translation-only) polyominoes of the given size, sorted.
+
+    `_redelmeier` emits each exactly once; the shapes are then translated to
+    minimum coordinates 0, their cells sorted and the list sorted, as
+    arrays."""
     if not 1 <= size <= POLYOMINO_MAX:
         raise SizeTooLargeError(f"size must be in 1..{POLYOMINO_MAX}, got {size}")
-    shapes = {((0, 0),)}
-    for _ in range(size - 1):
-        grown = set()
-        for shape in shapes:
-            have = set(shape)
-            for x, y in shape:
-                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                    if nb not in have:
-                        grown.add(PolyominoShape.canonical(shape + (nb,)).cells)
-        shapes = grown
-    return [PolyominoShape(s) for s in sorted(shapes)]
+    codes = np.array(list(_redelmeier(size)), dtype=np.int64)
+    y, x = np.divmod(codes, 2 * size + 1)  # x + size, shifted away below
+    x -= x.min(axis=1, keepdims=True)
+    y -= y.min(axis=1, keepdims=True)
+    keys = np.sort(x * size + y, axis=1)  # a cell's key orders as (x, y) does
+    keys = keys[np.lexsort(keys.T[::-1])]
+    xs, ys = np.divmod(keys, size)
+    return [PolyominoShape(tuple(zip(xr, yr))) for xr, yr in zip(xs.tolist(), ys.tolist())]
 
 
 def cells_csv_rows(geometry: DomainGeometry) -> list[tuple[int, int, float, float]]:

@@ -163,6 +163,31 @@ def config_count(grid_max: int, m: int) -> int:
     return math.comb((grid_max + 1) ** 2, m)
 
 
+def combination_table(size: int, m: int) -> np.ndarray:
+    """The m-subsets of range(size) as a (C(size, m), m) intp array, in
+    lexicographic order: `np.array(list(combinations(range(size), m)))`.
+
+    Built in place, one block of rows per first element.  The table
+    T(size, j) is, for i = 0, 1, ..., i followed by the last C(size-1-i, j-1)
+    rows of T(size-1, j-1) plus 1: those rows are the (j-1)-subsets of
+    range(size-1) whose first element is at least i.  So out[:C(size-k, m-k),
+    k:] holds T(size-k, m-k) + k, built for k = m-1 down to 0; its block
+    i = 0 is already in place, and the block of each i > 0 is a copy of rows
+    above it."""
+    out = np.empty((math.comb(size, m), m), dtype=np.intp)
+    for k in range(m - 1, -1, -1):
+        width = m - k  # T(size - k, width) + k goes into columns k:
+        tail = math.comb(size - k - 1, width - 1)  # rows of T(size-k-1, width-1)
+        top = 0
+        for i in range(size - m + 1):
+            rows = math.comb(size - k - 1 - i, width - 1)
+            out[top:top + rows, k] = k + i
+            if i:
+                out[top:top + rows, k + 1:] = out[tail - rows:tail, k + 1:]
+            top += rows
+    return out
+
+
 def _classify(
     spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
 ) -> SurveyRecords:
@@ -201,9 +226,7 @@ def classify_all(spec: LatticeSpec, grid_max: int, m: int) -> SurveyResult:
             f"survey of {count} configurations exceeds {MAX_SURVEY_CONFIGS}"
         )
     points = grid_points(grid_max)
-    flat = chain.from_iterable(combinations(range(len(points)), m))
-    idx = np.fromiter(flat, dtype=np.intp, count=count * m).reshape(count, m)
-    return as_result(_classify(spec, points, idx))
+    return as_result(_classify(spec, points, combination_table(len(points), m)))
 
 
 def connected_survey(spec: LatticeSpec) -> SurveyResult:
@@ -260,9 +283,10 @@ def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
     for col in rec.idx[:, :-1].T:
         fresh[1:] |= col[1:] != col[:-1]
     starts = np.flatnonzero(fresh)
-    joined = [f"{a},{b};" for a, b in rec.points]
-    heads = rec.idx[starts, :-1].tolist()
-    prefixes = np.array(["".join(joined[k] for k in head) for head in heads], dtype=object)
+    joined = np.array([f"{a},{b};" for a, b in rec.points], dtype=object)
+    prefixes = np.full(len(starts), "", dtype=object)
+    for col in rec.idx[starts, :-1].T:
+        prefixes += joined[col]
     for rows in chunks(len(rec)):
         klass = rec.klass[rows]
         run = np.searchsorted(starts, np.arange(*rows.indices(len(rec))), side="right") - 1
@@ -278,7 +302,7 @@ def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
-    return [row for chunk in _csv_chunks(result) for row in chunk]
+    return list(chain.from_iterable(_csv_chunks(result)))
 
 
 def write_survey_csv(path, result: SurveyResult) -> None:

@@ -3,6 +3,9 @@ import csv
 import errno
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from fractions import Fraction
@@ -652,3 +655,39 @@ def test_random_argv_never_shows_a_traceback(argv_files, data):
         assert exc.code == 2, sink.getvalue()
     else:
         assert code in ((0, 1, 2) if command == "verify" else (0, 2)), sink.getvalue()
+
+
+def _ingham(*argv):
+    """The CLI as a command line, with stdout block-buffered as in a shell."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return [sys.executable, "-c", "import sys; from ingham.cli import main; sys.exit(main())",
+            *argv], env
+
+
+def test_reader_closing_the_pipe_after_one_line_exits_141_quietly():
+    # 118 kB of CSV, more than a pipe holds, so the command is still writing
+    cmd, env = _ingham("survey", "--tiling", "snub_square", "--grid", "3",
+                       "--csv", "/dev/stdout")
+    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"config,connected,a2,kappa1,kappa2,ratio\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ("catalog", "show", "truncated_trihexagonal"),
+    ("constants", "--tiling", "snub_square", "--config", "0,0;1,0;0,1;1,1"),
+], ids=lambda argv: argv[0])
+def test_output_into_a_closed_pipe_exits_141_quietly(argv):
+    # the whole output sits in stdout's buffer until main flushes it
+    cmd, env = _ingham(*argv)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(cmd, env=env, stdout=write_end, stderr=subprocess.PIPE,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

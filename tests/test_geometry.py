@@ -1,14 +1,17 @@
 import math
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyomino_oracle
 from ingham import catalog
 from ingham.errors import SizeTooLargeError
 from ingham.geometry import (
     PolyominoShape,
+    _redelmeier,
     area_check,
     bessel_j0,
     bessel_j0_root,
@@ -162,6 +165,20 @@ def test_fixed_polyominoes_size_bounds():
         fixed_polyominoes(9)
     with pytest.raises(SizeTooLargeError):
         fixed_polyominoes(0)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_fixed_polyominoes_match_the_set_growth(size):
+    assert fixed_polyominoes(size) == polyomino_oracle.fixed_polyominoes(size)
+
+
+def test_redelmeier_counts_are_a001168():
+    # OEIS A001168, fixed polyominoes with n cells; each is emitted once
+    start = time.perf_counter()
+    counts = [sum(1 for _ in _redelmeier(n)) for n in range(1, 11)]
+    elapsed = time.perf_counter() - start
+    assert counts == [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
+    assert elapsed < 1.0, f"n = 1..10 took {elapsed:.2f} s"
 
 
 def test_cells_csv_rows():

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import math
 from itertools import combinations
 
 import numpy as np
@@ -16,6 +17,7 @@ from ingham.search import (
     as_result,
     classify_all,
     classify_configs,
+    combination_table,
     config_count,
     connected_survey,
     enumerate_configs,
@@ -422,3 +424,13 @@ def test_rank_by_conditioning_matches_the_record_sort(name):
         ranked = rank_by_conditioning(result)
         assert ranked == _rank_oracle(result)
         assert all(isinstance(r, SurveyRecord) for r in ranked)
+
+
+def test_combination_table_is_lexicographic_combinations():
+    cases = [(n, m) for n in range(1, 13) for m in range(1, n + 1)] + [(49, 4), (25, 6)]
+    for size, m in cases:
+        table = combination_table(size, m)
+        want = np.array(list(combinations(range(size), m)))
+        assert table.dtype == np.intp, (size, m)
+        assert table.shape == want.shape == (math.comb(size, m), m), (size, m)
+        assert np.array_equal(table, want), (size, m)
