@@ -4,6 +4,11 @@ The integration domain is L^{-1} of the union of translated cubes
 2*pi*n_k + (0,2*pi)^2, a union of M parallelogram cells with pairwise
 disjoint interiors.  Cell vertices determine area (shoelace) and diameter
 (farthest vertex pair, valid by convexity of the cells).
+
+Fixed polyominoes, the connected configurations that connected surveys
+classify, are enumerated by Redelmeier's algorithm (D. H. Redelmeier,
+"Counting polyominoes: yet another attack", Discrete Math. 36 (1981)
+191-203), which reaches each one once, so no set of shapes is kept.
 """
 
 from __future__ import annotations
@@ -210,9 +215,10 @@ def _redelmeier(size: int) -> Iterator[tuple[int, ...]]:
 def fixed_polyominoes(size: int) -> list[PolyominoShape]:
     """All fixed (translation-only) polyominoes of the given size, sorted.
 
-    `_redelmeier` emits each exactly once; the shapes are then translated to
-    minimum coordinates 0, their cells sorted and the list sorted, as
-    arrays."""
+    Redelmeier's algorithm (`_redelmeier`) emits each exactly once, with no
+    deduplication; the shapes are then translated to minimum coordinates 0,
+    their cells sorted and the list sorted, as arrays.  Sizes outside
+    1..POLYOMINO_MAX are refused."""
     if not 1 <= size <= POLYOMINO_MAX:
         raise SizeTooLargeError(f"size must be in 1..{POLYOMINO_MAX}, got {size}")
     codes = np.array(list(_redelmeier(size)), dtype=np.int64)

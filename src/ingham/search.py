@@ -1,7 +1,8 @@
 """Exhaustive surveys of translation configurations.
 
 A survey is columnar from enumeration to CSV.  classify_all enumerates the
-m-subsets of an integer grid as an (N, m) index array into `grid_points`;
+m-subsets of an integer grid as an (N, m) index array into `grid_points`,
+built in numpy one block of rows at a time (`combination_table`);
 `spectral.classes` maps each row to the canonical configuration of its class
 under translation and the tiling's certified symmetries, on integer keys (one
 int64 code per point and per image cell, each symmetry image folded into
@@ -14,8 +15,8 @@ configuration carries its class representative's values, so its bits do not
 depend on the survey, the grid or the list it came in.  Counts and CSV rows
 read the columns directly; the CSV formats each class's numbers once, takes
 a row's configuration string from a table of prefixes shared by consecutive
-rows plus its last cell's label, and `write_survey_csv` writes the rows one
-chunk at a time.  Surveys larger than MAX_SURVEY_CONFIGS are refused before
+rows (built by m - 1 object-array column adds) plus its last cell's label,
+and `write_survey_csv` writes the rows one chunk at a time.  Surveys larger than MAX_SURVEY_CONFIGS are refused before
 enumeration.
 This module owns enumeration, columns, grouping and ranking; phases,
 symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
@@ -40,10 +41,11 @@ Config = tuple[tuple[int, int], ...]
 
 # Largest grid survey classify_all enumerates.  A configuration costs its m
 # indices (8 B each, at most 12) plus 34 B of columns and class index, at
-# most 130 B, so the result of 2M configurations is at most 260 MB; while it
-# runs, the class reduction adds about 97 B per configuration (tracemalloc
-# peak, snub square at grids 6 and 7, m = 4) and the kernel one chunk of
-# working memory.  write_survey_csv formats one chunk of rows at a time,
+# most 130 B, so the result of 2M configurations is at most 260 MB.  The
+# index table is written in place, so enumerating needs no memory beyond it
+# (tracemalloc peak 8m B per configuration).  While the survey runs, the
+# class reduction adds about 97 B per configuration (tracemalloc peak, snub
+# square at grids 6 and 7, m = 4) and the kernel one chunk of working memory.  write_survey_csv formats one chunk of rows at a time,
 # beside a table of one prefix string per run of rows that share their first
 # m - 1 cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4
 # (m = 4), but about 2 in a fixed-polyomino list, whose table then holds a
