@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingham
 from ingham import catalog, search, spectral
 from ingham.cli import main
 from ingham.errors import NotHermitianError
@@ -658,8 +659,11 @@ def test_random_argv_never_shows_a_traceback(argv_files, data):
 
 
 def _ingham(*argv):
-    """The CLI as a command line, with stdout block-buffered as in a shell."""
+    """The CLI as a command line that imports this package, with stdout
+    block-buffered as in a shell."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    package_root = os.path.dirname(os.path.dirname(ingham.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
     return [sys.executable, "-c", "import sys; from ingham.cli import main; sys.exit(main())",
             *argv], env
 
@@ -668,12 +672,12 @@ def test_reader_closing_the_pipe_after_one_line_exits_141_quietly():
     # 118 kB of CSV, more than a pipe holds, so the command is still writing
     cmd, env = _ingham("survey", "--tiling", "snub_square", "--grid", "3",
                        "--csv", "/dev/stdout")
-    proc = subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline() == b"config,connected,a2,kappa1,kappa2,ratio\r\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""
+    with subprocess.Popen(cmd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert first == b"config,connected,a2,kappa1,kappa2,ratio\r\n"
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [
