@@ -1,22 +1,25 @@
 """Record a parent-versus-change benchmark comparison as a BENCH_*.json file.
 
-    python3 scripts/bench_record.py --parent REV --out BENCH_name.json \
+    python3 scripts/bench_record.py --parent REV [--change REV] --out BENCH_name.json \
         [--workload W ...] [--seeds 11-20] [--traced-seeds 11-13]
 
-The change is this working tree; the parent is `git archive REV`, unpacked
-into a temporary directory.  For every workload and seed, perfbench/run.py
-runs once on each side, the two runs of a pair back to back and the side
-that goes first alternating with the seed, so a drift of the machine's
-speed falls on both sides alike.  Every run lasts BENCHMARK.json's
+Both sides are commits, each unpacked by `git archive` into its own
+temporary directory, so neither runs from the working tree and both read
+their files from the same kind of place; --change defaults to HEAD, and
+uncommitted edits are not measured.  For every workload and seed,
+perfbench/run.py runs once on each side, the two runs of a pair back to back
+and the side that goes first alternating with the seed, so a drift of the
+machine's speed falls on both sides alike.  Every run lasts BENCHMARK.json's
 run_seconds.  Seeds in --traced-seeds are also run with --trace 1 on both
 sides, for the per-layer metrics.
 
 The file holds, per workload and side: the median and quartiles of each
 end-to-end metric over the seeds and every run's value; the pairs in which
-the change was better; peak_rss_mb per seed; the median of each traced
-metric in TRACED; and whether every run matched the references.  The python
-and numpy versions, the machine and the two commits are recorded beside
-them.  Progress goes to stderr, one line per run.
+the change was better; peak_rss_mb per seed; the median of every per-layer
+metric BENCHMARK.json lists, over the traced runs; and whether every run
+matched the references.  The python and numpy versions, the machine and the
+two commits are recorded beside them.  Progress goes to stderr, one line per
+run.
 """
 
 from __future__ import annotations
@@ -32,9 +35,6 @@ from pathlib import Path
 from statistics import median, quantiles
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACED = ("search.classify_s", "search.csv_rows_s", "geometry.polyominoes_ms",
-          "spectral.constants_us", "lattice.contains_us", "lattice.minimality_ms",
-          "catalog.busy_s", "process.slowdown")
 
 
 def seed_range(text: str) -> list[int]:
@@ -76,6 +76,7 @@ def summary(values: list[float]) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change")
     ap.add_argument("--out", required=True, help="file to write, relative to the repo root")
     ap.add_argument("--workload", action="append",
                     choices=["reproduce", "survey", "certify", "exact"])
@@ -88,27 +89,24 @@ def main(argv=None) -> int:
 
     import numpy as np
 
-    head = git("rev-parse", "HEAD")
+    traced_names = [spec["name"] for spec in bench["per_layer"]]
     record = {
         "command": ["python3", "scripts/bench_record.py", *(argv or sys.argv[1:])],
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
-        "commit": {
-            "parent": git("rev-parse", args.parent),
-            "change": head if not git("status", "--porcelain", "--untracked-files=no")
-            else f"working tree over {head}",
-        },
+        "commit": {side: git("rev-parse", rev)
+                   for side, rev in (("parent", args.parent), ("change", args.change))},
         "seeds": args.seeds,
         "traced_seeds": args.traced_seeds,
         "seconds": seconds,
         "workloads": {},
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        unpack(args.parent, parent)
-        trees = {"parent": parent, "change": ROOT}
+        trees = {side: Path(tmp) / side for side in ("parent", "change")}
+        for side, tree in trees.items():
+            unpack(record["commit"][side], tree)
         for workload in workloads:
             runs = {"parent": [], "change": []}
             traced = {"parent": [], "change": []}
@@ -143,7 +141,7 @@ def main(argv=None) -> int:
                 },
                 "traced_median": {
                     side: {name: median(r["metrics"][name]["value"] for r in traced[side])
-                           for name in TRACED}
+                           for name in traced_names}
                     for side in traced if traced[side]
                 },
                 "correct": {side: all(r["correct"] is True for r in runs[side] + traced[side])

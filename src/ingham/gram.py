@@ -11,22 +11,32 @@ phi(t) = (e^{2 pi i t} - 1)/(i t), phi(0) = 2 pi.  Whether a component of mu
 is zero or integer is decided in exact arithmetic, so Fourier orthogonality
 is exact and no quadrature enters the main path.
 
-mu = (u_p - u_q) + (m_p - m_q) splits into a translate pair and an integer
-shift s.  The phase sum depends on the pair alone (an integer shift leaves
-the fractional and radical parts of <mu, n_k> unchanged), so `gram_matrix`
-takes M^2 of them.  QuadNumber arithmetic also runs once per translate pair,
-not once per shift.  With (u_p - u_q)_d = (p + q*sqrt d)/r, mu_d is the
-canonical (p + s_d*r, q, r, d), whose zero and integer tests are p = q = 0
-and q = 0, r = 1; the hole's delta_d = (L* mu)_d is (P + Q*sqrt D)/R over one
-denominator R and radicand D per pair and axis, with P and Q linear in s
-(`_delta_form`).  Each distinct shift then costs integer additions and
-floats formed as float(QuadNumber) forms them (`qfield.quad_float`,
+mu = (u_p - u_q) + (m_p - m_q) splits into a translate difference and an
+integer shift s.  Every translate of a support is written in integers over
+one denominator D in one field Q(sqrt d), u_c = (A + B*sqrt d)/D
+(`_differences`), so for translates (x, y) mu_c is (A_x - A_y + s_c*D,
+B_x - B_y) over D: zero when both numerators are, an integer when the second
+is 0 and D divides the first.  Each matrix is built from per-entry integer
+keys and tables of their distinct values, with no loop over translate pairs
+or entries:
+
+- the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
+  the fractional and radical parts of <mu, n_k> unchanged), so it is taken
+  once per distinct residue, at most M^2 of them;
+- phi(mu_c) is taken once per distinct (axis, translate difference, shift)
+  key (`_Table`);
+- the hole's delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q linear in
+  s, from per-translate forms of L* u_j (`_delta_forms`), and its entry is
+  taken once per distinct (translate difference, s_0, s_1).
+
+The floats are formed as float(QuadNumber) forms them (`qfield.quad_float`,
 `spectral._phase_angle`): from the correctly rounded integer quotients p/r
 and q/r, which depend on the rationals alone, not on the denominator they
-are written over.  So the per-shift values have the bits of the scalar
+are written over.  So the table values have the bits of the scalar
 `inner_product` and `hole_inner_product`, which stay as the test oracles;
-numpy gathers them into the S^2 entries and multiplies them component by
-component in CPython's rounding order, which keeps those bits.
+numpy gathers them into the S^2 entries, slab by slab (`_assemble`), and
+multiplies them component by component in CPython's rounding order, which
+keeps those bits.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -41,13 +52,13 @@ import numpy as np
 from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
 from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
-from .qfield import QuadNumber, quad_float
+from .qfield import QuadNumber, _joint_d, quad_float
 from .spectral import (
     TWO_PI,
     TranslationConfig,
+    _coset_forms,
     _lex_ids,
     _phase_angle,
-    _ranks,
     hermitian_extremes,
     ingham_constants,
     phase_columns,
@@ -56,13 +67,18 @@ from .spectral import (
 Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 
 # Largest support a SupportSet may hold.  A Gram matrix of S points is S^2
-# complex entries (16 B each); it is filled one slab of SLAB_ROWS rows at a
-# time, through upper-triangle index and value arrays of up to about 150 B per
-# entry of the slab.  At S = 4000 that is 256 MB of matrix plus about 150 MB
-# of slab temporaries, before the eigensolve of frame_bound_check copies the
-# matrix.
+# complex entries (16 B each).  It is filled in slabs of max(1, SLAB_ROWS**2
+# // S) rows, so a slab spans at most SLAB_ROWS**2 = 65,536 entries, whose
+# keys and values take about 130 B each.  At S = 4000 that is 256 MB of matrix
+# plus about 9 MB of slab temporaries, before the eigensolve of
+# frame_bound_check copies the matrix.
 MAX_SUPPORT = 4000
 SLAB_ROWS = 256
+
+# Largest box of keys, translate differences times shifts, that a `_Table`
+# keeps as flat arrays (17 B per key, 1.1 MB).  Supports spread wider than
+# that number each slab's keys by sorting instead.
+DENSE_KEYS = 2**16
 
 # Support coordinates stay below this in absolute value, so the int64 shifts
 # m_p - m_q the Gram kernels take cannot overflow.
@@ -128,14 +144,14 @@ def _mu(spec: LatticeSpec, p: LatticePoint, q: LatticePoint) -> Vec2:
 
 def _phi(p: int, q: int, r: int, d: int) -> complex:
     """Integral of e^{2 pi i t s} over s in (0, 2 pi) of one coordinate, for
-    t = (p + q*sqrt d)/r in canonical form.
+    t = (p + q*sqrt d)/r with r > 0, reduced or not.
 
     Branches on the exactly-known arithmetic type of t: zero gives the cube
     edge 2 pi, any other integer gives exactly 0.
     """
     if q == 0 and p == 0:
         return complex(TWO_PI)
-    if q == 0 and r == 1:
+    if q == 0 and p % r == 0:
         return 0.0j
     return (cmath.exp(1j * _phase_angle(p, q, r, d)) - 1.0) / (1j * quad_float(p, q, r, d))
 
@@ -171,34 +187,117 @@ def _product(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _assemble(spec: LatticeSpec, support: SupportSet, block) -> np.ndarray:
-    """Hermitian S x S matrix, one translate pair (x, y) at a time.
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[int, int, dict, list[int]]:
+    """The translate pairs (x, y) of the upper triangle, those with an entry
+    (a, b), a <= b, whose points have translates x and y, and their
+    differences in integers: (den, d, {(x, y): ((A0, B0), (A1, B1))}, spans)
+    with
 
-    block(x, y, shift) returns the entries (a, b), a <= b, whose points have
-    translates x and y, from their integer shifts m_a - m_b; the rows a come
-    in slabs of at most SLAB_ROWS.  The lower triangle holds the conjugates,
-    written first so the diagonal keeps the values themselves.
+        u_x - u_y = ((A0 + B0*sqrt d)/den, (A1 + B1*sqrt d)/den),
+
+    one denominator `den` and one field Q(sqrt d) for every translate of the
+    support (`spectral._coset_forms`), and spans[c] = max m_c - min m_c over
+    the support, so every shift lies in [-spans[c], spans[c]].  Translates in
+    two fields raise FieldMismatchError.
+    """
+    first, last = {}, {}
+    for a, point in enumerate(support.items):
+        first.setdefault(point.j, a)
+        last[point.j] = a
+    us = [spec.us[x] for x in first]
+    d = reduce(_joint_d, (c.d for u in us for c in u), 1)
+    den, forms = _coset_forms(us)
+    form = {x: [(*f, 0)[:2] for f in fx] for x, fx in zip(first, forms)}
+    pairs = {
+        (x, y): tuple((a - b, p - q) for (a, p), (b, q) in zip(form[x], form[y]))
+        for x in first
+        for y in last
+        if first[x] <= last[y]
+    }
+    spans = [max(c) - min(c) for c in zip(*(p.m for p in support.items))] or [0, 0]
+    return den, d, pairs, spans
+
+
+class _Table:
+    """Values at integer keys (c, *s), c a code in range(n) and each s in
+    [-span, span]; values(cs, *ss) computes those of the keys whose columns
+    it is given as lists.
+
+    While the box of keys has at most DENSE_KEYS points, a key's index in it
+    addresses flat arrays of values and of which are known, so each distinct
+    key is computed once however many slabs hold it.  Otherwise each call
+    numbers its keys by `_lex_ids` and computes each distinct one once:
+    supports that spread so far repeat few keys from slab to slab.
+    """
+
+    def __init__(self, values, n: int, spans: Sequence[int]):
+        self.compute, self.spans = values, spans
+        self.shape = (n, *(2 * s + 1 for s in spans))
+        size = math.prod(self.shape)
+        self.dense = size <= DENSE_KEYS
+        if self.dense:
+            self.known = np.zeros(size, dtype=bool)
+            self.values = np.empty(size, dtype=complex)
+
+    def __call__(self, code: np.ndarray, *shifts: np.ndarray) -> np.ndarray:
+        if not self.dense:
+            keys = np.column_stack((code, *shifts))
+            ids, first = _lex_ids(keys)
+            return np.array(self.compute(*keys[first].T.tolist()), dtype=complex)[ids]
+        key = code.astype(np.int64)
+        for s, span, size in zip(shifts, self.spans, self.shape[1:]):
+            key *= size
+            key += s
+            key += span
+        new = np.zeros(len(self.known), dtype=bool)
+        new[key] = True
+        new &= ~self.known
+        new = np.flatnonzero(new)
+        if len(new):
+            c, *ss = np.unravel_index(new, self.shape)
+            self.values[new] = self.compute(
+                c.tolist(), *((s - span).tolist() for s, span in zip(ss, self.spans))
+            )
+            self.known[new] = True
+        return self.values[key]
+
+
+def _assemble(spec: LatticeSpec, support: SupportSet, entries) -> np.ndarray:
+    """Hermitian S x S matrix from its upper triangle, in slabs of rows.
+
+    entries(pair, s0, s1) returns the entries (a, b), a <= b, of a slab from
+    their translate pair codes j_a*M + j_b and integer shifts m_a - m_b, row
+    by row.  A slab has max(1, SLAB_ROWS**2 // S) rows, so it spans at most
+    SLAB_ROWS**2 entries.  Its rows are written whole, upper entries and
+    the conjugates of the ones above them, and the conjugates of its entries
+    right of the slab go down the columns below it.
     """
     items = support.items
+    size = len(items)
     j = np.array([p.j for p in items], dtype=np.intp)
-    m = np.array([p.m for p in items], dtype=np.int64).reshape(-1, 2)
-    where = [np.flatnonzero(j == x) for x in range(spec.m)]
-    slabs = [
-        (x, px[k : k + SLAB_ROWS])
-        for x, px in enumerate(where)
-        for k in range(0, len(px), SLAB_ROWS)
-    ]
-    g = np.empty((len(items), len(items)), dtype=complex)
-    for x, pa in slabs:
-        for y, pb in enumerate(where):
-            r, c = np.nonzero(pa[:, None] <= pb[None, :])
-            if not len(r):
-                continue
-            rows, cols = pa[r], pb[c]
-            upper = block(x, y, m[rows] - m[cols])
-            g[cols, rows] = upper.conj()
-            g[rows, cols] = upper
+    m = np.array([p.m for p in items], dtype=np.int64).reshape(-1, 2).T
+    index = np.arange(size)
+    step = max(1, SLAB_ROWS * SLAB_ROWS // max(size, 1))
+    g = np.empty((size, size), dtype=complex)
+    for lo in range(0, size, step):
+        hi = min(lo + step, size)
+        upper = index[: hi - lo, None] <= index[: size - lo]
+        pair = (j[lo:hi, None] * spec.m + j[lo:])[upper]
+        block = g[lo:hi, lo:]
+        block[upper] = entries(pair, *((c[lo:hi, None] - c[lo:])[upper] for c in m))
+        square, below = block[:, : hi - lo], ~upper[:, : hi - lo]
+        square[below] = square.T[below].conj()
+        g[hi:, lo:hi] = block[:, hi - lo :].T.conj()
     return g
+
+
+def _pair_phase_sum(config: TranslationConfig, diff: tuple, den: int, d: int) -> complex:
+    """`_phase_sum` of the difference ((A0, B0), (A1, B1)) over den, with its bits."""
+    (a0, b0), (a1, b1) = diff
+    total = 0.0j
+    for n0, n1 in config.ns:
+        total += cmath.exp(1j * _phase_angle(a0 * n0 + a1 * n1, b0 * n0 + b1 * n1, den, d))
+    return total
 
 
 def gram_matrix(
@@ -208,25 +307,38 @@ def gram_matrix(
 
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
+    den, d, pairs, spans = _differences(spec, support)
     det = spec.det_l()
+    codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
+    axes, residues = ({}, {}), {}
+    for (x, y), diff in pairs.items():
+        code = x * spec.m + y
+        for c, key in enumerate(diff):
+            codes[c, code] = axes[c].setdefault(key, len(axes[c]))
+        residue = tuple((a % den, b) for a, b in diff)
+        codes[2, code] = residues.setdefault(residue, len(residues))
+    totals = np.array([_pair_phase_sum(config, r, den, d) for r in residues], dtype=complex)
+    phis = []
+    for axis, span in zip(axes, spans):
+        a, b = list(zip(*axis)) or ((), ())
 
-    def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
-        mu = vec_sub(spec.us[x], spec.us[y])
-        phi = []
-        for d, t in enumerate(mu):
-            keys, inverse = _ranks(shift[:, d])
-            table = [_phi(t.p + s * t.r, t.q, t.r, t.d) for s in keys.tolist()]
-            phi.append(np.array(table, dtype=complex)[inverse])
+        def values(cs: list, ss: list, a=a, b=b) -> list:
+            return [_phi(a[c] + s * den, b[c], den, d) for c, s in zip(cs, ss)]
+
+        phis.append(_Table(values, len(a), [span]))
+
+    def entries(pair: np.ndarray, *shift: np.ndarray) -> np.ndarray:
+        phi = [table(codes[c, pair], s) for c, (table, s) in enumerate(zip(phis, shift))]
         factor = _product(*((v.real, v.imag) for v in phi))
-        total = _phase_sum(config, mu)
+        total = totals[codes[2, pair]]
         re, im = _product((total.real, total.imag), factor)
-        upper = np.empty(len(shift), dtype=complex)
+        upper = np.empty(len(pair), dtype=complex)
         upper.real = re / det
         upper.imag = im / det
         upper[(factor[0] == 0) & (factor[1] == 0)] = 0
         return upper
 
-    return _assemble(spec, support, block)
+    return _assemble(spec, support, entries)
 
 
 def frame_bound_check(
@@ -364,6 +476,15 @@ def hole_inner_product(
     return _hole_entry(hole, deltas)
 
 
+def _field_form(terms: Sequence[QuadNumber]) -> tuple | None:
+    """(r, D, [(p, q), ...]) with each term (p + q*sqrt D)/r over one
+    denominator r, or None when the terms lie in two fields."""
+    if len({t.d for t in terms if t.q}) > 1:
+        return None
+    r = math.lcm(*(t.r for t in terms))
+    return r, max(t.d for t in terms), [(t.p * (r // t.r), t.q * (r // t.r)) for t in terms]
+
+
 def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
     """delta_d over the integer shifts s of the translate pair mu = u_x - u_y:
     (scale, P, a0, a1, Q, b0, b1, R, D) in integers but the float scale, with
@@ -378,15 +499,14 @@ def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
     """
     row = spec.l_star[d]
     try:
-        terms = (vec_dot(row, mu), *row)
+        form = _field_form((vec_dot(row, mu), *row))
     except FieldMismatchError:
-        terms = ()
-    if not terms or len({t.d for t in terms if t.q}) > 1:
+        form = None
+    if form is None:
         scale, t = float(_homothety(spec)), mu[d]
         return (scale, t.p, t.r * (d == 0), t.r * (d == 1), t.q, 0, 0, t.r, t.d)
-    r = math.lcm(*(t.r for t in terms))
-    (p, q), (a0, b0), (a1, b1) = ((t.p * (r // t.r), t.q * (r // t.r)) for t in terms)
-    return (1.0, p, a0, a1, q, b0, b1, r, max(t.d for t in terms))
+    r, field, ((p, q), (a0, b0), (a1, b1)) = form
+    return (1.0, p, a0, a1, q, b0, b1, r, field)
 
 
 def _delta(form: tuple, s0: int, s1: int) -> float | None:
@@ -398,27 +518,61 @@ def _delta(form: tuple, s0: int, s1: int) -> float | None:
     return None if p == 0 and q == 0 else scale * quad_float(p, q, r, d)
 
 
+def _delta_forms(spec: LatticeSpec, reps: Sequence[tuple[int, int]], d: int) -> list[tuple]:
+    """The `_delta_form` of u_x - u_y on axis d for each pair (x, y) of reps.
+
+    The translates lie in one field (`_differences`).  When (L* u_j)_d of
+    every translate j of reps, L*_d0 and L*_d1 lie in one field too, the
+    pair's form is a difference of per-translate forms: then
+    L*_d . (u_x - u_y) lies in that field, and `_delta_form` would take its
+    one-field branch with the same rationals.  Otherwise each pair goes
+    through `_delta_form`, the homothety branch included.
+    """
+    row = spec.l_star[d]
+    xs = sorted({x for pair in reps for x in pair})
+    try:
+        form = _field_form([vec_dot(row, spec.us[x]) for x in xs] + list(row))
+    except FieldMismatchError:
+        form = None
+    if form is None:
+        return [_delta_form(spec, vec_sub(spec.us[x], spec.us[y]), d) for x, y in reps]
+    r, field, terms = form
+    (a0, b0), (a1, b1) = terms[-2:]
+    w = dict(zip(xs, terms))
+    return [
+        (1.0, w[x][0] - w[y][0], a0, a1, w[x][1] - w[y][1], b0, b1, r, field)
+        for x, y in reps
+    ]
+
+
 def hole_gram_matrix(
     spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
 ) -> np.ndarray:
     """Gram matrix of the exponentials over the hole rectangle alone.
 
     Entry (a, b), a <= b, is hole_inner_product(items[a], items[b]), which
-    depends only on the translate pair and the shift m_a - m_b.
+    depends only on the difference u_x - u_y of the translates and the shift
+    m_a - m_b.
     """
     _cell_of_rect(spec, config, hole)
+    _, _, pairs, spans = _differences(spec, support)
+    codes = np.zeros(spec.m * spec.m, dtype=np.intp)
+    ids, reps = {}, []
+    for (x, y), diff in pairs.items():
+        if diff not in ids:
+            ids[diff] = len(reps)
+            reps.append((x, y))
+        codes[x * spec.m + y] = ids[diff]
+    forms = list(zip(*(_delta_forms(spec, reps, d) for d in range(2))))
 
-    def block(x: int, y: int, shift: np.ndarray) -> np.ndarray:
-        inverse, first = _lex_ids(shift)
-        mu = vec_sub(spec.us[x], spec.us[y])
-        forms = [_delta_form(spec, mu, d) for d in range(2)]
-        table = [
-            _hole_entry(hole, [_delta(form, s0, s1) for form in forms])
-            for s0, s1 in shift[first].tolist()
+    def values(cs: list, s0s: list, s1s: list) -> list:
+        return [
+            _hole_entry(hole, [_delta(f, s0, s1) for f in forms[c]])
+            for c, s0, s1 in zip(cs, s0s, s1s)
         ]
-        return np.array(table, dtype=complex)[inverse]
 
-    return _assemble(spec, support, block)
+    table = _Table(values, len(reps), spans)
+    return _assemble(spec, support, lambda pair, s0, s1: table(codes[pair], s0, s1))
 
 
 def removal_witness(

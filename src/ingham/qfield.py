@@ -37,15 +37,27 @@ MAX_TRIAL_WORK = 40 * 10**6
 # CPython's default int-string limit (sys.int_info.default_max_str_digits):
 # past it the expansion has more digits than int() accepts from a string.
 MAX_DECIMAL_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+# The text rational() reads: Fraction's grammar on Python 3.10, which later
+# versions only extend (3.11 with underscores in digit runs, 3.12 with
+# whitespace around '/'), so a text means the same on every version.  As in
+# Fraction, \d and \s are Unicode digits and whitespace.
+_RATIONAL = re.compile(
+    r"""\s*(?P<sign>[-+]?)(?=\d|\.\d)(?P<num>\d*)
+        (?:/(?P<den>\d+)|(?:\.(?P<decimal>\d*))?(?:E(?P<exp>[-+]?\d+))?)\s*""",
+    re.VERBOSE | re.IGNORECASE,
+)
+# The plain '[sign]digits[/digits]' text of spec files, a part of that grammar
+# split by a shorter pattern.
 _PLAIN = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
 def rational(text: str | int | float) -> Fraction:
     """The exact rational a text such as '3', '-1/2' or '2.5e-1' (or a finite
     JSON number) denotes; the one parser of rationals from argv and spec
-    files.  It accepts what Fraction(text) accepts and gives the same value.
-    Anything else, '1/0', infinities and decimal exponents beyond
+    files.  It accepts the text Fraction(text) accepts on Python 3.10 and
+    gives the same value, on every Python version.  Anything else, '1_000',
+    '1 / 2', '1/0', infinities and decimal exponents beyond
     MAX_DECIMAL_EXPONENT included, raises ValueError."""
     return Fraction(*_ratio(text))
 
@@ -53,30 +65,45 @@ def rational(text: str | int | float) -> Fraction:
 def _ratio(text: str | int | float) -> tuple[int, int]:
     """Integers (n, m), m > 0 and not always coprime, with n/m = rational(text).
 
-    Plain '[sign]digits[/digits]' text in ASCII digits, as spec files hold
-    it, is split into its two integers directly.  Any other text (decimals,
-    exponents, whitespace, underscores, other digits) goes through Fraction,
-    after the MAX_DECIMAL_EXPONENT guard."""
+    A text is split into its integers by the groups of _PLAIN or, failing
+    that, of _RATIONAL, as Python 3.10's Fraction splits it, after the
+    MAX_DECIMAL_EXPONENT guard; no Fraction is built.  A float goes through
+    Fraction(float)."""
     if isinstance(text, int):
         return text, 1
-    if not isinstance(text, (str, float)):
-        raise ValueError(f"expected a rational, got {type(text).__name__}")
     plain = isinstance(text, str) and _PLAIN.fullmatch(text)
     if plain:
         m = int(plain[2] or 1)
         if m:
             return int(plain[1]), m
         raise ValueError(f"not a finite rational: {text!r}")
-    exponent = isinstance(text, str) and _EXPONENT.search(text)
-    if exponent:
-        digits = exponent[1].replace("_", "").lstrip("0")
+    if isinstance(text, float):
+        try:
+            x = Fraction(text)
+        except OverflowError:
+            raise ValueError(f"not a finite rational: {text!r}") from None
+        return x.numerator, x.denominator
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational, got {type(text).__name__}")
+    match = _RATIONAL.fullmatch(text)
+    if not match:
+        raise ValueError(f"not a rational: {text!r}")
+    n, m = int(match["num"] or 0), int(match["den"] or 1)
+    if not m:
+        raise ValueError(f"not a finite rational: {text!r}")
+    if match["decimal"]:
+        m = 10 ** len(match["decimal"])
+        n = n * m + int(match["decimal"])
+    if match["exp"]:
+        digits = match["exp"].lstrip("+-").lstrip("0")
         if len(digits) > len(str(MAX_DECIMAL_EXPONENT)) or int(digits or 0) > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT} in a rational")
-    try:
-        x = Fraction(text)
-    except (ZeroDivisionError, OverflowError):
-        raise ValueError(f"not a finite rational: {text!r}") from None
-    return x.numerator, x.denominator
+        exp = int(match["exp"])
+        if exp >= 0:
+            n *= 10**exp
+        else:
+            m *= 10**-exp
+    return (-n if match["sign"] == "-" else n), m
 
 
 def _square_free_split(n: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import quadrature_hole_inner_product, quadrature_inner_product
+from conftest import lattice_specs, quadrature_hole_inner_product, quadrature_inner_product
 
 from ingham import catalog, gram, qfield
 from ingham.errors import FieldMismatchError, HoleOutsideDomainError
@@ -299,6 +299,114 @@ def test_gram_matrix_random_subsets_match_oracle(catalog_entries, data):
     assert np.array_equal(g, g.conj().T)
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_hole_gram_matrix_random_subsets_match_oracle(catalog_entries, data):
+    entries = dict(catalog_entries, two_square_r1_R2=catalog.get("two_square", r=1, R=2))
+    entry = entries[data.draw(st.sampled_from(sorted(entries)))]
+    spec = entry.spec
+    config = entry.default_configs[entry.primary_config]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
+    items = SupportSet.centered(spec, 2).items
+    chosen = data.draw(
+        st.lists(st.sampled_from(items), min_size=1, max_size=10, unique=True)
+    )
+    h = hole_gram_matrix(spec, config, SupportSet(tuple(chosen)), hole)
+    assert _same_bits(h, _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), chosen))
+    assert np.array_equal(h, h.conj().T)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=lattice_specs(), data=st.data())
+def test_gram_matrix_of_random_specs_matches_oracle(spec, data):
+    """Translates over unreduced common denominators, in every field."""
+    points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    config = TranslationConfig(tuple(data.draw(
+        st.lists(points, min_size=spec.m, max_size=spec.m, unique=True))))
+    items = [lp(j, a, b) for j in range(spec.m) for a in (-1, 0, 2) for b in (0, 1)]
+    chosen = data.draw(st.lists(st.sampled_from(items), min_size=1, max_size=12, unique=True))
+    g = gram_matrix(spec, config, SupportSet(tuple(chosen)))
+    assert _same_bits(g, _oracle(lambda p, q: inner_product(spec, config, p, q), chosen))
+
+
+def _far_support(spec, seed):
+    """Points up to 10**15 apart, so the shift span is far beyond S, each
+    also one step to the right, so that shifts recur."""
+    rng = np.random.default_rng(seed)
+    far = rng.integers(-(10**15), 10**15, (6, 2)).tolist()
+    return SupportSet(tuple(
+        lp(j, a + step, b) for a, b in far for step in (0, 1) for j in range(min(spec.m, 2))
+    ))
+
+
+def test_far_apart_supports_match_the_oracles():
+    for k, (name, r, R) in enumerate((("snub_square", None, None), ("honeycomb", None, None),
+                                      ("two_square", 1, 2))):
+        entry = catalog.get(name, r=r, R=R)
+        spec = entry.spec
+        config = entry.default_configs[entry.primary_config]
+        hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
+        support = _far_support(spec, k)
+        items = support.items
+        span = max(p.m[0] for p in items) - min(p.m[0] for p in items)
+        assert span > 10**12 * len(items)
+        want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
+        assert _same_bits(gram_matrix(spec, config, support), want), name
+        want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
+        assert _same_bits(hole_gram_matrix(spec, config, support, hole), want), name
+
+
+def test_sorted_and_positional_tables_agree(monkeypatch):
+    """DENSE_KEYS = 0 numbers every slab's keys by sorting."""
+    spec, config, hole = _hole_setup()
+    support = SupportSet.centered(spec, 3)
+    g = gram_matrix(spec, config, support)
+    h = hole_gram_matrix(spec, config, support, hole)
+    monkeypatch.setattr(gram, "DENSE_KEYS", 0)
+    monkeypatch.setattr(gram, "SLAB_ROWS", 16)
+    assert gram_matrix(spec, config, support).tobytes() == g.tobytes()
+    assert hole_gram_matrix(spec, config, support, hole).tobytes() == h.tobytes()
+
+
+def test_phi_runs_once_per_distinct_key(monkeypatch):
+    """One _phi per distinct (axis, u_x - u_y, shift) over the upper triangle,
+    however many entries and slabs share it."""
+    calls = []
+    phi = gram._phi
+    monkeypatch.setattr(gram, "_phi", lambda *form: calls.append(form) or phi(*form))
+    cases = [("honeycomb", SupportSet.centered(catalog.get("honeycomb").spec, 3), 8),
+             ("truncated_trihexagonal", None, 8),
+             ("snub_square", _far_support(catalog.get("snub_square").spec, 0), 256)]
+    for name, support, slab_rows in cases:
+        entry = catalog.get(name)
+        spec = entry.spec
+        support = support or SupportSet.centered(spec, 1)
+        items = support.items
+        keys = {
+            (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c])
+            for a, p in enumerate(items) for q in items[a:] for c in range(2)
+        }
+        monkeypatch.setattr(gram, "SLAB_ROWS", slab_rows)
+        calls.clear()
+        gram_matrix(spec, entry.default_configs[entry.primary_config], support)
+        assert len(calls) == len(keys), name
+
+
+def test_translates_in_two_fields_are_refused():
+    one, zero = QuadNumber(1), QuadNumber(0)
+    us = ((QuadNumber(0, Fraction(1, 4), 2), QuadNumber(Fraction(1, 2))),
+          (QuadNumber(0, Fraction(1, 4), 3), zero))
+    spec = LatticeSpec("two fields", ((one, zero), (zero, one)), us)
+    config = TranslationConfig.of((0, 0), (1, 0))
+    support = SupportSet((lp(0, 0, 0), lp(1, 0, 0)))
+    with pytest.raises(FieldMismatchError, match="sqrt"):
+        gram_matrix(spec, config, support)
+    with pytest.raises(FieldMismatchError, match="sqrt"):
+        hole_gram_matrix(spec, config, support, (1.0, 1.0, 2.0, 2.0))
+    with pytest.raises(FieldMismatchError):
+        inner_product(spec, config, *support.items)
+
+
 def test_slabs_leave_the_bits_unchanged(monkeypatch):
     spec, config, hole = _hole_setup()
     support = SupportSet.centered(spec, 2)  # 25 rows per translate
@@ -431,6 +539,17 @@ def test_integer_forms_match_quadnumber_arithmetic(numbers, s0, s1):
         want = None if delta.is_zero() else float(delta)
         got = gram._delta(gram._delta_form(spec, tuple(mu), d), s0, s1)
         assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(numbers=_field_numbers(1), s=st.integers(-6, 6), k=st.integers(2, 10**6))
+@example(numbers=[QuadNumber(Fraction(1, 3))], s=2, k=3)  # t = 3 over r = 9
+def test_phi_of_unreduced_forms_has_the_bits_of_the_canonical_form(numbers, s, k):
+    """_phi((p + s*r)*k, q*k, r*k, d): a form over a multiple of the
+    denominator, as `gram_matrix` writes every translate difference."""
+    t = numbers[0]
+    want = gram._phi(t.p + s * t.r, t.q, t.r, t.d)
+    assert _bits(gram._phi((t.p + s * t.r) * k, t.q * k, t.r * k, t.d)) == _bits(want)
 
 
 def test_exact_arithmetic_does_not_grow_with_the_support(monkeypatch):

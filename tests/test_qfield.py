@@ -2,6 +2,7 @@ import copy
 import math
 import operator
 import pickle
+import re
 import time
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -327,10 +328,31 @@ def _rational_texts():
     return st.tuples(space, body, space).map("".join)
 
 
+# Fraction's text grammar on Python 3.10 (Lib/fractions.py, _RATIONAL_FORMAT),
+# verbatim.  Later versions accept more, underscores (3.11) and whitespace
+# around '/' (3.12), and read the texts of this grammar the same.
+_FRACTION_310 = re.compile(r"""
+    \A\s*                      # optional whitespace at the start, then
+    (?P<sign>[-+]?)            # an optional sign, then
+    (?=\d|\.\d)                # lookahead for digit or .digit
+    (?P<num>\d*)               # numerator (possibly empty)
+    (?:                        # followed by
+       (?:/(?P<denom>\d+))?    # an optional denominator
+    |                          # or
+       (?:\.(?P<decimal>\d*))? # an optional fractional part
+       (?:E(?P<exp>[-+]?\d+))? # and optional exponent
+    )
+    \s*\Z                      # and optional whitespace to finish
+""", re.VERBOSE | re.IGNORECASE)
+
+
 def _fraction_or_refused(text):
+    """Fraction(text) for a text of Python 3.10's grammar, else None."""
+    if not _FRACTION_310.match(text):
+        return None
     try:
         return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    except ZeroDivisionError:
         return None
 
 
@@ -343,6 +365,24 @@ def test_rational_is_fraction_of_text(text):
     else:
         got = rational(text)
         assert got == want and type(got) is Fraction
+
+
+@pytest.mark.parametrize("text, value", [
+    (" 1/2 ", Fraction(1, 2)), ("\xa0-3/6\t", Fraction(-1, 2)), ("\u0663/\uff15", Fraction(3, 5)),
+    (".5", Fraction(1, 2)), ("5.", Fraction(5)), ("-0", Fraction(0)), ("007/010", Fraction(7, 10)),
+    ("1.5E+2", Fraction(150)), ("+2e-1", Fraction(1, 5)),
+    ("1_000", None), ("1 / 2", None), ("1/ 2", None), ("1 /2", None), ("1/2_0", None),
+    ("1e1_0", None), ("1.0_0", None), ("3/-2", None), ("1/2e3", None), ("1.5/2", None),
+])
+def test_rational_reads_one_grammar_on_every_version(text, value):
+    """Texts that Fraction reads on some Python versions but not on 3.10
+    (underscores, whitespace around '/') are refused on all of them."""
+    assert _fraction_or_refused(text) == value
+    if value is None:
+        with pytest.raises(ValueError):
+            rational(text)
+    else:
+        assert rational(text) == value
 
 
 @given(_rational_texts(), _rational_texts(), st.sampled_from(FIELDS + (4, 12)))
