@@ -81,8 +81,10 @@ SLAB_ROWS = 256
 DENSE_KEYS = 2**16
 
 # Support coordinates stay below this in absolute value, so the int64 shifts
-# m_p - m_q the Gram kernels take cannot overflow.
-COORD_LIMIT = 2**62
+# m_p - m_q the Gram kernels take, and the span of a column of them, stay
+# below 2**63: `_lex_ids` numbers such columns exactly (at 2**62 a support
+# with coordinates near both limits overflowed it).
+COORD_LIMIT = 2**61
 
 
 @dataclass(frozen=True)

@@ -356,6 +356,23 @@ def test_far_apart_supports_match_the_oracles():
         assert _same_bits(hole_gram_matrix(spec, config, support, hole), want), name
 
 
+def test_supports_at_the_coordinate_limit_match_the_oracles():
+    """Shifts between coordinates near both limits span almost 2**63, the
+    most `_lex_ids` numbers exactly; coordinates of 2**62 - 1 overflowed it."""
+    spec, config, hole = _hole_setup()
+    top = gram.COORD_LIMIT - 1
+    items = (lp(0, top, 0), lp(1, -top, 5), lp(0, 0, -top), lp(1, top - 3, top),
+             lp(0, -5, 0), lp(1, -top + 4, -top), lp(0, top, top - 1))
+    support = SupportSet(items)
+    want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
+    assert _same_bits(gram_matrix(spec, config, support), want)
+    want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
+    assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
+    for c in (gram.COORD_LIMIT, 2**62 - 1):
+        with pytest.raises(ValueError, match="coordinates"):
+            SupportSet((lp(0, c, 0), lp(1, -c, 0)))
+
+
 def test_sorted_and_positional_tables_agree(monkeypatch):
     """DENSE_KEYS = 0 numbers every slab's keys by sorting."""
     spec, config, hole = _hole_setup()
