@@ -12,11 +12,11 @@ is zero or integer is decided in exact arithmetic, so Fourier orthogonality
 is exact and no quadrature enters the main path.
 
 mu = (u_p - u_q) + (m_p - m_q) splits into a translate difference and an
-integer shift s.  Every translate of a support is written in integers over
-one denominator D in one field Q(sqrt d), u_c = (A + B*sqrt d)/D
-(`_differences`), so for translates (x, y) mu_c is (A_x - A_y + s_c*D,
-B_x - B_y) over D: zero when both numerators are, an integer when the second
-is 0 and D divides the first.  Each matrix is built from per-entry integer
+integer shift s.  The c-th coordinates of the translates of a support are
+written in integers over one denominator D in one field Q(sqrt d),
+u_c = (A + B*sqrt d)/D (`_differences`), so for translates (x, y) mu_c is
+(A_x - A_y + s_c*D, B_x - B_y) over D: zero when both numerators are, an
+integer when the second is 0 and D divides the first.  Each matrix is built from per-entry integer
 keys and tables of their distinct values, with no loop over translate pairs
 or entries:
 
@@ -26,7 +26,7 @@ or entries:
 - phi(mu_c) is taken once per distinct (axis, translate difference, shift)
   key (`_Table`);
 - the hole's delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q linear in
-  s, from per-translate forms of L* u_j (`_delta_forms`), and its entry is
+  s, one `_delta_form` per distinct translate difference, and its entry is
   taken once per distinct (translate difference, s_0, s_1).
 
 The floats are formed as float(QuadNumber) forms them (`qfield.quad_float`,
@@ -54,9 +54,9 @@ from .geometry import ambient_l
 from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
 from .qfield import QuadNumber, _joint_d, quad_float
 from .spectral import (
+    COORD_LIMIT,
     TWO_PI,
     TranslationConfig,
-    _coset_forms,
     _lex_ids,
     _phase_angle,
     hermitian_extremes,
@@ -76,15 +76,16 @@ MAX_SUPPORT = 4000
 SLAB_ROWS = 256
 
 # Largest box of keys, translate differences times shifts, that a `_Table`
-# keeps as flat arrays (17 B per key, 1.1 MB).  Supports spread wider than
-# that number each slab's keys by sorting instead.
-DENSE_KEYS = 2**16
+# keeps as flat arrays (17 B per key, 17 MB).  Memory alone sets it: on every
+# support timed, compact or strided, with boxes of up to 2.5e7 keys, the flat
+# arrays were faster than sorting each slab's keys, by 1.1 to 9 times.  The
+# centered supports of the catalog tilings up to MAX_SUPPORT have boxes of
+# at most 38,416 keys.
+DENSE_KEYS = 2**20
 
-# Support coordinates stay below this in absolute value, so the int64 shifts
-# m_p - m_q the Gram kernels take, and the span of a column of them, stay
-# below 2**63: `_lex_ids` numbers such columns exactly (at 2**62 a support
-# with coordinates near both limits overflowed it).
-COORD_LIMIT = 2**61
+# Support coordinates lie in (-COORD_LIMIT, COORD_LIMIT) (`spectral`), so the
+# int64 shifts m_p - m_q the Gram kernels take, and the span of a column of
+# them, stay below 2**63, which `_lex_ids` numbers exactly.
 
 
 @dataclass(frozen=True)
@@ -189,27 +190,31 @@ def _product(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[int, int, dict, list[int]]:
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[list, dict, list[int]]:
     """The translate pairs (x, y) of the upper triangle, those with an entry
     (a, b), a <= b, whose points have translates x and y, and their
-    differences in integers: (den, d, {(x, y): ((A0, B0), (A1, B1))}, spans)
-    with
+    differences in integers: (axes, {(x, y): ((A0, B0), (A1, B1))}, spans)
+    with axes[c] = (den_c, d_c) and
 
-        u_x - u_y = ((A0 + B0*sqrt d)/den, (A1 + B1*sqrt d)/den),
+        u_x,c - u_y,c = (A_c + B_c*sqrt d_c)/den_c,
 
-    one denominator `den` and one field Q(sqrt d) for every translate of the
-    support (`spectral._coset_forms`), and spans[c] = max m_c - min m_c over
-    the support, so every shift lies in [-spans[c], spans[c]].  Translates in
-    two fields raise FieldMismatchError.
+    one denominator and one field Q(sqrt d_c) for the c-th coordinates of
+    every translate of the support, and spans[c] = max m_c - min m_c over the
+    support, so every shift lies in [-spans[c], spans[c]].  Translates whose
+    c-th coordinates lie in two fields raise FieldMismatchError, as the
+    difference of some pair of them does.
     """
     first, last = {}, {}
     for a, point in enumerate(support.items):
         first.setdefault(point.j, a)
         last[point.j] = a
-    us = [spec.us[x] for x in first]
-    d = reduce(_joint_d, (c.d for u in us for c in u), 1)
-    den, forms = _coset_forms(us)
-    form = {x: [(*f, 0)[:2] for f in fx] for x, fx in zip(first, forms)}
+    axes, form = [], {x: [] for x in first}
+    for c in range(2):
+        ts = [spec.us[x][c] for x in first]
+        den = math.lcm(*(t.r for t in ts))
+        axes.append((den, reduce(_joint_d, (t.d for t in ts), 1)))
+        for x, t in zip(first, ts):
+            form[x].append((t.p * (den // t.r), t.q * (den // t.r)))
     pairs = {
         (x, y): tuple((a - b, p - q) for (a, p), (b, q) in zip(form[x], form[y]))
         for x in first
@@ -217,7 +222,7 @@ def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[int, int, dict
         if first[x] <= last[y]
     }
     spans = [max(c) - min(c) for c in zip(*(p.m for p in support.items))] or [0, 0]
-    return den, d, pairs, spans
+    return axes, pairs, spans
 
 
 class _Table:
@@ -228,8 +233,9 @@ class _Table:
     While the box of keys has at most DENSE_KEYS points, a key's index in it
     addresses flat arrays of values and of which are known, so each distinct
     key is computed once however many slabs hold it.  Otherwise each call
-    numbers its keys by `_lex_ids` and computes each distinct one once:
-    supports that spread so far repeat few keys from slab to slab.
+    numbers its keys by `_lex_ids` and computes each distinct one, and keeps
+    nothing for the next slab: memory stays bounded by the slab, and the
+    supports spread that far repeat few keys from slab to slab.
     """
 
     def __init__(self, values, n: int, spans: Sequence[int]):
@@ -240,6 +246,7 @@ class _Table:
         if self.dense:
             self.known = np.zeros(size, dtype=bool)
             self.values = np.empty(size, dtype=complex)
+            self.slot = np.empty(size, dtype=np.intp)
 
     def __call__(self, code: np.ndarray, *shifts: np.ndarray) -> np.ndarray:
         if not self.dense:
@@ -251,11 +258,13 @@ class _Table:
             key *= size
             key += s
             key += span
-        new = np.zeros(len(self.known), dtype=bool)
-        new[key] = True
-        new &= ~self.known
-        new = np.flatnonzero(new)
+        new = key[~self.known[key]]
         if len(new):
+            # one entry of each distinct new key: the one whose write to slot
+            # stays, whichever that is
+            order = np.arange(len(new))
+            self.slot[new] = order
+            new = new[self.slot[new] == order]
             c, *ss = np.unravel_index(new, self.shape)
             self.values[new] = self.compute(
                 c.tolist(), *((s - span).tolist() for s, span in zip(ss, self.spans))
@@ -293,15 +302,6 @@ def _assemble(spec: LatticeSpec, support: SupportSet, entries) -> np.ndarray:
     return g
 
 
-def _pair_phase_sum(config: TranslationConfig, diff: tuple, den: int, d: int) -> complex:
-    """`_phase_sum` of the difference ((A0, B0), (A1, B1)) over den, with its bits."""
-    (a0, b0), (a1, b1) = diff
-    total = 0.0j
-    for n0, n1 in config.ns:
-        total += cmath.exp(1j * _phase_angle(a0 * n0 + a1 * n1, b0 * n0 + b1 * n1, den, d))
-    return total
-
-
 def gram_matrix(
     spec: LatticeSpec, config: TranslationConfig, support: SupportSet
 ) -> np.ndarray:
@@ -309,22 +309,25 @@ def gram_matrix(
 
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
-    den, d, pairs, spans = _differences(spec, support)
+    axes, pairs, spans = _differences(spec, support)
     det = spec.det_l()
     codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
-    axes, residues = ({}, {}), {}
+    keys, residues, reps = ({}, {}), {}, []
     for (x, y), diff in pairs.items():
         code = x * spec.m + y
         for c, key in enumerate(diff):
-            codes[c, code] = axes[c].setdefault(key, len(axes[c]))
-        residue = tuple((a % den, b) for a, b in diff)
-        codes[2, code] = residues.setdefault(residue, len(residues))
-    totals = np.array([_pair_phase_sum(config, r, den, d) for r in residues], dtype=complex)
+            codes[c, code] = keys[c].setdefault(key, len(keys[c]))
+        residue = tuple((a % den, b) for (a, b), (den, _) in zip(diff, axes))
+        if residue not in residues:
+            residues[residue] = len(reps)
+            reps.append(vec_sub(spec.us[x], spec.us[y]))
+        codes[2, code] = residues[residue]
+    totals = np.array([_phase_sum(config, mu) for mu in reps], dtype=complex)
     phis = []
-    for axis, span in zip(axes, spans):
-        a, b = list(zip(*axis)) or ((), ())
+    for key, (den, d), span in zip(keys, axes, spans):
+        a, b = list(zip(*key)) or ((), ())
 
-        def values(cs: list, ss: list, a=a, b=b) -> list:
+        def values(cs: list, ss: list, a=a, b=b, den=den, d=d) -> list:
             return [_phi(a[c] + s * den, b[c], den, d) for c, s in zip(cs, ss)]
 
         phis.append(_Table(values, len(a), [span]))
@@ -478,15 +481,6 @@ def hole_inner_product(
     return _hole_entry(hole, deltas)
 
 
-def _field_form(terms: Sequence[QuadNumber]) -> tuple | None:
-    """(r, D, [(p, q), ...]) with each term (p + q*sqrt D)/r over one
-    denominator r, or None when the terms lie in two fields."""
-    if len({t.d for t in terms if t.q}) > 1:
-        return None
-    r = math.lcm(*(t.r for t in terms))
-    return r, max(t.d for t in terms), [(t.p * (r // t.r), t.q * (r // t.r)) for t in terms]
-
-
 def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
     """delta_d over the integer shifts s of the translate pair mu = u_x - u_y:
     (scale, P, a0, a1, Q, b0, b1, R, D) in integers but the float scale, with
@@ -501,14 +495,15 @@ def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
     """
     row = spec.l_star[d]
     try:
-        form = _field_form((vec_dot(row, mu), *row))
+        terms = (vec_dot(row, mu), *row)
     except FieldMismatchError:
-        form = None
-    if form is None:
+        terms = ()
+    if not terms or len({t.d for t in terms if t.q}) > 1:
         scale, t = float(_homothety(spec)), mu[d]
         return (scale, t.p, t.r * (d == 0), t.r * (d == 1), t.q, 0, 0, t.r, t.d)
-    r, field, ((p, q), (a0, b0), (a1, b1)) = form
-    return (1.0, p, a0, a1, q, b0, b1, r, field)
+    r = math.lcm(*(t.r for t in terms))
+    (p, q), (a0, b0), (a1, b1) = ((t.p * (r // t.r), t.q * (r // t.r)) for t in terms)
+    return (1.0, p, a0, a1, q, b0, b1, r, max(t.d for t in terms))
 
 
 def _delta(form: tuple, s0: int, s1: int) -> float | None:
@@ -518,33 +513,6 @@ def _delta(form: tuple, s0: int, s1: int) -> float | None:
     p += a0 * s0 + a1 * s1
     q += b0 * s0 + b1 * s1
     return None if p == 0 and q == 0 else scale * quad_float(p, q, r, d)
-
-
-def _delta_forms(spec: LatticeSpec, reps: Sequence[tuple[int, int]], d: int) -> list[tuple]:
-    """The `_delta_form` of u_x - u_y on axis d for each pair (x, y) of reps.
-
-    The translates lie in one field (`_differences`).  When (L* u_j)_d of
-    every translate j of reps, L*_d0 and L*_d1 lie in one field too, the
-    pair's form is a difference of per-translate forms: then
-    L*_d . (u_x - u_y) lies in that field, and `_delta_form` would take its
-    one-field branch with the same rationals.  Otherwise each pair goes
-    through `_delta_form`, the homothety branch included.
-    """
-    row = spec.l_star[d]
-    xs = sorted({x for pair in reps for x in pair})
-    try:
-        form = _field_form([vec_dot(row, spec.us[x]) for x in xs] + list(row))
-    except FieldMismatchError:
-        form = None
-    if form is None:
-        return [_delta_form(spec, vec_sub(spec.us[x], spec.us[y]), d) for x, y in reps]
-    r, field, terms = form
-    (a0, b0), (a1, b1) = terms[-2:]
-    w = dict(zip(xs, terms))
-    return [
-        (1.0, w[x][0] - w[y][0], a0, a1, w[x][1] - w[y][1], b0, b1, r, field)
-        for x, y in reps
-    ]
 
 
 def hole_gram_matrix(
@@ -557,15 +525,15 @@ def hole_gram_matrix(
     m_a - m_b.
     """
     _cell_of_rect(spec, config, hole)
-    _, _, pairs, spans = _differences(spec, support)
+    _, pairs, spans = _differences(spec, support)
     codes = np.zeros(spec.m * spec.m, dtype=np.intp)
-    ids, reps = {}, []
+    ids, forms = {}, []
     for (x, y), diff in pairs.items():
         if diff not in ids:
-            ids[diff] = len(reps)
-            reps.append((x, y))
+            ids[diff] = len(forms)
+            mu = vec_sub(spec.us[x], spec.us[y])
+            forms.append([_delta_form(spec, mu, d) for d in range(2)])
         codes[x * spec.m + y] = ids[diff]
-    forms = list(zip(*(_delta_forms(spec, reps, d) for d in range(2))))
 
     def values(cs: list, s0s: list, s1s: list) -> list:
         return [
@@ -573,7 +541,7 @@ def hole_gram_matrix(
             for c, s0, s1 in zip(cs, s0s, s1s)
         ]
 
-    table = _Table(values, len(reps), spans)
+    table = _Table(values, len(forms), spans)
     return _assemble(spec, support, lambda pair, s0, s1: table(codes[pair], s0, s1))
 
 

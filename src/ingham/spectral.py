@@ -75,7 +75,7 @@ D4 = (
 
 # Configuration coordinates `classes` accepts lie in (-COORD_LIMIT,
 # COORD_LIMIT), so its int64 offsets, moved cells and shifted key columns stay
-# below 2**63.
+# below 2**63.  `gram.SupportSet` holds support coordinates to the same limit.
 COORD_LIMIT = 2**61
 
 # `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its
