@@ -16,9 +16,9 @@ integer shift s.  The c-th coordinates of the translates of a support are
 written in integers over one denominator D in one field Q(sqrt d),
 u_c = (A + B*sqrt d)/D (`_differences`), so for translates (x, y) mu_c is
 (A_x - A_y + s_c*D, B_x - B_y) over D: zero when both numerators are, an
-integer when the second is 0 and D divides the first.  Each matrix is built from per-entry integer
-keys and tables of their distinct values, with no loop over translate pairs
-or entries:
+integer when the second is 0 and D divides the first.  Each matrix is built
+from per-entry integer keys and tables of their distinct values, with no
+loop over translate pairs or entries:
 
 - the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
   the fractional and radical parts of <mu, n_k> unchanged), so it is taken
@@ -76,9 +76,9 @@ MAX_SUPPORT = 4000
 SLAB_ROWS = 256
 
 # Largest box of keys, translate differences times shifts, that a `_Table`
-# keeps as flat arrays (17 B per key, 17 MB).  Memory alone sets it: on every
+# keeps as flat arrays (25 B per key, 26 MB).  Memory alone sets it: on every
 # support timed, compact or strided, with boxes of up to 2.5e7 keys, the flat
-# arrays were faster than sorting each slab's keys, by 1.1 to 9 times.  The
+# arrays were faster than sorting each slab's keys, by 1.2 to 9 times.  The
 # centered supports of the catalog tilings up to MAX_SUPPORT have boxes of
 # at most 38,416 keys.
 DENSE_KEYS = 2**20
