@@ -77,7 +77,7 @@ SLAB_ROWS = 256
 
 # Largest box of keys, translate differences times shifts, that a `_Table`
 # keeps as flat arrays (25 B per key, 26 MB).  Memory alone sets it: on every
-# support timed, compact or strided, with boxes of up to 2.5e7 keys, the flat
+# support timed, compact or strided, with boxes of up to 6.2e6 keys, the flat
 # arrays were faster than sorting each slab's keys, by 1.2 to 9 times.  The
 # centered supports of the catalog tilings up to MAX_SUPPORT have boxes of
 # at most 38,416 keys.
