@@ -12,7 +12,8 @@ them on the instance (cached properties that are not dataclass fields, so
 equality, hashing and repr see only name, l_star and us): `_inverse`, the
 exact l_star^-1, and `_translate_index`, each translate's `_residue` key
 mapped to its index j.  Membership of p is then one key lookup: p lies in
-the lattice exactly when the key of l_star^-1 p is a translate's.
+the lattice exactly when the key of l_star^-1 p is a translate's.  Its hash
+of those three fields is taken once too (`_hash`).
 """
 
 from __future__ import annotations
@@ -199,6 +200,16 @@ class LatticeSpec:
     def det_l(self) -> float:
         """|det L| = |det L*| as a float."""
         return abs(float(mat_det(self.l_star)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of (name, l_star, us), taken once: hashing the
+        exact entries costs 13-31 us on a catalog spec, and
+        `spectral.symmetries` looks the spec up on every `classes` call."""
+        return hash((self.name, self.l_star, self.us))
 
     @cached_property
     def _inverse(self) -> Mat2:

@@ -1,8 +1,10 @@
 """One-shot reproduction harness over the catalog's expected-result tables.
 
 `KINDS` maps each ExpectedRecord kind to an evaluator that gives `(computed,
-passed)`; kinds doing the same work share one.  `_report_entry` builds every
-report entry, frame bounds included.  The report is deterministic (no
+passed)`; kinds doing the same work share one.  Evaluators read grid and
+connected surveys from a store that `build_report` makes for one report
+(`_survey_store`), so a survey that several records and the CSVs read runs
+once.  `_report_entry` builds every report entry, frame bounds included.  The report is deterministic (no
 timestamps, sorted keys, fixed seeds) and is written with the survey CSVs.
 Every grid survey gates on `spectral.a2_stable` (no |det E| near the (A2)
 threshold).  Records with a `printed` value document a published figure that
@@ -24,11 +26,13 @@ import numpy as np
 from . import catalog, geometry, search, spectral
 from .catalog import CatalogEntry, ExpectedRecord
 from .gram import SupportSet, frame_bound_check
-from .lattice import minimality_certificate
+from .lattice import LatticeSpec, minimality_certificate
 
 SEED = 20240801
 
-Evaluator = Callable[[CatalogEntry, ExpectedRecord], tuple[Any, bool]]
+# the survey of (spec, grid_max), computed once per key and report
+Surveys = Callable[[LatticeSpec, int | None], search.SurveyResult]
+Evaluator = Callable[[CatalogEntry, ExpectedRecord, Surveys], tuple[Any, bool]]
 
 
 def _close(got, want, tol: float, relative: bool = False) -> bool:
@@ -40,7 +44,7 @@ def _close(got, want, tol: float, relative: bool = False) -> bool:
 
 def _equal(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
     """Pass when the computed value equals `want`."""
-    def evaluate(entry, rec):
+    def evaluate(entry, rec, surveys):
         computed = compute(entry, rec)
         return computed, computed == rec.want
 
@@ -49,7 +53,7 @@ def _equal(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
 
 def _within(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
     """Pass when the computed value is within `tol` of `want`."""
-    def evaluate(entry, rec):
+    def evaluate(entry, rec, surveys):
         computed = compute(entry, rec)
         return computed, _close(computed, rec.want, rec.tol, rec.params.get("relative", False))
 
@@ -83,14 +87,23 @@ def _density_ratio(entry: CatalogEntry, rec: ExpectedRecord) -> float:
 def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) -> Evaluator:
     """Grid-survey kinds: `measure` gives (computed, passed) from one survey; the
     record's `total` param and the survey's (A2) stability add their gates."""
-    def evaluate(entry, rec):
+    def evaluate(entry, rec, surveys):
         params = rec.params
         if "r" in params:
             entry = catalog.get("two_square", r=params["r"], R=params["R"])
-        result = search.classify_all(entry.spec, params["grid_max"], entry.spec.m)
+        result = surveys(entry.spec, params["grid_max"])
         computed, passed = measure(result, rec)
         passed = passed and result.total == params.get("total", result.total)
         return computed, passed and spectral.a2_stable(result.records.det_abs)
+
+    return evaluate
+
+
+def _connected(measure: Callable[[search.SurveyResult], Any]) -> Evaluator:
+    """Connected-survey kinds: pass when `measure` of the survey equals `want`."""
+    def evaluate(entry, rec, surveys):
+        computed = measure(surveys(entry.spec, None))
+        return computed, computed == rec.want
 
     return evaluate
 
@@ -110,7 +123,7 @@ def _cell_block_classes(spec) -> search.SurveyRecords:
     return search.classify_configs(spec, [cls.representative for cls in classes])
 
 
-def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord):
+def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
     """Constant pairs per class: each wanted pair within 1e-6 (matched by cells
     when the rows are labelled with them), each printed pair within `tol`."""
     labelled = rec.key == "cells-2x2"
@@ -120,7 +133,7 @@ def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord):
             for r in _cell_block_classes(entry.spec)
         ]
     else:  # tetromino classes: distinct pairs among the passing connected shapes
-        records = search.connected_survey(entry.spec).records
+        records = surveys(entry.spec, None).records
         pairs = {(round(r.kappa1, 7), round(r.kappa2, 7)) for r in records if r.a2}
         rows = [[k1, k2] for k1, k2 in sorted(pairs)]
 
@@ -142,7 +155,7 @@ def _rank_order(entry: CatalogEntry, rec: ExpectedRecord) -> list:
     return [[list(p) for p in r.config] for r in ranked]
 
 
-def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord):
+def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
     """Largest gap between the kernel's |det E| and the closed-form delta."""
     diffs = []
     for r, R in rec.params["pairs"]:
@@ -152,7 +165,7 @@ def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord):
     return max(diffs), max(diffs) <= rec.tol
 
 
-def _delta_nonzero(entry: CatalogEntry, rec: ExpectedRecord):
+def _delta_nonzero(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
     """Smallest |delta| over seeded random side lengths; must exceed `want`."""
     rng = np.random.default_rng(rec.params["seed"])
     vals = []
@@ -179,10 +192,8 @@ KINDS: dict[str, Evaluator] = {
     "survey_fail_count": _survey_kind(lambda res, rec: (res.failing, res.failing == rec.want)),
     "survey_pass_count": _survey_kind(lambda res, rec: (res.passing, res.passing == rec.want)),
     "survey_pass_kappas": _survey_kind(_pass_kappas),
-    "connected_pass_count": _equal(lambda entry, rec: search.connected_survey(entry.spec).passing),
-    "connected_all_pass": _equal(
-        lambda entry, rec: search.connected_survey(entry.spec).failing == 0
-    ),
+    "connected_pass_count": _connected(lambda res: res.passing),
+    "connected_all_pass": _connected(lambda res: res.failing == 0),
     "polyomino_count": _equal(
         lambda entry, rec: len(geometry.fixed_polyominoes(rec.params["size"]))
     ),
@@ -209,10 +220,10 @@ def _report_entry(tiling: str, rec: ExpectedRecord, computed: Any, passed: bool)
     }
 
 
-def _evaluate(entry: CatalogEntry, rec: ExpectedRecord) -> dict:
+def _evaluate(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys) -> dict:
     if rec.kind not in KINDS:
         raise ValueError(f"unknown expected-record kind {rec.kind!r}")
-    computed, passed = KINDS[rec.kind](entry, rec)
+    computed, passed = KINDS[rec.kind](entry, rec, surveys)
     return _report_entry(entry.spec.name, rec, computed, passed)
 
 
@@ -222,9 +233,32 @@ def _tilings(R: int):
         yield catalog.get(name, r=1, R=R) if name == "two_square" else catalog.get(name)
 
 
+def _survey_store() -> Surveys:
+    """The survey of (spec, grid_max), each computed on its first request and
+    kept for later ones: `classify_all` on the grid [0, grid_max]^2, or
+    `connected_survey` for grid_max None.  The report's records and its CSVs
+    ask for 12 grid surveys, of which 7 are distinct, and 5 connected ones,
+    of which 3 are.  One report makes one store and drops it when it
+    returns."""
+    done: dict[tuple[LatticeSpec, int | None], search.SurveyResult] = {}
+
+    def survey(spec: LatticeSpec, grid_max: int | None) -> search.SurveyResult:
+        key = (spec, grid_max)
+        if key not in done:
+            done[key] = (search.connected_survey(spec) if grid_max is None
+                         else search.classify_all(spec, grid_max, spec.m))
+        return done[key]
+
+    return survey
+
+
 def build_report(out_dir: str | Path | None = None) -> dict:
-    """Run every expected record; optionally write report.json and CSVs."""
-    entries = [_evaluate(entry, rec) for entry in _tilings(R=2) for rec in entry.expected]
+    """Run every expected record; optionally write report.json and CSVs.
+    Each distinct survey runs once per call (`_survey_store`)."""
+    surveys = _survey_store()
+    entries = [
+        _evaluate(entry, rec, surveys) for entry in _tilings(R=2) for rec in entry.expected
+    ]
     entries += [_frame_bound_entry(entry) for entry in _tilings(R=3)]
 
     passed = sum(1 for e in entries if e["pass"])
@@ -246,7 +280,7 @@ def build_report(out_dir: str | Path | None = None) -> dict:
         },
     }
     if out_dir is not None:
-        _write_outputs(Path(out_dir), report)
+        _write_outputs(Path(out_dir), report, surveys)
     return report
 
 
@@ -272,7 +306,7 @@ def _acceptance_support(spec) -> SupportSet:
     return SupportSet.box(spec, xs, ys)
 
 
-def _write_outputs(out_dir: Path, report: dict) -> None:
+def _write_outputs(out_dir: Path, report: dict, surveys: Surveys) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -280,5 +314,4 @@ def _write_outputs(out_dir: Path, report: dict) -> None:
     for label in ("two_square_r1_R2", "snub_square", "truncated_square", "trihexagonal"):
         entry = catalog.get(label)
         grid = 2 if entry.spec.m == 3 else 3
-        result = search.classify_all(entry.spec, grid, entry.spec.m)
-        search.write_survey_csv(out_dir / f"survey_{label}.csv", result)
+        search.write_survey_csv(out_dir / f"survey_{label}.csv", surveys(entry.spec, grid))

@@ -13,11 +13,13 @@ value per class, each row's class, and the per-row columns gathered from
 them; a `SurveyRecord` is built only when one is indexed.  Every
 configuration carries its class representative's values, so its bits do not
 depend on the survey, the grid or the list it came in.  Counts and CSV rows
-read the columns directly; the CSV formats each class's numbers once, takes
-a row's configuration string from a table of prefixes shared by consecutive
-rows (built by m - 1 object-array column adds) plus its last cell's label,
-and `write_survey_csv` writes the rows one chunk at a time.  Surveys larger than MAX_SURVEY_CONFIGS are refused before
-enumeration.
+read the columns directly.  The CSV formats each class's numbers once and
+takes a row's configuration string from a table of prefixes shared by
+consecutive rows (built by m - 1 object-array column adds) plus its last
+cell's label; `survey_csv_rows` zips these into tuples, and
+`write_survey_csv` writes each chunk of rows as one string, a row being its
+configuration string and its class's tail, with no per-row tuple.  Surveys
+larger than MAX_SURVEY_CONFIGS are refused before enumeration.
 This module owns enumeration, columns, grouping and ranking; phases,
 symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
 belong to the kernel.
@@ -25,10 +27,9 @@ belong to the kernel.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -45,9 +46,11 @@ Config = tuple[tuple[int, int], ...]
 # index table is written in place, so enumerating needs no memory beyond it
 # (tracemalloc peak 8m B per configuration).  While the survey runs, the
 # class reduction adds about 97 B per configuration (tracemalloc peak, snub
-# square at grids 6 and 7, m = 4) and the kernel one chunk of working memory.  write_survey_csv formats one chunk of rows at a time,
-# beside a table of one prefix string per run of rows that share their first
-# m - 1 cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4
+# square at grids 6 and 7, m = 4) and the kernel one chunk of working memory.
+# write_survey_csv holds one chunk of rows as strings (a configuration string
+# per row, then the chunk's text), beside one tail string per class and a
+# table of one prefix string per run of rows that share their first m - 1
+# cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4
 # (m = 4), but about 2 in a fixed-polyomino list, whose table then holds a
 # string for every other row.  The full list of survey_csv_rows costs about
 # 165 B per configuration more, as rows share their class's number strings:
@@ -263,22 +266,29 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
     return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
 
 
-def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
-    """The CSV rows, one chunk of `spectral.chunks` at a time.  The point
-    labels and each class's kappa1, kappa2 and ratio strings are formatted
-    once; a row takes its class's strings.  A run of consecutive rows that
+CSV_HEADER = ("config", "connected", "a2", "kappa1", "kappa2", "ratio")
+
+
+def _class_strings(cols: ClassColumns) -> tuple[list[str], list[str], list[str]]:
+    """Each class's kappa1, kappa2 and ratio as the CSV writes them: 12
+    significant digits, and an empty ratio where it is undefined."""
+    ratio, ok = _ratios(cols)
+    fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
+    ratios = [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())]
+    return fmt(cols.kappa1), fmt(cols.kappa2), ratios
+
+
+def _config_chunks(rec: SurveyRecords) -> Iterator[tuple[slice, np.ndarray]]:
+    """The rows' configuration strings "a,b;c,d;...", one chunk of
+    `spectral.chunks` at a time, as an object array beside the chunk's rows.
+
+    The point labels are formatted once.  A run of consecutive rows that
     share their first m - 1 cells shares one prefix string "a,b;...;" (a grid
     survey's rows are lexicographic, so its runs are long; fixed-polyomino
     lists have about 2 rows a run, and a shuffled list one).  The prefixes
     are built once per survey, one string per run, and a row's
     configuration string is its run's prefix plus the label of its last
     cell."""
-    rec = result.records
-    ratio, ok = _ratios(rec.classes)
-    fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
-    ratios = [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())]
-    per_class = [np.array(col, dtype=object) for col in
-                 (fmt(rec.classes.kappa1), fmt(rec.classes.kappa2), ratios)]
     labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
     fresh = np.zeros(len(rec), dtype=bool)  # a row whose first m - 1 cells start a run
     fresh[:1] = True
@@ -290,30 +300,45 @@ def _csv_chunks(result: SurveyResult) -> Iterator[list[tuple]]:
     for col in rec.idx[starts, :-1].T:
         prefixes += joined[col]
     for rows in chunks(len(rec)):
-        klass = rec.klass[rows]
         run = np.searchsorted(starts, np.arange(*rows.indices(len(rec))), side="right") - 1
-        yield list(
-            zip(
-                (prefixes[run] + labels[rec.idx[rows, -1]]).tolist(),
-                rec.connected[rows].astype(int).tolist(),
-                rec.a2[rows].astype(int).tolist(),
-                *(col[klass].tolist() for col in per_class),
-            )
-        )
+        yield rows, prefixes[run] + labels[rec.idx[rows, -1]]
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
-    return list(chain.from_iterable(_csv_chunks(result)))
+    rec = result.records
+    per_class = [np.array(col, dtype=object) for col in _class_strings(rec.classes)]
+    out: list[tuple] = []
+    for rows, configs in _config_chunks(rec):
+        klass = rec.klass[rows]
+        out.extend(zip(
+            configs.tolist(),
+            rec.connected[rows].astype(int).tolist(),
+            rec.a2[rows].astype(int).tolist(),
+            *(col[klass].tolist() for col in per_class),
+        ))
+    return out
 
 
 def write_survey_csv(path, result: SurveyResult) -> None:
-    """The header and survey_csv_rows as a CSV file, written one chunk at a
-    time, so the rows never all exist at once; the prefix table of
-    `_csv_chunks` (one string per run of rows sharing their first m - 1
-    cells) does."""
+    """The header and survey_csv_rows as a CSV file, byte for byte as
+    `csv.writer` (excel dialect) writes them, one string per chunk of rows.
+
+    A configuration string always holds a comma, so the writer quotes it,
+    and no other field needs quoting; the numbers carry no comma and an
+    empty ratio stays empty.  So a row is '"' + configuration + '",' +
+    its class's tail "connected,a2,kappa1,kappa2,ratio\\r\\n", and the tail
+    is formatted once per class.  The rows never all exist at once; the
+    prefix table of `_config_chunks` (one string per run of rows sharing
+    their first m - 1 cells) does."""
+    rec = result.records
+    cols = rec.classes
+    tails = np.array([
+        f'",{int(c)},{int(a)},{k1},{k2},{ratio}\r\n'
+        for c, a, k1, k2, ratio in zip(cols.connected.tolist(), cols.a2.tolist(),
+                                       *_class_strings(cols))
+    ], dtype=object)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["config", "connected", "a2", "kappa1", "kappa2", "ratio"])
-        for chunk in _csv_chunks(result):
-            writer.writerows(chunk)
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for rows, configs in _config_chunks(rec):
+            fh.write('"' + '"'.join((configs + tails[rec.klass[rows]]).tolist()))

@@ -279,8 +279,8 @@ def _lex_ids(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank (`_ranks`), which keeps the order; so no key collides or wraps.
     """
     n, k = cols.shape
-    if n == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if n <= 1:  # no two rows to tell apart
+        return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     cols = np.array(cols, order="F")  # a copy by columns, whose reductions are fast
     cols -= cols.min(axis=0)
     bases = (cols.max(axis=0) + 1).tolist()

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from ingham import catalog, spectral
+from ingham import catalog, reproduce, search, spectral
 from ingham.reproduce import build_report
 
 
@@ -148,3 +148,38 @@ def test_unknown_record_kind_raises(monkeypatch):
     monkeypatch.setattr(catalog, "_CATALOG", entries)
     with pytest.raises(ValueError, match="no_such_kind"):
         build_report()
+
+
+def _counting(monkeypatch, name):
+    """Count the calls to search.<name> from here on."""
+    calls = []
+    real = getattr(search, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, name, counted)
+    return calls
+
+
+def test_a_report_runs_each_survey_once(monkeypatch, tmp_path):
+    """One build_report runs 7 grid surveys and 3 connected ones, where its
+    records and CSVs ask for 12 and 5, and writes what a report that runs
+    every survey it asks for writes."""
+    grids, connected = _counting(monkeypatch, "classify_all"), _counting(monkeypatch, "connected_survey")
+    report = build_report(tmp_path / "once")
+    assert (len(grids), len(connected)) == (7, 3)
+    assert len(set(grids)) == 7 and len(set(connected)) == 3
+
+    def every_time():
+        return lambda spec, grid: (search.connected_survey(spec) if grid is None
+                                   else search.classify_all(spec, grid, spec.m))
+
+    monkeypatch.setattr(reproduce, "_survey_store", every_time)
+    assert build_report(tmp_path / "every") == report
+    assert (len(grids), len(connected)) == (7 + 12, 3 + 5)
+    written = sorted(path.name for path in (tmp_path / "once").iterdir())
+    assert len(written) == 5
+    for name in written:
+        assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()

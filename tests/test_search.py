@@ -6,10 +6,13 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ingham import catalog, spectral
-from ingham.geometry import PolyominoShape
+from ingham.geometry import POLYOMINO_MAX, PolyominoShape
 from ingham.search import (
+    CSV_HEADER,
     MAX_SURVEY_CONFIGS,
     SurveyRecord,
     SurveyRecords,
@@ -308,6 +311,49 @@ def test_written_csv_is_the_header_and_rows(tmp_path, monkeypatch):
     monkeypatch.setattr(spectral, "CHUNK_ROWS", 300)  # 7 chunks, the last one short
     write_survey_csv(tmp_path / "survey.csv", result)
     assert (tmp_path / "survey.csv").read_bytes() == want
+
+
+def _survey_of(name, source, seed):
+    """A survey of the named tiling: its largest grid survey of at most 2000
+    configurations, its connected survey, or a shuffled list of up to 60
+    configurations of points in [-4, 4]^2."""
+    spec = _catalog_spec(name)
+    m = spec.m
+    if source == "grid":
+        grid = max(g for g in range(8) if (g + 1) ** 2 >= m and config_count(g, m) <= 2000)
+        return classify_all(spec, grid, m)
+    if source == "connected" and m <= POLYOMINO_MAX:
+        return connected_survey(spec)
+    rng = np.random.default_rng(seed)
+    cells = [(x, y) for x in range(-4, 5) for y in range(-4, 5)]
+    configs = {tuple(cells[k] for k in rng.choice(len(cells), m, replace=False))
+               for _ in range(int(rng.integers(1, 61)))}
+    return as_result(classify_configs(spec, sorted(configs, key=lambda c: rng.random())))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(catalog.names()),
+    source=st.sampled_from(["grid", "connected", "list"]),
+    chunk_rows=st.sampled_from([1, 3, 64, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(name="snub_square", source="grid", chunk_rows=300, seed=0)  # 76 failing rows, 7 chunks
+@example(name="truncated_square", source="connected", chunk_rows=4, seed=0)  # 9 failing shapes
+@example(name="square", source="grid", chunk_rows=None, seed=0)  # m = 1: no prefix
+@example(name="square", source="list", chunk_rows=3, seed=1)
+@example(name="trihexagonal", source="list", chunk_rows=1, seed=2)
+def test_written_csv_is_csv_writer_over_the_rows(tmp_path_factory, name, source, chunk_rows, seed):
+    """write_survey_csv writes the bytes csv.writer writes for the header and
+    survey_csv_rows, whatever the survey, its failing rows and its chunks."""
+    result = _survey_of(name, source, seed)
+    path = tmp_path_factory.mktemp("csv") / "survey.csv"
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_rows is not None:
+            mp.setattr(spectral, "CHUNK_ROWS", chunk_rows)
+        rows = survey_csv_rows(result)
+        write_survey_csv(path, result)
+    assert path.read_bytes() == _csv_text([CSV_HEADER, *rows]).encode()
 
 
 def test_shuffled_explicit_list_gives_the_survey_bits():
