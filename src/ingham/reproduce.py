@@ -94,7 +94,7 @@ def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) 
         result = surveys(entry.spec, params["grid_max"])
         computed, passed = measure(result, rec)
         passed = passed and result.total == params.get("total", result.total)
-        return computed, passed and spectral.a2_stable(result.records.det_abs)
+        return computed, passed and spectral.a2_stable(result.records.classes.det_abs)
 
     return evaluate
 
@@ -109,8 +109,8 @@ def _connected(measure: Callable[[search.SurveyResult], Any]) -> Evaluator:
 
 
 def _pass_kappas(result: search.SurveyResult, rec: ExpectedRecord):
-    """Extremes of kappa1 and kappa2 over the passing configurations."""
-    cols = result.records
+    """Extremes of kappa1 and kappa2 over the passing configurations (their classes)."""
+    cols = result.records.classes
     k1s, k2s = cols.kappa1[cols.a2], cols.kappa2[cols.a2]
     computed = (float(k1s.min()), float(k1s.max()), float(k2s.min()), float(k2s.max()))
     want1, want2 = rec.want
@@ -133,8 +133,9 @@ def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
             for r in _cell_block_classes(entry.spec)
         ]
     else:  # tetromino classes: distinct pairs among the passing connected shapes
-        records = surveys(entry.spec, None).records
-        pairs = {(round(r.kappa1, 7), round(r.kappa2, 7)) for r in records if r.a2}
+        cols = surveys(entry.spec, None).records.classes
+        passing = zip(cols.kappa1[cols.a2].tolist(), cols.kappa2[cols.a2].tolist())
+        pairs = {(round(k1, 7), round(k2, 7)) for k1, k2 in passing}
         rows = [[k1, k2] for k1, k2 in sorted(pairs)]
 
     def found(pair, tol, cells=None) -> bool:

@@ -8,12 +8,13 @@ under translation and the tiling's certified symmetries, on integer keys (one
 int64 code per point and per image cell, each symmetry image folded into
 int64 words), and the spectral kernel (`spectral.spectra`) and
 `geometry.connected_rows` run on those representatives alone, in chunks of
-`spectral.CHUNK_ROWS`.  The result holds numpy columns (`SurveyRecords`): one
-value per class, each row's class, and the per-row columns gathered from
-them; a `SurveyRecord` is built only when one is indexed.  Every
+`spectral.CHUNK_ROWS`.  The result holds numpy columns (`SurveyRecords`): each
+value once per class and each row's class, with no per-row copy of a value;
+a `SurveyRecord` is built only when one is indexed or iterated.  Every
 configuration carries its class representative's values, so its bits do not
-depend on the survey, the grid or the list it came in.  Counts and CSV rows
-read the columns directly.  The CSV formats each class's numbers once and
+depend on the survey, the grid or the list it came in.  Counts, rankings and
+CSV rows read the class columns, gathered through each row's class where
+they need rows.  The CSV formats each class's numbers once and
 takes a row's configuration string from a table of prefixes shared by
 consecutive rows (built by m - 1 object-array column adds) plus its last
 cell's label; `survey_csv_rows` zips these into tuples, and
@@ -28,7 +29,7 @@ belong to the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -41,21 +42,21 @@ from .spectral import a2_holds, chunks, classes, config_index, spectra
 Config = tuple[tuple[int, int], ...]
 
 # Largest grid survey classify_all enumerates.  A configuration costs its m
-# indices (8 B each, at most 12) plus 34 B of columns and class index, at
-# most 130 B, so the result of 2M configurations is at most 260 MB.  The
-# index table is written in place, so enumerating needs no memory beyond it
-# (tracemalloc peak 8m B per configuration).  While the survey runs, the
-# class reduction adds about 97 B per configuration (tracemalloc peak, snub
-# square at grids 6 and 7, m = 4) and the kernel one chunk of working memory.
-# write_survey_csv holds one chunk of rows as strings (a configuration string
-# per row, then the chunk's text), beside one tail string per class and a
-# table of one prefix string per run of rows that share their first m - 1
-# cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4
-# (m = 4), but about 2 in a fixed-polyomino list, whose table then holds a
-# string for every other row.  The full list of survey_csv_rows costs about
-# 165 B per configuration more, as rows share their class's number strings:
-# the survey benchmark (snub square at grid 6, 211,876 configurations, its
-# largest) peaks at 107 MB.  Snub square (M = 4) at grid 8 is 1.66M.
+# indices (8 B each, at most 12) plus its 8 B class index, at most 104 B, so
+# the result of 2M configurations is at most 208 MB, beside 26 B of values per
+# class.  The index table is written in place, so enumerating needs no memory
+# beyond it (tracemalloc peak 8m B per configuration).  While the survey runs,
+# the class reduction adds about 97 B per configuration (tracemalloc peak,
+# snub square at grids 6 and 7, m = 4) and the kernel one chunk of working
+# memory.  write_survey_csv holds one chunk of rows as strings (a configuration
+# string per row, then the chunk's text), beside one tail string per class and
+# a table of one prefix string per run of rows that share their first m - 1
+# cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4 (m = 4),
+# but about 2 in a fixed-polyomino list, whose table then holds a string for
+# every other row.  The full list of survey_csv_rows costs about 165 B per
+# configuration more, as rows share their class's number strings: the survey
+# benchmark (snub square at grid 6, 211,876 configurations, its largest) peaks
+# at 107 MB.  Snub square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -74,11 +75,9 @@ class SurveyRecord:
         return self.kappa2 / self.kappa1 if self.a2 and self.kappa1 > 0 else None
 
 
-COLUMNS = ("connected", "a2", "kappa1", "kappa2", "det_abs")
-
-
 class ClassColumns(NamedTuple):
-    """Values of each symmetry class, shared by all its configurations."""
+    """Values of each symmetry class, shared by all its configurations; the
+    fields follow SurveyRecord's after config."""
 
     connected: np.ndarray  # (K,) bool
     a2: np.ndarray  # (K,) bool
@@ -89,49 +88,40 @@ class ClassColumns(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SurveyRecords(Sequence[SurveyRecord]):
-    """Survey records as numpy columns; row i is the configuration
-    points[idx[i]] of class klass[i], and a SurveyRecord is built only when one
-    is indexed.  The per-row columns are the class columns gathered by klass."""
+    """Survey records as numpy columns: row i is the configuration
+    points[idx[i]] of class klass[i], whose values are row klass[i] of the
+    class columns.  Every class has a row, so an extreme or a set of values
+    over the classes is that over the rows, and a count over the rows
+    gathers through klass.  A SurveyRecord is built only when one is
+    indexed or iterated."""
 
     points: tuple[tuple[int, int], ...]
     idx: np.ndarray  # (N, m) indices into points
     klass: np.ndarray  # (N,) class of each row
     classes: ClassColumns
-    connected: np.ndarray = field(init=False)  # (N,) bool
-    a2: np.ndarray = field(init=False)  # (N,) bool
-    kappa1: np.ndarray = field(init=False)  # (N,) float
-    kappa2: np.ndarray = field(init=False)  # (N,) float
-    det_abs: np.ndarray = field(init=False)  # (N,) float
-
-    def __post_init__(self) -> None:
-        for name, col in zip(COLUMNS, self.classes):
-            object.__setattr__(self, name, col[self.klass])
 
     @classmethod
     def of(cls, records: Sequence[SurveyRecord]) -> SurveyRecords:
         """Columns of a sequence of records, in their order, each its own class."""
         points, idx = config_index([r.config for r in records])
-        column = lambda name: np.array([getattr(r, name) for r in records])
-        return cls(tuple(points), idx, np.arange(len(idx)), ClassColumns(*map(column, COLUMNS)))
+        column = lambda name: np.array([getattr(r, name) for r in records],
+                                       dtype=bool if name in ("connected", "a2") else float)
+        columns = ClassColumns(*map(column, ClassColumns._fields))
+        return cls(tuple(points), idx, np.arange(len(idx)), columns)
 
     def __len__(self) -> int:
         return len(self.idx)
 
     def __iter__(self) -> Iterator[SurveyRecord]:
         configs = (tuple(self.points[k] for k in row) for row in self.idx.tolist())
-        return map(SurveyRecord, configs, *(getattr(self, name).tolist() for name in COLUMNS))
+        return map(SurveyRecord, configs, *(col[self.klass].tolist() for col in self.classes))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[k] for k in range(*i.indices(len(self)))]
-        return SurveyRecord(
-            config=tuple(self.points[k] for k in self.idx[i].tolist()),
-            connected=bool(self.connected[i]),
-            a2=bool(self.a2[i]),
-            kappa1=float(self.kappa1[i]),
-            kappa2=float(self.kappa2[i]),
-            det_abs=float(self.det_abs[i]),
-        )
+        k = self.klass[i]
+        config = tuple(self.points[p] for p in self.idx[i].tolist())
+        return SurveyRecord(config, *(col[k].item() for col in self.classes))
 
 
 @dataclass(frozen=True)
@@ -205,12 +195,17 @@ def _classify(
 
 
 def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
-    """Batched spectral classification of an explicit configuration list."""
-    return _classify(spec, *config_index(configs))
+    """Batched spectral classification of an explicit configuration list; an
+    empty list gives no rows, and a configuration that repeats a cell is
+    refused, as TranslationConfig refuses it."""
+    if any(len(set(cfg)) != len(cfg) for cfg in configs):
+        raise ValueError("translation vectors must be pairwise distinct")
+    points, idx = config_index(configs)
+    return _classify(spec, points, idx if configs else idx.reshape(0, spec.m))
 
 
 def as_result(records: SurveyRecords) -> SurveyResult:
-    passing = int(np.count_nonzero(records.a2))
+    passing = int(np.count_nonzero(records.classes.a2[records.klass]))
     return SurveyResult(
         total=len(records),
         passing=passing,
@@ -240,10 +235,10 @@ def connected_survey(spec: LatticeSpec) -> SurveyResult:
     return as_result(classify_configs(spec, configs))
 
 
-def _ratios(rec: SurveyRecords | ClassColumns) -> tuple[np.ndarray, np.ndarray]:
-    """kappa2/kappa1 where it is defined (a passing row with kappa1 > 0), and that mask."""
-    ok = rec.a2 & (rec.kappa1 > 0)
-    return np.divide(rec.kappa2, rec.kappa1, out=np.zeros(len(ok)), where=ok), ok
+def _ratios(cols: ClassColumns) -> tuple[np.ndarray, np.ndarray]:
+    """kappa2/kappa1 where it is defined (a passing class with kappa1 > 0), and that mask."""
+    ok = cols.a2 & (cols.kappa1 > 0)
+    return np.divide(cols.kappa2, cols.kappa1, out=np.zeros(len(ok)), where=ok), ok
 
 
 def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
@@ -251,9 +246,9 @@ def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
 
     idx rows compare as their configurations do, because points is sorted."""
     rec = result.records
-    ratio, ok = _ratios(rec)
-    rows = np.flatnonzero(ok)
-    order = np.lexsort((*rec.idx[rows].T[::-1], ratio[rows]))
+    ratio, ok = _ratios(rec.classes)
+    rows = np.flatnonzero(ok[rec.klass])
+    order = np.lexsort((*rec.idx[rows].T[::-1], ratio[rec.klass[rows]]))
     return [rec[i] for i in rows[order].tolist()]
 
 
@@ -307,16 +302,13 @@ def _config_chunks(rec: SurveyRecords) -> Iterator[tuple[slice, np.ndarray]]:
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
     rec = result.records
-    per_class = [np.array(col, dtype=object) for col in _class_strings(rec.classes)]
+    cols = rec.classes
+    per_class = [cols.connected.astype(int), cols.a2.astype(int),
+                 *(np.array(col, dtype=object) for col in _class_strings(cols))]
     out: list[tuple] = []
     for rows, configs in _config_chunks(rec):
         klass = rec.klass[rows]
-        out.extend(zip(
-            configs.tolist(),
-            rec.connected[rows].astype(int).tolist(),
-            rec.a2[rows].astype(int).tolist(),
-            *(col[klass].tolist() for col in per_class),
-        ))
+        out.extend(zip(configs.tolist(), *(col[klass].tolist() for col in per_class)))
     return out
 
 

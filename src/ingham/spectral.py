@@ -35,8 +35,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTilingError, NotHermitianError, SizeMismatchError
-from .lattice import LatticeSpec, Vec2, qvec, validate_spec, vec_dot
+from .errors import DegenerateTilingError, FieldMismatchError, NotHermitianError, SizeMismatchError
+from .lattice import LatticeSpec, Vec2, _residue, qvec, validate_spec, vec_dot, vec_sub
 from .qfield import QuadNumber, Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
@@ -180,30 +180,13 @@ def config_index(
     array into them, the form `spectra` takes."""
     points = sorted({n for cfg in configs for n in cfg})
     index = {n: i for i, n in enumerate(points)}
-    return points, np.array([[index[n] for n in cfg] for cfg in configs], dtype=np.intp)
+    rows = [[index[n] for n in cfg] for cfg in configs]
+    return points, np.array(rows, dtype=np.intp).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def chunks(n: int) -> Iterator[slice]:
     """Consecutive slices of at most CHUNK_ROWS rows covering range(n)."""
     return (slice(k, k + CHUNK_ROWS) for k in range(0, n, CHUNK_ROWS))
-
-
-def _coset_forms(us: Sequence[Vec2]) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
-    """Each translate's coordinates as integer vectors over the basis 1,
-    sqrt(d_1), sqrt(d_2), ... of the radicands present, all scaled by one
-    common denominator `den`.  Two coordinates differ by an integer exactly
-    when their rational entries agree mod den and their radical entries
-    agree, since 1 and the square roots of distinct square-free d > 1 are
-    linearly independent over Q: `lattice._residue`'s key, for translates
-    that may mix fields."""
-    ds = sorted({x.d for u in us for x in u if x.q})
-    den = math.lcm(*(x.r for u in us for x in u))
-
-    def form(x: QuadNumber) -> tuple[int, ...]:
-        k = den // x.r
-        return (x.p * k, *(x.q * k if x.d == d else 0 for d in ds))
-
-    return den, [tuple(form(x) for x in u) for u in us]
 
 
 @lru_cache(maxsize=32)
@@ -212,9 +195,18 @@ def symmetries(spec: LatticeSpec) -> tuple[tuple[tuple[int, int], tuple[int, int
 
     A is certified when a permutation sigma, one sign s and one vector c
     give A^T u_j = s*u_sigma(j) + c (mod Z^2) for every j, decided exactly on
-    `_coset_forms` keys: sigma(0) is tried against each translate, which fixes
-    c, and the moved translates must then land on M distinct keys of the
-    s*u_i.  Proof that such an A keeps the spectrum: with e(t) = exp(2*pi*i*t),
+    `lattice._residue` keys: sigma(0) is tried against each translate, which
+    fixes c, and the moved translates less c must then land on keys of the
+    s*u_i (on M distinct ones, as the translates are distinct mod Z^2).
+    Moving every translate by -u_0 changes c alone, so the keys are taken of
+    the u_j - u_0 when those mix no two fields.  A difference of numbers of
+    two fields (FieldMismatchError) fails its candidate: no s*u_i differs
+    from it by an integer vector.  So a c that mixes two fields is never
+    tried; after the move that happens only when the translates' coordinates
+    on one axis lie in two irrational fields, and then a symmetry may be
+    missed, never one added.
+
+    Proof that such an A keeps the spectrum: with e(t) = exp(2*pi*i*t),
 
         E(A n)[j,k] = e(<u_j, A n_k>) = e(<A^T u_j, n_k>)
                     = e(s <u_sigma(j), n_k>) e(<c, n_k>),
@@ -232,23 +224,28 @@ def symmetries(spec: LatticeSpec) -> tuple[tuple[tuple[int, int], tuple[int, int
     s, c) and (tau, t, d) certify AB with (tau sigma, s t, s d + B^T c).
     -I (sigma the identity, s = -1, c = 0) is always in it.
     """
-    den, forms = _coset_forms(spec.us)
-    key = lambda v: tuple((c[0] % den, *c[1:]) for c in v)
-    scaled = lambda s, v: tuple(tuple(s * x for x in c) for c in v)
-    minus = lambda v, w: tuple(tuple(x - y for x, y in zip(a, b)) for a, b in zip(v, w))
+    try:
+        us = [vec_sub(u, spec.us[0]) for u in spec.us]
+    except FieldMismatchError:
+        us = spec.us
 
     def certified(a) -> bool:
-        # (A^T u)_k = sum_i A[i][k] u_i, coordinate by coordinate on the forms
+        # A is a signed permutation, so (A^T u)_k = sum_i A[i][k] u_i is one
+        # coordinate of u up to sign, and no two fields mix in it
         moved = [
-            tuple(tuple(a[0][k] * x + a[1][k] * y for x, y in zip(*f)) for k in range(2))
-            for f in forms
+            tuple(a[0][k] * u[0] if a[0][k] else a[1][k] * u[1] for k in range(2))
+            for u in us
         ]
         for s in (1, -1):
-            targets = {key(scaled(s, f)) for f in forms}
-            for f0 in forms:
-                c = minus(moved[0], scaled(s, f0))
-                if all(key(minus(v, c)) in targets for v in moved):
-                    return True
+            signed = [(s * x, s * y) for x, y in us]
+            targets = {_residue(v) for v in signed}
+            for t in signed:
+                try:
+                    c = vec_sub(moved[0], t)
+                    if all(_residue(vec_sub(v, c)) in targets for v in moved):
+                        return True
+                except FieldMismatchError:  # no integer difference: not this candidate
+                    continue
         return False
 
     return tuple(a for a in D4 if certified(a))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -185,7 +186,8 @@ def test_a2_sweep_stability_catalog_surveys():
         (catalog.get("truncated_square").spec, 3, 4),
     ]
     for spec, grid, m in jobs:
-        dets = classify_all(spec, grid, m).records.det_abs
+        records = classify_all(spec, grid, m).records
+        dets = records.classes.det_abs[records.klass]
         counts = {tol: int(np.count_nonzero(dets <= tol)) for tol in spectral.A2_SWEEP}
         assert len(set(counts.values())) == 1, (spec.name, counts)
         assert spectral.a2_stable(dets), spec.name
@@ -288,8 +290,8 @@ def test_snub_square_csv_rows_pinned():
 
 
 def _column_bytes(records: SurveyRecords, order=slice(None)) -> list[bytes]:
-    cols = (records.connected, records.a2, records.kappa1, records.kappa2, records.det_abs)
-    return [col[order].tobytes() for col in cols]
+    """Each row's connected, a2, kappa1, kappa2 and |det E|, gathered from its class."""
+    return [col[records.klass][order].tobytes() for col in records.classes]
 
 
 def test_chunks_leave_the_bits_unchanged(monkeypatch):
@@ -379,6 +381,41 @@ def test_records_are_a_sequence_of_survey_records():
     rebuilt = SurveyResult(84, 36, 48, tuple(listed)).records
     assert isinstance(rebuilt, SurveyRecords)
     assert list(rebuilt) == listed
+
+
+def test_survey_records_hold_each_value_once_per_class():
+    fields = [f.name for f in dataclasses.fields(SurveyRecords)]
+    assert fields == ["points", "idx", "klass", "classes"]
+
+
+def _assert_empty(result, path):
+    assert (result.total, result.passing, result.failing) == (0, 0, 0)
+    assert len(result.records) == 0 and list(result.records) == []
+    assert rank_by_conditioning(result) == [] and survey_csv_rows(result) == []
+    write_survey_csv(path, result)
+    assert path.read_bytes() == b"config,connected,a2,kappa1,kappa2,ratio\r\n"
+
+
+def test_an_empty_configuration_list_is_an_empty_survey(tmp_path):
+    spec = catalog.get("snub_square").spec
+    result = as_result(classify_configs(spec, []))
+    assert result.records.idx.shape == (0, 4)
+    _assert_empty(result, tmp_path / "survey.csv")
+
+
+def test_an_empty_record_tuple_is_an_empty_survey(tmp_path):
+    result = SurveyResult(0, 0, 0, ())
+    cols = result.records.classes
+    assert result.records.idx.shape == (0, 0)
+    assert [col.dtype for col in cols] == [np.dtype(bool)] * 2 + [np.dtype(float)] * 3
+    _assert_empty(result, tmp_path / "survey.csv")
+
+
+def test_a_configuration_repeating_a_cell_is_refused():
+    spec = catalog.get("snub_square").spec
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        classify_configs(spec, [((0, 0), (0, 1), (1, 0), (1, 1)),
+                                ((0, 0), (0, 0), (1, 0), (1, 1))])
 
 
 def test_oversized_survey_is_refused_before_enumerating():

@@ -383,6 +383,18 @@ def test_symmetries_of_a_spec_mixing_fields():
     assert symmetries(spec) == (IDENTITY, MINUS_I)
 
 
+def test_symmetries_do_not_see_a_common_shift_mixing_fields():
+    """Moving every translate by t = (sqrt(3)/4, sqrt(2)/4) keeps the group:
+    one translate, and the pair (0, 0), (1/2, 1/2), keep all of D4, though the
+    c of an axis swap, t_y - t_x, mixes two fields unless t is taken out."""
+    one, zero, half = QuadNumber(1), QuadNumber(0), QuadNumber(Fraction(1, 2))
+    t = (QuadNumber(0, Fraction(1, 4), 3), QuadNumber(0, Fraction(1, 4), 2))
+    for us in [((zero, zero),), ((zero, zero), (half, half))]:
+        moved = tuple((x + t[0], y + t[1]) for x, y in us)
+        spec = LatticeSpec("shifted", ((one, zero), (zero, one)), moved)
+        assert symmetries(spec) == D4
+
+
 @given(
     name=st.sampled_from(sorted(GROUP_ORDERS)),
     data=st.data(),
