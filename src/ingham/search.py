@@ -56,7 +56,7 @@ Config = tuple[tuple[int, int], ...]
 # every other row.  The full list of survey_csv_rows costs about 165 B per
 # configuration more, as rows share their class's number strings: the survey
 # benchmark (snub square at grid 6, 211,876 configurations, its largest) peaks
-# at 107 MB.  Snub square (M = 4) at grid 8 is 1.66M.
+# at about 103 MB.  Snub square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
