@@ -9,6 +9,7 @@ Fixed polyominoes, the connected configurations that connected surveys
 classify, are enumerated by Redelmeier's algorithm (D. H. Redelmeier,
 "Counting polyominoes: yet another attack", Discrete Math. 36 (1981)
 191-203), which reaches each one once, so no set of shapes is kept.
+`spectral.classes` under the identity then normalises and sorts them as arrays.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import SizeTooLargeError
 from .lattice import LatticeSpec, mat_float
-from .spectral import TWO_PI, TranslationConfig, _check_size, chunks
+from .spectral import D4, TWO_PI, Classes, TranslationConfig, _check_size, chunks, classes
 
 POLYOMINO_MAX = 8
 
@@ -50,13 +51,6 @@ class PolyominoShape:
     """Edge-connected cell set, translation-normalized to min coordinates 0."""
 
     cells: tuple[tuple[int, int], ...]
-
-    @staticmethod
-    def canonical(cells) -> "PolyominoShape":
-        pts = [(int(x), int(y)) for x, y in cells]
-        mx = min(x for x, _ in pts)
-        my = min(y for _, y in pts)
-        return PolyominoShape(tuple(sorted((x - mx, y - my) for x, y in pts)))
 
 
 def ambient_l(spec: LatticeSpec) -> np.ndarray:
@@ -212,23 +206,22 @@ def _redelmeier(size: int) -> Iterator[tuple[int, ...]]:
     yield from extend([size])
 
 
-def fixed_polyominoes(size: int) -> list[PolyominoShape]:
-    """All fixed (translation-only) polyominoes of the given size, sorted.
-
-    Redelmeier's algorithm (`_redelmeier`) emits each exactly once, with no
-    deduplication; the shapes are then translated to minimum coordinates 0,
-    their cells sorted and the list sorted, as arrays.  Sizes outside
-    1..POLYOMINO_MAX are refused."""
+def polyominoes(size: int) -> Classes:
+    """The fixed (translation-only) polyominoes of the given size, sorted, as
+    `spectral.classes` under the identity (`D4[:1]`) gives them: Redelmeier's
+    algorithm (`_redelmeier`) emits each exactly once, so each is a class of its
+    own.  Sizes outside 1..POLYOMINO_MAX are refused."""
     if not 1 <= size <= POLYOMINO_MAX:
         raise SizeTooLargeError(f"size must be in 1..{POLYOMINO_MAX}, got {size}")
-    codes = np.array(list(_redelmeier(size)), dtype=np.int64)
-    y, x = np.divmod(codes, 2 * size + 1)  # x + size, shifted away below
-    x -= x.min(axis=1, keepdims=True)
-    y -= y.min(axis=1, keepdims=True)
-    keys = np.sort(x * size + y, axis=1)  # a cell's key orders as (x, y) does
-    keys = keys[np.lexsort(keys.T[::-1])]
-    xs, ys = np.divmod(keys, size)
-    return [PolyominoShape(tuple(zip(xr, yr))) for xr, yr in zip(xs.tolist(), ys.tolist())]
+    codes, idx = np.unique(np.array(list(_redelmeier(size))), return_inverse=True)
+    y, x = np.divmod(codes, 2 * size + 1)  # x + size; classes moves it to 0
+    return classes(D4[:1], list(zip(x.tolist(), y.tolist())), idx.reshape(-1, size))
+
+
+def fixed_polyominoes(size: int) -> list[PolyominoShape]:
+    """All fixed polyominoes of the given size, sorted: `polyominoes` as a list."""
+    shapes = polyominoes(size)
+    return [PolyominoShape(tuple(shapes.points[k] for k in row)) for row in shapes.idx.tolist()]
 
 
 def cells_csv_rows(geometry: DomainGeometry) -> list[tuple[int, int, float, float]]:

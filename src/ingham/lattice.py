@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, cmp_to_key
 from itertools import chain
 from typing import Sequence
 
@@ -133,14 +133,6 @@ def mat_inv(m: Mat2) -> Mat2:
     )
 
 
-@lru_cache(maxsize=64)
-def l_star_inverse(l_star: Mat2) -> Mat2:
-    """mat_inv(l_star), computed once per exact matrix.  A LatticeSpec reads
-    it once into its `_inverse` table; a caller holding a spec should use
-    that, since this cache hashes the four entries on every call."""
-    return mat_inv(l_star)
-
-
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
     """m @ v exactly; v's coordinates may be ints or Fractions."""
     x, y = _coerce(v[0]), _coerce(v[1])
@@ -208,13 +200,13 @@ class LatticeSpec:
     def _hash(self) -> int:
         """The dataclass hash of (name, l_star, us), taken once: hashing the
         exact entries costs 13-31 us on a catalog spec, and
-        `spectral.symmetries` looks the spec up on every `classes` call."""
+        `spectral.symmetries` looks the spec up on every survey."""
         return hash((self.name, self.l_star, self.us))
 
     @cached_property
     def _inverse(self) -> Mat2:
-        """l_star^-1, exact."""
-        return l_star_inverse(self.l_star)
+        """l_star^-1, exact, computed once per spec."""
+        return mat_inv(self.l_star)
 
     @cached_property
     def _translate_index(self) -> dict[tuple, int]:

@@ -35,9 +35,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import PolyominoShape, connected_rows, fixed_polyominoes
+from .geometry import connected_rows, polyominoes
 from .lattice import LatticeSpec
-from .spectral import a2_holds, chunks, classes, config_index, spectra
+from .spectral import D4, a2_holds, chunks, classes, config_index, spectra, symmetries
 
 Config = tuple[tuple[int, int], ...]
 
@@ -187,7 +187,7 @@ def _classify(
     spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
 ) -> SurveyRecords:
     """The kernel and connectivity on each class's canonical configuration."""
-    cls = classes(spec, points, idx)
+    cls = classes(symmetries(spec), points, idx)
     det, kappa1, kappa2 = spectra(spec, cls.points, cls.idx)
     connected = connected_rows(cls.points, cls.idx)
     columns = ClassColumns(connected, a2_holds(det), kappa1, kappa2, det)
@@ -197,9 +197,7 @@ def _classify(
 def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
     """Batched spectral classification of an explicit configuration list; an
     empty list gives no rows, and a configuration that repeats a cell is
-    refused, as TranslationConfig refuses it."""
-    if any(len(set(cfg)) != len(cfg) for cfg in configs):
-        raise ValueError("translation vectors must be pairwise distinct")
+    refused (`config_index`), as TranslationConfig refuses it."""
     points, idx = config_index(configs)
     return _classify(spec, points, idx if configs else idx.reshape(0, spec.m))
 
@@ -230,9 +228,9 @@ def classify_all(spec: LatticeSpec, grid_max: int, m: int) -> SurveyResult:
 
 
 def connected_survey(spec: LatticeSpec) -> SurveyResult:
-    """Survey restricted to the edge-connected configurations (fixed polyominoes)."""
-    configs = [shape.cells for shape in fixed_polyominoes(spec.m)]
-    return as_result(classify_configs(spec, configs))
+    """Survey of the edge-connected configurations, `geometry.polyominoes`."""
+    shapes = polyominoes(spec.m)
+    return as_result(_classify(spec, shapes.points, shapes.idx))
 
 
 def _ratios(cols: ClassColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -253,12 +251,17 @@ def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
 
 
 def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
-    """Group configurations by translation; deterministic representatives."""
-    groups: dict[Config, int] = {}
-    for cfg in configs:
-        canon = PolyominoShape.canonical(cfg).cells
-        groups[canon] = groups.get(canon, 0) + 1
-    return [TranslationClass(rep, count) for rep, count in sorted(groups.items())]
+    """Translation classes (`spectral.classes` under `D4[:1]`): representatives
+    at minimum 0, cells sorted, in lexicographic order, with member counts.
+    An empty input gives []; a ragged list, a repeated cell or a coordinate
+    outside (-COORD_LIMIT, COORD_LIMIT) is refused (ValueError)."""
+    configs = list(configs)
+    if not configs:
+        return []
+    cls = classes(D4[:1], *config_index(configs))
+    members = np.bincount(cls.of, minlength=len(cls.idx)).tolist()
+    reps = (tuple(cls.points[k] for k in row) for row in cls.idx.tolist())
+    return list(map(TranslationClass, reps, members))
 
 
 CSV_HEADER = ("config", "connected", "a2", "kappa1", "kappa2", "ratio")

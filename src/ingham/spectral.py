@@ -13,15 +13,17 @@ configurations, so its memory does not grow with the survey.
 
 Translating a configuration, or applying one of the tiling's certified
 symmetries of the square (`symmetries`), changes neither |det E| nor the
-spectrum of E E^*, nor edge connectivity.  `classes` maps configurations to
-their canonical representatives, and every caller (`ingham_constants`, the
-surveys of `search`) runs the kernel on those alone: a configuration takes
-its class representative's bits, so neither the batch, its order nor the
-chunk changes them.  `a2_holds` is the only place the (A2) verdict is
-decided: |det E| > A2_DET_TOL in floats, a heuristic.  `a2_stable` is the
-only place its stability is judged: a batch is stable when no |det E| lies
-between the ends of A2_SWEEP, so no threshold there moves a verdict; the
-report gates every grid survey on it.
+spectrum of E E^*, nor edge connectivity.  `classes`, the only translation
+canonicalisation, maps configurations to canonical representatives under
+translation and a subgroup of D4: every kernel caller (`ingham_constants`,
+the surveys of `search`) passes the tiling's `symmetries` and runs the kernel
+on those alone, so a configuration takes its class representative's bits
+whatever its batch, order or chunk; `geometry.polyominoes` and
+`search.translation_classes` pass the identity alone, `D4[:1]`.  `a2_holds` is
+the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
+heuristic.  `a2_stable` is the only place its stability is judged: a batch is
+stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
+there moves a verdict; the report gates every grid survey on it.
 """
 
 from __future__ import annotations
@@ -68,7 +70,8 @@ TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 # The symmetries of the square: the eight signed permutation matrices (D4),
 # the identity first.
-D4 = (
+Symmetry = tuple[tuple[int, int], tuple[int, int]]
+D4: tuple[Symmetry, ...] = (
     ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)),
     ((0, 1), (1, 0)), ((0, -1), (-1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
 )
@@ -176,8 +179,12 @@ def build_e(spec: LatticeSpec, config: TranslationConfig) -> np.ndarray:
 def config_index(
     configs: Sequence[Sequence[tuple[int, int]]],
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
-    """Sorted distinct points of a configuration list and the (N, m) index
-    array into them, the form `spectra` takes."""
+    """Sorted distinct points of equal-size configurations of distinct cells
+    and the (N, m) index array into them, the form `spectra` and `classes` take."""
+    if len({len(cfg) for cfg in configs}) > 1:
+        raise ValueError("configurations must all have the same number of cells")
+    if any(len(set(cfg)) != len(cfg) for cfg in configs):
+        raise ValueError("translation vectors must be pairwise distinct")
     points = sorted({n for cfg in configs for n in cfg})
     index = {n: i for i, n in enumerate(points)}
     rows = [[index[n] for n in cfg] for cfg in configs]
@@ -190,7 +197,7 @@ def chunks(n: int) -> Iterator[slice]:
 
 
 @lru_cache(maxsize=32)
-def symmetries(spec: LatticeSpec) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
     """The elements A of D4 that are spectral symmetries of the tiling, in D4's order.
 
     A is certified when a permutation sigma, one sign s and one vector c
@@ -304,23 +311,27 @@ def _lex_ids(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class Classes:
-    """Configurations grouped into classes under translation and the certified
-    symmetries: each class's canonical configuration, as sorted distinct
-    points and a (K, m) index array into them, and the class of each input
-    row."""
+    """Configurations grouped into classes under translation and a group of
+    symmetries (`classes`): each class's canonical configuration, as sorted
+    distinct points and a (K, m) index array into them, numbered in
+    lexicographic order, and the class of each input row."""
 
     points: list[tuple[int, int]]
     idx: np.ndarray  # (K, m) canonical configurations, cells sorted
     of: np.ndarray  # (N,) class of each input row
 
 
-def classes(spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray) -> Classes:
+def classes(
+    group: Sequence[Symmetry], points: Sequence[tuple[int, int]], idx: np.ndarray
+) -> Classes:
     """The classes of the configurations points[idx[i]] under translation and
-    `symmetries(spec)`; each has one value of |det E|, of the spectrum of
-    E E^* and of edge connectivity.
+    `group`, a subgroup of D4.  Under a tiling's `symmetries(spec)` each class
+    has one value of |det E|, of the spectrum of E E^* and of edge
+    connectivity; under `D4[:1]`, the identity alone, the classes are the
+    translation classes.
 
     A class's canonical configuration is the lexicographically least, over
-    the certified A, of A n translated to minimum 0 with its cells sorted
+    the A in `group`, of A n translated to minimum 0 with its cells sorted
     (compared as the sequence x_1, y_1, x_2, y_2, ...).  It depends on the
     class alone, not on the batch.  Translation classes come first: a row's
     offsets from its cell of least index fix it up to translation, and with
@@ -375,7 +386,7 @@ def classes(spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarra
     # (G, 2): where each A takes the coordinates of A n among (x, w - x, y,
     # h - y), a coordinate that A negates moved to minimum 0 by the box width
     # w or height h
-    pick = np.array([[2 * (s != 0) + (r + s < 0) for r, s in a] for a in symmetries(spec)])
+    pick = np.array([[2 * (s != 0) + (r + s < 0) for r, s in a] for a in group])
     keys = np.empty((len(x), len(words)), dtype=np.int64)
     for part in chunks(len(x)):
         cx, cy = x[part], y[part]
@@ -465,7 +476,7 @@ def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralRe
     c1_full/c2_full carry the (2*pi)^2 / |det L| volume factor, turning the
     kappas into the frame bounds of the exponentials over the domain.
     """
-    cls = classes(spec, *config_index([config.ns]))
+    cls = classes(symmetries(spec), *config_index([config.ns]))
     dets, k1s, k2s = spectra(spec, cls.points, cls.idx)
     k1 = float(k1s[0])
     k2 = float(k2s[0])

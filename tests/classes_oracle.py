@@ -6,16 +6,15 @@ from typing import Sequence
 
 import numpy as np
 
-from ingham.spectral import COORD_LIMIT, Classes, _lex_ids, chunks, symmetries
+from ingham.spectral import COORD_LIMIT, Classes, _lex_ids, chunks
 
 
-def classes(spec, points: Sequence[tuple[int, int]], idx: np.ndarray) -> Classes:
+def classes(group, points: Sequence[tuple[int, int]], idx: np.ndarray) -> Classes:
     """The classes of the configurations points[idx[i]] under translation and
-    `symmetries(spec)`; each has one value of |det E|, of the spectrum of
-    E E^* and of edge connectivity.
+    `group`, a subgroup of D4.
 
     A class's canonical configuration is the lexicographically least, over
-    the certified A, of A n translated to minimum 0 with its cells sorted
+    the A in `group`, of A n translated to minimum 0 with its cells sorted
     (compared as the sequence x_1, y_1, x_2, y_2, ...).  It depends on the
     class alone, not on the batch.  Translation classes come first: a row's
     offsets from its cell of least index fix it up to translation, and with
@@ -38,7 +37,7 @@ def classes(spec, points: Sequence[tuple[int, int]], idx: np.ndarray) -> Classes
     x, y = px[rows[first]], py[rows[first]]
     x -= x.min(axis=1, keepdims=True)
     y -= y.min(axis=1, keepdims=True)
-    group = np.array(symmetries(spec))[:, :, :, None, None]  # (G, 2, 2, 1, 1)
+    group = np.array(group)[:, :, :, None, None]  # (G, 2, 2, 1, 1)
     shift = np.maximum(-group, 0)
     best = np.empty((len(x), 2 * m), dtype=np.int64)
     for part in chunks(len(x)):

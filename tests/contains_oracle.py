@@ -8,7 +8,7 @@ from ingham.lattice import (
     LatticeSpec,
     Mat2,
     Vec2,
-    l_star_inverse,
+    mat_inv,
     vec_is_integer,
     vec_sub,
 )
@@ -23,7 +23,7 @@ def mat_vec(m: Mat2, v: Vec2) -> Vec2:
 
 def contains(spec: LatticeSpec, p: Vec2) -> LatticePoint | None:
     """Exact membership: the (j, m) with p = l_star @ (u_j + m), if any."""
-    y = mat_vec(l_star_inverse(spec.l_star), p)
+    y = mat_vec(mat_inv(spec.l_star), p)
     for j, u in enumerate(spec.us):
         r = vec_sub(y, u)
         if vec_is_integer(r):

@@ -1,15 +1,19 @@
 """`geometry.fixed_polyominoes` as it was written before Redelmeier's
 enumerator: growth of a set of translation-normalised cell tuples, one size at
-a time.  The tests hold the enumerator to its list, shape for shape."""
-
-from ingham.errors import SizeTooLargeError
-from ingham.geometry import POLYOMINO_MAX, PolyominoShape
+a time, in plain Python.  The tests hold the enumerator and the translation
+classes of `spectral.classes` to it, shape for shape."""
 
 
-def fixed_polyominoes(size: int) -> list[PolyominoShape]:
-    """All fixed (translation-only) polyominoes of the given size, sorted."""
-    if not 1 <= size <= POLYOMINO_MAX:
-        raise SizeTooLargeError(f"size must be in 1..{POLYOMINO_MAX}, got {size}")
+def canonical(cells) -> tuple[tuple[int, int], ...]:
+    """The cells translated to minimum coordinates 0, sorted."""
+    pts = [(int(x), int(y)) for x, y in cells]
+    mx = min(x for x, _ in pts)
+    my = min(y for _, y in pts)
+    return tuple(sorted((x - mx, y - my) for x, y in pts))
+
+
+def fixed_polyominoes(size: int) -> list[tuple[tuple[int, int], ...]]:
+    """The cells of all fixed (translation-only) polyominoes of the given size, sorted."""
     shapes = {((0, 0),)}
     for _ in range(size - 1):
         grown = set()
@@ -18,6 +22,6 @@ def fixed_polyominoes(size: int) -> list[PolyominoShape]:
             for x, y in shape:
                 for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
                     if nb not in have:
-                        grown.add(PolyominoShape.canonical(shape + (nb,)).cells)
+                        grown.add(canonical(shape + (nb,)))
         shapes = grown
-    return [PolyominoShape(s) for s in sorted(shapes)]
+    return sorted(shapes)

@@ -10,7 +10,6 @@ import polyomino_oracle
 from ingham import catalog
 from ingham.errors import SizeTooLargeError
 from ingham.geometry import (
-    PolyominoShape,
     _redelmeier,
     area_check,
     bessel_j0,
@@ -22,6 +21,7 @@ from ingham.geometry import (
     fixed_polyominoes,
     is_connected,
     omega_cells,
+    polyominoes,
 )
 from ingham.spectral import TranslationConfig, config_index
 
@@ -154,9 +154,7 @@ def test_fixed_polyominoes_canonical_and_sorted():
 
 def test_fixed_polyominoes_rotation_permutes_set():
     shapes = {s.cells for s in fixed_polyominoes(4)}
-    rotated = {
-        PolyominoShape.canonical([(-y, x) for x, y in cells]).cells for cells in shapes
-    }
+    rotated = {polyomino_oracle.canonical([(-y, x) for x, y in cells]) for cells in shapes}
     assert rotated == shapes
 
 
@@ -169,7 +167,11 @@ def test_fixed_polyominoes_size_bounds():
 
 @pytest.mark.parametrize("size", range(1, 9))
 def test_fixed_polyominoes_match_the_set_growth(size):
-    assert fixed_polyominoes(size) == polyomino_oracle.fixed_polyominoes(size)
+    want = polyomino_oracle.fixed_polyominoes(size)
+    assert [s.cells for s in fixed_polyominoes(size)] == want
+    # every shape Redelmeier's algorithm emits is a translation class of its own
+    shapes = polyominoes(size)
+    assert sorted(shapes.of.tolist()) == list(range(len(want))) == list(range(len(shapes.idx)))
 
 
 def test_redelmeier_counts_are_a001168():

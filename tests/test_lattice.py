@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from fractions import Fraction
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 import contains_oracle
 from conftest import FIELDS, lattice_specs, quad_numbers, rationals
-from ingham import catalog
+from ingham import catalog, lattice
 from ingham.errors import (
     DuplicateTranslateError,
     FieldMismatchError,
@@ -20,7 +21,6 @@ from ingham.lattice import (
     LatticeSpec,
     _residue,
     contains,
-    l_star_inverse,
     line_lattice_subset,
     mat_inv,
     mat_vec,
@@ -156,12 +156,17 @@ def test_contains_inverts_realization(spec, data):
     assert contains(spec, mat_vec(spec.l_star, vec_add(spec.us[j], qvec(*m)))) == LatticePoint(j, m)
 
 
-def test_l_star_inverse_is_cached_and_exact(catalog_entries):
+def test_l_star_inverse_is_cached_and_exact(catalog_entries, monkeypatch):
+    """Each spec computes its exact l_star^-1 once, on first use."""
+    calls = []
+    monkeypatch.setattr(lattice, "mat_inv", lambda m: calls.append(m) or mat_inv(m))
     for entry in catalog_entries.values():
-        l_star = entry.spec.l_star
-        inv = l_star_inverse(l_star)
-        assert inv == mat_inv(l_star)
-        assert l_star_inverse(tuple(tuple(row) for row in l_star)) is inv
+        spec = dataclasses.replace(entry.spec)  # a fresh instance, no table read yet
+        inv = spec._inverse
+        assert inv == mat_inv(spec.l_star)
+        assert spec._inverse is inv
+        assert calls == [spec.l_star]
+        calls.clear()
 
 
 def test_contains_field_mismatch():
@@ -280,7 +285,7 @@ def period_scan(spec, a, b):
     in translate u's coset when x0 - u + k*delta is integer, a pattern
     periodic in k with period the lcm of all the denominators involved.
     """
-    inv = l_star_inverse(spec.l_star)
+    inv = mat_inv(spec.l_star)
     x0 = mat_vec(inv, a)
     delta = mat_vec(inv, vec_sub(b, a))
     if not (delta[0].is_rational() and delta[1].is_rational()):
@@ -412,7 +417,7 @@ def test_contains_matches_operator_oracle(spec, data):
             # the one allowed difference: the oracle's preimage exists (this
             # mat_vec does not raise) but its translate loop raised, as the
             # preimage shares no field with a translate, so no class matches
-            contains_oracle.mat_vec(l_star_inverse(spec.l_star), p)
+            contains_oracle.mat_vec(mat_inv(spec.l_star), p)
             assert want[0] is FieldMismatchError and got is None, (p, want, got)
 
 

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ingham import catalog, spectral
-from ingham.geometry import POLYOMINO_MAX, PolyominoShape
+import polyomino_oracle
+from ingham.geometry import POLYOMINO_MAX, fixed_polyominoes
 from ingham.search import (
     CSV_HEADER,
     MAX_SURVEY_CONFIGS,
@@ -25,6 +26,7 @@ from ingham.search import (
     config_count,
     connected_survey,
     enumerate_configs,
+    grid_points,
     rank_by_conditioning,
     survey_csv_rows,
     translation_classes,
@@ -168,13 +170,64 @@ def test_translation_classes_count_matches_pattern_oracle():
     classes = translation_classes(enumerate_configs(3, 4))
     patterns = set()
     for cfg in combinations([(a, b) for a in range(4) for b in range(4)], 4):
-        canon = PolyominoShape.canonical(cfg).cells
+        canon = polyomino_oracle.canonical(cfg)
         w = max(p[0] for p in canon)
         h = max(p[1] for p in canon)
         if w <= 3 and h <= 3:
             patterns.add(canon)
     assert {c.representative for c in classes} == patterns
     assert sum(c.members for c in classes) == 1820
+
+
+def _translation_oracle(configs):
+    """translation_classes as it was written before `spectral.classes`: one
+    canonical form per configuration in Python, counted in a dict."""
+    groups = {}
+    for cfg in configs:
+        canon = polyomino_oracle.canonical(cfg)
+        groups[canon] = groups.get(canon, 0) + 1
+    return sorted(groups.items())
+
+
+@st.composite
+def shuffled_translates(draw):
+    """Configurations of m cells with negative coordinates, some of them
+    translates of others, each with its cells in any order, the list shuffled."""
+    m = draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    configs = draw(st.lists(st.lists(cell, min_size=m, max_size=m, unique=True),
+                            min_size=1, max_size=6))
+    shifts = st.tuples(st.integers(0, len(configs) - 1), st.integers(-9, 9), st.integers(-9, 9))
+    for k, dx, dy in draw(st.lists(shifts, max_size=8)):
+        configs.append([(x + dx, y + dy) for x, y in configs[k]])
+    return draw(st.permutations([tuple(draw(st.permutations(c))) for c in configs]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shuffled_translates())
+def test_translation_classes_match_the_python_grouping(configs):
+    got = translation_classes(configs)
+    assert [(c.representative, c.members) for c in got] == _translation_oracle(configs)
+
+
+def test_translation_classes_of_nothing_is_empty():
+    assert translation_classes([]) == []
+    assert translation_classes(iter(())) == []
+
+
+def test_translation_classes_refuse_a_ragged_list():
+    with pytest.raises(ValueError, match="same number of cells"):
+        translation_classes([((0, 0), (0, 1)), ((0, 0),)])
+
+
+def test_translation_classes_refuse_a_repeated_cell():
+    with pytest.raises(ValueError, match="pairwise distinct"):
+        translation_classes([((0, 0), (0, 0))])
+
+
+def test_translation_classes_refuse_coordinates_past_the_limit():
+    with pytest.raises(ValueError, match="must lie in"):
+        translation_classes([((0, 0), (spectral.COORD_LIMIT, 0))])
 
 
 def test_a2_sweep_stability_catalog_surveys():
@@ -451,7 +504,7 @@ def test_classes_match_brute_force_canonicalisation(name):
         if (grid + 1) ** 2 < spec.m:
             continue
         configs = list(enumerate_configs(grid, spec.m))
-        cls = spectral.classes(spec, *spectral.config_index(configs))
+        cls = spectral.classes(group, *spectral.config_index(configs))
         want = [_brute_canonical(c, group) for c in configs]
         got = [tuple(cls.points[k] for k in cls.idx[c]) for c in cls.of.tolist()]
         assert got == want, (name, grid)
@@ -460,13 +513,28 @@ def test_classes_match_brute_force_canonicalisation(name):
         assert np.array_equal(records.klass, cls.of)
 
 
-def test_snub_square_grid6_class_counts(monkeypatch):
+def test_snub_square_grid6_class_counts():
     spec = catalog.get("snub_square").spec
     records = classify_all(spec, 6, 4).records
     assert len(records) == 211_876
     assert len(records.classes.kappa1) == int(records.klass.max()) + 1 == 6_138
-    monkeypatch.setattr(spectral, "symmetries", lambda spec: (((1, 0), (0, 1)),))
-    assert int(classify_all(spec, 6, 4).records.klass.max()) + 1 == 46_921
+    points = grid_points(6)
+    translation = spectral.classes(spectral.D4[:1], points, combination_table(len(points), 4))
+    assert len(translation.idx) == int(translation.of.max()) + 1 == 46_921
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in catalog.names() if _catalog_spec(n).m <= POLYOMINO_MAX]
+)
+def test_connected_survey_matches_the_polyomino_list(name):
+    """The array path from `geometry.polyominoes` gives the bits and the
+    ranking of classify_configs over the list of fixed polyominoes."""
+    spec = _catalog_spec(name)
+    got = connected_survey(spec)
+    want = as_result(classify_configs(spec, [s.cells for s in fixed_polyominoes(spec.m)]))
+    assert _column_bytes(got.records) == _column_bytes(want.records)
+    assert (got.total, got.passing) == (want.total, want.passing)
+    assert rank_by_conditioning(got) == rank_by_conditioning(want)
 
 
 @pytest.mark.parametrize("name, params", [("snub_square", {}), ("two_square", {"r": 1, "R": 2}),

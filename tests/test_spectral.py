@@ -415,7 +415,7 @@ def test_certified_symmetries_keep_the_spectrum(name, data):
     det1, k11, k21 = _oracle(spec, moved)
     assert a2_holds(det0) == a2_holds(det1)
     assert abs(k10 - k11) <= 1e-13 * k20 and abs(k20 - k21) <= 1e-13 * k20
-    cls = classes(spec, *config_index([cells, moved]))
+    cls = classes(symmetries(spec), *config_index([cells, moved]))
     assert cls.of[0] == cls.of[1] and len(cls.idx) == 1
     det, k1, k2 = spectra(spec, cls.points, cls.idx)
     assert bool(a2_holds(det[0])) == a2_holds(det0)
@@ -477,7 +477,7 @@ def test_wide_m12_configurations_match_the_oracle():
     configs = base + [_move(MINUS_I, c, (3, -10**6)) for c in base]
     configs += [_move(IDENTITY, c, (7, 7)) for c in base]
     assert symmetries(spec) == (IDENTITY, MINUS_I)
-    cls = classes(spec, *config_index(configs))
+    cls = classes(symmetries(spec), *config_index(configs))
     canon = [_canonical(c, symmetries(spec)) for c in configs]
     assert [tuple(cls.points[k] for k in cls.idx[c]) for c in cls.of] == canon
     assert len(cls.idx) == 6
@@ -508,17 +508,19 @@ CLASS_COORDS = {
 
 @st.composite
 def class_batches(draw):
-    """A catalog tiling's spec, a point list and an index array: configurations
-    of 1 to 12 cells, some of them images of others under the tiling's group
-    and a translation, some repeated, cells in any order, the points sorted
-    or not."""
-    spec = _spec(draw(st.sampled_from(sorted(GROUP_ORDERS))))
+    """A catalog tiling's certified group or the identity alone (`D4[:1]`, the
+    translation classes), a point list and an index array: configurations
+    of 1 to 12 cells, some of them images of others under the group and a
+    translation, some repeated, cells in any order, the points sorted or
+    not."""
+    names = sorted(GROUP_ORDERS)
+    group = draw(st.sampled_from([D4[:1]] + [symmetries(_spec(name)) for name in names]))
     m = draw(st.integers(1, 12))
     coord = CLASS_COORDS[draw(st.sampled_from(sorted(CLASS_COORDS)))]
     cells = st.lists(st.tuples(coord, coord), min_size=m, max_size=m, unique=True)
     configs = draw(st.lists(cells, min_size=1, max_size=8))
     for k, a, t in draw(st.lists(st.tuples(st.integers(0, len(configs) - 1),
-                                           st.sampled_from(symmetries(spec)),
+                                           st.sampled_from(group),
                                            st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
                                  max_size=8)):
         moved = _move(a, configs[k], t)
@@ -531,13 +533,13 @@ def class_batches(draw):
         order = draw(st.permutations(range(len(points))))
         where = np.argsort(order)
         points, idx = [points[k] for k in order], where[idx]
-    return spec, points, idx
+    return group, points, idx
 
 
 @settings(max_examples=300, deadline=None)
 @given(class_batches())
-@example((_spec("square"), [], np.zeros((0, 1), dtype=np.intp)))  # no configurations
-@example((_spec("snub_square"), [(0, 0), (1, 2)], np.zeros((0, 4), dtype=np.intp)))
+@example((D4, [], np.zeros((0, 1), dtype=np.intp)))  # no configurations
+@example((D4[:1], [(0, 0), (1, 2)], np.zeros((0, 4), dtype=np.intp)))
 def test_classes_match_the_coordinate_pair_reduction(batch):
     _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
 
@@ -548,7 +550,7 @@ def test_classes_of_a_grid_match_the_coordinate_pair_reduction(name, grid, monke
     """Whole grid surveys, in one chunk and in chunks of 7 translation classes."""
     spec = catalog.get("two_square", r=1, R=2).spec if name.startswith("two") else _spec(name)
     grid_points = [(a, b) for a in range(grid + 1) for b in range(grid + 1)]
-    batch = (spec, *config_index(list(combinations(grid_points, spec.m))))
+    batch = (symmetries(spec), *config_index(list(combinations(grid_points, spec.m))))
     _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
     monkeypatch.setattr(spectral, "CHUNK_ROWS", 7)
     _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
