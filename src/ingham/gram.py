@@ -12,17 +12,17 @@ is zero or integer is decided in exact arithmetic, so Fourier orthogonality
 is exact and no quadrature enters the main path.
 
 mu = (u_p - u_q) + (m_p - m_q) splits into a translate difference and an
-integer shift s.  The c-th coordinates of the translates of a support are
-written in integers over one denominator D in one field Q(sqrt d),
-u_c = (A + B*sqrt d)/D (`_differences`), so for translates (x, y) mu_c is
-(A_x - A_y + s_c*D, B_x - B_y) over D: zero when both numerators are, an
-integer when the second is 0 and D divides the first.  Each matrix is built
-from per-entry integer keys and tables of their distinct values, with no
-loop over translate pairs or entries:
+integer shift s.  `_differences` subtracts the translates' integer rows of
+`LatticeSpec.form`, so for translates (x, y) mu_c = (A + s_c*D + sum_i
+B_i*sqrt(d_i))/D with integers A and B_i: zero when all are, an integer when
+every B_i is 0 and D divides A.  Two nonzero B_i are refused
+(FieldMismatchError), as the `inner_product` oracle refuses them.  Each
+matrix is built from per-entry integer keys and tables of their distinct
+values, with no loop over translate pairs or entries:
 
 - the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
   the fractional and radical parts of <mu, n_k> unchanged), so it is taken
-  once per distinct residue, at most M^2 of them;
+  once per distinct residue, at most M^2 of them (one `phase_columns` call);
 - phi(mu_c) is taken once per distinct (axis, translate difference, shift)
   key (`_Table`);
 - the hole's delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q linear in
@@ -44,15 +44,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import reduce
-from typing import Sequence
+from operator import sub
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
 from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
-from .qfield import QuadNumber, _joint_d, quad_float
+from .qfield import QuadNumber, _one_field, quad_float
 from .spectral import (
     COORD_LIMIT,
     TWO_PI,
@@ -61,6 +61,7 @@ from .spectral import (
     _phase_angle,
     hermitian_extremes,
     ingham_constants,
+    phase,
     phase_columns,
 )
 
@@ -159,10 +160,10 @@ def _phi(p: int, q: int, r: int, d: int) -> complex:
     return (cmath.exp(1j * _phase_angle(p, q, r, d)) - 1.0) / (1j * quad_float(p, q, r, d))
 
 
-def _phase_sum(config: TranslationConfig, mu: Vec2) -> complex:
-    """sum_k e^{2 pi i <mu, n_k>}, added in the order of the n_k."""
+def _phase_sum(phases: Iterable[complex]) -> complex:
+    """The sum of the e^{2 pi i <mu, n_k>}, added in the order of the n_k."""
     total = 0.0j
-    for w in phase_columns([mu], config.ns)[0].tolist():
+    for w in phases:
         total += w
     return total
 
@@ -178,7 +179,7 @@ def inner_product(
     factor = _phi(a.p, a.q, a.r, a.d) * _phi(b.p, b.q, b.r, b.d)
     if factor == 0:
         return 0.0j
-    return _phase_sum(config, mu) * factor / spec.det_l()
+    return _phase_sum(phase(vec_dot(mu, n)) for n in config.ns) * factor / spec.det_l()
 
 
 def _product(x, y):
@@ -190,39 +191,25 @@ def _product(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[list, dict, list[int]]:
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, list[int]]:
     """The translate pairs (x, y) of the upper triangle, those with an entry
-    (a, b), a <= b, whose points have translates x and y, and their
-    differences in integers: (axes, {(x, y): ((A0, B0), (A1, B1))}, spans)
-    with axes[c] = (den_c, d_c) and
-
-        u_x,c - u_y,c = (A_c + B_c*sqrt d_c)/den_c,
-
-    one denominator and one field Q(sqrt d_c) for the c-th coordinates of
-    every translate of the support, and spans[c] = max m_c - min m_c over the
-    support, so every shift lies in [-spans[c], spans[c]].  Translates whose
-    c-th coordinates lie in two fields raise FieldMismatchError, as the
-    difference of some pair of them does.
-    """
+    (a, b), a <= b, whose points have translates x and y, mapped to the
+    differences of their rows of `LatticeSpec.form`, one per coordinate, and
+    spans[c] = max m_c - min m_c over the support, so every shift lies in
+    [-spans[c], spans[c]]."""
     first, last = {}, {}
     for a, point in enumerate(support.items):
         first.setdefault(point.j, a)
         last[point.j] = a
-    axes, form = [], {x: [] for x in first}
-    for c in range(2):
-        ts = [spec.us[x][c] for x in first]
-        den = math.lcm(*(t.r for t in ts))
-        axes.append((den, reduce(_joint_d, (t.d for t in ts), 1)))
-        for x, t in zip(first, ts):
-            form[x].append((t.p * (den // t.r), t.q * (den // t.r)))
+    xs, ys = zip(*spec.form[2])  # the rows of each translate's x and y
     pairs = {
-        (x, y): tuple((a - b, p - q) for (a, p), (b, q) in zip(form[x], form[y]))
+        (x, y): (tuple(map(sub, xs[x], xs[y])), tuple(map(sub, ys[x], ys[y])))
         for x in first
         for y in last
         if first[x] <= last[y]
     }
     spans = [max(c) - min(c) for c in zip(*(p.m for p in support.items))] or [0, 0]
-    return axes, pairs, spans
+    return pairs, spans
 
 
 class _Table:
@@ -309,26 +296,24 @@ def gram_matrix(
 
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
-    axes, pairs, spans = _differences(spec, support)
+    pairs, spans = _differences(spec, support)
+    den, fields, _ = spec.form
     det = spec.det_l()
     codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
-    keys, residues, reps = ({}, {}), {}, []
+    keys, residues = ({}, {}), {}
     for (x, y), diff in pairs.items():
         code = x * spec.m + y
         for c, key in enumerate(diff):
             codes[c, code] = keys[c].setdefault(key, len(keys[c]))
-        residue = tuple((a % den, b) for (a, b), (den, _) in zip(diff, axes))
-        if residue not in residues:
-            residues[residue] = len(reps)
-            reps.append(vec_sub(spec.us[x], spec.us[y]))
-        codes[2, code] = residues[residue]
-    totals = np.array([_phase_sum(config, mu) for mu in reps], dtype=complex)
+        codes[2, code] = residues.setdefault(tuple((a % den, *b) for a, *b in diff), len(residues))
+    w = phase_columns((den, fields, list(residues)), config.ns)
+    totals = np.array([_phase_sum(row) for row in w.tolist()], dtype=complex)
     phis = []
-    for key, (den, d), span in zip(keys, axes, spans):
-        a, b = list(zip(*key)) or ((), ())
+    for key, span in zip(keys, spans):
+        a, q, d = list(zip(*((p, *_one_field(fields, qs)) for p, *qs in key))) or ((), (), ())
 
-        def values(cs: list, ss: list, a=a, b=b, den=den, d=d) -> list:
-            return [_phi(a[c] + s * den, b[c], den, d) for c, s in zip(cs, ss)]
+        def values(cs: list, ss: list, a=a, q=q, d=d) -> list:
+            return [_phi(a[c] + s * den, q[c], den, d[c]) for c, s in zip(cs, ss)]
 
         phis.append(_Table(values, len(a), [span]))
 
@@ -525,7 +510,7 @@ def hole_gram_matrix(
     m_a - m_b.
     """
     _cell_of_rect(spec, config, hole)
-    _, pairs, spans = _differences(spec, support)
+    pairs, spans = _differences(spec, support)
     codes = np.zeros(spec.m * spec.m, dtype=np.intp)
     ids, forms = {}, []
     for (x, y), diff in pairs.items():

@@ -7,13 +7,13 @@ are realized for output.  A translate's class mod Z^2 has a hashable key,
 `_residue`, so duplicate translates and the classes a line lattice meets
 are found by dict lookups, in work bounded by the number of translates.
 
-Each LatticeSpec builds its membership tables once, on first use, and keeps
-them on the instance (cached properties that are not dataclass fields, so
-equality, hashing and repr see only name, l_star and us): `_inverse`, the
-exact l_star^-1, and `_translate_index`, each translate's `_residue` key
-mapped to its index j.  Membership of p is then one key lookup: p lies in
-the lattice exactly when the key of l_star^-1 p is a translate's.  Its hash
-of those three fields is taken once too (`_hash`).
+Each LatticeSpec builds its tables once, on first use, and keeps them on
+the instance (cached properties that are not dataclass fields, so equality,
+hashing and repr see only name, l_star and us): `_inverse`, the exact
+l_star^-1; `_translate_index`, each translate's `_residue` key mapped to its
+index j, so membership of p is one lookup of the key of l_star^-1 p; `form`,
+the one place translate denominators and fields are computed; and `_hash`,
+the hash of those three fields.
 """
 
 from __future__ import annotations
@@ -207,6 +207,22 @@ class LatticeSpec:
     def _inverse(self) -> Mat2:
         """l_star^-1, exact, computed once per spec."""
         return mat_inv(self.l_star)
+
+    @cached_property
+    def form(self) -> tuple[int, tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+        """The translates in Python ints, (den, fields, rows), with
+        u_jc = (a + sum_i b_i*sqrt(fields[i]))/den for rows[j][c] = (a, b_0, ...):
+        den is the lcm of their denominators and fields their sorted radicands.
+        A coordinate has at most one nonzero b_i; two may use two fields."""
+        coords = [t for u in self.us for t in u]
+        den = math.lcm(*(t.r for t in coords))
+        fields = tuple(sorted({t.d for t in coords if t.q}))
+
+        def row(t: QuadNumber) -> tuple[int, ...]:
+            k = den // t.r
+            return (t.p * k, *(t.q * k if t.d == d else 0 for d in fields))
+
+        return den, fields, tuple((row(x), row(y)) for x, y in self.us)
 
     @cached_property
     def _translate_index(self) -> dict[tuple, int]:

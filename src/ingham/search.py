@@ -196,8 +196,8 @@ def _classify(
 
 def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
     """Batched spectral classification of an explicit configuration list; an
-    empty list gives no rows, and a configuration that repeats a cell is
-    refused (`config_index`), as TranslationConfig refuses it."""
+    empty list gives no rows, and a configuration that repeats a cell, or
+    has none, is refused (`config_index`)."""
     points, idx = config_index(configs)
     return _classify(spec, points, idx if configs else idx.reshape(0, spec.m))
 
@@ -253,8 +253,9 @@ def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
 def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
     """Translation classes (`spectral.classes` under `D4[:1]`): representatives
     at minimum 0, cells sorted, in lexicographic order, with member counts.
-    An empty input gives []; a ragged list, a repeated cell or a coordinate
-    outside (-COORD_LIMIT, COORD_LIMIT) is refused (ValueError)."""
+    An empty input gives []; a ragged list, a configuration with no cells, a
+    repeated cell or a coordinate outside (-COORD_LIMIT, COORD_LIMIT) is
+    refused (ValueError)."""
     configs = list(configs)
     if not configs:
         return []

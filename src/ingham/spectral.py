@@ -4,8 +4,8 @@ For translates u_1..u_M and translation vectors v_k = 2*pi*n_k the matrix
 E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
 of E E^*.  `_phase_angle` is the only place an exact inner product becomes
-an angle: `phase` takes it from a QuadNumber, `phase_columns` from integers
-over a common denominator, bit for bit alike.  `spectra` is the only place
+an angle: `phase` takes it from a QuadNumber, `phase_columns` from the rows
+of `LatticeSpec.form`, bit for bit alike.  `spectra` is the only place
 determinants and eigenvalues of E E^* are taken.  It takes a point list and
 an (N, m) index array into it (`config_index` builds both from a
 configuration list) and walks the array in chunks of CHUNK_ROWS
@@ -37,9 +37,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTilingError, FieldMismatchError, NotHermitianError, SizeMismatchError
-from .lattice import LatticeSpec, Vec2, _residue, qvec, validate_spec, vec_dot, vec_sub
-from .qfield import QuadNumber, Rational
+from .errors import DegenerateTilingError, NotHermitianError, SizeMismatchError
+from .lattice import LatticeSpec, qvec, validate_spec
+from .qfield import QuadNumber, Rational, _one_field
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
 # determinant threshold separates the structurally singular configurations
@@ -107,11 +107,11 @@ class TranslationConfig:
     @classmethod
     def parse(cls, text: str) -> TranslationConfig:
         """Parse the CLI syntax 'a,b;a,b;...'."""
-        pairs = []
-        for chunk in text.split(";"):
-            a, b = chunk.split(",")
-            pairs.append((int(a.strip()), int(b.strip())))
-        return cls(tuple(pairs))
+        try:
+            ns = tuple((int(a), int(b)) for a, b in (pair.split(",") for pair in text.split(";")))
+        except ValueError:  # not two integers in a pair
+            raise ValueError(f"expected integer pairs 'a,b;a,b;...', got {text!r}") from None
+        return cls(ns)
 
     def __str__(self) -> str:
         return ";".join(f"{a},{b}" for a, b in self.ns)
@@ -143,23 +143,24 @@ def phase(t: QuadNumber) -> complex:
     return cmath.exp(1j * _phase_angle(t.p, t.q, t.r, t.d))
 
 
-def phase_columns(
-    vectors: Sequence[Vec2], points: Sequence[tuple[int, int]]
-) -> np.ndarray:
-    """W[j, p] = exp(2*pi*i*<vectors[j], points[p]>), each entry with the bits
-    of `phase(vec_dot(vectors[j], points[p]))`: over the common denominator r
-    of u = (x, y), <u, n> = (P + Q*sqrt d)/r with integers P and Q linear in n.
-    A translate mixing two radicals keeps the exact path, which refuses the
-    points where both meet."""
-    w = np.empty((len(vectors), len(points)), dtype=complex)
-    for j, (x, y) in enumerate(vectors):
-        if x.q and y.q and x.d != y.d:
-            w[j] = [phase(vec_dot((x, y), n)) for n in points]
+def phase_columns(form: tuple, points: Sequence[tuple[int, int]]) -> np.ndarray:
+    """W[j, p] = exp(2*pi*i*<u_j, points[p]>) for the rows u_j of a
+    `LatticeSpec.form`, with the bits of `phase(vec_dot(u_j, points[p]))`:
+    <u, n> = (P + sum_i Q_i*sqrt(fields[i]))/den, P and Q_i linear in n.  A
+    row in one field is reduced to it before the loop over the points; one
+    whose x and y lie in two fields refuses a point where both meet."""
+    den, fields, rows = form
+    w = np.empty((len(rows), len(points)), dtype=complex)
+    for j, ((px, *qx), (py, *qy)) in enumerate(rows):
+        used = [i for i, (x, y) in enumerate(zip(qx, qy)) if x or y]
+        if len(used) > 1:
+            for k, (a, b) in enumerate(points):
+                q, d = _one_field(fields, [x * a + y * b for x, y in zip(qx, qy)])
+                w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, q, den, d))
             continue
-        d, r = x.d if x.q else y.d, math.lcm(x.r, y.r)
-        px, qx, py, qy = x.p * (r // x.r), x.q * (r // x.r), y.p * (r // y.r), y.q * (r // y.r)
+        qx, qy, d = (qx[used[0]], qy[used[0]], fields[used[0]]) if used else (0, 0, 1)
         for k, (a, b) in enumerate(points):
-            w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, qx * a + qy * b, r, d))
+            w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, qx * a + qy * b, den, d))
     return w
 
 
@@ -173,7 +174,7 @@ def _check_size(spec: LatticeSpec, m: int) -> None:
 def build_e(spec: LatticeSpec, config: TranslationConfig) -> np.ndarray:
     """The M x M matrix E[j,k] = exp(2*pi*i*<u_j, n_k>)."""
     _check_size(spec, config.m)
-    return phase_columns(spec.us, config.ns)
+    return phase_columns(spec.form, config.ns)
 
 
 def config_index(
@@ -181,8 +182,11 @@ def config_index(
 ) -> tuple[list[tuple[int, int]], np.ndarray]:
     """Sorted distinct points of equal-size configurations of distinct cells
     and the (N, m) index array into them, the form `spectra` and `classes` take."""
-    if len({len(cfg) for cfg in configs}) > 1:
+    sizes = {len(cfg) for cfg in configs}
+    if len(sizes) > 1:
         raise ValueError("configurations must all have the same number of cells")
+    if 0 in sizes:
+        raise ValueError("a configuration needs at least one cell")
     if any(len(set(cfg)) != len(cfg) for cfg in configs):
         raise ValueError("translation vectors must be pairwise distinct")
     points = sorted({n for cfg in configs for n in cfg})
@@ -201,17 +205,12 @@ def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
     """The elements A of D4 that are spectral symmetries of the tiling, in D4's order.
 
     A is certified when a permutation sigma, one sign s and one vector c
-    give A^T u_j = s*u_sigma(j) + c (mod Z^2) for every j, decided exactly on
-    `lattice._residue` keys: sigma(0) is tried against each translate, which
-    fixes c, and the moved translates less c must then land on keys of the
-    s*u_i (on M distinct ones, as the translates are distinct mod Z^2).
-    Moving every translate by -u_0 changes c alone, so the keys are taken of
-    the u_j - u_0 when those mix no two fields.  A difference of numbers of
-    two fields (FieldMismatchError) fails its candidate: no s*u_i differs
-    from it by an integer vector.  So a c that mixes two fields is never
-    tried; after the move that happens only when the translates' coordinates
-    on one axis lie in two irrational fields, and then a symmetry may be
-    missed, never one added.
+    give A^T u_j = s*u_sigma(j) + c (mod Z^2) for every j: with sigma(0) = t,
+    c = A^T u_0 - s*u_t and each A^T u_j - A^T u_0 is some s*(u_i - u_t) mod
+    Z^2, decided on the integer rows of `LatticeSpec.form` (residues:
+    numerators mod den, radical parts kept), whatever fields c mixes.  Those
+    M residues are distinct, as the translates are mod Z^2, so sigma is then
+    a permutation.
 
     Proof that such an A keeps the spectrum: with e(t) = exp(2*pi*i*t),
 
@@ -231,28 +230,22 @@ def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
     s, c) and (tau, t, d) certify AB with (tau sigma, s t, s d + B^T c).
     -I (sigma the identity, s = -1, c = 0) is always in it.
     """
-    try:
-        us = [vec_sub(u, spec.us[0]) for u in spec.us]
-    except FieldMismatchError:
-        us = spec.us
+    den, _, rows = spec.form
+
+    def image(a, u) -> tuple:  # A^T u: its k-th coordinate is A[0][k] u_0 + A[1][k] u_1
+        return tuple(tuple(a[0][k] * x + a[1][k] * y for x, y in zip(*u)) for k in range(2))
+
+    def residue(u, v) -> tuple:  # of u - v mod Z^2
+        return tuple(((x[0] - y[0]) % den, *(p - q for p, q in zip(x[1:], y[1:])))
+                     for x, y in zip(u, v))
 
     def certified(a) -> bool:
-        # A is a signed permutation, so (A^T u)_k = sum_i A[i][k] u_i is one
-        # coordinate of u up to sign, and no two fields mix in it
-        moved = [
-            tuple(a[0][k] * u[0] if a[0][k] else a[1][k] * u[1] for k in range(2))
-            for u in us
-        ]
+        moved = [image(a, u) for u in rows]
+        keys = {residue(u, moved[0]) for u in moved}
         for s in (1, -1):
-            signed = [(s * x, s * y) for x, y in us]
-            targets = {_residue(v) for v in signed}
-            for t in signed:
-                try:
-                    c = vec_sub(moved[0], t)
-                    if all(_residue(vec_sub(v, c)) in targets for v in moved):
-                        return True
-                except FieldMismatchError:  # no integer difference: not this candidate
-                    continue
+            signed = [image(((s, 0), (0, s)), u) for u in rows]
+            if any(keys <= {residue(u, t) for u in signed} for t in signed):
+                return True
         return False
 
     return tuple(a for a in D4 if certified(a))
@@ -429,7 +422,7 @@ def spectra(
     configuration list, `spectra(spec, *config_index(configs))`.
     """
     _check_size(spec, idx.shape[-1])
-    w = phase_columns(spec.us, points)
+    w = phase_columns(spec.form, points)
     det = np.empty(len(idx))
     lo = np.empty(len(idx))
     hi = np.empty(len(idx))

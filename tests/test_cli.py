@@ -521,6 +521,13 @@ def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
     assert "usage error" in err and message in err
 
 
+@pytest.mark.parametrize("config", ["", "0,0;1", "0,0,1", "a,b", "0,0;"])
+def test_malformed_config_names_the_syntax(capsys, config):
+    code, out, err = run_cli(capsys, "constants", "--tiling", "square", "--config", config)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "a,b;a,b" in err
+
+
 @pytest.mark.parametrize("r, R", [("3e-160", "4e-160"), ("3e60", "4e60")])
 def test_determinant_beyond_float_scale_is_usage_error(capsys, r, R):
     # |det l_star| = r^2 + R^2 = 2.5e-319 (subnormal, once printed c1_full =

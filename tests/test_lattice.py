@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contains_oracle
-from conftest import FIELDS, lattice_specs, quad_numbers, rationals
+from conftest import FIELDS, lattice_specs, quad_numbers, rationals, two_field_specs
 from ingham import catalog, lattice
 from ingham.errors import (
     DuplicateTranslateError,
@@ -167,6 +167,26 @@ def test_l_star_inverse_is_cached_and_exact(catalog_entries, monkeypatch):
         assert spec._inverse is inv
         assert calls == [spec.l_star]
         calls.clear()
+
+
+@settings(max_examples=200)
+@given(st.one_of(lattice_specs(), two_field_specs()))
+def test_form_rebuilds_every_coordinate(spec):
+    """den is the lcm of the translates' denominators, fields their radicands,
+    and each coordinate is the QuadNumber its row of Python ints denotes."""
+    den, fields, rows = spec.form
+    coords = [t for u in spec.us for t in u]
+    assert den == math.lcm(*(x.denominator for t in coords for x in (t.a, t.b)))
+    assert fields == tuple(sorted({t.d for t in coords if t.b}))
+    assert len(rows) == spec.m
+    for u, row in zip(spec.us, rows):
+        assert len(row) == 2
+        for t, (a, *bs) in zip(u, row):
+            assert len(bs) == len(fields) and all(type(v) is int for v in (a, *bs))
+            rebuilt = sum((QuadNumber(0, Fraction(b, den), d) for b, d in zip(bs, fields)),
+                          QuadNumber(Fraction(a, den)))
+            assert rebuilt == t
+    assert spec.form is spec.form
 
 
 def test_contains_field_mismatch():

@@ -225,6 +225,11 @@ def test_translation_classes_refuse_a_repeated_cell():
         translation_classes([((0, 0), (0, 0))])
 
 
+def test_translation_classes_refuse_a_configuration_with_no_cells():
+    with pytest.raises(ValueError, match="at least one cell"):
+        translation_classes([()])
+
+
 def test_translation_classes_refuse_coordinates_past_the_limit():
     with pytest.raises(ValueError, match="must lie in"):
         translation_classes([((0, 0), (spectral.COORD_LIMIT, 0))])
@@ -469,6 +474,11 @@ def test_a_configuration_repeating_a_cell_is_refused():
     with pytest.raises(ValueError, match="pairwise distinct"):
         classify_configs(spec, [((0, 0), (0, 1), (1, 0), (1, 1)),
                                 ((0, 0), (0, 0), (1, 0), (1, 1))])
+
+
+def test_a_configuration_with_no_cells_is_refused():
+    with pytest.raises(ValueError, match="at least one cell"):
+        classify_configs(catalog.get("snub_square").spec, [()])
 
 
 def test_oversized_survey_is_refused_before_enumerating():
