@@ -19,9 +19,17 @@ from math import gcd
 from typing import Any, Callable
 
 from .errors import UnknownTilingError
-from .lattice import LatticeSpec, Mat2, Vec2, mat_vec, validate_spec
+from .lattice import (
+    TWO_SQUARE_CONFIG,
+    LatticeSpec,
+    Mat2,
+    TranslationConfig,
+    Vec2,
+    mat_vec,
+    two_square_spec,
+    validate_spec,
+)
 from .qfield import QuadNumber, rational
-from .spectral import TWO_SQUARE_CONFIG, TranslationConfig, two_square_spec
 
 COLUMN_6 = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5))
 BAD_6 = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4))

@@ -4,6 +4,10 @@ Subcommands: catalog, constants, survey, verify, export, reproduce.
 Outputs are byte-deterministic for fixed flags: JSON is emitted with sorted
 keys, CSVs in a fixed column order, and nothing time- or path-dependent is
 recorded.  Exit codes: 0 success, 1 computation mismatch, 2 usage error.
+
+Only the exact layer is imported here, so `catalog` and `export --what
+points` run without numpy; each command that computes in floats imports its
+numeric modules when it runs.
 """
 
 from __future__ import annotations
@@ -15,14 +19,11 @@ import os
 import sys
 from contextlib import nullcontext
 
-from . import catalog, geometry, search, spectral
+from . import catalog
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
 from .errors import FieldMismatchError, HoleOutsideDomainError, InghamError, NotHermitianError
-from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
-from .lattice import mat_float, minimality_certificate, realize_points
+from .lattice import TranslationConfig, mat_float, minimality_certificate, realize_points
 from .qfield import rational
-from .reproduce import build_report
-from .spectral import TranslationConfig
 
 
 def _entry(args) -> catalog.CatalogEntry:
@@ -51,6 +52,14 @@ def _box(text: str, flag: str) -> tuple[float, ...]:
     if len(box) != 4:
         raise ValueError(f"{flag} needs 4 values x0,y0,x1,y1")
     return box
+
+
+def _radii(text: str) -> list[int]:
+    """The support radii k,k,... given to --witness-radii."""
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--witness-radii expects integers 'k,k,...', got {text!r}") from None
 
 
 def _emit_json(data) -> None:
@@ -99,6 +108,8 @@ def _minimality_status(entry) -> bool | None:
 
 
 def cmd_constants(args) -> int:
+    from . import geometry, spectral
+
     entry = _entry(args)
     config = TranslationConfig.parse(args.config)
     sr = spectral.ingham_constants(entry.spec, config)
@@ -119,6 +130,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_survey(args) -> int:
+    from . import search
+
     entry = _entry(args)
     if args.connected_only:
         result = search.connected_survey(entry.spec)
@@ -140,6 +153,8 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
+
     entry = _entry(args)
     config = TranslationConfig.parse(args.config)
     support = SupportSet.centered(entry.spec, args.support_radius)
@@ -156,8 +171,7 @@ def cmd_verify(args) -> int:
         "frame_bounds_pass": fb.passed,
     }
     if args.hole or args.hole_fraction is not None:
-        radii = [int(v) for v in args.witness_radii.split(",")]
-        supports = [SupportSet.centered(entry.spec, k) for k in radii]
+        supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
         try:
             if args.hole:
                 hole = _box(args.hole, "--hole")
@@ -194,6 +208,8 @@ def cmd_export(args) -> int:
         raise ValueError("export --what domain needs --config with --spec-file")
     else:
         config = entry.default_configs[entry.primary_config]
+    from . import geometry
+
     geom = geometry.omega_cells(entry.spec, config)
     rows = [
         (cell, vertex, f"{x:.12g}", f"{y:.12g}")
@@ -204,6 +220,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .reproduce import build_report
+
     report = build_report(out_dir=args.out)
     summary = report["summary"]
     for entry in report["entries"]:

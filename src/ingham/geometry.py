@@ -22,8 +22,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import SizeTooLargeError
-from .lattice import LatticeSpec, mat_float
-from .spectral import D4, TWO_PI, Classes, TranslationConfig, _check_size, chunks, classes
+from .lattice import LatticeSpec, TranslationConfig, mat_float
+from .spectral import D4, TWO_PI, Classes, _check_size, chunks, classes
 
 POLYOMINO_MAX = 8
 

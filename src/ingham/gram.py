@@ -51,12 +51,19 @@ import numpy as np
 
 from .errors import FieldMismatchError, HoleOutsideDomainError
 from .geometry import ambient_l
-from .lattice import LatticePoint, LatticeSpec, Vec2, vec_add, vec_dot, vec_sub
+from .lattice import (
+    LatticePoint,
+    LatticeSpec,
+    TranslationConfig,
+    Vec2,
+    vec_add,
+    vec_dot,
+    vec_sub,
+)
 from .qfield import QuadNumber, _one_field, quad_float
 from .spectral import (
     COORD_LIMIT,
     TWO_PI,
-    TranslationConfig,
     _lex_ids,
     _phase_angle,
     hermitian_extremes,

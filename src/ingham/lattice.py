@@ -14,6 +14,12 @@ l_star^-1; `_translate_index`, each translate's `_residue` key mapped to its
 index j, so membership of p is one lookup of the key of l_star^-1 p; `form`,
 the one place translate denominators and fields are computed; and `_hash`,
 the hash of those three fields.
+
+The module imports neither numpy nor any numeric module of the package, so
+the exact layer (this module, `qfield` and `catalog`) starts without them.
+It also holds the numpy-free pieces the catalog is built from:
+`TranslationConfig`, the integer vectors of a configuration, and the
+two-square (Pythagorean) tiling, `two_square_spec` and `TWO_SQUARE_CONFIG`.
 """
 
 from __future__ import annotations
@@ -25,7 +31,12 @@ from functools import cached_property, cmp_to_key
 from itertools import chain
 from typing import Sequence
 
-from .errors import DuplicateTranslateError, NotInLatticeError, SingularMatrixError
+from .errors import (
+    DegenerateTilingError,
+    DuplicateTranslateError,
+    NotInLatticeError,
+    SingularMatrixError,
+)
 from .qfield import QuadNumber, Rational, _coerce, _joint_d, _make, quad_float
 
 Vec2 = tuple[QuadNumber, QuadNumber]
@@ -174,6 +185,37 @@ class RealizedPoint:
     y: float
     j: int
     m: tuple[int, int]
+
+
+@dataclass(frozen=True)
+class TranslationConfig:
+    """Integer vectors n_k encoding v_k = 2*pi*n_k; (A1) holds by construction."""
+
+    ns: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if len(set(self.ns)) != len(self.ns):
+            raise ValueError("translation vectors must be pairwise distinct")
+
+    @property
+    def m(self) -> int:
+        return len(self.ns)
+
+    @classmethod
+    def of(cls, *ns: tuple[int, int]) -> TranslationConfig:
+        return cls(tuple((int(a), int(b)) for a, b in ns))
+
+    @classmethod
+    def parse(cls, text: str) -> TranslationConfig:
+        """Parse the CLI syntax 'a,b;a,b;...'."""
+        try:
+            ns = tuple((int(a), int(b)) for a, b in (pair.split(",") for pair in text.split(";")))
+        except ValueError:  # not two integers in a pair
+            raise ValueError(f"expected integer pairs 'a,b;a,b;...', got {text!r}") from None
+        return cls(ns)
+
+    def __str__(self) -> str:
+        return ";".join(f"{a},{b}" for a, b in self.ns)
 
 
 @dataclass(frozen=True)
@@ -368,3 +410,49 @@ def minimality_certificate(spec: LatticeSpec, witnesses: Sequence[Vec2]) -> bool
             if line_lattice_subset(spec, witnesses[i], witnesses[k]):
                 return False
     return True
+
+
+# -- two-square (Pythagorean) tiling ----------------------------------------
+
+TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _two_square_fractions(r: Rational, R: Rational) -> tuple[Fraction, Fraction]:
+    r = Fraction(r)
+    R = Fraction(R)
+    # The spec's name prints both sides, and str() refuses an integer past
+    # the interpreter's int-string limit (CPython's default: 4300 digits).
+    for side, x in (("r", r), ("R", R)):
+        try:
+            str(x)
+        except ValueError:
+            raise ValueError(f"two-square side {side} has too many digits to print") from None
+    if r <= 0 or R <= r:
+        raise DegenerateTilingError(
+            f"need 0 < r < R (got r={r}, R={R}): coinciding lattice points"
+        )
+    return r, R
+
+
+def two_square_spec(r: Rational, R: Rational) -> LatticeSpec:
+    """Vertex lattice of the tiling by squares of sides r < R.
+
+    l_star is the homothety by sqrt(R^2+r^2); the four translates are the
+    small-square vertices, with components +-rR/(sqrt2 (R^2+r^2)) and
+    +-r^2/(sqrt2 (R^2+r^2)), exact in Q(sqrt2) for rational r, R.
+    """
+    r, R = _two_square_fractions(r, R)
+    s = R * R + r * r
+    scale = QuadNumber.sqrt(s)
+    # A cos(alpha) and A sin(alpha) with A = r / sqrt(2 s), alpha = arctan(r/R)
+    ac = QuadNumber(0, r * R / (2 * s), 2)
+    as_ = QuadNumber(0, r * r / (2 * s), 2)
+    zero = QuadNumber(0)
+    us = (
+        qvec(as_, ac),  # angle -alpha + pi/2
+        qvec(-ac, as_),  # angle -alpha + pi
+        qvec(-as_, -ac),  # angle -alpha + 3 pi/2
+        qvec(ac, -as_),  # angle -alpha + 2 pi
+    )
+    l_star = ((scale, zero), (zero, scale))
+    return validate_spec(LatticeSpec(name=f"two_square_r{r}_R{R}", l_star=l_star, us=us))

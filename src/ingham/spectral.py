@@ -31,14 +31,21 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateTilingError, NotHermitianError, SizeMismatchError
-from .lattice import LatticeSpec, qvec, validate_spec
+from .errors import NotHermitianError, SizeMismatchError
+# TranslationConfig and the two-square spec are numpy-free, so they live in
+# lattice for the exact layer; this module keeps their old names.
+from .lattice import (
+    TWO_SQUARE_CONFIG,
+    LatticeSpec,
+    TranslationConfig,
+    _two_square_fractions,
+    two_square_spec,
+)
 from .qfield import QuadNumber, Rational, _one_field
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
@@ -66,8 +73,6 @@ TWO_PI = 2.0 * math.pi
 # 9 KB per configuration, so 20 MB per chunk whatever the survey's size.
 CHUNK_ROWS = 2048
 
-TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
-
 # The symmetries of the square: the eight signed permutation matrices (D4),
 # the identity first.
 Symmetry = tuple[tuple[int, int], tuple[int, int]]
@@ -84,37 +89,6 @@ COORD_LIMIT = 2**61
 # `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its
 # point codes and image words.
 KEY_LIMIT = 2**62
-
-
-@dataclass(frozen=True)
-class TranslationConfig:
-    """Integer vectors n_k encoding v_k = 2*pi*n_k; (A1) holds by construction."""
-
-    ns: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.ns)) != len(self.ns):
-            raise ValueError("translation vectors must be pairwise distinct")
-
-    @property
-    def m(self) -> int:
-        return len(self.ns)
-
-    @classmethod
-    def of(cls, *ns: tuple[int, int]) -> TranslationConfig:
-        return cls(tuple((int(a), int(b)) for a, b in ns))
-
-    @classmethod
-    def parse(cls, text: str) -> TranslationConfig:
-        """Parse the CLI syntax 'a,b;a,b;...'."""
-        try:
-            ns = tuple((int(a), int(b)) for a, b in (pair.split(",") for pair in text.split(";")))
-        except ValueError:  # not two integers in a pair
-            raise ValueError(f"expected integer pairs 'a,b;a,b;...', got {text!r}") from None
-        return cls(ns)
-
-    def __str__(self) -> str:
-        return ";".join(f"{a},{b}" for a, b in self.ns)
 
 
 @dataclass(frozen=True)
@@ -485,47 +459,6 @@ def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralRe
 
 
 # -- two-square (Pythagorean) tiling ----------------------------------------
-
-
-def _two_square_fractions(r: Rational, R: Rational) -> tuple[Fraction, Fraction]:
-    r = Fraction(r)
-    R = Fraction(R)
-    # The spec's name prints both sides, and str() refuses an integer past
-    # the interpreter's int-string limit (CPython's default: 4300 digits).
-    for side, x in (("r", r), ("R", R)):
-        try:
-            str(x)
-        except ValueError:
-            raise ValueError(f"two-square side {side} has too many digits to print") from None
-    if r <= 0 or R <= r:
-        raise DegenerateTilingError(
-            f"need 0 < r < R (got r={r}, R={R}): coinciding lattice points"
-        )
-    return r, R
-
-
-def two_square_spec(r: Rational, R: Rational) -> LatticeSpec:
-    """Vertex lattice of the tiling by squares of sides r < R.
-
-    l_star is the homothety by sqrt(R^2+r^2); the four translates are the
-    small-square vertices, with components +-rR/(sqrt2 (R^2+r^2)) and
-    +-r^2/(sqrt2 (R^2+r^2)), exact in Q(sqrt2) for rational r, R.
-    """
-    r, R = _two_square_fractions(r, R)
-    s = R * R + r * r
-    scale = QuadNumber.sqrt(s)
-    # A cos(alpha) and A sin(alpha) with A = r / sqrt(2 s), alpha = arctan(r/R)
-    ac = QuadNumber(0, r * R / (2 * s), 2)
-    as_ = QuadNumber(0, r * r / (2 * s), 2)
-    zero = QuadNumber(0)
-    us = (
-        qvec(as_, ac),  # angle -alpha + pi/2
-        qvec(-ac, as_),  # angle -alpha + pi
-        qvec(-as_, -ac),  # angle -alpha + 3 pi/2
-        qvec(ac, -as_),  # angle -alpha + 2 pi
-    )
-    l_star = ((scale, zero), (zero, scale))
-    return validate_spec(LatticeSpec(name=f"two_square_r{r}_R{R}", l_star=l_star, us=us))
 
 
 def two_square_delta(r: Rational, R: Rational) -> complex:

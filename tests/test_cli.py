@@ -528,6 +528,14 @@ def test_malformed_config_names_the_syntax(capsys, config):
     assert err.startswith("usage error:") and "a,b;a,b" in err
 
 
+@pytest.mark.parametrize("radii", ["1,x", "", "0,,1", "1.5"])
+def test_malformed_witness_radii_name_the_flag(capsys, radii):
+    code, out, err = run_cli(capsys, *HONEYCOMB_VERIFY, "--hole-fraction", "0.25",
+                             "--witness-radii", radii)
+    assert code == 2 and out == ""
+    assert err == f"usage error: --witness-radii expects integers 'k,k,...', got {radii!r}\n"
+
+
 @pytest.mark.parametrize("r, R", [("3e-160", "4e-160"), ("3e60", "4e60")])
 def test_determinant_beyond_float_scale_is_usage_error(capsys, r, R):
     # |det l_star| = r^2 + R^2 = 2.5e-319 (subnormal, once printed c1_full =
