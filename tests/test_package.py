@@ -91,11 +91,13 @@ def test_an_unknown_name_is_an_attribute_error():
     assert "no_such_name" not in dir(ingham)
 
 
-# Run in a fresh interpreter: the exact layer end to end, then what it loaded.
+# Run in a fresh interpreter: `import ingham` alone, the exact layer end to
+# end, then what it loaded.
 EXACT_LAYER = """
 import contextlib, io, json, sys
 import ingham
 bare = sorted(m for m in sys.modules if m.startswith("ingham."))
+names = dir(ingham)
 from ingham import catalog, cli
 from ingham.catalog import spec_from_json, spec_to_json
 from ingham.lattice import mat_vec
@@ -108,7 +110,7 @@ with contextlib.redirect_stdout(out):
     assert cli.main(["catalog", "show", "truncated_trihexagonal"]) == 0
     assert cli.main(["export", "--what", "points", "--tiling", "snub_square",
                      "--bbox", "0,0,2,2"]) == 0
-print(json.dumps({"bare": bare, "numpy": "numpy" in sys.modules, "output": out.getvalue(),
+print(json.dumps({"bare": bare, "dir": names, "numpy": "numpy" in sys.modules, "output": out.getvalue(),
                   "loaded": sorted(m for m in sys.modules if m.startswith("ingham"))}))
 """
 
@@ -122,6 +124,7 @@ def test_the_exact_layer_runs_without_numpy():
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["bare"] == []
+    assert {name for _, name in NAMES} | set(EAGER_SUBMODULES) <= set(seen["dir"])
     assert not seen["numpy"], seen["loaded"]
     assert '"name": "truncated_trihexagonal"' in seen["output"]
     assert "x,y,j,m0,m1" in seen["output"]
