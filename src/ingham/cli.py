@@ -158,6 +158,10 @@ def cmd_verify(args) -> int:
     entry = _entry(args)
     config = TranslationConfig.parse(args.config)
     support = SupportSet.centered(entry.spec, args.support_radius)
+    hole = supports = None
+    if args.hole or args.hole_fraction is not None:  # refused before the frame-bound work
+        supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
+        hole = _box(args.hole, "--hole") if args.hole else None
     fb = frame_bound_check(entry.spec, config, support)
     data = {
         "tiling": entry.spec.name,
@@ -170,12 +174,9 @@ def cmd_verify(args) -> int:
         "c2_full": fb.c2_full,
         "frame_bounds_pass": fb.passed,
     }
-    if args.hole or args.hole_fraction is not None:
-        supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
+    if supports is not None:
         try:
-            if args.hole:
-                hole = _box(args.hole, "--hole")
-            else:
+            if hole is None:
                 hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
             lambdas = removal_witness(entry.spec, config, hole, supports)
         except (HoleOutsideDomainError, FieldMismatchError) as exc:  # user's hole or spec

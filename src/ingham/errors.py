@@ -6,7 +6,8 @@ class InghamError(Exception):
 
 
 class FieldMismatchError(InghamError):
-    """Arithmetic attempted between incompatible quadratic fields."""
+    """Arithmetic attempted between incompatible quadratic fields, or a
+    lattice whose translates lie in two irrational fields."""
 
 
 class SingularMatrixError(InghamError):

@@ -13,12 +13,11 @@ is exact and no quadrature enters the main path.
 
 mu = (u_p - u_q) + (m_p - m_q) splits into a translate difference and an
 integer shift s.  `_differences` subtracts the translates' integer rows of
-`LatticeSpec.form`, so for translates (x, y) mu_c = (A + s_c*D + sum_i
-B_i*sqrt(d_i))/D with integers A and B_i: zero when all are, an integer when
-every B_i is 0 and D divides A.  Two nonzero B_i are refused
-(FieldMismatchError), as the `inner_product` oracle refuses them.  Each
-matrix is built from per-entry integer keys and tables of their distinct
-values, with no loop over translate pairs or entries:
+`LatticeSpec.form`, so for translates (x, y) mu_c = (A + s_c*D +
+B*sqrt(d))/D with integers A and B, in the translates' one field Q(sqrt d):
+zero when A and B are, an integer when B is 0 and D divides A.  Each matrix
+is built from per-entry integer keys and tables of their distinct values,
+with no loop over translate pairs or entries:
 
 - the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
   the fractional and radical parts of <mu, n_k> unchanged), so it is taken
@@ -56,11 +55,12 @@ from .lattice import (
     LatticeSpec,
     TranslationConfig,
     Vec2,
+    _translate_field,
     vec_add,
     vec_dot,
     vec_sub,
 )
-from .qfield import QuadNumber, _one_field, quad_float
+from .qfield import QuadNumber, quad_float
 from .spectral import (
     COORD_LIMIT,
     TWO_PI,
@@ -148,6 +148,9 @@ class FrameBoundReport:
 
 
 def _mu(spec: LatticeSpec, p: LatticePoint, q: LatticePoint) -> Vec2:
+    """u_p + m_p - (u_q + m_q).  Translates in two irrational fields are
+    refused, as the matrices refuse them through `LatticeSpec.form`."""
+    _translate_field(spec.us)
     up = vec_add(spec.us[p.j], (p.m[0], p.m[1]))
     uq = vec_add(spec.us[q.j], (q.m[0], q.m[1]))
     return vec_sub(up, uq)
@@ -304,7 +307,7 @@ def gram_matrix(
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
     pairs, spans = _differences(spec, support)
-    den, fields, _ = spec.form
+    den, d, _ = spec.form
     det = spec.det_l()
     codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
     keys, residues = ({}, {}), {}
@@ -312,15 +315,15 @@ def gram_matrix(
         code = x * spec.m + y
         for c, key in enumerate(diff):
             codes[c, code] = keys[c].setdefault(key, len(keys[c]))
-        codes[2, code] = residues.setdefault(tuple((a % den, *b) for a, *b in diff), len(residues))
-    w = phase_columns((den, fields, list(residues)), config.ns)
+        codes[2, code] = residues.setdefault(tuple((a % den, b) for a, b in diff), len(residues))
+    w = phase_columns((den, d, list(residues)), config.ns)
     totals = np.array([_phase_sum(row) for row in w.tolist()], dtype=complex)
     phis = []
     for key, span in zip(keys, spans):
-        a, q, d = list(zip(*((p, *_one_field(fields, qs)) for p, *qs in key))) or ((), (), ())
+        a, q = list(zip(*key)) or ((), ())
 
-        def values(cs: list, ss: list, a=a, q=q, d=d) -> list:
-            return [_phi(a[c] + s * den, q[c], den, d[c]) for c, s in zip(cs, ss)]
+        def values(cs: list, ss: list, a=a, q=q) -> list:
+            return [_phi(a[c] + s * den, q[c], den, d) for c, s in zip(cs, ss)]
 
         phis.append(_Table(values, len(a), [span]))
 

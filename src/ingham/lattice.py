@@ -12,8 +12,13 @@ the instance (cached properties that are not dataclass fields, so equality,
 hashing and repr see only name, l_star and us): `_inverse`, the exact
 l_star^-1; `_translate_index`, each translate's `_residue` key mapped to its
 index j, so membership of p is one lookup of the key of l_star^-1 p; `form`,
-the one place translate denominators and fields are computed; and `_hash`,
-the hash of those three fields.
+the translates as integer rows over one denominator and one field; and
+`_hash`, the hash of those three fields.
+
+The translates' coordinates lie in one field Q(sqrt d), as every tiling of
+the catalog and every spec file has them: `validate_spec` and `form` refuse
+two irrational fields (`_translate_field`), so no layer handles a second.
+l_star may lie in another field (the two-square tilings).
 
 The module imports neither numpy nor any numeric module of the package, so
 the exact layer (this module, `qfield` and `catalog`) starts without them.
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property, cmp_to_key, reduce
 from itertools import chain
 from typing import Sequence
 
@@ -100,33 +105,34 @@ def _fraction_part(x: QuadNumber) -> QuadNumber:
 _exact_order = cmp_to_key(lambda x, y: (x - y).sign())
 
 
+def _translate_field(us: Sequence[Vec2]) -> int:
+    """The d of the one field Q(sqrt d) of every translate coordinate, 1 when
+    all are rational; coordinates in two irrational fields raise
+    FieldMismatchError naming both.  The one statement of the rule."""
+    return reduce(_joint_d, sorted({t.d for u in us for t in u}), 1)
+
+
 def _least_gap_mod_1(classes: set[tuple[int, int, int, int]]) -> float:
     """The float of the least distance to Z of a difference of two numbers
     of distinct classes mod 1 (`_residue` keys), when it may be below
-    DET_MIN; otherwise a float above it (inf when there is none).
+    DET_MIN; otherwise a float above it.
 
     The float layers see this distance as the float of mu_d + s, so below
     DET_MIN it rounds to 0 (a 1e-400 became 0.0: a ZeroDivisionError in the
     Gram phi, det E = 0 in the (A2) verdict).  On the circle R/Z the least
     such distance is a gap between neighbours.  The floats of the classes
     are within err of them, so when every float gap exceeds 4 err no exact
-    one is small; otherwise the classes are sorted exactly.  A difference of
-    two irrational fields is not exact and is skipped there.
+    one is small; otherwise the classes, all in one field, are sorted exactly.
     """
     ring = sorted([quad_float(*k) % 1.0 for k in classes])
     err = 2.0**-50 * max([1.0 + abs(q / r) * math.sqrt(d) for _, q, r, d in classes])
     least = min([b - a for a, b in zip(ring, ring[1:])] + [ring[0] + 1.0 - ring[-1]])
     if least > 4 * err:
         return least
-    fractions = {_fraction_part(QuadNumber(Fraction(p, r), Fraction(q, r), d))
-                 for p, q, r, d in classes}
-    least = math.inf
-    for field in {x.d for x in fractions if x.q} or {1}:
-        ring = sorted((x for x in fractions if x.d in (1, field)), key=_exact_order)
-        if len(ring) > 1:
-            gaps = [b - a for a, b in zip(ring, ring[1:])] + [ring[0] + 1 - ring[-1]]
-            least = min(least, *map(float, gaps))
-    return least
+    ring = sorted({_fraction_part(QuadNumber(Fraction(p, r), Fraction(q, r), d))
+                   for p, q, r, d in classes}, key=_exact_order)
+    gaps = [b - a for a, b in zip(ring, ring[1:])] + [ring[0] + 1 - ring[-1]]
+    return min(map(float, gaps))
 
 
 def mat_det(m: Mat2) -> QuadNumber:
@@ -251,20 +257,16 @@ class LatticeSpec:
         return mat_inv(self.l_star)
 
     @cached_property
-    def form(self) -> tuple[int, tuple[int, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
-        """The translates in Python ints, (den, fields, rows), with
-        u_jc = (a + sum_i b_i*sqrt(fields[i]))/den for rows[j][c] = (a, b_0, ...):
-        den is the lcm of their denominators and fields their sorted radicands.
-        A coordinate has at most one nonzero b_i; two may use two fields."""
-        coords = [t for u in self.us for t in u]
-        den = math.lcm(*(t.r for t in coords))
-        fields = tuple(sorted({t.d for t in coords if t.q}))
-
-        def row(t: QuadNumber) -> tuple[int, ...]:
-            k = den // t.r
-            return (t.p * k, *(t.q * k if t.d == d else 0 for d in fields))
-
-        return den, fields, tuple((row(x), row(y)) for x, y in self.us)
+    def form(self) -> tuple[int, int, tuple[tuple[tuple[int, int], tuple[int, int]], ...]]:
+        """The translates in Python ints, (den, d, rows), with
+        u_jc = (a + b*sqrt(d))/den for rows[j][c] = (a, b): den is the lcm of
+        their denominators and Q(sqrt d) their one field (d = 1 and every
+        b = 0 when they are rational).  Two irrational fields are refused
+        (`_translate_field`)."""
+        d = _translate_field(self.us)
+        den = math.lcm(*(t.r for u in self.us for t in u))
+        row = lambda t: (t.p * (den // t.r), t.q * (den // t.r))
+        return den, d, tuple((row(x), row(y)) for x, y in self.us)
 
     @cached_property
     def _translate_index(self) -> dict[tuple, int]:
@@ -282,6 +284,7 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
     det = mat_det(spec.l_star)
     if det.is_zero():
         raise SingularMatrixError(f"{spec.name}: l_star is singular")
+    _translate_field(spec.us)
     # Everything past the exact layer computes in floats.
     try:
         floats = [float(x) for x in (det, *spec.l_star[0], *spec.l_star[1], *chain(*spec.us))]

@@ -365,12 +365,3 @@ def _joint_d(dx: int, dy: int) -> int:
     if dx == 1:
         return dy
     raise FieldMismatchError(f"cannot combine sqrt({dx}) with sqrt({dy})")
-
-
-def _one_field(fields: tuple[int, ...], qs: list[int]) -> tuple[int, int]:
-    """(q, d) of the one nonzero coefficient q in qs of the field d in fields
-    (as in `lattice.LatticeSpec.form`), (0, 1) for none; two raise."""
-    used = [(q, d) for q, d in zip(qs, fields) if q] or [(0, 1)]
-    if len(used) > 1:
-        raise FieldMismatchError(f"cannot combine sqrt({used[0][1]}) with sqrt({used[1][1]})")
-    return used[0]

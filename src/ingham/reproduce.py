@@ -4,12 +4,14 @@
 passed)`; kinds doing the same work share one.  Evaluators read grid and
 connected surveys from a store that `build_report` makes for one report
 (`_survey_store`), so a survey that several records and the CSVs read runs
-once.  `_report_entry` builds every report entry, frame bounds included.  The report is deterministic (no
-timestamps, sorted keys, fixed seeds) and is written with the survey CSVs.
-Every grid survey gates on `spectral.a2_stable` (no |det E| near the (A2)
-threshold).  Records with a `printed` value document a published figure that
-the data provably contradicts; they gate on the frozen computed value and
-surface the printed one in the report.
+once.  `_report_entry` builds every report entry, frame bounds included.
+
+The report is deterministic (no timestamps, sorted keys, fixed seeds) and is
+written with the survey CSVs.  Every grid survey gates on
+`spectral.a2_stable` (no |det E| near the (A2) threshold).  Records with a
+`printed` value document a published figure that the data provably
+contradicts; they gate on the frozen computed value and surface the printed
+one in the report.
 """
 
 from __future__ import annotations
@@ -118,9 +120,11 @@ def _pass_kappas(result: search.SurveyResult, rec: ExpectedRecord):
 
 
 def _cell_block_classes(spec) -> search.SurveyRecords:
-    """One record per translation class of m-subsets of the 2x2 cell block."""
-    classes = search.translation_classes(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
-    return search.classify_configs(spec, [cls.representative for cls in classes])
+    """One record per translation class of m-subsets of the 2x2 cell block,
+    its canonical configuration (`spectral.classes` under the identity)."""
+    block = list(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
+    cls = spectral.classes(spectral.D4[:1], *spectral.config_index(block))
+    return search._classify(spec, cls.points, cls.idx)
 
 
 def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
@@ -196,7 +200,7 @@ KINDS: dict[str, Evaluator] = {
     "connected_pass_count": _connected(lambda res: res.passing),
     "connected_all_pass": _connected(lambda res: res.failing == 0),
     "polyomino_count": _equal(
-        lambda entry, rec: len(geometry.fixed_polyominoes(rec.params["size"]))
+        lambda entry, rec: len(geometry.polyominoes(rec.params["size"]).idx)
     ),
     "class_pairs": _class_pairs,
     "rank_order": _equal(_rank_order),

@@ -4,8 +4,9 @@ For translates u_1..u_M and translation vectors v_k = 2*pi*n_k the matrix
 E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
 of E E^*.  `_phase_angle` is the only place an exact inner product becomes
-an angle: `phase` takes it from a QuadNumber, `phase_columns` from the rows
-of `LatticeSpec.form`, bit for bit alike.  `spectra` is the only place
+an angle: `phase` takes it from a QuadNumber, `phase_columns` from the
+integer rows of `LatticeSpec.form` (one denominator, the translates' one
+field Q(sqrt d)), bit for bit alike.  `spectra` is the only place
 determinants and eigenvalues of E E^* are taken.  It takes a point list and
 an (N, m) index array into it (`config_index` builds both from a
 configuration list) and walks the array in chunks of CHUNK_ROWS
@@ -46,7 +47,7 @@ from .lattice import (
     _two_square_fractions,
     two_square_spec,
 )
-from .qfield import QuadNumber, Rational, _one_field
+from .qfield import QuadNumber, Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
 # determinant threshold separates the structurally singular configurations
@@ -120,19 +121,10 @@ def phase(t: QuadNumber) -> complex:
 def phase_columns(form: tuple, points: Sequence[tuple[int, int]]) -> np.ndarray:
     """W[j, p] = exp(2*pi*i*<u_j, points[p]>) for the rows u_j of a
     `LatticeSpec.form`, with the bits of `phase(vec_dot(u_j, points[p]))`:
-    <u, n> = (P + sum_i Q_i*sqrt(fields[i]))/den, P and Q_i linear in n.  A
-    row in one field is reduced to it before the loop over the points; one
-    whose x and y lie in two fields refuses a point where both meet."""
-    den, fields, rows = form
+    <u, n> = (P + Q*sqrt(d))/den, P and Q linear in n."""
+    den, d, rows = form
     w = np.empty((len(rows), len(points)), dtype=complex)
-    for j, ((px, *qx), (py, *qy)) in enumerate(rows):
-        used = [i for i, (x, y) in enumerate(zip(qx, qy)) if x or y]
-        if len(used) > 1:
-            for k, (a, b) in enumerate(points):
-                q, d = _one_field(fields, [x * a + y * b for x, y in zip(qx, qy)])
-                w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, q, den, d))
-            continue
-        qx, qy, d = (qx[used[0]], qy[used[0]], fields[used[0]]) if used else (0, 0, 1)
+    for j, ((px, qx), (py, qy)) in enumerate(rows):
         for k, (a, b) in enumerate(points):
             w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, qx * a + qy * b, den, d))
     return w
@@ -182,9 +174,8 @@ def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
     give A^T u_j = s*u_sigma(j) + c (mod Z^2) for every j: with sigma(0) = t,
     c = A^T u_0 - s*u_t and each A^T u_j - A^T u_0 is some s*(u_i - u_t) mod
     Z^2, decided on the integer rows of `LatticeSpec.form` (residues:
-    numerators mod den, radical parts kept), whatever fields c mixes.  Those
-    M residues are distinct, as the translates are mod Z^2, so sigma is then
-    a permutation.
+    numerators mod den, radical parts kept).  Those M residues are distinct,
+    as the translates are mod Z^2, so sigma is then a permutation.
 
     Proof that such an A keeps the spectrum: with e(t) = exp(2*pi*i*t),
 
@@ -210,8 +201,7 @@ def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
         return tuple(tuple(a[0][k] * x + a[1][k] * y for x, y in zip(*u)) for k in range(2))
 
     def residue(u, v) -> tuple:  # of u - v mod Z^2
-        return tuple(((x[0] - y[0]) % den, *(p - q for p, q in zip(x[1:], y[1:])))
-                     for x, y in zip(u, v))
+        return tuple(((p - r) % den, q - s) for (p, q), (r, s) in zip(u, v))
 
     def certified(a) -> bool:
         moved = [image(a, u) for u in rows]

@@ -27,7 +27,7 @@ def quad_numbers(d):
 
 def _class_mod_z2(u):
     """Translates u, v give the same lattice coset exactly when u - v is integer."""
-    return tuple((c.a - math.floor(c.a), c.b, c.d) for c in u)
+    return tuple((c.a - math.floor(c.a), c.b) for c in u)
 
 
 @st.composite
@@ -43,19 +43,6 @@ def lattice_specs(draw):
     code_points = st.integers(0, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF)
     name = draw(st.lists(code_points.map(chr), max_size=8).map("".join))
     return validate_spec(LatticeSpec(name=name, l_star=l_star, us=tuple(us)))
-
-
-@st.composite
-def two_field_specs(draw):
-    """Valid specs with l_star = I and 1..4 translates distinct mod Z^2 whose
-    coordinates each lie in one of two fields Q(sqrt d1), Q(sqrt d2): the x
-    and y of a translate, and one coordinate of two translates, may lie in
-    different fields."""
-    d1, d2 = draw(st.lists(st.sampled_from(FIELDS[1:]), min_size=2, max_size=2, unique=True))
-    coord = st.one_of(quad_numbers(d1), quad_numbers(d2))
-    us = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=4, unique_by=_class_mod_z2))
-    one, zero = QuadNumber(1), QuadNumber(0)
-    return validate_spec(LatticeSpec("two fields", ((one, zero), (zero, one)), tuple(us)))
 
 
 def ambient_l(spec):

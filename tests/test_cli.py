@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingham
-from ingham import catalog, search, spectral
+from ingham import catalog, gram, search, spectral
 from ingham.cli import main
 from ingham.errors import NotHermitianError
 from ingham.lattice import LatticeSpec
@@ -534,6 +534,21 @@ def test_malformed_witness_radii_name_the_flag(capsys, radii):
                              "--witness-radii", radii)
     assert code == 2 and out == ""
     assert err == f"usage error: --witness-radii expects integers 'k,k,...', got {radii!r}\n"
+
+
+@pytest.mark.parametrize("flags", [
+    ("--hole-fraction", "0.25", "--witness-radii", "x"),
+    ("--hole-fraction", "0.25", "--witness-radii", "-1"),
+    ("--hole", "1,2,3"),
+])
+def test_witness_flags_are_refused_before_the_frame_bound_check(capsys, monkeypatch, flags):
+    def refuse(*args):
+        raise AssertionError("frame_bound_check ran before the witness flags were read")
+
+    monkeypatch.setattr(gram, "frame_bound_check", refuse)
+    code, out, err = run_cli(capsys, "verify", "--tiling", "snub_square",
+                             "--config", "0,0;1,0;0,1;1,1", "--support-radius", "8", *flags)
+    assert code == 2 and out == "" and err.startswith("usage error:")
 
 
 @pytest.mark.parametrize("r, R", [("3e-160", "4e-160"), ("3e60", "4e60")])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contains_oracle
-from conftest import FIELDS, lattice_specs, quad_numbers, rationals, two_field_specs
+from conftest import FIELDS, lattice_specs, quad_numbers, rationals
 from ingham import catalog, lattice
 from ingham.errors import (
     DuplicateTranslateError,
@@ -19,6 +19,7 @@ from ingham.errors import (
 from ingham.lattice import (
     LatticePoint,
     LatticeSpec,
+    TranslationConfig,
     _residue,
     contains,
     line_lattice_subset,
@@ -32,7 +33,10 @@ from ingham.lattice import (
     vec_is_integer,
     vec_sub,
 )
+from ingham.gram import SupportSet, gram_matrix, hole_gram_matrix, inner_product
 from ingham.qfield import QuadNumber
+from ingham.search import classify_configs
+from ingham.spectral import build_e, ingham_constants
 
 
 def q3(a, b=0):
@@ -170,23 +174,63 @@ def test_l_star_inverse_is_cached_and_exact(catalog_entries, monkeypatch):
 
 
 @settings(max_examples=200)
-@given(st.one_of(lattice_specs(), two_field_specs()))
+@given(lattice_specs())
 def test_form_rebuilds_every_coordinate(spec):
-    """den is the lcm of the translates' denominators, fields their radicands,
-    and each coordinate is the QuadNumber its row of Python ints denotes."""
-    den, fields, rows = spec.form
+    """den is the lcm of the translates' denominators, d their one field (1
+    when all are rational), and each coordinate is the QuadNumber its pair
+    of Python ints denotes."""
+    den, d, rows = spec.form
     coords = [t for u in spec.us for t in u]
     assert den == math.lcm(*(x.denominator for t in coords for x in (t.a, t.b)))
-    assert fields == tuple(sorted({t.d for t in coords if t.b}))
+    assert d == max(t.d for t in coords)
     assert len(rows) == spec.m
     for u, row in zip(spec.us, rows):
         assert len(row) == 2
-        for t, (a, *bs) in zip(u, row):
-            assert len(bs) == len(fields) and all(type(v) is int for v in (a, *bs))
-            rebuilt = sum((QuadNumber(0, Fraction(b, den), d) for b, d in zip(bs, fields)),
-                          QuadNumber(Fraction(a, den)))
-            assert rebuilt == t
+        for t, (a, b) in zip(u, row):
+            assert type(a) is int and type(b) is int
+            assert QuadNumber(Fraction(a, den), Fraction(b, den), d) == t
     assert spec.form is spec.form
+
+
+def test_validation_leaves_the_form_unbuilt(catalog_entries):
+    """validate_spec checks the one-field rule without building the form,
+    which it does not need; every spec-file load runs it."""
+    for entry in catalog_entries.values():
+        spec = dataclasses.replace(entry.spec)  # a fresh instance, no table read yet
+        assert validate_spec(spec) is spec and "form" not in vars(spec)
+
+
+def test_translates_in_two_fields_are_refused():
+    """x in Q(sqrt 2) and y in Q(sqrt 3), or x coordinates in both: every
+    layer refuses the spec and names both fields, even for cells on an axis,
+    where each phase lies in one field."""
+    one, zero = QuadNumber(1), QuadNumber(0)
+    r2 = lambda a, b: QuadNumber(Fraction(a), Fraction(b), 2)
+    r3 = lambda a, b: QuadNumber(Fraction(a), Fraction(b), 3)
+    cases = [
+        (((r2(0, "1/4"), r3(0, "1/3")), (QuadNumber(Fraction(1, 2)), zero)), ((0, 0), (1, 0))),
+        (((r3(0, "1/4"), r2(0, "-1/2")), (r2("3/2", -1), QuadNumber(2)),
+          (r3("3/4", "1/4"), QuadNumber(3)), (r2("9/4", -1), r2(1, "-1/2"))),
+         ((0, 0), (1, 0), (0, 2), (-3, 0))),
+    ]
+    for us, cells in cases:
+        spec = LatticeSpec("two fields", ((one, zero), (zero, one)), us)
+        config = TranslationConfig(cells)
+        support = SupportSet.centered(spec, 0)
+        p, q = support.items[:2]
+        calls = [
+            lambda: validate_spec(spec),
+            lambda: LatticeSpec(spec.name, spec.l_star, spec.us).form,
+            lambda: build_e(spec, config),
+            lambda: ingham_constants(spec, config),
+            lambda: classify_configs(spec, [cells]),
+            lambda: gram_matrix(spec, config, support),
+            lambda: hole_gram_matrix(spec, config, support, (1.0, 1.0, 2.0, 2.0)),
+            lambda: inner_product(spec, config, p, q),
+        ]
+        for call in calls:
+            with pytest.raises(FieldMismatchError, match=r"sqrt\(2\) with sqrt\(3\)"):
+                call()
 
 
 def test_contains_field_mismatch():

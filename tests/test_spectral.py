@@ -9,13 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classes_oracle
-from conftest import lattice_specs, two_field_specs
+from conftest import lattice_specs
 
 from ingham import catalog, spectral
 from ingham.lattice import vec_dot
 from ingham.errors import (
     DegenerateTilingError,
-    FieldMismatchError,
     NotHermitianError,
     SizeMismatchError,
 )
@@ -379,30 +378,9 @@ def test_symmetry_group_orders():
                 assert ab in group, (name, a, b)
 
 
-def test_symmetries_of_a_spec_mixing_fields():
-    """x in Q(sqrt 2), y in Q(sqrt 3): no element swapping the axes, nor a
-    single reflection, maps the translates onto themselves."""
-    one, zero = QuadNumber(1), QuadNumber(0)
-    u = (QuadNumber(0, Fraction(1, 4), 2), QuadNumber(0, Fraction(1, 4), 3))
-    spec = LatticeSpec("mixed", ((one, zero), (zero, one)), ((zero, zero), u))
-    assert symmetries(spec) == (IDENTITY, MINUS_I)
-
-
-def test_symmetries_do_not_see_a_common_shift_mixing_fields():
-    """Moving every translate by t = (sqrt(3)/4, sqrt(2)/4) keeps the group:
-    one translate, and the pair (0, 0), (1/2, 1/2), keep all of D4, though the
-    c of an axis swap, t_y - t_x, mixes two fields."""
-    one, zero, half = QuadNumber(1), QuadNumber(0), QuadNumber(Fraction(1, 2))
-    t = (QuadNumber(0, Fraction(1, 4), 3), QuadNumber(0, Fraction(1, 4), 2))
-    for us in [((zero, zero),), ((zero, zero), (half, half))]:
-        moved = tuple((x + t[0], y + t[1]) for x, y in us)
-        spec = LatticeSpec("shifted", ((one, zero), (zero, one)), moved)
-        assert symmetries(spec) == D4
-
-
 @settings(max_examples=200)
 @given(
-    spec=st.one_of(st.sampled_from(sorted(GROUP_ORDERS)).map(_spec), two_field_specs()),
+    spec=st.one_of(st.sampled_from(sorted(GROUP_ORDERS)).map(_spec), lattice_specs()),
     data=st.data(),
 )
 def test_certified_symmetries_keep_the_spectrum(spec, data):
@@ -411,21 +389,12 @@ def test_certified_symmetries_keep_the_spectrum(spec, data):
     and kappas within 1e-13 * kappa2; the class path gives both of them
     identical bits and agrees with the oracle.  A phase's float error grows
     with |u_j|, so the bound is scaled by the largest translate coordinate
-    past 1 (the catalog's are below 1).  A translate whose x and y lie
-    in two fields has phases only at cells on an axis, which D4 keeps on the
-    axes: such a spec's cells are drawn there and not translated, and its
-    class representative, moved to minimum 0, leaves the axes, so only its
-    classes are checked on the class path."""
+    past 1 (the catalog's are below 1)."""
     box = [(x, y) for x in range(5) for y in range(5)]
-    t = st.tuples(st.integers(-50, 50), st.integers(-50, 50))
-    on_axes = any(x.q and y.q and x.d != y.d for x, y in spec.us)
-    if on_axes:
-        box = [(x, y) for x in range(-4, 5) for y in range(-4, 5) if x * y == 0]
-        t = st.just((0, 0))
     cells = data.draw(st.lists(st.sampled_from(box), min_size=spec.m, max_size=spec.m,
                                unique=True))
     a = data.draw(st.sampled_from(symmetries(spec)))
-    t = data.draw(t)
+    t = data.draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50)))
     moved = _move(a, cells, t)[::-1]
     det0, k10, k20 = _oracle(spec, cells)
     det1, k11, k21 = _oracle(spec, moved)
@@ -434,30 +403,11 @@ def test_certified_symmetries_keep_the_spectrum(spec, data):
     assert abs(k10 - k11) <= tol and abs(k20 - k21) <= tol
     cls = classes(symmetries(spec), *config_index([cells, moved]))
     assert cls.of[0] == cls.of[1] and len(cls.idx) == 1
-    if on_axes:
-        return
     det, k1, k2 = spectra(spec, cls.points, cls.idx)
     assert bool(a2_holds(det[0])) == a2_holds(det0)
     assert abs(k1[0] - k10) <= tol and abs(k2[0] - k20) <= tol
     sr = ingham_constants(spec, TranslationConfig(tuple(moved)))
     assert (sr.kappa1, sr.kappa2, sr.det_abs) == (k1[0], k2[0], det[0])
-
-
-def test_symmetries_certify_a_vector_mixing_two_fields():
-    """The x coordinates lie in Q(sqrt 3) and Q(sqrt 2), so the c of the
-    reflections mixes both fields: it is a row of integers like any other."""
-    one, zero = QuadNumber(1), QuadNumber(0)
-    us = ((QuadNumber(0, Fraction(1, 4), 3), QuadNumber(0, Fraction(-1, 2), 2)),
-          (QuadNumber(Fraction(3, 2), -1, 2), QuadNumber(2)),
-          (QuadNumber(Fraction(3, 4), Fraction(1, 4), 3), QuadNumber(3)),
-          (QuadNumber(Fraction(9, 4), -1, 2), QuadNumber(1, Fraction(-1, 2), 2)))
-    spec = LatticeSpec("two fields", ((one, zero), (zero, one)), us)
-    assert symmetries(spec) == (IDENTITY, MINUS_I, ((1, 0), (0, -1)), ((-1, 0), (0, 1)))
-    cells = [(0, 0), (1, 0), (0, 2), (-3, 0)]
-    for a in symmetries(spec):
-        want = _oracle(spec, cells)
-        got = _oracle(spec, _move(a, cells))
-        assert all(abs(x - y) <= 1e-13 * want[2] for x, y in zip(want, got)), a
 
 
 def test_uncertified_symmetries_change_verdicts():
@@ -601,26 +551,10 @@ def test_coordinates_past_the_limit_are_refused():
 
 
 @given(
-    spec=st.one_of(lattice_specs(), two_field_specs()),
+    spec=lattice_specs(),
     points=st.lists(st.tuples(*[st.one_of(st.just(0), st.integers(-10**9, 10**9))] * 2),
                     min_size=1, max_size=6),
 )
 def test_phase_columns_have_the_bits_of_phase_of_vec_dot(spec, points):
-    """Equal bits, or both refuse a point where two fields meet."""
-    try:
-        want = [[phase(vec_dot(u, n)) for n in points] for u in spec.us]
-    except FieldMismatchError:
-        with pytest.raises(FieldMismatchError):
-            phase_columns(spec.form, points)
-    else:
-        assert phase_columns(spec.form, points).tolist() == want
-
-
-def test_phase_columns_of_a_translate_mixing_radicals():
-    x, y = QuadNumber(0, Fraction(1, 4), 2), QuadNumber(0, Fraction(1, 4), 3)
-    one, zero = QuadNumber(1), QuadNumber(0)
-    form = LatticeSpec("mixed", ((one, zero), (zero, one)), ((x, y),)).form
-    w = phase_columns(form, [(1, 0), (0, 3)])
-    assert w.tolist() == [[phase(x), phase(3 * y)]]
-    with pytest.raises(FieldMismatchError):
-        phase_columns(form, [(1, 1)])
+    want = [[phase(vec_dot(u, n)) for n in points] for u in spec.us]
+    assert phase_columns(spec.form, points).tolist() == want
