@@ -16,6 +16,7 @@ from ingham.errors import (
     NotInLatticeError,
     SingularMatrixError,
 )
+from ingham.gram import SupportSet, gram_matrix, hole_gram_matrix, inner_product
 from ingham.lattice import (
     LatticePoint,
     LatticeSpec,
@@ -33,7 +34,6 @@ from ingham.lattice import (
     vec_is_integer,
     vec_sub,
 )
-from ingham.gram import SupportSet, gram_matrix, hole_gram_matrix, inner_product
 from ingham.qfield import QuadNumber
 from ingham.search import classify_configs
 from ingham.spectral import build_e, ingham_constants
