@@ -412,6 +412,30 @@ def test_phi_runs_once_per_distinct_key(monkeypatch):
         assert len(calls) == len(keys), name
 
 
+def test_translates_in_two_fields_match_the_oracles():
+    """One field per axis: a translate (sqrt 2/4, sqrt 3/3) beside a rational
+    one.  The matrices refuse it as their scalar oracles do, naming both
+    fields, whether or not a phase meets both radicals."""
+    one, zero = QuadNumber(1), QuadNumber(0)
+    mixed = (QuadNumber(0, Fraction(1, 4), 2), QuadNumber(0, Fraction(1, 3), 3))
+    spec = LatticeSpec("two fields", ((one, zero), (zero, one)),
+                       (mixed, (QuadNumber(Fraction(1, 2)), zero)))
+    hole = (1.0, 1.0, 2.0, 2.0)
+    items = (lp(0, 0, 0), lp(1, 0, 0), lp(0, 1, -1), lp(1, 2, 0))
+    support = SupportSet(items)
+    both = r"sqrt\(2\) with sqrt\(3\)"
+    # <u_0 - u_1, (1, 0)> lies in one field; <u_0 - u_1, (1, 1)> meets both
+    for config in [TranslationConfig.of((0, 0), (1, 0)), TranslationConfig.of((0, 0), (1, 1))]:
+        with pytest.raises(FieldMismatchError, match=both):
+            _oracle(lambda p, q: inner_product(spec, config, p, q), items)
+        with pytest.raises(FieldMismatchError, match=both):
+            gram_matrix(spec, config, support)
+        with pytest.raises(FieldMismatchError, match=both):
+            _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
+        with pytest.raises(FieldMismatchError, match=both):
+            hole_gram_matrix(spec, config, support, hole)
+
+
 def test_translates_in_two_fields_on_one_axis_are_refused():
     one, zero = QuadNumber(1), QuadNumber(0)
     us = ((QuadNumber(0, Fraction(1, 4), 2), QuadNumber(Fraction(1, 2))),

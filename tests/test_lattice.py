@@ -16,11 +16,9 @@ from ingham.errors import (
     NotInLatticeError,
     SingularMatrixError,
 )
-from ingham.gram import SupportSet, gram_matrix, hole_gram_matrix, inner_product
 from ingham.lattice import (
     LatticePoint,
     LatticeSpec,
-    TranslationConfig,
     _residue,
     contains,
     line_lattice_subset,
@@ -36,7 +34,6 @@ from ingham.lattice import (
 )
 from ingham.qfield import QuadNumber
 from ingham.search import classify_configs
-from ingham.spectral import build_e, ingham_constants
 
 
 def q3(a, b=0):
@@ -201,9 +198,10 @@ def test_validation_leaves_the_form_unbuilt(catalog_entries):
 
 
 def test_translates_in_two_fields_are_refused():
-    """x in Q(sqrt 2) and y in Q(sqrt 3), or x coordinates in both: every
-    layer refuses the spec and names both fields, even for cells on an axis,
-    where each phase lies in one field."""
+    """x in Q(sqrt 2) and y in Q(sqrt 3), or x coordinates in both: the spec,
+    its form and a survey refuse it and name both fields, even for cells on an
+    axis, where each phase lies in one field.  The Gram and spectral layers
+    are checked on these specs in test_gram and test_spectral."""
     one, zero = QuadNumber(1), QuadNumber(0)
     r2 = lambda a, b: QuadNumber(Fraction(a), Fraction(b), 2)
     r3 = lambda a, b: QuadNumber(Fraction(a), Fraction(b), 3)
@@ -215,18 +213,10 @@ def test_translates_in_two_fields_are_refused():
     ]
     for us, cells in cases:
         spec = LatticeSpec("two fields", ((one, zero), (zero, one)), us)
-        config = TranslationConfig(cells)
-        support = SupportSet.centered(spec, 0)
-        p, q = support.items[:2]
         calls = [
             lambda: validate_spec(spec),
             lambda: LatticeSpec(spec.name, spec.l_star, spec.us).form,
-            lambda: build_e(spec, config),
-            lambda: ingham_constants(spec, config),
             lambda: classify_configs(spec, [cells]),
-            lambda: gram_matrix(spec, config, support),
-            lambda: hole_gram_matrix(spec, config, support, (1.0, 1.0, 2.0, 2.0)),
-            lambda: inner_product(spec, config, p, q),
         ]
         for call in calls:
             with pytest.raises(FieldMismatchError, match=r"sqrt\(2\) with sqrt\(3\)"):

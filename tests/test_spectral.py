@@ -15,6 +15,7 @@ from ingham import catalog, spectral
 from ingham.lattice import vec_dot
 from ingham.errors import (
     DegenerateTilingError,
+    FieldMismatchError,
     NotHermitianError,
     SizeMismatchError,
 )
@@ -408,6 +409,29 @@ def test_certified_symmetries_keep_the_spectrum(spec, data):
     assert abs(k1[0] - k10) <= tol and abs(k2[0] - k20) <= tol
     sr = ingham_constants(spec, TranslationConfig(tuple(moved)))
     assert (sr.kappa1, sr.kappa2, sr.det_abs) == (k1[0], k2[0], det[0])
+
+
+def test_symmetries_certify_a_vector_mixing_two_fields():
+    """The x coordinates lie in Q(sqrt 3) and Q(sqrt 2), so the c of the
+    reflections would mix both fields: no symmetry is certified, and the
+    spectra a symmetry would keep are refused too, each naming both fields."""
+    one, zero = QuadNumber(1), QuadNumber(0)
+    us = ((QuadNumber(0, Fraction(1, 4), 3), QuadNumber(0, Fraction(-1, 2), 2)),
+          (QuadNumber(Fraction(3, 2), -1, 2), QuadNumber(2)),
+          (QuadNumber(Fraction(3, 4), Fraction(1, 4), 3), QuadNumber(3)),
+          (QuadNumber(Fraction(9, 4), -1, 2), QuadNumber(1, Fraction(-1, 2), 2)))
+    spec = LatticeSpec("two fields", ((one, zero), (zero, one)), us)
+    cells = [(0, 0), (1, 0), (0, 2), (-3, 0)]
+    calls = [
+        lambda: symmetries(spec),
+        lambda: _oracle(spec, cells),
+        lambda: _oracle(spec, _move(MINUS_I, cells)),
+        lambda: ingham_constants(spec, TranslationConfig(tuple(cells))),
+        lambda: spectra(spec, *config_index([cells])),
+    ]
+    for call in calls:
+        with pytest.raises(FieldMismatchError, match=r"sqrt\(2\) with sqrt\(3\)"):
+            call()
 
 
 def test_uncertified_symmetries_change_verdicts():
