@@ -153,7 +153,13 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .gram import SupportSet, frame_bound_check, inscribed_hole, removal_witness
+    from .gram import (
+        SupportSet,
+        _cell_of_rect,
+        frame_bound_check,
+        inscribed_hole,
+        removal_witness,
+    )
 
     entry = _entry(args)
     config = TranslationConfig.parse(args.config)
@@ -161,7 +167,14 @@ def cmd_verify(args) -> int:
     hole = supports = None
     if args.hole or args.hole_fraction is not None:  # refused before the frame-bound work
         supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
-        hole = _box(args.hole, "--hole") if args.hole else None
+        try:
+            if args.hole:
+                hole = _box(args.hole, "--hole")
+                _cell_of_rect(entry.spec, config, hole)
+            else:
+                hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
+        except HoleOutsideDomainError as exc:  # the user's hole
+            raise ValueError(f"hole: {exc}") from None
     fb = frame_bound_check(entry.spec, config, support)
     data = {
         "tiling": entry.spec.name,
@@ -176,10 +189,8 @@ def cmd_verify(args) -> int:
     }
     if supports is not None:
         try:
-            if hole is None:
-                hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
             lambdas = removal_witness(entry.spec, config, hole, supports)
-        except (HoleOutsideDomainError, FieldMismatchError) as exc:  # user's hole or spec
+        except FieldMismatchError as exc:  # the user's spec
             raise ValueError(f"hole: {exc}") from None
         data["hole"] = list(hole)
         data["witness"] = [

@@ -16,17 +16,19 @@ integer shift s.  `_differences` subtracts the translates' integer rows of
 `LatticeSpec.form`, so for translates (x, y) mu_c = (A + s_c*D +
 B*sqrt(d))/D with integers A and B, in the translates' one field Q(sqrt d):
 zero when A and B are, an integer when B is 0 and D divides A.  Each matrix
-is built from per-entry integer keys and tables of their distinct values,
-with no loop over translate pairs or entries:
+is built from per-entry integer keys and tables of their values, with no
+loop over translate pairs or entries:
 
 - the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
   the fractional and radical parts of <mu, n_k> unchanged), so it is taken
   once per distinct residue, at most M^2 of them (one `phase_columns` call);
-- phi(mu_c) is taken once per distinct (axis, translate difference, shift)
-  key (`_Table`);
+- phi(mu_c) is taken per (axis, translate difference, shift) key
+  (`_Table`): once per key of the box of keys when the support fills its
+  bounding box, as every support the CLI and the report build does, and
+  otherwise once per distinct key of each slab;
 - the hole's delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q linear in
   s, one `_delta_form` per distinct translate difference, and its entry is
-  taken once per distinct (translate difference, s_0, s_1).
+  taken per (translate difference, s_0, s_1) key in the same way.
 
 The floats are formed as float(QuadNumber) forms them (`qfield.quad_float`,
 `spectral._phase_angle`): from the correctly rounded integer quotients p/r
@@ -64,6 +66,7 @@ from .qfield import QuadNumber, quad_float
 from .spectral import (
     COORD_LIMIT,
     TWO_PI,
+    _check_size,
     _lex_ids,
     _phase_angle,
     hermitian_extremes,
@@ -79,17 +82,11 @@ Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 # // S) rows, so a slab spans at most SLAB_ROWS**2 = 65,536 entries, whose
 # keys and values take about 130 B each.  At S = 4000 that is 256 MB of matrix
 # plus about 9 MB of slab temporaries, before the eigensolve of
-# frame_bound_check copies the matrix.
+# frame_bound_check copies the matrix.  A support that fills its bounding box
+# also has each `_Table` computed whole: at most S^2 keys, and at most 38,416
+# (about 5 MB while they are computed) for the centered catalog supports.
 MAX_SUPPORT = 4000
 SLAB_ROWS = 256
-
-# Largest box of keys, translate differences times shifts, that a `_Table`
-# keeps as flat arrays (25 B per key, 26 MB).  Memory alone sets it: on every
-# support timed, compact or strided, with boxes of up to 6.2e6 keys, the flat
-# arrays were faster than sorting each slab's keys, by 1.2 to 9 times.  The
-# centered supports of the catalog tilings up to MAX_SUPPORT have boxes of
-# at most 38,416 keys.
-DENSE_KEYS = 2**20
 
 # Support coordinates lie in (-COORD_LIMIT, COORD_LIMIT) (`spectral`), so the
 # int64 shifts m_p - m_q the Gram kernels take, and the span of a column of
@@ -201,12 +198,14 @@ def _product(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, list[int]]:
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, list[int], bool]:
     """The translate pairs (x, y) of the upper triangle, those with an entry
     (a, b), a <= b, whose points have translates x and y, mapped to the
-    differences of their rows of `LatticeSpec.form`, one per coordinate, and
+    differences of their rows of `LatticeSpec.form`, one per coordinate;
     spans[c] = max m_c - min m_c over the support, so every shift lies in
-    [-spans[c], spans[c]]."""
+    [-spans[c], spans[c]]; and whether the support is a full box, every
+    translate it holds crossed with every integer point of its bounding box:
+    its distinct items number translates * prod(spans[c] + 1)."""
     first, last = {}, {}
     for a, point in enumerate(support.items):
         first.setdefault(point.j, a)
@@ -219,7 +218,7 @@ def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, list[int
         if first[x] <= last[y]
     }
     spans = [max(c) - min(c) for c in zip(*(p.m for p in support.items))] or [0, 0]
-    return pairs, spans
+    return pairs, spans, len(support) == len(first) * math.prod(s + 1 for s in spans)
 
 
 class _Table:
@@ -227,47 +226,32 @@ class _Table:
     [-span, span]; values(cs, *ss) computes those of the keys whose columns
     it is given as lists.
 
-    While the box of keys has at most DENSE_KEYS points, a key's index in it
-    addresses flat arrays of values and of which are known, so each distinct
-    key is computed once however many slabs hold it.  Otherwise each call
-    numbers its keys by `_lex_ids` and computes each distinct one, and keeps
-    nothing for the next slab: memory stays bounded by the slab, and the
-    supports spread that far repeat few keys from slab to slab.
+    On a full box (`_differences`) the entries use nearly every key of the
+    box, and there are at most n * prod(2*span + 1) <= S^2 of them, no more
+    than the matrix has entries: each is computed once, here, and a lookup
+    gathers from the flat array.  On any other support each call numbers its
+    slab's keys by `_lex_ids`, computes each distinct one and keeps nothing
+    for the next slab, so memory stays bounded by the slab however far apart
+    the points lie.
     """
 
-    def __init__(self, values, n: int, spans: Sequence[int]):
-        self.compute, self.spans = values, spans
-        self.shape = (n, *(2 * s + 1 for s in spans))
-        size = math.prod(self.shape)
-        self.dense = size <= DENSE_KEYS
-        if self.dense:
-            self.known = np.zeros(size, dtype=bool)
-            self.values = np.empty(size, dtype=complex)
-            self.slot = np.empty(size, dtype=np.intp)
+    def __init__(self, values, n: int, spans: Sequence[int], full: bool):
+        self.compute, self.spans, self.values = values, spans, None
+        if full:
+            self.shape = (n, *(2 * s + 1 for s in spans))
+            c, *ss = np.unravel_index(np.arange(math.prod(self.shape)), self.shape)
+            self.values = np.array(
+                values(c.tolist(), *((s - span).tolist() for s, span in zip(ss, spans))),
+                dtype=complex,
+            )
 
     def __call__(self, code: np.ndarray, *shifts: np.ndarray) -> np.ndarray:
-        if not self.dense:
+        if self.values is None:
             keys = np.column_stack((code, *shifts))
             ids, first = _lex_ids(keys)
             return np.array(self.compute(*keys[first].T.tolist()), dtype=complex)[ids]
-        key = code.astype(np.int64)
-        for s, span, size in zip(shifts, self.spans, self.shape[1:]):
-            key *= size
-            key += s
-            key += span
-        new = key[~self.known[key]]
-        if len(new):
-            # one entry of each distinct new key: the one whose write to slot
-            # stays, whichever that is
-            order = np.arange(len(new))
-            self.slot[new] = order
-            new = new[self.slot[new] == order]
-            c, *ss = np.unravel_index(new, self.shape)
-            self.values[new] = self.compute(
-                c.tolist(), *((s - span).tolist() for s, span in zip(ss, self.spans))
-            )
-            self.known[new] = True
-        return self.values[key]
+        index = (code, *(s + span for s, span in zip(shifts, self.spans)))
+        return self.values[np.ravel_multi_index(index, self.shape)]
 
 
 def _assemble(spec: LatticeSpec, support: SupportSet, entries) -> np.ndarray:
@@ -306,7 +290,7 @@ def gram_matrix(
 
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
-    pairs, spans = _differences(spec, support)
+    pairs, spans, full = _differences(spec, support)
     den, d, _ = spec.form
     det = spec.det_l()
     codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
@@ -325,7 +309,7 @@ def gram_matrix(
         def values(cs: list, ss: list, a=a, q=q) -> list:
             return [_phi(a[c] + s * den, q[c], den, d) for c, s in zip(cs, ss)]
 
-        phis.append(_Table(values, len(a), [span]))
+        phis.append(_Table(values, len(a), [span], full))
 
     def entries(pair: np.ndarray, *shift: np.ndarray) -> np.ndarray:
         phi = [table(codes[c, pair], s) for c, (table, s) in enumerate(zip(phis, shift))]
@@ -376,6 +360,7 @@ def frame_bound_check(
 
 def _cell_of_rect(spec: LatticeSpec, config: TranslationConfig, hole: Rect) -> int:
     """Index of the cell strictly containing the rectangle, or raise."""
+    _check_size(spec, config.m)
     x0, y0, x1, y1 = hole
     if not all(math.isfinite(v) for v in hole):
         raise HoleOutsideDomainError("rectangle corners must be finite")
@@ -397,6 +382,7 @@ def inscribed_hole(
     area_fraction: float = 0.25,
 ) -> Rect:
     """Axis-aligned square centered in a cell with the given area fraction."""
+    _check_size(spec, config.m)
     if not 0 <= cell_index < spec.m:
         raise ValueError(f"hole cell must be in [0, {spec.m}), got {cell_index}")
     if not area_fraction > 0:
@@ -520,7 +506,7 @@ def hole_gram_matrix(
     m_a - m_b.
     """
     _cell_of_rect(spec, config, hole)
-    pairs, spans = _differences(spec, support)
+    pairs, spans, full = _differences(spec, support)
     codes = np.zeros(spec.m * spec.m, dtype=np.intp)
     ids, forms = {}, []
     for (x, y), diff in pairs.items():
@@ -536,7 +522,7 @@ def hole_gram_matrix(
             for c, s0, s1 in zip(cs, s0s, s1s)
         ]
 
-    table = _Table(values, len(forms), spans)
+    table = _Table(values, len(forms), spans, full)
     return _assemble(spec, support, lambda pair, s0, s1: table(codes[pair], s0, s1))
 
 

@@ -540,6 +540,9 @@ def test_malformed_witness_radii_name_the_flag(capsys, radii):
     ("--hole-fraction", "0.25", "--witness-radii", "x"),
     ("--hole-fraction", "0.25", "--witness-radii", "-1"),
     ("--hole", "1,2,3"),
+    ("--hole-fraction", "1.5"),
+    ("--hole-fraction", "0.25", "--hole-cell", "7"),
+    ("--hole", "100,100,100.5,100.5"),
 ])
 def test_witness_flags_are_refused_before_the_frame_bound_check(capsys, monkeypatch, flags):
     def refuse(*args):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import lattice_specs, quadrature_hole_inner_product, quadrature_inner_product
 
 from ingham import catalog, gram, qfield
-from ingham.errors import FieldMismatchError, HoleOutsideDomainError
+from ingham.errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
 from ingham.gram import (
     MAX_SUPPORT,
     SupportSet,
@@ -226,6 +227,19 @@ def test_hole_must_sit_inside_one_cell():
         inscribed_hole(spec, config, 0, area_fraction=50.0)
 
 
+def test_holes_refuse_a_configuration_of_the_wrong_size():
+    """Checked before a cell is indexed: cell 3 of a 2-cell configuration
+    raised IndexError."""
+    spec = catalog.get("snub_square").spec
+    config = TranslationConfig.of((0, 0), (1, 0))
+    for cell in (0, 3):
+        with pytest.raises(SizeMismatchError, match="2 vectors"):
+            inscribed_hole(spec, config, cell)
+    hole = inscribed_hole(spec, TranslationConfig.of((0, 0), (1, 0), (0, 1), (1, 1)))
+    with pytest.raises(SizeMismatchError, match="2 vectors"):
+        hole_gram_matrix(spec, config, SupportSet((lp(0, 0, 0),)), hole)
+
+
 def test_hole_gram_is_psd_and_bounded():
     spec, config, hole = _hole_setup()
     support = SupportSet.box(spec, (0, 1), (0, 1))
@@ -375,41 +389,91 @@ def test_supports_at_the_coordinate_limit_match_the_oracles():
 
 @pytest.mark.parametrize("stride", [1, 20])
 def test_sorted_and_positional_tables_agree(monkeypatch, stride):
-    """DENSE_KEYS = 0 numbers every slab's keys by sorting.  At stride 20 the
-    hole's box of keys, 116,162, passes a slab's 65,536 entries."""
+    """The box of stride 1 is full, so its tables are whole; the one of
+    stride 20 is not, so each slab's keys are sorted.  Flipping the full-box
+    decision of `_differences` runs the other path.  At stride 20 the hole's
+    whole table, 116,162 keys, passes a slab's 65,536 entries."""
     spec, config, hole = _hole_setup()
     xs = range(-3 * stride, 3 * stride + 1, stride)
     support = SupportSet.box(spec, xs, xs)
     monkeypatch.setattr(gram, "SLAB_ROWS", 16)
     g = gram_matrix(spec, config, support)
     h = hole_gram_matrix(spec, config, support, hole)
-    monkeypatch.setattr(gram, "DENSE_KEYS", 0)
+    differences = gram._differences
+
+    def flipped(*args):
+        pairs, spans, full = differences(*args)
+        assert full == (stride == 1)
+        return pairs, spans, not full
+
+    monkeypatch.setattr(gram, "_differences", flipped)
     assert gram_matrix(spec, config, support).tobytes() == g.tobytes()
     assert hole_gram_matrix(spec, config, support, hole).tobytes() == h.tobytes()
 
 
 def test_phi_runs_once_per_distinct_key(monkeypatch):
-    """One _phi per distinct (axis, u_x - u_y, shift) over the upper triangle,
-    however many entries and slabs share it."""
+    """On a full box, one _phi per key (axis, u_x - u_y, shift) of each
+    axis's box: every translate pair of the upper triangle with every shift
+    within the span, however many entries and slabs share it, and the keys
+    the entries use among them.  On a support spread far apart, one per
+    distinct key an entry uses."""
     calls = []
     phi = gram._phi
     monkeypatch.setattr(gram, "_phi", lambda *form: calls.append(form) or phi(*form))
-    cases = [("honeycomb", SupportSet.centered(catalog.get("honeycomb").spec, 3), 8),
-             ("truncated_trihexagonal", None, 8),
-             ("snub_square", _far_support(catalog.get("snub_square").spec, 0), 256)]
-    for name, support, slab_rows in cases:
+    cases = [("honeycomb", SupportSet.centered(catalog.get("honeycomb").spec, 3), 8, True),
+             ("truncated_trihexagonal", None, 8, True),
+             ("snub_square", _far_support(catalog.get("snub_square").spec, 0), 256, False)]
+    for name, support, slab_rows, full in cases:
         entry = catalog.get(name)
         spec = entry.spec
         support = support or SupportSet.centered(spec, 1)
         items = support.items
-        keys = {
-            (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c])
-            for a, p in enumerate(items) for q in items[a:] for c in range(2)
+        upper = [(p, q) for a, p in enumerate(items) for q in items[a:]]
+        used = {
+            (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c]) for p, q in upper for c in range(2)
         }
+        keys = used
+        if full:
+            spans = [max(p.m[c] for p in items) - min(p.m[c] for p in items) for c in range(2)]
+            keys = {
+                (c, spec.us[x][c] - spec.us[y][c], s)
+                for x, y in {(p.j, q.j) for p, q in upper}
+                for c in range(2)
+                for s in range(-spans[c], spans[c] + 1)
+            }
+            assert used <= keys
         monkeypatch.setattr(gram, "SLAB_ROWS", slab_rows)
         calls.clear()
         gram_matrix(spec, entry.default_configs[entry.primary_config], support)
-        assert len(calls) == len(keys), name
+        got = Counter(QuadNumber(Fraction(p, r), Fraction(q, r), d) for p, q, r, d in calls)
+        assert got == Counter(u + s for _, u, s in keys), name
+
+
+def test_full_boxes_take_whole_tables_and_others_the_slabs(monkeypatch):
+    """A shuffled full box fills each table whole; a strided box, whose
+    bounding box it does not fill, sorts each slab's keys.  Both have the
+    bits of the scalar oracles."""
+    spec, config, hole = _hole_setup()
+    tables = []
+
+    class Spy(gram._Table):
+        def __init__(self, *args):
+            super().__init__(*args)
+            tables.append(self)
+
+    monkeypatch.setattr(gram, "_Table", Spy)
+    shuffled = list(SupportSet.box(spec, range(-2, 3), range(-1, 4)).items)
+    np.random.default_rng(5).shuffle(shuffled)
+    strided = SupportSet.box(spec, range(-4, 5, 2), range(0, 9, 4)).items
+    for items, whole in ((tuple(shuffled), True), (strided, False)):
+        support = SupportSet(items)
+        tables.clear()
+        want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
+        assert _same_bits(gram_matrix(spec, config, support), want)
+        want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
+        assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
+        assert len(tables) == 3
+        assert all((t.values is not None) == whole for t in tables)
 
 
 def test_translates_in_two_fields_match_the_oracles():
