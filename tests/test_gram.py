@@ -430,7 +430,8 @@ def test_phi_runs_once_per_distinct_key(monkeypatch):
         items = support.items
         upper = [(p, q) for a, p in enumerate(items) for q in items[a:]]
         used = {
-            (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c]) for p, q in upper for c in range(2)
+            (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c])
+            for p, q in upper for c in range(2)
         }
         keys = used
         if full:
