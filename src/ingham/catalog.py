@@ -29,7 +29,7 @@ from .lattice import (
     two_square_spec,
     validate_spec,
 )
-from .qfield import QuadNumber, rational
+from .qfield import QuadNumber, _from_square_free, _ratio, _square_free_split, rational
 
 COLUMN_6 = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (0, 5))
 BAD_6 = ((0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 4))
@@ -553,17 +553,30 @@ def _json_list(value: Any, what: str, length: int | None = None) -> list:
 
 def spec_from_json(data: Any) -> LatticeSpec:
     """The spec of a JSON interchange object.  Input of another shape, or
-    numbers that are not rationals, raise ValueError."""
+    numbers that are not rationals, raise ValueError.
+
+    The radicand d is read as an int once and factored at most once, at the
+    first number with a radical part, into s*s*e with e square-free: every
+    number's b*sqrt(d) is then b*s*sqrt(e), built unfactored.  A spec whose
+    numbers are all rational never factors d."""
     if not isinstance(data, dict) or not {"name", "l_star", "us"} <= data.keys():
         raise ValueError("spec must be a JSON object with name, l_star and us")
     d = rational(data.get("d", 1))
-    if d.denominator != 1:
-        raise ValueError(f"spec d must be an integer, got {d}")
+    if d.denominator != 1 or d < 1:
+        raise ValueError(f"spec d must be a positive integer, got {d}")
+    d = d.numerator
+    split = None  # (s, e) with d = s*s*e
 
     def qn(obj: Any) -> QuadNumber:
+        nonlocal split
         if not isinstance(obj, dict) or "a" not in obj:
             raise ValueError('spec numbers must be objects with "a" and optional "b"')
-        return QuadNumber.parse(obj["a"], obj.get("b", "0"), int(d))
+        an, ad = _ratio(obj["a"])
+        bn, bd = _ratio(obj.get("b", "0"))
+        if bn and split is None:
+            split = _square_free_split(d)
+        s, e = split if bn else (1, 1)
+        return _from_square_free(an, ad, bn * s, bd, e)
 
     rows = _json_list(data["l_star"], "l_star", 2)
     l_star = tuple(tuple(map(qn, _json_list(row, "l_star row", 2))) for row in rows)

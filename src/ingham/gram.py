@@ -182,6 +182,7 @@ def inner_product(
     q: LatticePoint,
 ) -> complex:
     """Exact closed-form integral of e_p conj(e_q) over the domain."""
+    _check_size(spec, config.m)
     mu = a, b = _mu(spec, p, q)
     factor = _phi(a.p, a.q, a.r, a.d) * _phi(b.p, b.q, b.r, b.d)
     if factor == 0:
@@ -290,6 +291,7 @@ def gram_matrix(
 
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
+    _check_size(spec, config.m)
     pairs, spans, full = _differences(spec, support)
     den, d, _ = spec.form
     det = spec.det_l()

@@ -11,7 +11,8 @@ Each LatticeSpec builds its tables once, on first use, and keeps them on
 the instance (cached properties that are not dataclass fields, so equality,
 hashing and repr see only name, l_star and us): `_inverse`, the exact
 l_star^-1; `_translate_index`, each translate's `_residue` key mapped to its
-index j, so membership of p is one lookup of the key of l_star^-1 p; `form`,
+index j, so membership of p is one lookup of the key of l_star^-1 p, formed
+from that preimage's integers without building a QuadNumber; `form`,
 the translates as integer rows over one denominator and one field; and
 `_hash`, the hash of those three fields.
 
@@ -90,7 +91,8 @@ def vec_is_integer(u: Vec2) -> bool:
 def _residue(v: Vec2) -> tuple[tuple[int, int, int, int], ...]:
     """Key of v mod Z^2: equal for u and v exactly when u - v is an integer
     vector, since adding n to (p + q*sqrt d)/r gives the canonical
-    (p + n*r, q, r, d)."""
+    (p + n*r, q, r, d).  `contains` forms the same key from the integers
+    (p, q, r, d) of `_dot`."""
     x, y = v
     return (x.p % x.r, x.q, x.r, x.d), (y.p % y.r, y.q, y.r, y.d)
 
@@ -152,14 +154,29 @@ def mat_inv(m: Mat2) -> Mat2:
 
 def mat_vec(m: Mat2, v: Vec2) -> Vec2:
     """m @ v exactly; v's coordinates may be ints or Fractions."""
-    x, y = _coerce(v[0]), _coerce(v[1])
+    x, y = _operands(v)
+    return _make(*_dot(m[0][0], x, m[0][1], y)), _make(*_dot(m[1][0], x, m[1][1], y))
+
+
+def _operands(v: Vec2) -> Vec2:
+    """v's coordinates as QuadNumbers: ints and Fractions are coerced, and
+    another type raises TypeError."""
+    x, y = v[0], v[1]
+    if isinstance(x, QuadNumber) and isinstance(y, QuadNumber):
+        return x, y
+    x, y = _coerce(x), _coerce(y)
     if x is NotImplemented or y is NotImplemented:
         raise TypeError(f"cannot multiply a matrix by {type(v[0]).__name__}, {type(v[1]).__name__}")
-    return _dot(m[0][0], x, m[0][1], y), _dot(m[1][0], x, m[1][1], y)
+    return x, y
 
 
-def _dot(a: QuadNumber, x: QuadNumber, b: QuadNumber, y: QuadNumber) -> QuadNumber:
-    """a*x + b*y over the one denominator a.r*x.r*b.r*y.r, reduced once.
+def _dot(
+    a: QuadNumber, x: QuadNumber, b: QuadNumber, y: QuadNumber
+) -> tuple[int, int, int, int]:
+    """The canonical (p, q, r, d) of a*x + b*y, the four integers of its
+    QuadNumber, formed over the one denominator a.r*x.r*b.r*y.r and reduced
+    once; `mat_vec` wraps them in a QuadNumber and `contains` reads them as
+    they are.
 
     Raises what a*x + b*y raises: each product's operands must share a
     field, and so must the products (a product whose radical part cancels
@@ -170,7 +187,12 @@ def _dot(a: QuadNumber, x: QuadNumber, b: QuadNumber, y: QuadNumber) -> QuadNumb
     # both radical parts nonzero share a.d with x.d, and b.d with y.d
     p1, p2 = a.p * x.p + a.q * x.q * a.d, b.p * y.p + b.q * y.q * b.d
     r1, r2 = a.r * x.r, b.r * y.r
-    return _make(p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2, d)
+    # r > 0, as every QuadNumber's r is, so only gcd(p, q, r) divides out
+    p, q, r = p1 * r2 + p2 * r1, q1 * r2 + q2 * r1, r1 * r2
+    g = math.gcd(p, q, r)
+    if g != 1:
+        p, q, r = p // g, q // g, r // g
+    return p, q, r, d if q else 1
 
 
 def mat_float(m: Mat2) -> list[list[float]]:
@@ -313,15 +335,22 @@ def validate_spec(spec: LatticeSpec) -> LatticeSpec:
 def contains(spec: LatticeSpec, p: Vec2) -> LatticePoint | None:
     """Exact membership: the (j, m) with p = l_star @ (u_j + m), if any.
 
-    One lookup of the key of y = l_star^-1 p in the spec's translate index;
-    a hit j has y and u_j equal but for the numerators, whose difference over
-    the shared denominator is m."""
-    y0, y1 = y = mat_vec(spec._inverse, p)
-    j = spec._translate_index.get(_residue(y))
+    The coordinates of y = l_star^-1 p are formed as integers (p, q, r, d)
+    by `_dot`, as `mat_vec` forms them, but no QuadNumber is built from them:
+    their `_residue` key, (p % r, q, r, d) per coordinate, is looked up in
+    the spec's translate index, and a hit j has y and u_j equal but for the
+    numerators, whose difference over the shared denominator is m.  int and
+    Fraction coordinates of p are coerced as `mat_vec` coerces them, and a
+    float raises the same TypeError."""
+    x, y = _operands(p)
+    (a, b), (c, e) = spec._inverse
+    p0, q0, r0, d0 = _dot(a, x, b, y)
+    p1, q1, r1, d1 = _dot(c, x, e, y)
+    j = spec._translate_index.get(((p0 % r0, q0, r0, d0), (p1 % r1, q1, r1, d1)))
     if j is None:
         return None
     u0, u1 = spec.us[j]
-    return LatticePoint(j, ((y0.p - u0.p) // y0.r, (y1.p - u1.p) // y1.r))
+    return LatticePoint(j, ((p0 - u0.p) // r0, (p1 - u1.p) // r1))
 
 
 def realize_points(

@@ -5,7 +5,10 @@ gcd(p, q, r) = 1 and a square-free positive d that is 1 exactly when q = 0.
 This form is canonical, so equality compares the four integers, and the
 arithmetic is integer arithmetic over one common denominator (H. Cohen, *A
 Course in Computational Algebraic Number Theory*, GTM 138, 1993): no
-Fraction is built and d is never factored again.  The rational and radical
+Fraction is built and d is never factored.  A radicand is factored only where
+a number is built from one that may not be square-free (`_from_ratios`); the
+square-free part it leaves builds further numbers unfactored
+(`_from_square_free`), as `sqrt` and spec loading do.  The rational and radical
 parts stay readable as Fractions through .a and .b.  Mixed radicals
 (a + b*sqrt(2) + c*sqrt(3)) are deliberately unsupported; combining two
 numbers whose radical parts live in different fields raises
@@ -162,9 +165,9 @@ class QuadNumber:
             raise ValueError("sqrt of a negative rational")
         if n == 0:
             return cls(0)
-        # sqrt(p/q) = sqrt(p*q)/q
+        # sqrt(p/q) = sqrt(p*q)/q, and the split leaves d square-free
         s, d = _square_free_split(n.numerator * n.denominator)
-        return cls(0, Fraction(s, n.denominator), d)
+        return _from_square_free(0, 1, s, n.denominator, d)
 
     @classmethod
     def parse(cls, a: str, b: str = "0", d: int = 1) -> QuadNumber:
@@ -316,17 +319,24 @@ def quad_float(p: int, q: int, r: int, d: int) -> float:
 
 def _from_ratios(an: int, ad: int, bn: int, bd: int, d: int) -> QuadNumber:
     """The QuadNumber an/ad + (bn/bd)*sqrt(d), for denominators ad, bd > 0 and a
-    positive integer d: the square part of d moves into b, and b joins a when
-    d is a square."""
+    positive integer d: the square part of d moves into b.  d is factored only
+    when bn != 0."""
     if d < 1:
         raise ValueError("d must be a positive integer")
-    if bn == 0:
-        d = 1
-    else:
+    if bn:
         s, d = _square_free_split(d)
         bn *= s
-        if d == 1:
-            an, ad, bn = an * bd + bn * ad, ad * bd, 0
+    return _from_square_free(an, ad, bn, bd, d)
+
+
+def _from_square_free(an: int, ad: int, bn: int, bd: int, d: int) -> QuadNumber:
+    """The QuadNumber an/ad + (bn/bd)*sqrt(d), for denominators ad, bd > 0 and a
+    square-free d >= 1 (any d when bn = 0), which is not factored: b joins a
+    when d = 1."""
+    if bn == 0:
+        d = 1
+    elif d == 1:
+        an, ad, bn = an * bd + bn * ad, ad * bd, 0
     r = lcm(ad, bd)
     return _make(int(an * (r // ad)), int(bn * (r // bd)), r, d)
 

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIELDS, lattice_specs
+from ingham import catalog, qfield
 from ingham.catalog import (
     _qn_json,
     get,
@@ -145,6 +146,56 @@ def test_json_round_trip(tmp_path):
 @given(lattice_specs())
 def test_json_round_trip_property(spec):
     assert spec_from_json(json.loads(json.dumps(spec_to_json(spec)))) == spec
+
+
+BIG_PRIME = 999999999989  # factoring it takes the longest trial division accepted
+
+
+def _big_radicand_spec(radical: bool) -> dict:
+    """A spec of Q(sqrt BIG_PRIME), as spec_to_json writes it, with six
+    numbers that have a radical part, or with every one rational."""
+    b = (lambda text: text) if radical else (lambda text: "0")
+    n = lambda a, bb="0": {"a": a, "b": b(bb)}
+    return {
+        "name": "big_radicand",
+        "d": BIG_PRIME if radical else 1,
+        "l_star": [[n("1", "1"), n("0", "1/2")], [n("0"), n("2", "1/3")]],
+        "us": [[n("0"), n("0")], [n("1/2", "1/5"), n("0", "1/7")], [n("1/3"), n("1/4", "1/11")]],
+    }
+
+
+def _count_splits(monkeypatch) -> list[int]:
+    """The radicands given to `qfield._square_free_split` from here on."""
+    calls = []
+    split = qfield._square_free_split
+    for module in (qfield, catalog):
+        monkeypatch.setattr(module, "_square_free_split", lambda n: calls.append(n) or split(n))
+    return calls
+
+
+def test_spec_from_json_factors_the_radicand_once(monkeypatch):
+    data = _big_radicand_spec(radical=True)
+    calls = _count_splits(monkeypatch)
+    spec = spec_from_json(data)
+    assert calls == [BIG_PRIME]
+    assert spec_to_json(spec) == data
+    assert spec.us[1][1] == QuadNumber.parse("0", "1/7", BIG_PRIME)
+
+
+def test_spec_from_json_of_rationals_never_factors(monkeypatch):
+    data = _big_radicand_spec(radical=False)
+    for d in (1, BIG_PRIME, 10**800 + 1):
+        calls = _count_splits(monkeypatch)
+        spec = spec_from_json(data | {"d": d})
+        assert calls == []
+        assert spec_to_json(spec) == data
+
+
+def test_spec_from_json_refuses_a_radicand_that_is_not_a_positive_integer():
+    data = spec_to_json(get("trihexagonal").spec)
+    for d in (0, -3, "1/2", "2.5"):
+        with pytest.raises(ValueError, match="spec d must be a positive integer"):
+            spec_from_json(data | {"d": d})
 
 
 def test_json_rejects_mixed_fields():

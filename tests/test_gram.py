@@ -240,6 +240,18 @@ def test_holes_refuse_a_configuration_of_the_wrong_size():
         hole_gram_matrix(spec, config, SupportSet((lp(0, 0, 0),)), hole)
 
 
+def test_gram_refuses_a_configuration_of_the_wrong_size():
+    """A 2-cell configuration on snub_square (4 translates) gave a 4x4 matrix
+    whose diagonal was the volume of 2 cells."""
+    spec = catalog.get("snub_square").spec
+    config = TranslationConfig.of((0, 0), (1, 0))
+    support = SupportSet.centered(spec, 0)
+    with pytest.raises(SizeMismatchError, match="2 vectors"):
+        gram_matrix(spec, config, support)
+    with pytest.raises(SizeMismatchError, match="2 vectors"):
+        inner_product(spec, config, support.items[0], support.items[0])
+
+
 def test_hole_gram_is_psd_and_bounded():
     spec, config, hole = _hole_setup()
     support = SupportSet.box(spec, (0, 1), (0, 1))

@@ -497,6 +497,49 @@ def test_mat_vec_matches_operator_oracle(entries, v):
     assert _outcome(mat_vec, m, v) == _outcome(contains_oracle.mat_vec, m, v)
 
 
+def _fields(z):
+    return z.p, z.q, z.r, z.d
+
+
+@given(st.tuples(*[st.one_of(_mixed_numbers(), st.sampled_from(FIELDS).flatmap(quad_numbers))] * 4))
+def test_dot_kernel_matches_operators(operands):
+    """The integers of the kernel are those of a*x + b*y on QuadNumber
+    operators, and both raise the same FieldMismatchError."""
+    a, x, b, y = operands
+    assert _outcome(lattice._dot, a, x, b, y) == _outcome(lambda: _fields(a * x + b * y))
+
+
+def test_contains_reads_ints_and_fractions_and_refuses_floats():
+    square = catalog.get("square").spec
+    assert contains(square, (2, -3)) == LatticePoint(0, (2, -3))
+    assert contains(square, (Fraction(4, 2), True)) == LatticePoint(0, (2, 1))
+    assert contains(square, (Fraction(1, 2), 0)) is None
+    assert contains(TRIANGULAR, (Fraction(1, 2), 0)) is None
+    assert contains(TRIANGULAR, (0, 0)) == LatticePoint(0, (0, 0))
+    with pytest.raises(TypeError, match=r"^cannot multiply a matrix by float, int$"):
+        contains(square, (0.5, 1))
+    with pytest.raises(TypeError, match=r"^cannot multiply a matrix by QuadNumber, float$"):
+        contains(TRIANGULAR, (QuadNumber(0), 1.0))
+
+
+def test_contains_builds_no_quad_number(monkeypatch):
+    """A query forms the key and the shift m from the integers of
+    l_star^-1 p: the only object it returns is the LatticePoint."""
+    from ingham import qfield
+
+    spec = catalog.get("truncated_trihexagonal").spec
+    points = [mat_vec(spec.l_star, vec_add(u, qvec(7, -5))) for u in spec.us]
+    points.append(qvec(Fraction(1, 3), QuadNumber(0, 1, 3)))
+    contains(spec, points[0])  # the spec's tables are built once, on first use
+    made = []
+    make = qfield._make
+    for module in (qfield, lattice):
+        monkeypatch.setattr(module, "_make", lambda *parts: made.append(parts) or make(*parts))
+    got = [contains(spec, p) for p in points]
+    assert got == [LatticePoint(j, (7, -5)) for j in range(spec.m)] + [None]
+    assert made == []
+
+
 def test_membership_tables_are_not_fields():
     spec = validate_spec(LatticeSpec(name="h", l_star=HONEYCOMB.l_star, us=HONEYCOMB.us))
     before = (repr(spec), hash(spec))

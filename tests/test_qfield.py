@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import FIELDS, quad_numbers, rationals
+from ingham import qfield
 from ingham.errors import FieldMismatchError
 from ingham.qfield import QuadNumber, rational
 
@@ -30,6 +31,16 @@ def test_square_factor_extraction():
     assert QuadNumber.sqrt(50) == QuadNumber(0, 5, 2)
     assert QuadNumber.sqrt(Fraction(1, 2)) == QuadNumber(0, Fraction(1, 2), 2)
     assert QuadNumber.sqrt(9) == QuadNumber(3)
+
+
+def test_sqrt_factors_its_radicand_once(monkeypatch):
+    calls = []
+    split = qfield._square_free_split
+    monkeypatch.setattr(qfield, "_square_free_split", lambda n: calls.append(n) or split(n))
+    roots = [QuadNumber.sqrt(12), QuadNumber.sqrt(Fraction(9, 4)), QuadNumber.sqrt(Fraction(3, 8))]
+    assert calls == [12, 36, 24]
+    monkeypatch.undo()
+    assert roots == [QuadNumber(0, 2, 3), QuadNumber(Fraction(3, 2)), QuadNumber(0, Fraction(1, 4), 6)]
 
 
 def test_trial_division_bounds_work_not_size():
