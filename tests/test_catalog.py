@@ -154,8 +154,7 @@ BIG_PRIME = 999999999989  # factoring it takes the longest trial division accept
 def _big_radicand_spec(radical: bool) -> dict:
     """A spec of Q(sqrt BIG_PRIME), as spec_to_json writes it, with six
     numbers that have a radical part, or with every one rational."""
-    b = (lambda text: text) if radical else (lambda text: "0")
-    n = lambda a, bb="0": {"a": a, "b": b(bb)}
+    n = lambda a, b="0": {"a": a, "b": b if radical else "0"}
     return {
         "name": "big_radicand",
         "d": BIG_PRIME if radical else 1,

@@ -501,7 +501,16 @@ def _fields(z):
     return z.p, z.q, z.r, z.d
 
 
-@given(st.tuples(*[st.one_of(_mixed_numbers(), st.sampled_from(FIELDS).flatmap(quad_numbers))] * 4))
+def _kernel_operands():
+    """(a, x, b, y) drawn freely, or as (a, x, -a, x + t) for a rational t,
+    whose radical parts cancel whenever a is rational."""
+    number = st.one_of(_mixed_numbers(), st.sampled_from(FIELDS).flatmap(quad_numbers))
+    cancelling = st.builds(lambda a, x, t: (a, x, -a, x + t),
+                           number, number, st.one_of(st.just(0), rationals()))
+    return st.one_of(st.tuples(number, number, number, number), cancelling)
+
+
+@given(_kernel_operands())
 def test_dot_kernel_matches_operators(operands):
     """The integers of the kernel are those of a*x + b*y on QuadNumber
     operators, and both raise the same FieldMismatchError."""
