@@ -20,7 +20,13 @@ translation and a subgroup of D4: every kernel caller (`ingham_constants`,
 the surveys of `search`) passes the tiling's `symmetries` and runs the kernel
 on those alone, so a configuration takes its class representative's bits
 whatever its batch, order or chunk; `geometry.polyominoes` and
-`search.translation_classes` pass the identity alone, `D4[:1]`.  `a2_holds` is
+`search.translation_classes` pass the identity alone, `D4[:1]`.  `classes`
+holds configurations by columns, as (m, rows) arrays and their symmetry
+images as (m, G, rows), and sorts each one's cells in `_sort_cells`: a large
+batch by Batcher's odd-even merge network on m wires (`_network`), a fixed
+sequence of column-wise minimum/maximum, and a small one, such as the single
+configuration of `ingham_constants`, by np.sort; NETWORK_ROWS_PER_EXCHANGE
+sets the crossover from a measurement.  `a2_holds` is
 the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
 heuristic.  `a2_stable` is the only place its stability is judged: a batch is
 stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
@@ -90,6 +96,21 @@ COORD_LIMIT = 2**61
 # `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its
 # point codes and image words.
 KEY_LIMIT = 2**62
+
+
+# `_sort_cells` sorts a batch of m cells by the network `_network(m)` when it
+# has at least this many rows (configurations, or symmetry images of them)
+# per compare-exchange, else by np.sort.  A compare-exchange costs three numpy
+# calls, about 1.5 us on a few rows; np.sort along the cells costs per row.
+# Timed on random (m, rows) int64 arrays (2 vCPUs, numpy 2.4), the network
+# first won at 96, 192, 256, 384, 768, 1,024, 2,048 and 2,048 rows for m = 2,
+# 3, 4, 5, 6, 8, 10 and 12 (1, 3, 5, 9, 12, 19, 32 and 42 compare-exchanges):
+# 43 to 96 rows per compare-exchange, 55 in the median.  At 8,192 rows it took
+# 16 against 302 us at m = 2, 54 against 318 at m = 4 and 417 against 564 at
+# m = 12.  A survey's translation keys (211,876 rows at snub square grid 6)
+# and image chunks (up to G * CHUNK_ROWS rows) lie far above it; the one
+# configuration of `ingham_constants` far below.
+NETWORK_ROWS_PER_EXCHANGE = 64
 
 
 @dataclass(frozen=True)
@@ -245,25 +266,60 @@ def _lex_ids(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     cols = np.array(cols, order="F")  # a copy by columns, whose reductions are fast
     cols -= cols.min(axis=0)
     bases = (cols.max(axis=0) + 1).tolist()
-    key, bound, start = np.zeros(n, dtype=np.int64), 1, 0
-    while start < k:
-        if bound * bases[start] > KEY_LIMIT:
+    key, bound = np.zeros(n, dtype=np.int64), 1
+    for c in range(k):
+        if bound * bases[c] > KEY_LIMIT:
             uniq, key = _ranks(key)
             bound = len(uniq)
-        if bound * bases[start] > KEY_LIMIT:
-            uniq, cols[:, start] = _ranks(cols[:, start])
-            bases[start] = len(uniq)
-        stop, weights = start, []
-        while stop < k and bound * bases[stop] <= KEY_LIMIT:
-            weights = [w * bases[stop] for w in weights] + [1]
-            bound *= bases[stop]
-            stop += 1
-        key = key * (weights[0] * bases[start]) + cols[:, start:stop] @ np.array(weights)
-        start = stop
+        if bound * bases[c] > KEY_LIMIT:
+            uniq, cols[:, c] = _ranks(cols[:, c])
+            bases[c] = len(uniq)
+        key *= bases[c]
+        key += cols[:, c]
+        bound *= bases[c]
     uniq, ids = _ranks(key)
     first = np.empty(len(uniq), dtype=np.intp)
     first[ids] = np.arange(n)
     return ids, first
+
+
+@lru_cache(maxsize=None)
+def _network(m: int) -> tuple[tuple[int, int], ...]:
+    """Batcher's odd-even merge sorting network on m wires (Batcher, AFIPS
+    SJCC 1968; Knuth, TAOCP 3, 5.3.4): the compare-exchanges (a, b), a < b,
+    of the network on the next power of two, without those that touch a wire
+    past m.  Those wires would carry +infinity, which no compare-exchange
+    moves, so what is left sorts m wires."""
+    n = 1 << (m - 1).bit_length()
+    pairs, p = [], 1
+    while p < n:
+        k = p
+        while k:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, j + min(k, n - j - k)):
+                    if i // (2 * p) == (i + k) // (2 * p) and i + k < m:
+                        pairs.append((i, i + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sort_cells(cells: np.ndarray) -> None:
+    """Sort an (m, ...) integer array along its first axis, in place: the
+    cells of each configuration, stored by columns.
+
+    A batch with at least NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange
+    of `_network(m)` goes through the network, three elementwise numpy calls
+    per compare-exchange; a smaller one through np.sort."""
+    network = _network(len(cells))
+    if cells[0].size < NETWORK_ROWS_PER_EXCHANGE * len(network):
+        cells.sort(axis=0)
+        return
+    wires, spare = list(cells), np.empty_like(cells[0])
+    for a, b in network:
+        np.minimum(wires[a], wires[b], out=spare)
+        np.maximum(wires[a], wires[b], out=wires[b])
+        np.copyto(wires[a], spare)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,11 +357,16 @@ def classes(
     and the 2(m - 1) coordinate offsets otherwise.  The group then acts on
     one configuration per translation class.
 
-    Each image cell gets one code x*base + y, base = box side + 1; codes
-    order as the cells (x, y) do, so sorting a row's codes sorts its cells.
-    Folding the m sorted codes in mixed radix base**2, as many as fit below
-    KEY_LIMIT to an int64 word, keeps the order of the sequences: the words
-    compare lexicographically as the images do, and the least words are the
+    Rows are held by columns: the cells of the n rows as an (m, n) array,
+    the images of the translation classes' representatives as (m, G, rows)
+    per chunk, each sorted over its first axis by `_sort_cells` (a
+    compare-exchange network on large batches, np.sort on small ones).  Each
+    image cell gets one code x*base + y, base = box side + 1; codes order as
+    the cells (x, y) do, so sorting a row's codes sorts its cells.  Folding
+    the m sorted codes in mixed radix base**2, as many as fit below KEY_LIMIT
+    to an int64 word (column multiply-adds), keeps the order of the
+    sequences: the words compare lexicographically as the images do, and
+    the least words, taken over the G images column by column, are the
     class's key.  A box too wide for one code per cell (base**2 past
     KEY_LIMIT) has its coordinates replaced by their ranks among all the
     image coordinates first, which keeps every comparison (exact for fewer
@@ -323,15 +384,19 @@ def classes(
     # (half the gather of the coordinate offsets: on a grid survey the class
     # reduction takes about a quarter less time and a third less memory)
     codes = pts[:, 0] * (2 * sy + 1) + pts[:, 1] if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT else pts
-    key = codes[np.sort(idx, axis=1)]
-    key = (key[:, 1:] - key[:, :1]).reshape(n, (m - 1) * codes.ndim)
-    translation_class, first = _lex_ids(key)
+    cells = np.array(idx.T, order="C")  # (m, n): the rows' point indices by columns
+    _sort_cells(cells)
+    key = codes[cells[1:]]
+    key -= codes[cells[0]]
+    del cells
+    translation_class, first = _lex_ids(key.swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim))
     del key  # before the image work
-    # one configuration per translation class, at minimum 0
-    x, y = pts[idx[first], 0], pts[idx[first], 1]
-    x -= x.min(axis=1, keepdims=True)
-    y -= y.min(axis=1, keepdims=True)
-    w, h = x.max(axis=1, keepdims=True), y.max(axis=1, keepdims=True)
+    # one configuration per translation class, at minimum 0, by columns
+    reps = idx[first].T.copy()
+    x, y = pts[reps, 0], pts[reps, 1]
+    x -= x.min(axis=0)
+    y -= y.min(axis=0)
+    w, h = x.max(axis=0), y.max(axis=0)
     base, values = max(int(w.max(initial=0)), int(h.max(initial=0))) + 1, None
     if base * base > KEY_LIMIT:
         values = np.unique(np.concatenate([x, y, w - x, h - y], axis=None))
@@ -344,26 +409,28 @@ def classes(
     # h - y), a coordinate that A negates moved to minimum 0 by the box width
     # w or height h
     pick = np.array([[2 * (s != 0) + (r + s < 0) for r, s in a] for a in group])
-    keys = np.empty((len(x), len(words)), dtype=np.int64)
-    for part in chunks(len(x)):
-        cx, cy = x[part], y[part]
-        coords = np.stack([cx, w[part] - cx, cy, h[part] - cy])
+    keys = np.empty((len(words), len(first)), dtype=np.int64)
+    for part in chunks(len(first)):
+        cx, cy = x[:, part], y[:, part]
+        coords = np.stack([cx, w[part] - cx, cy, h[part] - cy], axis=1)  # (m, 4, rows)
         if values is not None:
             coords = np.searchsorted(values, coords)
-        code = coords[pick[:, 0]]  # (G, rows, m) cell codes of A n for every A at once
+        code = coords[:, pick[:, 0]]  # (m, G, rows) cell codes of A n for every A at once
         code *= base
-        code += coords[pick[:, 1]]
-        code.sort(axis=-1)
+        code += coords[:, pick[:, 1]]
+        _sort_cells(code)
         # the lexicographic least image: the least first word, then the
         # least next word among the images tied so far
-        tie = np.ones(code.shape[:2], dtype=bool)
+        tie = np.ones(code.shape[1:], dtype=bool)
         for k, ((lo, hi), weight) in enumerate(zip(words, weights)):
-            word = np.where(tie, code[..., lo:hi] @ weight, KEY_LIMIT)
-            keys[part, k] = least = word.min(axis=0)
+            code[lo:hi] *= weight[:, None, None]
+            word = code[lo:hi].sum(axis=0)
+            word[~tie] = KEY_LIMIT
+            keys[k, part] = least = word.min(axis=0)
             tie &= word == least
-    klass, rep = _lex_ids(keys)
+    klass, rep = _lex_ids(keys.T)
     cell_codes = np.concatenate(
-        [keys[rep, k, None] // weight % radix for k, weight in enumerate(weights)], axis=1
+        [keys[k, rep, None] // weight % radix for k, weight in enumerate(weights)], axis=1
     )
     uniq, cell = _ranks(cell_codes.ravel())
     cx, cy = uniq // base, uniq % base

@@ -25,6 +25,7 @@ from ingham.spectral import (
     A2_SWEEP,
     COORD_LIMIT,
     D4,
+    KEY_LIMIT,
     TWO_SQUARE_CONFIG,
     TranslationConfig,
     a2_holds,
@@ -362,6 +363,17 @@ def _oracle(spec, cells):
     return abs(np.linalg.det(e)), max(eigs[0], 0.0), eigs[-1]
 
 
+class _Draws:
+    """Stands in for `st.data()` in an explicit example: `draw` returns the
+    given values in order, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 def test_symmetry_group_orders():
     assert set(GROUP_ORDERS) == set(catalog.names()) - {"two_square"} | {"two_square_r1_R2"}
     for name, order in GROUP_ORDERS.items():
@@ -384,13 +396,15 @@ def test_symmetry_group_orders():
     spec=st.one_of(st.sampled_from(sorted(GROUP_ORDERS)).map(_spec), lattice_specs()),
     data=st.data(),
 )
+@example(spec=_spec("elongated_triangular"),  # |dkappa1| 2.26e-13, past a bound in |u| alone
+         data=_Draws([(3, 4), (1, 4)], MINUS_I, (-2, 40)))
 def test_certified_symmetries_keep_the_spectrum(spec, data):
     """Against build_e and numpy per configuration: a configuration, its
     image under a certified A and a translation, reordered, have one verdict
     and kappas within 1e-13 * kappa2; the class path gives both of them
     identical bits and agrees with the oracle.  A phase's float error grows
-    with |u_j|, so the bound is scaled by the largest translate coordinate
-    past 1 (the catalog's are below 1)."""
+    with its argument <u_j, n_k>, and the translations reach +-50, so the
+    bound is scaled by the largest |<u_j, n_k>| of both configurations past 1."""
     box = [(x, y) for x in range(5) for y in range(5)]
     cells = data.draw(st.lists(st.sampled_from(box), min_size=spec.m, max_size=spec.m,
                                unique=True))
@@ -399,7 +413,8 @@ def test_certified_symmetries_keep_the_spectrum(spec, data):
     moved = _move(a, cells, t)[::-1]
     det0, k10, k20 = _oracle(spec, cells)
     det1, k11, k21 = _oracle(spec, moved)
-    tol = 1e-13 * k20 * max(1.0, *(abs(float(c)) for u in spec.us for c in u))
+    arg = max(abs(float(vec_dot(u, n))) for u in spec.us for n in cells + moved)
+    tol = 1e-13 * k20 * max(1.0, arg)
     assert a2_holds(det0) == a2_holds(det1)
     assert abs(k10 - k11) <= tol and abs(k20 - k21) <= tol
     cls = classes(symmetries(spec), *config_index([cells, moved]))
@@ -552,6 +567,50 @@ def class_batches(draw):
 @example((D4[:1], [(0, 0), (1, 2)], np.zeros((0, 4), dtype=np.intp)))
 def test_classes_match_the_coordinate_pair_reduction(batch):
     _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_batches())
+def test_classes_by_networks_match_the_coordinate_pair_reduction(batch):
+    """The batches above are too small for the compare-exchange networks;
+    with no threshold every sort of `classes` goes through them."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0)
+        got = classes(*batch)
+    _assert_same_classes(got, classes_oracle.classes(*batch))
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_networks_sort_every_zero_one_input(m, monkeypatch):
+    """A comparator network that sorts all 2**m inputs of zeros and ones
+    sorts every input (Knuth, TAOCP 3, 5.3.4, the 0-1 principle)."""
+    monkeypatch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0)
+    cells = (np.arange(2**m) >> np.arange(m)[:, None]) & 1  # column i: the bits of i
+    want = np.sort(cells, axis=0)
+    spectral._sort_cells(cells)
+    assert (cells == want).all()
+
+
+SORT_VALUES = st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62),
+                        st.integers(-3, 3).map(lambda v: KEY_LIMIT + v),
+                        st.integers(-3, 3).map(lambda v: v - KEY_LIMIT))
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 12), shape=st.lists(st.integers(1, 9), min_size=1, max_size=2),
+       data=st.data(), network=st.booleans())
+def test_sorted_cells_equal_np_sort(m, shape, data, network):
+    """Both branches of `_sort_cells`, on (m, rows) and (m, G, rows) arrays
+    with ties, negative values and values near 2**62, equal np.sort over
+    each configuration's cells."""
+    size = m * int(np.prod(shape))
+    values = data.draw(st.lists(SORT_VALUES, min_size=size, max_size=size))
+    cells = np.array(values, dtype=np.int64).reshape(m, *shape)
+    want = np.moveaxis(np.sort(np.moveaxis(cells, 0, -1), axis=-1), -1, 0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0 if network else 10**9)
+        spectral._sort_cells(cells)
+    assert cells.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("name, grid", [("snub_square", 4), ("truncated_square", 4),
