@@ -310,7 +310,7 @@ def _sort_cells(cells: np.ndarray) -> None:
 
     A batch with at least NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange
     of `_network(m)` goes through the network, three elementwise numpy calls
-    per compare-exchange; a smaller one through np.sort."""
+    per compare-exchange; a smaller one through ndarray.sort."""
     network = _network(len(cells))
     if cells[0].size < NETWORK_ROWS_PER_EXCHANGE * len(network):
         cells.sort(axis=0)
@@ -386,10 +386,10 @@ def classes(
     codes = pts[:, 0] * (2 * sy + 1) + pts[:, 1] if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT else pts
     cells = np.array(idx.T, order="C")  # (m, n): the rows' point indices by columns
     _sort_cells(cells)
-    key = codes[cells[1:]]
-    key -= codes[cells[0]]
+    key = codes[cells]
     del cells
-    translation_class, first = _lex_ids(key.swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim))
+    key = (key[1:] - key[0]).swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim)
+    translation_class, first = _lex_ids(key)
     del key  # before the image work
     # one configuration per translation class, at minimum 0, by columns
     reps = idx[first].T.copy()
