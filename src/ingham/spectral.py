@@ -23,10 +23,11 @@ whatever its batch, order or chunk; `geometry.polyominoes` and
 `search.translation_classes` pass the identity alone, `D4[:1]`.  `classes`
 holds configurations by columns, as (m, rows) arrays and their symmetry
 images as (m, G, rows), and sorts each one's cells in `_sort_cells`: a large
-batch by Batcher's odd-even merge network on m wires (`_network`), a fixed
-sequence of column-wise minimum/maximum, and a small one, such as the single
-configuration of `ingham_constants`, by np.sort; NETWORK_ROWS_PER_EXCHANGE
-sets the crossover from a measurement.  `a2_holds` is
+batch of at most six cells by Batcher's odd-even merge network on m wires
+(`_network`), a fixed sequence of column-wise minimum/maximum, and a small
+one, such as the single configuration of `ingham_constants`, or one of more
+cells by np.sort; NETWORK_ROWS_PER_EXCHANGE sets the crossover from a
+measurement.  `a2_holds` is
 the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
 heuristic.  `a2_stable` is the only place its stability is judged: a batch is
 stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
@@ -98,18 +99,22 @@ COORD_LIMIT = 2**61
 KEY_LIMIT = 2**62
 
 
-# `_sort_cells` sorts a batch of m cells by the network `_network(m)` when it
-# has at least this many rows (configurations, or symmetry images of them)
-# per compare-exchange, else by np.sort.  A compare-exchange costs three numpy
-# calls, about 1.5 us on a few rows; np.sort along the cells costs per row.
-# Timed on random (m, rows) int64 arrays (2 vCPUs, numpy 2.4), the network
-# first won at 96, 192, 256, 384, 768, 1,024, 2,048 and 2,048 rows for m = 2,
-# 3, 4, 5, 6, 8, 10 and 12 (1, 3, 5, 9, 12, 19, 32 and 42 compare-exchanges):
-# 43 to 96 rows per compare-exchange, 55 in the median.  At 8,192 rows it took
-# 16 against 302 us at m = 2, 54 against 318 at m = 4 and 417 against 564 at
-# m = 12.  A survey's translation keys (211,876 rows at snub square grid 6)
-# and image chunks (up to G * CHUNK_ROWS rows) lie far above it; the one
-# configuration of `ingham_constants` far below.
+# `_sort_cells` sorts a batch of m <= 6 cells by the network `_network(m)` when
+# it has at least this many rows (configurations, or symmetry images of them)
+# per compare-exchange, else by ndarray.sort.  A compare-exchange costs three
+# numpy calls, about 1.5 us on a few rows; ndarray.sort along the cells costs
+# per row.  Timed on random (m, rows) int64 arrays (2 vCPUs, numpy 2.4), the
+# network first won at 96, 192, 256, 384 and 768 rows for m = 2 to 6 (1, 3,
+# 5, 9 and 12 compare-exchanges), 43 to 96 rows per compare-exchange; at
+# 8,192 rows it took 16 against 302 us at m = 2 and 54 against 318 at m = 4.
+# A grid survey's translation keys (211,876 rows at snub square grid 6) and
+# image chunks (up to G * CHUNK_ROWS rows) lie far above the threshold, the
+# one configuration of `ingham_constants` far below.  Past six cells the
+# network gains nothing on real batches, whose codes ndarray.sort orders
+# faster than random ones: `classes` took 4.3 against 3.8 ms on truncated
+# trihexagonal grid 3 (m = 12), 2.8 against 2.8 ms on the fixed 8-ominoes and
+# 206 against 182 ms on the 11-ominoes under that tiling's group (minima of
+# 5 to 9 runs).
 NETWORK_ROWS_PER_EXCHANGE = 64
 
 
@@ -308,15 +313,16 @@ def _sort_cells(cells: np.ndarray) -> None:
     """Sort an (m, ...) integer array along its first axis, in place: the
     cells of each configuration, stored by columns.
 
-    A batch with at least NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange
-    of `_network(m)` goes through the network, three elementwise numpy calls
-    per compare-exchange; a smaller one through ndarray.sort."""
-    network = _network(len(cells))
-    if cells[0].size < NETWORK_ROWS_PER_EXCHANGE * len(network):
+    A batch of at most six cells with at least NETWORK_ROWS_PER_EXCHANGE rows
+    per compare-exchange of `_network(m)` goes through the network, three
+    elementwise numpy calls per compare-exchange; any other through
+    ndarray.sort."""
+    m = len(cells)
+    if m > 6 or cells[0].size < NETWORK_ROWS_PER_EXCHANGE * len(_network(m)):
         cells.sort(axis=0)
         return
     wires, spare = list(cells), np.empty_like(cells[0])
-    for a, b in network:
+    for a, b in _network(m):
         np.minimum(wires[a], wires[b], out=spare)
         np.maximum(wires[a], wires[b], out=wires[b])
         np.copyto(wires[a], spare)
@@ -360,7 +366,8 @@ def classes(
     Rows are held by columns: the cells of the n rows as an (m, n) array,
     the images of the translation classes' representatives as (m, G, rows)
     per chunk, each sorted over its first axis by `_sort_cells` (a
-    compare-exchange network on large batches, np.sort on small ones).  Each
+    compare-exchange network on large batches of at most six cells, np.sort
+    on the others).  Each
     image cell gets one code x*base + y, base = box side + 1; codes order as
     the cells (x, y) do, so sorting a row's codes sorts its cells.  Folding
     the m sorted codes in mixed radix base**2, as many as fit below KEY_LIMIT

@@ -580,7 +580,7 @@ def test_classes_by_networks_match_the_coordinate_pair_reduction(batch):
     _assert_same_classes(got, classes_oracle.classes(*batch))
 
 
-@pytest.mark.parametrize("m", range(1, 13))
+@pytest.mark.parametrize("m", range(1, 7))
 def test_networks_sort_every_zero_one_input(m, monkeypatch):
     """A comparator network that sorts all 2**m inputs of zeros and ones
     sorts every input (Knuth, TAOCP 3, 5.3.4, the 0-1 principle)."""
@@ -600,9 +600,9 @@ SORT_VALUES = st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62),
 @given(m=st.integers(1, 12), shape=st.lists(st.integers(1, 9), min_size=1, max_size=2),
        data=st.data(), network=st.booleans())
 def test_sorted_cells_equal_np_sort(m, shape, data, network):
-    """Both branches of `_sort_cells`, on (m, rows) and (m, G, rows) arrays
-    with ties, negative values and values near 2**62, equal np.sort over
-    each configuration's cells."""
+    """Both branches of `_sort_cells` (past six cells only np.sort), on
+    (m, rows) and (m, G, rows) arrays with ties, negative values and values
+    near 2**62, equal np.sort over each configuration's cells."""
     size = m * math.prod(shape)
     values = data.draw(st.lists(SORT_VALUES, min_size=size, max_size=size))
     cells = np.array(values, dtype=np.int64).reshape(m, *shape)
