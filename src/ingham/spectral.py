@@ -26,8 +26,10 @@ images as (m, G, rows), and sorts each one's cells in `_sort_cells`: a large
 batch of at most six cells by Batcher's odd-even merge network on m wires
 (`_network`), a fixed sequence of column-wise minimum/maximum, and a small
 one, such as the single configuration of `ingham_constants`, or one of more
-cells by np.sort; NETWORK_ROWS_PER_EXCHANGE sets the crossover from a
-measurement.  `a2_holds` is
+cells by np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
+compare-exchange, where it overtook np.sort at 43 to 96 for m = 2 to 6 (a
+grid survey has thousands); past six cells it gained nothing on real
+batches.  `a2_holds` is
 the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
 heuristic.  `a2_stable` is the only place its stability is judged: a batch is
 stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
@@ -365,9 +367,10 @@ def classes(
 
     Rows are held by columns: the cells of the n rows as an (m, n) array,
     the images of the translation classes' representatives as (m, G, rows)
-    per chunk, each sorted over its first axis by `_sort_cells` (a
-    compare-exchange network on large batches of at most six cells, np.sort
-    on the others).  Each
+    per chunk, each sorted over its first axis by `_sort_cells`: by a
+    compare-exchange network when a batch of at most six cells has at least
+    NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange (the measured
+    crossover), else by np.sort.  Each
     image cell gets one code x*base + y, base = box side + 1; codes order as
     the cells (x, y) do, so sorting a row's codes sorts its cells.  Folding
     the m sorted codes in mixed radix base**2, as many as fit below KEY_LIMIT
