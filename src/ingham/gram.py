@@ -22,13 +22,14 @@ loop over translate pairs or entries:
 - the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
   the fractional and radical parts of <mu, n_k> unchanged), so it is taken
   once per distinct residue, at most M^2 of them (one `phase_columns` call);
-- phi(mu_c) is taken per (axis, translate difference, shift) key
-  (`_Table`): once per key of the box of keys when the support fills its
-  bounding box, as every support the CLI and the report build does, and
-  otherwise once per distinct key of each slab;
+- a support is every translate crossed with an integer box of A x B points
+  (`SupportSet`), so each shift s_c lies in [-(A-1), A-1] or [-(B-1), B-1];
+  phi(mu_c) is taken once per (axis, translate difference, shift) key, into
+  a plain array indexed [code, s_c + span_c];
 - the hole's delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q linear in
   s, one `_delta_form` per distinct translate difference, and its entry is
-  taken per (translate difference, s_0, s_1) key in the same way.
+  taken once per (translate difference, s_0, s_1) key, into an array
+  indexed [code, s_0 + span_0, s_1 + span_1].
 
 The floats are formed as float(QuadNumber) forms them (`qfield.quad_float`,
 `spectral._phase_angle`): from the correctly rounded integer quotients p/r
@@ -50,7 +51,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import FieldMismatchError, HoleOutsideDomainError
+from .errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
 from .geometry import ambient_l
 from .lattice import (
     LatticePoint,
@@ -64,10 +65,8 @@ from .lattice import (
 )
 from .qfield import QuadNumber, quad_float
 from .spectral import (
-    COORD_LIMIT,
     TWO_PI,
     _check_size,
-    _lex_ids,
     _phase_angle,
     hermitian_extremes,
     ingham_constants,
@@ -82,48 +81,61 @@ Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 # // S) rows, so a slab spans at most SLAB_ROWS**2 = 65,536 entries, whose
 # keys and values take about 130 B each.  At S = 4000 that is 256 MB of matrix
 # plus about 9 MB of slab temporaries, before the eigensolve of
-# frame_bound_check copies the matrix.  A support that fills its bounding box
-# also has each `_Table` computed whole: at most S^2 keys, and at most 38,416
-# (about 5 MB while they are computed) for the centered catalog supports.
+# frame_bound_check copies the matrix.  On an M-translate box of A x B points
+# the phi tables hold at most M^2 x (2A-1) and M^2 x (2B-1) values and the
+# hole table M^2 x (2A-1)(2B-1); on the largest centered catalog supports
+# that is at most 38,416 (about 5 MB while they are computed).
 MAX_SUPPORT = 4000
 SLAB_ROWS = 256
 
-# Support coordinates lie in (-COORD_LIMIT, COORD_LIMIT) (`spectral`), so the
-# int64 shifts m_p - m_q the Gram kernels take, and the span of a column of
-# them, stay below 2**63, which `_lex_ids` numbers exactly.
+
+def _axis(name: str, values: Sequence[int]) -> range:
+    """values as a range, or ValueError unless they are consecutive increasing
+    integers."""
+    if len(values) == 0:
+        raise ValueError(f"support axis {name} is empty")
+    axis = range(values[0], values[0] + len(values))
+    if any(a != v for a, v in zip(axis, values)):
+        raise ValueError(f"support axis {name} must be consecutive increasing integers")
+    return axis
 
 
 @dataclass(frozen=True)
 class SupportSet:
-    """Finite set of lattice-point indices carrying the coefficient support."""
+    """The coefficient support: all m translates crossed with the integer box
+    xs x ys, two consecutive increasing ranges.
 
-    items: tuple[LatticePoint, ...]
+    Boxes are all the Gram checks need: the Gram matrix of any finite support
+    is a principal submatrix of that of a box containing it, so by Cauchy
+    interlacing its spectrum lies within the box's.  Only differences of box
+    positions enter a matrix, so a box may lie at any offset.
+    """
+
+    m: int
+    xs: range
+    ys: range
 
     def __post_init__(self) -> None:
-        if len(set(self.items)) != len(self.items):
-            raise ValueError("support items must be pairwise distinct")
-        if any(abs(c) >= COORD_LIMIT for p in self.items for c in p.m):
-            raise ValueError(
-                f"support coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})"
-            )
+        size = self.m * len(self.xs) * len(self.ys)
+        if size > MAX_SUPPORT:
+            raise ValueError(f"support of {size} points exceeds {MAX_SUPPORT}")
+        object.__setattr__(self, "xs", _axis("xs", self.xs))
+        object.__setattr__(self, "ys", _axis("ys", self.ys))
 
     def __len__(self) -> int:
-        return len(self.items)
+        return self.m * len(self.xs) * len(self.ys)
+
+    @property
+    def items(self) -> tuple[LatticePoint, ...]:
+        """The points, translate by translate, each box in row-major order."""
+        return tuple(
+            LatticePoint(j, (a, b)) for j in range(self.m) for a in self.xs for b in self.ys
+        )
 
     @classmethod
     def box(cls, spec: LatticeSpec, xs: Sequence[int], ys: Sequence[int]) -> SupportSet:
         """All translates crossed with the integer box xs x ys."""
-        size = spec.m * len(xs) * len(ys)
-        if size > MAX_SUPPORT:
-            raise ValueError(f"support of {size} points exceeds {MAX_SUPPORT}")
-        return cls(
-            tuple(
-                LatticePoint(j, (int(a), int(b)))
-                for j in range(spec.m)
-                for a in xs
-                for b in ys
-            )
-        )
+        return cls(spec.m, xs, ys)
 
     @classmethod
     def centered(cls, spec: LatticeSpec, radius: int) -> SupportSet:
@@ -199,83 +211,46 @@ def _product(x, y):
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, list[int], bool]:
-    """The translate pairs (x, y) of the upper triangle, those with an entry
-    (a, b), a <= b, whose points have translates x and y, mapped to the
-    differences of their rows of `LatticeSpec.form`, one per coordinate;
-    spans[c] = max m_c - min m_c over the support, so every shift lies in
-    [-spans[c], spans[c]]; and whether the support is a full box, every
-    translate it holds crossed with every integer point of its bounding box:
-    its distinct items number translates * prod(spans[c] + 1)."""
-    first, last = {}, {}
-    for a, point in enumerate(support.items):
-        first.setdefault(point.j, a)
-        last[point.j] = a
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, tuple[int, int]]:
+    """The translate pairs (x, y), x <= y, of the upper triangle mapped to the
+    differences of their rows of `LatticeSpec.form`, one per coordinate, and
+    the spans len(xs) - 1 and len(ys) - 1: each shift of an axis lies in
+    [-span, span].  A support built for another tiling is refused."""
+    if support.m != spec.m:
+        raise SizeMismatchError(
+            f"support has {support.m} translates, lattice has {spec.m} translates"
+        )
     xs, ys = zip(*spec.form[2])  # the rows of each translate's x and y
     pairs = {
         (x, y): (tuple(map(sub, xs[x], xs[y])), tuple(map(sub, ys[x], ys[y])))
-        for x in first
-        for y in last
-        if first[x] <= last[y]
+        for x in range(spec.m)
+        for y in range(x, spec.m)
     }
-    spans = [max(c) - min(c) for c in zip(*(p.m for p in support.items))] or [0, 0]
-    return pairs, spans, len(support) == len(first) * math.prod(s + 1 for s in spans)
+    return pairs, (len(support.xs) - 1, len(support.ys) - 1)
 
 
-class _Table:
-    """Values at integer keys (c, *s), c a code in range(n) and each s in
-    [-span, span]; values(cs, *ss) computes those of the keys whose columns
-    it is given as lists.
-
-    On a full box (`_differences`) the entries use nearly every key of the
-    box, and there are at most n * prod(2*span + 1) <= S^2 of them, no more
-    than the matrix has entries: each is computed once, here, and a lookup
-    gathers from the flat array.  On any other support each call numbers its
-    slab's keys by `_lex_ids`, computes each distinct one and keeps nothing
-    for the next slab, so memory stays bounded by the slab however far apart
-    the points lie.
-    """
-
-    def __init__(self, values, n: int, spans: Sequence[int], full: bool):
-        self.compute, self.spans, self.values = values, spans, None
-        if full:
-            self.shape = (n, *(2 * s + 1 for s in spans))
-            c, *ss = np.unravel_index(np.arange(math.prod(self.shape)), self.shape)
-            self.values = np.array(
-                values(c.tolist(), *((s - span).tolist() for s, span in zip(ss, spans))),
-                dtype=complex,
-            )
-
-    def __call__(self, code: np.ndarray, *shifts: np.ndarray) -> np.ndarray:
-        if self.values is None:
-            keys = np.column_stack((code, *shifts))
-            ids, first = _lex_ids(keys)
-            return np.array(self.compute(*keys[first].T.tolist()), dtype=complex)[ids]
-        index = (code, *(s + span for s, span in zip(shifts, self.spans)))
-        return self.values[np.ravel_multi_index(index, self.shape)]
-
-
-def _assemble(spec: LatticeSpec, support: SupportSet, entries) -> np.ndarray:
+def _assemble(support: SupportSet, entries) -> np.ndarray:
     """Hermitian S x S matrix from its upper triangle, in slabs of rows.
 
     entries(pair, s0, s1) returns the entries (a, b), a <= b, of a slab from
     their translate pair codes j_a*M + j_b and integer shifts m_a - m_b, row
-    by row.  A slab has max(1, SLAB_ROWS**2 // S) rows, so it spans at most
-    SLAB_ROWS**2 entries.  Its rows are written whole, upper entries and
-    the conjugates of the ones above them, and the conjugates of its entries
-    right of the slab go down the columns below it.
+    by row.  Point a is translate j_a at box position (x_a, y_a), by divmod of
+    a, and its shift to b is the difference of the positions.  A slab has
+    max(1, SLAB_ROWS**2 // S) rows, so it spans at most SLAB_ROWS**2 entries.
+    Its rows are written whole, upper entries and the conjugates of the ones
+    above them, and the conjugates of its entries right of the slab go down
+    the columns below it.
     """
-    items = support.items
-    size = len(items)
-    j = np.array([p.j for p in items], dtype=np.intp)
-    m = np.array([p.m for p in items], dtype=np.int64).reshape(-1, 2).T
+    size = len(support)
     index = np.arange(size)
-    step = max(1, SLAB_ROWS * SLAB_ROWS // max(size, 1))
+    j, position = np.divmod(index, len(support.xs) * len(support.ys))
+    m = np.divmod(position, len(support.ys))
+    step = max(1, SLAB_ROWS * SLAB_ROWS // size)
     g = np.empty((size, size), dtype=complex)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         upper = index[: hi - lo, None] <= index[: size - lo]
-        pair = (j[lo:hi, None] * spec.m + j[lo:])[upper]
+        pair = (j[lo:hi, None] * support.m + j[lo:])[upper]
         block = g[lo:hi, lo:]
         block[upper] = entries(pair, *((c[lo:hi, None] - c[lo:])[upper] for c in m))
         square, below = block[:, : hi - lo], ~upper[:, : hi - lo]
@@ -292,7 +267,7 @@ def gram_matrix(
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
     _check_size(spec, config.m)
-    pairs, spans, full = _differences(spec, support)
+    pairs, spans = _differences(spec, support)
     den, d, _ = spec.form
     det = spec.det_l()
     codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
@@ -304,17 +279,16 @@ def gram_matrix(
         codes[2, code] = residues.setdefault(tuple((a % den, b) for a, b in diff), len(residues))
     w = phase_columns((den, d, list(residues)), config.ns)
     totals = np.array([_phase_sum(row) for row in w.tolist()], dtype=complex)
-    phis = []
-    for key, span in zip(keys, spans):
-        a, q = list(zip(*key)) or ((), ())
-
-        def values(cs: list, ss: list, a=a, q=q) -> list:
-            return [_phi(a[c] + s * den, q[c], den, d) for c, s in zip(cs, ss)]
-
-        phis.append(_Table(values, len(a), [span], full))
+    phis = [
+        np.array(
+            [_phi(a + s * den, q, den, d) for a, q in key for s in range(-span, span + 1)],
+            dtype=complex,
+        ).reshape(len(key), 2 * span + 1)
+        for key, span in zip(keys, spans)
+    ]
 
     def entries(pair: np.ndarray, *shift: np.ndarray) -> np.ndarray:
-        phi = [table(codes[c, pair], s) for c, (table, s) in enumerate(zip(phis, shift))]
+        phi = [phis[c][codes[c, pair], s + spans[c]] for c, s in enumerate(shift)]
         factor = _product(*((v.real, v.imag) for v in phi))
         total = totals[codes[2, pair]]
         re, im = _product((total.real, total.imag), factor)
@@ -324,7 +298,7 @@ def gram_matrix(
         upper[(factor[0] == 0) & (factor[1] == 0)] = 0
         return upper
 
-    return _assemble(spec, support, entries)
+    return _assemble(support, entries)
 
 
 def frame_bound_check(
@@ -334,9 +308,9 @@ def frame_bound_check(
 ) -> FrameBoundReport:
     """Check the Gram spectrum against the frame bounds [c1_full, c2_full].
 
-    Valid for every finite support: a*Ga is the domain integral of |f|^2 for
-    f with coefficients a.  When (A2) fails the lower constant degrades to 0
-    and only the upper bound is asserted.
+    Valid for every box, and by interlacing every support inside one: a*Ga is
+    the domain integral of |f|^2 for f with coefficients a.  When (A2) fails
+    the lower constant degrades to 0 and only the upper bound is asserted.
     """
     sr = ingham_constants(spec, config)
     lam_min, lam_max = hermitian_extremes(gram_matrix(spec, config, support))
@@ -508,7 +482,7 @@ def hole_gram_matrix(
     m_a - m_b.
     """
     _cell_of_rect(spec, config, hole)
-    pairs, spans, full = _differences(spec, support)
+    pairs, spans = _differences(spec, support)
     codes = np.zeros(spec.m * spec.m, dtype=np.intp)
     ids, forms = {}, []
     for (x, y), diff in pairs.items():
@@ -518,14 +492,15 @@ def hole_gram_matrix(
             forms.append([_delta_form(spec, mu, d) for d in range(2)])
         codes[x * spec.m + y] = ids[diff]
 
-    def values(cs: list, s0s: list, s1s: list) -> list:
-        return [
-            _hole_entry(hole, [_delta(f, s0, s1) for f in forms[c]])
-            for c, s0, s1 in zip(cs, s0s, s1s)
-        ]
-
-    table = _Table(values, len(forms), spans, full)
-    return _assemble(spec, support, lambda pair, s0, s1: table(codes[pair], s0, s1))
+    s0s, s1s = (range(-span, span + 1) for span in spans)
+    table = np.array(
+        [_hole_entry(hole, [_delta(f, s0, s1) for f in form])
+         for form in forms for s0 in s0s for s1 in s1s],
+        dtype=complex,
+    ).reshape(len(forms), len(s0s), len(s1s))
+    return _assemble(
+        support, lambda pair, s0, s1: table[codes[pair], s0 + spans[0], s1 + spans[1]]
+    )
 
 
 def removal_witness(

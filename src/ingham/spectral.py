@@ -93,7 +93,7 @@ D4: tuple[Symmetry, ...] = (
 
 # Configuration coordinates `classes` accepts lie in (-COORD_LIMIT,
 # COORD_LIMIT), so its int64 offsets, moved cells and shifted key columns stay
-# below 2**63.  `gram.SupportSet` holds support coordinates to the same limit.
+# below 2**63.
 COORD_LIMIT = 2**61
 
 # `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its

@@ -1,4 +1,5 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -42,10 +43,10 @@ def test_parseval_square_lattice():
 
 
 def test_single_exponential_support():
-    entry = catalog.get("honeycomb")
-    config = entry.default_configs["right"]
-    g = gram_matrix(entry.spec, config, SupportSet((lp(0, 0, 0),)))
-    omega = 2 * TWO_PI**2 / entry.spec.det_l()
+    entry = catalog.get("triangular")
+    config = entry.default_configs["base"]
+    g = gram_matrix(entry.spec, config, SupportSet.box(entry.spec, [0], [0]))
+    omega = TWO_PI**2 / entry.spec.det_l()
     assert g.shape == (1, 1)
     assert g[0, 0] == pytest.approx(omega, rel=1e-12)
 
@@ -196,10 +197,13 @@ def test_removal_witness_decreasing_and_small():
 
 
 def test_removal_witness_single_exponential_exact():
-    spec, config, hole = _hole_setup()
-    support = SupportSet((lp(0, 0, 0),))
+    entry = catalog.get("triangular")
+    spec = entry.spec
+    config = entry.default_configs["base"]
+    hole = inscribed_hole(spec, config, cell_index=0, area_fraction=0.25)
+    support = SupportSet.box(spec, [0], [0])
     lam = removal_witness(spec, config, hole, [support])[0]
-    omega = 2 * TWO_PI**2 / spec.det_l()
+    omega = TWO_PI**2 / spec.det_l()
     hole_area = (hole[2] - hole[0]) * (hole[3] - hole[1])
     assert lam == pytest.approx(omega - hole_area, rel=1e-9)
 
@@ -222,7 +226,7 @@ def test_hole_must_sit_inside_one_cell():
     spec = entry.spec
     config = entry.default_configs["right"]
     with pytest.raises(HoleOutsideDomainError):
-        hole_gram_matrix(spec, config, SupportSet((lp(0, 0, 0),)), (-50.0, -50.0, -49.0, -49.0))
+        hole_gram_matrix(spec, config, SupportSet.centered(spec, 0), (-50.0, -50.0, -49.0, -49.0))
     with pytest.raises(HoleOutsideDomainError):
         inscribed_hole(spec, config, 0, area_fraction=50.0)
 
@@ -237,7 +241,7 @@ def test_holes_refuse_a_configuration_of_the_wrong_size():
             inscribed_hole(spec, config, cell)
     hole = inscribed_hole(spec, TranslationConfig.of((0, 0), (1, 0), (0, 1), (1, 1)))
     with pytest.raises(SizeMismatchError, match="2 vectors"):
-        hole_gram_matrix(spec, config, SupportSet((lp(0, 0, 0),)), hole)
+        hole_gram_matrix(spec, config, SupportSet.centered(spec, 0), hole)
 
 
 def test_gram_refuses_a_configuration_of_the_wrong_size():
@@ -283,19 +287,22 @@ def _oracle(entry, items):
     return g
 
 
-def _shuffled_support(spec, seed):
-    """A shuffled subset of the radius-1 box plus a far point: not a box."""
-    rng = np.random.default_rng(seed)
-    items = SupportSet.centered(spec, 1).items
-    picked = [items[k] for k in rng.permutation(len(items))[:16]]
-    return SupportSet(tuple(picked) + (lp(spec.m - 1, 5, -3),))
+def _random_box(spec, seed, offset=10**15, most=18):
+    """A box of one to three points per axis, of at most `most` points where
+    the translate count allows, at a random offset in [-offset, offset]."""
+    rng = random.Random(seed)
+    nx, ny = rng.randint(1, 3), rng.randint(1, 3)
+    while spec.m * nx * ny > most and nx * ny > 1:
+        nx, ny = (nx - 1, ny) if nx >= ny else (nx, ny - 1)
+    x0, y0 = rng.randint(-offset, offset), rng.randint(-offset, offset)
+    return SupportSet.box(spec, range(x0, x0 + nx), range(y0, y0 + ny))
 
 
 def test_gram_matrix_equals_inner_product_oracle(catalog_entries):
     for seed, entry in enumerate(catalog_entries.values()):
         spec = entry.spec
         config = entry.default_configs[entry.primary_config]
-        support = _shuffled_support(spec, seed)
+        support = _random_box(spec, seed)
         want = _oracle(lambda p, q: inner_product(spec, config, p, q), support.items)
         assert _same_bits(gram_matrix(spec, config, support), want), spec.name
 
@@ -305,23 +312,32 @@ def test_hole_gram_matrix_equals_hole_inner_product_oracle(catalog_entries):
         spec = entry.spec
         config = entry.default_configs[entry.primary_config]
         hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
-        support = _shuffled_support(spec, seed)
+        support = _random_box(spec, seed)
         want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
         assert _same_bits(hole_gram_matrix(spec, config, support, hole), want), name
+
+
+@st.composite
+def _boxes(draw, spec, most=24):
+    """Boxes of one to three points per axis, of at most `most` points where
+    the translate count allows, at offsets up to 2**70."""
+    nx = draw(st.integers(1, 3))
+    ny = draw(st.integers(1, max(1, min(3, most // (spec.m * nx)))))
+    x0, y0 = draw(st.integers(-(2**70), 2**70)), draw(st.integers(-(2**70), 2**70))
+    return SupportSet.box(spec, range(x0, x0 + nx), range(y0, y0 + ny))
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_gram_matrix_random_subsets_match_oracle(catalog_entries, data):
+    """Random boxes, each a finite subset of the lattice points."""
     entry = catalog_entries[data.draw(st.sampled_from(sorted(catalog_entries)))]
     spec = entry.spec
     config = entry.default_configs[entry.primary_config]
-    items = SupportSet.centered(spec, 2).items
-    chosen = data.draw(
-        st.lists(st.sampled_from(items), min_size=1, max_size=10, unique=True)
-    )
-    g = gram_matrix(spec, config, SupportSet(tuple(chosen)))
-    assert _same_bits(g, _oracle(lambda p, q: inner_product(spec, config, p, q), chosen))
+    support = data.draw(_boxes(spec))
+    g = gram_matrix(spec, config, support)
+    want = _oracle(lambda p, q: inner_product(spec, config, p, q), support.items)
+    assert _same_bits(g, want)
     assert np.array_equal(g, g.conj().T)
 
 
@@ -333,12 +349,10 @@ def test_hole_gram_matrix_random_subsets_match_oracle(catalog_entries, data):
     spec = entry.spec
     config = entry.default_configs[entry.primary_config]
     hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
-    items = SupportSet.centered(spec, 2).items
-    chosen = data.draw(
-        st.lists(st.sampled_from(items), min_size=1, max_size=10, unique=True)
-    )
-    h = hole_gram_matrix(spec, config, SupportSet(tuple(chosen)), hole)
-    assert _same_bits(h, _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), chosen))
+    support = data.draw(_boxes(spec))
+    h = hole_gram_matrix(spec, config, support, hole)
+    want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
+    assert _same_bits(h, want)
     assert np.array_equal(h, h.conj().T)
 
 
@@ -349,33 +363,23 @@ def test_gram_matrix_of_random_specs_matches_oracle(spec, data):
     points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
     config = TranslationConfig(tuple(data.draw(
         st.lists(points, min_size=spec.m, max_size=spec.m, unique=True))))
-    items = [lp(j, a, b) for j in range(spec.m) for a in (-1, 0, 2) for b in (0, 1)]
-    chosen = data.draw(st.lists(st.sampled_from(items), min_size=1, max_size=12, unique=True))
-    g = gram_matrix(spec, config, SupportSet(tuple(chosen)))
-    assert _same_bits(g, _oracle(lambda p, q: inner_product(spec, config, p, q), chosen))
-
-
-def _far_support(spec, seed):
-    """Points up to 10**15 apart, so the shift span is far beyond S, each
-    also one step to the right, so that shifts recur."""
-    rng = np.random.default_rng(seed)
-    far = rng.integers(-(10**15), 10**15, (6, 2)).tolist()
-    return SupportSet(tuple(
-        lp(j, a + step, b) for a, b in far for step in (0, 1) for j in range(min(spec.m, 2))
-    ))
+    support = data.draw(_boxes(spec, most=12))
+    g = gram_matrix(spec, config, support)
+    want = _oracle(lambda p, q: inner_product(spec, config, p, q), support.items)
+    assert _same_bits(g, want)
 
 
 def test_far_apart_supports_match_the_oracles():
+    """Boxes of random size at offsets up to 10**15 from the origin."""
     for k, (name, r, R) in enumerate((("snub_square", None, None), ("honeycomb", None, None),
                                       ("two_square", 1, 2))):
         entry = catalog.get(name, r=r, R=R)
         spec = entry.spec
         config = entry.default_configs[entry.primary_config]
         hole = inscribed_hole(spec, config, 0, area_fraction=0.3)
-        support = _far_support(spec, k)
+        support = _random_box(spec, k, most=24)
         items = support.items
-        span = max(p.m[0] for p in items) - min(p.m[0] for p in items)
-        assert span > 10**12 * len(items)
+        assert max(abs(support.xs[0]), abs(support.ys[0])) > 10**12
         want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
         assert _same_bits(gram_matrix(spec, config, support), want), name
         want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
@@ -383,110 +387,91 @@ def test_far_apart_supports_match_the_oracles():
 
 
 def test_supports_at_the_coordinate_limit_match_the_oracles():
-    """Shifts between coordinates near both limits span almost 2**63, the
-    most `_lex_ids` numbers exactly; coordinates of 2**62 - 1 overflowed it."""
+    """Boxes of random size straddling the configuration limit
+    `spectral.COORD_LIMIT` = 2**61 and at 2**62 - 1, which an int64 shift
+    between opposite corners would overflow.  Only shifts within the box
+    enter a matrix, so supports have no coordinate limit."""
     spec, config, hole = _hole_setup()
-    top = gram.COORD_LIMIT - 1
-    items = (lp(0, top, 0), lp(1, -top, 5), lp(0, 0, -top), lp(1, top - 3, top),
-             lp(0, -5, 0), lp(1, -top + 4, -top), lp(0, top, top - 1))
-    support = SupportSet(items)
-    want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
-    assert _same_bits(gram_matrix(spec, config, support), want)
-    want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
-    assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
-    for c in (gram.COORD_LIMIT, 2**62 - 1):
-        with pytest.raises(ValueError, match="coordinates"):
-            SupportSet((lp(0, c, 0), lp(1, -c, 0)))
+    for k, (x0, y0) in enumerate(((2**61 - 2, -(2**61) - 1), (-(2**61), 2**61 - 1),
+                                  (2**62 - 1, -(2**62 - 1)))):
+        box = _random_box(spec, k, offset=0)
+        support = SupportSet.box(spec, range(x0, x0 + len(box.xs)), range(y0, y0 + len(box.ys)))
+        items = support.items
+        want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
+        assert _same_bits(gram_matrix(spec, config, support), want)
+        want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
+        assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
 
 
-@pytest.mark.parametrize("stride", [1, 20])
-def test_sorted_and_positional_tables_agree(monkeypatch, stride):
-    """The box of stride 1 is full, so its tables are whole; the one of
-    stride 20 is not, so each slab's keys are sorted.  Flipping the full-box
-    decision of `_differences` runs the other path.  At stride 20 the hole's
-    whole table, 116,162 keys, passes a slab's 65,536 entries."""
+def test_sub_boxes_give_principal_submatrices():
+    """Why boxes suffice: a box inside another has the matrices of its
+    points' rows and columns in the larger one's, bit for bit, so by
+    interlacing every finite support is checked by a box that holds it."""
     spec, config, hole = _hole_setup()
-    xs = range(-3 * stride, 3 * stride + 1, stride)
-    support = SupportSet.box(spec, xs, xs)
-    monkeypatch.setattr(gram, "SLAB_ROWS", 16)
-    g = gram_matrix(spec, config, support)
-    h = hole_gram_matrix(spec, config, support, hole)
-    differences = gram._differences
+    outer = SupportSet.box(spec, range(-2, 3), range(-1, 3))
+    g = gram_matrix(spec, config, outer)
+    h = hole_gram_matrix(spec, config, outer, hole)
+    row = {p: a for a, p in enumerate(outer.items)}
+    for xs, ys in ((range(-2, 3), range(-1, 3)), (range(0, 2), range(1, 3)),
+                   (range(-1, 0), range(-1, 0)), (range(2, 3), range(-1, 3))):
+        inner = SupportSet.box(spec, xs, ys)
+        rows = np.array([row[p] for p in inner.items])
+        assert _same_bits(gram_matrix(spec, config, inner), g[np.ix_(rows, rows)])
+        assert _same_bits(hole_gram_matrix(spec, config, inner, hole), h[np.ix_(rows, rows)])
 
-    def flipped(*args):
-        pairs, spans, full = differences(*args)
-        assert full == (stride == 1)
-        return pairs, spans, not full
 
-    monkeypatch.setattr(gram, "_differences", flipped)
-    assert gram_matrix(spec, config, support).tobytes() == g.tobytes()
-    assert hole_gram_matrix(spec, config, support, hole).tobytes() == h.tobytes()
+@pytest.mark.parametrize("offset", [(0, 0), (1, -3), (10**15, -(10**15)), (2**70, 2**70 + 5)])
+def test_a_box_has_the_same_matrices_at_every_offset(offset):
+    """Past the configuration limit 2**61 too, and there they still have the
+    bits of the scalar oracles."""
+    for name in ("honeycomb", "snub_square"):
+        entry = catalog.get(name)
+        spec = entry.spec
+        config = entry.default_configs[entry.primary_config]
+        hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+        at_origin = SupportSet.box(spec, range(0, 3), range(0, 2))
+        x0, y0 = offset
+        support = SupportSet.box(spec, range(x0, x0 + 3), range(y0, y0 + 2))
+        g = gram_matrix(spec, config, support)
+        h = hole_gram_matrix(spec, config, support, hole)
+        assert _same_bits(g, gram_matrix(spec, config, at_origin))
+        assert _same_bits(h, hole_gram_matrix(spec, config, at_origin, hole))
+        items = support.items
+        assert _same_bits(g, _oracle(lambda p, q: inner_product(spec, config, p, q), items))
+        assert _same_bits(h, _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items))
 
 
 def test_phi_runs_once_per_distinct_key(monkeypatch):
-    """On a full box, one _phi per key (axis, u_x - u_y, shift) of each
-    axis's box: every translate pair of the upper triangle with every shift
-    within the span, however many entries and slabs share it, and the keys
-    the entries use among them.  On a support spread far apart, one per
-    distinct key an entry uses."""
+    """One _phi per key (axis, u_x - u_y, shift) of each axis's box: every
+    translate pair of the upper triangle with every shift within the span,
+    however many entries and slabs share it, and the keys the entries use
+    among them."""
     calls = []
     phi = gram._phi
     monkeypatch.setattr(gram, "_phi", lambda *form: calls.append(form) or phi(*form))
-    cases = [("honeycomb", SupportSet.centered(catalog.get("honeycomb").spec, 3), 8, True),
-             ("truncated_trihexagonal", None, 8, True),
-             ("snub_square", _far_support(catalog.get("snub_square").spec, 0), 256, False)]
-    for name, support, slab_rows, full in cases:
+    cases = [("honeycomb", 3, 8), ("truncated_trihexagonal", 1, 8)]
+    for name, radius, slab_rows in cases:
         entry = catalog.get(name)
         spec = entry.spec
-        support = support or SupportSet.centered(spec, 1)
+        support = SupportSet.centered(spec, radius)
         items = support.items
         upper = [(p, q) for a, p in enumerate(items) for q in items[a:]]
         used = {
             (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c])
             for p, q in upper for c in range(2)
         }
-        keys = used
-        if full:
-            spans = [max(p.m[c] for p in items) - min(p.m[c] for p in items) for c in range(2)]
-            keys = {
-                (c, spec.us[x][c] - spec.us[y][c], s)
-                for x, y in {(p.j, q.j) for p, q in upper}
-                for c in range(2)
-                for s in range(-spans[c], spans[c] + 1)
-            }
-            assert used <= keys
+        keys = {
+            (c, spec.us[x][c] - spec.us[y][c], s)
+            for x, y in {(p.j, q.j) for p, q in upper}
+            for c in range(2)
+            for s in range(-2 * radius, 2 * radius + 1)
+        }
+        assert used <= keys
         monkeypatch.setattr(gram, "SLAB_ROWS", slab_rows)
         calls.clear()
         gram_matrix(spec, entry.default_configs[entry.primary_config], support)
         got = Counter(QuadNumber(Fraction(p, r), Fraction(q, r), d) for p, q, r, d in calls)
         assert got == Counter(u + s for _, u, s in keys), name
-
-
-def test_full_boxes_take_whole_tables_and_others_the_slabs(monkeypatch):
-    """A shuffled full box fills each table whole; a strided box, whose
-    bounding box it does not fill, sorts each slab's keys.  Both have the
-    bits of the scalar oracles."""
-    spec, config, hole = _hole_setup()
-    tables = []
-
-    class Spy(gram._Table):
-        def __init__(self, *args):
-            super().__init__(*args)
-            tables.append(self)
-
-    monkeypatch.setattr(gram, "_Table", Spy)
-    shuffled = list(SupportSet.box(spec, range(-2, 3), range(-1, 4)).items)
-    np.random.default_rng(5).shuffle(shuffled)
-    strided = SupportSet.box(spec, range(-4, 5, 2), range(0, 9, 4)).items
-    for items, whole in ((tuple(shuffled), True), (strided, False)):
-        support = SupportSet(items)
-        tables.clear()
-        want = _oracle(lambda p, q: inner_product(spec, config, p, q), items)
-        assert _same_bits(gram_matrix(spec, config, support), want)
-        want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
-        assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
-        assert len(tables) == 3
-        assert all((t.values is not None) == whole for t in tables)
 
 
 def test_translates_in_two_fields_match_the_oracles():
@@ -498,8 +483,8 @@ def test_translates_in_two_fields_match_the_oracles():
     spec = LatticeSpec("two fields", ((one, zero), (zero, one)),
                        (mixed, (QuadNumber(Fraction(1, 2)), zero)))
     hole = (1.0, 1.0, 2.0, 2.0)
-    items = (lp(0, 0, 0), lp(1, 0, 0), lp(0, 1, -1), lp(1, 2, 0))
-    support = SupportSet(items)
+    support = SupportSet.box(spec, range(0, 3), range(-1, 1))
+    items = support.items
     both = r"sqrt\(2\) with sqrt\(3\)"
     # <u_0 - u_1, (1, 0)> lies in one field; <u_0 - u_1, (1, 1)> meets both
     for config in [TranslationConfig.of((0, 0), (1, 0)), TranslationConfig.of((0, 0), (1, 1))]:
@@ -519,7 +504,7 @@ def test_translates_in_two_fields_on_one_axis_are_refused():
           (QuadNumber(0, Fraction(1, 4), 3), zero))
     spec = LatticeSpec("two fields", ((one, zero), (zero, one)), us)
     config = TranslationConfig.of((0, 0), (1, 0))
-    support = SupportSet((lp(0, 0, 0), lp(1, 0, 0)))
+    support = SupportSet.box(spec, [0], [0])
     with pytest.raises(FieldMismatchError, match="sqrt"):
         gram_matrix(spec, config, support)
     with pytest.raises(FieldMismatchError, match="sqrt"):
@@ -545,8 +530,42 @@ def test_oversized_support_is_refused_before_building():
         SupportSet.centered(spec, 10**6)
     with pytest.raises(ValueError, match="exceeds"):
         SupportSet.box(spec, range(10**9), range(10**9))
-    with pytest.raises(ValueError, match="coordinates"):
-        SupportSet((lp(0, 0, 0), lp(0, -(2**62), 0)))
+
+
+def test_empty_and_non_box_axes_are_refused():
+    """An empty box gave a 0x0 matrix, and frame_bound_check failed inside
+    numpy on it ("zero-size array to reduction operation maximum")."""
+    spec = catalog.get("honeycomb").spec
+    with pytest.raises(ValueError, match="axis xs is empty"):
+        SupportSet.box(spec, [], [])
+    with pytest.raises(ValueError, match="axis ys is empty"):
+        SupportSet.box(spec, [0, 1], range(3, 3))
+    for xs in ([0, 2], range(-4, 5, 2), [1, 0], range(2, -1, -1), [0, 1, 1], [0, 2, 1]):
+        with pytest.raises(ValueError, match="axis xs must be consecutive increasing"):
+            SupportSet.box(spec, xs, [0])
+        with pytest.raises(ValueError, match="axis ys must be consecutive increasing"):
+            SupportSet(spec.m, range(1), xs)
+    support = SupportSet.box(spec, [-1, 0, 1], (5, 6))
+    assert (support.xs, support.ys, len(support)) == (range(-1, 2), range(5, 7), 12)
+    assert support == SupportSet.box(spec, range(-1, 2), range(5, 7))
+
+
+def test_a_support_for_another_tiling_is_refused():
+    """A honeycomb support (2 translates) with the square spec (1 translate)
+    raised IndexError inside the table building."""
+    square = catalog.get("square")
+    spec, config = square.spec, square.default_configs["base"]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+    support = SupportSet.centered(catalog.get("honeycomb").spec, 1)
+    calls = [
+        lambda: gram_matrix(spec, config, support),
+        lambda: hole_gram_matrix(spec, config, support, hole),
+        lambda: frame_bound_check(spec, config, support),
+        lambda: removal_witness(spec, config, hole, [SupportSet.centered(spec, 0), support]),
+    ]
+    for call in calls:
+        with pytest.raises(SizeMismatchError, match="support has 2 translates, lattice has 1"):
+            call()
 
 
 # -- holes when L* and the translates lie in different fields -------------------
@@ -571,7 +590,7 @@ def test_mixed_field_hole_matches_quadrature_oracle():
         got = hole_inner_product(spec, hole, p, q)
         want = quadrature_hole_inner_product(spec, hole, p, q)
         assert abs(got - want) < 1e-8, (p, q)
-    support = _shuffled_support(spec, 0)
+    support = _random_box(spec, 0)
     want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
     assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
 
@@ -603,8 +622,10 @@ def test_a_delta_that_underflows_is_refused():
     with pytest.raises(ValueError, match="underflows"):
         hole_inner_product(spec, STRETCHED_HOLE, p, q)
     config = TranslationConfig.of((0, 0), (1, 0))
+    support = SupportSet.box(spec, [0], [0])
+    assert support.items == (p, q)
     with pytest.raises(ValueError, match="underflows"):
-        hole_gram_matrix(spec, config, SupportSet((p, q)), STRETCHED_HOLE)
+        hole_gram_matrix(spec, config, support, STRETCHED_HOLE)
 
 
 # -- the per-shift integer forms against QuadNumber arithmetic ------------------
