@@ -13,40 +13,40 @@ is exact and no quadrature enters the main path.
 
 mu = (u_p - u_q) + (m_p - m_q) splits into a translate difference and an
 integer shift s.  `_differences` subtracts the translates' integer rows of
-`LatticeSpec.form`, so for translates (x, y) mu_c = (A + s_c*D +
-B*sqrt(d))/D with integers A and B, in the translates' one field Q(sqrt d):
-zero when A and B are, an integer when B is 0 and D divides A.  Each matrix
-is built from per-entry integer keys and tables of their values, with no
-loop over translate pairs or entries:
+`LatticeSpec.form` for all M^2 translate pairs (x, y) at once, so
+mu_c = (A + s_c*D + B*sqrt(d))/D with integers A and B, in the translates'
+one field Q(sqrt d): zero when A and B are, an integer when B is 0 and D
+divides A.  A support is every translate crossed with an integer box of
+A x B points (`SupportSet`), so each shift s_c lies in [-(A-1), A-1] or
+[-(B-1), B-1], and each matrix is one table indexed
+[x*M + y, s_0 + span_0, s_1 + span_1] from which `_assemble` gathers the
+S^2 entries, slab by slab, with no loop over translate pairs or entries:
 
-- the phase sum depends on u_x - u_y mod Z^2 alone (an integer shift leaves
-  the fractional and radical parts of <mu, n_k> unchanged), so it is taken
-  once per distinct residue, at most M^2 of them (one `phase_columns` call);
-- a support is every translate crossed with an integer box of A x B points
-  (`SupportSet`), so each shift s_c lies in [-(A-1), A-1] or [-(B-1), B-1];
-  phi(mu_c) is taken once per (axis, translate difference, shift) key, into
-  a plain array indexed [code, s_c + span_c];
-- the hole's delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q linear in
-  s, one `_delta_form` per distinct translate difference, and its entry is
-  taken once per (translate difference, s_0, s_1) key, into an array
-  indexed [code, s_0 + span_0, s_1 + span_1].
+- `gram_matrix`: the phase sums of all pairs come from one `phase_columns`
+  call on the difference rows, phi of both axes from one `_phi` call over
+  (pair, axis shift), and the table is their product over det L;
+- `hole_gram_matrix`: delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q
+  linear in s, one `_delta_form` per distinct translate difference, the
+  only exact work, and `_delta` and `_hole_entry` are one array evaluation
+  over (difference, s_0, s_1).
 
-The floats are formed as float(QuadNumber) forms them (`qfield.quad_float`,
-`spectral._phase_angle`): from the correctly rounded integer quotients p/r
-and q/r, which depend on the rationals alone, not on the denominator they
-are written over.  So the table values have the bits of the scalar
-`inner_product` and `hole_inner_product`, which stay as the test oracles;
-numpy gathers them into the S^2 entries, slab by slab (`_assemble`), and
-multiplies them component by component in CPython's rounding order, which
-keeps those bits.
+Integers stay integers: int64 arrays while every integer is below 2**53,
+Python ints past that, through the same expressions
+(`spectral._int_array`).  The floats are formed as float(QuadNumber) forms
+them (`qfield.quad_float`, `spectral._phase_angle`): from the correctly
+rounded integer quotients p/r and q/r, which depend on the rationals alone,
+not on the denominator they are written over.  The complex products and
+quotients are CPython's, written out on (re, im) pairs (`_product`,
+`_over_i`).  So the tables have the bits of the scalar `inner_product` and
+`hole_inner_product`, which take one entry through the same kernels and
+stay as the test oracles.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from operator import sub
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -67,6 +67,7 @@ from .qfield import QuadNumber, quad_float
 from .spectral import (
     TWO_PI,
     _check_size,
+    _int_array,
     _phase_angle,
     hermitian_extremes,
     ingham_constants,
@@ -82,9 +83,9 @@ Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 # keys and values take about 130 B each.  At S = 4000 that is 256 MB of matrix
 # plus about 9 MB of slab temporaries, before the eigensolve of
 # frame_bound_check copies the matrix.  On an M-translate box of A x B points
-# the phi tables hold at most M^2 x (2A-1) and M^2 x (2B-1) values and the
-# hole table M^2 x (2A-1)(2B-1); on the largest centered catalog supports
-# that is at most 38,416 (about 5 MB while they are computed).
+# the Gram table and the hole table each hold M^2 x (2A-1)(2B-1) values; on
+# the largest centered catalog supports (truncated trihexagonal at radius 8)
+# that is 156,816, 2.5 MB, with a peak of about 8 MB while one is computed.
 MAX_SUPPORT = 4000
 SLAB_ROWS = 256
 
@@ -165,20 +166,6 @@ def _mu(spec: LatticeSpec, p: LatticePoint, q: LatticePoint) -> Vec2:
     return vec_sub(up, uq)
 
 
-def _phi(p: int, q: int, r: int, d: int) -> complex:
-    """Integral of e^{2 pi i t s} over s in (0, 2 pi) of one coordinate, for
-    t = (p + q*sqrt d)/r with r > 0, reduced or not.
-
-    Branches on the exactly-known arithmetic type of t: zero gives the cube
-    edge 2 pi, any other integer gives exactly 0.
-    """
-    if q == 0 and p == 0:
-        return complex(TWO_PI)
-    if q == 0 and p % r == 0:
-        return 0.0j
-    return (cmath.exp(1j * _phase_angle(p, q, r, d)) - 1.0) / (1j * quad_float(p, q, r, d))
-
-
 def _phase_sum(phases: Iterable[complex]) -> complex:
     """The sum of the e^{2 pi i <mu, n_k>}, added in the order of the n_k."""
     total = 0.0j
@@ -196,48 +183,88 @@ def inner_product(
     """Exact closed-form integral of e_p conj(e_q) over the domain."""
     _check_size(spec, config.m)
     mu = a, b = _mu(spec, p, q)
-    factor = _phi(a.p, a.q, a.r, a.d) * _phi(b.p, b.q, b.r, b.d)
+    factor = complex(_phi(a.p, a.q, a.r, a.d)) * complex(_phi(b.p, b.q, b.r, b.d))
     if factor == 0:
         return 0.0j
     return _phase_sum(phase(vec_dot(mu, n)) for n in config.ns) * factor / spec.det_l()
 
 
-def _product(x, y):
-    """(re, im) of x * y for (re, im) pairs of arrays, in CPython's rounding.
+# CPython's complex arithmetic on (re, im) pairs of float arrays.  numpy's
+# complex multiply may use fused multiply-add and its division another
+# formula, so neither keeps the bits of the scalar oracles.  A float y
+# enters as (y, 0.0), as Python 3.10-3.12 convert it before they multiply or
+# divide; the mixed-mode arithmetic of Python 3.14 does not, and there these
+# pairs would no longer have the scalar bits.
 
-    numpy's complex multiply may use fused multiply-add and round differently
-    from the scalar product in `inner_product`.
-    """
+
+def _product(x, y):
+    """x * y, as CPython's _Py_c_prod rounds it."""
     return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
 
 
-def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[dict, tuple[int, int]]:
-    """The translate pairs (x, y), x <= y, of the upper triangle mapped to the
-    differences of their rows of `LatticeSpec.form`, one per coordinate, and
-    the spans len(xs) - 1 and len(ys) - 1: each shift of an axis lies in
-    [-span, span].  A support built for another tiling is refused."""
+def _over_i(x, t):
+    """x / (1j*t) for nonzero floats t, as CPython's _Py_c_quot rounds it.
+
+    1j*t is (copysign(0.0, t), t), so its imaginary part is the larger:
+    _Py_c_quot's ratio real/imag is then +0.0 and its denominator
+    real*ratio + imag is t, which leaves ((x.re*ratio + x.im)/t,
+    (x.im*ratio - x.re)/t).  The products with +0.0 carry the signs of the
+    zeros: at t = 1e-100, x.re = e^{2 pi i t}.re - 1 is 0.0 exactly."""
+    return (x[0] * 0.0 + x[1]) / t, (x[1] * 0.0 - x[0]) / t
+
+
+def _complex(x) -> np.ndarray:
+    """The complex array of an (re, im) pair of one shape, with its bits."""
+    z = np.array(x[0], dtype=complex)
+    z.imag = x[1]
+    return z
+
+
+def _phi(p, q, r: int, d: int) -> np.ndarray:
+    """Integral of e^{2 pi i t s} over s in (0, 2 pi) of one coordinate,
+    elementwise for t = (p + q*sqrt d)/r, integers or integer arrays p and q
+    (`spectral._int_array`) and r > 0, reduced or not: (e^{2 pi i t} -
+    1)/(i t) in CPython's complex rounding.
+
+    Branches on the exactly-known arithmetic type of t: zero gives the cube
+    edge 2 pi, any other integer gives exactly 0, and the quotient's divisor
+    is set to 1 there.
+    """
+    integer = (q == 0) & (p % r == 0)
+    e = np.exp(1j * np.asarray(_phase_angle(p, q, r, d), dtype=float))
+    t = np.where(integer, 1.0, np.asarray(quad_float(p, q, r, d), dtype=float))
+    re, im = _over_i((e.real - 1.0, e.imag), t)
+    exact = np.where(p == 0, TWO_PI, 0.0)
+    return _complex((np.where(integer, exact, re), np.where(integer, 0.0, im)))
+
+
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[np.ndarray, tuple[int, int]]:
+    """The differences of the rows of `LatticeSpec.form` of all translate
+    pairs (x, y), at index x*M + y, as an (M*M, 2, 2) integer array [pair,
+    axis, (rational, radical part)], and the spans len(xs) - 1 and
+    len(ys) - 1: each shift of an axis lies in [-span, span].  The array is
+    int64 when every difference plus a shift times the denominator is below
+    2**53 (`spectral._int_array`).  A support for another tiling is refused."""
     if support.m != spec.m:
         raise SizeMismatchError(
             f"support has {support.m} translates, lattice has {spec.m} translates"
         )
-    xs, ys = zip(*spec.form[2])  # the rows of each translate's x and y
-    pairs = {
-        (x, y): (tuple(map(sub, xs[x], xs[y])), tuple(map(sub, ys[x], ys[y])))
-        for x in range(spec.m)
-        for y in range(x, spec.m)
-    }
-    return pairs, (len(support.xs) - 1, len(support.ys) - 1)
+    den, _, rows = spec.form
+    spans = len(support.xs) - 1, len(support.ys) - 1
+    width = max(map(abs, chain.from_iterable(chain.from_iterable(rows))))
+    a = _int_array(rows, 2 * width + (max(spans) + 1) * den)
+    return (a[:, None] - a).reshape(-1, 2, 2), spans
 
 
-def _assemble(support: SupportSet, entries) -> np.ndarray:
+def _assemble(support: SupportSet, table: np.ndarray) -> np.ndarray:
     """Hermitian S x S matrix from its upper triangle, in slabs of rows.
 
-    entries(pair, s0, s1) returns the entries (a, b), a <= b, of a slab from
-    their translate pair codes j_a*M + j_b and integer shifts m_a - m_b, row
-    by row.  Point a is translate j_a at box position (x_a, y_a), by divmod of
-    a, and its shift to b is the difference of the positions.  A slab has
-    max(1, SLAB_ROWS**2 // S) rows, so it spans at most SLAB_ROWS**2 entries.
-    Its rows are written whole, upper entries and the conjugates of the ones
+    Entry (a, b), a <= b, is table[j_a*M + j_b, s_0 + span_0, s_1 + span_1]
+    for the translates j and the integer shifts s = m_a - m_b.  Point a is
+    translate j_a at box position (x_a, y_a), by divmod of a, and its shift
+    to b is the difference of the positions.  A slab has max(1,
+    SLAB_ROWS**2 // S) rows, so it spans at most SLAB_ROWS**2 entries.  Its
+    rows are written whole, upper entries and the conjugates of the ones
     above them, and the conjugates of its entries right of the slab go down
     the columns below it.
     """
@@ -245,18 +272,44 @@ def _assemble(support: SupportSet, entries) -> np.ndarray:
     index = np.arange(size)
     j, position = np.divmod(index, len(support.xs) * len(support.ys))
     m = np.divmod(position, len(support.ys))
+    spans = len(support.xs) - 1, len(support.ys) - 1
     step = max(1, SLAB_ROWS * SLAB_ROWS // size)
     g = np.empty((size, size), dtype=complex)
     for lo in range(0, size, step):
         hi = min(lo + step, size)
         upper = index[: hi - lo, None] <= index[: size - lo]
         pair = (j[lo:hi, None] * support.m + j[lo:])[upper]
+        shifts = ((c[lo:hi, None] - c[lo:])[upper] + span for c, span in zip(m, spans))
         block = g[lo:hi, lo:]
-        block[upper] = entries(pair, *((c[lo:hi, None] - c[lo:])[upper] for c in m))
+        block[upper] = table[(pair, *shifts)]
         square, below = block[:, : hi - lo], ~upper[:, : hi - lo]
         square[below] = square.T[below].conj()
         g[hi:, lo:hi] = block[:, hi - lo :].T.conj()
     return g
+
+
+def _gram_table(
+    spec: LatticeSpec, config: TranslationConfig, support: SupportSet
+) -> np.ndarray:
+    """gram_matrix's entries by [x*M + y, s_0 + span_0, s_1 + span_1]: each
+    translate pair's phase sum, one `phase_columns` call whose columns are
+    added in the order of config.ns as `_phase_sum` adds them, times phi of
+    each axis over (pair, shift), over det L."""
+    _check_size(spec, config.m)
+    diffs, spans = _differences(spec, support)
+    den, d, _ = spec.form
+    w = phase_columns((den, d, diffs.tolist()), config.ns)
+    total = sum(w.T, np.zeros(len(diffs), complex))  # column by column, from 0.0
+    # phi over both axes at once: columns (axis 0, s_0) and then (axis 1, s_1)
+    axis = [c for c, span in enumerate(spans) for _ in range(2 * span + 1)]
+    shifts = np.array([s for span in spans for s in range(-span, span + 1)], dtype=diffs.dtype)
+    phi = _phi(diffs[:, axis, 0] + shifts * den, diffs[:, axis, 1], den, d)
+    x, y = phi[:, : 2 * spans[0] + 1, None], phi[:, None, 2 * spans[0] + 1 :]
+    factor = _product((x.real, x.imag), (y.real, y.imag))
+    t, det = total[:, None, None], spec.det_l()
+    table = _complex([v / det for v in _product((t.real, t.imag), factor)])
+    table[(factor[0] == 0) & (factor[1] == 0)] = 0
+    return table
 
 
 def gram_matrix(
@@ -266,39 +319,7 @@ def gram_matrix(
 
     Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
     """
-    _check_size(spec, config.m)
-    pairs, spans = _differences(spec, support)
-    den, d, _ = spec.form
-    det = spec.det_l()
-    codes = np.zeros((3, spec.m * spec.m), dtype=np.intp)
-    keys, residues = ({}, {}), {}
-    for (x, y), diff in pairs.items():
-        code = x * spec.m + y
-        for c, key in enumerate(diff):
-            codes[c, code] = keys[c].setdefault(key, len(keys[c]))
-        codes[2, code] = residues.setdefault(tuple((a % den, b) for a, b in diff), len(residues))
-    w = phase_columns((den, d, list(residues)), config.ns)
-    totals = np.array([_phase_sum(row) for row in w.tolist()], dtype=complex)
-    phis = [
-        np.array(
-            [_phi(a + s * den, q, den, d) for a, q in key for s in range(-span, span + 1)],
-            dtype=complex,
-        ).reshape(len(key), 2 * span + 1)
-        for key, span in zip(keys, spans)
-    ]
-
-    def entries(pair: np.ndarray, *shift: np.ndarray) -> np.ndarray:
-        phi = [phis[c][codes[c, pair], s + spans[c]] for c, s in enumerate(shift)]
-        factor = _product(*((v.real, v.imag) for v in phi))
-        total = totals[codes[2, pair]]
-        re, im = _product((total.real, total.imag), factor)
-        upper = np.empty(len(pair), dtype=complex)
-        upper.real = re / det
-        upper.imag = im / det
-        upper[(factor[0] == 0) & (factor[1] == 0)] = 0
-        return upper
-
-    return _assemble(support, entries)
+    return _assemble(support, _gram_table(spec, config, support))
 
 
 def frame_bound_check(
@@ -311,9 +332,17 @@ def frame_bound_check(
     Valid for every box, and by interlacing every support inside one: a*Ga is
     the domain integral of |f|^2 for f with coefficients a.  When (A2) fails
     the lower constant degrades to 0 and only the upper bound is asserted.
+
+    The Gram matrix is taken of the configuration translated to minimum 0,
+    as `ingham_constants` canonicalises it: translating the domain turns G
+    into D G D^* with D diagonal and unitary, which keeps the spectrum, and
+    the float phases of a configuration far from the origin lose their
+    digits (at (10**15, -10**15) a negative lambda_min was read).
     """
     sr = ingham_constants(spec, config)
-    lam_min, lam_max = hermitian_extremes(gram_matrix(spec, config, support))
+    x0, y0 = (min(c) for c in zip(*config.ns))
+    at_origin = TranslationConfig(tuple((x - x0, y - y0) for x, y in config.ns))
+    lam_min, lam_max = hermitian_extremes(gram_matrix(spec, at_origin, support))
     eps = 1e-6 * sr.c2_full
     if sr.satisfies_a2:
         passed = sr.c1_full - eps <= lam_min and lam_max <= sr.c2_full + eps
@@ -382,23 +411,6 @@ def inscribed_hole(
     return hole
 
 
-def _hole_entry(hole: Rect, deltas: Sequence[float | None]) -> complex:
-    """prod_d (e^{i delta_d b_d} - e^{i delta_d a_d})/(i delta_d) over the
-    hole's sides (a_d, b_d), a delta_d of None (exactly 0) contributing the
-    side length.  A float 0.0 is an exactly nonzero delta_d that underflowed,
-    and is refused: the quotient has no float value."""
-    x0, y0, x1, y1 = hole
-    val = 1.0 + 0.0j
-    for df, (lo, hi) in zip(deltas, ((x0, x1), (y0, y1))):
-        if df is None:
-            val *= hi - lo
-        elif df == 0.0:
-            raise ValueError("hole integral: a nonzero delta_d = (L* mu)_d underflows to 0.0")
-        else:
-            val *= (cmath.exp(1j * df * hi) - cmath.exp(1j * df * lo)) / (1j * df)
-    return val
-
-
 def _homothety(spec: LatticeSpec) -> QuadNumber:
     """The c of L* = c*I, or FieldMismatchError.
 
@@ -426,16 +438,15 @@ def hole_inner_product(
     a homothety (`_homothety`).
     """
     mu = _mu(spec, p, q)
-    deltas = []
+    deltas, zeros = [], []
     for row, t in zip(spec.l_star, mu):
         try:
-            delta = vec_dot(row, mu)
+            delta, scale = vec_dot(row, mu), 1.0
         except FieldMismatchError:
-            scale = float(_homothety(spec))
-            deltas.append(None if t.is_zero() else scale * float(t))
-        else:
-            deltas.append(None if delta.is_zero() else float(delta))
-    return _hole_entry(hole, deltas)
+            delta, scale = t, float(_homothety(spec))
+        deltas.append(scale * float(delta))
+        zeros.append(delta.is_zero())
+    return complex(_hole_entry(hole, deltas, zeros))
 
 
 def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
@@ -463,13 +474,65 @@ def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
     return (1.0, p, a0, a1, q, b0, b1, r, max(t.d for t in terms))
 
 
-def _delta(form: tuple, s0: int, s1: int) -> float | None:
-    """The float of delta_d(s) from its `_delta_form`, or None when it is
-    exactly 0: the bits of the float of the QuadNumber (`qfield.quad_float`)."""
-    scale, p, a0, a1, q, b0, b1, r, d = form
-    p += a0 * s0 + a1 * s1
-    q += b0 * s0 + b1 * s1
-    return None if p == 0 and q == 0 else scale * quad_float(p, q, r, d)
+def _delta(forms: Sequence[tuple], spans: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """delta_d(s) of each `_delta_form` at every shift s with |s_c| <= spans[c],
+    as a (forms, 2*span_0 + 1, 2*span_1 + 1) float array with the bits of
+    the float of the QuadNumber (the expression of `qfield.quad_float`, with
+    math.sqrt(d) per form), and the mask of the deltas that are exactly 0."""
+    scale, *ints, d = zip(*forms)
+    bound = (1 + sum(spans)) * max(map(abs, chain(*ints)))
+    p, a0, a1, q, b0, b1, r = (_int_array(v, bound)[:, None, None] for v in ints)
+    s0, s1 = (np.arange(-span, span + 1).astype(p.dtype) for span in spans)
+    p = p + a0 * s0[:, None] + a1 * s1
+    q = q + b0 * s0[:, None] + b1 * s1
+    scale, root = (np.array(v)[:, None, None] for v in (scale, [math.sqrt(v) for v in d]))
+    return scale * np.asarray(p / r - (-q / r) * root, dtype=float), (p == 0) & (q == 0)
+
+
+def _hole_entry(hole: Rect, deltas, zeros) -> np.ndarray:
+    """prod_d (e^{i delta_d b_d} - e^{i delta_d a_d})/(i delta_d) over the
+    hole's sides (a_d, b_d), elementwise for floats or float arrays delta_d
+    and the masks of the delta_d that are exactly 0, in CPython's complex
+    rounding (`_product`, `_over_i`).  An exactly zero delta_d contributes
+    the side length, and the quotient's divisor is set to 1 there.  A float
+    0.0 is an exactly nonzero delta_d that underflowed, and is refused: the
+    quotient has no float value."""
+    x0, y0, x1, y1 = hole
+    val = (1.0, 0.0)
+    for df, zero, (lo, hi) in zip(deltas, zeros, ((x0, x1), (y0, y1))):
+        if np.any((df == 0.0) & np.logical_not(zero)):
+            raise ValueError("hole integral: a nonzero delta_d = (L* mu)_d underflows to 0.0")
+        df = np.where(zero, 1.0, df)
+        i_df = _product((0.0, 1.0), (df, 0.0))
+        e_hi, e_lo = (np.exp(_complex(_product(i_df, (end, 0.0)))) for end in (hi, lo))
+        ends = e_hi - e_lo
+        re, im = _over_i((ends.real, ends.imag), df)
+        val = _product(val, (np.where(zero, hi - lo, re), np.where(zero, 0.0, im)))
+    return _complex(val)
+
+
+def _hole_table(
+    spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
+) -> np.ndarray:
+    """hole_gram_matrix's entries by [x*M + y, s_0 + span_0, s_1 + span_1],
+    pairs x <= y (`_assemble` reads no other): `_delta_form` once per distinct
+    translate difference, the only exact work, then one array evaluation of
+    `_delta` and `_hole_entry` over (difference, s_0, s_1)."""
+    _cell_of_rect(spec, config, hole)
+    diffs, spans = _differences(spec, support)
+    keys = diffs.reshape(len(diffs), 4).tolist()
+    codes = np.zeros(len(diffs), dtype=np.intp)
+    ids, forms = {}, []
+    for x in range(spec.m):
+        for y in range(x, spec.m):
+            key = tuple(keys[x * spec.m + y])
+            if key not in ids:
+                ids[key] = len(forms)
+                mu = vec_sub(spec.us[x], spec.us[y])
+                forms.append([_delta_form(spec, mu, d) for d in range(2)])
+            codes[x * spec.m + y] = ids[key]
+    deltas, zeros = zip(*(_delta(axis, spans) for axis in zip(*forms)))
+    return _hole_entry(hole, deltas, zeros)[codes]
 
 
 def hole_gram_matrix(
@@ -479,28 +542,10 @@ def hole_gram_matrix(
 
     Entry (a, b), a <= b, is hole_inner_product(items[a], items[b]), which
     depends only on the difference u_x - u_y of the translates and the shift
-    m_a - m_b.
+    m_a - m_b.  The hole is where it is: a configuration translated with it
+    gives another matrix.
     """
-    _cell_of_rect(spec, config, hole)
-    pairs, spans = _differences(spec, support)
-    codes = np.zeros(spec.m * spec.m, dtype=np.intp)
-    ids, forms = {}, []
-    for (x, y), diff in pairs.items():
-        if diff not in ids:
-            ids[diff] = len(forms)
-            mu = vec_sub(spec.us[x], spec.us[y])
-            forms.append([_delta_form(spec, mu, d) for d in range(2)])
-        codes[x * spec.m + y] = ids[diff]
-
-    s0s, s1s = (range(-span, span + 1) for span in spans)
-    table = np.array(
-        [_hole_entry(hole, [_delta(f, s0, s1) for f in form])
-         for form in forms for s0 in s0s for s1 in s1s],
-        dtype=complex,
-    ).reshape(len(forms), len(s0s), len(s1s))
-    return _assemble(
-        support, lambda pair, s0, s1: table[codes[pair], s0 + spans[0], s1 + spans[1]]
-    )
+    return _assemble(support, _hole_table(spec, config, support, hole))
 
 
 def removal_witness(
@@ -512,13 +557,14 @@ def removal_witness(
     """lambda_min of the Gram matrix over the domain minus the hole, per support.
 
     As the support grows the sequence decreases toward 0, witnessing that the
-    lower estimate cannot survive the removal of an open set.
+    lower estimate cannot survive the removal of an open set.  Each matrix is
+    assembled once, from the Gram table minus the hole table: conjugation
+    commutes exactly with float subtraction, so it has the bits of
+    gram_matrix - hole_gram_matrix.  Like the hole, it takes config.ns as
+    they are, not translated to the origin as `frame_bound_check` does.
     """
-    out = []
-    for support in supports:
-        g = gram_matrix(spec, config, support) - hole_gram_matrix(
-            spec, config, support, hole
-        )
-        lam_min, _ = hermitian_extremes(g)
-        out.append(float(lam_min))
-    return out
+    return [
+        hermitian_extremes(_assemble(support, _gram_table(spec, config, support)
+                                     - _hole_table(spec, config, support, hole)))[0]
+        for support in supports
+    ]

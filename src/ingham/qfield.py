@@ -275,7 +275,9 @@ class QuadNumber:
         return 1 if q > 0 else -1
 
     def __float__(self) -> float:
-        return quad_float(self.p, self.q, self.r, self.d)
+        # quad_float's value, p / r when q = 0, without its radical part:
+        # spec loading converts rationals by the thousand
+        return quad_float(self.p, self.q, self.r, self.d) if self.q else self.p / self.r
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, QuadNumber):
@@ -311,10 +313,12 @@ def quad_float(p: int, q: int, r: int, d: int) -> float:
     Integer true division rounds correctly, so p / r and q / r have the bits
     of the rationals p/r and q/r: the float does not depend on the
     denominator the value is written over, reduced or not.  float(x) of a
-    QuadNumber is quad_float of its four integers."""
-    if q:
-        return p / r + (q / r) * sqrt(d)
-    return p / r
+    QuadNumber has the bits of quad_float of its four integers.  p and q may
+    be integer arrays (`spectral._int_array`).  The radical part is
+    subtracted negated, which gives the bits of the sum: at q = 0 it is 0.0,
+    and x - 0.0 leaves every x alone where x + 0.0 would turn an underflowed
+    -0.0 into 0.0."""
+    return p / r - (-q / r) * sqrt(d)
 
 
 def _from_ratios(an: int, ad: int, bn: int, bd: int, d: int) -> QuadNumber:

@@ -5,9 +5,14 @@ E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
 of E E^*.  `_phase_angle` is the only place an exact inner product becomes
 an angle: `phase` takes it from a QuadNumber, `phase_columns` from the
-integer rows of `LatticeSpec.form` (one denominator, the translates' one
-field Q(sqrt d)), bit for bit alike.  `spectra` is the only place
-determinants and eigenvalues of E E^* are taken.  It takes a point list and
+integer rows (a, b) of `LatticeSpec.form` (one denominator, the translates'
+one field Q(sqrt d)), bit for bit alike.  For points n, phase_columns forms
+the exponents P = a.n and Q = b.n in one batched integer matrix product and
+takes one np.exp; the integer arrays are int64 while every integer stays
+below 2**53, where numpy's true division rounds as Python's does, and
+Python ints past that, through the same expressions (`_int_array`).
+`spectra` is the only place determinants and eigenvalues of E E^* are
+taken.  It takes a point list and
 an (N, m) index array into it (`config_index` builds both from a
 configuration list) and walks the array in chunks of CHUNK_ROWS
 configurations, so its memory does not grow with the survey.
@@ -42,6 +47,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -132,13 +138,22 @@ class SpectralResult:
     c2_full: float
 
 
-def _phase_angle(p: int, q: int, r: int, d: int) -> float:
-    """2*pi*(p + q*sqrt d)/r with the rational part reduced mod 1 exactly.
+def _int_array(values, bound: int) -> np.ndarray:
+    """Integers as int64 when bound, at least every |integer| computed from
+    them, lies below 2**53, where numpy's true division of int64 rounds
+    correctly as Python's does; else as Python ints in an object array.
+    Either goes through the same expressions with the same bits."""
+    return np.array(values, dtype=np.int64 if bound < 2**53 else object)
+
+
+def _phase_angle(p, q, r: int, d: int):
+    """2*pi*(p + q*sqrt d)/r with the rational part reduced mod 1 exactly,
+    for integers p and q or integer arrays of them (`_int_array`).
 
     Integer true division is correctly rounded, so the float depends only
-    on the rationals p/r and q/r, not on how far the fraction is reduced."""
-    irr = (q / r) * math.sqrt(d) if q else 0.0
-    return TWO_PI * (p % r / r + irr)
+    on the rationals p/r and q/r, not on how far the fraction is reduced.
+    At q = 0 the radical part is 0.0, which leaves the sum's bits alone."""
+    return TWO_PI * (p % r / r + (q / r) * math.sqrt(d))
 
 
 def phase(t: QuadNumber) -> complex:
@@ -149,13 +164,18 @@ def phase(t: QuadNumber) -> complex:
 def phase_columns(form: tuple, points: Sequence[tuple[int, int]]) -> np.ndarray:
     """W[j, p] = exp(2*pi*i*<u_j, points[p]>) for the rows u_j of a
     `LatticeSpec.form`, with the bits of `phase(vec_dot(u_j, points[p]))`:
-    <u, n> = (P + Q*sqrt(d))/den, P and Q linear in n."""
+    <u, n> = (P + Q*sqrt(d))/den, where P = a.n and Q = b.n are integer
+    matrix products of the rows (a, b) and the points, int64 or Python ints
+    by their bound (`_int_array`).  np.exp(1j*x) has the bits of
+    cmath.exp(1j*x)."""
     den, d, rows = form
-    w = np.empty((len(rows), len(points)), dtype=complex)
-    for j, ((px, qx), (py, qy)) in enumerate(rows):
-        for k, (a, b) in enumerate(points):
-            w[j, k] = cmath.exp(1j * _phase_angle(px * a + py * b, qx * a + qy * b, den, d))
-    return w
+    width = max(map(abs, chain.from_iterable(chain.from_iterable(rows))))
+    reach = max(map(abs, chain.from_iterable(points)), default=0)
+    bound = max(den, 2 * max(width, 1) * max(reach, 1))
+    n = _int_array(points, bound).reshape(-1, 2).T
+    p, q = _int_array(rows, bound).transpose(2, 0, 1) @ n
+    angle = _phase_angle(p, q, den, d)
+    return np.exp(1j * np.asarray(angle, dtype=float))
 
 
 def _check_size(spec: LatticeSpec, m: int) -> None:

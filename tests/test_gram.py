@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from collections import Counter
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import lattice_specs, quadrature_hole_inner_product, quadrature_inner_product
 
-from ingham import catalog, gram, qfield
+from ingham import catalog, gram, qfield, spectral
 from ingham.errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
 from ingham.gram import (
     MAX_SUPPORT,
@@ -25,7 +26,13 @@ from ingham.gram import (
 )
 from ingham.lattice import LatticePoint, LatticeSpec, vec_add, vec_dot
 from ingham.qfield import QuadNumber
-from ingham.spectral import TranslationConfig, phase
+from ingham.spectral import (
+    TranslationConfig,
+    _int_array,
+    hermitian_extremes,
+    phase,
+    phase_columns,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -170,6 +177,24 @@ def test_monotone_lambda_max_snub_hexagonal_supports():
     assert lmaxes == sorted(lmaxes)
 
 
+@pytest.mark.parametrize("offset", [0, 10**9, 10**15, -(10**15)])
+def test_frame_bounds_are_the_same_at_every_offset(offset):
+    """Translating the domain by t turns the Gram matrix into D G D^* with D
+    diagonal and unitary, so the spectrum stays.  With the absolute phases
+    snub_square square_block read lambda_min 26.04 against 35.26 at
+    (10**15, -10**15), failing, and truncated_trihexagonal block_6x2 a
+    negative eigenvalue, -35.7."""
+    for name, config_name in (("snub_square", "square_block"),
+                              ("truncated_trihexagonal", "block_6x2")):
+        spec = catalog.get(name).spec
+        config = catalog.get(name).default_configs[config_name]
+        moved = TranslationConfig(tuple((a + offset, b - offset) for a, b in config.ns))
+        support = SupportSet.centered(spec, 1)
+        report = frame_bound_check(spec, config, support)
+        assert report.passed, name
+        assert frame_bound_check(spec, moved, support) == report, (name, offset)
+
+
 def _hole_setup():
     entry = catalog.get("honeycomb")
     spec = entry.spec
@@ -219,6 +244,23 @@ def test_removal_witness_continuity_in_hole_volume():
     lam = removal_witness(spec, config, tiny, [support])[0]
     assert lam == pytest.approx(base, rel=1e-4)
     assert lam < base
+
+
+def test_removal_witness_is_lambda_min_of_gram_minus_hole(catalog_entries):
+    """One matrix per support, assembled from the difference of the tables,
+    has the bits of the difference of the two matrices."""
+    for name, entry in catalog_entries.items():
+        spec = entry.spec
+        config = entry.default_configs[entry.primary_config]
+        hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+        supports = [SupportSet.centered(spec, 0), SupportSet.box(spec, range(-1, 2), range(0, 2))]
+        want = [
+            hermitian_extremes(gram_matrix(spec, config, support)
+                               - hole_gram_matrix(spec, config, support, hole))[0]
+            for support in supports
+        ]
+        assert _bits(np.array(removal_witness(spec, config, hole, supports))) == _bits(
+            np.array(want)), name
 
 
 def test_hole_must_sit_inside_one_cell():
@@ -442,10 +484,10 @@ def test_a_box_has_the_same_matrices_at_every_offset(offset):
 
 
 def test_phi_runs_once_per_distinct_key(monkeypatch):
-    """One _phi per key (axis, u_x - u_y, shift) of each axis's box: every
-    translate pair of the upper triangle with every shift within the span,
-    however many entries and slabs share it, and the keys the entries use
-    among them."""
+    """One `_phi` call per matrix, whatever the slabs, over both axes at
+    once: it holds each key (axis, translate pair (x, y), shift) once, every
+    ordered pair with every shift within its axis's span, and the keys the
+    entries use are among them."""
     calls = []
     phi = gram._phi
     monkeypatch.setattr(gram, "_phi", lambda *form: calls.append(form) or phi(*form))
@@ -460,17 +502,22 @@ def test_phi_runs_once_per_distinct_key(monkeypatch):
             (c, spec.us[p.j][c] - spec.us[q.j][c], p.m[c] - q.m[c])
             for p, q in upper for c in range(2)
         }
-        keys = {
+        keys = [
             (c, spec.us[x][c] - spec.us[y][c], s)
-            for x, y in {(p.j, q.j) for p, q in upper}
+            for x in range(spec.m)
+            for y in range(spec.m)
             for c in range(2)
             for s in range(-2 * radius, 2 * radius + 1)
-        }
-        assert used <= keys
+        ]
+        assert used <= set(keys)
         monkeypatch.setattr(gram, "SLAB_ROWS", slab_rows)
         calls.clear()
         gram_matrix(spec, entry.default_configs[entry.primary_config], support)
-        got = Counter(QuadNumber(Fraction(p, r), Fraction(q, r), d) for p, q, r, d in calls)
+        assert len(calls) == 1, name
+        p, q, r, d = calls[0]
+        q = np.broadcast_to(q, p.shape)
+        got = Counter(QuadNumber(Fraction(a, r), Fraction(b, r), d)
+                      for a, b in zip(p.ravel().tolist(), q.ravel().tolist()))
         assert got == Counter(u + s for _, u, s in keys), name
 
 
@@ -647,6 +694,19 @@ def _phi_reference(t):
     return (phase(t) - 1.0) / (1j * float(t))
 
 
+def _hole_reference(hole, deltas):
+    """The hole entry in Python's complex arithmetic, a delta_d of None
+    (exactly 0) contributing the side length."""
+    x0, y0, x1, y1 = hole
+    val = 1.0 + 0.0j
+    for df, (lo, hi) in zip(deltas, ((x0, x1), (y0, y1))):
+        if df is None:
+            val *= hi - lo
+        else:
+            val *= (cmath.exp(1j * df * hi) - cmath.exp(1j * df * lo)) / (1j * df)
+    return val
+
+
 @st.composite
 def _field_numbers(draw, n):
     """n numbers of one field Q(sqrt d), d drawn with square factors, often
@@ -665,33 +725,154 @@ def _field_numbers(draw, n):
 _INTS = [QuadNumber(k) for k in (1, 0, 0, 2, 3, -1)]
 
 
+def _ints(values, *more):
+    """values as `spectral._int_array` makes them for integers up to the
+    largest |v| among values and more, which holds the denominator."""
+    return _int_array(values, max(map(abs, [*values, *more])))
+
+
+def _phi_bits(p, q, r, d):
+    """The bits of each phi value of `gram._phi`, as `_bits` gives them."""
+    return [_bits(v) for v in gram._phi(p, q, r, d).tolist()]
+
+
+SHIFTS = range(-6, 7)
+
+
 @settings(max_examples=300, deadline=None)
-@given(numbers=_field_numbers(6), s0=st.integers(-6, 6), s1=st.integers(-6, 6))
-@example(numbers=_INTS, s0=-3, s1=1)  # mu + s = 0: phi's zero branch, both deltas 0
-@example(numbers=_INTS, s0=-2, s1=1)  # mu_0 + s_0 = 1: phi's integer branch
-def test_integer_forms_match_quadnumber_arithmetic(numbers, s0, s1):
-    """phi of (p + s*r, q, r, d) and the float of a `_delta_form` at shift s
-    have the bits of phi(mu + s) and float(row . (mu + s)) in QuadNumbers."""
+@given(numbers=_field_numbers(6))
+@example(numbers=_INTS)  # s = (-3, 1): mu + s = 0, phi's zero branch and both deltas 0;
+# s_0 = -2: mu_0 + s_0 = 1, phi's integer branch
+def test_integer_forms_match_quadnumber_arithmetic(numbers):
+    """phi of (p + s*r, q, r, d) and the floats of a `_delta_form` at every
+    shift s with |s_c| <= 6 have the bits of phi(mu + s) and
+    float(row . (mu + s)) in QuadNumbers, and the delta's zero mask is
+    where row . (mu + s) is exactly 0."""
     r00, r01, r10, r11, *mu = numbers
     t = mu[0]
-    assert _bits(gram._phi(t.p + s0 * t.r, t.q, t.r, t.d)) == _bits(_phi_reference(t + s0))
+    got = _phi_bits(_ints([t.p + s * t.r for s in SHIFTS], t.r), _ints([t.q], t.r), t.r, t.d)
+    assert got == [_bits(_phi_reference(t + s)) for s in SHIFTS]
     spec = LatticeSpec("random", ((r00, r01), (r10, r11)), ())
     for d, row in enumerate(spec.l_star):
-        delta = vec_dot(row, vec_add(mu, (QuadNumber(s0), QuadNumber(s1))))
-        want = None if delta.is_zero() else float(delta)
-        got = gram._delta(gram._delta_form(spec, tuple(mu), d), s0, s1)
-        assert _bits(got) == _bits(want)
+        values, zeros = gram._delta([gram._delta_form(spec, tuple(mu), d)], (6, 6))
+        for s0 in SHIFTS:
+            for s1 in SHIFTS:
+                delta = vec_dot(row, vec_add(mu, (QuadNumber(s0), QuadNumber(s1))))
+                zero = zeros[0, s0 + 6, s1 + 6]
+                assert zero == delta.is_zero()
+                if not zero:
+                    assert _bits(values[0, s0 + 6, s1 + 6]) == _bits(float(delta))
 
 
 @settings(max_examples=200, deadline=None)
-@given(numbers=_field_numbers(1), s=st.integers(-6, 6), k=st.integers(2, 10**6))
-@example(numbers=[QuadNumber(Fraction(1, 3))], s=2, k=3)  # t = 3 over r = 9
-def test_phi_of_unreduced_forms_has_the_bits_of_the_canonical_form(numbers, s, k):
-    """_phi((p + s*r)*k, q*k, r*k, d): a form over a multiple of the
-    denominator, as `gram_matrix` writes every translate difference."""
+@given(numbers=_field_numbers(1), k=st.integers(2, 10**6))
+@example(numbers=[QuadNumber(Fraction(1, 3))], k=3)  # t + 2 = 7/3 over r = 9
+@example(numbers=[QuadNumber(0, Fraction(3, 10**12 + 39), 2)], k=35481)  # r*k past 2**53
+def test_phi_of_unreduced_forms_has_the_bits_of_the_canonical_form(numbers, k):
+    """`_phi` of ((p + s*r)*k, q*k, r*k, d) at every |s| <= 6: a form over a
+    multiple of the denominator, as `gram_matrix` writes every translate
+    difference."""
     t = numbers[0]
-    want = gram._phi(t.p + s * t.r, t.q, t.r, t.d)
-    assert _bits(gram._phi((t.p + s * t.r) * k, t.q * k, t.r * k, t.d)) == _bits(want)
+    want = _phi_bits(_ints([t.p + s * t.r for s in SHIFTS], t.r), _ints([t.q], t.r), t.r, t.d)
+    r = t.r * k
+    got = _phi_bits(_ints([(t.p + s * t.r) * k for s in SHIFTS], r), _ints([t.q * k], r), r, t.d)
+    assert got == want
+
+
+_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_DIVISORS = st.one_of(st.sampled_from((1e-100, -1e-100, 5e-324, -1.0)),
+                      st.floats(allow_nan=False, allow_infinity=False).filter(bool))
+
+
+@settings(max_examples=500, deadline=None)
+@given(re=_FLOATS, im=_FLOATS, t=_DIVISORS)
+@example(re=0.0, im=TWO_PI * 1e-100, t=1e-100)  # e^{2 pi i t} - 1 at t = 1e-100
+@example(re=0.0, im=-TWO_PI * 1e-100, t=-1e-100)
+@example(re=-0.0, im=0.0, t=3.0)
+def test_over_i_is_cpython_complex_division(re, im, t):
+    """`_over_i` has the bits of complex(re, im) / (1j*t), the signs of zeros
+    included: at t = 1e-100 the real part of e^{2 pi i t} - 1 is 0.0 and
+    the quotient's imaginary part +0.0, where -(e.re - 1)/t gives -0.0."""
+    want = complex(re, im) / (1j * t)
+    with np.errstate(over="ignore", invalid="ignore"):  # CPython overflows quietly too
+        got_re, got_im = gram._over_i((np.array([re]), np.array([im])), np.array([t]))
+    assert _bits(complex(got_re[0], got_im[0])) == _bits(want)
+
+
+# Python ints and int64 arrays: `_int_array` switches at 2**53.
+_SWITCH_DEN = 10**12 + 39
+
+
+_BELOW_SWITCH = st.integers(-(2**53) + 1, 2**53 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_BELOW_SWITCH, q=_BELOW_SWITCH, d=st.sampled_from((1, 2, 3, 5)),
+       den=st.sampled_from((1, 7, _SWITCH_DEN)))
+@example(p=2**53 - 1, q=0, d=1, den=_SWITCH_DEN)
+@example(p=-(2**53) + 1, q=2**53 - 1, d=3, den=_SWITCH_DEN)
+def test_python_int_arrays_have_the_bits_of_int64_arrays(p, q, d, den):
+    """Integers below 2**53, where `_int_array` gives int64: `_phase_angle`,
+    `quad_float` and `_phi` give the same bits on int64 and on Python-int
+    arrays, and the first two those of the scalar Python-int expression.
+    Rationals have no radical part, as in `LatticeSpec.form`."""
+    q = q if d > 1 else 0
+    ps = [p, -p, p // 2]
+    ints, objects = (np.array(ps, dtype=t) for t in (np.int64, object))
+    qs = [np.array([q], dtype=t) for t in (np.int64, object)]
+    for f in (spectral._phase_angle, qfield.quad_float):
+        want = _bits(np.array([f(x, q, den, d) for x in ps]))
+        for a, b in zip((ints, objects), qs):
+            assert _bits(np.asarray(f(a, b, den, d), dtype=float)) == want
+    assert _phi_bits(ints, qs[0], den, d) == _phi_bits(objects, qs[1], den, d)
+
+
+def test_phase_columns_have_the_bits_of_phase_on_both_sides_of_the_switch():
+    """Translates in Q(sqrt 2) over the denominator 10**12 + 39 and points
+    whose bound lies just below and just above 2**53, and far above it,
+    where int64 true division of the radical exponent would round twice:
+    each column has the bits of the scalar `phase`."""
+    den = _SWITCH_DEN
+    us = tuple((QuadNumber(Fraction(a, den), Fraction(b, den), 2),
+                QuadNumber(Fraction(c, den), Fraction(e, den), 2))
+               for a, b, c, e in ((0, 0, 0, 0), (den // 3, 1, den // 7, 5),
+                                  (2 * den // 5, 3, 5, den // 11)))
+    one, zero = QuadNumber(1), QuadNumber(0)
+    spec = LatticeSpec("switch", ((one, zero), (zero, one)), us)
+    assert spec.form[0] == den
+    width = max(abs(v) for row in spec.form[2] for part in row for v in part)
+    reach = (2**53 - 1) // (2 * width)
+    assert 2 * width * reach < 2**53 <= 2 * width * (reach + 1)
+    far = [(2**20 + 2 * k + 1, 3 * 2**19 - k) for k in range(40)]
+    for points in ([(reach, 1), (-reach, reach - 7)], [(reach + 1, 1), (3, -reach - 1)], far):
+        want = [[phase(vec_dot(u, n)) for n in points] for u in spec.us]
+        assert phase_columns(spec.form, points).tolist() == want
+
+
+_SIDES = st.floats(-1e6, 1e6, allow_nan=False)
+_DELTAS = st.one_of(st.none(), st.sampled_from((1e-100, -1e-300, 2.0**-1070)),
+                    st.floats(-1e6, 1e6, allow_nan=False).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(corners=st.tuples(_SIDES, _SIDES, _SIDES, _SIDES),
+       deltas=st.lists(st.tuples(_DELTAS, _DELTAS), min_size=1, max_size=6))
+@example(corners=(0.0, -0.0, 1.0, 2.0), deltas=[(1e-100, None), (-1.5, -0.25)])
+def test_hole_entries_have_the_bits_of_python_complex_arithmetic(corners, deltas):
+    """`_hole_entry` on arrays of deltas, None marking an exact zero, has the
+    bits of the product in Python's complex arithmetic, entry by entry, and
+    so has it on scalars, as `hole_inner_product` calls it."""
+    x0, y0, a, b = corners
+    hole = (x0, y0, x0 + abs(a), y0 + abs(b))
+    axes = [np.array([pair[c] or 0.0 for pair in deltas]) for c in range(2)]
+    zeros = [np.array([pair[c] is None for pair in deltas]) for c in range(2)]
+    got = gram._hole_entry(hole, axes, zeros)
+    for k, pair in enumerate(deltas):
+        want = _bits(_hole_reference(hole, pair))
+        assert _bits(got[k]) == want
+        scalars = [d or 0.0 for d in pair], [d is None for d in pair]
+        assert _bits(complex(gram._hole_entry(hole, *scalars))) == want
 
 
 def test_exact_arithmetic_does_not_grow_with_the_support(monkeypatch):

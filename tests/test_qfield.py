@@ -98,6 +98,9 @@ def test_integer_predicates():
 
 def test_float_conversion():
     assert float(QuadNumber(1, 2, 3)) == pytest.approx(1 + 2 * 3**0.5, abs=1e-15)
+    # a negative rational that underflows keeps the sign of -1 / 10**400
+    assert math.copysign(1.0, float(QuadNumber(Fraction(-1, 10**400)))) == -1.0
+    assert math.copysign(1.0, qfield.quad_float(-1, 0, 10**400, 1)) == -1.0
 
 
 def test_parse_round_trip():
