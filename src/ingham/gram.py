@@ -192,7 +192,7 @@ def inner_product(
 # CPython's complex arithmetic on (re, im) pairs of float arrays.  numpy's
 # complex multiply may use fused multiply-add and its division another
 # formula, so neither keeps the bits of the scalar oracles.  A float y
-# enters as (y, 0.0), as Python 3.10-3.12 convert it before they multiply or
+# enters as (y, 0.0), as Python 3.10-3.13 convert it before they multiply or
 # divide; the mixed-mode arithmetic of Python 3.14 does not, and there these
 # pairs would no longer have the scalar bits.
 
