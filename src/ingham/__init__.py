@@ -9,9 +9,8 @@ Submodules load on first use (PEP 562): `import ingham` imports none of
 them, and `ingham.X`, `from ingham import X` and `ingham.<submodule>` import
 the module that defines X, once.  The exact layer (`errors`, `qfield`,
 `lattice`, `catalog`) never imports numpy; `lattice` owns the numpy-free
-`TranslationConfig`, `two_square_spec` and `TWO_SQUARE_CONFIG`, which
-`spectral` re-exports.  The numeric layers (`spectral`, `geometry`,
-`search`, `gram`, `reproduce`) import numpy.
+`TranslationConfig`, `two_square_spec` and `TWO_SQUARE_CONFIG`.  The numeric
+layers (`spectral`, `geometry`, `search`, `gram`, `reproduce`) import numpy.
 """
 
 from importlib import import_module

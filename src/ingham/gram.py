@@ -25,10 +25,10 @@ S^2 entries, slab by slab, with no loop over translate pairs or entries:
 - `gram_matrix`: the phase sums of all pairs come from one `phase_columns`
   call on the difference rows, phi of both axes from one `_phi` call over
   (pair, axis shift), and the table is their product over det L;
-- `hole_gram_matrix`: delta_d = (L* mu)_d is (P + Q*sqrt D')/R with P and Q
-  linear in s, one `_delta_form` per distinct translate difference, the
-  only exact work, and `_delta` and `_hole_entry` are one array evaluation
-  over (difference, s_0, s_1).
+- `hole_gram_matrix`: delta_k = (L* mu)_k is (P + Q*sqrt f)/(rho*D) with
+  P and Q integer arrays, products of the integer rows of L* (over one
+  denominator rho per row) and the same difference rows, and `_delta` and
+  `_hole_entry` are one array evaluation over (pair, s_0, s_1).
 
 Integers stay integers: int64 arrays while every integer is below 2**53,
 Python ints past that, through the same expressions
@@ -85,16 +85,25 @@ Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 # frame_bound_check copies the matrix.  On an M-translate box of A x B points
 # the Gram table and the hole table each hold M^2 x (2A-1)(2B-1) values; on
 # the largest centered catalog supports (truncated trihexagonal at radius 8)
-# that is 156,816, 2.5 MB, with a peak of about 8 MB while one is computed.
+# that is 156,816, 2.5 MB, with a peak of about 8 MB while the Gram table is
+# computed and 27 MB while the hole table is.
 MAX_SUPPORT = 4000
 SLAB_ROWS = 256
+
+
+def _length(name: str, values: Sequence[int]) -> int:
+    """The number of values, or ValueError if there are none.  A range is
+    counted from its ends: len raises OverflowError past sys.maxsize."""
+    n = (-((values.start - values.stop) // values.step) if isinstance(values, range)
+         else len(values))
+    if n <= 0:
+        raise ValueError(f"support axis {name} is empty")
+    return n
 
 
 def _axis(name: str, values: Sequence[int]) -> range:
     """values as a range, or ValueError unless they are consecutive increasing
     integers."""
-    if len(values) == 0:
-        raise ValueError(f"support axis {name} is empty")
     axis = range(values[0], values[0] + len(values))
     if any(a != v for a, v in zip(axis, values)):
         raise ValueError(f"support axis {name} must be consecutive increasing integers")
@@ -117,7 +126,7 @@ class SupportSet:
     ys: range
 
     def __post_init__(self) -> None:
-        size = self.m * len(self.xs) * len(self.ys)
+        size = self.m * _length("xs", self.xs) * _length("ys", self.ys)
         if size > MAX_SUPPORT:
             raise ValueError(f"support of {size} points exceeds {MAX_SUPPORT}")
         object.__setattr__(self, "xs", _axis("xs", self.xs))
@@ -449,44 +458,44 @@ def hole_inner_product(
     return complex(_hole_entry(hole, deltas, zeros))
 
 
-def _delta_form(spec: LatticeSpec, mu: Vec2, d: int) -> tuple:
-    """delta_d over the integer shifts s of the translate pair mu = u_x - u_y:
-    (scale, P, a0, a1, Q, b0, b1, R, D) in integers but the float scale, with
+def _delta(
+    spec: LatticeSpec, diffs: np.ndarray, spans: tuple[int, int], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """delta_k(s) = (L* (mu + s))_k of each translate difference mu of
+    `_differences` at every shift s with |s_c| <= spans[c], as a (pair,
+    2*span_0 + 1, 2*span_1 + 1) float array, and the mask of the deltas that
+    are exactly 0.
 
-        delta_d(s) = (L* (mu + s))_d = scale * ((P + a.s) + (Q + b.s)*sqrt D)/R.
-
-    scale is 1.0, which leaves a float's bits alone, when L*_d . mu, L*_d0
-    and L*_d1 lie in one field; then `hole_inner_product` computes the same
-    number exactly at every shift.  Otherwise L* must be a homothety c*I
-    (`_homothety`), whose reference branch every shift takes: scale is
-    float(c) and the form that of mu_d + s_d.
+    mu_c + s_c is (a_c + b_c*sqrt d)/den with a_c = A_c + s_c*den, and row k
+    of L* is ((al_c + be_c*sqrt e)/rho)_c over one lcm rho, so delta_k is
+    (P + Q*sqrt f)/(rho*den) with P = sum al_c*a_c + be_c*b_c*e and
+    Q = sum al_c*b_c + be_c*a_c in integers, f the one field of the row and
+    the translates.  Its float is `qfield.quad_float`'s, whose bits depend on
+    the rationals alone, as float(QuadNumber) in `hole_inner_product`.  When
+    the row and the translates lie in two fields, L* must be a homothety c*I
+    (`_homothety`): delta_k is then the exact product where mu_k is rational
+    (b_k = 0), and float(c) times the float of mu_k + s_k elsewhere, the
+    branch `hole_inner_product` takes there.
     """
-    row = spec.l_star[d]
-    try:
-        terms = (vec_dot(row, mu), *row)
-    except FieldMismatchError:
-        terms = ()
-    if not terms or len({t.d for t in terms if t.q}) > 1:
-        scale, t = float(_homothety(spec)), mu[d]
-        return (scale, t.p, t.r * (d == 0), t.r * (d == 1), t.q, 0, 0, t.r, t.d)
-    r = math.lcm(*(t.r for t in terms))
-    (p, q), (a0, b0), (a1, b1) = ((t.p * (r // t.r), t.q * (r // t.r)) for t in terms)
-    return (1.0, p, a0, a1, q, b0, b1, r, max(t.d for t in terms))
-
-
-def _delta(forms: Sequence[tuple], spans: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """delta_d(s) of each `_delta_form` at every shift s with |s_c| <= spans[c],
-    as a (forms, 2*span_0 + 1, 2*span_1 + 1) float array with the bits of
-    the float of the QuadNumber (the expression of `qfield.quad_float`, with
-    math.sqrt(d) per form), and the mask of the deltas that are exactly 0."""
-    scale, *ints, d = zip(*forms)
-    bound = (1 + sum(spans)) * max(map(abs, chain(*ints)))
-    p, a0, a1, q, b0, b1, r = (_int_array(v, bound)[:, None, None] for v in ints)
-    s0, s1 = (np.arange(-span, span + 1).astype(p.dtype) for span in spans)
-    p = p + a0 * s0[:, None] + a1 * s1
-    q = q + b0 * s0[:, None] + b1 * s1
-    scale, root = (np.array(v)[:, None, None] for v in (scale, [math.sqrt(v) for v in d]))
-    return scale * np.asarray(p / r - (-q / r) * root, dtype=float), (p == 0) & (q == 0)
+    den, d, _ = spec.form
+    row = spec.l_star[k]
+    e, rho = max(t.d for t in row), math.lcm(*(t.r for t in row))
+    (al0, be0), (al1, be1) = ((t.p * (rho // t.r), t.q * (rho // t.r)) for t in row)
+    width = max(map(abs, diffs.ravel().tolist())) + (max(spans) + 1) * den  # >= |a_c|, |b_c|
+    # |P| and |Q| are at most 4*e*max|al_c, be_c|*width
+    x = _int_array(diffs, 4 * e * max(map(abs, (al0, be0, al1, be1))) * width + rho * den)
+    s0, s1 = (np.arange(-span, span + 1).astype(x.dtype) * den for span in spans)
+    a = x[:, 0, 0, None, None] + s0[:, None], x[:, 1, 0, None, None] + s1
+    b = x[:, 0, 1, None, None], x[:, 1, 1, None, None]
+    p = al0 * a[0] + al1 * a[1] + (be0 * b[0] + be1 * b[1]) * e
+    q = al0 * b[0] + al1 * b[1] + be0 * a[0] + be1 * a[1]
+    delta = np.asarray(quad_float(p, q, rho * den, e if e > 1 else d), dtype=float)
+    zero = (p == 0) & (q == 0)
+    if len({t.d for t in row} | {d, 1}) > 2:  # the row and the translates in two fields
+        c, cross = float(_homothety(spec)), b[k] != 0
+        mu = np.asarray(quad_float(a[k], b[k], den, d), dtype=float)
+        delta, zero = np.where(cross, c * mu, delta), zero & ~cross
+    return delta, zero
 
 
 def _hole_entry(hole: Rect, deltas, zeros) -> np.ndarray:
@@ -515,24 +524,12 @@ def _hole_table(
     spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
 ) -> np.ndarray:
     """hole_gram_matrix's entries by [x*M + y, s_0 + span_0, s_1 + span_1],
-    pairs x <= y (`_assemble` reads no other): `_delta_form` once per distinct
-    translate difference, the only exact work, then one array evaluation of
-    `_delta` and `_hole_entry` over (difference, s_0, s_1)."""
+    as `_gram_table` fills the Gram table: one array evaluation of `_delta`
+    and `_hole_entry` over (translate pair, s_0, s_1), from the integer
+    differences of `_differences`."""
     _cell_of_rect(spec, config, hole)
     diffs, spans = _differences(spec, support)
-    keys = diffs.reshape(len(diffs), 4).tolist()
-    codes = np.zeros(len(diffs), dtype=np.intp)
-    ids, forms = {}, []
-    for x in range(spec.m):
-        for y in range(x, spec.m):
-            key = tuple(keys[x * spec.m + y])
-            if key not in ids:
-                ids[key] = len(forms)
-                mu = vec_sub(spec.us[x], spec.us[y])
-                forms.append([_delta_form(spec, mu, d) for d in range(2)])
-            codes[x * spec.m + y] = ids[key]
-    deltas, zeros = zip(*(_delta(axis, spans) for axis in zip(*forms)))
-    return _hole_entry(hole, deltas, zeros)[codes]
+    return _hole_entry(hole, *zip(*(_delta(spec, diffs, spans, k) for k in range(2))))
 
 
 def hole_gram_matrix(

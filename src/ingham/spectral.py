@@ -53,15 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NotHermitianError, SizeMismatchError
-# TranslationConfig and the two-square spec are numpy-free, so they live in
-# lattice for the exact layer; this module keeps their old names.
-from .lattice import (
-    TWO_SQUARE_CONFIG,
-    LatticeSpec,
-    TranslationConfig,
-    _two_square_fractions,
-    two_square_spec,
-)
+from .lattice import LatticeSpec, TranslationConfig, _two_square_fractions
 from .qfield import QuadNumber, Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute

@@ -21,19 +21,24 @@ from conftest import quadrature_inner_product
 from ingham import catalog
 from ingham.geometry import bessel_j0_root, disk_bounds, fixed_polyominoes, omega_cells
 from ingham.gram import SupportSet, frame_bound_check, gram_matrix, inscribed_hole, removal_witness
-from ingham.lattice import LatticePoint, LatticeSpec, minimality_certificate, qvec
+from ingham.lattice import (
+    TWO_SQUARE_CONFIG,
+    LatticePoint,
+    LatticeSpec,
+    minimality_certificate,
+    qvec,
+    two_square_spec,
+)
 from ingham.qfield import QuadNumber
 from ingham.reproduce import _acceptance_support, build_report
 from ingham.search import classify_all, classify_configs, connected_survey, translation_classes
 from ingham.spectral import (
     A2_SWEEP,
-    TWO_SQUARE_CONFIG,
     TranslationConfig,
     build_e,
     ingham_constants,
     trig_identity_residual,
     two_square_delta,
-    two_square_spec,
 )
 
 TWO_PI = 2 * math.pi

@@ -323,12 +323,16 @@ def test_box_of_wrong_arity_names_its_flag(capsys, argv, flag):
     [
         ("--support-radius", "1000000"),
         ("--hole-fraction", "0.25", "--witness-radii", "0,1000000"),
+        # axes longer than sys.maxsize, whose len() raised OverflowError
+        ("--support-radius", "10000000000000000000"),
+        ("--hole-fraction", "0.25", "--witness-radii", "0,10000000000000000000"),
     ],
 )
 def test_oversized_support_is_usage_error(capsys, extra):
-    code, _, err = run_cli(capsys, *HONEYCOMB_VERIFY, *extra)
-    assert code == 2
-    assert "usage error: support of" in err
+    code, out, err = run_cli(capsys, *HONEYCOMB_VERIFY, *extra)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: support of ") and err.endswith(" points exceeds 4000\n")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("r, R", [("2", "1"), ("0", "1")])

@@ -577,6 +577,13 @@ def test_oversized_support_is_refused_before_building():
         SupportSet.centered(spec, 10**6)
     with pytest.raises(ValueError, match="exceeds"):
         SupportSet.box(spec, range(10**9), range(10**9))
+    # axes longer than sys.maxsize, whose len() raises OverflowError
+    with pytest.raises(ValueError, match="exceeds"):
+        SupportSet.centered(spec, 10**19)
+    with pytest.raises(ValueError, match="exceeds"):
+        SupportSet.box(spec, range(2**63), range(1))
+    with pytest.raises(ValueError, match="axis ys is empty"):
+        SupportSet.box(spec, range(2**63), range(0))
 
 
 def test_empty_and_non_box_axes_are_refused():
@@ -638,6 +645,21 @@ def test_mixed_field_hole_matches_quadrature_oracle():
         want = quadrature_hole_inner_product(spec, hole, p, q)
         assert abs(got - want) < 1e-8, (p, q)
     support = _random_box(spec, 0)
+    want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
+    assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
+
+
+@pytest.mark.parametrize("r, R, radius", [("1/3", "2/3", 3), ("2/3", "5/3", 2), ("1/5", "4/5", 2)])
+def test_two_square_hole_takes_the_oracle_branch_per_pair(r, R, radius):
+    """L* = c*I in Q(sqrt 5), Q(sqrt 29) and Q(sqrt 17), the translates in
+    Q(sqrt 2): delta_k is the exact product c*mu_k where mu_k is rational and
+    float(c) times the float of mu_k elsewhere, as `hole_inner_product` takes
+    it.  The float product for every pair gives other bits at these sides
+    and radii (not at radius 1, nor at (1, 3) up to radius 3)."""
+    entry = catalog.get("two_square", r=Fraction(r), R=Fraction(R))
+    spec, config = entry.spec, entry.default_configs[entry.primary_config]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+    support = SupportSet.centered(spec, radius)
     want = _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), support.items)
     assert _same_bits(hole_gram_matrix(spec, config, support, hole), want)
 
@@ -723,6 +745,9 @@ def _field_numbers(draw, n):
 
 
 _INTS = [QuadNumber(k) for k in (1, 0, 0, 2, 3, -1)]
+_OVER_SWITCH = [QuadNumber(Fraction(1, 10**12 + 39)), QuadNumber(0), QuadNumber(0),
+                QuadNumber(1), QuadNumber(Fraction(3, 10**12 + 39), Fraction(1, 10**12 + 39), 2),
+                QuadNumber(1)]
 
 
 def _ints(values, *more):
@@ -743,25 +768,29 @@ SHIFTS = range(-6, 7)
 @given(numbers=_field_numbers(6))
 @example(numbers=_INTS)  # s = (-3, 1): mu + s = 0, phi's zero branch and both deltas 0;
 # s_0 = -2: mu_0 + s_0 = 1, phi's integer branch
+@example(numbers=_OVER_SWITCH)  # rho*den = (10**12 + 39)**2: Python ints
 def test_integer_forms_match_quadnumber_arithmetic(numbers):
-    """phi of (p + s*r, q, r, d) and the floats of a `_delta_form` at every
-    shift s with |s_c| <= 6 have the bits of phi(mu + s) and
-    float(row . (mu + s)) in QuadNumbers, and the delta's zero mask is
-    where row . (mu + s) is exactly 0."""
+    """phi of (p + s*r, q, r, d) and the `_delta` floats of the translate
+    difference u_0 - u_1 = mu at every shift s with |s_c| <= 6 have the bits
+    of phi(mu + s) and float(row . (mu + s)) in QuadNumbers, and the delta's
+    zero mask is where row . (mu + s) is exactly 0."""
     r00, r01, r10, r11, *mu = numbers
     t = mu[0]
     got = _phi_bits(_ints([t.p + s * t.r for s in SHIFTS], t.r), _ints([t.q], t.r), t.r, t.d)
     assert got == [_bits(_phi_reference(t + s)) for s in SHIFTS]
-    spec = LatticeSpec("random", ((r00, r01), (r10, r11)), ())
-    for d, row in enumerate(spec.l_star):
-        values, zeros = gram._delta([gram._delta_form(spec, tuple(mu), d)], (6, 6))
+    zero_vec = (QuadNumber(0), QuadNumber(0))
+    spec = LatticeSpec("random", ((r00, r01), (r10, r11)), (tuple(mu), zero_vec))
+    diffs, spans = gram._differences(spec, SupportSet.box(spec, range(7), range(7)))
+    assert spans == (6, 6)
+    for k, row in enumerate(spec.l_star):
+        values, zeros = gram._delta(spec, diffs, spans, k)
         for s0 in SHIFTS:
             for s1 in SHIFTS:
                 delta = vec_dot(row, vec_add(mu, (QuadNumber(s0), QuadNumber(s1))))
-                zero = zeros[0, s0 + 6, s1 + 6]
+                zero = zeros[1, s0 + 6, s1 + 6]  # pair (0, 1)
                 assert zero == delta.is_zero()
                 if not zero:
-                    assert _bits(values[0, s0 + 6, s1 + 6]) == _bits(float(delta))
+                    assert _bits(values[1, s0 + 6, s1 + 6]) == _bits(float(delta))
 
 
 @settings(max_examples=200, deadline=None)

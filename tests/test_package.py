@@ -22,12 +22,12 @@ EAGER_EXPORTS = {
     "qfield": ("QuadNumber",),
     "lattice": (
         "LatticePoint", "LatticeSpec", "RealizedPoint", "contains", "line_lattice_subset",
-        "minimality_certificate", "realize_points", "validate_spec",
+        "minimality_certificate", "realize_points", "two_square_spec", "validate_spec",
     ),
     "spectral": (
         "A2_DET_TOL", "SpectralResult", "TranslationConfig", "build_e", "check_a2",
         "hermitian_extremes", "ingham_constants", "trig_identity_residual",
-        "two_square_delta", "two_square_spec",
+        "two_square_delta",
     ),
     "geometry": (
         "DiskBounds", "DomainGeometry", "PolyominoShape", "area_check", "bessel_j0_root",
@@ -75,8 +75,7 @@ def test_a_star_import_binds_every_public_name_and_submodule():
 def test_the_numpy_free_names_are_defined_once_in_lattice():
     from ingham import catalog, geometry, lattice, spectral
 
-    for name in ("TranslationConfig", "two_square_spec", "TWO_SQUARE_CONFIG"):
-        assert getattr(spectral, name) is getattr(lattice, name)
+    assert spectral.TranslationConfig is lattice.TranslationConfig
     for name in ("TranslationConfig", "two_square_spec"):
         assert getattr(ingham, name).__module__ == "ingham.lattice"
     assert geometry.TranslationConfig is catalog.TranslationConfig is lattice.TranslationConfig

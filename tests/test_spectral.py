@@ -19,14 +19,13 @@ from ingham.errors import (
     NotHermitianError,
     SizeMismatchError,
 )
-from ingham.lattice import LatticeSpec
+from ingham.lattice import TWO_SQUARE_CONFIG, LatticeSpec, two_square_spec
 from ingham.qfield import QuadNumber
 from ingham.spectral import (
     A2_SWEEP,
     COORD_LIMIT,
     D4,
     KEY_LIMIT,
-    TWO_SQUARE_CONFIG,
     TranslationConfig,
     a2_holds,
     a2_stable,
@@ -42,7 +41,6 @@ from ingham.spectral import (
     phase_columns,
     trig_identity_residual,
     two_square_delta,
-    two_square_spec,
 )
 
 
