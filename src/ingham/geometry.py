@@ -151,21 +151,36 @@ def is_connected(cells) -> bool:
 def connected_rows(points, idx: np.ndarray) -> np.ndarray:
     """Edge connectivity of each configuration points[idx[i]], as `is_connected`.
 
-    Per chunk of configurations (`spectral.chunks`): the m x m adjacency
-    |dx| + |dy| == 1 with the identity added, squared ceil(log2 m) times in
-    boolean arithmetic, reaches every path of length m - 1 or less; a
-    configuration is connected when row 0 reaches every cell.
+    Per chunk of configurations (`spectral.chunks`), held by columns as
+    (m, chunk) arrays: a cell pair at |dx| + |dy| == 1 is an edge, and
+    reachability from cell 0 is propagated over the m(m - 1)/2 pairs, both
+    ways, for m - 1 rounds, one elementwise boolean step per pair (a pair
+    with no edge in the chunk is skipped).  Each round reaches at least one
+    more step of every path, so every cell at distance m - 1 or less is
+    reached; a configuration is connected when every cell is.
     """
-    pts = np.asarray(points, dtype=np.int64).reshape(-1, 2)
+    x, y = np.asarray(points, dtype=np.int64).reshape(-1, 2).T
     m = idx.shape[-1]
-    eye = np.eye(m, dtype=bool)
+    pairs = [(a, b) for a in range(m) for b in range(a + 1, m)]
+    first, second = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     out = np.empty(len(idx), dtype=bool)
     for rows in chunks(len(idx)):
-        cells = pts[idx[rows]]  # (chunk, m, 2)
-        reach = (np.abs(cells[:, :, None] - cells[:, None]).sum(-1) == 1) | eye
-        for _ in range((m - 1).bit_length()):
-            reach = reach @ reach
-        out[rows] = reach[:, 0].all(-1)
+        cells = idx[rows].T  # (m, chunk)
+        cx, cy = x[cells], y[cells]
+        dist = np.abs(cx[first] - cx[second])
+        dist += np.abs(cy[first] - cy[second])
+        edges = dist == 1  # (pairs, chunk)
+        live = [(a, b, edge) for (a, b), edge, any_ in zip(pairs, edges, edges.any(axis=1)) if any_]
+        reach = np.zeros(cells.shape, dtype=bool)
+        reach[0] = True
+        link = np.empty(len(reach[0]), dtype=bool)
+        for _ in range(m - 1):
+            for a, b, edge in live:
+                np.logical_or(reach[a], reach[b], out=link)
+                link &= edge
+                reach[a] |= link
+                reach[b] |= link
+        out[rows] = reach.all(axis=0)
     return out
 
 

@@ -2,11 +2,13 @@
 
 A survey is columnar from enumeration to CSV.  classify_all enumerates the
 m-subsets of an integer grid as an (N, m) index array into `grid_points`,
-built in numpy one block of rows at a time (`combination_table`);
-`spectral.classes` maps each row to the canonical configuration of its class
-under translation and the tiling's certified symmetries, on integer keys (one
-int64 code per point and per image cell, each symmetry image folded into
-int64 words), and the spectral kernel (`spectral.spectra`) and
+built in numpy one block of rows at a time and stored by columns
+(`combination_table`), so its rows' cells are increasing and its transpose
+is the (m, N) array `spectral.classes` reads, with neither a copy nor a
+sort; `spectral.classes` maps each row to the canonical configuration of its
+class under translation and the tiling's certified symmetries, on integer
+keys (one int64 code per point and per image cell, each symmetry image
+folded into int64 words), and the spectral kernel (`spectral.spectra`) and
 `geometry.connected_rows` run on those representatives alone, in chunks of
 `spectral.CHUNK_ROWS`.  The result holds numpy columns (`SurveyRecords`): each
 value once per class and each row's class, with no per-row copy of a value;
@@ -14,13 +16,13 @@ a `SurveyRecord` is built only when one is indexed or iterated.  Every
 configuration carries its class representative's values, so its bits do not
 depend on the survey, the grid or the list it came in.  Counts, rankings and
 CSV rows read the class columns, gathered through each row's class where
-they need rows.  The CSV formats each class's numbers once and
-takes a row's configuration string from a table of prefixes shared by
-consecutive rows (built by m - 1 object-array column adds) plus its last
-cell's label; `survey_csv_rows` zips these into tuples, and
-`write_survey_csv` writes each chunk of rows as one string, a row being its
-configuration string and its class's tail, with no per-row tuple.  Surveys
-larger than MAX_SURVEY_CONFIGS are refused before enumeration.
+they need rows.  The CSV formats each class's numbers once and each point's
+label once, as fixed-width byte strings; a chunk of rows is gathered from
+those tables into one packed record array and taken as one bytes object
+(`_row_chunks`).  `survey_csv_rows` decodes and splits each chunk's
+configuration strings once and zips them into tuples, and
+`write_survey_csv` writes each chunk's bytes, with no per-row string.
+Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.
 This module owns enumeration, columns, grouping and ranking; phases,
 symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
 belong to the kernel.
@@ -46,17 +48,16 @@ Config = tuple[tuple[int, int], ...]
 # the result of 2M configurations is at most 208 MB, beside 26 B of values per
 # class.  The index table is written in place, so enumerating needs no memory
 # beyond it (tracemalloc peak 8m B per configuration).  While the survey runs,
-# the class reduction adds about 97 B per configuration (tracemalloc peak,
-# snub square at grids 6 and 7, m = 4) and the kernel one chunk of working
-# memory.  write_survey_csv holds one chunk of rows as strings (a configuration
-# string per row, then the chunk's text), beside one tail string per class and
-# a table of one prefix string per run of rows that share their first m - 1
-# cells: a run is about 12 rows at snub square grid 6 and 6 at grid 4 (m = 4),
-# but about 2 in a fixed-polyomino list, whose table then holds a string for
-# every other row.  The full list of survey_csv_rows costs about 165 B per
-# configuration more, as rows share their class's number strings: the survey
-# benchmark (snub square at grid 6, 211,876 configurations, its largest) peaks
-# at about 103 MB.  Snub square (M = 4) at grid 8 is 1.66M.
+# the class reduction adds about 80 B per configuration (tracemalloc peak,
+# snub square at grid 6; 78 B at grid 7, m = 4) and the kernel one chunk of
+# working memory.  write_survey_csv holds one chunk of rows as a packed record
+# array and its bytes, beside byte tables of the point labels and one tail
+# per class: its tracemalloc peak beyond the result is 2.0 MB at snub square
+# grid 6 and 4.8 MB at grid 7, mostly the per-class strings.  The full list of
+# survey_csv_rows costs about 166 B per configuration more, as rows share
+# their class's number strings: the survey benchmark (snub square at grid 6,
+# 211,876 configurations, its largest) peaks at about 99 MB resident.  Snub
+# square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -160,7 +161,9 @@ def config_count(grid_max: int, m: int) -> int:
 
 def combination_table(size: int, m: int) -> np.ndarray:
     """The m-subsets of range(size) as a (C(size, m), m) intp array, in
-    lexicographic order: `np.array(list(combinations(range(size), m)))`.
+    lexicographic order: `np.array(list(combinations(range(size), m)))`,
+    stored by columns (order="F"), so its transpose, the (m, N) cells that
+    `spectral.classes` reads, is C-contiguous without a copy.
 
     Built in place, one block of rows per first element.  The table
     T(size, j) is, for i = 0, 1, ..., i followed by the last C(size-1-i, j-1)
@@ -168,8 +171,8 @@ def combination_table(size: int, m: int) -> np.ndarray:
     range(size-1) whose first element is at least i.  So out[:C(size-k, m-k),
     k:] holds T(size-k, m-k) + k, built for k = m-1 down to 0; its block
     i = 0 is already in place, and the block of each i > 0 is a copy of rows
-    above it."""
-    out = np.empty((math.comb(size, m), m), dtype=np.intp)
+    above it, one contiguous column at a time."""
+    out = np.empty((math.comb(size, m), m), dtype=np.intp, order="F")
     for k in range(m - 1, -1, -1):
         width = m - k  # T(size - k, width) + k goes into columns k:
         tail = math.comb(size - k - 1, width - 1)  # rows of T(size-k-1, width-1)
@@ -177,8 +180,9 @@ def combination_table(size: int, m: int) -> np.ndarray:
         for i in range(size - m + 1):
             rows = math.comb(size - k - 1 - i, width - 1)
             out[top:top + rows, k] = k + i
-            if i:
-                out[top:top + rows, k + 1:] = out[tail - rows:tail, k + 1:]
+            if i:  # a column at a time, whose two blocks numpy sees do not overlap
+                for c in range(k + 1, m):
+                    out[top:top + rows, c] = out[tail - rows:tail, c]
             top += rows
     return out
 
@@ -277,64 +281,74 @@ def _class_strings(cols: ClassColumns) -> tuple[list[str], list[str], list[str]]
     return fmt(cols.kappa1), fmt(cols.kappa2), ratios
 
 
-def _config_chunks(rec: SurveyRecords) -> Iterator[tuple[slice, np.ndarray]]:
-    """The rows' configuration strings "a,b;c,d;...", one chunk of
-    `spectral.chunks` at a time, as an object array beside the chunk's rows.
+def _row_chunks(
+    rec: SurveyRecords, lead: str, end: str, tails: list[str] | None = None
+) -> Iterator[tuple[slice, bytes]]:
+    """The rows as ASCII bytes, one chunk of `spectral.chunks` at a time
+    beside the chunk's rows: per row, lead, its configuration "a,b;c,d;...",
+    end and, given tails (one string per class), its class's tail.
 
-    The point labels are formatted once.  A run of consecutive rows that
-    share their first m - 1 cells shares one prefix string "a,b;...;" (a grid
-    survey's rows are lexicographic, so its runs are long; fixed-polyomino
-    lists have about 2 rows a run, and a shuffled list one).  The prefixes
-    are built once per survey, one string per run, and a row's
-    configuration string is its run's prefix plus the label of its last
-    cell."""
-    labels = np.array([f"{a},{b}" for a, b in rec.points], dtype=object)
-    fresh = np.zeros(len(rec), dtype=bool)  # a row whose first m - 1 cells start a run
-    fresh[:1] = True
-    for col in rec.idx[:, :-1].T:
-        fresh[1:] |= col[1:] != col[:-1]
-    starts = np.flatnonzero(fresh)
-    joined = np.array([f"{a},{b};" for a, b in rec.points], dtype=object)
-    prefixes = np.full(len(starts), "", dtype=object)
-    for col in rec.idx[starts, :-1].T:
-        prefixes += joined[col]
+    The point labels are formatted once, as fixed-width byte strings, one
+    table for the first cell (lead + label + ";"), the middle cells (label
+    + ";") and the last (label + end).  A chunk gathers each row's labels,
+    and its tail, into one packed record array of those byte fields and
+    takes its bytes at once.  numpy pads a shorter byte string with NULs,
+    which are stripped only when the widths of a field differ."""
+    m = rec.idx.shape[1]
+    labels = [f"{a},{b}" for a, b in rec.points]
+    table = lambda pre, post: np.array([pre + s + post for s in labels], dtype=bytes)
+    if m == 1:
+        fields = [table(lead, end)]
+    else:
+        fields = [table(lead, ";"), *[table("", ";")] * (m - 2), table("", end)]
+    varied = lambda strings: len(set(map(len, strings))) > 1
+    padded = varied(labels)
+    if tails is not None:
+        padded |= varied(tails)
+        fields.append(np.array(tails, dtype=bytes))
+    row = np.dtype([(f"f{k}", field.dtype) for k, field in enumerate(fields)])
     for rows in chunks(len(rec)):
-        run = np.searchsorted(starts, np.arange(*rows.indices(len(rec))), side="right") - 1
-        yield rows, prefixes[run] + labels[rec.idx[rows, -1]]
+        cols = [*rec.idx[rows].T, rec.klass[rows]]
+        buf = np.empty(len(cols[0]), dtype=row)
+        for name, field, col in zip(row.names, fields, cols):
+            buf[name] = field[col]
+        text = buf.tobytes()
+        yield rows, text.translate(None, b"\0") if padded else text
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
-    """(config, connected, a2, kappa1, kappa2, ratio) rows for export."""
+    """(config, connected, a2, kappa1, kappa2, ratio) rows for export: each
+    chunk's configuration strings are one decoded string, split once."""
     rec = result.records
     cols = rec.classes
     per_class = [cols.connected.astype(int), cols.a2.astype(int),
                  *(np.array(col, dtype=object) for col in _class_strings(cols))]
     out: list[tuple] = []
-    for rows, configs in _config_chunks(rec):
+    for rows, text in _row_chunks(rec, "", "\n"):
         klass = rec.klass[rows]
-        out.extend(zip(configs.tolist(), *(col[klass].tolist() for col in per_class)))
+        configs = text[:-1].decode("ascii").split("\n")
+        out.extend(zip(configs, *(col[klass].tolist() for col in per_class)))
     return out
 
 
 def write_survey_csv(path, result: SurveyResult) -> None:
     """The header and survey_csv_rows as a CSV file, byte for byte as
-    `csv.writer` (excel dialect) writes them, one string per chunk of rows.
+    `csv.writer` (excel dialect) writes them, one write per chunk of rows.
 
     A configuration string always holds a comma, so the writer quotes it,
     and no other field needs quoting; the numbers carry no comma and an
-    empty ratio stays empty.  So a row is '"' + configuration + '",' +
-    its class's tail "connected,a2,kappa1,kappa2,ratio\\r\\n", and the tail
-    is formatted once per class.  The rows never all exist at once; the
-    prefix table of `_config_chunks` (one string per run of rows sharing
-    their first m - 1 cells) does."""
+    empty ratio stays empty.  So a row is '"' + configuration + '"' + its
+    class's tail ",connected,a2,kappa1,kappa2,ratio\\r\\n", and the tail is
+    formatted once per class.  Each chunk's rows are one bytes object
+    (`_row_chunks`); the rows never all exist at once."""
     rec = result.records
     cols = rec.classes
-    tails = np.array([
-        f'",{int(c)},{int(a)},{k1},{k2},{ratio}\r\n'
+    tails = [
+        f",{int(c)},{int(a)},{k1},{k2},{ratio}\r\n"
         for c, a, k1, k2, ratio in zip(cols.connected.tolist(), cols.a2.tolist(),
                                        *_class_strings(cols))
-    ], dtype=object)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_HEADER) + "\r\n")
-        for rows, configs in _config_chunks(rec):
-            fh.write('"' + '"'.join((configs + tails[rec.klass[rows]]).tolist()))
+    ]
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_HEADER) + "\r\n").encode())
+        for _, text in _row_chunks(rec, '"', '"', tails):
+            fh.write(text)

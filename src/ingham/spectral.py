@@ -27,9 +27,11 @@ on those alone, so a configuration takes its class representative's bits
 whatever its batch, order or chunk; `geometry.polyominoes` and
 `search.translation_classes` pass the identity alone, `D4[:1]`.  `classes`
 holds configurations by columns, as (m, rows) arrays and their symmetry
-images as (m, G, rows), and sorts each one's cells in `_sort_cells`: a large
-batch of at most six cells by Batcher's odd-even merge network on m wires
-(`_network`), a fixed sequence of column-wise minimum/maximum, and a small
+images as (m, G, rows), and sorts each one's cells in `_sort_cells`, except
+input rows whose cells already increase (a grid survey's), which it reads
+as they are: a large batch of at most six cells by Batcher's odd-even merge
+network on m wires (`_network`), a fixed sequence of column-wise
+minimum/maximum, and a small
 one, such as the single configuration of `ingham_constants`, or one of more
 cells by np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
 compare-exchange, where it overtook np.sort at 43 to 96 for m = 2 to 6 (a
@@ -97,6 +99,15 @@ COORD_LIMIT = 2**61
 # `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its
 # point codes and image words.
 KEY_LIMIT = 2**62
+
+# `_ranks` counts a column whose span (max - min + 1) is at most this many
+# times its length, and argsorts any other.  The count's int32 table takes 4 B
+# per value of the span beside 20 B per entry (the shifted column, its int32
+# ranks, their intp copy and the distinct values), against 41 B per entry for
+# the argsort (tracemalloc peaks of random int64 columns of 200,000 entries,
+# numpy 2.4): 4 * 5 + 20 = 40 keeps the count's peak no higher than the
+# argsort's even when every entry is distinct.
+RANK_SPAN_PER_KEY = 5
 
 
 # `_sort_cells` sorts a batch of m <= 6 cells by the network `_network(m)` when
@@ -257,8 +268,26 @@ def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
 
 def _ranks(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct values of an integer column and each entry's index
-    among them: np.unique(column, return_inverse=True) through one stable
-    argsort, which touches fewer numpy kernels (resident memory)."""
+    among them: np.unique(column, return_inverse=True).
+
+    A dense column, of span at most RANK_SPAN_PER_KEY times its length,
+    is counted: a table over the span marks the values present, and its
+    cumulative sum numbers them in order (int32, exact below 2**31 entries,
+    as `_lex_ids` is).  Any other is ranked through one stable argsort,
+    which touches fewer numpy kernels than np.unique (resident memory)."""
+    n = len(column)
+    lo, hi = (int(column.min()), int(column.max())) if n else (0, 0)
+    if hi - lo < RANK_SPAN_PER_KEY * n:
+        shifted = column - lo
+        table = np.zeros(hi - lo + 1, dtype=np.int32)
+        table[shifted] = 1
+        uniq = np.flatnonzero(table)
+        uniq += lo
+        np.cumsum(table, out=table)
+        table -= 1
+        rank = table[shifted]
+        del table, shifted  # before the intp copy, as RANK_SPAN_PER_KEY assumes
+        return uniq, rank.astype(np.intp)
     order = np.argsort(column, kind="stable")
     ordered = column[order]
     new = np.empty(len(ordered), dtype=bool)
@@ -379,7 +408,10 @@ def classes(
 
     Rows are held by columns: the cells of the n rows as an (m, n) array,
     the images of the translation classes' representatives as (m, G, rows)
-    per chunk, each sorted over its first axis by `_sort_cells`: by a
+    per chunk, each sorted over its first axis by `_sort_cells`.  When every
+    row's cells already increase, as in `search.combination_table`, whose
+    transpose is C-contiguous, the rows are read as idx.T with neither a
+    copy nor a sort; otherwise they are copied and sorted.  A sort is by a
     compare-exchange network when a batch of at most six cells has at least
     NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange (the measured
     crossover), else by np.sort.  Each
@@ -406,8 +438,10 @@ def classes(
     # (half the gather of the coordinate offsets: on a grid survey the class
     # reduction takes about a quarter less time and a third less memory)
     codes = pts[:, 0] * (2 * sy + 1) + pts[:, 1] if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT else pts
-    cells = np.array(idx.T, order="C")  # (m, n): the rows' point indices by columns
-    _sort_cells(cells)
+    cells = idx.T  # (m, n): the rows' point indices by columns
+    if not (cells[1:] > cells[:-1]).all():
+        cells = np.array(cells, order="C")
+        _sort_cells(cells)
     key = codes[cells]
     del cells
     key = (key[1:] - key[0]).swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim)

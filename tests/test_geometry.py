@@ -2,14 +2,16 @@ import math
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyomino_oracle
-from ingham import catalog
+from ingham import catalog, spectral
 from ingham.errors import SizeTooLargeError
 from ingham.geometry import (
+    POLYOMINO_MAX,
     _redelmeier,
     area_check,
     bessel_j0,
@@ -240,3 +242,48 @@ def test_connected_rows_on_every_small_configuration():
     split = line[:6] + [(k, 0) for k in range(7, 13)]
     points, idx = config_index([line, hook, split])
     assert connected_rows(points, idx).tolist() == [True, True, False]
+
+
+def _seeded_configurations(m: int, rng) -> list[list[tuple[int, int]]]:
+    """Configurations of m cells, most of them not connected: scattered in a
+    box of side m + 1, and grown from a cell by unit steps, then with one
+    cell moved two steps away (often leaving it or another cell alone)."""
+    box = [(x, y) for x in range(m + 1) for y in range(m + 1)]
+    configs = [[box[k] for k in rng.choice(len(box), m, replace=False)] for _ in range(40)]
+    for _ in range(40):
+        cells = [(0, 0)]
+        while len(cells) < m:
+            x, y = cells[rng.integers(len(cells))]
+            dx, dy = STEPS[rng.integers(4)]
+            if (x + dx, y + dy) not in cells:
+                cells.append((x + dx, y + dy))
+        configs.append(list(cells))
+        k = int(rng.integers(m))
+        x, y = cells[k]
+        dx, dy = STEPS[rng.integers(4)]
+        if (x + 2 * dx, y + 2 * dy) not in cells:
+            cells[k] = (x + 2 * dx, y + 2 * dy)
+            configs.append(cells)
+    return configs
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 61])
+def test_connected_rows_on_every_polyomino_and_seeded_splits(chunk_rows, monkeypatch):
+    """Every fixed polyomino up to POLYOMINO_MAX cells is connected, and
+    seeded configurations of 1 to 12 cells, mostly not connected, match
+    `is_connected`, in chunks of CHUNK_ROWS and of 61 rows."""
+    if chunk_rows is not None:
+        monkeypatch.setattr(spectral, "CHUNK_ROWS", chunk_rows)
+    for size in range(1, POLYOMINO_MAX + 1):
+        shapes = polyominoes(size)
+        cells = [[shapes.points[k] for k in row] for row in shapes.idx.tolist()]
+        got = connected_rows(shapes.points, shapes.idx).tolist()
+        assert got == [is_connected(c) for c in cells] == [True] * len(cells), size
+    assert len(shapes.idx) > spectral.CHUNK_ROWS  # 2725 8-ominoes: more than one chunk
+    rng = np.random.default_rng(12)
+    for m in range(1, 13):
+        configs = _seeded_configurations(m, rng)
+        points, idx = config_index(configs)
+        got = connected_rows(points, idx).tolist()
+        assert got == [is_connected(c) for c in configs], m
+        assert m == 1 or not all(got), m

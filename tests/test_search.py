@@ -317,8 +317,8 @@ def _shuffled_snub_square():
 
 
 @pytest.mark.parametrize("make", [
-    _shuffled_snub_square,  # 5 of 1820 rows share their prefix with the row before
-    lambda: classify_all(catalog.get("square").spec, 4, 1),  # m = 1: no prefix at all
+    _shuffled_snub_square,  # rows in no order: cells shared with the row before are rare
+    lambda: classify_all(catalog.get("square").spec, 4, 1),  # m = 1: one label table, no ";"
     lambda: classify_all(catalog.get("truncated_trihexagonal").spec, 3, 12),  # m = 12
 ], ids=["shuffled", "m1", "m12"])
 def test_csv_rows_of_the_degenerate_prefix_cases(make):
@@ -328,7 +328,8 @@ def test_csv_rows_of_the_degenerate_prefix_cases(make):
 @pytest.mark.parametrize("chunk_rows", [7, 300, None])
 def test_csv_prefix_runs_across_chunk_boundaries(monkeypatch, chunk_rows):
     """Grid 4 rows in chunks of 7, 300 and CHUNK_ROWS: runs of rows sharing
-    their first three cells cross chunk boundaries."""
+    their first three cells cross chunk boundaries, and each chunk's bytes
+    start and end on a row."""
     result = classify_all(catalog.get("snub_square").spec, 4, 4)  # 12650 configurations
     if chunk_rows is not None:
         monkeypatch.setattr(spectral, "CHUNK_ROWS", chunk_rows)
@@ -400,7 +401,7 @@ def _survey_of(name, source, seed):
 )
 @example(name="snub_square", source="grid", chunk_rows=300, seed=0)  # 76 failing rows, 7 chunks
 @example(name="truncated_square", source="connected", chunk_rows=4, seed=0)  # 9 failing shapes
-@example(name="square", source="grid", chunk_rows=None, seed=0)  # m = 1: no prefix
+@example(name="square", source="grid", chunk_rows=None, seed=0)  # m = 1: one label table
 @example(name="square", source="list", chunk_rows=3, seed=1)
 @example(name="trihexagonal", source="list", chunk_rows=1, seed=2)
 def test_written_csv_is_csv_writer_over_the_rows(tmp_path_factory, name, source, chunk_rows, seed):
@@ -414,6 +415,36 @@ def test_written_csv_is_csv_writer_over_the_rows(tmp_path_factory, name, source,
         rows = survey_csv_rows(result)
         write_survey_csv(path, result)
     assert path.read_bytes() == _csv_text([CSV_HEADER, *rows]).encode()
+
+
+def _mixed_width_survey(name, seed):
+    """A shuffled list of configurations whose point labels differ in width:
+    one-digit, negative, multi-digit and near +-COORD_LIMIT coordinates."""
+    spec = catalog.get(name).spec
+    limit = spectral.COORD_LIMIT
+    values = [0, 1, -1, 7, -8, 12, -345, 6789, -98765, limit - 1, 1 - limit, limit - 12345]
+    rng = np.random.default_rng(seed)
+    cells = [(x, y) for x in values for y in values]
+    configs = {tuple(cells[k] for k in rng.choice(len(cells), spec.m, replace=False))
+               for _ in range(40)}
+    return as_result(classify_configs(spec, sorted(configs, key=lambda c: rng.random())))
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, None])
+@pytest.mark.parametrize("name", ["square", "trihexagonal", "snub_square"])
+def test_csv_of_labels_of_different_widths(tmp_path, monkeypatch, name, chunk_rows):
+    """Labels of different widths are NUL-padded in their byte tables and
+    stripped: survey_csv_rows equals the record-by-record oracle, and
+    write_survey_csv writes the bytes csv.writer writes, in any chunks."""
+    result = _mixed_width_survey(name, len(name))
+    widths = {len(f"{a},{b}") for a, b in result.records.points}
+    assert len(widths) > 1 and max(widths) > 30
+    if chunk_rows is not None:
+        monkeypatch.setattr(spectral, "CHUNK_ROWS", chunk_rows)
+    _assert_rows_match_oracle(result)
+    write_survey_csv(tmp_path / "survey.csv", result)
+    want = _csv_text([CSV_HEADER, *_csv_oracle(result)]).encode()
+    assert (tmp_path / "survey.csv").read_bytes() == want
 
 
 def test_shuffled_explicit_list_gives_the_survey_bits():
@@ -595,3 +626,4 @@ def test_combination_table_is_lexicographic_combinations():
         assert table.dtype == np.intp, (size, m)
         assert table.shape == want.shape == (math.comb(size, m), m), (size, m)
         assert np.array_equal(table, want), (size, m)
+        assert table.T.flags.c_contiguous, (size, m)  # the (m, N) cells of `classes`, no copy

@@ -623,6 +623,88 @@ def test_classes_of_a_grid_match_the_coordinate_pair_reduction(name, grid, monke
     _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
 
 
+@pytest.mark.parametrize("name, source, size", [
+    ("snub_square", "grid", 5), ("truncated_trihexagonal", "grid", 3),
+    ("square", "grid", 4), ("snub_hexagonal", "polyominoes", 6),
+    ("truncated_square", "polyominoes", 8),  # the tiling's group, on 8-ominoes
+])
+def test_classes_of_sorted_and_permuted_rows_agree(name, source, size, monkeypatch):
+    """Rows whose cells are already increasing skip the sort of `classes`;
+    the same configurations with each row's cells permuted take it, and
+    both give the same classes.  The sort only merges translation classes
+    early (a translation class's key is its offsets from its first cell), so
+    the branch taken is watched through `_sort_cells`: the rows are the
+    (m, rows) array it gets, the symmetry images (m, G, rows) ones."""
+    spec = _spec(name)
+    if source == "grid":
+        from ingham.search import combination_table, grid_points
+        points = grid_points(size)
+        rows = combination_table(len(points), spec.m)
+    else:
+        from ingham.geometry import fixed_polyominoes
+        points, rows = config_index([shape.cells for shape in fixed_polyominoes(size)])
+    permuted = np.random.default_rng(size).permuted(rows, axis=1)
+    assert (rows[:, 1:] > rows[:, :-1]).all()
+    assert spec.m == 1 or not (permuted[:, 1:] > permuted[:, :-1]).all()
+    group = symmetries(spec)
+    sorts = []
+    sort_cells = spectral._sort_cells
+    monkeypatch.setattr(spectral, "_sort_cells", lambda cells: sorts.append(cells.ndim) or sort_cells(cells))
+    got = classes(group, points, rows)
+    assert 2 not in sorts
+    sorts.clear()
+    _assert_same_classes(got, classes(group, points, permuted))
+    assert (2 in sorts) == (spec.m > 1)
+    monkeypatch.undo()
+    _assert_same_classes(got, classes_oracle.classes(group, points, rows))
+
+
+RANK_VALUES = st.one_of(
+    st.integers(-3, 3), st.integers(-2**62, 2**62),
+    st.integers(-40, 40).map(lambda v: KEY_LIMIT - 40 + v),
+    st.integers(-40, 40).map(lambda v: 40 - KEY_LIMIT + v),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(RANK_VALUES, max_size=40), span_per_key=st.sampled_from([0, 5, 64]))
+@example(values=[], span_per_key=5)
+@example(values=[7], span_per_key=5)
+@example(values=[-3, -1, -3, 0], span_per_key=5)
+@example(values=[KEY_LIMIT, KEY_LIMIT - 1, KEY_LIMIT], span_per_key=5)
+@example(values=[-KEY_LIMIT, KEY_LIMIT], span_per_key=64)
+def test_ranks_equal_np_unique(values, span_per_key):
+    """Both paths of `_ranks`, the count (a dense column, span at most
+    RANK_SPAN_PER_KEY times its length) and the argsort (0 forces it), equal
+    np.unique(return_inverse=True), values and dtypes."""
+    column = np.array(values, dtype=np.int64)
+    want, inverse = np.unique(column, return_inverse=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "RANK_SPAN_PER_KEY", span_per_key)
+        got, rank = spectral._ranks(column)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert rank.dtype == np.intp and rank.tolist() == inverse.ravel().tolist()
+
+
+@pytest.mark.parametrize("extra, counted", [(-1, True), (0, True), (1, False)])
+def test_ranks_count_up_to_the_span_bound(extra, counted, monkeypatch):
+    """A column of n entries is counted while its span max - min + 1 is at
+    most RANK_SPAN_PER_KEY * n, and argsorted past it; both rank it as
+    np.unique does."""
+    n = 10
+    span = spectral.RANK_SPAN_PER_KEY * n + extra
+    column = np.array([KEY_LIMIT - span + 1] * (n - 1) + [KEY_LIMIT], dtype=np.int64)
+    column[3] += span // 2
+    want, inverse = np.unique(column, return_inverse=True)
+    argsorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(spectral.np, "argsort", lambda *a, **k: argsorts.append(1) or argsort(*a, **k))
+    got, rank = spectral._ranks(column)
+    monkeypatch.undo()
+    assert (not argsorts) == counted
+    assert got.tolist() == want.tolist() and rank.tolist() == inverse.ravel().tolist()
+
+
 def test_coordinates_past_the_limit_are_refused():
     square = _spec("square")
     assert ingham_constants(square, cfg((COORD_LIMIT - 1, 1 - COORD_LIMIT))).satisfies_a2
