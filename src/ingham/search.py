@@ -56,7 +56,7 @@ Config = tuple[tuple[int, int], ...]
 # grid 6 and 4.8 MB at grid 7, mostly the per-class strings.  The full list of
 # survey_csv_rows costs about 166 B per configuration more, as rows share
 # their class's number strings: the survey benchmark (snub square at grid 6,
-# 211,876 configurations, its largest) peaks at about 99 MB resident.  Snub
+# 211,876 configurations, its largest) peaks at about 102 MB resident.  Snub
 # square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
