@@ -26,14 +26,13 @@ the surveys of `search`) passes the tiling's `symmetries` and runs the kernel
 on those alone, so a configuration takes its class representative's bits
 whatever its batch, order or chunk; `geometry.polyominoes` and
 `search.translation_classes` pass the identity alone, `D4[:1]`.  `classes`
-holds configurations by columns, as (m, rows) arrays and their symmetry
-images as (m, G, rows), and sorts each one's cells in `_sort_cells`, except
-input rows whose cells already increase (a grid survey's), which it reads
-as they are: a large batch of at most six cells by Batcher's odd-even merge
-network on m wires (`_network`), a fixed sequence of column-wise
-minimum/maximum, and a small
-one, such as the single configuration of `ingham_constants`, or one of more
-cells by np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
+holds configurations by columns, as (m, rows) arrays read from the input
+rows as they are, and their symmetry images as (m, G, rows), and sorts each
+image's cells in `_sort_cells`: a large batch of at most six cells by
+Batcher's odd-even merge network on m wires (`_network`), a fixed sequence
+of column-wise minimum/maximum, and a small one, such as the images of the
+single configuration of `ingham_constants`, or one of more cells by
+np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
 compare-exchange, where it overtook np.sort at 43 to 96 for m = 2 to 6 (a
 grid survey has thousands); past six cells it gained nothing on real
 batches.  `a2_holds` is
@@ -118,14 +117,13 @@ RANK_SPAN_PER_KEY = 5
 # network first won at 96, 192, 256, 384 and 768 rows for m = 2 to 6 (1, 3,
 # 5, 9 and 12 compare-exchanges), 43 to 96 rows per compare-exchange; at
 # 8,192 rows it took 16 against 302 us at m = 2 and 54 against 318 at m = 4.
-# A grid survey's translation keys (211,876 rows at snub square grid 6) and
-# image chunks (up to G * CHUNK_ROWS rows) lie far above the threshold, the
-# one configuration of `ingham_constants` far below.  Past six cells the
-# network gains nothing on real batches, whose codes ndarray.sort orders
-# faster than random ones: `classes` took 4.3 against 3.8 ms on truncated
-# trihexagonal grid 3 (m = 12), 2.8 against 2.8 ms on the fixed 8-ominoes and
-# 206 against 182 ms on the 11-ominoes under that tiling's group (minima of
-# 5 to 9 runs).
+# A grid survey's image chunks (up to G * CHUNK_ROWS rows) lie far above the
+# threshold, the images of the one configuration of `ingham_constants` far
+# below.  Past six cells the network gains nothing on real batches, whose
+# codes ndarray.sort orders faster than random ones: `classes` took 4.3
+# against 3.8 ms on truncated trihexagonal grid 3 (m = 12), 2.8 against
+# 2.8 ms on the fixed 8-ominoes and 206 against 182 ms on the 11-ominoes
+# under that tiling's group (minima of 5 to 9 runs).
 NETWORK_ROWS_PER_EXCHANGE = 64
 
 
@@ -396,27 +394,29 @@ def classes(
     the A in `group`, of A n translated to minimum 0 with its cells sorted
     (compared as the sequence x_1, y_1, x_2, y_2, ...).  It depends on the
     class alone, not on the batch.  Translation classes come first: a row's
-    offsets from its cell of least index fix it up to translation, and with
-    the points sorted (as `config_index` gives them) that cell is the least
-    in every translate, so all translates share the key.  With the points
-    moved to minimum 0 and spans sx, sy, the code x*(2*sy + 1) + y of a
-    point shifts by the same amount for every cell under a translation, and
-    a difference of codes fixes the offset (dx, dy), as |dy| <= sy; so the
-    m - 1 code differences are the key when the codes stay below KEY_LIMIT,
-    and the 2(m - 1) coordinate offsets otherwise.  The group then acts on
-    one configuration per translation class.
+    offsets from its first cell fix it up to translation, so translates
+    listed with their cells in the same order share the key.  A grid
+    survey's rows all increase over sorted points, so there every translate
+    does; rows in other orders (a polyomino list's) may split a translation
+    class, and the image stage, which sorts every image's cells, merges the
+    parts, so the classes do not depend on the order of a row's cells.
+    With the points moved to minimum 0 and spans sx, sy, the code
+    x*(2*sy + 1) + y of a point shifts by the same amount for every cell
+    under a translation, and a difference of codes fixes the offset
+    (dx, dy), as |dy| <= sy; so the m - 1 code differences are the key when
+    the codes stay below KEY_LIMIT, and the 2(m - 1) coordinate offsets
+    otherwise.  The group then acts on one configuration per translation
+    class.
 
-    Rows are held by columns: the cells of the n rows as an (m, n) array,
+    Rows are held by columns: the cells of the n rows as idx.T, an (m, n)
+    array read as it is (C-contiguous for `search.combination_table`), and
     the images of the translation classes' representatives as (m, G, rows)
-    per chunk, each sorted over its first axis by `_sort_cells`.  When every
-    row's cells already increase, as in `search.combination_table`, whose
-    transpose is C-contiguous, the rows are read as idx.T with neither a
-    copy nor a sort; otherwise they are copied and sorted.  A sort is by a
+    per chunk, each sorted over its first axis by `_sort_cells`: by a
     compare-exchange network when a batch of at most six cells has at least
     NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange (the measured
-    crossover), else by np.sort.  Each
-    image cell gets one code x*base + y, base = box side + 1; codes order as
-    the cells (x, y) do, so sorting a row's codes sorts its cells.  Folding
+    crossover), else by np.sort.  Each image cell gets one code x*base + y,
+    base = box side + 1; codes order as the cells (x, y) do, so sorting a
+    row's codes sorts its cells.  Folding
     the m sorted codes in mixed radix base**2, as many as fit below KEY_LIMIT
     to an int64 word (column multiply-adds), keeps the order of the
     sequences: the words compare lexicographically as the images do, and
@@ -438,12 +438,7 @@ def classes(
     # (half the gather of the coordinate offsets: on a grid survey the class
     # reduction takes about a quarter less time and a third less memory)
     codes = pts[:, 0] * (2 * sy + 1) + pts[:, 1] if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT else pts
-    cells = idx.T  # (m, n): the rows' point indices by columns
-    if not (cells[1:] > cells[:-1]).all():
-        cells = np.array(cells, order="C")
-        _sort_cells(cells)
-    key = codes[cells]
-    del cells
+    key = codes[idx.T]  # (m, n): the rows' point codes by columns
     key = (key[1:] - key[0]).swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim)
     translation_class, first = _lex_ids(key)
     del key  # before the image work

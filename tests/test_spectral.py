@@ -628,13 +628,11 @@ def test_classes_of_a_grid_match_the_coordinate_pair_reduction(name, grid, monke
     ("square", "grid", 4), ("snub_hexagonal", "polyominoes", 6),
     ("truncated_square", "polyominoes", 8),  # the tiling's group, on 8-ominoes
 ])
-def test_classes_of_sorted_and_permuted_rows_agree(name, source, size, monkeypatch):
-    """Rows whose cells are already increasing skip the sort of `classes`;
-    the same configurations with each row's cells permuted take it, and
-    both give the same classes.  The sort only merges translation classes
-    early (a translation class's key is its offsets from its first cell), so
-    the branch taken is watched through `_sort_cells`: the rows are the
-    (m, rows) array it gets, the symmetry images (m, G, rows) ones."""
+def test_classes_of_sorted_and_permuted_rows_agree(name, source, size):
+    """`classes` reads the rows as they are, and a translation class's key is
+    its offsets from its first cell; the same configurations with each row's
+    cells permuted give the same classes, since the image stage sorts every
+    image's cells.  Both equal the coordinate-pair reduction."""
     spec = _spec(name)
     if source == "grid":
         from ingham.search import combination_table, grid_points
@@ -647,15 +645,8 @@ def test_classes_of_sorted_and_permuted_rows_agree(name, source, size, monkeypat
     assert (rows[:, 1:] > rows[:, :-1]).all()
     assert spec.m == 1 or not (permuted[:, 1:] > permuted[:, :-1]).all()
     group = symmetries(spec)
-    sorts = []
-    sort_cells = spectral._sort_cells
-    monkeypatch.setattr(spectral, "_sort_cells", lambda cells: sorts.append(cells.ndim) or sort_cells(cells))
     got = classes(group, points, rows)
-    assert 2 not in sorts
-    sorts.clear()
     _assert_same_classes(got, classes(group, points, permuted))
-    assert (2 in sorts) == (spec.m > 1)
-    monkeypatch.undo()
     _assert_same_classes(got, classes_oracle.classes(group, points, rows))
 
 
