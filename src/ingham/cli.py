@@ -153,6 +153,9 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    holed = args.hole or args.hole_fraction is not None
+    if args.csv and not holed:  # the CSV holds the removal witness
+        raise ValueError("--csv needs --hole or --hole-fraction")
     from .gram import (
         SupportSet,
         _cell_of_rect,
@@ -165,7 +168,7 @@ def cmd_verify(args) -> int:
     config = TranslationConfig.parse(args.config)
     support = SupportSet.centered(entry.spec, args.support_radius)
     hole = supports = None
-    if args.hole or args.hole_fraction is not None:  # refused before the frame-bound work
+    if holed:  # refused before the frame-bound work
         supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
         try:
             if args.hole:
@@ -225,7 +228,8 @@ def cmd_export(args) -> int:
     geom = geometry.omega_cells(entry.spec, config)
     rows = [
         (cell, vertex, f"{x:.12g}", f"{y:.12g}")
-        for cell, vertex, x, y in geometry.cells_csv_rows(geom)
+        for cell, corners in enumerate(geom.cells.tolist())
+        for vertex, (x, y) in enumerate(corners)
     ]
     _write_csv(args.csv, ["cell_index", "vertex_index", "x", "y"], rows)
     return 0

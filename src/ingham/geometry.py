@@ -83,16 +83,12 @@ def _shoelace(poly: np.ndarray) -> float:
 
 def area_check(geometry: DomainGeometry, spec: LatticeSpec) -> float:
     """Polygon-union (shoelace) area, verified against M (2*pi)^2 / |det L|."""
-    want = expected_area(spec, len(geometry.cells))
+    want = len(geometry.cells) * TWO_PI**2 / spec.det_l()
     if abs(geometry.area - want) > 1e-9 * want:
         raise AssertionError(
             f"cell union area {geometry.area!r} != volume formula {want!r}"
         )
     return geometry.area
-
-
-def expected_area(spec: LatticeSpec, m: int) -> float:
-    return m * TWO_PI**2 / spec.det_l()
 
 
 def disk_bounds(geometry: DomainGeometry) -> DiskBounds:
@@ -238,11 +234,3 @@ def fixed_polyominoes(size: int) -> list[PolyominoShape]:
     shapes = polyominoes(size)
     return [PolyominoShape(tuple(shapes.points[k] for k in row)) for row in shapes.idx.tolist()]
 
-
-def cells_csv_rows(geometry: DomainGeometry) -> list[tuple[int, int, float, float]]:
-    """Flatten cell polygons to (cell_index, vertex_index, x, y) rows."""
-    rows = []
-    for k, cell in enumerate(geometry.cells):
-        for v, (x, y) in enumerate(cell):
-            rows.append((k, v, float(x), float(y)))
-    return rows

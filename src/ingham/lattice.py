@@ -84,10 +84,6 @@ def vec_dot(u: Vec2, v: Vec2) -> QuadNumber:
     return u[0] * v[0] + u[1] * v[1]
 
 
-def vec_is_integer(u: Vec2) -> bool:
-    return u[0].is_integer() and u[1].is_integer()
-
-
 def _residue(v: Vec2) -> tuple[tuple[int, int, int, int], ...]:
     """Key of v mod Z^2: equal for u and v exactly when u - v is an integer
     vector, since adding n to (p + q*sqrt d)/r gives the canonical

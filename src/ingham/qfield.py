@@ -6,10 +6,10 @@ This form is canonical, so equality compares the four integers, and the
 arithmetic is integer arithmetic over one common denominator (H. Cohen, *A
 Course in Computational Algebraic Number Theory*, GTM 138, 1993): no
 Fraction is built and d is never factored.  A radicand is factored only where
-a number is built from one that may not be square-free (`_from_ratios`); the
-square-free part it leaves builds further numbers unfactored
-(`_from_square_free`), as `sqrt` and spec loading do.  The rational and radical
-parts stay readable as Fractions through .a and .b.  Mixed radicals
+a number is built from one that may not be square-free (`QuadNumber(a, b, d)`
+and `QuadNumber.sqrt`); the square-free part it leaves builds further numbers
+unfactored (`_from_square_free`), as spec loading does.  The rational and
+radical parts stay readable as Fractions through .a and .b.  Mixed radicals
 (a + b*sqrt(2) + c*sqrt(3)) are deliberately unsupported; combining two
 numbers whose radical parts live in different fields raises
 FieldMismatchError.
@@ -150,12 +150,16 @@ class QuadNumber:
     # -- constructors ------------------------------------------------------
 
     def __new__(cls, a: Rational = 0, b: Rational = 0, d: int = 1) -> QuadNumber:
-        """a + b*sqrt(d) for rationals a, b and a positive integer d."""
+        """a + b*sqrt(d) for rationals a, b and a positive integer d: the
+        square part of d moves into b.  d is factored only when b != 0."""
         if not isinstance(a, (int, Fraction)):
             a = Fraction(a)
         if not isinstance(b, (int, Fraction)):
             b = Fraction(b)
-        return _from_ratios(a.numerator, a.denominator, b.numerator, b.denominator, d)
+        if d < 1:
+            raise ValueError("d must be a positive integer")
+        s, d = _square_free_split(d) if b else (1, d)
+        return _from_square_free(a.numerator, a.denominator, b.numerator * s, b.denominator, d)
 
     @classmethod
     def sqrt(cls, n: Rational) -> QuadNumber:
@@ -168,14 +172,6 @@ class QuadNumber:
         # sqrt(p/q) = sqrt(p*q)/q, and the split leaves d square-free
         s, d = _square_free_split(n.numerator * n.denominator)
         return _from_square_free(0, 1, s, n.denominator, d)
-
-    @classmethod
-    def parse(cls, a: str, b: str = "0", d: int = 1) -> QuadNumber:
-        """a + b*sqrt(d) from the texts of the rationals a and b, the JSON
-        interchange encoding ('p/q' strings, or what else `rational` reads).
-        Each text becomes its integer numerator and denominator (`_ratio`), so
-        plain 'p/q' text builds no Fraction."""
-        return _from_ratios(*_ratio(a), *_ratio(b), d)
 
     # -- the value as Fractions ----------------------------------------------
 
@@ -319,18 +315,6 @@ def quad_float(p: int, q: int, r: int, d: int) -> float:
     and x - 0.0 leaves every x alone where x + 0.0 would turn an underflowed
     -0.0 into 0.0."""
     return p / r - (-q / r) * sqrt(d)
-
-
-def _from_ratios(an: int, ad: int, bn: int, bd: int, d: int) -> QuadNumber:
-    """The QuadNumber an/ad + (bn/bd)*sqrt(d), for denominators ad, bd > 0 and a
-    positive integer d: the square part of d moves into b.  d is factored only
-    when bn != 0."""
-    if d < 1:
-        raise ValueError("d must be a positive integer")
-    if bn:
-        s, d = _square_free_split(d)
-        bn *= s
-    return _from_square_free(an, ad, bn, bd, d)
 
 
 def _from_square_free(an: int, ad: int, bn: int, bd: int, d: int) -> QuadNumber:

@@ -3,8 +3,11 @@
 `KINDS` maps each ExpectedRecord kind to an evaluator that gives `(computed,
 passed)`; kinds doing the same work share one.  Evaluators read grid and
 connected surveys from a store that `build_report` makes for one report
-(`_survey_store`), so a survey that several records and the CSVs read runs
-once.  `_report_entry` builds every report entry, frame bounds included.
+(`_survey_store`, a `functools.cache`), so a survey that several records and
+the CSVs read runs once.  The 2x2 cell-block records take the public survey
+calls: `search.translation_classes` of the block's m-subsets, then
+`search.classify_configs` of the class representatives.  `_report_entry`
+builds every report entry, frame bounds included.
 
 The report is deterministic (no timestamps, sorted keys, fixed seeds) and is
 written with the survey CSVs.  Every grid survey gates on
@@ -19,6 +22,7 @@ from __future__ import annotations
 import json
 import platform
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable
@@ -121,10 +125,9 @@ def _pass_kappas(result: search.SurveyResult, rec: ExpectedRecord):
 
 def _cell_block_classes(spec) -> search.SurveyRecords:
     """One record per translation class of m-subsets of the 2x2 cell block,
-    its canonical configuration (`spectral.classes` under the identity)."""
-    block = list(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
-    cls = spectral.classes(spectral.D4[:1], *spectral.config_index(block))
-    return search._classify(spec, cls.points, cls.idx)
+    its representative (`search.translation_classes`)."""
+    classes = search.translation_classes(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
+    return search.classify_configs(spec, [c.representative for c in classes])
 
 
 def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
@@ -240,19 +243,17 @@ def _tilings(R: int):
 
 def _survey_store() -> Surveys:
     """The survey of (spec, grid_max), each computed on its first request and
-    kept for later ones: `classify_all` on the grid [0, grid_max]^2, or
-    `connected_survey` for grid_max None.  The report's records and its CSVs
-    ask for 12 grid surveys, of which 7 are distinct, and 5 connected ones,
-    of which 3 are.  One report makes one store and drops it when it
-    returns."""
-    done: dict[tuple[LatticeSpec, int | None], search.SurveyResult] = {}
+    kept for later ones (`functools.cache`): `classify_all` on the grid
+    [0, grid_max]^2, or `connected_survey` for grid_max None.  The report's
+    records and its CSVs ask for 12 grid surveys, of which 7 are distinct,
+    and 5 connected ones, of which 3 are.  One report makes one store and
+    drops it when it returns."""
 
+    @cache
     def survey(spec: LatticeSpec, grid_max: int | None) -> search.SurveyResult:
-        key = (spec, grid_max)
-        if key not in done:
-            done[key] = (search.connected_survey(spec) if grid_max is None
-                         else search.classify_all(spec, grid_max, spec.m))
-        return done[key]
+        if grid_max is None:
+            return search.connected_survey(spec)
+        return search.classify_all(spec, grid_max, spec.m)
 
     return survey
 

@@ -70,11 +70,6 @@ class SurveyRecord:
     kappa2: float
     det_abs: float
 
-    @property
-    def ratio(self) -> float | None:
-        """Conditioning ratio kappa2/kappa1, defined for passing records."""
-        return self.kappa2 / self.kappa1 if self.a2 and self.kappa1 > 0 else None
-
 
 class ClassColumns(NamedTuple):
     """Values of each symmetry class, shared by all its configurations; the

@@ -9,7 +9,6 @@ from ingham.lattice import (
     Mat2,
     Vec2,
     mat_inv,
-    vec_is_integer,
     vec_sub,
 )
 
@@ -26,6 +25,6 @@ def contains(spec: LatticeSpec, p: Vec2) -> LatticePoint | None:
     y = mat_vec(mat_inv(spec.l_star), p)
     for j, u in enumerate(spec.us):
         r = vec_sub(y, u)
-        if vec_is_integer(r):
+        if r[0].is_integer() and r[1].is_integer():
             return LatticePoint(j, (r[0].p, r[1].p))
     return None

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -178,7 +179,7 @@ def test_spec_from_json_factors_the_radicand_once(monkeypatch):
     spec = spec_from_json(data)
     assert calls == [BIG_PRIME]
     assert spec_to_json(spec) == data
-    assert spec.us[1][1] == QuadNumber.parse("0", "1/7", BIG_PRIME)
+    assert spec.us[1][1] == QuadNumber(0, Fraction(1, 7), BIG_PRIME)
 
 
 def test_spec_from_json_of_rationals_never_factors(monkeypatch):

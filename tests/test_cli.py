@@ -172,6 +172,18 @@ def test_export_triangular_domain(capsys):
     assert len(rows) == 5  # one parallelogram, four vertices
 
 
+def test_export_honeycomb_right_domain(capsys):
+    config = catalog.get("honeycomb").default_configs["right"]
+    code, out, _ = run_cli(
+        capsys, "export", "--tiling", "honeycomb", "--what", "domain", "--config", str(config)
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 8  # two parallelograms, four vertices each
+    assert rows[0][:2] == ["0", "0"]
+    assert rows[-1][:2] == ["1", "3"]
+
+
 def test_export_empty_bbox(capsys):
     code, out, _ = run_cli(
         capsys, "export", "--tiling", "square", "--what", "points",
@@ -272,12 +284,15 @@ HONEYCOMB_VERIFY = ("verify", "--tiling", "honeycomb", "--config", "0,0;1,0")
         (HONEYCOMB_VERIFY + ("--hole-fraction", "0.25", "--hole-cell", "-1"), "hole cell"),
         (HONEYCOMB_VERIFY + ("--hole-fraction", "0"), "area fraction"),
         (HONEYCOMB_VERIFY + ("--hole-fraction", "-0.5"), "area fraction"),
+        (HONEYCOMB_VERIFY + ("--csv", "witness.csv"), "--csv"),
     ],
 )
-def test_catalog_show_and_hole_misuse_is_usage_error(capsys, argv, message):
+def test_catalog_show_and_hole_misuse_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "usage error" in err and message in err
+    assert not any(tmp_path.iterdir())  # refused before anything is written
 
 
 @pytest.mark.parametrize(

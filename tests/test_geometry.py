@@ -16,10 +16,8 @@ from ingham.geometry import (
     area_check,
     bessel_j0,
     bessel_j0_root,
-    cells_csv_rows,
     connected_rows,
     disk_bounds,
-    expected_area,
     fixed_polyominoes,
     is_connected,
     omega_cells,
@@ -82,7 +80,8 @@ def test_areas_match_closed_forms():
 def test_area_equals_sum_of_cells_no_overlap(catalog_entries):
     for entry in catalog_entries.values():
         g = omega_cells(entry.spec, entry.default_configs[entry.primary_config])
-        assert g.area == pytest.approx(expected_area(entry.spec, entry.spec.m), rel=1e-9)
+        want = entry.spec.m * TWO_PI**2 / entry.spec.det_l()
+        assert g.area == pytest.approx(want, rel=1e-9)
 
 
 def test_disk_bounds_triangular():
@@ -183,14 +182,6 @@ def test_redelmeier_counts_are_a001168():
     elapsed = time.perf_counter() - start
     assert counts == [1, 2, 6, 19, 63, 216, 760, 2725, 9910, 36446]
     assert elapsed < 1.0, f"n = 1..10 took {elapsed:.2f} s"
-
-
-def test_cells_csv_rows():
-    _, g = geom("honeycomb", "right")
-    rows = cells_csv_rows(g)
-    assert len(rows) == 8
-    assert rows[0][:2] == (0, 0)
-    assert rows[-1][:2] == (1, 3)
 
 
 # -- vectorised connectivity against the breadth-first search -------------------
