@@ -153,7 +153,7 @@ def cmd_survey(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    holed = args.hole or args.hole_fraction is not None
+    holed = args.hole is not None or args.hole_fraction is not None
     if args.csv and not holed:  # the CSV holds the removal witness
         raise ValueError("--csv needs --hole or --hole-fraction")
     from .gram import (
@@ -171,7 +171,7 @@ def cmd_verify(args) -> int:
     if holed:  # refused before the frame-bound work
         supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
         try:
-            if args.hole:
+            if args.hole is not None:
                 hole = _box(args.hole, "--hole")
                 _cell_of_rect(entry.spec, config, hole)
             else:

@@ -10,7 +10,8 @@ are found by dict lookups, in work bounded by the number of translates.
 Each LatticeSpec builds its tables once, on first use, and keeps them on
 the instance (cached properties that are not dataclass fields, so equality,
 hashing and repr see only name, l_star and us): `_inverse`, the exact
-l_star^-1; `_translate_index`, each translate's `_residue` key mapped to its
+l_star^-1; `_det_l`, |det l_star| as the float `det_l` returns;
+`_translate_index`, each translate's `_residue` key mapped to its
 index j, so membership of p is one lookup of the key of l_star^-1 p, formed
 from that preimage's integers without building a QuadNumber; `form`,
 the translates as integer rows over one denominator and one field; and
@@ -257,6 +258,11 @@ class LatticeSpec:
 
     def det_l(self) -> float:
         """|det L| = |det L*| as a float."""
+        return self._det_l
+
+    @cached_property
+    def _det_l(self) -> float:
+        """|det L*| as a float, from the exact determinant taken once per spec."""
         return abs(float(mat_det(self.l_star)))
 
     def __hash__(self) -> int:

@@ -156,7 +156,7 @@ class QuadNumber:
             a = Fraction(a)
         if not isinstance(b, (int, Fraction)):
             b = Fraction(b)
-        if d < 1:
+        if not isinstance(d, int) or d < 1:
             raise ValueError("d must be a positive integer")
         s, d = _square_free_split(d) if b else (1, d)
         return _from_square_free(a.numerator, a.denominator, b.numerator * s, b.denominator, d)

@@ -26,16 +26,21 @@ the surveys of `search`) passes the tiling's `symmetries` and runs the kernel
 on those alone, so a configuration takes its class representative's bits
 whatever its batch, order or chunk; `geometry.polyominoes` and
 `search.translation_classes` pass the identity alone, `D4[:1]`.  `classes`
-holds configurations by columns, as (m, rows) arrays read from the input
+takes one of two paths by the batch's size alone.  One row, the single
+configuration of `ingham_constants` (and so of `check_a2`,
+`gram.frame_bound_check` and the CLI's constants and verify), goes through
+`_one_class` on Python tuples: the batch path's fixed cost of numpy
+calls, about 0.1 ms, was most of that call.  Every larger batch, each
+survey's included, holds configurations by columns, as (m, rows) arrays read from the input
 rows as they are, and their symmetry images as (m, G, rows), and sorts each
 image's cells in `_sort_cells`: a large batch of at most six cells by
 Batcher's odd-even merge network on m wires (`_network`), a fixed sequence
-of column-wise minimum/maximum, and a small one, such as the images of the
-single configuration of `ingham_constants`, or one of more cells by
+of column-wise minimum/maximum, and a small one, or one of more cells, by
 np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
 compare-exchange, where it overtook np.sort at 43 to 96 for m = 2 to 6 (a
 grid survey has thousands); past six cells it gained nothing on real
-batches.  `a2_holds` is
+batches.  Both paths give the same canonical configuration, bit for bit.
+`a2_holds` is
 the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
 heuristic.  `a2_stable` is the only place its stability is judged: a batch is
 stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
@@ -118,12 +123,12 @@ RANK_SPAN_PER_KEY = 5
 # 5, 9 and 12 compare-exchanges), 43 to 96 rows per compare-exchange; at
 # 8,192 rows it took 16 against 302 us at m = 2 and 54 against 318 at m = 4.
 # A grid survey's image chunks (up to G * CHUNK_ROWS rows) lie far above the
-# threshold, the images of the one configuration of `ingham_constants` far
-# below.  Past six cells the network gains nothing on real batches, whose
-# codes ndarray.sort orders faster than random ones: `classes` took 4.3
-# against 3.8 ms on truncated trihexagonal grid 3 (m = 12), 2.8 against
-# 2.8 ms on the fixed 8-ominoes and 206 against 182 ms on the 11-ominoes
-# under that tiling's group (minima of 5 to 9 runs).
+# threshold, small lists of configurations below it.  Past six cells the
+# network gains nothing on real batches, whose codes ndarray.sort orders
+# faster than random ones: `classes` took 4.3 against 3.8 ms on truncated
+# trihexagonal grid 3 (m = 12), 2.8 against 2.8 ms on the fixed 8-ominoes
+# and 206 against 182 ms on the 11-ominoes under that tiling's group (minima
+# of 5 to 9 runs).
 NETWORK_ROWS_PER_EXCHANGE = 64
 
 
@@ -381,6 +386,33 @@ class Classes:
     of: np.ndarray  # (N,) class of each input row
 
 
+@lru_cache(maxsize=None)
+def _picks(group: tuple[Symmetry, ...]) -> tuple[tuple[int, int], ...]:
+    """Where each A in `group` takes the coordinates of A n among (x, w - x,
+    y, h - y) for cells n at minimum 0: a coordinate that A negates is moved
+    to minimum 0 by the box width w or height h."""
+    return tuple(tuple(2 * (s != 0) + (r + s < 0) for r, s in a) for a in group)
+
+
+def _one_class(group: Sequence[Symmetry], cells: list[tuple[int, int]]) -> Classes:
+    """`classes` of the one configuration `cells`, on Python tuples: with the
+    cells at minimum 0 in a box of width w and height h, each A n at minimum
+    0 takes its coordinates from (x, w - x, y, h - y) (`_picks`), and the
+    least of the sorted images is the canonical configuration."""
+    xs, ys = zip(*cells)
+    x0, y0 = min(xs), min(ys)
+    x = [v - x0 for v in xs]
+    y = [v - y0 for v in ys]
+    w, h = max(x), max(y)
+    coords = (x, [w - v for v in x], y, [h - v for v in y])
+    best = min(sorted(zip(coords[i], coords[j])) for i, j in _picks(tuple(group)))
+    rank = {cell: k for k, cell in enumerate(dict.fromkeys(best))}  # best is sorted
+    return Classes(
+        list(rank), np.array([[rank[cell] for cell in best]], dtype=np.intp),
+        np.zeros(1, dtype=np.intp),
+    )
+
+
 def classes(
     group: Sequence[Symmetry], points: Sequence[tuple[int, int]], idx: np.ndarray
 ) -> Classes:
@@ -408,6 +440,13 @@ def classes(
     otherwise.  The group then acts on one configuration per translation
     class.
 
+    A batch of one row takes `_one_class`, which builds that configuration's
+    canonical form on Python tuples: the path below makes a few dozen numpy
+    calls, about 0.1 ms whatever the batch's size, which was most of an
+    `ingham_constants` call.  The choice reads the batch's size alone, and
+    both paths give the same points, idx and of, dtypes included, and
+    refuse the same coordinates.  Any larger batch takes the path below.
+
     Rows are held by columns: the cells of the n rows as idx.T, an (m, n)
     array read as it is (C-contiguous for `search.combination_table`), and
     the images of the translation classes' representatives as (m, G, rows)
@@ -429,8 +468,10 @@ def classes(
     """
     if not all(-COORD_LIMIT < c < COORD_LIMIT for p in points for c in p):
         raise ValueError(f"configuration coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})")
-    pts = np.array(points, dtype=np.int64).reshape(-1, 2)
     n, m = idx.shape
+    if n == 1:
+        return _one_class(group, [points[k] for k in idx[0].tolist()])
+    pts = np.array(points, dtype=np.int64).reshape(-1, 2)
     if len(pts):
         pts = pts - pts.min(axis=0)
     sx, sy = pts.max(axis=0, initial=0).tolist()
@@ -456,10 +497,7 @@ def classes(
     per_word = max(k for k in range(1, m + 1) if radix**k <= KEY_LIMIT)  # codes per int64 word
     words = [(lo, min(lo + per_word, m)) for lo in range(0, m, per_word)]
     weights = [radix ** np.arange(hi - lo - 1, -1, -1) for lo, hi in words]
-    # (G, 2): where each A takes the coordinates of A n among (x, w - x, y,
-    # h - y), a coordinate that A negates moved to minimum 0 by the box width
-    # w or height h
-    pick = np.array([[2 * (s != 0) + (r + s < 0) for r, s in a] for a in group])
+    pick = np.array(_picks(tuple(group)))
     keys = np.empty((len(words), len(first)), dtype=np.int64)
     for part in chunks(len(first)):
         cx, cy = x[:, part], y[:, part]

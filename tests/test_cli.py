@@ -285,6 +285,7 @@ HONEYCOMB_VERIFY = ("verify", "--tiling", "honeycomb", "--config", "0,0;1,0")
         (HONEYCOMB_VERIFY + ("--hole-fraction", "0"), "area fraction"),
         (HONEYCOMB_VERIFY + ("--hole-fraction", "-0.5"), "area fraction"),
         (HONEYCOMB_VERIFY + ("--csv", "witness.csv"), "--csv"),
+        (HONEYCOMB_VERIFY + ("--hole=", "--csv", "witness.csv"), "--hole"),
     ],
 )
 def test_catalog_show_and_hole_misuse_is_usage_error(capsys, monkeypatch, tmp_path, argv, message):
@@ -326,6 +327,7 @@ def test_misplaced_hole_is_usage_error(capsys, hole):
     (HONEYCOMB_VERIFY + ("--hole", "0,0,x,1"), "--hole"),
     (("export", "--tiling", "square", "--what", "points", "--bbox", "0,0,1"), "--bbox"),
     (("export", "--tiling", "square", "--what", "points", "--bbox", "0,0,1,1,2"), "--bbox"),
+    (("verify", "--tiling", "square", "--config", "0,0", "--hole="), "--hole"),  # empty, not absent
 ])
 def test_box_of_wrong_arity_names_its_flag(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)

@@ -22,6 +22,7 @@ from ingham.lattice import (
     _residue,
     contains,
     line_lattice_subset,
+    mat_det,
     mat_inv,
     mat_vec,
     minimality_certificate,
@@ -167,6 +168,21 @@ def test_l_star_inverse_is_cached_and_exact(catalog_entries, monkeypatch):
         assert inv == mat_inv(spec.l_star)
         assert spec._inverse is inv
         assert calls == [spec.l_star]
+        calls.clear()
+
+
+def test_det_l_is_cached_and_not_a_field(catalog_entries, monkeypatch):
+    """Each spec takes its exact det l_star once, on the first det_l(); the
+    cached float leaves equality, hashing and repr alone."""
+    calls = []
+    monkeypatch.setattr(lattice, "mat_det", lambda m: calls.append(m) or mat_det(m))
+    for entry in catalog_entries.values():
+        spec = dataclasses.replace(entry.spec)  # a fresh instance, no table read yet
+        before = (repr(spec), hash(spec))
+        assert spec.det_l() == abs(float(mat_det(spec.l_star)))
+        assert spec.det_l() == spec.det_l() and "_det_l" in vars(spec)
+        assert calls == [spec.l_star]
+        assert (repr(spec), hash(spec)) == before and spec == entry.spec
         calls.clear()
 
 

@@ -33,6 +33,15 @@ def test_square_factor_extraction():
     assert QuadNumber.sqrt(9) == QuadNumber(3)
 
 
+@pytest.mark.parametrize("d", [2.5, 8.0, "3", 0, -2])
+def test_radicand_that_is_not_a_positive_int_is_refused(d):
+    """A float or text radicand gets the ValueError of d < 1, whether or not
+    b is zero, not a float field or an AttributeError from the split."""
+    for b in (0, 1):
+        with pytest.raises(ValueError, match="d must be a positive integer"):
+            QuadNumber(0, b, d)
+
+
 def test_sqrt_factors_its_radicand_once(monkeypatch):
     calls = []
     split = qfield._square_free_split

@@ -53,10 +53,8 @@ def test_classify_matches_per_config_path():
     result = classify_all(entry.spec, 1, 4)
     for rec in result.records:
         sr = ingham_constants(entry.spec, TranslationConfig(rec.config))
-        assert rec.kappa1 == pytest.approx(sr.kappa1, abs=1e-9)
-        assert rec.kappa2 == pytest.approx(sr.kappa2, abs=1e-9)
-        assert rec.a2 == sr.satisfies_a2
-        assert rec.det_abs == pytest.approx(sr.det_abs, abs=1e-9)
+        bits = [sr.kappa1.hex(), sr.kappa2.hex(), sr.det_abs.hex(), sr.satisfies_a2]
+        assert bits == [rec.kappa1.hex(), rec.kappa2.hex(), rec.det_abs.hex(), rec.a2]
 
 
 def test_named_configs_share_one_spectral_path(catalog_entries):
@@ -587,7 +585,8 @@ def test_connected_survey_matches_the_polyomino_list(name):
                                           ("truncated_square", {})])
 def test_a_configuration_has_one_set_of_bits(name, params):
     """Grid 3, grid 4, a shuffled list of translated copies and one
-    configuration at a time all give a configuration the same bits."""
+    configuration at a time (every one of grid 3's 1,820) all give a
+    configuration the same bits."""
     spec = catalog.get(name, **params).spec
     grid3 = classify_all(spec, 3, 4).records
     configs = list(enumerate_configs(3, 4))
@@ -597,11 +596,10 @@ def test_a_configuration_has_one_set_of_bits(name, params):
     perm = np.random.default_rng(3).permutation(len(configs))
     moved = [tuple((x + 5, y - 7) for x, y in configs[k]) for k in perm]
     assert _column_bytes(classify_configs(spec, moved)) == _column_bytes(grid3, perm)
-    for i in (0, 77, 1819):
-        sr = ingham_constants(spec, TranslationConfig(configs[i]))
-        bits = [sr.kappa1.hex(), sr.kappa2.hex(), sr.det_abs.hex(), sr.satisfies_a2]
-        rec = grid3[i]
-        assert bits == [rec.kappa1.hex(), rec.kappa2.hex(), rec.det_abs.hex(), rec.a2]
+    single = [ingham_constants(spec, TranslationConfig(c)) for c in configs]
+    fields = ("satisfies_a2", "kappa1", "kappa2", "det_abs")
+    bits = [np.array([getattr(sr, f) for sr in single]).tobytes() for f in fields]
+    assert bits == _column_bytes(grid3)[1:]  # a2, kappa1, kappa2, |det E|
 
 
 def _rank_oracle(result):

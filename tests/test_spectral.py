@@ -24,6 +24,7 @@ from ingham.qfield import QuadNumber
 from ingham.spectral import (
     A2_SWEEP,
     COORD_LIMIT,
+    Classes,
     D4,
     KEY_LIMIT,
     TranslationConfig,
@@ -576,6 +577,62 @@ def test_classes_by_networks_match_the_coordinate_pair_reduction(batch):
         patch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0)
         got = classes(*batch)
     _assert_same_classes(got, classes_oracle.classes(*batch))
+
+
+ONE_ROW_COORDS = {**CLASS_COORDS, "span": st.integers(1 - COORD_LIMIT, COORD_LIMIT - 1)}
+PAST_THE_LIMIT = [COORD_LIMIT, -COORD_LIMIT, 10**20]
+
+
+@st.composite
+def one_rows(draw):
+    """A group (every catalog tiling's, `D4[:1]` or `D4`), the cells of one
+    configuration of 1 to 12 cells in any order, a translation that keeps
+    them inside the coordinate limit, and, in some draws, a coordinate
+    moved past the limit."""
+    names = sorted(GROUP_ORDERS)
+    group = draw(st.sampled_from([D4[:1], D4] + [symmetries(_spec(name)) for name in names]))
+    m = draw(st.integers(1, 12))
+    coord = ONE_ROW_COORDS[draw(st.sampled_from(sorted(ONE_ROW_COORDS)))]
+    cells = draw(st.lists(st.tuples(coord, coord), min_size=m, max_size=m, unique=True))
+    xs, ys = zip(*cells)
+    t = (draw(st.integers(1 - COORD_LIMIT - min(xs), COORD_LIMIT - 1 - max(xs))),
+         draw(st.integers(1 - COORD_LIMIT - min(ys), COORD_LIMIT - 1 - max(ys))))
+    if draw(st.integers(0, 9)) == 0:
+        k, c = draw(st.integers(0, m - 1)), draw(st.integers(0, 1))
+        cell = list(cells[k])
+        cell[c] = draw(st.sampled_from(PAST_THE_LIMIT))
+        cells[k] = tuple(cell)
+    return group, cells, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_rows())
+@example((D4, [(0, 0), (2, 1), (0, 0)], (3, -4)))  # a repeated cell
+@example((D4[:1], [(COORD_LIMIT - 1, 1 - COORD_LIMIT), (1 - COORD_LIMIT, COORD_LIMIT - 1)], (0, 0)))
+def test_one_row_matches_the_batch_path_and_the_oracle(row):
+    """`classes` of one row (its one-row path) equals the coordinate-pair
+    reduction of that row, and the batch path, which the row and a
+    translated copy take: the same points, idx and dtypes, with `of` [0]
+    beside [0, 0].  A coordinate past the limit is refused by all three."""
+    group, cells, t = row
+    points = sorted(set(cells))
+    one = np.array([[points.index(c) for c in cells]], dtype=np.intp)
+    moved = [(x + t[0], y + t[1]) for x, y in cells]
+    pair_points = sorted(set(cells) | set(moved))
+    pair = np.array([[pair_points.index(c) for c in cfg] for cfg in (cells, moved)],
+                    dtype=np.intp)
+    if not all(-COORD_LIMIT < c < COORD_LIMIT for p in cells for c in p):
+        for call in (classes, classes_oracle.classes):
+            with pytest.raises(ValueError, match="coordinates must lie"):
+                call(group, points, one)
+        with pytest.raises(ValueError, match="coordinates must lie"):
+            classes(group, pair_points, pair)
+        return
+    got = classes(group, points, one)
+    _assert_same_classes(got, classes_oracle.classes(group, points, one))
+    batch = classes(group, pair_points, pair)
+    assert batch.of.dtype == np.intp and batch.of.tolist() == [0, 0]
+    _assert_same_classes(got, Classes(batch.points, batch.idx, batch.of[:1]))
 
 
 @pytest.mark.parametrize("m", range(1, 7))
