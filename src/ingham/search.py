@@ -48,8 +48,9 @@ Config = tuple[tuple[int, int], ...]
 # the result of 2M configurations is at most 208 MB, beside 26 B of values per
 # class.  The index table is written in place, so enumerating needs no memory
 # beyond it (tracemalloc peak 8m B per configuration).  While the survey runs,
-# the class reduction adds about 80 B per configuration (tracemalloc peak,
-# snub square at grid 6; 78 B at grid 7, m = 4) and the kernel one chunk of
+# the class reduction adds about 40 B per configuration (tracemalloc peak,
+# snub square at grid 6; 38 B at grid 7, m = 4: int16 codes and int32 words
+# beside its intp class indices) and the kernel one chunk of
 # working memory.  write_survey_csv holds one chunk of rows as a packed record
 # array and its bytes, beside byte tables of the point labels and one tail
 # per class: its tracemalloc peak beyond the result is 2.0 MB at snub square

@@ -39,7 +39,16 @@ of column-wise minimum/maximum, and a small one, or one of more cells, by
 np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
 compare-exchange, where it overtook np.sort at 43 to 96 for m = 2 to 6 (a
 grid survey has thousands); past six cells it gained nothing on real
-batches.  Both paths give the same canonical configuration, bit for bit.
+batches.  Each integer array of that path is stored in the narrowest of
+int16, int32 and int64 that its bound allows (`_int_type`, from the bound
+alone): the point codes and their differences, the translation key, by
+twice the code bound; the representatives' coordinates by the points' span;
+the image cell codes by radix = (box side + 1)**2; each image's word by
+radix**m, one int16 or int32 word below 2**31, else int64 words.  `_lex_ids`
+folds its key in int32 when the product of its bases is below 2**31, and
+`_ranks` takes any of these dtypes.  On a grid survey every one of them is
+int16 or int32, which halves the transient memory of the reduction.  Both
+paths give the same canonical configuration, bit for bit.
 `a2_holds` is
 the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
 heuristic.  `a2_stable` is the only place its stability is judged: a batch is
@@ -100,17 +109,18 @@ D4: tuple[Symmetry, ...] = (
 # below 2**63.
 COORD_LIMIT = 2**61
 
-# `_lex_ids` keeps its mixed-radix keys at or below this, and `classes` its
-# point codes and image words.
+# `_lex_ids` keeps its int64 mixed-radix keys at or below this, and `classes`
+# its point codes and int64 image words.
 KEY_LIMIT = 2**62
 
 # `_ranks` counts a column whose span (max - min + 1) is at most this many
 # times its length, and argsorts any other.  The count's int32 table takes 4 B
-# per value of the span beside 20 B per entry (the shifted column, its int32
-# ranks, their intp copy and the distinct values), against 41 B per entry for
-# the argsort (tracemalloc peaks of random int64 columns of 200,000 entries,
-# numpy 2.4): 4 * 5 + 20 = 40 keeps the count's peak no higher than the
-# argsort's even when every entry is distinct.
+# per value of the span (its boolean marks, 1 B, are freed before it is made)
+# beside 20 B per entry (the shifted column, its int32 ranks, their intp copy
+# and the distinct values), against 41 B per entry for the argsort
+# (tracemalloc peaks of random int64 columns of 200,000 entries, numpy 2.4):
+# 4 * 5 + 20 = 40 keeps the count's peak no higher than the argsort's even
+# when every entry is distinct.
 RANK_SPAN_PER_KEY = 5
 
 
@@ -150,6 +160,13 @@ def _int_array(values, bound: int) -> np.ndarray:
     correctly as Python's does; else as Python ints in an object array.
     Either goes through the same expressions with the same bits."""
     return np.array(values, dtype=np.int64 if bound < 2**53 else object)
+
+
+def _int_type(bound: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds every integer of
+    absolute value below bound (at most 2**63), from the bound alone, as
+    `_int_array` picks int64 or Python ints."""
+    return np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
 
 
 def _phase_angle(p, q, r: int, d: int):
@@ -270,27 +287,32 @@ def symmetries(spec: LatticeSpec) -> tuple[Symmetry, ...]:
 
 
 def _ranks(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct values of an integer column and each entry's index
-    among them: np.unique(column, return_inverse=True).
+    """Sorted distinct values of an int16, int32 or int64 column and each
+    entry's index among them: np.unique(column, return_inverse=True), the
+    values in the column's dtype and the ranks intp.
 
     A dense column, of span at most RANK_SPAN_PER_KEY times its length,
-    is counted: a table over the span marks the values present, and its
-    cumulative sum numbers them in order (int32, exact below 2**31 entries,
-    as `_lex_ids` is).  Any other is ranked through one stable argsort,
+    is counted: a boolean table over the span marks the values present, the
+    positions of the marks are the distinct values in order, and an int32
+    table over the span, written at those positions only, numbers them
+    (exact below 2**31 entries, as `_lex_ids` is).  The column is shifted
+    to minimum 0 in intp, which holds any span and is the index type the
+    tables are read with.  Any other is ranked through one stable argsort,
     which touches fewer numpy kernels than np.unique (resident memory)."""
     n = len(column)
     lo, hi = (int(column.min()), int(column.max())) if n else (0, 0)
     if hi - lo < RANK_SPAN_PER_KEY * n:
-        shifted = column - lo
-        table = np.zeros(hi - lo + 1, dtype=np.int32)
-        table[shifted] = 1
-        uniq = np.flatnonzero(table)
-        uniq += lo
-        np.cumsum(table, out=table)
-        table -= 1
+        shifted = np.subtract(column, lo, dtype=np.intp)
+        present = np.zeros(hi - lo + 1, dtype=bool)
+        present[shifted] = True
+        uniq = np.flatnonzero(present)
+        del present  # before the int32 table, as RANK_SPAN_PER_KEY assumes
+        table = np.empty(hi - lo + 1, dtype=np.int32)
+        table[uniq] = np.arange(len(uniq), dtype=np.int32)
         rank = table[shifted]
         del table, shifted  # before the intp copy, as RANK_SPAN_PER_KEY assumes
-        return uniq, rank.astype(np.intp)
+        uniq += lo
+        return uniq.astype(column.dtype, copy=False), rank.astype(np.intp)
     order = np.argsort(column, kind="stable")
     ordered = column[order]
     new = np.empty(len(ordered), dtype=bool)
@@ -302,22 +324,27 @@ def _ranks(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lex_ids(cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids of the rows of an (n, k) int64 array, numbered in the rows'
-    lexicographic order, and the index of one row of each id.
+    """Dense ids of the rows of an (n, k) int16, int32 or int64 array,
+    numbered in the rows' lexicographic order, and the index of one row of
+    each id.
 
-    Exact for columns of span below 2**63 and n below 2**31: with each
-    column shifted to minimum 0, runs of columns are folded into one int64
-    key in mixed radix while it stays at most KEY_LIMIT.  Before a column
-    would pass it, the key, and if need be that column, is replaced by its
-    rank (`_ranks`), which keeps the order; so no key collides or wraps.
+    Exact for columns whose span (max - min) the array's dtype holds and n
+    below 2**31: each column is shifted to minimum 0 in that dtype, and the
+    columns are folded into one key in mixed radix.  The key is int32 when
+    the product of the bases (span + 1) is below 2**31, so it stays below
+    2**31 with no rank taken; else it is int64, kept at most KEY_LIMIT:
+    before a column would pass it, the key, and if need be that column, is
+    replaced by its rank (`_ranks`), which keeps the order; so no key
+    collides or wraps.
     """
     n, k = cols.shape
     if n <= 1:  # no two rows to tell apart
         return np.zeros(n, dtype=np.intp), np.zeros(n, dtype=np.intp)
     cols = np.array(cols, order="F")  # a copy by columns, whose reductions are fast
     cols -= cols.min(axis=0)
-    bases = (cols.max(axis=0) + 1).tolist()
-    key, bound = np.zeros(n, dtype=np.int64), 1
+    bases = [top + 1 for top in cols.max(axis=0).tolist()]
+    key = np.zeros(n, dtype=np.int32 if math.prod(bases) < 2**31 else np.int64)
+    bound = 1
     for c in range(k):
         if bound * bases[c] > KEY_LIMIT:
             uniq, key = _ranks(key)
@@ -437,8 +464,12 @@ def classes(
     under a translation, and a difference of codes fixes the offset
     (dx, dy), as |dy| <= sy; so the m - 1 code differences are the key when
     the codes stay below KEY_LIMIT, and the 2(m - 1) coordinate offsets
-    otherwise.  The group then acts on one configuration per translation
-    class.
+    otherwise.  The codes (or coordinates) lie in [0, bound), bound =
+    (sx + 1)(2*sy + 1) (or max(sx, sy) + 1), so the key lies in (-bound,
+    bound), and `_lex_ids` shifts it to [0, 2*bound - 1) in its own dtype:
+    codes and key are stored in `_int_type(2 * bound)`, int16 while bound is
+    at most 2**14 (every grid survey's up to a grid of 89) and int32 up to
+    2**30.  The group then acts on one configuration per translation class.
 
     A batch of one row takes `_one_class`, which builds that configuration's
     canonical form on Python tuples: the path below makes a few dozen numpy
@@ -453,18 +484,26 @@ def classes(
     per chunk, each sorted over its first axis by `_sort_cells`: by a
     compare-exchange network when a batch of at most six cells has at least
     NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange (the measured
-    crossover), else by np.sort.  Each image cell gets one code x*base + y,
-    base = box side + 1; codes order as the cells (x, y) do, so sorting a
-    row's codes sorts its cells.  Folding
-    the m sorted codes in mixed radix base**2, as many as fit below KEY_LIMIT
-    to an int64 word (column multiply-adds), keeps the order of the
-    sequences: the words compare lexicographically as the images do, and
-    the least words, taken over the G images column by column, are the
-    class's key.  A box too wide for one code per cell (base**2 past
-    KEY_LIMIT) has its coordinates replaced by their ranks among all the
-    image coordinates first, which keeps every comparison (exact for fewer
-    than 2**31 distinct coordinates).  All keys are exact (`_lex_ids`), and
-    the representatives are decoded from their keys.
+    crossover), else by np.sort.  The representatives' coordinates, at most
+    max(sx, sy), are stored in `_int_type(max(sx, sy) + 1)`.  Each image
+    cell gets one code x*base + y, base = box side + 1, below radix =
+    base**2 and stored in `_int_type(radix)`, int16 up to base 181; codes
+    order as the cells (x, y) do, so sorting a row's codes, in that dtype,
+    sorts its cells.  Folding the m sorted codes in radix `radix` by Horner's
+    rule (column multiply-adds) keeps the order of the sequences.  While
+    radix**m is below 2**31 (base up to 46340, 215, 35, 14, 8 and 5 for
+    m = 1 to 6, every grid survey's m = 4 up to a grid of 13) all m codes
+    make one word of `_int_type(radix**m)`, int16 or int32; past it, as many
+    codes as fit at most KEY_LIMIT make each int64 word.  The words compare
+    lexicographically as the images do, and the least words, taken over the
+    G images column by column (the word of an image no longer tied is
+    masked by its dtype's maximum, above every word), are the class's key.
+    A box too wide for one code per cell (base**2 past KEY_LIMIT) has its
+    coordinates replaced by their ranks among all the image coordinates
+    first, which keeps every comparison (exact for fewer than 2**31
+    distinct coordinates).  All keys are exact (`_lex_ids`), and the
+    representatives are decoded from their keys.  No dtype above reaches
+    the result: the points are Python ints and idx and of intp.
     """
     if not all(-COORD_LIMIT < c < COORD_LIMIT for p in points for c in p):
         raise ValueError(f"configuration coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})")
@@ -477,15 +516,25 @@ def classes(
     sx, sy = pts.max(axis=0, initial=0).tolist()
     # one code per point while the codes fit a key column, else both coordinates
     # (half the gather of the coordinate offsets: on a grid survey the class
-    # reduction takes about a quarter less time and a third less memory)
-    codes = pts[:, 0] * (2 * sy + 1) + pts[:, 1] if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT else pts
-    key = codes[idx.T]  # (m, n): the rows' point codes by columns
+    # reduction takes about a quarter less time and a third less memory); the
+    # codes lie in [0, bound), their differences, the key, in (-bound, bound),
+    # which `_lex_ids` shifts to [0, 2 * bound - 1) in the key's dtype
+    if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT:
+        codes, bound = pts[:, 0] * (2 * sy + 1) + pts[:, 1], (sx + 1) * (2 * sy + 1)
+    else:
+        codes, bound = pts, max(sx, sy) + 1
+    key = codes.astype(_int_type(2 * bound))[idx.T]  # (m, n): the rows' point codes by columns
     key = (key[1:] - key[0]).swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim)
     translation_class, first = _lex_ids(key)
     del key  # before the image work
-    # one configuration per translation class, at minimum 0, by columns
-    reps = idx[first].T.copy()
-    x, y = pts[reps, 0], pts[reps, 1]
+    # one configuration per translation class, at minimum 0, by columns,
+    # gathered by chunks, so no index array of them all is held
+    pts = pts.astype(_int_type(max(sx, sy) + 1))
+    x = np.empty((m, len(first)), dtype=pts.dtype)
+    y = np.empty_like(x)
+    for part in chunks(len(first)):
+        reps = idx[first[part]].T
+        x[:, part], y[:, part] = pts[reps, 0], pts[reps, 1]
     x -= x.min(axis=0)
     y -= y.min(axis=0)
     w, h = x.max(axis=0), y.max(axis=0)
@@ -494,32 +543,38 @@ def classes(
         values = np.unique(np.concatenate([x, y, w - x, h - y], axis=None))
         base = len(values)
     radix = base * base
-    per_word = max(k for k in range(1, m + 1) if radix**k <= KEY_LIMIT)  # codes per int64 word
+    code_type = _int_type(radix)  # of the image cell codes, below radix
+    word_type = _int_type(radix**m)  # of the image words: one word per image below 2**31
+    per_word = m if word_type != np.int64 else max(k for k in range(1, m + 1) if radix**k <= KEY_LIMIT)
     words = [(lo, min(lo + per_word, m)) for lo in range(0, m, per_word)]
-    weights = [radix ** np.arange(hi - lo - 1, -1, -1) for lo, hi in words]
     pick = np.array(_picks(tuple(group)))
-    keys = np.empty((len(words), len(first)), dtype=np.int64)
+    keys = np.empty((len(words), len(first)), dtype=word_type)
     for part in chunks(len(first)):
         cx, cy = x[:, part], y[:, part]
         coords = np.stack([cx, w[part] - cx, cy, h[part] - cy], axis=1)  # (m, 4, rows)
         if values is not None:
             coords = np.searchsorted(values, coords)
+        coords = coords.astype(code_type, copy=False)
         code = coords[:, pick[:, 0]]  # (m, G, rows) cell codes of A n for every A at once
         code *= base
         code += coords[:, pick[:, 1]]
         _sort_cells(code)
         # the lexicographic least image: the least first word, then the
         # least next word among the images tied so far
-        tie = np.ones(code.shape[1:], dtype=bool)
-        for k, ((lo, hi), weight) in enumerate(zip(words, weights)):
-            code[lo:hi] *= weight[:, None, None]
-            word = code[lo:hi].sum(axis=0)
-            word[~tie] = KEY_LIMIT
+        for k, (lo, hi) in enumerate(words):
+            word = code[lo].astype(word_type)  # of codes lo..hi - 1, by Horner's rule
+            for c in range(lo + 1, hi):
+                word *= radix
+                word += code[c]
+            if k:
+                word[~tie] = np.iinfo(word_type).max
             keys[k, part] = least = word.min(axis=0)
-            tie &= word == least
+            if hi < m:  # a next word: keep the images tied with the least so far
+                tie = word == least if k == 0 else tie & (word == least)
     klass, rep = _lex_ids(keys.T)
     cell_codes = np.concatenate(
-        [keys[k, rep, None] // weight % radix for k, weight in enumerate(weights)], axis=1
+        [keys[k, rep, None] // radix ** np.arange(hi - lo - 1, -1, -1) % radix
+         for k, (lo, hi) in enumerate(words)], axis=1
     )
     uniq, cell = _ranks(cell_codes.ravel())
     cx, cy = uniq // base, uniq % base

@@ -520,13 +520,28 @@ def _assert_same_classes(got, want):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# Box sides s on both sides of every dtype switch of `classes` (`_int_type`),
+# for cells in [0, s]**2: the image words, int16 while (s + 1)**(2m) <= 2**15
+# (s = 180, 12, 4, 2 for m = 1 to 4) and int32 while below 2**31 (s =
+# 46339, 214, 34, 13, 7, 4 for m = 1 to 6); the image cell codes, int16 up to
+# s = 180; the point codes and key, int16 while (s + 1)(2s + 1) <= 2**14 (s =
+# 89) and int32 up to 2**30 (s = 23169); the representatives' coordinates,
+# int16 up to s = 32767.  Each is listed with the side past it.
+SWITCH_SIDES = (2, 3, 4, 5, 7, 8, 12, 13, 14, 34, 35, 89, 90, 180, 181, 214, 215,
+                23169, 23170, 32767, 32768, 46339, 46340)
+
 # coordinates: a 6 x 6 box (twelve cells there need two key words), a wide
-# square, and values within 2 of +-COORD_LIMIT (ranked image coordinates)
+# square, values within 2 of +-COORD_LIMIT (ranked image coordinates), and a
+# box [0, s]**2 of a side s from SWITCH_SIDES, shared by every cell of a draw
+# (each coordinate the least of s and an integer up to the largest side, so s
+# and 0 are drawn often and some configuration spans the box)
 CLASS_COORDS = {
     "box": st.integers(0, 5),
     "wide": st.integers(-10**6, 10**6),
     "limit": st.sampled_from([COORD_LIMIT - 1, COORD_LIMIT - 2, 2 - COORD_LIMIT, 1 - COORD_LIMIT,
                               -1, 0, 1]),
+    "switch": st.tuples(st.shared(st.sampled_from(SWITCH_SIDES), key="box side"),
+                        st.integers(0, max(SWITCH_SIDES))).map(min),
 }
 
 
@@ -577,6 +592,42 @@ def test_classes_by_networks_match_the_coordinate_pair_reduction(batch):
         patch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0)
         got = classes(*batch)
     _assert_same_classes(got, classes_oracle.classes(*batch))
+
+
+@pytest.mark.parametrize("m, side", [
+    (2, 12), (2, 13), (3, 4), (3, 5), (4, 2), (4, 3),  # image words int16 | int32
+    (2, 214), (2, 215), (3, 34), (3, 35), (4, 13), (4, 14), (5, 7), (5, 8), (6, 4), (6, 5),
+    (2, 180), (2, 181),  # image cell codes int16 | int32
+    (3, 89), (3, 90), (3, 23169), (3, 23170),  # point codes and key int16 | int32 | int64
+    (2, 32767), (2, 32768),  # representatives' coordinates int16 | int32
+])
+def test_classes_on_both_sides_of_each_dtype_switch(m, side):
+    """Configurations of m cells in the box [0, side]**2, the first spanning
+    it, a translate inside the box and the images under D4 moved back into
+    it, on each side of a switch of SWITCH_SIDES, equal the coordinate-pair
+    reduction, in one chunk and by the networks.  (A configuration of one
+    cell has a box of side 0, so m = 1 never reaches a switch.)"""
+    rng = np.random.default_rng(side * 16 + m)
+
+    def cells(lo, hi, *fixed):
+        out = set(fixed)
+        while len(out) < m:
+            out.add(tuple(int(v) for v in rng.integers(lo, hi + 1, 2)))
+        return sorted(out)
+
+    half = side // 2
+    configs = [cells(0, side, (0, 0), (side, side)), cells(0, side), cells(0, half)]
+    configs.append(_move(IDENTITY, configs[-1], (side - half, side - half)))
+    for a, c in zip(D4[1:], configs * 2):
+        moved = _move(a, c)
+        configs.append(_move(IDENTITY, moved, tuple(side * (min(v) < 0) for v in zip(*moved))))
+    batch = (D4, *config_index(configs + configs[:2]))
+    got = classes(*batch)
+    assert max(map(max, got.points)) == side  # the spanning configuration's box
+    _assert_same_classes(got, classes_oracle.classes(*batch))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0)
+        _assert_same_classes(classes(*batch), classes_oracle.classes(*batch))
 
 
 ONE_ROW_COORDS = {**CLASS_COORDS, "span": st.integers(1 - COORD_LIMIT, COORD_LIMIT - 1)}
@@ -646,26 +697,35 @@ def test_networks_sort_every_zero_one_input(m, monkeypatch):
     assert (cells == want).all()
 
 
-SORT_VALUES = st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62),
-                        st.integers(-3, 3).map(lambda v: KEY_LIMIT + v),
-                        st.integers(-3, 3).map(lambda v: v - KEY_LIMIT))
+INT_TYPES = st.sampled_from([np.int16, np.int32, np.int64])
+
+
+def int_values(dtype, edge=3):
+    """Integers of a dtype: small ones, any in range, and within `edge` of
+    either end of the range (and about +-KEY_LIMIT for int64)."""
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    near_keys = [KEY_LIMIT - edge // 2, -KEY_LIMIT - edge // 2] if dtype == np.int64 else []
+    ends = [lo, hi - edge, *near_keys]
+    return st.one_of(st.integers(-3, 3), st.integers(lo, hi),
+                     *(st.integers(0, edge).map(lambda v, e=e: e + v) for e in ends))
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 12), shape=st.lists(st.integers(1, 9), min_size=1, max_size=2),
-       data=st.data(), network=st.booleans())
-def test_sorted_cells_equal_np_sort(m, shape, data, network):
+       dtype=INT_TYPES, data=st.data(), network=st.booleans())
+def test_sorted_cells_equal_np_sort(m, shape, dtype, data, network):
     """Both branches of `_sort_cells` (past six cells only np.sort), on
-    (m, rows) and (m, G, rows) arrays with ties, negative values and values
-    near 2**62, equal np.sort over each configuration's cells."""
+    int16, int32 and int64 (m, rows) and (m, G, rows) arrays with ties,
+    negative values and values near the ends of the dtype, equal np.sort
+    over each configuration's cells, in that dtype."""
     size = m * math.prod(shape)
-    values = data.draw(st.lists(SORT_VALUES, min_size=size, max_size=size))
-    cells = np.array(values, dtype=np.int64).reshape(m, *shape)
+    values = data.draw(st.lists(int_values(dtype), min_size=size, max_size=size))
+    cells = np.array(values, dtype=dtype).reshape(m, *shape)
     want = np.moveaxis(np.sort(np.moveaxis(cells, 0, -1), axis=-1), -1, 0)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "NETWORK_ROWS_PER_EXCHANGE", 0 if network else 10**9)
         spectral._sort_cells(cells)
-    assert (cells == want).all()
+    assert cells.dtype == dtype and (cells == want).all()
 
 
 @pytest.mark.parametrize("name, grid", [("snub_square", 4), ("truncated_square", 4),
@@ -707,31 +767,71 @@ def test_classes_of_sorted_and_permuted_rows_agree(name, source, size):
     _assert_same_classes(got, classes_oracle.classes(group, points, rows))
 
 
-RANK_VALUES = st.one_of(
-    st.integers(-3, 3), st.integers(-2**62, 2**62),
-    st.integers(-40, 40).map(lambda v: KEY_LIMIT - 40 + v),
-    st.integers(-40, 40).map(lambda v: 40 - KEY_LIMIT + v),
-)
+@st.composite
+def int_columns(draw, max_size=40):
+    """An int16, int32 or int64 column of values from `int_values`."""
+    dtype = draw(INT_TYPES)
+    return np.array(draw(st.lists(int_values(dtype, 80), max_size=max_size)), dtype=dtype)
 
 
 @settings(max_examples=300, deadline=None)
-@given(values=st.lists(RANK_VALUES, max_size=40), span_per_key=st.sampled_from([0, 5, 64]))
-@example(values=[], span_per_key=5)
-@example(values=[7], span_per_key=5)
-@example(values=[-3, -1, -3, 0], span_per_key=5)
-@example(values=[KEY_LIMIT, KEY_LIMIT - 1, KEY_LIMIT], span_per_key=5)
-@example(values=[-KEY_LIMIT, KEY_LIMIT], span_per_key=64)
-def test_ranks_equal_np_unique(values, span_per_key):
+@given(column=int_columns(), span_per_key=st.sampled_from([0, 5, 64]))
+@example(column=np.array([], dtype=np.int64), span_per_key=5)
+@example(column=np.array([7], dtype=np.int64), span_per_key=5)
+@example(column=np.array([-3, -1, -3, 0], dtype=np.int16), span_per_key=5)
+@example(column=np.array([KEY_LIMIT, KEY_LIMIT - 1, KEY_LIMIT], dtype=np.int64), span_per_key=5)
+@example(column=np.array([-KEY_LIMIT, KEY_LIMIT], dtype=np.int64), span_per_key=64)
+@example(column=np.array([-2**15, 2**15 - 1, -2**15], dtype=np.int16), span_per_key=2**15)
+@example(column=np.array([-2**31, 2**31 - 1], dtype=np.int32), span_per_key=5)
+def test_ranks_equal_np_unique(column, span_per_key):
     """Both paths of `_ranks`, the count (a dense column, span at most
-    RANK_SPAN_PER_KEY times its length) and the argsort (0 forces it), equal
-    np.unique(return_inverse=True), values and dtypes."""
-    column = np.array(values, dtype=np.int64)
+    RANK_SPAN_PER_KEY times its length) and the argsort (0 forces it), on
+    int16, int32 and int64 columns, equal np.unique(return_inverse=True),
+    values and dtypes: the distinct values in the column's dtype, the ranks
+    intp."""
     want, inverse = np.unique(column, return_inverse=True)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(spectral, "RANK_SPAN_PER_KEY", span_per_key)
         got, rank = spectral._ranks(column)
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
     assert rank.dtype == np.intp and rank.tolist() == inverse.ravel().tolist()
+
+
+@st.composite
+def lex_arrays(draw):
+    """An (n, k) int16, int32 or int64 array whose columns have spans the
+    dtype holds, as `_lex_ids` asks: each column lies in a window [a, a +
+    span] of the dtype, with spans about each switch of the key (a product
+    of bases below 2**31 or not, a base past KEY_LIMIT), and repeated rows."""
+    dtype = draw(INT_TYPES)
+    lo, hi = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    spans = [v for v in (0, 1, 3, 40, 46339, 46340, hi - 1, hi) if v <= hi]
+    n, k = draw(st.integers(0, 30)), draw(st.integers(1, 4))
+    cols = []
+    for _ in range(k):
+        span = draw(st.sampled_from(spans))
+        a = draw(st.integers(lo, hi - span))
+        value = st.one_of(st.integers(a, a + span), st.sampled_from([a, a + span]))
+        cols.append(draw(st.lists(value, min_size=n, max_size=n)))
+    rows = np.array(cols, dtype=dtype).T.reshape(n, k)
+    repeats = draw(st.lists(st.integers(0, n - 1), max_size=8)) if n else []
+    return np.concatenate([rows, rows[np.array(repeats, dtype=np.intp)]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(lex_arrays())
+def test_lex_ids_number_the_rows_in_lexicographic_order(cols):
+    """`_lex_ids` of int16, int32 and int64 arrays (its key int32 below
+    2**31, else int64 with ranks past KEY_LIMIT) equals np.unique over the
+    rows: the same intp ids, and a row of each id; the input is not
+    changed."""
+    before = cols.copy()
+    ids, first = spectral._lex_ids(cols)
+    want, inverse = np.unique(cols, axis=0, return_inverse=True)
+    assert (cols == before).all()
+    assert ids.dtype == first.dtype == np.intp
+    assert ids.tolist() == inverse.ravel().tolist()
+    assert cols[first].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("extra, counted", [(-1, True), (0, True), (1, False)])
