@@ -36,10 +36,10 @@ Python ints past that, through the same expressions
 them (`qfield.quad_float`, `spectral._phase_angle`): from the correctly
 rounded integer quotients p/r and q/r, which depend on the rationals alone,
 not on the denominator they are written over.  The complex products and
-quotients are CPython's, written out on (re, im) pairs (`_product`,
-`_over_i`).  So the tables have the bits of the scalar `inner_product` and
-`hole_inner_product`, which take one entry through the same kernels and
-stay as the test oracles.
+quotients are CPython's, written out on (re, im) pairs
+(`spectral._product`, `_over_i`).  So the tables have the bits of the
+scalar `inner_product` and `hole_inner_product`, which take one entry
+through the same kernels and stay as the test oracles.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ from .qfield import QuadNumber, quad_float
 from .spectral import (
     TWO_PI,
     _check_size,
+    _complex,
     _int_array,
     _phase_angle,
+    _product,
     hermitian_extremes,
     ingham_constants,
     phase,
@@ -198,21 +200,9 @@ def inner_product(
     return _phase_sum(phase(vec_dot(mu, n)) for n in config.ns) * factor / spec.det_l()
 
 
-# CPython's complex arithmetic on (re, im) pairs of float arrays.  numpy's
-# complex multiply may use fused multiply-add and its division another
-# formula, so neither keeps the bits of the scalar oracles.  A float y
-# enters as (y, 0.0), as Python 3.10-3.13 convert it before they multiply or
-# divide; the mixed-mode arithmetic of Python 3.14 does not, and there these
-# pairs would no longer have the scalar bits.
-
-
-def _product(x, y):
-    """x * y, as CPython's _Py_c_prod rounds it."""
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
 def _over_i(x, t):
-    """x / (1j*t) for nonzero floats t, as CPython's _Py_c_quot rounds it.
+    """x / (1j*t) for nonzero floats t, as CPython's _Py_c_quot rounds it, on
+    the (re, im) pairs of `spectral._product`.
 
     1j*t is (copysign(0.0, t), t), so its imaginary part is the larger:
     _Py_c_quot's ratio real/imag is then +0.0 and its denominator
@@ -220,13 +210,6 @@ def _over_i(x, t):
     (x.im*ratio - x.re)/t).  The products with +0.0 carry the signs of the
     zeros: at t = 1e-100, x.re = e^{2 pi i t}.re - 1 is 0.0 exactly."""
     return (x[0] * 0.0 + x[1]) / t, (x[1] * 0.0 - x[0]) / t
-
-
-def _complex(x) -> np.ndarray:
-    """The complex array of an (re, im) pair of one shape, with its bits."""
-    z = np.array(x[0], dtype=complex)
-    z.imag = x[1]
-    return z
 
 
 def _phi(p, q, r: int, d: int) -> np.ndarray:
@@ -556,9 +539,13 @@ def removal_witness(
     As the support grows the sequence decreases toward 0, witnessing that the
     lower estimate cannot survive the removal of an open set.  Each matrix is
     assembled once, from the Gram table minus the hole table: conjugation
-    commutes exactly with float subtraction, so it has the bits of
-    gram_matrix - hole_gram_matrix.  Like the hole, it takes config.ns as
-    they are, not translated to the origin as `frame_bound_check` does.
+    commutes with float subtraction, so it has the bits of
+    gram_matrix - hole_gram_matrix but for the sign of a zero imaginary part
+    below the diagonal, where the two imaginary parts cancel: the conjugate
+    is -0.0 and the difference +0.0.  It is exactly Hermitian, so
+    `hermitian_extremes` takes it unsymmetrised.  Like the hole, it takes
+    config.ns as they are, not translated to the origin as
+    `frame_bound_check` does.
     """
     return [
         hermitian_extremes(_assemble(support, _gram_table(spec, config, support)

@@ -1,27 +1,32 @@
 """One-shot reproduction harness over the catalog's expected-result tables.
 
 `KINDS` maps each ExpectedRecord kind to an evaluator that gives `(computed,
-passed)`; kinds doing the same work share one.  Evaluators read grid and
-connected surveys from a store that `build_report` makes for one report
-(`_survey_store`, a `functools.cache`), so a survey that several records and
-the CSVs read runs once.  The 2x2 cell-block records take the public survey
-calls: `search.translation_classes` of the block's m-subsets, then
-`search.classify_configs` of the class representatives.  `_report_entry`
-builds every report entry, frame bounds included.
+passed)`; kinds doing the same work share one.  Evaluators read what they
+need from one `Store` that `build_report` makes for the report (`_store`)
+and drops when it returns: catalog entries, so each two-square spec is built
+once; grid and connected surveys; the record-level `ingham_constants` of
+each (spec, configuration), whose `satisfies_a2` is the (A2) verdict; the
+domains of `geometry.omega_cells`; and the 2x2 cell-block classes, the
+public survey calls `search.translation_classes` of the block's m-subsets
+and `search.classify_configs` of the class representatives.  Each is
+computed on its first request, and nothing outlives the report.  The
+frame-bound entries (`_frame_bound_entry`) take `gram.frame_bound_check` as
+it is, with its own constants.  The seeded determinant sweep is one array
+evaluation of `spectral.two_square_deltas`.
 
 The report is deterministic (no timestamps, sorted keys, fixed seeds) and is
-written with the survey CSVs.  Every grid survey gates on
-`spectral.a2_stable` (no |det E| near the (A2) threshold).  Records with a
-`printed` value document a published figure that the data provably
-contradicts; they gate on the frozen computed value and surface the printed
-one in the report.
+written with the survey CSVs, into a directory made before any record is
+evaluated.  Every grid survey gates on `spectral.a2_stable` (no |det E| near
+the (A2) threshold).  Records with a `printed` value document a published
+figure that the data provably contradicts; they gate on the frozen computed
+value and surface the printed one in the report.
 """
 
 from __future__ import annotations
 
 import json
 import platform
-from fractions import Fraction
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from pathlib import Path
@@ -32,13 +37,28 @@ import numpy as np
 from . import catalog, geometry, search, spectral
 from .catalog import CatalogEntry, ExpectedRecord
 from .gram import SupportSet, frame_bound_check
-from .lattice import LatticeSpec, minimality_certificate
+from .lattice import LatticeSpec, TranslationConfig, minimality_certificate
 
 SEED = 20240801
 
-# the survey of (spec, grid_max), computed once per key and report
-Surveys = Callable[[LatticeSpec, int | None], search.SurveyResult]
-Evaluator = Callable[[CatalogEntry, ExpectedRecord, Surveys], tuple[Any, bool]]
+
+@dataclass(frozen=True)
+class Store:
+    """What one report computes, by argument: its catalog entries
+    (`catalog.get`), grid and connected surveys (`_survey`), record-level
+    constants (`spectral.ingham_constants`), domains
+    (`geometry.omega_cells`) and 2x2 cell-block classes
+    (`_cell_block_classes`).  `_store` makes one whose every member computes
+    on its first request and keeps the result for later ones."""
+
+    entry: Callable[..., CatalogEntry]
+    survey: Callable[[LatticeSpec, int | None], search.SurveyResult]
+    constants: Callable[[LatticeSpec, TranslationConfig], spectral.SpectralResult]
+    domain: Callable[[LatticeSpec, TranslationConfig], geometry.DomainGeometry]
+    cell_block: Callable[[LatticeSpec], search.SurveyRecords]
+
+
+Evaluator = Callable[[CatalogEntry, ExpectedRecord, Store], tuple[Any, bool]]
 
 
 def _close(got, want, tol: float, relative: bool = False) -> bool:
@@ -48,56 +68,62 @@ def _close(got, want, tol: float, relative: bool = False) -> bool:
     return abs(got - want) <= (tol * abs(want) if relative else tol)
 
 
-def _equal(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
+def _equal(compute: Callable[[CatalogEntry, ExpectedRecord, Store], Any]) -> Evaluator:
     """Pass when the computed value equals `want`."""
-    def evaluate(entry, rec, surveys):
-        computed = compute(entry, rec)
+    def evaluate(entry, rec, store):
+        computed = compute(entry, rec, store)
         return computed, computed == rec.want
 
     return evaluate
 
 
-def _within(compute: Callable[[CatalogEntry, ExpectedRecord], Any]) -> Evaluator:
+def _within(compute: Callable[[CatalogEntry, ExpectedRecord, Store], Any]) -> Evaluator:
     """Pass when the computed value is within `tol` of `want`."""
-    def evaluate(entry, rec, surveys):
-        computed = compute(entry, rec)
+    def evaluate(entry, rec, store):
+        computed = compute(entry, rec, store)
         return computed, _close(computed, rec.want, rec.tol, rec.params.get("relative", False))
 
     return evaluate
 
 
-def _config(entry: CatalogEntry, rec: ExpectedRecord) -> spectral.TranslationConfig:
+def _config(entry: CatalogEntry, rec: ExpectedRecord) -> TranslationConfig:
     return entry.default_configs[rec.params["config"]]
 
 
-def _domain(entry: CatalogEntry, rec: ExpectedRecord) -> geometry.DomainGeometry:
-    return geometry.omega_cells(entry.spec, _config(entry, rec))
+def _constants(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> spectral.SpectralResult:
+    return store.constants(entry.spec, _config(entry, rec))
 
 
-def _kappas(entry: CatalogEntry, rec: ExpectedRecord) -> tuple[float, float]:
-    sr = spectral.ingham_constants(entry.spec, _config(entry, rec))
+def _domain(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> geometry.DomainGeometry:
+    return store.domain(entry.spec, _config(entry, rec))
+
+
+def _kappas(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> tuple[float, float]:
+    sr = _constants(entry, rec, store)
     return (sr.kappa1, sr.kappa2)
 
 
 def _disk_bound(field: str) -> Evaluator:
     """One field of the domain's disk bounds (half diameter, necessary radius)."""
-    return _within(lambda entry, rec: getattr(geometry.disk_bounds(_domain(entry, rec)), field))
+    return _within(
+        lambda entry, rec, store: getattr(geometry.disk_bounds(_domain(entry, rec, store)), field)
+    )
 
 
-def _density_ratio(entry: CatalogEntry, rec: ExpectedRecord) -> float:
-    tri = catalog.get("triangular")
-    tri_geom = geometry.omega_cells(tri.spec, tri.default_configs["base"])
-    return tri_geom.area / geometry.omega_cells(entry.spec, entry.default_configs["right"]).area
+def _density_ratio(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> float:
+    tri = store.entry("triangular")
+    tri_area = store.domain(tri.spec, tri.default_configs["base"]).area
+    return tri_area / store.domain(entry.spec, entry.default_configs["right"]).area
 
 
 def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) -> Evaluator:
     """Grid-survey kinds: `measure` gives (computed, passed) from one survey; the
     record's `total` param and the survey's (A2) stability add their gates."""
-    def evaluate(entry, rec, surveys):
+    def evaluate(entry, rec, store):
         params = rec.params
         if "r" in params:
-            entry = catalog.get("two_square", r=params["r"], R=params["R"])
-        result = surveys(entry.spec, params["grid_max"])
+            entry = store.entry("two_square", params["r"], params["R"])
+        result = store.survey(entry.spec, params["grid_max"])
         computed, passed = measure(result, rec)
         passed = passed and result.total == params.get("total", result.total)
         return computed, passed and spectral.a2_stable(result.records.classes.det_abs)
@@ -107,8 +133,8 @@ def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) 
 
 def _connected(measure: Callable[[search.SurveyResult], Any]) -> Evaluator:
     """Connected-survey kinds: pass when `measure` of the survey equals `want`."""
-    def evaluate(entry, rec, surveys):
-        computed = measure(surveys(entry.spec, None))
+    def evaluate(entry, rec, store):
+        computed = measure(store.survey(entry.spec, None))
         return computed, computed == rec.want
 
     return evaluate
@@ -123,24 +149,24 @@ def _pass_kappas(result: search.SurveyResult, rec: ExpectedRecord):
     return computed, _close(computed, (want1, want1, want2, want2), rec.tol)
 
 
-def _cell_block_classes(spec) -> search.SurveyRecords:
+def _cell_block_classes(spec: LatticeSpec) -> search.SurveyRecords:
     """One record per translation class of m-subsets of the 2x2 cell block,
     its representative (`search.translation_classes`)."""
     classes = search.translation_classes(combinations(((0, 0), (0, 1), (1, 0), (1, 1)), spec.m))
     return search.classify_configs(spec, [c.representative for c in classes])
 
 
-def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
+def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, store: Store):
     """Constant pairs per class: each wanted pair within 1e-6 (matched by cells
     when the rows are labelled with them), each printed pair within `tol`."""
     labelled = rec.key == "cells-2x2"
     if labelled:
         rows = [
             [list(r.config[0]), list(r.config[1]), round(r.kappa1, 7), round(r.kappa2, 7)]
-            for r in _cell_block_classes(entry.spec)
+            for r in store.cell_block(entry.spec)
         ]
     else:  # tetromino classes: distinct pairs among the passing connected shapes
-        cols = surveys(entry.spec, None).records.classes
+        cols = store.survey(entry.spec, None).records.classes
         passing = zip(cols.kappa1[cols.a2].tolist(), cols.kappa2[cols.a2].tolist())
         pairs = {(round(k1, 7), round(k2, 7)) for k1, k2 in passing}
         rows = [[k1, k2] for k1, k2 in sorted(pairs)]
@@ -158,43 +184,48 @@ def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
     return rows, passed
 
 
-def _rank_order(entry: CatalogEntry, rec: ExpectedRecord) -> list:
-    ranked = search.rank_by_conditioning(search.as_result(_cell_block_classes(entry.spec)))
+def _rank_order(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> list:
+    ranked = search.rank_by_conditioning(search.as_result(store.cell_block(entry.spec)))
     return [[list(p) for p in r.config] for r in ranked]
 
 
-def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
+def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord, store: Store):
     """Largest gap between the kernel's |det E| and the closed-form delta."""
     diffs = []
     for r, R in rec.params["pairs"]:
-        sub = catalog.get("two_square", r=r, R=R)
-        sr = spectral.ingham_constants(sub.spec, sub.default_configs["canonical"])
+        sub = store.entry("two_square", r, R)
+        sr = store.constants(sub.spec, sub.default_configs["canonical"])
         diffs.append(abs(sr.det_abs - abs(spectral.two_square_delta(r, R))))
     return max(diffs), max(diffs) <= rec.tol
 
 
-def _delta_nonzero(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys):
+def _seeded_deltas(seed: int, count: int) -> np.ndarray:
+    """The closed-form delta of `count` seeded random side pairs, in one
+    array evaluation (`spectral.two_square_deltas`): r = a/100 and
+    R = r + b/100 for draws a, b in [1, 1000), both halved when R > 10."""
+    a, b = np.random.default_rng(seed).integers(1, 1000, size=(count, 2)).T
+    return spectral.two_square_deltas(a, a + b, np.where(a + b > 1000, 200, 100))
+
+
+def _delta_nonzero(entry: CatalogEntry, rec: ExpectedRecord, store: Store):
     """Smallest |delta| over seeded random side lengths; must exceed `want`."""
-    rng = np.random.default_rng(rec.params["seed"])
-    vals = []
-    for _ in range(rec.params["count"]):
-        r = Fraction(int(rng.integers(1, 1000)), 100)
-        R = r + Fraction(int(rng.integers(1, 1000)), 100)
-        if R > 10:
-            r, R = r / 2, R / 2
-        vals.append(abs(spectral.two_square_delta(r, R)))
-    return min(vals), min(vals) > rec.want
+    smallest = min(map(abs, _seeded_deltas(rec.params["seed"], rec.params["count"]).tolist()))
+    return smallest, smallest > rec.want
 
 
 KINDS: dict[str, Evaluator] = {
     "kappa_pair": _within(_kappas),
-    "a2_verdict": _equal(lambda entry, rec: spectral.check_a2(entry.spec, _config(entry, rec))),
-    "area": _within(lambda entry, rec: geometry.area_check(_domain(entry, rec), entry.spec)),
+    "a2_verdict": _equal(lambda entry, rec, store: _constants(entry, rec, store).satisfies_a2),
+    "area": _within(
+        lambda entry, rec, store: geometry.area_check(_domain(entry, rec, store), entry.spec)
+    ),
     "half_diameter": _disk_bound("r_sufficient"),
     "radius_necessary": _disk_bound("r_necessary"),
-    "bessel_bound": _within(lambda entry, rec: 2.0 * geometry.bessel_j0_root()),
+    "bessel_bound": _within(lambda entry, rec, store: 2.0 * geometry.bessel_j0_root()),
     "minimality": _equal(
-        lambda entry, rec: minimality_certificate(entry.spec, catalog.minimality_witnesses(entry))
+        lambda entry, rec, store: minimality_certificate(
+            entry.spec, catalog.minimality_witnesses(entry)
+        )
     ),
     "density_ratio": _within(_density_ratio),
     "survey_fail_count": _survey_kind(lambda res, rec: (res.failing, res.failing == rec.want)),
@@ -203,7 +234,7 @@ KINDS: dict[str, Evaluator] = {
     "connected_pass_count": _connected(lambda res: res.passing),
     "connected_all_pass": _connected(lambda res: res.failing == 0),
     "polyomino_count": _equal(
-        lambda entry, rec: len(geometry.polyominoes(rec.params["size"]).idx)
+        lambda entry, rec, store: len(geometry.polyominoes(rec.params["size"]).idx)
     ),
     "class_pairs": _class_pairs,
     "rank_order": _equal(_rank_order),
@@ -228,44 +259,52 @@ def _report_entry(tiling: str, rec: ExpectedRecord, computed: Any, passed: bool)
     }
 
 
-def _evaluate(entry: CatalogEntry, rec: ExpectedRecord, surveys: Surveys) -> dict:
+def _evaluate(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> dict:
     if rec.kind not in KINDS:
         raise ValueError(f"unknown expected-record kind {rec.kind!r}")
-    computed, passed = KINDS[rec.kind](entry, rec, surveys)
+    computed, passed = KINDS[rec.kind](entry, rec, store)
     return _report_entry(entry.spec.name, rec, computed, passed)
 
 
-def _tilings(R: int):
+def _tilings(store: Store, R: int):
     """Every catalog entry, the two-square family at r=1 and the given R."""
     for name in catalog.names():
-        yield catalog.get(name, r=1, R=R) if name == "two_square" else catalog.get(name)
+        yield store.entry(name, 1, R) if name == "two_square" else store.entry(name)
 
 
-def _survey_store() -> Surveys:
-    """The survey of (spec, grid_max), each computed on its first request and
-    kept for later ones (`functools.cache`): `classify_all` on the grid
-    [0, grid_max]^2, or `connected_survey` for grid_max None.  The report's
-    records and its CSVs ask for 12 grid surveys, of which 7 are distinct,
-    and 5 connected ones, of which 3 are.  One report makes one store and
-    drops it when it returns."""
+def _survey(spec: LatticeSpec, grid_max: int | None) -> search.SurveyResult:
+    """`classify_all` on the grid [0, grid_max]^2, or `connected_survey` for
+    grid_max None."""
+    if grid_max is None:
+        return search.connected_survey(spec)
+    return search.classify_all(spec, grid_max, spec.m)
 
-    @cache
-    def survey(spec: LatticeSpec, grid_max: int | None) -> search.SurveyResult:
-        if grid_max is None:
-            return search.connected_survey(spec)
-        return search.classify_all(spec, grid_max, spec.m)
 
-    return survey
+def _store() -> Store:
+    """A store whose members keep each result by its arguments
+    (`functools.cache`).  One report asks it for 36 catalog entries, of which
+    16 are distinct; for 12 grid surveys, of which 7 are, and 5 connected
+    ones, of which 3 are; for 22 constants of 19 configurations; for 11
+    domains of 4; and for 2 cell blocks of 1.  `build_report` makes one store
+    and drops it when it returns, so nothing is kept from one report to the
+    next."""
+    return Store(*map(cache, (catalog.get, _survey, spectral.ingham_constants,
+                              geometry.omega_cells, _cell_block_classes)))
 
 
 def build_report(out_dir: str | Path | None = None) -> dict:
     """Run every expected record; optionally write report.json and CSVs.
-    Each distinct survey runs once per call (`_survey_store`)."""
-    surveys = _survey_store()
+    Each distinct result is computed once per call (`_store`).  The output
+    directory is made before any record is evaluated, so a path that cannot
+    be one is refused (OSError) at once."""
+    if out_dir is not None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    store = _store()
     entries = [
-        _evaluate(entry, rec, surveys) for entry in _tilings(R=2) for rec in entry.expected
+        _evaluate(entry, rec, store) for entry in _tilings(store, R=2) for rec in entry.expected
     ]
-    entries += [_frame_bound_entry(entry) for entry in _tilings(R=3)]
+    entries += [_frame_bound_entry(entry) for entry in _tilings(store, R=3)]
 
     passed = sum(1 for e in entries if e["pass"])
     fields = ("tiling", "kind", "key", "printed", "computed", "note")
@@ -286,7 +325,7 @@ def build_report(out_dir: str | Path | None = None) -> dict:
         },
     }
     if out_dir is not None:
-        _write_outputs(Path(out_dir), report, surveys)
+        _write_outputs(out_dir, report, store)
     return report
 
 
@@ -312,12 +351,12 @@ def _acceptance_support(spec) -> SupportSet:
     return SupportSet.box(spec, xs, ys)
 
 
-def _write_outputs(out_dir: Path, report: dict, surveys: Surveys) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_outputs(out_dir: Path, report: dict, store: Store) -> None:
+    """report.json and the survey CSVs, each named after its tiling's spec."""
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    for label in ("two_square_r1_R2", "snub_square", "truncated_square", "trihexagonal"):
-        entry = catalog.get(label)
-        grid = 2 if entry.spec.m == 3 else 3
-        search.write_survey_csv(out_dir / f"survey_{label}.csv", surveys(entry.spec, grid))
+    for tiling in (("two_square", 1, 2), ("snub_square",), ("truncated_square",), ("trihexagonal",)):
+        spec = store.entry(*tiling).spec
+        grid = 2 if spec.m == 3 else 3
+        search.write_survey_csv(out_dir / f"survey_{spec.name}.csv", store.survey(spec, grid))

@@ -54,6 +54,11 @@ the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
 heuristic.  `a2_stable` is the only place its stability is judged: a batch is
 stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
 there moves a verdict; the report gates every grid survey on it.
+`_two_square_det` is the only place the closed-form determinant of the
+two-square tiling is written, on (re, im) pairs of floats or float arrays in
+CPython's complex rounding (`_product`, which `gram` takes too):
+`two_square_delta` evaluates it for one pair of sides, `two_square_deltas`
+for arrays of them, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -167,6 +172,26 @@ def _int_type(bound: int) -> type:
     absolute value below bound (at most 2**63), from the bound alone, as
     `_int_array` picks int64 or Python ints."""
     return np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
+
+
+# CPython's complex arithmetic on (re, im) pairs of floats or float arrays.
+# numpy's complex multiply may use fused multiply-add and its division another
+# formula, so neither keeps the bits of the scalar oracles.  A float y enters
+# as (y, 0.0), as Python 3.10-3.13 convert it before they multiply or divide;
+# the mixed-mode arithmetic of Python 3.14 does not, and there these pairs
+# would no longer have the scalar bits.
+
+
+def _product(x, y):
+    """x * y, as CPython's _Py_c_prod rounds it."""
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _complex(x) -> np.ndarray:
+    """The complex array of an (re, im) pair of one shape, with its bits."""
+    z = np.array(x[0], dtype=complex)
+    z.imag = x[1]
+    return z
 
 
 def _phase_angle(p, q, r: int, d: int):
@@ -623,13 +648,33 @@ def a2_stable(det_abs) -> bool:
     return not np.any((det_abs > min(A2_SWEEP)) & (det_abs <= max(A2_SWEEP)))
 
 
+def _exactly_hermitian(h: np.ndarray) -> bool:
+    """Whether every entry of h off the diagonal has the bits of the
+    conjugate of its mirror, signs of zeros included: equal real parts, and
+    imaginary parts that differ in the sign bit alone."""
+    sign = np.uint64(1 << 63)
+    re, im = (part.view(np.uint64) for part in (h.real, h.imag))
+    flips = im ^ im.T
+    np.fill_diagonal(flips, sign)  # the diagonal is its own mirror
+    return np.array_equal(re, re.T) and bool(np.all(flips == sign))
+
+
 def hermitian_extremes(h: np.ndarray) -> tuple[float, float]:
-    """Extreme eigenvalues of a Hermitian matrix (full symmetric eigensolve)."""
+    """Extreme eigenvalues of a Hermitian matrix (full symmetric eigensolve).
+
+    A matrix whose asymmetry exceeds 1e-10 is refused.  Any other is
+    symmetrised, (h + h^*)/2, unless it is exactly Hermitian off its
+    diagonal (`_exactly_hermitian`), as `gram._assemble` builds it: there
+    the lower triangle (x + x)/2 = x and the real diagonal, all that
+    eigvalsh reads, have the bits of h already."""
     h = np.asarray(h, dtype=complex)
-    asym = np.max(np.abs(h - h.conj().T))
+    mirror = h.conj().T
+    asym = np.max(np.abs(h - mirror))
     if asym > 1e-10:
         raise NotHermitianError(f"asymmetry {asym:.2e} exceeds 1e-10")
-    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    if not _exactly_hermitian(h):
+        h = (h + mirror) / 2.0
+    w = np.linalg.eigvalsh(h)
     return float(w[0]), float(w[-1])
 
 
@@ -662,21 +707,49 @@ def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralRe
 # -- two-square (Pythagorean) tiling ----------------------------------------
 
 
-def two_square_delta(r: Rational, R: Rational) -> complex:
-    """Closed-form det E for the canonical 2x2-block configuration.
+def _two_square_det(rR, rr, s):
+    """The one closed form of det E for the canonical 2x2-block configuration
+    of the two-square tiling, from the floats of r*R, r*r and s = R^2 + r^2
+    (or float arrays of them), as an (re, im) pair.
 
-    With C = exp(2*pi*i*A*cos(alpha)) and D = exp(2*pi*i*A*sin(alpha)) the
-    determinant factors as (C^2-1)(D^2-1)(C^2 D^2 - 4CD + C^2 + D^2 + 1);
-    the modulus agrees with |det(build_e(...))| to machine precision.
-    """
-    r, R = _two_square_fractions(r, R)
-    s = R * R + r * r
+    With C = exp(2*pi*i*A*cos(alpha)) and D = exp(2*pi*i*A*sin(alpha)), where
+    A*cos(alpha) = rR/(sqrt2 s) and A*sin(alpha) = r^2/(sqrt2 s), the
+    determinant factors as (C^2-1)(D^2-1)(C^2 D^2 - 4CD + C^2 + D^2 + 1).
+    It is evaluated in CPython's complex rounding (`_product`), term by term
+    in the order the Python expression takes them, an integer k entering as
+    (k, 0.0); np.exp(1j*x) has the bits of cmath.exp(1j*x)."""
     root2 = math.sqrt(2.0)
-    ac = float(r * R) / (root2 * float(s))
-    as_ = float(r * r) / (root2 * float(s))
-    c = cmath.exp(2j * math.pi * ac)
-    d = cmath.exp(2j * math.pi * as_)
-    return (c * c - 1) * (d * d - 1) * (c * c * d * d - 4 * c * d + c * c + d * d + 1)
+    c, d = (
+        (z.real, z.imag) for z in (np.exp(1j * (TWO_PI * (x / (root2 * s)))) for x in (rR, rr))
+    )
+    cc, dd = _product(c, c), _product(d, d)
+    terms = (_product(_product(cc, d), d), _product(_product((4.0, 0.0), c), d), cc, dd, (1.0, 0.0))
+    last = tuple(a - b + e + f + g for a, b, e, f, g in zip(*terms))
+    return _product(_product((cc[0] - 1.0, cc[1] - 0.0), (dd[0] - 1.0, dd[1] - 0.0)), last)
+
+
+def two_square_delta(r: Rational, R: Rational) -> complex:
+    """Closed-form det E for the canonical 2x2-block configuration
+    (`_two_square_det`); the modulus agrees with |det(build_e(...))| to
+    machine precision."""
+    r, R = _two_square_fractions(r, R)
+    re, im = _two_square_det(float(r * R), float(r * r), float(R * R + r * r))
+    return complex(re, im)
+
+
+def two_square_deltas(p, P, n) -> np.ndarray:
+    """two_square_delta(p/n, P/n) elementwise, with its bits, for integer
+    arrays (or integers) 0 < p < P < 2**26 and 0 < n < 2**26.
+
+    Every integer formed from them is then below 2**53, so numpy's true
+    division of int64 gives the correctly rounded quotients that
+    float(Fraction) gives the scalar form.  Other sides are refused
+    (ValueError)."""
+    p, P, n = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (p, P, n)))
+    if not np.all((0 < p) & (p < P) & (P < 2**26) & (0 < n) & (n < 2**26)):
+        raise ValueError("two-square sides need integers 0 < p < P < 2**26 over 0 < n < 2**26")
+    n2 = n * n
+    return _complex(_two_square_det(p * P / n2, p * p / n2, (P * P + p * p) / n2))
 
 
 def trig_identity_residual(beta: float, gamma: float) -> float:

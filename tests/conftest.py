@@ -109,3 +109,17 @@ def catalog_entries():
             catalog.get(name, r=1, R=3) if name == "two_square" else catalog.get(name)
         )
     return out
+
+
+@pytest.fixture
+def eigvalsh_inputs(monkeypatch):
+    """The matrices handed to np.linalg.eigvalsh from here on, in order."""
+    seen = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        seen.append(a)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return seen

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import lattice_specs, quadrature_hole_inner_product, quadrature_inner_product
 
-from ingham import catalog, gram, qfield, spectral
+from ingham import catalog, gram, qfield, reproduce, spectral
 from ingham.errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
 from ingham.gram import (
     MAX_SUPPORT,
@@ -261,6 +261,40 @@ def test_removal_witness_is_lambda_min_of_gram_minus_hole(catalog_entries):
         ]
         assert _bits(np.array(removal_witness(spec, config, hole, supports))) == _bits(
             np.array(want)), name
+
+
+def _witness_matrix(spec, config, support, hole):
+    """The matrix removal_witness takes lambda_min of."""
+    return gram._assemble(support, gram._gram_table(spec, config, support)
+                          - gram._hole_table(spec, config, support, hole))
+
+
+def test_gram_matrices_go_to_the_eigensolver_as_they_are(catalog_entries, eigvalsh_inputs):
+    """Every frame-bound Gram matrix of the report (each tiling's primary
+    configuration at the origin, on its acceptance support) and every
+    removal-witness matrix is exactly Hermitian: hermitian_extremes hands it
+    to the eigensolver unsymmetrised, with the eigenvalue bits of the
+    symmetrised matrix."""
+    matrices = []
+    for entry in catalog_entries.values():
+        spec = entry.spec
+        config = entry.default_configs[entry.primary_config]
+        x0, y0 = (min(c) for c in zip(*config.ns))
+        at_origin = TranslationConfig(tuple((x - x0, y - y0) for x, y in config.ns))
+        matrices.append(gram_matrix(spec, at_origin, reproduce._acceptance_support(spec)))
+        hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+        supports = [SupportSet.centered(spec, 0), SupportSet.box(spec, range(-1, 2), range(2))]
+        matrices += [_witness_matrix(spec, config, support, hole) for support in supports]
+    honeycomb = catalog.get("honeycomb")
+    spec, config = honeycomb.spec, honeycomb.default_configs["right"]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+    matrices += [_witness_matrix(spec, config, SupportSet.centered(spec, k), hole)
+                 for k in range(4)]
+    for h in matrices:
+        got = hermitian_extremes(h)
+        assert eigvalsh_inputs[-1] is h
+        w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+        assert np.array(got).tobytes() == np.array([w[0], w[-1]]).tobytes()
 
 
 def test_hole_must_sit_inside_one_cell():

@@ -1,8 +1,10 @@
 import dataclasses
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ingham import catalog, reproduce, search, spectral
+from ingham import catalog, geometry, reproduce, search, spectral
 from ingham.reproduce import build_report
 
 
@@ -150,36 +152,88 @@ def test_unknown_record_kind_raises(monkeypatch):
         build_report()
 
 
-def _counting(monkeypatch, name):
-    """Count the calls to search.<name> from here on."""
+def _counting(monkeypatch, module, name):
+    """Count the calls to module.<name> from here on."""
     calls = []
-    real = getattr(search, name)
+    real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(search, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_a_report_runs_each_survey_once(monkeypatch, tmp_path):
     """One build_report runs 7 grid surveys and 3 connected ones, where its
-    records and CSVs ask for 12 and 5, and writes what a report that runs
-    every survey it asks for writes."""
-    grids, connected = _counting(monkeypatch, "classify_all"), _counting(monkeypatch, "connected_survey")
+    records and CSVs ask for 12 and 5, and writes what a report whose store
+    computes every request writes."""
+    grids = _counting(monkeypatch, search, "classify_all")
+    connected = _counting(monkeypatch, search, "connected_survey")
     report = build_report(tmp_path / "once")
     assert (len(grids), len(connected)) == (7, 3)
     assert len(set(grids)) == 7 and len(set(connected)) == 3
 
     def every_time():
-        return lambda spec, grid: (search.connected_survey(spec) if grid is None
-                                   else search.classify_all(spec, grid, spec.m))
+        return reproduce.Store(catalog.get, reproduce._survey, spectral.ingham_constants,
+                               geometry.omega_cells, reproduce._cell_block_classes)
 
-    monkeypatch.setattr(reproduce, "_survey_store", every_time)
+    monkeypatch.setattr(reproduce, "_store", every_time)
     assert build_report(tmp_path / "every") == report
     assert (len(grids), len(connected)) == (7 + 12, 3 + 5)
     written = sorted(path.name for path in (tmp_path / "once").iterdir())
     assert len(written) == 5
     for name in written:
         assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()
+
+
+def test_a_report_computes_each_distinct_result_once(monkeypatch):
+    """One build_report builds each of its 16 catalog entries, takes the
+    constants of each of 19 configurations, the domain of each of 4 and the
+    one cell block once; a second build_report does all of it again, since
+    no store outlives its report."""
+    calls = {
+        name: _counting(monkeypatch, module, name)
+        for module, name in ((catalog, "get"), (spectral, "ingham_constants"),
+                             (geometry, "omega_cells"), (reproduce, "_cell_block_classes"))
+    }
+    build_report()
+    once = {"get": 16, "ingham_constants": 19, "omega_cells": 4, "_cell_block_classes": 1}
+    assert {name: len(args) for name, args in calls.items()} == once
+    assert all(len(set(args)) == len(args) for args in calls.values())
+    build_report()
+    assert {name: len(args) for name, args in calls.items()} == {
+        name: 2 * count for name, count in once.items()
+    }
+
+
+def test_an_unusable_out_directory_is_refused_before_any_record(monkeypatch, capsys, tmp_path):
+    from ingham.cli import main
+
+    stores = _counting(monkeypatch, reproduce, "_store")
+    evaluated = _counting(monkeypatch, reproduce, "_evaluate")
+    (tmp_path / "file").write_text("")
+    assert main(["reproduce", "--out", str(tmp_path / "file" / "out")]) == 2
+    assert "usage error" in capsys.readouterr().err
+    assert stores == evaluated == []
+
+
+def test_seeded_deltas_have_the_bits_of_the_scalar_closed_form():
+    """The array sweep of the delta_nonzero record gives, side pair by side
+    pair, the bits of two_square_delta of the Fraction sides drawn one at a
+    time."""
+    rec = next(r for r in catalog._EXPECTED["two_square"] if r.kind == "delta_nonzero")
+    rng = np.random.default_rng(rec.params["seed"])
+    want = []
+    for _ in range(rec.params["count"]):
+        r = Fraction(int(rng.integers(1, 1000)), 100)
+        R = r + Fraction(int(rng.integers(1, 1000)), 100)
+        if R > 10:
+            r, R = r / 2, R / 2
+        want.append(spectral.two_square_delta(r, R))
+    got = reproduce._seeded_deltas(rec.params["seed"], rec.params["count"]).tolist()
+    assert len(got) == 100
+    assert [(z.real.hex(), z.imag.hex()) for z in got] == [
+        (z.real.hex(), z.imag.hex()) for z in want
+    ]

@@ -42,6 +42,7 @@ from ingham.spectral import (
     phase_columns,
     trig_identity_residual,
     two_square_delta,
+    two_square_deltas,
 )
 
 
@@ -133,6 +134,41 @@ def test_hermitian_extremes_snub_hexagonal():
     k1, k2 = hermitian_extremes(e @ e.conj().T)
     assert k1 == pytest.approx(1.0, abs=1e-9)
     assert k2 == pytest.approx(7.0, abs=1e-9)
+
+
+def _exactly_hermitian_matrix(upper) -> np.ndarray:
+    """The upper triangle of `upper`, its real diagonal, and below it the
+    conjugates of the entries above, as `gram._assemble` fills them."""
+    h = np.triu(np.asarray(upper, dtype=complex))
+    h[np.diag_indices(len(h))] = h.diagonal().real
+    below = np.tril_indices(len(h), -1)
+    h[below] = h.T[below].conj()
+    return h
+
+
+def test_an_exactly_hermitian_matrix_goes_to_the_eigensolver_as_it_is(eigvalsh_inputs):
+    h = _exactly_hermitian_matrix([[2, 1, 0.5j, 0], [0, 3, 1 - 1j, 0], [0, 0, 1, 0.25],
+                                   [0, 0, 0, 4]])
+    got = hermitian_extremes(h)
+    assert eigvalsh_inputs[-1] is h
+    w = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    assert np.array(got).tobytes() == np.array([w[0], w[-1]]).tobytes()
+
+
+@pytest.mark.parametrize("lower", [
+    complex(1.0, 0.0),  # the mirror of 1 + 0j, with the sign of its zero flipped
+    complex(1.0 + 1e-11, -0.0),  # off by less than 1e-10
+])
+def test_a_matrix_not_exactly_hermitian_is_symmetrised(eigvalsh_inputs, lower):
+    h = _exactly_hermitian_matrix([[2, 1, 0.5j], [0, 3, 1 - 1j], [0, 0, 1]])
+    assert np.signbit(h[1, 0].imag)
+    h[1, 0] = lower
+    got = hermitian_extremes(h)
+    symmetrised = (h + h.conj().T) / 2.0
+    assert eigvalsh_inputs[-1] is not h
+    assert eigvalsh_inputs[-1].tobytes() == symmetrised.tobytes()
+    w = np.linalg.eigvalsh(symmetrised)
+    assert np.array(got).tobytes() == np.array([w[0], w[-1]]).tobytes()
 
 
 def test_hermitian_extremes_rejects_asymmetric():
@@ -249,6 +285,51 @@ def test_two_square_delta_nonzero_random():
         if R > 10:
             r, R = r / 2, R / 2
         assert abs(two_square_delta(r, R)) > 1e-10
+
+
+def _python_two_square_delta(r, R) -> complex:
+    """The closed form in Python's complex arithmetic and cmath, as one
+    expression."""
+    r, R = Fraction(r), Fraction(R)
+    s = R * R + r * r
+    c = cmath.exp(2j * math.pi * (float(r * R) / (math.sqrt(2.0) * float(s))))
+    d = cmath.exp(2j * math.pi * (float(r * r) / (math.sqrt(2.0) * float(s))))
+    return (c * c - 1) * (d * d - 1) * (c * c * d * d - 4 * c * d + c * c + d * d + 1)
+
+
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+# integer sides p < P over a denominator n, every one below 2**26
+two_square_sides = st.tuples(
+    st.integers(1, 2**25 - 1), st.integers(1, 2**25), st.integers(1, 2**26 - 1)
+).map(lambda t: (t[0], t[0] + t[1], t[2]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sides=two_square_sides)
+@example(sides=(999, 1000, 1000))
+@example(sides=(1, 2, 1))
+def test_two_square_delta_has_the_bits_of_the_python_expression(sides):
+    p, P, n = sides
+    assert _hex(two_square_delta(Fraction(p, n), Fraction(P, n))) == _hex(
+        _python_two_square_delta(Fraction(p, n), Fraction(P, n)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sides=st.lists(two_square_sides, min_size=1, max_size=30))
+def test_two_square_deltas_have_the_bits_of_the_scalar_form(sides):
+    got = two_square_deltas(*(np.array(column) for column in zip(*sides))).tolist()
+    want = [two_square_delta(Fraction(p, n), Fraction(P, n)) for p, P, n in sides]
+    assert list(map(_hex, got)) == list(map(_hex, want))
+
+
+@pytest.mark.parametrize("sides", [(0, 1, 1), (2, 2, 1), (1, 2**26, 1), (1, 2, 0), (1, 2, 2**26),
+                                   ([1, 3], [2, 3], 1)])
+def test_two_square_deltas_refuse_sides_outside_the_exact_range(sides):
+    with pytest.raises(ValueError, match="two-square sides"):
+        two_square_deltas(*sides)
 
 
 def test_two_square_delta_finite_near_degenerate():
