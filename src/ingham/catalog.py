@@ -1,7 +1,13 @@
 """Built-in tilings with exact lattice data and their reference result tables.
 
-Each entry carries the adjoint matrix and translate vectors as exact
-quadratic-field literals, a few named translation configurations, and the
+Each fixed tiling is written in `_TILINGS` as the spec object of the
+`--spec-file` JSON schema (exact numbers such as {"a": "3/2", "b": "-1/2"},
+a zero "b" left out), with a few named translation configurations, and is
+loaded by `spec_from_json`, the loader of user spec files.  So `catalog
+show NAME` prints a file that `--spec-file` accepts, except for a two-square
+tiling whose scale and translates lie in two fields (r = 1, R = 2: sqrt 5
+and sqrt 2), which is shown in floats.  Two-square specs are built from
+their sides by `lattice.two_square_spec`.  Each entry also carries the
 machine-readable table of expected results that the reproduce harness runs.
 
 Expected records whose published source value is demonstrably inconsistent
@@ -16,13 +22,12 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Any, Callable
+from typing import Any
 
 from .errors import UnknownTilingError
 from .lattice import (
     TWO_SQUARE_CONFIG,
     LatticeSpec,
-    Mat2,
     TranslationConfig,
     Vec2,
     mat_vec,
@@ -62,162 +67,121 @@ class CatalogEntry:
     primary_config: str
 
 
-def _q(d: int) -> Callable[[Any, Any], QuadNumber]:
-    def build(a: Any = 0, b: Any = 0) -> QuadNumber:
-        return QuadNumber(Fraction(a), Fraction(b), d)
-
-    return build
-
-
-def _spec(name: str, l_star: Mat2, us: tuple[Vec2, ...]) -> LatticeSpec:
-    return validate_spec(LatticeSpec(name=name, l_star=l_star, us=us))
-
-
 # -- exact tiling data --------------------------------------------------------
+#
+# name: (spec in the --spec-file schema, named configurations, primary configuration)
 
+_SINGLE = {"base": ((0, 0),)}
+_SQUARE_BLOCK = {"square_block": ((0, 0), (0, 1), (1, 0), (1, 1))}
+_SIX = {"column": COLUMN_6, "bad": BAD_6, "staircase": STAIRCASE_6}
 
-def _square() -> LatticeSpec:
-    q = _q(1)
-    return _spec(
-        "square",
-        ((q(1), q(0)), (q(0), q(1))),
-        ((q(0), q(0)),),
-    )
-
-
-def _triangular() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "triangular",
-        ((q(1), q("1/2")), (q(0), q(0, "1/2"))),
-        ((q(0), q(0)),),
-    )
-
-
-def _honeycomb() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "honeycomb",
-        ((q("3/2"), q(0)), (q(0, "1/2"), q(0, 1))),
-        ((q(0), q(0)), (q("2/3"), q("-1/3"))),
-    )
-
-
-def _elongated_triangular() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "elongated_triangular",
-        ((q(1), q("1/2")), (q(0), q(1, "1/2"))),
-        ((q(0), q(0)), (q(-1, 1), q(4, -2))),
-    )
-
-
-def _trihexagonal() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "trihexagonal",
-        ((q(0, 1), q(0, 1)), (q(1), q(-1))),
-        ((q(0), q(0)), (q(0), q("1/2")), (q("1/2"), q(0))),
-    )
-
-
-def _snub_square() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "snub_square",
-        ((q(1, "1/2"), q("-1/2")), (q("1/2"), q(1, "1/2"))),
-        (
-            (q(0), q(0)),
-            (q(1, "-1/2"), q("1/2")),
-            (q("3/2", "-1/2"), q("-1/2", "1/2")),
-            (q("1/2"), q(0, "1/2")),
-        ),
-    )
-
-
-def _truncated_square() -> LatticeSpec:
-    q = _q(2)
-    return _spec(
-        "truncated_square",
-        ((q(2, 1), q(1, "1/2")), (q(0), q(1, "1/2"))),
-        (
-            (q(0), q(0)),
-            (q(1, "-1/2"), q(0)),
-            (q(0), q(2, -1)),
-            (q(0, "1/2"), q(2, -1)),
-        ),
-    )
-
-
-def _snub_hexagonal() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "snub_hexagonal",
-        ((q(0, 1), q(0, "1/2")), (q(2), q("-5/2"))),
-        (
-            (q(0), q(0)),
-            (q("3/7"), q("1/7")),
-            (q("2/7"), q("3/7")),
-            (q("5/7"), q("4/7")),
-            (q("1/7"), q("5/7")),
-            (q("4/7"), q("6/7")),
-        ),
-    )
-
-
-def _rhombitrihexagonal() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "rhombitrihexagonal",
-        ((q(1, 1), q("1/2", "1/2")), (q(0), q("3/2", "1/2"))),
-        (
-            (q(0), q(0)),
-            (q("-1/2", "1/2"), q(0)),
-            (q(-1, "2/3"), q(1, "-1/3")),
-            (q("-1/2", "1/2"), q("3/2", "-1/2")),
-            (q("1/2", "1/6"), q(1, "-1/3")),
-            (q("1/2", "1/6"), q("1/2", "1/6")),
-        ),
-    )
-
-
-def _truncated_hexagonal() -> LatticeSpec:
-    q = _q(3)
-    # u_4 read as the 2-vector (2 - 2 sqrt3/3, sqrt3/3)
-    return _spec(
-        "truncated_hexagonal",
-        ((q(1, "1/2"), q("1/2")), (q("1/2"), q(1, "1/2"))),
-        (
-            (q(0, "1/3"), q(2, "-2/3")),
-            (q(1, "-1/3"), q(-1, "2/3")),
-            (q(-1, "2/3"), q(1, "-1/3")),
-            (q(2, "-2/3"), q(0, "1/3")),
-            (q(0, "1/3"), q(0, "1/3")),
-            (q(1, "-1/3"), q(1, "-1/3")),
-        ),
-    )
-
-
-def _truncated_trihexagonal() -> LatticeSpec:
-    q = _q(3)
-    return _spec(
-        "truncated_trihexagonal",
-        ((q("3/2", "1/2"), q("3/2", "-1/2")), (q("3/2", "-1/2"), q("3/2", "1/2"))),
-        (
-            (q("1/3"), q("5/6", "-1/6")),
-            (q("-1/6", "1/6"), q("5/6", "-1/6")),
-            (q("-1/6", "1/6"), q("1/3")),
-            (q("1/3"), q("-1/6", "1/6")),
-            (q("5/6", "-1/6"), q("-1/6", "1/6")),
-            (q("5/6", "-1/6"), q("1/3")),
-            (q("2/3"), q("7/6", "-1/6")),
-            (q("1/6", "1/6"), q("7/6", "-1/6")),
-            (q("1/6", "1/6"), q("2/3")),
-            (q("2/3"), q("1/6", "1/6")),
-            (q("7/6", "-1/6"), q("1/6", "1/6")),
-            (q("7/6", "-1/6"), q("2/3")),
-        ),
-    )
+# fmt: off
+_TILINGS: dict[str, tuple[dict, dict[str, tuple], str]] = {
+    "square": (
+        {"d": 1,
+         "l_star": [[{"a": "1"}, {"a": "0"}],
+                    [{"a": "0"}, {"a": "1"}]],
+         "us": [[{"a": "0"}, {"a": "0"}]]},
+        _SINGLE, "base"),
+    "triangular": (
+        {"d": 3,
+         "l_star": [[{"a": "1"}, {"a": "1/2"}],
+                    [{"a": "0"}, {"a": "0", "b": "1/2"}]],
+         "us": [[{"a": "0"}, {"a": "0"}]]},
+        _SINGLE, "base"),
+    "honeycomb": (
+        {"d": 3,
+         "l_star": [[{"a": "3/2"}, {"a": "0"}],
+                    [{"a": "0", "b": "1/2"}, {"a": "0", "b": "1"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "2/3"}, {"a": "-1/3"}]]},
+        {"right": ((0, 0), (1, 0)), "up": ((0, 0), (0, 1))}, "right"),
+    "elongated_triangular": (
+        {"d": 3,
+         "l_star": [[{"a": "1"}, {"a": "1/2"}],
+                    [{"a": "0"}, {"a": "1", "b": "1/2"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "-1", "b": "1"}, {"a": "4", "b": "-2"}]]},
+        {"domino_v": ((0, 0), (0, 1)), "domino_h": ((0, 0), (1, 0))}, "domino_v"),
+    "trihexagonal": (
+        {"d": 3,
+         "l_star": [[{"a": "0", "b": "1"}, {"a": "0", "b": "1"}],
+                    [{"a": "1"}, {"a": "-1"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "0"}, {"a": "1/2"}],
+                [{"a": "1/2"}, {"a": "0"}]]},
+        {"l_tromino": ((0, 0), (0, 1), (1, 0))}, "l_tromino"),
+    "snub_square": (
+        {"d": 3,
+         "l_star": [[{"a": "1", "b": "1/2"}, {"a": "-1/2"}],
+                    [{"a": "1/2"}, {"a": "1", "b": "1/2"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "1", "b": "-1/2"}, {"a": "1/2"}],
+                [{"a": "3/2", "b": "-1/2"}, {"a": "-1/2", "b": "1/2"}],
+                [{"a": "1/2"}, {"a": "0", "b": "1/2"}]]},
+        _SQUARE_BLOCK, "square_block"),
+    "truncated_square": (
+        {"d": 2,
+         "l_star": [[{"a": "2", "b": "1"}, {"a": "1", "b": "1/2"}],
+                    [{"a": "0"}, {"a": "1", "b": "1/2"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "1", "b": "-1/2"}, {"a": "0"}],
+                [{"a": "0"}, {"a": "2", "b": "-1"}],
+                [{"a": "0", "b": "1/2"}, {"a": "2", "b": "-1"}]]},
+        _SQUARE_BLOCK, "square_block"),
+    "snub_hexagonal": (
+        {"d": 3,
+         "l_star": [[{"a": "0", "b": "1"}, {"a": "0", "b": "1/2"}],
+                    [{"a": "2"}, {"a": "-5/2"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "3/7"}, {"a": "1/7"}],
+                [{"a": "2/7"}, {"a": "3/7"}],
+                [{"a": "5/7"}, {"a": "4/7"}],
+                [{"a": "1/7"}, {"a": "5/7"}],
+                [{"a": "4/7"}, {"a": "6/7"}]]},
+        _SIX, "column"),
+    "rhombitrihexagonal": (
+        {"d": 3,
+         "l_star": [[{"a": "1", "b": "1"}, {"a": "1/2", "b": "1/2"}],
+                    [{"a": "0"}, {"a": "3/2", "b": "1/2"}]],
+         "us": [[{"a": "0"}, {"a": "0"}],
+                [{"a": "-1/2", "b": "1/2"}, {"a": "0"}],
+                [{"a": "-1", "b": "2/3"}, {"a": "1", "b": "-1/3"}],
+                [{"a": "-1/2", "b": "1/2"}, {"a": "3/2", "b": "-1/2"}],
+                [{"a": "1/2", "b": "1/6"}, {"a": "1", "b": "-1/3"}],
+                [{"a": "1/2", "b": "1/6"}, {"a": "1/2", "b": "1/6"}]]},
+        _SIX, "staircase"),
+    "truncated_hexagonal": (
+        {"d": 3,
+         "l_star": [[{"a": "1", "b": "1/2"}, {"a": "1/2"}],
+                    [{"a": "1/2"}, {"a": "1", "b": "1/2"}]],
+         # u_4 read as the 2-vector (2 - 2 sqrt3/3, sqrt3/3)
+         "us": [[{"a": "0", "b": "1/3"}, {"a": "2", "b": "-2/3"}],
+                [{"a": "1", "b": "-1/3"}, {"a": "-1", "b": "2/3"}],
+                [{"a": "-1", "b": "2/3"}, {"a": "1", "b": "-1/3"}],
+                [{"a": "2", "b": "-2/3"}, {"a": "0", "b": "1/3"}],
+                [{"a": "0", "b": "1/3"}, {"a": "0", "b": "1/3"}],
+                [{"a": "1", "b": "-1/3"}, {"a": "1", "b": "-1/3"}]]},
+        _SIX, "staircase"),
+    "truncated_trihexagonal": (
+        {"d": 3,
+         "l_star": [[{"a": "3/2", "b": "1/2"}, {"a": "3/2", "b": "-1/2"}],
+                    [{"a": "3/2", "b": "-1/2"}, {"a": "3/2", "b": "1/2"}]],
+         "us": [[{"a": "1/3"}, {"a": "5/6", "b": "-1/6"}],
+                [{"a": "-1/6", "b": "1/6"}, {"a": "5/6", "b": "-1/6"}],
+                [{"a": "-1/6", "b": "1/6"}, {"a": "1/3"}],
+                [{"a": "1/3"}, {"a": "-1/6", "b": "1/6"}],
+                [{"a": "5/6", "b": "-1/6"}, {"a": "-1/6", "b": "1/6"}],
+                [{"a": "5/6", "b": "-1/6"}, {"a": "1/3"}],
+                [{"a": "2/3"}, {"a": "7/6", "b": "-1/6"}],
+                [{"a": "1/6", "b": "1/6"}, {"a": "7/6", "b": "-1/6"}],
+                [{"a": "1/6", "b": "1/6"}, {"a": "2/3"}],
+                [{"a": "2/3"}, {"a": "1/6", "b": "1/6"}],
+                [{"a": "7/6", "b": "-1/6"}, {"a": "1/6", "b": "1/6"}],
+                [{"a": "7/6", "b": "-1/6"}, {"a": "2/3"}]]},
+        {"block_6x2": BLOCK_6X2, "block_3x4": BLOCK_3X4}, "block_6x2"),
+}
+# fmt: on
 
 
 # -- expected-result tables (computed values frozen by tests/freeze run) ------
@@ -406,53 +370,21 @@ _EXPECTED["truncated_trihexagonal"] = [
 
 
 def _entry(
-    spec: LatticeSpec,
-    configs: dict[str, tuple],
-    primary: str,
+    family: str, spec: LatticeSpec, configs: dict[str, tuple], primary: str
 ) -> CatalogEntry:
+    """The entry of `spec`, with the expected records of `family`."""
     return CatalogEntry(
         spec=spec,
         default_configs={k: TranslationConfig.of(*v) for k, v in configs.items()},
-        expected=tuple(_EXPECTED.get(spec.name, [])),
+        expected=tuple(_EXPECTED.get(family, [])),
         primary_config=primary,
     )
 
 
 def _build_catalog() -> dict[str, CatalogEntry]:
-    single = {"base": ((0, 0),)}
-    six = {"column": COLUMN_6, "bad": BAD_6, "staircase": STAIRCASE_6}
     return {
-        "square": _entry(_square(), single, "base"),
-        "triangular": _entry(_triangular(), single, "base"),
-        "honeycomb": _entry(
-            _honeycomb(), {"right": ((0, 0), (1, 0)), "up": ((0, 0), (0, 1))}, "right"
-        ),
-        "elongated_triangular": _entry(
-            _elongated_triangular(),
-            {"domino_v": ((0, 0), (0, 1)), "domino_h": ((0, 0), (1, 0))},
-            "domino_v",
-        ),
-        "trihexagonal": _entry(
-            _trihexagonal(), {"l_tromino": ((0, 0), (0, 1), (1, 0))}, "l_tromino"
-        ),
-        "snub_square": _entry(
-            _snub_square(),
-            {"square_block": ((0, 0), (0, 1), (1, 0), (1, 1))},
-            "square_block",
-        ),
-        "truncated_square": _entry(
-            _truncated_square(),
-            {"square_block": ((0, 0), (0, 1), (1, 0), (1, 1))},
-            "square_block",
-        ),
-        "snub_hexagonal": _entry(_snub_hexagonal(), six, "column"),
-        "rhombitrihexagonal": _entry(_rhombitrihexagonal(), six, "staircase"),
-        "truncated_hexagonal": _entry(_truncated_hexagonal(), six, "staircase"),
-        "truncated_trihexagonal": _entry(
-            _truncated_trihexagonal(),
-            {"block_6x2": BLOCK_6X2, "block_3x4": BLOCK_3X4},
-            "block_6x2",
-        ),
+        name: _entry(name, spec_from_json({"name": name, **data}), configs, primary)
+        for name, (data, configs, primary) in _TILINGS.items()
     }
 
 
@@ -473,7 +405,8 @@ def names() -> list[str]:
 
 def get(name: str, r=None, R=None) -> CatalogEntry:
     """Catalog entry by name; two_square requires the side lengths r < R, given
-    either as r and R or in the name ("two_square_r1_R3"), not both."""
+    either as r and R or in the name ("two_square_r1_R3"), not both.  A fixed
+    tiling takes no sides."""
     if name == "two_square" or name.startswith("two_square_"):
         if name != "two_square":
             if r is not None or R is not None:
@@ -482,26 +415,27 @@ def get(name: str, r=None, R=None) -> CatalogEntry:
             r, R = _parse_two_square_name(name)
         if r is None or R is None:
             raise UnknownTilingError("two_square needs parameters r and R")
-        spec = two_square_spec(r, R)
-        return CatalogEntry(
-            spec=spec,
-            default_configs={"canonical": TranslationConfig.of(*TWO_SQUARE_CONFIG)},
-            expected=tuple(_EXPECTED["two_square"]),
-            primary_config="canonical",
-        )
+        return _entry("two_square", two_square_spec(r, R),
+                      {"canonical": TWO_SQUARE_CONFIG}, "canonical")
     try:
-        return _catalog()[name]
+        entry = _catalog()[name]
     except KeyError:
         raise UnknownTilingError(f"unknown tiling {name!r}") from None
+    if r is not None or R is not None:
+        given = ", ".join(f"{k}={v}" for k, v in (("r", r), ("R", R)) if v is not None)
+        raise UnknownTilingError(f"fixed tiling {name!r} takes no sides, got {given}")
+    return entry
 
 
 def _parse_two_square_name(name: str) -> tuple[Fraction, Fraction]:
-    # "two_square_r1_R3" style
-    try:
-        _, _, rpart, Rpart = name.split("_")
-        return rational(rpart[1:]), rational(Rpart[1:])
-    except ValueError:
-        raise UnknownTilingError(f"cannot parse two_square name {name!r}") from None
+    """The sides of a name "two_square_r<r>_R<R>", such as "two_square_r1_R3"."""
+    parts = name.split("_")
+    if len(parts) == 4 and parts[2][:1] == "r" and parts[3][:1] == "R":
+        try:
+            return rational(parts[2][1:]), rational(parts[3][1:])
+        except ValueError:
+            pass
+    raise UnknownTilingError(f"cannot parse two_square name {name!r}")
 
 
 def expected_results(name: str) -> tuple[ExpectedRecord, ...]:

@@ -28,6 +28,10 @@ from .qfield import rational
 
 def _entry(args) -> catalog.CatalogEntry:
     if args.spec_file:
+        given = [flag for flag, value in (("--tiling", args.tiling), ("--r", args.r),
+                                          ("--R", args.R)) if value is not None]
+        if given:
+            raise ValueError(f"--spec-file takes no {', '.join(given)}")
         try:
             spec = load_spec_file(args.spec_file)
         except OSError as exc:

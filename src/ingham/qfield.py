@@ -73,6 +73,8 @@ def _ratio(text: str | int | float) -> tuple[int, int]:
     MAX_DECIMAL_EXPONENT guard; no Fraction is built.  A float goes through
     Fraction(float)."""
     if isinstance(text, int):
+        if isinstance(text, bool):  # a JSON true or false is not a number
+            raise ValueError(f"expected a rational, got {text!r}")
         return text, 1
     plain = isinstance(text, str) and _PLAIN.fullmatch(text)
     if plain:

@@ -63,6 +63,35 @@ def test_two_square_parametric_names():
     assert entry.spec.name == "two_square_r1_R3"
 
 
+@pytest.mark.parametrize("name", ["two_square_x1_y3", "two_square_R1_r3", "two_square_r1_x3",
+                                  "two_square_1_3", "two_square_r1_R3_R5", "two_square_r_R3"])
+def test_two_square_names_must_read_r_and_R(name):
+    with pytest.raises(UnknownTilingError, match="cannot parse two_square name"):
+        get(name)
+
+
+def _without_zero_b(obj):
+    """A spec_to_json number, list or object with each zero "b" left out."""
+    if isinstance(obj, list):
+        return [_without_zero_b(x) for x in obj]
+    if not isinstance(obj, dict):
+        return obj
+    if obj.keys() == {"a", "b"}:
+        return {"a": obj["a"]} if obj["b"] == "0" else obj
+    return {k: _without_zero_b(v) for k, v in obj.items()}
+
+
+@pytest.mark.parametrize("name", sorted(catalog._TILINGS))
+def test_table_specs_are_written_as_spec_to_json_writes_them(name):
+    data, configs, primary = catalog._TILINGS[name]
+    entry = get(name)
+    written = spec_to_json(entry.spec)
+    assert written.pop("name") == name
+    assert data == _without_zero_b(written)
+    assert {k: c.ns for k, c in entry.default_configs.items()} == configs
+    assert entry.primary_config == primary in configs
+
+
 APPROX_KINDS = {
     "kappa_pair", "area", "half_diameter", "radius_necessary",
     "bessel_bound", "density_ratio", "survey_pass_kappas", "class_pairs",

@@ -229,6 +229,37 @@ def test_custom_spec_file(capsys, tmp_path):
     assert data["kappa1"] == pytest.approx(1.0)
 
 
+FIXED_TILINGS = [name for name in catalog.names() if name != "two_square"]
+
+
+@pytest.mark.parametrize("name", FIXED_TILINGS)
+def test_catalog_show_is_a_spec_file_with_the_same_constants(capsys, tmp_path, name):
+    code, shown, _ = run_cli(capsys, "catalog", "show", name)
+    assert code == 0
+    path = tmp_path / "spec.json"
+    path.write_text(shown)
+    config = json.loads(shown)["configs"][catalog.get(name).primary_config]
+    from_file = run_cli(capsys, "constants", "--spec-file", str(path), "--config", config)
+    from_catalog = run_cli(capsys, "constants", "--tiling", name, "--config", config)
+    assert from_file[0] == 0
+    assert from_file == from_catalog
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--tiling", "honeycomb", "--r", "1"), "--tiling, --r"),
+    (("--tiling", "square"), "--tiling"),
+    (("--r", "1", "--R", "2"), "--r, --R"),
+    (("--R", "2"), "--R"),
+])
+def test_spec_file_refuses_tiling_and_sides(capsys, tmp_path, flags, named):
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(SKEW))
+    code, out, err = run_cli(capsys, "constants", "--spec-file", str(path), "--config", "0,0",
+                             *flags)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --spec-file takes no {named}\n"
+
+
 def test_reproduce_exit_zero(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "reproduce", "--out", str(tmp_path / "rep"))
     assert code == 0
@@ -438,6 +469,15 @@ BAD_SPECS = {
         "coincide",
     ),
     "bare_numbers": (_skew_with(l_star=[[1, 0], [0, 1]]), "must be objects"),
+    "boolean_d": (_skew_with(d=True), "expected a rational, got True"),
+    "boolean_a": (
+        _skew_with(l_star=[[{"a": True}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
+        "expected a rational, got True",
+    ),
+    "boolean_b": (
+        _skew_with(us=[[{"a": "0", "b": False}, {"a": "0"}]]),
+        "expected a rational, got False",
+    ),
     "three_rows": (_skew_with(l_star=[[{"a": "1"}, {"a": "0"}]] * 3), "a list of 2"),
 }
 
@@ -535,6 +575,15 @@ def test_malformed_side_is_argparse_error(capsys, flag, value):
       "--config", "0,0;0,1;1,0;1,1"), "in the name 'two_square_r1_R3' and as r=1, R=5"),
     (("catalog", "show", "two_square_garbage", "--r", "1", "--R", "2"),
      "in the name 'two_square_garbage' and as r=1, R=2"),
+    # sides for a fixed tiling: refused, not silently dropped
+    (("constants", "--tiling", "square", "--config", "0,0", "--r", "1", "--R", "5"),
+     "fixed tiling 'square' takes no sides, got r=1, R=5"),
+    (("catalog", "show", "square", "--r", "1", "--R", "2"),
+     "fixed tiling 'square' takes no sides, got r=1, R=2"),
+    (("survey", "--tiling", "honeycomb", "--grid", "1", "--R", "3/2"),
+     "fixed tiling 'honeycomb' takes no sides, got R=3/2"),
+    (("constants", "--tiling", "two_square_x1_y3", "--config", "0,0;0,1;1,0;1,1"),
+     "cannot parse two_square name 'two_square_x1_y3'"),
 ])
 def test_library_errors_from_input_are_usage_errors(capsys, argv, message):
     code, _, err = run_cli(capsys, *argv)

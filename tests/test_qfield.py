@@ -207,7 +207,8 @@ def test_rational_parses_text_and_json_numbers(text, value):
     assert rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["1/0", "", "x", "inf", "nan", float("inf"), None, [1]])
+@pytest.mark.parametrize("text", ["1/0", "", "x", "inf", "nan", float("inf"), None, [1],
+                                  True, False])
 def test_rational_refuses_anything_else(text):
     with pytest.raises(ValueError):
         rational(text)
