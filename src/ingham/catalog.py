@@ -376,7 +376,7 @@ def _entry(
     return CatalogEntry(
         spec=spec,
         default_configs={k: TranslationConfig.of(*v) for k, v in configs.items()},
-        expected=tuple(_EXPECTED.get(family, [])),
+        expected=tuple(_EXPECTED[family]),
         primary_config=primary,
     )
 
