@@ -138,15 +138,16 @@ def cmd_survey(args) -> int:
 
     entry = _entry(args)
     if args.connected_only:
-        result = search.connected_survey(entry.spec)
+        grid, result = None, search.connected_survey(entry.spec)
     else:
-        result = search.classify_all(entry.spec, args.grid, entry.spec.m)
+        grid = 3 if args.grid is None else args.grid
+        result = search.classify_all(entry.spec, grid, entry.spec.m)
     if args.csv:
         search.write_survey_csv(args.csv, result)
     _emit_json(
         {
             "tiling": entry.spec.name,
-            "grid_max": None if args.connected_only else args.grid,
+            "grid_max": grid,
             "connected_only": bool(args.connected_only),
             "total": result.total,
             "passing": result.passing,
@@ -284,8 +285,11 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("survey", help="exhaustive grid or connected-shape survey")
     common(p)
-    p.add_argument("--grid", type=int, default=3)
-    p.add_argument("--connected-only", action="store_true")
+    # default None, not 3: argparse lets `--grid 3`, a value that is its
+    # default, past a mutually exclusive group
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--grid", type=int, default=None, help="grid [0, GRID]^2 (default 3)")
+    only.add_argument("--connected-only", action="store_true")
     p.add_argument("--csv", default=None, help="write per-config records to a CSV file")
     p.set_defaults(func=cmd_survey)
 

@@ -55,41 +55,36 @@ _RATIONAL = re.compile(
 _PLAIN = re.compile(r"([-+]?[0-9]+)(?:/([0-9]+))?")
 
 
-def rational(text: str | int | float) -> Fraction:
-    """The exact rational a text such as '3', '-1/2' or '2.5e-1' (or a finite
-    JSON number) denotes; the one parser of rationals from argv and spec
-    files.  It accepts the text Fraction(text) accepts on Python 3.10 and
-    gives the same value, on every Python version.  Anything else, '1_000',
-    '1 / 2', '1/0', infinities and decimal exponents beyond
-    MAX_DECIMAL_EXPONENT included, raises ValueError."""
+def rational(text: str | int) -> Fraction:
+    """The exact rational a text such as '3', '-1/2' or '2.5e-1' (or a JSON
+    integer) denotes; the one parser of rationals from argv and spec files.
+    It accepts the text Fraction(text) accepts on Python 3.10 and gives the
+    same value, on every Python version.  Anything else, '1_000', '1 / 2',
+    '1/0', infinities and decimal exponents beyond MAX_DECIMAL_EXPONENT
+    included, raises ValueError, as do a JSON float and a JSON boolean: a
+    float has lost the decimal text it was written as, and 0.1 would read as
+    its binary double."""
     return Fraction(*_ratio(text))
 
 
-def _ratio(text: str | int | float) -> tuple[int, int]:
+def _ratio(text: str | int) -> tuple[int, int]:
     """Integers (n, m), m > 0 and not always coprime, with n/m = rational(text).
 
     A text is split into its integers by the groups of _PLAIN or, failing
     that, of _RATIONAL, as Python 3.10's Fraction splits it, after the
-    MAX_DECIMAL_EXPONENT guard; no Fraction is built.  A float goes through
-    Fraction(float)."""
+    MAX_DECIMAL_EXPONENT guard; no Fraction is built."""
     if isinstance(text, int):
         if isinstance(text, bool):  # a JSON true or false is not a number
             raise ValueError(f"expected a rational, got {text!r}")
         return text, 1
-    plain = isinstance(text, str) and _PLAIN.fullmatch(text)
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational, got {type(text).__name__}")
+    plain = _PLAIN.fullmatch(text)
     if plain:
         m = int(plain[2] or 1)
         if m:
             return int(plain[1]), m
         raise ValueError(f"not a finite rational: {text!r}")
-    if isinstance(text, float):
-        try:
-            x = Fraction(text)
-        except OverflowError:
-            raise ValueError(f"not a finite rational: {text!r}") from None
-        return x.numerator, x.denominator
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational, got {type(text).__name__}")
     match = _RATIONAL.fullmatch(text)
     if not match:
         raise ValueError(f"not a rational: {text!r}")

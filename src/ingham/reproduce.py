@@ -4,7 +4,8 @@
 passed)`; kinds doing the same work share one.  Evaluators read what they
 need from one `Store` that `build_report` makes for the report (`_store`)
 and drops when it returns: catalog entries, so each two-square spec is built
-once; grid and connected surveys; the record-level `ingham_constants` of
+once; grid surveys (12 asked for, 7 distinct) and connected surveys (5 asked
+for, 3 distinct), one member each; the record-level `ingham_constants` of
 each (spec, configuration), whose `satisfies_a2` is the (A2) verdict; the
 domains of `geometry.omega_cells`; and the 2x2 cell-block classes, the
 public survey calls `search.translation_classes` of the block's m-subsets
@@ -45,14 +46,16 @@ SEED = 20240801
 @dataclass(frozen=True)
 class Store:
     """What one report computes, by argument: its catalog entries
-    (`catalog.get`), grid and connected surveys (`_survey`), record-level
-    constants (`spectral.ingham_constants`), domains
-    (`geometry.omega_cells`) and 2x2 cell-block classes
-    (`_cell_block_classes`).  `_store` makes one whose every member computes
-    on its first request and keeps the result for later ones."""
+    (`catalog.get`), grid surveys (`search.classify_all` on [0, grid_max]^2),
+    connected surveys (`search.connected_survey`), record-level constants
+    (`spectral.ingham_constants`), domains (`geometry.omega_cells`) and 2x2
+    cell-block classes (`_cell_block_classes`).  `_store` makes one whose
+    every member computes on its first request and keeps the result for
+    later ones."""
 
     entry: Callable[..., CatalogEntry]
-    survey: Callable[[LatticeSpec, int | None], search.SurveyResult]
+    grid: Callable[[LatticeSpec, int], search.SurveyResult]
+    connected: Callable[[LatticeSpec], search.SurveyResult]
     constants: Callable[[LatticeSpec, TranslationConfig], spectral.SpectralResult]
     domain: Callable[[LatticeSpec, TranslationConfig], geometry.DomainGeometry]
     cell_block: Callable[[LatticeSpec], search.SurveyRecords]
@@ -123,19 +126,10 @@ def _survey_kind(measure: Callable[[search.SurveyResult, ExpectedRecord], Any]) 
         params = rec.params
         if "r" in params:
             entry = store.entry("two_square", params["r"], params["R"])
-        result = store.survey(entry.spec, params["grid_max"])
+        result = store.grid(entry.spec, params["grid_max"])
         computed, passed = measure(result, rec)
         passed = passed and result.total == params.get("total", result.total)
         return computed, passed and spectral.a2_stable(result.records.classes.det_abs)
-
-    return evaluate
-
-
-def _connected(measure: Callable[[search.SurveyResult], Any]) -> Evaluator:
-    """Connected-survey kinds: pass when `measure` of the survey equals `want`."""
-    def evaluate(entry, rec, store):
-        computed = measure(store.survey(entry.spec, None))
-        return computed, computed == rec.want
 
     return evaluate
 
@@ -166,7 +160,7 @@ def _class_pairs(entry: CatalogEntry, rec: ExpectedRecord, store: Store):
             for r in store.cell_block(entry.spec)
         ]
     else:  # tetromino classes: distinct pairs among the passing connected shapes
-        cols = store.survey(entry.spec, None).records.classes
+        cols = store.connected(entry.spec).records.classes
         passing = zip(cols.kappa1[cols.a2].tolist(), cols.kappa2[cols.a2].tolist())
         pairs = {(round(k1, 7), round(k2, 7)) for k1, k2 in passing}
         rows = [[k1, k2] for k1, k2 in sorted(pairs)]
@@ -231,8 +225,10 @@ KINDS: dict[str, Evaluator] = {
     "survey_fail_count": _survey_kind(lambda res, rec: (res.failing, res.failing == rec.want)),
     "survey_pass_count": _survey_kind(lambda res, rec: (res.passing, res.passing == rec.want)),
     "survey_pass_kappas": _survey_kind(_pass_kappas),
-    "connected_pass_count": _connected(lambda res: res.passing),
-    "connected_all_pass": _connected(lambda res: res.failing == 0),
+    "connected_pass_count": _equal(lambda entry, rec, store: store.connected(entry.spec).passing),
+    "connected_all_pass": _equal(
+        lambda entry, rec, store: store.connected(entry.spec).failing == 0
+    ),
     "polyomino_count": _equal(
         lambda entry, rec, store: len(geometry.polyominoes(rec.params["size"]).idx)
     ),
@@ -272,24 +268,19 @@ def _tilings(store: Store, R: int):
         yield store.entry(name, 1, R) if name == "two_square" else store.entry(name)
 
 
-def _survey(spec: LatticeSpec, grid_max: int | None) -> search.SurveyResult:
-    """`classify_all` on the grid [0, grid_max]^2, or `connected_survey` for
-    grid_max None."""
-    if grid_max is None:
-        return search.connected_survey(spec)
-    return search.classify_all(spec, grid_max, spec.m)
-
-
 def _store() -> Store:
     """A store whose members keep each result by its arguments
     (`functools.cache`).  One report asks it for 36 catalog entries, of which
-    16 are distinct; for 12 grid surveys, of which 7 are, and 5 connected
-    ones, of which 3 are; for 22 constants of 19 configurations; for 11
-    domains of 4; and for 2 cell blocks of 1.  `build_report` makes one store
-    and drops it when it returns, so nothing is kept from one report to the
-    next."""
-    return Store(*map(cache, (catalog.get, _survey, spectral.ingham_constants,
-                              geometry.omega_cells, _cell_block_classes)))
+    16 are distinct; `grid` for 12 grid surveys, of which 7 are; `connected`
+    for 5 connected surveys, of which 3 are; for 22 constants of 19
+    configurations; for 11 domains of 4; and for 2 cell blocks of 1.
+    `build_report` makes one store and drops it when it returns, so nothing
+    is kept from one report to the next."""
+    return Store(*map(cache, (
+        catalog.get, lambda spec, grid_max: search.classify_all(spec, grid_max, spec.m),
+        search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
+        _cell_block_classes,
+    )))
 
 
 def build_report(out_dir: str | Path | None = None) -> dict:
@@ -359,4 +350,4 @@ def _write_outputs(out_dir: Path, report: dict, store: Store) -> None:
     for tiling in (("two_square", 1, 2), ("snub_square",), ("truncated_square",), ("trihexagonal",)):
         spec = store.entry(*tiling).spec
         grid = 2 if spec.m == 3 else 3
-        search.write_survey_csv(out_dir / f"survey_{spec.name}.csv", store.survey(spec, grid))
+        search.write_survey_csv(out_dir / f"survey_{spec.name}.csv", store.grid(spec, grid))

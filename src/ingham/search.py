@@ -7,21 +7,21 @@ built in numpy one block of rows at a time and stored by columns
 `spectral.classes` reads, with no copy, and its rows' cells increase, so
 translates share their translation key; `spectral.classes` maps each row
 to the canonical configuration of its class under translation and the
-tiling's certified symmetries, on integer keys (one int64 code per point
-and per image cell, each symmetry image folded into int64 words), and the
-spectral kernel (`spectral.spectra`) and `geometry.connected_rows` run on
-those representatives alone, in chunks of `spectral.CHUNK_ROWS`.  The
+tiling's certified symmetries, on integer keys (see `spectral.classes`),
+and the spectral kernel (`spectral.spectra`) and `geometry.connected_rows`
+run on those representatives alone, in chunks of `spectral.CHUNK_ROWS`.  The
 result holds numpy columns (`SurveyRecords`): each value once per class and
 each row's class, with no per-row copy of a value; a `SurveyRecord` is built
 only when one is indexed or iterated.  Every configuration carries its class
 representative's values, so its bits do not depend on the survey, the grid
 or the list it came in.  Counts, rankings and CSV rows read the class
-columns, gathered through each row's class where they need rows.  The CSV formats each class's numbers once and each point's
-label once, as fixed-width byte strings; a chunk of rows is gathered from
-those tables into one packed record array and taken as one bytes object
-(`_row_chunks`).  `survey_csv_rows` decodes and splits each chunk's
-configuration strings once and zips them into tuples, and
-`write_survey_csv` writes each chunk's bytes, with no per-row string.
+columns, gathered through each row's class where they need rows.  The CSV
+formats each class's numbers once and each point's label once, as
+fixed-width byte strings; a chunk of rows is gathered from those tables
+into one packed record array and taken as one bytes object (`_row_chunks`).
+`survey_csv_rows` decodes and splits each chunk's configuration strings once
+and zips them into tuples, and `write_survey_csv` writes each chunk's bytes,
+with no per-row string.
 Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.
 This module owns enumeration, columns, grouping and ranking; phases,
 symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds

@@ -406,6 +406,27 @@ def test_tol_is_rejected(capsys, argv):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--connected-only", "--grid", "3"),
+                                   ("--grid", "2", "--connected-only")])
+def test_survey_refuses_grid_with_connected_only(capsys, monkeypatch, flags):
+    def no_survey(*args):
+        raise AssertionError("a survey ran")
+
+    monkeypatch.setattr(search, "classify_all", no_survey)
+    monkeypatch.setattr(search, "connected_survey", no_survey)
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--tiling", "square", *flags])
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert "not allowed with argument" in out.err
+
+
+def test_survey_grid_defaults_to_3(capsys):
+    code, out, _ = run_cli(capsys, "survey", "--tiling", "square")
+    assert code == 0
+    assert json.loads(out)["grid_max"] == 3 and json.loads(out)["total"] == 16
+
+
 TWO_SQUARE_HOLE = (
     "verify", "--tiling", "two_square", "--r", "1", "--R", "2",
     "--config", "0,0;1,0;0,1;1,1", "--hole-fraction", "0.25",
@@ -479,6 +500,20 @@ BAD_SPECS = {
         "expected a rational, got False",
     ),
     "three_rows": (_skew_with(l_star=[[{"a": "1"}, {"a": "0"}]] * 3), "a list of 2"),
+    # a JSON float has lost the decimal text it was written as
+    "float_d": (_skew_with(d=2.0), "expected a rational, got float"),
+    "float_a": (
+        _skew_with(l_star=[[{"a": 0.5}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
+        "expected a rational, got float",
+    ),
+    "float_b": (
+        _skew_with(l_star=[[{"a": "1", "b": 0.5}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
+        "expected a rational, got float",
+    ),
+    "float_translate": (
+        _skew_with(us=[[{"a": "0"}, {"a": 0.1}]]),
+        "expected a rational, got float",
+    ),
 }
 
 
@@ -488,9 +523,9 @@ def test_malformed_spec_file_is_usage_error(capsys, tmp_path, name):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(spec))
     start = time.perf_counter()
-    code, _, err = run_cli(capsys, "constants", "--spec-file", str(path), "--config", "0,0")
+    code, out, err = run_cli(capsys, "constants", "--spec-file", str(path), "--config", "0,0")
     assert time.perf_counter() - start < 1.0
-    assert code == 2
+    assert (code, out) == (2, "")
     assert "usage error" in err and message in err
 
 

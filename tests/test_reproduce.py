@@ -176,8 +176,11 @@ def test_a_report_runs_each_survey_once(monkeypatch, tmp_path):
     assert len(set(grids)) == 7 and len(set(connected)) == 3
 
     def every_time():
-        return reproduce.Store(catalog.get, reproduce._survey, spectral.ingham_constants,
-                               geometry.omega_cells, reproduce._cell_block_classes)
+        return reproduce.Store(
+            catalog.get, lambda spec, grid_max: search.classify_all(spec, grid_max, spec.m),
+            search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
+            reproduce._cell_block_classes,
+        )
 
     monkeypatch.setattr(reproduce, "_store", every_time)
     assert build_report(tmp_path / "every") == report
