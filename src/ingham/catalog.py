@@ -478,16 +478,17 @@ def spec_to_json(spec: LatticeSpec) -> dict:
     }
 
 
-def _json_list(value: Any, what: str, length: int | None = None) -> list:
-    """`value` when it is a JSON list (of `length` items, if given)."""
+def _json_list(value: Any, place: str, length: int | None = None) -> list:
+    """`value`, at `place` in the spec, when it is a JSON list (of `length` items)."""
     if not isinstance(value, list) or length is not None and len(value) != length:
-        raise ValueError(f"spec {what} must be a list" + (f" of {length}" if length else ""))
+        raise ValueError(f"spec {place} must be a list" + (f" of {length}" if length else ""))
     return value
 
 
 def spec_from_json(data: Any) -> LatticeSpec:
     """The spec of a JSON interchange object.  Input of another shape, or
-    numbers that are not rationals, raise ValueError.
+    numbers that are not rationals, raise ValueError; a refused number is
+    named by its place, such as "l_star[0][1].a" or "us[2][0].b".
 
     The radicand d is read as an int once and factored at most once, at the
     first number with a radical part, into s*s*e with e square-free: every
@@ -495,27 +496,37 @@ def spec_from_json(data: Any) -> LatticeSpec:
     numbers are all rational never factors d."""
     if not isinstance(data, dict) or not {"name", "l_star", "us"} <= data.keys():
         raise ValueError("spec must be a JSON object with name, l_star and us")
-    d = rational(data.get("d", 1))
+    d = _located(rational, data.get("d", 1), "d")
     if d.denominator != 1 or d < 1:
         raise ValueError(f"spec d must be a positive integer, got {d}")
     d = d.numerator
     split = None  # (s, e) with d = s*s*e
 
-    def qn(obj: Any) -> QuadNumber:
+    def qn(obj: Any, place: str) -> QuadNumber:
         nonlocal split
         if not isinstance(obj, dict) or "a" not in obj:
-            raise ValueError('spec numbers must be objects with "a" and optional "b"')
-        an, ad = _ratio(obj["a"])
-        bn, bd = _ratio(obj.get("b", "0"))
+            raise ValueError(f'{place}: spec numbers must be objects with "a" and optional "b"')
+        (an, ad), (bn, bd) = (_located(_ratio, obj.get(k, "0"), f"{place}.{k}") for k in "ab")
         if bn and split is None:
-            split = _square_free_split(d)
+            split = _located(_square_free_split, d, "d")
         s, e = split if bn else (1, 1)
         return _from_square_free(an, ad, bn * s, bd, e)
 
-    rows = _json_list(data["l_star"], "l_star", 2)
-    l_star = tuple(tuple(map(qn, _json_list(row, "l_star row", 2))) for row in rows)
-    us = tuple(tuple(map(qn, _json_list(u, "translate", 2))) for u in _json_list(data["us"], "us"))
+    def pair(obj: Any, place: str) -> tuple[QuadNumber, QuadNumber]:
+        return tuple(qn(x, f"{place}[{k}]") for k, x in enumerate(_json_list(obj, place, 2)))
+
+    rows = enumerate(_json_list(data["l_star"], "l_star", 2))
+    l_star = tuple(pair(row, f"l_star[{i}]") for i, row in rows)
+    us = tuple(pair(u, f"us[{j}]") for j, u in enumerate(_json_list(data["us"], "us")))
     return validate_spec(LatticeSpec(name=str(data["name"]), l_star=l_star, us=us))
+
+
+def _located(read, value: Any, place: str):
+    """read(value), its ValueError prefixed with the place of value in the spec."""
+    try:
+        return read(value)
+    except ValueError as exc:
+        raise ValueError(f"{place}: {exc}") from None
 
 
 def load_spec_file(path: str) -> LatticeSpec:

@@ -22,29 +22,24 @@ from contextlib import nullcontext
 from . import catalog
 from .catalog import load_spec_file, minimality_witnesses, spec_to_json
 from .errors import FieldMismatchError, HoleOutsideDomainError, InghamError, NotHermitianError
-from .lattice import TranslationConfig, mat_float, minimality_certificate, realize_points
+from .lattice import (LatticeSpec, TranslationConfig, mat_float, minimality_certificate,
+                      realize_points)
 from .qfield import rational
 
 
-def _entry(args) -> catalog.CatalogEntry:
+def _spec(args) -> LatticeSpec:
     if args.spec_file:
         given = [flag for flag, value in (("--tiling", args.tiling), ("--r", args.r),
                                           ("--R", args.R)) if value is not None]
         if given:
             raise ValueError(f"--spec-file takes no {', '.join(given)}")
         try:
-            spec = load_spec_file(args.spec_file)
+            return load_spec_file(args.spec_file)
         except OSError as exc:
             raise ValueError(f"cannot read --spec-file: {exc}") from None
-        return catalog.CatalogEntry(
-            spec=spec,
-            default_configs={},
-            expected=(),
-            primary_config="",
-        )
     if not args.tiling:
         raise ValueError("one of --tiling or --spec-file is required")
-    return catalog.get(args.tiling, r=args.r, R=args.R)
+    return catalog.get(args.tiling, r=args.r, R=args.R).spec
 
 
 def _box(text: str, flag: str) -> tuple[float, ...]:
@@ -114,12 +109,12 @@ def _minimality_status(entry) -> bool | None:
 def cmd_constants(args) -> int:
     from . import geometry, spectral
 
-    entry = _entry(args)
+    spec = _spec(args)
     config = TranslationConfig.parse(args.config)
-    sr = spectral.ingham_constants(entry.spec, config)
+    sr = spectral.ingham_constants(spec, config)
     _emit_json(
         {
-            "tiling": entry.spec.name,
+            "tiling": spec.name,
             "config": str(config),
             "a2": sr.satisfies_a2,
             "kappa1": sr.kappa1,
@@ -136,17 +131,17 @@ def cmd_constants(args) -> int:
 def cmd_survey(args) -> int:
     from . import search
 
-    entry = _entry(args)
+    spec = _spec(args)
     if args.connected_only:
-        grid, result = None, search.connected_survey(entry.spec)
+        grid, result = None, search.connected_survey(spec)
     else:
         grid = 3 if args.grid is None else args.grid
-        result = search.classify_all(entry.spec, grid, entry.spec.m)
+        result = search.classify_all(spec, grid, spec.m)
     if args.csv:
         search.write_survey_csv(args.csv, result)
     _emit_json(
         {
-            "tiling": entry.spec.name,
+            "tiling": spec.name,
             "grid_max": grid,
             "connected_only": bool(args.connected_only),
             "total": result.total,
@@ -161,31 +156,30 @@ def cmd_verify(args) -> int:
     holed = args.hole is not None or args.hole_fraction is not None
     if args.csv and not holed:  # the CSV holds the removal witness
         raise ValueError("--csv needs --hole or --hole-fraction")
-    from .gram import (
-        SupportSet,
-        _cell_of_rect,
-        frame_bound_check,
-        inscribed_hole,
-        removal_witness,
-    )
+    if args.witness_radii is not None and not holed:
+        raise ValueError("--witness-radii needs --hole or --hole-fraction")
+    if args.hole_cell is not None and args.hole_fraction is None:
+        raise ValueError("--hole-cell needs --hole-fraction")
+    from . import gram
 
-    entry = _entry(args)
+    spec = _spec(args)
     config = TranslationConfig.parse(args.config)
-    support = SupportSet.centered(entry.spec, args.support_radius)
+    support = gram.SupportSet.centered(spec, args.support_radius)
     hole = supports = None
     if holed:  # refused before the frame-bound work
-        supports = [SupportSet.centered(entry.spec, k) for k in _radii(args.witness_radii)]
+        radii = "0,1,2,3" if args.witness_radii is None else args.witness_radii
+        supports = [gram.SupportSet.centered(spec, k) for k in _radii(radii)]
         try:
             if args.hole is not None:
                 hole = _box(args.hole, "--hole")
-                _cell_of_rect(entry.spec, config, hole)
+                gram._cell_of_rect(spec, config, hole)
             else:
-                hole = inscribed_hole(entry.spec, config, args.hole_cell, args.hole_fraction)
+                hole = gram.inscribed_hole(spec, config, args.hole_cell or 0, args.hole_fraction)
         except HoleOutsideDomainError as exc:  # the user's hole
             raise ValueError(f"hole: {exc}") from None
-    fb = frame_bound_check(entry.spec, config, support)
+    fb = gram.frame_bound_check(spec, config, support)
     data = {
-        "tiling": entry.spec.name,
+        "tiling": spec.name,
         "config": str(config),
         "support_size": len(support),
         "a2": fb.a2,
@@ -197,7 +191,7 @@ def cmd_verify(args) -> int:
     }
     if supports is not None:
         try:
-            lambdas = removal_witness(entry.spec, config, hole, supports)
+            lambdas = gram.removal_witness(spec, config, hole, supports)
         except FieldMismatchError as exc:  # the user's spec
             raise ValueError(f"hole: {exc}") from None
         data["hole"] = list(hole)
@@ -213,12 +207,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    entry = _entry(args)
+    flag, value = {"points": ("--config", args.config), "domain": ("--bbox", args.bbox)}[args.what]
+    if value is not None:
+        raise ValueError(f"export --what {args.what} takes no {flag}")
+    spec = _spec(args)
     if args.what == "points":
-        bbox = _box(args.bbox, "--bbox")
+        bbox = _box("0,0,1,1" if args.bbox is None else args.bbox, "--bbox")
         rows = [
             (f"{p.x:.12g}", f"{p.y:.12g}", p.j, p.m[0], p.m[1])
-            for p in realize_points(entry.spec, bbox)
+            for p in realize_points(spec, bbox)
         ]
         _write_csv(args.csv, ["x", "y", "j", "m0", "m1"], rows)
         return 0
@@ -227,10 +224,11 @@ def cmd_export(args) -> int:
     elif args.spec_file:
         raise ValueError("export --what domain needs --config with --spec-file")
     else:
+        entry = catalog.get(args.tiling, r=args.r, R=args.R)
         config = entry.default_configs[entry.primary_config]
     from . import geometry
 
-    geom = geometry.omega_cells(entry.spec, config)
+    geom = geometry.omega_cells(spec, config)
     rows = [
         (cell, vertex, f"{x:.12g}", f"{y:.12g}")
         for cell, corners in enumerate(geom.cells.tolist())
@@ -297,18 +295,19 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--config", required=True)
     p.add_argument("--support-radius", type=int, default=1)
-    p.add_argument("--hole", default=None, help="x0,y0,x1,y1")
-    p.add_argument("--hole-fraction", type=float, default=None)
-    p.add_argument("--hole-cell", type=int, default=0)
-    p.add_argument("--witness-radii", default="0,1,2,3")
+    hole = p.add_mutually_exclusive_group()
+    hole.add_argument("--hole", default=None, help="x0,y0,x1,y1")
+    hole.add_argument("--hole-fraction", type=float, default=None)
+    p.add_argument("--hole-cell", type=int, default=None, help="needs --hole-fraction (default 0)")
+    p.add_argument("--witness-radii", default=None, help="needs a hole (default 0,1,2,3)")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export", help="figure data as CSV")
     common(p)
     p.add_argument("--what", choices=["points", "domain"], required=True)
-    p.add_argument("--bbox", default="0,0,1,1", help="x0,y0,x1,y1 for points")
-    p.add_argument("--config", default=None)
+    p.add_argument("--bbox", default=None, help="x0,y0,x1,y1 for points (default 0,0,1,1)")
+    p.add_argument("--config", default=None, help="for domain")
     p.add_argument("--csv", default=None)
     p.set_defaults(func=cmd_export)
 

@@ -542,9 +542,8 @@ def removal_witness(
     commutes with float subtraction, so it has the bits of
     gram_matrix - hole_gram_matrix but for the sign of a zero imaginary part
     below the diagonal, where the two imaginary parts cancel: the conjugate
-    is -0.0 and the difference +0.0.  It is exactly Hermitian, so
-    `hermitian_extremes` takes it unsymmetrised.  Like the hole, it takes
-    config.ns as they are, not translated to the origin as
+    is -0.0 and the difference +0.0.  It is exactly Hermitian.  Like the
+    hole, it takes config.ns as they are, not translated to the origin as
     `frame_bound_check` does.
     """
     return [

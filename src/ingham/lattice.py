@@ -44,7 +44,7 @@ from .errors import (
     NotInLatticeError,
     SingularMatrixError,
 )
-from .qfield import QuadNumber, Rational, _coerce, _joint_d, _make, quad_float
+from .qfield import QuadNumber, Rational, _coerce, _exact, _joint_d, _make, quad_float
 
 Vec2 = tuple[QuadNumber, QuadNumber]
 Mat2 = tuple[Vec2, Vec2]  # rows
@@ -452,8 +452,8 @@ TWO_SQUARE_CONFIG = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 def _two_square_fractions(r: Rational, R: Rational) -> tuple[Fraction, Fraction]:
-    r = Fraction(r)
-    R = Fraction(R)
+    _exact(r, R)
+    r, R = Fraction(r), Fraction(R)
     # The spec's name prints both sides, and str() refuses an integer past
     # the interpreter's int-string limit (CPython's default: 4300 digits).
     for side, x in (("r", r), ("R", R)):
@@ -473,7 +473,8 @@ def two_square_spec(r: Rational, R: Rational) -> LatticeSpec:
 
     l_star is the homothety by sqrt(R^2+r^2); the four translates are the
     small-square vertices, with components +-rR/(sqrt2 (R^2+r^2)) and
-    +-r^2/(sqrt2 (R^2+r^2)), exact in Q(sqrt2) for rational r, R.
+    +-r^2/(sqrt2 (R^2+r^2)), exact in Q(sqrt2) for sides given as ints or
+    Fractions (text through `qfield.rational`; any other type raises TypeError).
     """
     r, R = _two_square_fractions(r, R)
     s = R * R + r * r

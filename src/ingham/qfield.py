@@ -9,10 +9,11 @@ Fraction is built and d is never factored.  A radicand is factored only where
 a number is built from one that may not be square-free (`QuadNumber(a, b, d)`
 and `QuadNumber.sqrt`); the square-free part it leaves builds further numbers
 unfactored (`_from_square_free`), as spec loading does.  The rational and
-radical parts stay readable as Fractions through .a and .b.  Mixed radicals
-(a + b*sqrt(2) + c*sqrt(3)) are deliberately unsupported; combining two
-numbers whose radical parts live in different fields raises
-FieldMismatchError.
+radical parts stay readable as Fractions through .a and .b.  Numbers enter
+as ints or Fractions (text through `rational`); any other type, a float
+included, raises TypeError, as in the arithmetic.  Mixed radicals (a +
+b*sqrt(2) + c*sqrt(3)) are deliberately unsupported; combining two numbers
+whose radical parts live in different fields raises FieldMismatchError.
 """
 
 from __future__ import annotations
@@ -147,12 +148,9 @@ class QuadNumber:
     # -- constructors ------------------------------------------------------
 
     def __new__(cls, a: Rational = 0, b: Rational = 0, d: int = 1) -> QuadNumber:
-        """a + b*sqrt(d) for rationals a, b and a positive integer d: the
-        square part of d moves into b.  d is factored only when b != 0."""
-        if not isinstance(a, (int, Fraction)):
-            a = Fraction(a)
-        if not isinstance(b, (int, Fraction)):
-            b = Fraction(b)
+        """a + b*sqrt(d) for ints or Fractions a, b and a positive integer d:
+        the square part of d moves into b.  d is factored only when b != 0."""
+        _exact(a, b)
         if not isinstance(d, int) or d < 1:
             raise ValueError("d must be a positive integer")
         s, d = _square_free_split(d) if b else (1, d)
@@ -160,7 +158,8 @@ class QuadNumber:
 
     @classmethod
     def sqrt(cls, n: Rational) -> QuadNumber:
-        """Exact square root of a nonnegative rational, if it stays quadratic."""
+        """Exact square root of a nonnegative int or Fraction, if it stays quadratic."""
+        _exact(n)
         n = Fraction(n)
         if n < 0:
             raise ValueError("sqrt of a negative rational")
@@ -341,6 +340,13 @@ def _make(p: int, q: int, r: int, d: int) -> QuadNumber:
     _set_r(x, r)
     _set_d(x, d if q else 1)
     return x
+
+
+def _exact(*values: Rational) -> None:
+    """Raise TypeError unless every value is an int or a Fraction."""
+    for value in values:
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"expected an int or a Fraction, got {type(value).__name__}")
 
 
 def _coerce(value: QuadNumber | Rational) -> QuadNumber:

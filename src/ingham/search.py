@@ -285,18 +285,15 @@ def _row_chunks(
     end and, given tails (one string per class), its class's tail.
 
     The point labels are formatted once, as fixed-width byte strings, one
-    table for the first cell (lead + label + ";"), the middle cells (label
-    + ";") and the last (label + end).  A chunk gathers each row's labels,
+    table per cell: lead before the first cell's label, ";" after each label
+    but the last and end after the last.  A chunk gathers each row's labels,
     and its tail, into one packed record array of those byte fields and
     takes its bytes at once.  numpy pads a shorter byte string with NULs,
     which are stripped only when the widths of a field differ."""
     m = rec.idx.shape[1]
     labels = [f"{a},{b}" for a, b in rec.points]
     table = lambda pre, post: np.array([pre + s + post for s in labels], dtype=bytes)
-    if m == 1:
-        fields = [table(lead, end)]
-    else:
-        fields = [table(lead, ";"), *[table("", ";")] * (m - 2), table("", end)]
+    fields = [table("" if k else lead, ";" if k < m - 1 else end) for k in range(m)]
     varied = lambda strings: len(set(map(len, strings))) > 1
     padded = varied(labels)
     if tails is not None:

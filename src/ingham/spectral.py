@@ -648,32 +648,17 @@ def a2_stable(det_abs) -> bool:
     return not np.any((det_abs > min(A2_SWEEP)) & (det_abs <= max(A2_SWEEP)))
 
 
-def _exactly_hermitian(h: np.ndarray) -> bool:
-    """Whether every entry of h off the diagonal has the bits of the
-    conjugate of its mirror, signs of zeros included: equal real parts, and
-    imaginary parts that differ in the sign bit alone."""
-    sign = np.uint64(1 << 63)
-    re, im = (part.view(np.uint64) for part in (h.real, h.imag))
-    flips = im ^ im.T
-    np.fill_diagonal(flips, sign)  # the diagonal is its own mirror
-    return np.array_equal(re, re.T) and bool(np.all(flips == sign))
-
-
 def hermitian_extremes(h: np.ndarray) -> tuple[float, float]:
     """Extreme eigenvalues of a Hermitian matrix (full symmetric eigensolve).
 
-    A matrix whose asymmetry exceeds 1e-10 is refused.  Any other is
-    symmetrised, (h + h^*)/2, unless it is exactly Hermitian off its
-    diagonal (`_exactly_hermitian`), as `gram._assemble` builds it: there
-    the lower triangle (x + x)/2 = x and the real diagonal, all that
-    eigvalsh reads, have the bits of h already."""
+    A matrix whose asymmetry exceeds 1e-10 is refused.  Any other goes to
+    eigvalsh as it is, which solves the Hermitian matrix of its lower
+    triangle and the real part of its diagonal; for the exactly Hermitian
+    matrices `gram._assemble` builds, that is h itself."""
     h = np.asarray(h, dtype=complex)
-    mirror = h.conj().T
-    asym = np.max(np.abs(h - mirror))
+    asym = np.max(np.abs(h - h.conj().T))
     if asym > 1e-10:
         raise NotHermitianError(f"asymmetry {asym:.2e} exceeds 1e-10")
-    if not _exactly_hermitian(h):
-        h = (h + mirror) / 2.0
     w = np.linalg.eigvalsh(h)
     return float(w[0]), float(w[-1])
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingham
-from ingham import catalog, gram, search, spectral
+from ingham import catalog, cli, gram, search, spectral
 from ingham.cli import main
 from ingham.errors import NotHermitianError
 from ingham.lattice import LatticeSpec
@@ -427,6 +427,38 @@ def test_survey_grid_defaults_to_3(capsys):
     assert json.loads(out)["grid_max"] == 3 and json.loads(out)["total"] == 16
 
 
+SQUARE_VERIFY = ("verify", "--tiling", "square", "--config", "0,0")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (SQUARE_VERIFY + ("--hole", "1,1,2,2", "--hole-fraction", "0.25"),
+     "argument --hole-fraction: not allowed with argument --hole"),
+    (SQUARE_VERIFY + ("--hole-cell", "0"), "usage error: --hole-cell needs --hole-fraction"),
+    (SQUARE_VERIFY + ("--hole", "0.1,0.1,0.3,0.3", "--hole-cell", "0"),
+     "usage error: --hole-cell needs --hole-fraction"),
+    (SQUARE_VERIFY + ("--witness-radii", "0,1"),
+     "usage error: --witness-radii needs --hole or --hole-fraction"),
+    (("export", "--tiling", "square", "--what", "points", "--config", "0,0"),
+     "usage error: export --what points takes no --config"),
+    (("export", "--tiling", "square", "--what", "domain", "--bbox", "0,0,1,1"),
+     "usage error: export --what domain takes no --bbox"),
+], ids=["hole_and_fraction", "cell_alone", "cell_with_rect", "radii_alone", "points_config",
+        "domain_bbox"])
+def test_flags_that_do_not_apply_are_refused(capsys, monkeypatch, argv, message):
+    """Refused before any spec is loaded: exit 2, nothing on stdout."""
+    def no_spec(*args):
+        raise AssertionError("a spec was loaded")
+
+    monkeypatch.setattr(cli, "_spec", no_spec)
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refusing the argv
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (2, "")
+    assert message in out.err
+
+
 TWO_SQUARE_HOLE = (
     "verify", "--tiling", "two_square", "--r", "1", "--R", "2",
     "--config", "0,0;1,0;0,1;1,1", "--hole-fraction", "0.25",
@@ -474,12 +506,12 @@ BAD_SPECS = {
     "top_level_list": ([SKEW], "JSON object"),
     "zero_denominator": (
         _skew_with(l_star=[[{"a": "1/0"}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
-        "not a finite rational",
+        "l_star[0][0].a: not a finite rational",
     ),
     "huge_radicand": (
         _skew_with(d=100000000000000000039,
                    l_star=[[{"a": "0", "b": "1"}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
-        "radicand exceeds",
+        "d: radicand exceeds",
     ),
     "singular_l_star": (
         _skew_with(l_star=[[{"a": "1"}, {"a": "1"}], [{"a": "1"}, {"a": "1"}]]),
@@ -489,30 +521,35 @@ BAD_SPECS = {
         _skew_with(us=[[{"a": "0"}, {"a": "0"}], [{"a": "1"}, {"a": "0"}]]),
         "coincide",
     ),
-    "bare_numbers": (_skew_with(l_star=[[1, 0], [0, 1]]), "must be objects"),
-    "boolean_d": (_skew_with(d=True), "expected a rational, got True"),
+    "short_translate": (_skew_with(us=[[{"a": "0"}]]), "spec us[0] must be a list of 2"),
+    "bare_numbers": (
+        _skew_with(l_star=[[1, 0], [0, 1]]), "l_star[0][0]: spec numbers must be objects"
+    ),
+    "boolean_d": (_skew_with(d=True), "d: expected a rational, got True"),
     "boolean_a": (
         _skew_with(l_star=[[{"a": True}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
-        "expected a rational, got True",
+        "l_star[0][0].a: expected a rational, got True",
     ),
     "boolean_b": (
         _skew_with(us=[[{"a": "0", "b": False}, {"a": "0"}]]),
-        "expected a rational, got False",
+        "us[0][0].b: expected a rational, got False",
     ),
-    "three_rows": (_skew_with(l_star=[[{"a": "1"}, {"a": "0"}]] * 3), "a list of 2"),
+    "three_rows": (
+        _skew_with(l_star=[[{"a": "1"}, {"a": "0"}]] * 3), "spec l_star must be a list of 2"
+    ),
     # a JSON float has lost the decimal text it was written as
-    "float_d": (_skew_with(d=2.0), "expected a rational, got float"),
+    "float_d": (_skew_with(d=2.0), "d: expected a rational, got float"),
     "float_a": (
         _skew_with(l_star=[[{"a": 0.5}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
-        "expected a rational, got float",
+        "l_star[0][0].a: expected a rational, got float",
     ),
     "float_b": (
         _skew_with(l_star=[[{"a": "1", "b": 0.5}, {"a": "0"}], [{"a": "0"}, {"a": "1"}]]),
-        "expected a rational, got float",
+        "l_star[0][0].b: expected a rational, got float",
     ),
     "float_translate": (
         _skew_with(us=[[{"a": "0"}, {"a": 0.1}]]),
-        "expected a rational, got float",
+        "us[0][1].a: expected a rational, got float",
     ),
 }
 

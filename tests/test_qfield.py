@@ -42,6 +42,19 @@ def test_radicand_that_is_not_a_positive_int_is_refused(d):
             QuadNumber(0, b, d)
 
 
+# Exact numbers enter as ints or Fractions; text goes through rational(), and
+# Fraction()'s own grammar and its binary reading of floats are not a second way in.
+@pytest.mark.parametrize("build", [
+    lambda: QuadNumber(0.1),
+    lambda: QuadNumber("1_000"),
+    lambda: QuadNumber(0, Decimal("0.5"), 2),
+    lambda: QuadNumber.sqrt(0.5),
+], ids=["float", "text", "decimal_b", "float_sqrt"])
+def test_a_number_that_is_not_an_int_or_fraction_is_refused(build):
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        build()
+
+
 def test_sqrt_factors_its_radicand_once(monkeypatch):
     calls = []
     split = qfield._square_free_split

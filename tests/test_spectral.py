@@ -159,16 +159,17 @@ def test_an_exactly_hermitian_matrix_goes_to_the_eigensolver_as_it_is(eigvalsh_i
     complex(1.0, 0.0),  # the mirror of 1 + 0j, with the sign of its zero flipped
     complex(1.0 + 1e-11, -0.0),  # off by less than 1e-10
 ])
-def test_a_matrix_not_exactly_hermitian_is_symmetrised(eigvalsh_inputs, lower):
+def test_a_matrix_not_exactly_hermitian_is_solved_from_its_lower_triangle(eigvalsh_inputs,
+                                                                         lower):
     h = _exactly_hermitian_matrix([[2, 1, 0.5j], [0, 3, 1 - 1j], [0, 0, 1]])
     assert np.signbit(h[1, 0].imag)
     h[1, 0] = lower
     got = hermitian_extremes(h)
-    symmetrised = (h + h.conj().T) / 2.0
-    assert eigvalsh_inputs[-1] is not h
-    assert eigvalsh_inputs[-1].tobytes() == symmetrised.tobytes()
-    w = np.linalg.eigvalsh(symmetrised)
+    assert eigvalsh_inputs[-1] is h
+    w = np.linalg.eigvalsh(h)
     assert np.array(got).tobytes() == np.array([w[0], w[-1]]).tobytes()
+    symmetrised = np.linalg.eigvalsh((h + h.conj().T) / 2.0)
+    assert np.allclose(got, [symmetrised[0], symmetrised[-1]], rtol=0, atol=1e-9)
 
 
 def test_hermitian_extremes_rejects_asymmetric():
@@ -266,6 +267,12 @@ def test_two_square_degenerate():
         two_square_spec(1, 1)
     with pytest.raises(DegenerateTilingError):
         two_square_spec(0, 2)
+
+
+@pytest.mark.parametrize("r, R", [(0.1, 0.5), (1, "3")])
+def test_two_square_sides_that_are_not_ints_or_fractions_are_refused(r, R):
+    with pytest.raises(TypeError, match="expected an int or a Fraction"):
+        two_square_spec(r, R)
 
 
 def test_two_square_delta_matches_determinant():
