@@ -487,8 +487,7 @@ def _json_list(value: Any, place: str, length: int | None = None) -> list:
 
 def spec_from_json(data: Any) -> LatticeSpec:
     """The spec of a JSON interchange object.  Input of another shape, or
-    numbers that are not rationals, raise ValueError; a refused number is
-    named by its place, such as "l_star[0][1].a" or "us[2][0].b".
+    numbers that are not rationals (named as "us[2][0].b"), raise ValueError.
 
     The radicand d is read as an int once and factored at most once, at the
     first number with a radical part, into s*s*e with e square-free: every
@@ -496,37 +495,39 @@ def spec_from_json(data: Any) -> LatticeSpec:
     numbers are all rational never factors d."""
     if not isinstance(data, dict) or not {"name", "l_star", "us"} <= data.keys():
         raise ValueError("spec must be a JSON object with name, l_star and us")
-    d = _located(rational, data.get("d", 1), "d")
+    try:
+        d = rational(data.get("d", 1))
+    except ValueError as exc:
+        raise ValueError(f"d: {exc}") from None
     if d.denominator != 1 or d < 1:
         raise ValueError(f"spec d must be a positive integer, got {d}")
     d = d.numerator
     split = None  # (s, e) with d = s*s*e
 
-    def qn(obj: Any, place: str) -> QuadNumber:
+    def qn(obj: Any, place: str, k: int) -> QuadNumber:
         nonlocal split
         if not isinstance(obj, dict) or "a" not in obj:
-            raise ValueError(f'{place}: spec numbers must be objects with "a" and optional "b"')
-        (an, ad), (bn, bd) = (_located(_ratio, obj.get(k, "0"), f"{place}.{k}") for k in "ab")
+            raise ValueError(f'{place}[{k}]: numbers must be objects with "a" and optional "b"')
+        key = "a"  # the place is formatted only for an error: spec loading is on the exact path
+        try:
+            an, ad = _ratio(obj["a"])
+            key = "b"
+            bn, bd = _ratio(obj.get("b", "0"))
+        except ValueError as exc:
+            raise ValueError(f"{place}[{k}].{key}: {exc}") from None
         if bn and split is None:
-            split = _located(_square_free_split, d, "d")
+            split = _square_free_split(d)
         s, e = split if bn else (1, 1)
         return _from_square_free(an, ad, bn * s, bd, e)
 
     def pair(obj: Any, place: str) -> tuple[QuadNumber, QuadNumber]:
-        return tuple(qn(x, f"{place}[{k}]") for k, x in enumerate(_json_list(obj, place, 2)))
+        x, y = _json_list(obj, place, 2)
+        return qn(x, place, 0), qn(y, place, 1)
 
     rows = enumerate(_json_list(data["l_star"], "l_star", 2))
     l_star = tuple(pair(row, f"l_star[{i}]") for i, row in rows)
     us = tuple(pair(u, f"us[{j}]") for j, u in enumerate(_json_list(data["us"], "us")))
     return validate_spec(LatticeSpec(name=str(data["name"]), l_star=l_star, us=us))
-
-
-def _located(read, value: Any, place: str):
-    """read(value), its ValueError prefixed with the place of value in the spec."""
-    try:
-        return read(value)
-    except ValueError as exc:
-        raise ValueError(f"{place}: {exc}") from None
 
 
 def load_spec_file(path: str) -> LatticeSpec:
