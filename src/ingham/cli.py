@@ -160,18 +160,18 @@ def cmd_verify(args) -> int:
         raise ValueError("--witness-radii needs --hole or --hole-fraction")
     if args.hole_cell is not None and args.hole_fraction is None:
         raise ValueError("--hole-cell needs --hole-fraction")
+    hole = None if args.hole is None else _box(args.hole, "--hole")
     from . import gram
 
     spec = _spec(args)
     config = TranslationConfig.parse(args.config)
     support = gram.SupportSet.centered(spec, args.support_radius)
-    hole = supports = None
+    supports = None
     if holed:  # refused before the frame-bound work
         radii = "0,1,2,3" if args.witness_radii is None else args.witness_radii
         supports = [gram.SupportSet.centered(spec, k) for k in _radii(radii)]
         try:
-            if args.hole is not None:
-                hole = _box(args.hole, "--hole")
+            if hole is not None:
                 gram._cell_of_rect(spec, config, hole)
             else:
                 hole = gram.inscribed_hole(spec, config, args.hole_cell or 0, args.hole_fraction)
@@ -321,6 +321,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "csv", None) == "":  # given empty, not left out
+            raise ValueError("--csv needs a path")
         status = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return status

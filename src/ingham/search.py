@@ -16,12 +16,14 @@ only when one is indexed or iterated.  Every configuration carries its class
 representative's values, so its bits do not depend on the survey, the grid
 or the list it came in.  Counts, rankings and CSV rows read the class
 columns, gathered through each row's class where they need rows.  The CSV
-formats each class's numbers once and each point's label once, as
-fixed-width byte strings; a chunk of rows is gathered from those tables
-into one packed record array and taken as one bytes object (`_row_chunks`).
-`survey_csv_rows` decodes and splits each chunk's configuration strings once
-and zips them into tuples, and `write_survey_csv` writes each chunk's bytes,
-with no per-row string.
+formats each class's fields once, as one tail tuple (`_class_tails`), and
+each point's label once, as fixed-width byte strings; a chunk of rows is
+gathered from those tables into one packed record array and taken as one
+bytes object (`_row_chunks`).  `survey_csv_rows` decodes and splits each
+chunk's configuration strings once, gathers the chunk's tails through each
+row's class, and makes each row its configuration's 1-tuple plus its tail,
+one new tuple per row; `write_survey_csv` writes each chunk's bytes, with
+no per-row string.
 Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.
 This module owns enumeration, columns, grouping and ranking; phases,
 symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -53,12 +56,13 @@ Config = tuple[tuple[int, int], ...]
 # beside its intp class indices) and the kernel one chunk of
 # working memory.  write_survey_csv holds one chunk of rows as a packed record
 # array and its bytes, beside byte tables of the point labels and one tail
-# per class: its tracemalloc peak beyond the result is 2.0 MB at snub square
-# grid 6 and 4.8 MB at grid 7, mostly the per-class strings.  The full list of
-# survey_csv_rows costs about 166 B per configuration more, as rows share
-# their class's number strings: the survey benchmark (snub square at grid 6,
-# 211,876 configurations, its largest) peaks at about 102 MB resident.  Snub
-# square (M = 4) at grid 8 is 1.66M.
+# per class: its tracemalloc peak beyond the result is 2.2 MB at snub square
+# grid 6 and 5.4 MB at grid 7, mostly the per-class tuples and strings.  The
+# full list of survey_csv_rows costs about 166 B per configuration more (a
+# 6-tuple, its list slot and its configuration string), as rows share their
+# class's tail: the survey benchmark (snub square at grid 6, 211,876
+# configurations, its largest) peaks at about 93 MB resident.  Snub square
+# (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -268,13 +272,15 @@ def translation_classes(configs: Iterable[Config]) -> list[TranslationClass]:
 CSV_HEADER = ("config", "connected", "a2", "kappa1", "kappa2", "ratio")
 
 
-def _class_strings(cols: ClassColumns) -> tuple[list[str], list[str], list[str]]:
-    """Each class's kappa1, kappa2 and ratio as the CSV writes them: 12
-    significant digits, and an empty ratio where it is undefined."""
+def _class_tails(cols: ClassColumns) -> list[tuple[int, int, str, str, str]]:
+    """Each class's (connected, a2, kappa1, kappa2, ratio) as the CSV writes
+    them: 0 or 1, 12 significant digits, and an empty ratio where it is
+    undefined.  "%.12g" % x is f"{x:.12g}", and faster."""
     ratio, ok = _ratios(cols)
-    fmt = lambda col: [f"{x:.12g}" for x in col.tolist()]
-    ratios = [f"{x:.12g}" if good else "" for x, good in zip(ratio.tolist(), ok.tolist())]
-    return fmt(cols.kappa1), fmt(cols.kappa2), ratios
+    fmt = lambda col: ["%.12g" % x for x in col.tolist()]
+    ratios = ["%.12g" % x if good else "" for x, good in zip(ratio.tolist(), ok.tolist())]
+    flags = (col.astype(int).tolist() for col in (cols.connected, cols.a2))
+    return list(zip(*flags, fmt(cols.kappa1), fmt(cols.kappa2), ratios))
 
 
 def _row_chunks(
@@ -311,16 +317,14 @@ def _row_chunks(
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     """(config, connected, a2, kappa1, kappa2, ratio) rows for export: each
-    chunk's configuration strings are one decoded string, split once."""
+    chunk's configuration strings are one decoded string, split once, and
+    each row is its configuration's 1-tuple plus its class's tail tuple."""
     rec = result.records
-    cols = rec.classes
-    per_class = [cols.connected.astype(int), cols.a2.astype(int),
-                 *(np.array(col, dtype=object) for col in _class_strings(cols))]
+    tails = np.fromiter(_class_tails(rec.classes), dtype=object)
     out: list[tuple] = []
     for rows, text in _row_chunks(rec, "", "\n"):
-        klass = rec.klass[rows]
         configs = text[:-1].decode("ascii").split("\n")
-        out.extend(zip(configs, *(col[klass].tolist() for col in per_class)))
+        out.extend(map(add, zip(configs), tails[rec.klass[rows]].tolist()))
     return out
 
 
@@ -335,12 +339,7 @@ def write_survey_csv(path, result: SurveyResult) -> None:
     formatted once per class.  Each chunk's rows are one bytes object
     (`_row_chunks`); the rows never all exist at once."""
     rec = result.records
-    cols = rec.classes
-    tails = [
-        f",{int(c)},{int(a)},{k1},{k2},{ratio}\r\n"
-        for c, a, k1, k2, ratio in zip(cols.connected.tolist(), cols.a2.tolist(),
-                                       *_class_strings(cols))
-    ]
+    tails = [",%d,%d,%s,%s,%s\r\n" % tail for tail in _class_tails(rec.classes)]
     with open(path, "wb") as fh:
         fh.write((",".join(CSV_HEADER) + "\r\n").encode())
         for _, text in _row_chunks(rec, '"', '"', tails):

@@ -442,8 +442,16 @@ SQUARE_VERIFY = ("verify", "--tiling", "square", "--config", "0,0")
      "usage error: export --what points takes no --config"),
     (("export", "--tiling", "square", "--what", "domain", "--bbox", "0,0,1,1"),
      "usage error: export --what domain takes no --bbox"),
+    # an empty value is not a left-out flag
+    (("survey", "--tiling", "square", "--grid", "1", "--csv="), "usage error: --csv needs a path"),
+    (SQUARE_VERIFY + ("--csv=",), "usage error: --csv needs a path"),
+    (SQUARE_VERIFY + ("--hole-fraction", "0.25", "--csv="), "usage error: --csv needs a path"),
+    (("export", "--tiling", "square", "--what", "points", "--csv="),
+     "usage error: --csv needs a path"),
+    (SQUARE_VERIFY + ("--hole=",), "usage error: --hole needs 4 values x0,y0,x1,y1"),
 ], ids=["hole_and_fraction", "cell_alone", "cell_with_rect", "radii_alone", "points_config",
-        "domain_bbox"])
+        "domain_bbox", "survey_empty_csv", "verify_empty_csv", "witness_empty_csv",
+        "export_empty_csv", "empty_hole"])
 def test_flags_that_do_not_apply_are_refused(capsys, monkeypatch, argv, message):
     """Refused before any spec is loaded: exit 2, nothing on stdout."""
     def no_spec(*args):
@@ -788,9 +796,11 @@ OPTIONS = {
     "export": {**COMMON, "what": ("points", "domain", "x"), "bbox": RECTS, "config": CONFIGS,
                "csv": PATHS},
 }
-# Flags always given: argparse requires --config and --what, and the default
-# --witness-radii 0,1,2,3 would cost about 0.5 s per hole.
-ALWAYS = {"config", "what", "witness-radii"}
+# Flags always given: argparse requires --config and --what.  --witness-radii
+# is given beside every hole and never without one: verify refuses it without
+# a hole, and the default 0,1,2,3 would cost about 0.5 s per hole.
+ALWAYS = {"config", "what"}
+HOLES = {"hole", "hole-fraction"}
 
 
 @pytest.fixture(scope="module")
@@ -803,34 +813,69 @@ def argv_files(tmp_path_factory):
     return root
 
 
+def _draw_argv(draw, root) -> list[str]:
+    """A command and flags drawn from the tables above, each flag as --flag=value."""
+    command = draw(st.sampled_from(("catalog", "constants", "survey", "verify", "export")))
+    if command == "catalog":
+        argv = [command, draw(st.sampled_from(("list", "show", "x")))]
+        if draw(st.booleans()):
+            argv.append(draw(st.sampled_from(TILINGS)))
+        options = {"r": RATIONALS, "R": RATIONALS}
+    else:
+        argv, options = [command], OPTIONS[command]
+        if command == "survey" and draw(st.booleans()):
+            argv.append("--connected-only")
+    drawn = set()
+    for flag, values in options.items():
+        if flag == "witness-radii":
+            wanted = bool(drawn & HOLES)
+        else:
+            wanted = flag in ALWAYS or draw(st.booleans())
+        if wanted:
+            drawn.add(flag)
+            value = draw(st.sampled_from(values)).replace("{root}", str(root))
+            argv.append(f"--{flag}={value}")
+    return argv
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_random_argv_never_shows_a_traceback(argv_files, data):
     """main returns 0 or 2, or 1 from a failed verify check, or argparse exits
     2; nothing else escapes."""
-    draw = data.draw
-    command = draw(st.sampled_from(("catalog", "constants", "survey", "verify", "export")))
-    if command == "catalog":
-        argv = [draw(st.sampled_from(("list", "show", "x")))]
-        if draw(st.booleans()):
-            argv.append(draw(st.sampled_from(TILINGS)))
-        options = {"r": RATIONALS, "R": RATIONALS}
-    else:
-        argv, options = [], OPTIONS[command]
-        if command == "survey" and draw(st.booleans()):
-            argv.append("--connected-only")
-    for flag, values in options.items():
-        if flag in ALWAYS or draw(st.booleans()):
-            value = draw(st.sampled_from(values)).replace("{root}", str(argv_files))
-            argv.append(f"--{flag}={value}")
+    argv = _draw_argv(data.draw, argv_files)
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main([command, *argv])
+            code = main(argv)
     except SystemExit as exc:  # argparse refusing the argv
         assert exc.code == 2, sink.getvalue()
     else:
-        assert code in ((0, 1, 2) if command == "verify" else (0, 2)), sink.getvalue()
+        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), sink.getvalue()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--tiling=square", "--config=0,0"),
+    ("--tiling=honeycomb", "--config=0,0;1,0", "--support-radius=2"),
+    ("--spec-file={root}/good.json", "--config=0,0", "--hole=0.1,0.1,0.3,0.3",
+     "--witness-radii=0"),
+    ("--tiling=snub_square", "--config=0,0;0,1;1,0;1,1", "--hole-fraction=0.25",
+     "--hole-cell=1", "--witness-radii=0,1", "--csv={root}/out.csv"),
+], ids=["plain", "support", "rect_hole", "fraction_hole"])
+def test_random_argv_values_reach_the_frame_bound_check(capsys, monkeypatch, argv_files, flags):
+    """verify argvs of the values drawn above, as the draws write them, get
+    past every refusal to the frame-bound check and, given a hole, the
+    removal witness."""
+    calls = []
+    for name in ("frame_bound_check", "removal_witness"):
+        fn = getattr(gram, name)
+        monkeypatch.setattr(gram, name, lambda *args, fn=fn, name=name: calls.append(name)
+                            or fn(*args))
+    argv = [flag.replace("{root}", str(argv_files)) for flag in flags]
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code in (0, 1) and json.loads(out)["config"]
+    holed = any(flag.startswith("--hole") for flag in flags)
+    assert calls == ["frame_bound_check", *(["removal_witness"] if holed else [])]
 
 
 def _ingham(*argv):

@@ -1,9 +1,11 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +351,60 @@ def test_snub_square_csv_rows_pinned():
     rows = survey_csv_rows(classify_all(catalog.get("snub_square").spec, 3, 4))
     digest = hashlib.sha256(_csv_text(rows).encode()).hexdigest()
     assert digest == "060ee94e26ca4e2bb9bbf32426a352f33b9907843995e04f22bd3c195b50f0c6"
+
+
+def _survey_workload_inputs():
+    """Every survey the survey benchmark runs, over all its seeds: its
+    grids, each two-square pair it may draw and its connected surveys."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    grids = [pytest.param(name, {}, grid, id=f"{name}-grid{grid}")
+             for name, grid in module.SURVEY_GRIDS]
+    pairs = [pytest.param("two_square", {"r": r, "R": R}, module.SURVEY_PAIR_GRID,
+                          id=f"two_square_r{r}_R{R}-grid{module.SURVEY_PAIR_GRID}")
+             for r, R in module.SURVEY_PAIRS]
+    connected = [pytest.param(name, {}, None, id=f"{name}-connected")
+                 for name in module.CONNECTED_TILINGS]
+    return grids + pairs + connected
+
+
+@pytest.mark.parametrize("name, params, grid", _survey_workload_inputs())
+def test_csv_rows_of_the_survey_workload_match_the_oracle(name, params, grid):
+    """Row by row, so that a failure names its first bad row rather than
+    diffing megabytes of CSV text; the row types are tested below."""
+    spec = catalog.get(name, **params).spec
+    _assert_rows_match_oracle(
+        connected_survey(spec) if grid is None else classify_all(spec, grid, spec.m))
+
+
+@settings(max_examples=500)
+@given(x=st.floats())
+@example(x=math.nan)
+@example(x=math.inf)
+@example(x=-math.inf)
+@example(x=-0.0)
+@example(x=5e-324)  # the least subnormal
+@example(x=2.2250738585072014e-308)  # the least normal
+def test_percent_g_is_format_g(x):
+    """The CSV formats each class's numbers with "%.12g" %, which gives
+    f"{x:.12g}", the record-by-record oracle's format."""
+    assert "%.12g" % x == f"{x:.12g}"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: classify_all(catalog.get("snub_square").spec, 3, 4),  # 76 failing rows
+    lambda: connected_survey(catalog.get("truncated_square").spec),
+    _shuffled_snub_square,
+], ids=["grid", "connected", "shuffled"])
+def test_csv_rows_hold_strings_and_ints(make):
+    """Each row is a tuple of these types exactly: an equality test alone
+    would take True for 1 and numpy values for Python ones."""
+    rows = survey_csv_rows(make())
+    assert {tuple(map(type, row)) for row in rows} == {(str, int, int, str, str, str)}
+    assert {row[1:3] for row in rows} <= {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert "" in {row[5] for row in rows}  # a failing class has no ratio
 
 
 def _column_bytes(records: SurveyRecords, order=slice(None)) -> list[bytes]:
