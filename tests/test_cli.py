@@ -813,16 +813,20 @@ def argv_files(tmp_path_factory):
     return root
 
 
-def _draw_argv(draw, root) -> list[str]:
-    """A command and flags drawn from the tables above, each flag as --flag=value."""
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_argv_never_shows_a_traceback(argv_files, data):
+    """main returns 0 or 2, or 1 from a failed verify check, or argparse exits
+    2; nothing else escapes."""
+    draw = data.draw
     command = draw(st.sampled_from(("catalog", "constants", "survey", "verify", "export")))
     if command == "catalog":
-        argv = [command, draw(st.sampled_from(("list", "show", "x")))]
+        argv = [draw(st.sampled_from(("list", "show", "x")))]
         if draw(st.booleans()):
             argv.append(draw(st.sampled_from(TILINGS)))
         options = {"r": RATIONALS, "R": RATIONALS}
     else:
-        argv, options = [command], OPTIONS[command]
+        argv, options = [], OPTIONS[command]
         if command == "survey" and draw(st.booleans()):
             argv.append("--connected-only")
     drawn = set()
@@ -833,25 +837,16 @@ def _draw_argv(draw, root) -> list[str]:
             wanted = flag in ALWAYS or draw(st.booleans())
         if wanted:
             drawn.add(flag)
-            value = draw(st.sampled_from(values)).replace("{root}", str(root))
+            value = draw(st.sampled_from(values)).replace("{root}", str(argv_files))
             argv.append(f"--{flag}={value}")
-    return argv
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_random_argv_never_shows_a_traceback(argv_files, data):
-    """main returns 0 or 2, or 1 from a failed verify check, or argparse exits
-    2; nothing else escapes."""
-    argv = _draw_argv(data.draw, argv_files)
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main(argv)
+            code = main([command, *argv])
     except SystemExit as exc:  # argparse refusing the argv
         assert exc.code == 2, sink.getvalue()
     else:
-        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), sink.getvalue()
+        assert code in ((0, 1, 2) if command == "verify" else (0, 2)), sink.getvalue()
 
 
 @pytest.mark.parametrize("flags", [
@@ -866,6 +861,9 @@ def test_random_argv_values_reach_the_frame_bound_check(capsys, monkeypatch, arg
     """verify argvs of the values drawn above, as the draws write them, get
     past every refusal to the frame-bound check and, given a hole, the
     removal witness."""
+    for flag in flags:  # each a value the draws above may take
+        name, value = flag[2:].split("=", 1)
+        assert value in OPTIONS["verify"][name]
     calls = []
     for name in ("frame_bound_check", "removal_witness"):
         fn = getattr(gram, name)
