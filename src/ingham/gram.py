@@ -66,6 +66,7 @@ from .lattice import (
 from .qfield import QuadNumber, quad_float
 from .spectral import (
     TWO_PI,
+    SpectralResult,
     _check_size,
     _complex,
     _int_array,
@@ -319,7 +320,23 @@ def frame_bound_check(
     config: TranslationConfig,
     support: SupportSet,
 ) -> FrameBoundReport:
-    """Check the Gram spectrum against the frame bounds [c1_full, c2_full].
+    """Check the Gram spectrum against the frame bounds [c1_full, c2_full]:
+    `frame_bound_report` with the configuration's own `ingham_constants`,
+    computed first, so a configuration they refuse is refused before any
+    Gram work."""
+    return frame_bound_report(spec, config, support, ingham_constants(spec, config))
+
+
+def frame_bound_report(
+    spec: LatticeSpec,
+    config: TranslationConfig,
+    support: SupportSet,
+    constants: SpectralResult,
+) -> FrameBoundReport:
+    """The frame-bound verdict of the configuration on the support, given its
+    `ingham_constants` (a caller that holds them, as the reproduction report
+    does, passes them; `frame_bound_check` computes them); the only place
+    the verdict rule is written.
 
     Valid for every box, and by interlacing every support inside one: a*Ga is
     the domain integral of |f|^2 for f with coefficients a.  When (A2) fails
@@ -331,23 +348,23 @@ def frame_bound_check(
     the float phases of a configuration far from the origin lose their
     digits (at (10**15, -10**15) a negative lambda_min was read).
     """
-    sr = ingham_constants(spec, config)
+    _check_size(spec, config.m)
     x0, y0 = (min(c) for c in zip(*config.ns))
     at_origin = TranslationConfig(tuple((x - x0, y - y0) for x, y in config.ns))
     lam_min, lam_max = hermitian_extremes(gram_matrix(spec, at_origin, support))
-    eps = 1e-6 * sr.c2_full
-    if sr.satisfies_a2:
-        passed = sr.c1_full - eps <= lam_min and lam_max <= sr.c2_full + eps
-        c1 = sr.c1_full
+    eps = 1e-6 * constants.c2_full
+    if constants.satisfies_a2:
+        passed = constants.c1_full - eps <= lam_min and lam_max <= constants.c2_full + eps
+        c1 = constants.c1_full
     else:
-        passed = lam_max <= sr.c2_full + eps
+        passed = lam_max <= constants.c2_full + eps
         c1 = 0.0
     return FrameBoundReport(
         lambda_min=lam_min,
         lambda_max=lam_max,
         c1_full=c1,
-        c2_full=sr.c2_full,
-        a2=sr.satisfies_a2,
+        c2_full=constants.c2_full,
+        a2=constants.satisfies_a2,
         passed=passed,
     )
 

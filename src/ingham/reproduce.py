@@ -4,15 +4,19 @@
 passed)`; kinds doing the same work share one.  Evaluators read what they
 need from one `Store` that `build_report` makes for the report (`_store`)
 and drops when it returns: catalog entries, so each two-square spec is built
-once; grid surveys (12 asked for, 7 distinct) and connected surveys (5 asked
-for, 3 distinct), one member each; the record-level `ingham_constants` of
-each (spec, configuration), whose `satisfies_a2` is the (A2) verdict; the
-domains of `geometry.omega_cells`; and the 2x2 cell-block classes, the
-public survey calls `search.translation_classes` of the block's m-subsets
-and `search.classify_configs` of the class representatives.  Each is
-computed on its first request, and nothing outlives the report.  The
-frame-bound entries (`_frame_bound_entry`) take `gram.frame_bound_check` as
-it is, with its own constants.  The seeded determinant sweep is one array
+once; grid surveys (12 asked for, 7 distinct), each the spec pass
+(`search.classify_reduction`) over a class reduction (`search.grid_reduction`)
+kept by (group, grid, m), so the four two-square ratios share one and the 7
+surveys make 4; connected surveys (5 asked for, 3 distinct); the
+`ingham_constants` of each (spec, configuration), whose `satisfies_a2` is
+the (A2) verdict, for the records and the frame-bound entries alike (21
+distinct); the domains of `geometry.omega_cells`; and the 2x2 cell-block
+classes, the public survey calls `search.translation_classes` of the
+block's m-subsets and `search.classify_configs` of the class
+representatives.  Each is computed on its first request, and nothing
+outlives the report.  The frame-bound entries (`_frame_bound_entry`) take
+their constants from the store into `gram.frame_bound_report`, the verdict
+`gram.frame_bound_check` gives.  The seeded determinant sweep is one array
 evaluation of `spectral.two_square_deltas`.
 
 The report is deterministic (no timestamps, sorted keys, fixed seeds) and is
@@ -37,7 +41,7 @@ import numpy as np
 
 from . import catalog, geometry, search, spectral
 from .catalog import CatalogEntry, ExpectedRecord
-from .gram import SupportSet, frame_bound_check
+from .gram import SupportSet, frame_bound_report
 from .lattice import LatticeSpec, TranslationConfig, minimality_certificate
 
 SEED = 20240801
@@ -46,14 +50,17 @@ SEED = 20240801
 @dataclass(frozen=True)
 class Store:
     """What one report computes, by argument: its catalog entries
-    (`catalog.get`), grid surveys (`search.classify_all` on [0, grid_max]^2),
-    connected surveys (`search.connected_survey`), record-level constants
-    (`spectral.ingham_constants`), domains (`geometry.omega_cells`) and 2x2
-    cell-block classes (`_cell_block_classes`).  `_store` makes one whose
-    every member computes on its first request and keeps the result for
-    later ones."""
+    (`catalog.get`), grid class reductions (`search.grid_reduction` by
+    (group, grid_max, m)), grid surveys (`search.classify_all` of the spec
+    on [0, grid_max]^2), connected surveys (`search.connected_survey`),
+    constants (`spectral.ingham_constants`), domains (`geometry.omega_cells`)
+    and 2x2 cell-block classes (`_cell_block_classes`).  `_store` makes one
+    whose every member computes on its first request and keeps the result
+    for later ones, and whose grid surveys are the spec pass over its
+    reductions, so specs of one group share one."""
 
     entry: Callable[..., CatalogEntry]
+    reduction: Callable[[tuple[spectral.Symmetry, ...], int, int], search.Reduction]
     grid: Callable[[LatticeSpec, int], search.SurveyResult]
     connected: Callable[[LatticeSpec], search.SurveyResult]
     constants: Callable[[LatticeSpec, TranslationConfig], spectral.SpectralResult]
@@ -271,14 +278,20 @@ def _tilings(store: Store, R: int):
 def _store() -> Store:
     """A store whose members keep each result by its arguments
     (`functools.cache`).  One report asks it for 36 catalog entries, of which
-    16 are distinct; `grid` for 12 grid surveys, of which 7 are; `connected`
-    for 5 connected surveys, of which 3 are; for 22 constants of 19
-    configurations; for 11 domains of 4; and for 2 cell blocks of 1.
-    `build_report` makes one store and drops it when it returns, so nothing
-    is kept from one report to the next."""
-    return Store(*map(cache, (
-        catalog.get, lambda spec, grid_max: search.classify_all(spec, grid_max, spec.m),
-        search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
+    16 are distinct; `grid` for 12 grid surveys, of which 7 are, and those
+    ask `reduction` for 7 class reductions, of which 4 are (the four
+    two-square ratios share one group); `connected` for 5 connected surveys,
+    of which 3 are; for 34 constants of 21 configurations; for 11 domains of
+    4; and for 2 cell blocks of 1.  `build_report` makes one store and drops
+    it when it returns, so nothing is kept from one report to the next."""
+    reduction = cache(search.grid_reduction)
+
+    def grid(spec: LatticeSpec, grid_max: int) -> search.SurveyResult:
+        red = reduction(spectral.symmetries(spec), grid_max, spec.m)
+        return search.as_result(search.classify_reduction(spec, red))
+
+    return Store(cache(catalog.get), reduction, *map(cache, (
+        grid, search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
         _cell_block_classes,
     )))
 
@@ -295,7 +308,7 @@ def build_report(out_dir: str | Path | None = None) -> dict:
     entries = [
         _evaluate(entry, rec, store) for entry in _tilings(store, R=2) for rec in entry.expected
     ]
-    entries += [_frame_bound_entry(entry) for entry in _tilings(store, R=3)]
+    entries += [_frame_bound_entry(entry, store) for entry in _tilings(store, R=3)]
 
     passed = sum(1 for e in entries if e["pass"])
     fields = ("tiling", "kind", "key", "printed", "computed", "note")
@@ -320,10 +333,12 @@ def build_report(out_dir: str | Path | None = None) -> dict:
     return report
 
 
-def _frame_bound_entry(entry: CatalogEntry) -> dict:
-    """Frame-bound containment for the tiling's primary configuration."""
+def _frame_bound_entry(entry: CatalogEntry, store: Store) -> dict:
+    """Frame-bound containment for the tiling's primary configuration, with
+    its constants from the store (`gram.frame_bound_report`)."""
     support = _acceptance_support(entry.spec)
-    fb = frame_bound_check(entry.spec, entry.default_configs[entry.primary_config], support)
+    config = entry.default_configs[entry.primary_config]
+    fb = frame_bound_report(entry.spec, config, support, store.constants(entry.spec, config))
     rec = ExpectedRecord(
         kind="frame_bounds",
         key=f"{entry.primary_config}/S{len(support)}",

@@ -9,10 +9,17 @@ translates share their translation key; `spectral.classes` maps each row
 to the canonical configuration of its class under translation and the
 tiling's certified symmetries, on integer keys (see `spectral.classes`),
 and the spectral kernel (`spectral.spectra`) and `geometry.connected_rows`
-run on those representatives alone, in chunks of `spectral.CHUNK_ROWS`.  The
-result holds numpy columns (`SurveyRecords`): each value once per class and
-each row's class, with no per-row copy of a value; a `SurveyRecord` is built
-only when one is indexed or iterated.  Every configuration carries its class
+run on those representatives alone, in chunks of `spectral.CHUNK_ROWS`.  So
+a survey is two parts.  The spec-free `Reduction` (`grid_reduction`, or
+`_reduce` of any index table) holds the points, the index table, the
+classes under the group and each class's connectivity; it depends on the
+group, the grid and m alone.  The spec pass (`classify_reduction`) runs
+`spectra` and the (A2) verdict.  Specs of one group, such as the two-square
+tiling at every side ratio, can share one reduction; `classify_all` and
+`connected_survey` compose the two.  The result holds numpy columns
+(`SurveyRecords`): each value once per class and each row's class, with no
+per-row copy of a value; a `SurveyRecord` is built only when one is indexed
+or iterated.  Every configuration carries its class
 representative's values, so its bits do not depend on the survey, the grid
 or the list it came in.  Counts, rankings and CSV rows read the class
 columns, gathered through each row's class where they need rows.  The CSV
@@ -42,11 +49,13 @@ import numpy as np
 
 from .geometry import connected_rows, polyominoes
 from .lattice import LatticeSpec
-from .spectral import D4, a2_holds, chunks, classes, config_index, spectra, symmetries
+from .spectral import (
+    D4, Classes, Symmetry, a2_holds, chunks, classes, config_index, spectra, symmetries,
+)
 
 Config = tuple[tuple[int, int], ...]
 
-# Largest grid survey classify_all enumerates.  A configuration costs its m
+# Largest grid survey grid_reduction (so classify_all) enumerates.  A configuration costs its m
 # indices (8 B each, at most 12) plus its 8 B class index, at most 104 B, so
 # the result of 2M configurations is at most 208 MB, beside 26 B of values per
 # class.  The index table is written in place, so enumerating needs no memory
@@ -187,15 +196,61 @@ def combination_table(size: int, m: int) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Reduction:
+    """The spec-free part of a survey: the configurations points[idx[i]],
+    their classes under translation and a group of symmetries
+    (`spectral.classes`) and each class's edge connectivity
+    (`geometry.connected_rows` of its canonical configuration).  It depends
+    on the group, the points and idx alone, so every spec whose
+    `symmetries` is that group can share it (`classify_reduction`)."""
+
+    points: tuple[tuple[int, int], ...]
+    idx: np.ndarray  # (N, m) indices into points
+    classes: Classes
+    connected: np.ndarray  # (K,) bool, per class
+
+
+def _reduce(
+    group: Sequence[Symmetry], points: Sequence[tuple[int, int]], idx: np.ndarray
+) -> Reduction:
+    """The classes of the configurations points[idx[i]] under `group` and the
+    connectivity of each class's canonical configuration."""
+    cls = classes(group, points, idx)
+    return Reduction(tuple(points), idx, cls, connected_rows(cls.points, cls.idx))
+
+
+def grid_reduction(group: Sequence[Symmetry], grid_max: int, m: int) -> Reduction:
+    """`_reduce` of every m-subset of {0..grid_max}^2, rows in lexicographic
+    order; a grid of fewer than m points, or of more than MAX_SURVEY_CONFIGS
+    m-subsets, is refused (ValueError) before enumeration."""
+    if grid_max < 0 or (grid_max + 1) ** 2 < m:
+        raise ValueError(f"grid [0,{grid_max}]^2 has fewer than m = {m} points")
+    count = config_count(grid_max, m)
+    if count > MAX_SURVEY_CONFIGS:
+        raise ValueError(
+            f"survey of {count} configurations exceeds {MAX_SURVEY_CONFIGS}"
+        )
+    points = grid_points(grid_max)
+    return _reduce(group, points, combination_table(len(points), m))
+
+
+def classify_reduction(spec: LatticeSpec, red: Reduction) -> SurveyRecords:
+    """The spec pass of a survey: the kernel on each class's canonical
+    configuration and the (A2) verdict, beside the reduction's connectivity.
+    The reduction must be under `symmetries(spec)`, so each class has one
+    value of each column."""
+    cls = red.classes
+    det, kappa1, kappa2 = spectra(spec, cls.points, cls.idx)
+    columns = ClassColumns(red.connected, a2_holds(det), kappa1, kappa2, det)
+    return SurveyRecords(red.points, red.idx, cls.of, columns)
+
+
 def _classify(
     spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
 ) -> SurveyRecords:
-    """The kernel and connectivity on each class's canonical configuration."""
-    cls = classes(symmetries(spec), points, idx)
-    det, kappa1, kappa2 = spectra(spec, cls.points, cls.idx)
-    connected = connected_rows(cls.points, cls.idx)
-    columns = ClassColumns(connected, a2_holds(det), kappa1, kappa2, det)
-    return SurveyRecords(tuple(points), idx, cls.of, columns)
+    """The reduction under the tiling's symmetries and its spec pass."""
+    return classify_reduction(spec, _reduce(symmetries(spec), points, idx))
 
 
 def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
@@ -217,18 +272,12 @@ def as_result(records: SurveyRecords) -> SurveyResult:
 
 
 def classify_all(spec: LatticeSpec, grid_max: int, m: int) -> SurveyResult:
-    """Classify every m-subset of {0..grid_max}^2; records in lexicographic order."""
+    """Classify every m-subset of {0..grid_max}^2; records in lexicographic
+    order.  The grid's reduction under `symmetries(spec)` and its spec pass;
+    m other than spec.m is refused before either."""
     if m != spec.m:
         raise ValueError(f"survey needs m = {spec.m} for {spec.name}, got {m}")
-    if grid_max < 0 or (grid_max + 1) ** 2 < m:
-        raise ValueError(f"grid [0,{grid_max}]^2 has fewer than m = {m} points")
-    count = config_count(grid_max, m)
-    if count > MAX_SURVEY_CONFIGS:
-        raise ValueError(
-            f"survey of {count} configurations exceeds {MAX_SURVEY_CONFIGS}"
-        )
-    points = grid_points(grid_max)
-    return as_result(_classify(spec, points, combination_table(len(points), m)))
+    return as_result(classify_reduction(spec, grid_reduction(symmetries(spec), grid_max, m)))
 
 
 def connected_survey(spec: LatticeSpec) -> SurveyResult:

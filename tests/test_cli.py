@@ -796,11 +796,28 @@ OPTIONS = {
     "export": {**COMMON, "what": ("points", "domain", "x"), "bbox": RECTS, "config": CONFIGS,
                "csv": PATHS},
 }
-# Flags always given: argparse requires --config and --what.  --witness-radii
-# is given beside every hole and never without one: verify refuses it without
-# a hole, and the default 0,1,2,3 would cost about 0.5 s per hole.
+# Flags always given: argparse requires --config and --what.
 ALWAYS = {"config", "what"}
 HOLES = {"hole", "hole-fraction"}
+# verify's flags that refuse or need each other are drawn as one choice per
+# group: one source of the spec, --r with --R, and at most one kind of hole,
+# --hole-cell with --hole-fraction.  Each group lists first the choices valid
+# with values that fit, then how many they are, and keeps refused choices
+# after them.  Half the verify draws fit: the valid choices, TILINGS[k] with
+# CONFIGS[k] (k + 1 translates and cells, k < 4) and each other value from
+# the slice of its table that verify accepts (FITTING).  --witness-radii and
+# --csv are drawn only beside a hole: verify refuses them without one, and
+# the default radii 0,1,2,3 would cost about 0.5 s per hole.
+VERIFY_GROUPS = (
+    ((("tiling",),) * 4 + (("spec-file",), ("tiling", "spec-file"), ()), 4),
+    (((),) * 4 + (("r", "R"), ("R",)), 4),
+    (((),) * 3 + (("hole",), ("hole-fraction",), ("hole-fraction", "hole-cell"),
+                  ("hole", "hole-fraction"), ("hole-cell",)), 6),
+)
+GROUPED = {flag for choices, _ in VERIFY_GROUPS for choice in choices for flag in choice}
+HOLED = {"witness-radii", "csv"}
+FITTING = {"support-radius": slice(1, 4), "hole": slice(1), "hole-fraction": slice(1),
+           "hole-cell": slice(1, 2), "witness-radii": slice(2), "csv": slice(1)}
 
 
 @pytest.fixture(scope="module")
@@ -813,13 +830,11 @@ def argv_files(tmp_path_factory):
     return root
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_random_argv_never_shows_a_traceback(argv_files, data):
-    """main returns 0 or 2, or 1 from a failed verify check, or argparse exits
-    2; nothing else escapes."""
-    draw = data.draw
-    command = draw(st.sampled_from(("catalog", "constants", "survey", "verify", "export")))
+def _random_argv(draw, root) -> list[str]:
+    """A command and flags drawn from the tables above, values as --flag=value."""
+    # verify, whose flags refuse each other most, twice
+    command = draw(st.sampled_from(("catalog", "constants", "survey", "verify", "export",
+                                    "verify")))
     if command == "catalog":
         argv = [draw(st.sampled_from(("list", "show", "x")))]
         if draw(st.booleans()):
@@ -829,24 +844,64 @@ def test_random_argv_never_shows_a_traceback(argv_files, data):
         argv, options = [], OPTIONS[command]
         if command == "survey" and draw(st.booleans()):
             argv.append("--connected-only")
+    fit = command == "verify" and draw(st.booleans())
     drawn = set()
+    if command == "verify":
+        for choices, valid in VERIFY_GROUPS:
+            drawn.update(draw(st.sampled_from(choices[:valid] if fit else choices)))
+    k = draw(st.integers(0, 3)) if fit else None
     for flag, values in options.items():
-        if flag == "witness-radii":
-            wanted = bool(drawn & HOLES)
+        if command == "verify" and flag in GROUPED:
+            wanted = flag in drawn
+        elif command == "verify" and flag in HOLED:
+            wanted = bool(drawn & HOLES) and (flag == "witness-radii" or draw(st.booleans()))
         else:
             wanted = flag in ALWAYS or draw(st.booleans())
+        if wanted and fit:
+            values = values[k:k + 1] if flag in ("tiling", "config") else values[FITTING[flag]]
         if wanted:
-            drawn.add(flag)
-            value = draw(st.sampled_from(values)).replace("{root}", str(argv_files))
+            value = draw(st.sampled_from(values)).replace("{root}", str(root))
             argv.append(f"--{flag}={value}")
+    return [command, *argv]
+
+
+def _run_random_argv(argv) -> None:
+    """main returns 0 or 2, or 1 from a failed verify check, or argparse exits
+    2; nothing else escapes."""
     sink = io.StringIO()
     try:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-            code = main([command, *argv])
+            code = main(argv)
     except SystemExit as exc:  # argparse refusing the argv
         assert exc.code == 2, sink.getvalue()
     else:
-        assert code in ((0, 1, 2) if command == "verify" else (0, 2)), sink.getvalue()
+        assert code in ((0, 1, 2) if argv[0] == "verify" else (0, 2)), sink.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_argv_never_shows_a_traceback(argv_files, data):
+    """No drawn argv shows a traceback (`_run_random_argv`)."""
+    _run_random_argv(_random_argv(data.draw, argv_files))
+
+
+def test_random_argv_reach_the_frame_bound_check(monkeypatch, argv_files):
+    """The draws above, derandomized (the same 150 examples every run), never
+    show a traceback and get past verify's refusals to the frame-bound check
+    at least 10 times."""
+    calls = []
+    real = gram.frame_bound_check
+    monkeypatch.setattr(gram, "frame_bound_check", lambda *args: calls.append(args) or real(*args))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def run(data):
+        _run_random_argv(_random_argv(data.draw, argv_files))
+
+    assert [catalog.get(name).spec.m for name in TILINGS[:4]] == [1, 2, 3, 4]
+    assert [len(config.split(";")) for config in CONFIGS[:4]] == [1, 2, 3, 4]
+    run()
+    assert len(calls) >= 10
 
 
 @pytest.mark.parametrize("flags", [

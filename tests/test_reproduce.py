@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ingham import catalog, geometry, reproduce, search, spectral
+from ingham import catalog, geometry, gram, reproduce, search, spectral
 from ingham.reproduce import build_report
 
 
@@ -152,39 +152,54 @@ def test_unknown_record_kind_raises(monkeypatch):
         build_report()
 
 
-def _counting(monkeypatch, module, name):
-    """Count the calls to module.<name> from here on."""
+def _counting(monkeypatch, module, name, results=None):
+    """Count the calls to module.<name> from here on; given a list, `results`
+    gets what each returns."""
     calls = []
     real = getattr(module, name)
 
     def counted(*args):
         calls.append(args)
-        return real(*args)
+        result = real(*args)
+        if results is not None:
+            results.append(result)
+        return result
 
     monkeypatch.setattr(module, name, counted)
     return calls
 
 
 def test_a_report_runs_each_survey_once(monkeypatch, tmp_path):
-    """One build_report runs 7 grid surveys and 3 connected ones, where its
-    records and CSVs ask for 12 and 5, and writes what a report whose store
-    computes every request writes."""
-    grids = _counting(monkeypatch, search, "classify_all")
+    """One build_report runs 4 grid class reductions for its 7 grid surveys
+    (the four two-square ratios share one group), the spec pass of each of
+    the 7 and 3 connected surveys, where its records and CSVs ask for 12
+    grid surveys and 5 connected ones; it writes what a report whose store
+    runs `search.classify_all` and every other call on every request
+    writes."""
+    made = []
+    reductions = _counting(monkeypatch, search, "grid_reduction", made)
+    passes = _counting(monkeypatch, search, "classify_reduction")
     connected = _counting(monkeypatch, search, "connected_survey")
+
+    def grid_passes():  # the spec passes over grid reductions
+        return [args for args in passes if args[1] in made]
+
     report = build_report(tmp_path / "once")
-    assert (len(grids), len(connected)) == (7, 3)
-    assert len(set(grids)) == 7 and len(set(connected)) == 3
+    assert (len(reductions), len(grid_passes()), len(connected)) == (4, 7, 3)
+    assert len(set(reductions)) == 4 and len(set(grid_passes())) == 7
+    assert len(set(connected)) == 3
 
     def every_time():
         return reproduce.Store(
-            catalog.get, lambda spec, grid_max: search.classify_all(spec, grid_max, spec.m),
+            catalog.get, search.grid_reduction,
+            lambda spec, grid_max: search.classify_all(spec, grid_max, spec.m),
             search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
             reproduce._cell_block_classes,
         )
 
     monkeypatch.setattr(reproduce, "_store", every_time)
     assert build_report(tmp_path / "every") == report
-    assert (len(grids), len(connected)) == (7 + 12, 3 + 5)
+    assert (len(reductions), len(grid_passes()), len(connected)) == (4 + 12, 7 + 12, 3 + 5)
     written = sorted(path.name for path in (tmp_path / "once").iterdir())
     assert len(written) == 5
     for name in written:
@@ -193,22 +208,58 @@ def test_a_report_runs_each_survey_once(monkeypatch, tmp_path):
 
 def test_a_report_computes_each_distinct_result_once(monkeypatch):
     """One build_report builds each of its 16 catalog entries, takes the
-    constants of each of 19 configurations, the domain of each of 4 and the
-    one cell block once; a second build_report does all of it again, since
-    no store outlives its report."""
+    constants of each of 21 configurations (the frame-bound entries' 12
+    among them, 10 of which the records ask for too), the domain of each of
+    4 and the one cell block once, and no constants inside `gram`; a second
+    build_report does all of it again, since no store outlives its
+    report."""
     calls = {
-        name: _counting(monkeypatch, module, name)
+        f"{module.__name__}.{name}": _counting(monkeypatch, module, name)
         for module, name in ((catalog, "get"), (spectral, "ingham_constants"),
-                             (geometry, "omega_cells"), (reproduce, "_cell_block_classes"))
+                             (gram, "ingham_constants"), (geometry, "omega_cells"),
+                             (reproduce, "_cell_block_classes"))
     }
     build_report()
-    once = {"get": 16, "ingham_constants": 19, "omega_cells": 4, "_cell_block_classes": 1}
+    once = {"ingham.catalog.get": 16, "ingham.spectral.ingham_constants": 21,
+            "ingham.gram.ingham_constants": 0, "ingham.geometry.omega_cells": 4,
+            "ingham.reproduce._cell_block_classes": 1}
     assert {name: len(args) for name, args in calls.items()} == once
     assert all(len(set(args)) == len(args) for args in calls.values())
     build_report()
     assert {name: len(args) for name, args in calls.items()} == {
         name: 2 * count for name, count in once.items()
     }
+
+
+def _report_of_every_record(store):
+    """Evaluate every record of a report through `store`, as build_report does."""
+    for entry in reproduce._tilings(store, R=2):
+        for rec in entry.expected:
+            reproduce._evaluate(entry, rec, store)
+
+
+def test_frame_bounds_from_the_store_are_those_frame_bound_check_computes():
+    """For every catalog primary configuration on its acceptance support, the
+    verdict from the store's constants (after the records asked for them)
+    has the bits of `gram.frame_bound_check`, which computes its own, and
+    the report's entry holds them."""
+    store = reproduce._store()
+    _report_of_every_record(store)
+    tilings = list(reproduce._tilings(store, R=3))
+    assert len(tilings) == 12
+    for entry in tilings:
+        spec, config = entry.spec, entry.default_configs[entry.primary_config]
+        support = reproduce._acceptance_support(spec)
+        got = gram.frame_bound_report(spec, config, support, store.constants(spec, config))
+        want = gram.frame_bound_check(spec, config, support)
+        floats = ("lambda_min", "lambda_max", "c1_full", "c2_full")
+        assert [getattr(got, f).hex() for f in floats] == [getattr(want, f).hex() for f in floats]
+        assert (type(got.a2), type(got.passed)) == (bool, bool)
+        assert (got.a2, got.passed) == (want.a2, want.passed), spec.name
+        e = reproduce._frame_bound_entry(entry, store)
+        assert (e["computed"], e["want"]) == ([want.lambda_min, want.lambda_max],
+                                              [want.c1_full, want.c2_full])
+        assert e["pass"] is (want.passed and want.a2)
 
 
 def test_an_unusable_out_directory_is_refused_before_any_record(monkeypatch, capsys, tmp_path):

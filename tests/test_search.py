@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ingham import catalog, spectral
+from ingham import catalog, search, spectral
 import polyomino_oracle
 from ingham.geometry import POLYOMINO_MAX, fixed_polyominoes
 from ingham.search import (
@@ -24,11 +24,13 @@ from ingham.search import (
     as_result,
     classify_all,
     classify_configs,
+    classify_reduction,
     combination_table,
     config_count,
     connected_survey,
     enumerate_configs,
     grid_points,
+    grid_reduction,
     rank_by_conditioning,
     survey_csv_rows,
     translation_classes,
@@ -267,6 +269,37 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def _assert_same_text(got, want):
+    """got == want (str or bytes), exactly.  A mismatch names the first line
+    that differs and the line counts, at once: a plain `assert got == want`
+    on CSV texts makes pytest diff them, which takes minutes."""
+    if got == want:
+        return
+    lines, wanted = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    k = next((i for i, pair in enumerate(zip(lines, wanted)) if pair[0] != pair[1]),
+             min(len(lines), len(wanted)))
+    raise AssertionError(f"line {k}: {lines[k:k + 1]} != {wanted[k:k + 1]} "
+                         f"({len(lines)} lines against {len(wanted)})")
+
+
+def test_a_csv_text_mismatch_names_its_first_line():
+    """Texts of 211,876 lines (snub_square grid 6's row count) that differ in
+    one line, or lack the last, fail naming the line and the counts."""
+    lines = [f'"{k},0;0,1",1,1,0.5,2.5,5\r\n' for k in range(211_876)]
+    changed = lines.copy()
+    changed[123_456] = changed[123_456].replace(",1,1,", ",True,1,")
+    cases = [
+        (changed, f"line 123456: {changed[123_456:123_457]} != {lines[123_456:123_457]} "
+                  "(211876 lines against 211876)"),
+        (lines[:-1], f"line 211875: [] != {lines[-1:]} (211875 lines against 211876)"),
+    ]
+    for got, message in cases:
+        with pytest.raises(AssertionError) as exc:
+            _assert_same_text("".join(got), "".join(lines))
+        assert str(exc.value) == message
+    _assert_same_text("".join(lines).encode(), "".join(lines).encode())
+
+
 def _ratio(r):
     """kappa2/kappa1 of a record, defined when it passes with kappa1 > 0."""
     return r.kappa2 / r.kappa1 if r.a2 and r.kappa1 > 0 else None
@@ -304,7 +337,7 @@ def test_csv_rows_match_record_by_record_oracle(name, params, grid):
         result = classify_all(spec, grid, spec.m)
     rows = survey_csv_rows(result)
     assert len(rows) == result.total
-    assert _csv_text(rows) == _csv_text(_csv_oracle(result))
+    _assert_same_text(_csv_text(rows), _csv_text(_csv_oracle(result)))
 
 
 def _assert_rows_match_oracle(result):
@@ -430,7 +463,7 @@ def test_written_csv_is_the_header_and_rows(tmp_path, monkeypatch):
     want = _csv_text([header, *survey_csv_rows(result)]).encode()
     monkeypatch.setattr(spectral, "CHUNK_ROWS", 300)  # 7 chunks, the last one short
     write_survey_csv(tmp_path / "survey.csv", result)
-    assert (tmp_path / "survey.csv").read_bytes() == want
+    _assert_same_text((tmp_path / "survey.csv").read_bytes(), want)
 
 
 def _survey_of(name, source, seed):
@@ -473,7 +506,7 @@ def test_written_csv_is_csv_writer_over_the_rows(tmp_path_factory, name, source,
             mp.setattr(spectral, "CHUNK_ROWS", chunk_rows)
         rows = survey_csv_rows(result)
         write_survey_csv(path, result)
-    assert path.read_bytes() == _csv_text([CSV_HEADER, *rows]).encode()
+    _assert_same_text(path.read_bytes(), _csv_text([CSV_HEADER, *rows]).encode())
 
 
 def _mixed_width_survey(name, seed):
@@ -503,7 +536,7 @@ def test_csv_of_labels_of_different_widths(tmp_path, monkeypatch, name, chunk_ro
     _assert_rows_match_oracle(result)
     write_survey_csv(tmp_path / "survey.csv", result)
     want = _csv_text([CSV_HEADER, *_csv_oracle(result)]).encode()
-    assert (tmp_path / "survey.csv").read_bytes() == want
+    _assert_same_text((tmp_path / "survey.csv").read_bytes(), want)
 
 
 def test_shuffled_explicit_list_gives_the_survey_bits():
@@ -576,6 +609,81 @@ def test_oversized_survey_is_refused_before_enumerating():
     spec = catalog.get("truncated_trihexagonal").spec
     with pytest.raises(ValueError, match="exceeds"):
         classify_all(spec, 9, 12)  # C(100, 12) ~ 1.05e15
+
+
+# -- the spec-free reduction and the spec pass ---------------------------------------
+
+
+# Every catalog tiling at grid 2 (truncated_trihexagonal, m = 12, only fits
+# grid 3), the report's two-square ratios at grid 3 and three other coprime
+# pairs at grid 4.
+SHARED_SURVEYS = (
+    [(name, {"r": 1, "R": 2} if name == "two_square" else {}, 2) for name in catalog.names()]
+    + [("truncated_trihexagonal", {}, 3)]
+    + [("two_square", {"r": 1, "R": R}, 3) for R in (2, 3, 4, 5)]
+    + [("two_square", {"r": r, "R": R}, 4) for r, R in ((2, 3), (3, 5), (4, 7))]
+)
+
+
+def _assert_same_bits(got: SurveyRecords, want: SurveyRecords):
+    """The same points, and idx, klass and every class column with the same
+    dtype, shape and bytes."""
+    assert got.points == want.points
+    for a, b in [(got.idx, want.idx), (got.klass, want.klass), *zip(got.classes, want.classes)]:
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_a_shared_reduction_gives_the_bits_of_classify_all():
+    """One grid reduction per (group, grid, m), as the report's store keeps
+    them, and each spec's pass over it give what classify_all gives that
+    spec: the two-square ratios at one grid share one reduction."""
+    reductions, refused = {}, []
+    for name, params, grid in SHARED_SURVEYS:
+        spec = catalog.get(name, **params).spec
+        key = (spectral.symmetries(spec), grid, spec.m)
+        try:
+            want = classify_all(spec, grid, spec.m)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                grid_reduction(*key)
+            assert str(got.value) == str(exc)
+            refused.append(spec.name)
+            continue
+        if key not in reductions:
+            reductions[key] = grid_reduction(*key)
+        got = as_result(classify_reduction(spec, reductions[key]))
+        assert (got.total, got.passing, got.failing) == (want.total, want.passing, want.failing)
+        _assert_same_bits(got.records, want.records)
+    assert refused == ["truncated_trihexagonal"]  # 9 grid points, m = 12
+    c4 = spectral.symmetries(catalog.get("two_square", r=1, R=2).spec)
+    # one each for r1_R2 at grid 2, the 4 ratios at grid 3 and the 3 pairs at grid 4
+    assert sorted(grid for group, grid, _ in reductions if group == c4) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("name, grid, m, message", [
+    ("snub_square", 3, 3, "survey needs m = 4 for snub_square, got 3"),
+    ("snub_square", -1, 3, "survey needs m = 4 for snub_square, got 3"),  # m comes first
+    ("snub_square", 0, 4, "grid [0,0]^2 has fewer than m = 4 points"),
+    ("snub_square", -1, 4, "grid [0,-1]^2 has fewer than m = 4 points"),
+    ("truncated_trihexagonal", 2, 12, "grid [0,2]^2 has fewer than m = 12 points"),
+    ("truncated_trihexagonal", 9, 12,
+     f"survey of {math.comb(100, 12)} configurations exceeds {MAX_SURVEY_CONFIGS}"),
+])
+def test_classify_all_refuses_before_enumerating(monkeypatch, name, grid, m, message):
+    """m other than the spec's, a grid of fewer than m points and a survey past
+    MAX_SURVEY_CONFIGS are refused with these messages before any grid,
+    table, class or spectrum is made."""
+    spec = catalog.get(name).spec
+
+    def refuse(*args):
+        raise AssertionError("enumerated before the refusal")
+
+    for step in ("grid_points", "combination_table", "classes", "spectra"):
+        monkeypatch.setattr(search, step, refuse)
+    with pytest.raises(ValueError) as exc:
+        classify_all(spec, grid, m)
+    assert str(exc.value) == message
 
 
 # -- symmetry classes ---------------------------------------------------------------
