@@ -19,9 +19,9 @@ tiling at every side ratio, can share one reduction; `classify_all` and
 `connected_survey` compose the two.  The result holds numpy columns
 (`SurveyRecords`): each value once per class and each row's class, with no
 per-row copy of a value; a `SurveyRecord` is built only when one is indexed
-or iterated.  Every configuration carries its class
-representative's values, so its bits do not depend on the survey, the grid
-or the list it came in.  Counts, rankings and CSV rows read the class
+or iterated.  Every configuration carries its class representative's
+values, so its bits do not depend on the survey, the grid or the list it
+came in.  Counts, rankings and CSV rows read the class
 columns, gathered through each row's class where they need rows.  The CSV
 formats each class's fields once, as one tail tuple (`_class_tails`), and
 each point's label once, as fixed-width byte strings; a chunk of rows is
@@ -55,10 +55,10 @@ from .spectral import (
 
 Config = tuple[tuple[int, int], ...]
 
-# Largest grid survey grid_reduction (so classify_all) enumerates.  A configuration costs its m
-# indices (8 B each, at most 12) plus its 8 B class index, at most 104 B, so
-# the result of 2M configurations is at most 208 MB, beside 26 B of values per
-# class.  The index table is written in place, so enumerating needs no memory
+# Largest grid survey grid_reduction, and so classify_all, enumerates.  A
+# configuration costs its m indices (8 B each, at most 12) plus its 8 B class
+# index, at most 104 B, so the result of 2M configurations is at most 208 MB,
+# beside 26 B of values per class.  The index table is written in place, so enumerating needs no memory
 # beyond it (tracemalloc peak 8m B per configuration).  While the survey runs,
 # the class reduction adds about 40 B per configuration (tracemalloc peak,
 # snub square at grid 6; 38 B at grid 7, m = 4: int16 codes and int32 words

@@ -231,20 +231,15 @@ def test_a_report_computes_each_distinct_result_once(monkeypatch):
     }
 
 
-def _report_of_every_record(store):
-    """Evaluate every record of a report through `store`, as build_report does."""
-    for entry in reproduce._tilings(store, R=2):
-        for rec in entry.expected:
-            reproduce._evaluate(entry, rec, store)
-
-
 def test_frame_bounds_from_the_store_are_those_frame_bound_check_computes():
     """For every catalog primary configuration on its acceptance support, the
     verdict from the store's constants (after the records asked for them)
     has the bits of `gram.frame_bound_check`, which computes its own, and
     the report's entry holds them."""
     store = reproduce._store()
-    _report_of_every_record(store)
+    for entry in reproduce._tilings(store, R=2):  # every record, as build_report runs them
+        for rec in entry.expected:
+            reproduce._evaluate(entry, rec, store)
     tilings = list(reproduce._tilings(store, R=3))
     assert len(tilings) == 12
     for entry in tilings:
