@@ -50,17 +50,16 @@ SEED = 20240801
 @dataclass(frozen=True)
 class Store:
     """What one report computes, by argument: its catalog entries
-    (`catalog.get`), grid class reductions (`search.grid_reduction` by
-    (group, grid_max, m)), grid surveys (`search.classify_all` of the spec
-    on [0, grid_max]^2), connected surveys (`search.connected_survey`),
+    (`catalog.get`), grid surveys (`search.classify_all` of the spec on
+    [0, grid_max]^2), connected surveys (`search.connected_survey`),
     constants (`spectral.ingham_constants`), domains (`geometry.omega_cells`)
     and 2x2 cell-block classes (`_cell_block_classes`).  `_store` makes one
     whose every member computes on its first request and keeps the result
-    for later ones, and whose grid surveys are the spec pass over its
-    reductions, so specs of one group share one."""
+    for later ones, and whose grid surveys are the spec pass over class
+    reductions it keeps by (group, grid_max, m), so specs of one group share
+    one."""
 
     entry: Callable[..., CatalogEntry]
-    reduction: Callable[[tuple[spectral.Symmetry, ...], int, int], search.Reduction]
     grid: Callable[[LatticeSpec, int], search.SurveyResult]
     connected: Callable[[LatticeSpec], search.SurveyResult]
     constants: Callable[[LatticeSpec, TranslationConfig], spectral.SpectralResult]
@@ -279,8 +278,9 @@ def _store() -> Store:
     """A store whose members keep each result by its arguments
     (`functools.cache`).  One report asks it for 36 catalog entries, of which
     16 are distinct; `grid` for 12 grid surveys, of which 7 are, and those
-    ask `reduction` for 7 class reductions, of which 4 are (the four
-    two-square ratios share one group); `connected` for 5 connected surveys,
+    ask for 7 class reductions (`search.grid_reduction`, kept by group,
+    grid_max and m), of which 4 are (the four two-square ratios share one
+    group); `connected` for 5 connected surveys,
     of which 3 are; for 34 constants of 21 configurations; for 11 domains of
     4; and for 2 cell blocks of 1.  `build_report` makes one store and drops
     it when it returns, so nothing is kept from one report to the next."""
@@ -290,7 +290,7 @@ def _store() -> Store:
         red = reduction(spectral.symmetries(spec), grid_max, spec.m)
         return search.as_result(search.classify_reduction(spec, red))
 
-    return Store(cache(catalog.get), reduction, *map(cache, (
+    return Store(cache(catalog.get), *map(cache, (
         grid, search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
         _cell_block_classes,
     )))

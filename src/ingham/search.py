@@ -58,20 +58,20 @@ Config = tuple[tuple[int, int], ...]
 # Largest grid survey grid_reduction, and so classify_all, enumerates.  A
 # configuration costs its m indices (8 B each, at most 12) plus its 8 B class
 # index, at most 104 B, so the result of 2M configurations is at most 208 MB,
-# beside 26 B of values per class.  The index table is written in place, so enumerating needs no memory
-# beyond it (tracemalloc peak 8m B per configuration).  While the survey runs,
-# the class reduction adds about 40 B per configuration (tracemalloc peak,
-# snub square at grid 6; 38 B at grid 7, m = 4: int16 codes and int32 words
-# beside its intp class indices) and the kernel one chunk of
-# working memory.  write_survey_csv holds one chunk of rows as a packed record
-# array and its bytes, beside byte tables of the point labels and one tail
-# per class: its tracemalloc peak beyond the result is 2.2 MB at snub square
-# grid 6 and 5.4 MB at grid 7, mostly the per-class tuples and strings.  The
-# full list of survey_csv_rows costs about 166 B per configuration more (a
-# 6-tuple, its list slot and its configuration string), as rows share their
-# class's tail: the survey benchmark (snub square at grid 6, 211,876
-# configurations, its largest) peaks at about 93 MB resident.  Snub square
-# (M = 4) at grid 8 is 1.66M.
+# beside 26 B of values per class.  The index table is written in place, so
+# enumerating needs no memory beyond it (tracemalloc peak 8m B per
+# configuration).  While the survey runs, the class reduction adds about 40 B
+# per configuration (tracemalloc peak, snub square at grid 6; 38 B at grid 7,
+# m = 4: int16 codes and int32 words beside its intp class indices) and the
+# kernel one chunk of working memory.  write_survey_csv holds one chunk of
+# rows as a packed record array and its bytes, beside byte tables of the point
+# labels and one tail per class: its tracemalloc peak beyond the result is 2.2
+# MB at snub square grid 6 and 5.4 MB at grid 7, mostly the per-class tuples
+# and strings.  The full list of survey_csv_rows costs about 166 B per
+# configuration more (a 6-tuple, its list slot and its configuration string),
+# as rows share their class's tail: the survey benchmark (snub square at grid
+# 6, 211,876 configurations, its largest) peaks at about 93 MB resident.  Snub
+# square (M = 4) at grid 8 is 1.66M.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 

@@ -802,20 +802,22 @@ HOLES = {"hole", "hole-fraction"}
 # verify's flags that refuse or need each other are drawn as one choice per
 # group: one source of the spec, --r with --R, and at most one kind of hole,
 # --hole-cell with --hole-fraction.  Each group lists first the choices valid
-# with values that fit, then how many they are, and keeps refused choices
-# after them.  Half the verify draws fit: the valid choices, TILINGS[k] with
-# CONFIGS[k] (k + 1 translates and cells, k < 4) and each other value from
-# the slice of its table that verify accepts (FITTING).  --witness-radii and
-# --csv are drawn only beside a hole: verify refuses them without one, and
-# the default radii 0,1,2,3 would cost about 0.5 s per hole.
+# with values that fit, then how many they are, and then the refused
+# choices, so every subset of a group's flags can be drawn.  Half the verify
+# draws fit: the valid choices, TILINGS[k] with CONFIGS[k] (k + 1 translates
+# and cells, k < 4) and each other value from the slice of its table that
+# verify accepts (FITTING).  --witness-radii is given beside every hole and
+# never without one: verify refuses it without a hole, and the default radii
+# 0,1,2,3 would cost about 0.5 s per hole.  A draw that fits gives --csv
+# only beside a hole; the others give it on a coin, hole or not.
 VERIFY_GROUPS = (
     ((("tiling",),) * 4 + (("spec-file",), ("tiling", "spec-file"), ()), 4),
-    (((),) * 4 + (("r", "R"), ("R",)), 4),
+    (((),) * 4 + (("r", "R"), ("R",), ("r",)), 4),
     (((),) * 3 + (("hole",), ("hole-fraction",), ("hole-fraction", "hole-cell"),
-                  ("hole", "hole-fraction"), ("hole-cell",)), 6),
+                  ("hole", "hole-fraction"), ("hole-cell",), ("hole", "hole-cell"),
+                  ("hole", "hole-fraction", "hole-cell")), 6),
 )
 GROUPED = {flag for choices, _ in VERIFY_GROUPS for choice in choices for flag in choice}
-HOLED = {"witness-radii", "csv"}
 FITTING = {"support-radius": slice(1, 4), "hole": slice(1), "hole-fraction": slice(1),
            "hole-cell": slice(1, 2), "witness-radii": slice(2), "csv": slice(1)}
 
@@ -853,8 +855,10 @@ def _random_argv(draw, root) -> list[str]:
     for flag, values in options.items():
         if command == "verify" and flag in GROUPED:
             wanted = flag in drawn
-        elif command == "verify" and flag in HOLED:
-            wanted = bool(drawn & HOLES) and (flag == "witness-radii" or draw(st.booleans()))
+        elif command == "verify" and flag == "witness-radii":
+            wanted = bool(drawn & HOLES)
+        elif command == "verify" and flag == "csv" and fit:
+            wanted = bool(drawn & HOLES) and draw(st.booleans())
         else:
             wanted = flag in ALWAYS or draw(st.booleans())
         if wanted and fit:

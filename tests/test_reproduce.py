@@ -191,7 +191,7 @@ def test_a_report_runs_each_survey_once(monkeypatch, tmp_path):
 
     def every_time():
         return reproduce.Store(
-            catalog.get, search.grid_reduction,
+            catalog.get,
             lambda spec, grid_max: search.classify_all(spec, grid_max, spec.m),
             search.connected_survey, spectral.ingham_constants, geometry.omega_cells,
             reproduce._cell_block_classes,
