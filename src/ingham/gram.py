@@ -28,7 +28,13 @@ S^2 entries, slab by slab, with no loop over translate pairs or entries:
 - `hole_gram_matrix`: delta_k = (L* mu)_k is (P + Q*sqrt f)/(rho*D) with
   P and Q integer arrays, products of the integer rows of L* (over one
   denominator rho per row) and the same difference rows, and `_delta` and
-  `_hole_entry` are one array evaluation over (pair, s_0, s_1).
+  `_hole_entry` are one array evaluation over (pair, s_0, s_1);
+- `removal_witness`: one table of their difference serves every support
+  whose spans fit in its own, since each entry is a function of the pair
+  and the shift alone: a box with spans (t_0, t_1) reads the centred slice
+  [:, T_0 - t_0 : T_0 + t_0 + 1, T_1 - t_1 : T_1 + t_1 + 1] of the table
+  of spans (T_0, T_1).  Nested supports, radii 0..k, make one table, at
+  the largest support's spans.
 
 Integers stay integers: int64 arrays while every integer is below 2**53,
 Python ints past that, through the same expressions
@@ -139,6 +145,12 @@ class SupportSet:
         return self.m * len(self.xs) * len(self.ys)
 
     @property
+    def spans(self) -> tuple[int, int]:
+        """len(xs) - 1 and len(ys) - 1: each shift of an axis lies in
+        [-span, span]."""
+        return len(self.xs) - 1, len(self.ys) - 1
+
+    @property
     def items(self) -> tuple[LatticePoint, ...]:
         """The points, translate by translate, each box in row-major order."""
         return tuple(
@@ -231,19 +243,24 @@ def _phi(p, q, r: int, d: int) -> np.ndarray:
     return _complex((np.where(integer, exact, re), np.where(integer, 0.0, im)))
 
 
-def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[np.ndarray, tuple[int, int]]:
-    """The differences of the rows of `LatticeSpec.form` of all translate
-    pairs (x, y), at index x*M + y, as an (M*M, 2, 2) integer array [pair,
-    axis, (rational, radical part)], and the spans len(xs) - 1 and
-    len(ys) - 1: each shift of an axis lies in [-span, span].  The array is
-    int64 when every difference plus a shift times the denominator is below
-    2**53 (`spectral._int_array`).  A support for another tiling is refused."""
+def _check_support(spec: LatticeSpec, support: SupportSet) -> None:
+    """SizeMismatchError unless the support has the spec's translate count."""
     if support.m != spec.m:
         raise SizeMismatchError(
             f"support has {support.m} translates, lattice has {spec.m} translates"
         )
+
+
+def _differences(spec: LatticeSpec, support: SupportSet) -> tuple[np.ndarray, tuple[int, int]]:
+    """The differences of the rows of `LatticeSpec.form` of all translate
+    pairs (x, y), at index x*M + y, as an (M*M, 2, 2) integer array [pair,
+    axis, (rational, radical part)], and the support's spans
+    (`SupportSet.spans`).  The array is int64 when every difference plus a
+    shift times the denominator is below 2**53 (`spectral._int_array`).  A
+    support for another tiling is refused (`_check_support`)."""
+    _check_support(spec, support)
     den, _, rows = spec.form
-    spans = len(support.xs) - 1, len(support.ys) - 1
+    spans = support.spans
     width = max(map(abs, chain.from_iterable(chain.from_iterable(rows))))
     a = _int_array(rows, 2 * width + (max(spans) + 1) * den)
     return (a[:, None] - a).reshape(-1, 2, 2), spans
@@ -265,7 +282,7 @@ def _assemble(support: SupportSet, table: np.ndarray) -> np.ndarray:
     index = np.arange(size)
     j, position = np.divmod(index, len(support.xs) * len(support.ys))
     m = np.divmod(position, len(support.ys))
-    spans = len(support.xs) - 1, len(support.ys) - 1
+    spans = support.spans
     step = max(1, SLAB_ROWS * SLAB_ROWS // size)
     g = np.empty((size, size), dtype=complex)
     for lo in range(0, size, step):
@@ -520,14 +537,12 @@ def _hole_entry(hole: Rect, deltas, zeros) -> np.ndarray:
     return _complex(val)
 
 
-def _hole_table(
-    spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
-) -> np.ndarray:
+def _hole_table(spec: LatticeSpec, support: SupportSet, hole: Rect) -> np.ndarray:
     """hole_gram_matrix's entries by [x*M + y, s_0 + span_0, s_1 + span_1],
     as `_gram_table` fills the Gram table: one array evaluation of `_delta`
     and `_hole_entry` over (translate pair, s_0, s_1), from the integer
-    differences of `_differences`."""
-    _cell_of_rect(spec, config, hole)
+    differences of `_differences`.  The caller has placed the hole
+    (`_cell_of_rect`)."""
     diffs, spans = _differences(spec, support)
     return _hole_entry(hole, *zip(*(_delta(spec, diffs, spans, k) for k in range(2))))
 
@@ -542,7 +557,8 @@ def hole_gram_matrix(
     m_a - m_b.  The hole is where it is: a configuration translated with it
     gives another matrix.
     """
-    return _assemble(support, _hole_table(spec, config, support, hole))
+    _cell_of_rect(spec, config, hole)
+    return _assemble(support, _hole_table(spec, support, hole))
 
 
 def removal_witness(
@@ -555,16 +571,38 @@ def removal_witness(
 
     As the support grows the sequence decreases toward 0, witnessing that the
     lower estimate cannot survive the removal of an open set.  Each matrix is
-    assembled once, from the Gram table minus the hole table: conjugation
+    assembled from the Gram table minus the hole table: conjugation
     commutes with float subtraction, so it has the bits of
     gram_matrix - hole_gram_matrix but for the sign of a zero imaginary part
     below the diagonal, where the two imaginary parts cancel: the conjugate
     is -0.0 and the difference +0.0.  It is exactly Hermitian.  Like the
     hole, it takes config.ns as they are, not translated to the origin as
     `frame_bound_check` does.
+
+    One table serves every support whose spans fit in its own: an entry
+    depends only on the translate pair and the shift, elementwise, so the
+    table of a box with spans (A, B) holds that of spans (a, b) <= (A, B) as
+    its centred slice [:, A - a : A + a + 1, B - b : B + b + 1], bit for bit.
+    Supports are taken largest first, and a table is computed, at a
+    support's own spans, only when no earlier table holds it, so nested
+    supports (radii 0..k) make one table and none is larger than the largest
+    support's.  Every support and the hole are checked before any table is
+    built.
     """
-    return [
-        hermitian_extremes(_assemble(support, _gram_table(spec, config, support)
-                                     - _hole_table(spec, config, support, hole)))[0]
-        for support in supports
-    ]
+    _check_size(spec, config.m)
+    for support in supports:
+        _check_support(spec, support)
+    _cell_of_rect(spec, config, hole)
+    tables: list[np.ndarray] = []
+    lambdas = [0.0] * len(supports)
+    for i in sorted(range(len(supports)), key=lambda i: len(supports[i]), reverse=True):
+        support = supports[i]
+        a, b = support.spans
+        table = next((t for t in tables if 2 * a < t.shape[1] and 2 * b < t.shape[2]), None)
+        if table is None:
+            table = _gram_table(spec, config, support) - _hole_table(spec, support, hole)
+            tables.append(table)
+        big_a, big_b = table.shape[1] // 2, table.shape[2] // 2
+        window = table[:, big_a - a : big_a + a + 1, big_b - b : big_b + b + 1]
+        lambdas[i] = hermitian_extremes(_assemble(support, window))[0]
+    return lambdas

@@ -702,11 +702,10 @@ def _two_square_det(rR, rr, s):
     determinant factors as (C^2-1)(D^2-1)(C^2 D^2 - 4CD + C^2 + D^2 + 1).
     It is evaluated in CPython's complex rounding (`_product`), term by term
     in the order the Python expression takes them, an integer k entering as
-    (k, 0.0); np.exp(1j*x) has the bits of cmath.exp(1j*x)."""
-    root2 = math.sqrt(2.0)
-    c, d = (
-        (z.real, z.imag) for z in (np.exp(1j * (TWO_PI * (x / (root2 * s)))) for x in (rR, rr))
-    )
+    (k, 0.0); np.exp(1j*x) has the bits of cmath.exp(1j*x), which Python
+    floats take, so the scalar form stays in Python floats."""
+    root2, exp = math.sqrt(2.0), cmath.exp if isinstance(s, float) else np.exp
+    c, d = ((z.real, z.imag) for z in (exp(1j * (TWO_PI * (x / (root2 * s)))) for x in (rR, rr)))
     cc, dd = _product(c, c), _product(d, d)
     terms = (_product(_product(cc, d), d), _product(_product((4.0, 0.0), c), d), cc, dd, (1.0, 0.0))
     last = tuple(a - b + e + f + g for a, b, e, f, g in zip(*terms))

@@ -266,7 +266,108 @@ def test_removal_witness_is_lambda_min_of_gram_minus_hole(catalog_entries):
 def _witness_matrix(spec, config, support, hole):
     """The matrix removal_witness takes lambda_min of."""
     return gram._assemble(support, gram._gram_table(spec, config, support)
-                          - gram._hole_table(spec, config, support, hole))
+                          - gram._hole_table(spec, support, hole))
+
+
+def _spying(monkeypatch, name, calls):
+    """Replace gram.<name> by a spy that appends (args, result) to calls."""
+    real = getattr(gram, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(gram, name, spy)
+
+
+def _box(spec, x0, nx, y0, ny):
+    return SupportSet.box(spec, range(x0, x0 + nx), range(y0, y0 + ny))
+
+
+def _witness_cases():
+    honeycomb = catalog.get("honeycomb")
+    snub = catalog.get("snub_square")
+    two = catalog.get("two_square", r=1, R=2)
+    return {
+        "honeycomb/right 3,0,2,2": (
+            honeycomb.spec, honeycomb.default_configs["right"],
+            [SupportSet.centered(honeycomb.spec, k) for k in (3, 0, 2, 2)]),
+        # 1x4 and 4x1 do not nest; the 1x1 and 1x2 boxes nest in them
+        "snub_square 1x4, 4x1": (
+            snub.spec, snub.default_configs[snub.primary_config],
+            [_box(snub.spec, 0, 1, 0, 2), _box(snub.spec, 5, 1, -2, 4),
+             _box(snub.spec, -7, 4, 3, 1), _box(snub.spec, 10**6, 1, 0, 1)]),
+        "two_square r1_R2": (
+            two.spec, two.default_configs[two.primary_config],
+            [SupportSet.centered(two.spec, k) for k in (1, 0, 2)] + [_box(two.spec, 3, 2, -1, 3)]),
+    }
+
+
+@pytest.mark.parametrize("slab_rows", [gram.SLAB_ROWS, 4])
+@pytest.mark.parametrize("case", sorted(_witness_cases()))
+def test_witness_matrices_have_the_bits_of_their_own_tables(monkeypatch, case, slab_rows):
+    """Each matrix read from a slice of a shared table has the bytes, signed
+    zeros included, of the matrix of its own support's tables, and each
+    lambda_min the bits of that matrix's."""
+    spec, config, supports = _witness_cases()[case]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+    monkeypatch.setattr(gram, "SLAB_ROWS", slab_rows)
+    want = [_witness_matrix(spec, config, s, hole) for s in supports]
+    assembled = []
+    _spying(monkeypatch, "_assemble", assembled)
+    lambdas = removal_witness(spec, config, hole, supports)
+    assert len(assembled) == len(supports)
+    for support, w, lam in zip(supports, want, lambdas):
+        (got,) = [g for (s, _), g in assembled if s is support]
+        assert _same_bits(got, w), (case, support)
+        assert lam.hex() == hermitian_extremes(w)[0].hex(), (case, support)
+
+
+@pytest.mark.parametrize("case", sorted(_witness_cases()))
+def test_witness_tables_are_built_at_the_spans_of_a_support(monkeypatch, case):
+    """Tables are built only at a support's own spans, once per set of
+    spans that no larger support holds."""
+    spec, config, supports = _witness_cases()[case]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+    grams, holes = [], []
+    _spying(monkeypatch, "_gram_table", grams)
+    _spying(monkeypatch, "_hole_table", holes)
+    removal_witness(spec, config, hole, supports)
+    built = [args[2].spans for args, _ in grams]
+    assert built == [args[1].spans for args, _ in holes]
+    assert len(set(built)) == len(built) and set(built) <= {s.spans for s in supports}
+    expected = {"honeycomb/right 3,0,2,2": [(6, 6)], "snub_square 1x4, 4x1": [(0, 3), (3, 0)],
+                "two_square r1_R2": [(4, 4)]}
+    assert built == expected[case]
+
+
+def test_nested_radii_make_one_table_of_each_kind(monkeypatch):
+    spec, config, hole = _hole_setup()
+    grams, holes, cells = [], [], []
+    _spying(monkeypatch, "_gram_table", grams)
+    _spying(monkeypatch, "_hole_table", holes)
+    _spying(monkeypatch, "_cell_of_rect", cells)
+    supports = [SupportSet.centered(spec, k) for k in range(4)]
+    removal_witness(spec, config, hole, supports)
+    assert (len(grams), len(holes), len(cells)) == (1, 1, 1)
+    # radius 3 has spans (6, 6): shifts -6..6 on each axis
+    assert grams[0][1].shape == holes[0][1].shape == (spec.m**2, 13, 13)
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])
+def test_a_foreign_support_is_refused_before_any_table(monkeypatch, where):
+    """A support of another tiling, first, inside or last in the list, is
+    refused before any table or eigensolve."""
+    spec, config, hole = _hole_setup()
+    supports = [SupportSet.centered(spec, k) for k in range(4)]
+    supports.insert(where, SupportSet.centered(catalog.get("snub_square").spec, 0))
+    calls = []
+    for name in ("_gram_table", "_hole_table", "hermitian_extremes"):
+        _spying(monkeypatch, name, calls)
+    with pytest.raises(SizeMismatchError, match="support has 4 translates, lattice has 2"):
+        removal_witness(spec, config, hole, supports)
+    assert calls == []
 
 
 def test_gram_matrices_go_to_the_eigensolver_as_they_are(catalog_entries, eigvalsh_inputs):

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -329,6 +330,25 @@ def test_two_square_delta_has_the_bits_of_the_python_expression(sides):
 def test_two_square_deltas_have_the_bits_of_the_scalar_form(sides):
     got = two_square_deltas(*(np.array(column) for column in zip(*sides))).tolist()
     want = [two_square_delta(Fraction(p, n), Fraction(P, n)) for p, P, n in sides]
+    assert list(map(_hex, got)) == list(map(_hex, want))
+
+
+def test_scalar_two_square_delta_stays_in_python_floats(monkeypatch):
+    """The scalar form takes cmath.exp on Python floats, never numpy, and has
+    the bits of the array form at seeded sides."""
+    rng = random.Random(20261021)
+    sides = []
+    for _ in range(500):
+        p, n = rng.randint(1, 2**25 - 1), rng.randint(1, 2**26 - 1)
+        sides.append((p, rng.randint(p + 1, 2**26 - 1), n))
+    want = two_square_deltas(*(np.array(column) for column in zip(*sides))).tolist()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scalar two_square_delta called np.exp")
+
+    monkeypatch.setattr(np, "exp", refuse)
+    got = [two_square_delta(Fraction(p, n), Fraction(P, n)) for p, P, n in sides]
+    assert all(type(z) is complex for z in got)
     assert list(map(_hex, got)) == list(map(_hex, want))
 
 
