@@ -293,6 +293,9 @@ def _witness_cases():
         "honeycomb/right 3,0,2,2": (
             honeycomb.spec, honeycomb.default_configs["right"],
             [SupportSet.centered(honeycomb.spec, k) for k in (3, 0, 2, 2)]),
+        "honeycomb/right 0..3": (
+            honeycomb.spec, honeycomb.default_configs["right"],
+            [SupportSet.centered(honeycomb.spec, k) for k in range(4)]),
         # 1x4 and 4x1 do not nest; the 1x1 and 1x2 boxes nest in them
         "snub_square 1x4, 4x1": (
             snub.spec, snub.default_configs[snub.primary_config],
@@ -327,32 +330,22 @@ def test_witness_matrices_have_the_bits_of_their_own_tables(monkeypatch, case, s
 @pytest.mark.parametrize("case", sorted(_witness_cases()))
 def test_witness_tables_are_built_at_the_spans_of_a_support(monkeypatch, case):
     """Tables are built only at a support's own spans, once per set of
-    spans that no larger support holds."""
+    spans that no larger support holds: nested radii make one Gram table and
+    one hole table.  The hole is placed once."""
     spec, config, supports = _witness_cases()[case]
     hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
-    grams, holes = [], []
-    _spying(monkeypatch, "_gram_table", grams)
-    _spying(monkeypatch, "_hole_table", holes)
-    removal_witness(spec, config, hole, supports)
-    built = [args[2].spans for args, _ in grams]
-    assert built == [args[1].spans for args, _ in holes]
-    assert len(set(built)) == len(built) and set(built) <= {s.spans for s in supports}
-    expected = {"honeycomb/right 3,0,2,2": [(6, 6)], "snub_square 1x4, 4x1": [(0, 3), (3, 0)],
-                "two_square r1_R2": [(4, 4)]}
-    assert built == expected[case]
-
-
-def test_nested_radii_make_one_table_of_each_kind(monkeypatch):
-    spec, config, hole = _hole_setup()
     grams, holes, cells = [], [], []
     _spying(monkeypatch, "_gram_table", grams)
     _spying(monkeypatch, "_hole_table", holes)
     _spying(monkeypatch, "_cell_of_rect", cells)
-    supports = [SupportSet.centered(spec, k) for k in range(4)]
     removal_witness(spec, config, hole, supports)
-    assert (len(grams), len(holes), len(cells)) == (1, 1, 1)
-    # radius 3 has spans (6, 6): shifts -6..6 on each axis
-    assert grams[0][1].shape == holes[0][1].shape == (spec.m**2, 13, 13)
+    assert len(cells) == 1
+    built = [args[2].spans for args, _ in grams]
+    assert built == [args[1].spans for args, _ in holes]
+    assert len(set(built)) == len(built) and set(built) <= {s.spans for s in supports}
+    expected = {"honeycomb/right 3,0,2,2": [(6, 6)], "honeycomb/right 0..3": [(6, 6)],
+                "snub_square 1x4, 4x1": [(0, 3), (3, 0)], "two_square r1_R2": [(4, 4)]}
+    assert built == expected[case]
 
 
 @pytest.mark.parametrize("where", [0, 2, 4])
