@@ -17,9 +17,11 @@ The file holds, per workload and side: the median and quartiles of each
 end-to-end metric over the seeds and every run's value; the pairs in which
 the change was better; peak_rss_mb per seed; the median of every per-layer
 metric BENCHMARK.json lists, over the traced runs; and whether every run
-matched the references.  The python and numpy versions, the machine and the
-two commits are recorded beside them.  Progress goes to stderr, one line per
-run.
+matched the references.  The python and numpy versions, the machine, the
+two commits and sys.flags.dont_write_bytecode are recorded beside them: the
+runs inherit PYTHONDONTWRITEBYTECODE, and with it set every run compiles
+ingham's sources afresh, inside its setup_s.  Progress goes to stderr, one
+line per run.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
         "commit": {side: git("rev-parse", rev)
                    for side, rev in (("parent", args.parent), ("change", args.change))},
         "seeds": args.seeds,

@@ -52,7 +52,6 @@ _EXPORTS = {
         "check_a2",
         "hermitian_extremes",
         "ingham_constants",
-        "trig_identity_residual",
         "two_square_delta",
     ),
     "geometry": (
@@ -83,8 +82,6 @@ _EXPORTS = {
         "SupportSet",
         "frame_bound_check",
         "gram_matrix",
-        "hole_inner_product",
-        "inner_product",
         "inscribed_hole",
         "removal_witness",
     ),

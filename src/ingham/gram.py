@@ -44,8 +44,8 @@ rounded integer quotients p/r and q/r, which depend on the rationals alone,
 not on the denominator they are written over.  The complex products and
 quotients are CPython's, written out on (re, im) pairs
 (`spectral._product`, `_over_i`).  So the tables have the bits of the
-scalar `inner_product` and `hole_inner_product`, which take one entry
-through the same kernels and stay as the test oracles.
+scalar `inner_product` and `hole_inner_product` of `tests/gram_oracle.py`,
+the test oracles, which take one entry through the same kernels.
 """
 
 from __future__ import annotations
@@ -53,22 +53,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
 from .geometry import ambient_l
-from .lattice import (
-    LatticePoint,
-    LatticeSpec,
-    TranslationConfig,
-    Vec2,
-    _translate_field,
-    vec_add,
-    vec_dot,
-    vec_sub,
-)
+from .lattice import LatticePoint, LatticeSpec, TranslationConfig
 from .qfield import QuadNumber, quad_float
 from .spectral import (
     TWO_PI,
@@ -80,7 +71,6 @@ from .spectral import (
     _product,
     hermitian_extremes,
     ingham_constants,
-    phase,
     phase_columns,
 )
 
@@ -181,38 +171,6 @@ class FrameBoundReport:
     passed: bool
 
 
-def _mu(spec: LatticeSpec, p: LatticePoint, q: LatticePoint) -> Vec2:
-    """u_p + m_p - (u_q + m_q).  Translates in two irrational fields are
-    refused, as the matrices refuse them through `LatticeSpec.form`."""
-    _translate_field(spec.us)
-    up = vec_add(spec.us[p.j], (p.m[0], p.m[1]))
-    uq = vec_add(spec.us[q.j], (q.m[0], q.m[1]))
-    return vec_sub(up, uq)
-
-
-def _phase_sum(phases: Iterable[complex]) -> complex:
-    """The sum of the e^{2 pi i <mu, n_k>}, added in the order of the n_k."""
-    total = 0.0j
-    for w in phases:
-        total += w
-    return total
-
-
-def inner_product(
-    spec: LatticeSpec,
-    config: TranslationConfig,
-    p: LatticePoint,
-    q: LatticePoint,
-) -> complex:
-    """Exact closed-form integral of e_p conj(e_q) over the domain."""
-    _check_size(spec, config.m)
-    mu = a, b = _mu(spec, p, q)
-    factor = complex(_phi(a.p, a.q, a.r, a.d)) * complex(_phi(b.p, b.q, b.r, b.d))
-    if factor == 0:
-        return 0.0j
-    return _phase_sum(phase(vec_dot(mu, n)) for n in config.ns) * factor / spec.det_l()
-
-
 def _over_i(x, t):
     """x / (1j*t) for nonzero floats t, as CPython's _Py_c_quot rounds it, on
     the (re, im) pairs of `spectral._product`.
@@ -233,7 +191,8 @@ def _phi(p, q, r: int, d: int) -> np.ndarray:
 
     Branches on the exactly-known arithmetic type of t: zero gives the cube
     edge 2 pi, any other integer gives exactly 0, and the quotient's divisor
-    is set to 1 there.
+    is set to 1 there.  The oracle `inner_product` of `tests/gram_oracle.py`
+    calls it on the scalar parts of one QuadNumber.
     """
     integer = (q == 0) & (p % r == 0)
     e = np.exp(1j * np.asarray(_phase_angle(p, q, r, d), dtype=float))
@@ -303,8 +262,8 @@ def _gram_table(
 ) -> np.ndarray:
     """gram_matrix's entries by [x*M + y, s_0 + span_0, s_1 + span_1]: each
     translate pair's phase sum, one `phase_columns` call whose columns are
-    added in the order of config.ns as `_phase_sum` adds them, times phi of
-    each axis over (pair, shift), over det L."""
+    added in the order of config.ns as the oracle `inner_product` adds
+    them, times phi of each axis over (pair, shift), over det L."""
     _check_size(spec, config.m)
     diffs, spans = _differences(spec, support)
     den, d, _ = spec.form
@@ -327,7 +286,8 @@ def gram_matrix(
 ) -> np.ndarray:
     """Hermitian S x S matrix of pairwise inner products over the domain.
 
-    Entry (a, b), a <= b, has the bits of inner_product(items[a], items[b]).
+    Entry (a, b), a <= b, has the bits of the oracle
+    inner_product(items[a], items[b]) of `tests/gram_oracle.py`.
     """
     return _assemble(support, _gram_table(spec, config, support))
 
@@ -454,27 +414,6 @@ def _homothety(spec: LatticeSpec) -> QuadNumber:
     return c
 
 
-def hole_inner_product(
-    spec: LatticeSpec, hole: Rect, p: LatticePoint, q: LatticePoint
-) -> complex:
-    """Integral of e_p conj(e_q) over the hole rectangle alone.
-
-    Uses the ambient closed form with delta = L* mu per coordinate (see
-    `_hole_entry`).  delta_d = 0 is decided exactly; across fields L* must be
-    a homothety (`_homothety`).
-    """
-    mu = _mu(spec, p, q)
-    deltas, zeros = [], []
-    for row, t in zip(spec.l_star, mu):
-        try:
-            delta, scale = vec_dot(row, mu), 1.0
-        except FieldMismatchError:
-            delta, scale = t, float(_homothety(spec))
-        deltas.append(scale * float(delta))
-        zeros.append(delta.is_zero())
-    return complex(_hole_entry(hole, deltas, zeros))
-
-
 def _delta(
     spec: LatticeSpec, diffs: np.ndarray, spans: tuple[int, int], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -488,11 +427,12 @@ def _delta(
     (P + Q*sqrt f)/(rho*den) with P = sum al_c*a_c + be_c*b_c*e and
     Q = sum al_c*b_c + be_c*a_c in integers, f the one field of the row and
     the translates.  Its float is `qfield.quad_float`'s, whose bits depend on
-    the rationals alone, as float(QuadNumber) in `hole_inner_product`.  When
-    the row and the translates lie in two fields, L* must be a homothety c*I
-    (`_homothety`): delta_k is then the exact product where mu_k is rational
-    (b_k = 0), and float(c) times the float of mu_k + s_k elsewhere, the
-    branch `hole_inner_product` takes there.
+    the rationals alone, as float(QuadNumber) in the oracle
+    `hole_inner_product` of `tests/gram_oracle.py`.  When the row and the
+    translates lie in two fields, L* must be a homothety c*I (`_homothety`):
+    delta_k is then the exact product where mu_k is rational (b_k = 0), and
+    float(c) times the float of mu_k + s_k elsewhere, the branch the oracle
+    takes there.
     """
     den, d, _ = spec.form
     row = spec.l_star[k]
@@ -522,7 +462,8 @@ def _hole_entry(hole: Rect, deltas, zeros) -> np.ndarray:
     rounding (`_product`, `_over_i`).  An exactly zero delta_d contributes
     the side length, and the quotient's divisor is set to 1 there.  A float
     0.0 is an exactly nonzero delta_d that underflowed, and is refused: the
-    quotient has no float value."""
+    quotient has no float value.  The oracle `hole_inner_product` of
+    `tests/gram_oracle.py` calls it on one entry's scalar deltas."""
     x0, y0, x1, y1 = hole
     val = (1.0, 0.0)
     for df, zero, (lo, hi) in zip(deltas, zeros, ((x0, x1), (y0, y1))):
@@ -552,9 +493,9 @@ def hole_gram_matrix(
 ) -> np.ndarray:
     """Gram matrix of the exponentials over the hole rectangle alone.
 
-    Entry (a, b), a <= b, is hole_inner_product(items[a], items[b]), which
-    depends only on the difference u_x - u_y of the translates and the shift
-    m_a - m_b.  The hole is where it is: a configuration translated with it
+    Entry (a, b), a <= b, is the oracle hole_inner_product(items[a],
+    items[b]) of `tests/gram_oracle.py`, which depends only on the
+    difference u_x - u_y of the translates and the shift m_a - m_b.  The hole is where it is: a configuration translated with it
     gives another matrix.
     """
     _cell_of_rect(spec, config, hole)

@@ -16,8 +16,9 @@ block's m-subsets and `search.classify_configs` of the class
 representatives.  Each is computed on its first request, and nothing
 outlives the report.  The frame-bound entries (`_frame_bound_entry`) take
 their constants from the store into `gram.frame_bound_report`, the verdict
-`gram.frame_bound_check` gives.  The seeded determinant sweep is one array
-evaluation of `spectral.two_square_deltas`.
+`gram.frame_bound_check` gives.  The closed-form determinants, of the
+seeded sweep and of the pairs checked against |det E|, are one array
+evaluation of `spectral.two_square_deltas` per record.
 
 The report is deterministic (no timestamps, sorted keys, fixed seeds) and is
 written with the survey CSVs, into a directory made before any record is
@@ -190,12 +191,15 @@ def _rank_order(entry: CatalogEntry, rec: ExpectedRecord, store: Store) -> list:
 
 
 def _delta_matches_det(entry: CatalogEntry, rec: ExpectedRecord, store: Store):
-    """Largest gap between the kernel's |det E| and the closed-form delta."""
+    """Largest gap between the kernel's |det E| and the closed-form delta of
+    the record's integer side pairs, in one array evaluation
+    (`spectral.two_square_deltas`)."""
+    pairs = rec.params["pairs"]
     diffs = []
-    for r, R in rec.params["pairs"]:
+    for (r, R), delta in zip(pairs, spectral.two_square_deltas(*zip(*pairs), 1).tolist()):
         sub = store.entry("two_square", r, R)
         sr = store.constants(sub.spec, sub.default_configs["canonical"])
-        diffs.append(abs(sr.det_abs - abs(spectral.two_square_delta(r, R))))
+        diffs.append(abs(sr.det_abs - abs(delta)))
     return max(diffs), max(diffs) <= rec.tol
 
 

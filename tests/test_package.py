@@ -26,8 +26,7 @@ EAGER_EXPORTS = {
     ),
     "spectral": (
         "A2_DET_TOL", "SpectralResult", "TranslationConfig", "build_e", "check_a2",
-        "hermitian_extremes", "ingham_constants", "trig_identity_residual",
-        "two_square_delta",
+        "hermitian_extremes", "ingham_constants", "two_square_delta",
     ),
     "geometry": (
         "DiskBounds", "DomainGeometry", "PolyominoShape", "area_check", "bessel_j0_root",
@@ -39,7 +38,7 @@ EAGER_EXPORTS = {
     ),
     "gram": (
         "FrameBoundReport", "SupportSet", "frame_bound_check", "gram_matrix",
-        "hole_inner_product", "inner_product", "inscribed_hole", "removal_witness",
+        "inscribed_hole", "removal_witness",
     ),
     "reproduce": ("build_report",),
 }

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ingham import catalog, geometry, gram, reproduce, search, spectral
+from ingham.lattice import TWO_SQUARE_CONFIG, TranslationConfig
 from ingham.reproduce import build_report
 
 
@@ -266,6 +267,23 @@ def test_an_unusable_out_directory_is_refused_before_any_record(monkeypatch, cap
     assert main(["reproduce", "--out", str(tmp_path / "file" / "out")]) == 2
     assert "usage error" in capsys.readouterr().err
     assert stores == evaluated == []
+
+
+def test_delta_matches_det_has_the_bits_of_the_scalar_closed_form():
+    """The record's side pairs, evaluated in one array call, give the gap
+    the scalar closed form gives pair by pair, bit for bit."""
+    rec = next(r for r in catalog._EXPECTED["two_square"] if r.kind == "delta_matches_det")
+    assert rec.params["pairs"] == [[1, 2], [1, 3], [2, 5]]
+    store = reproduce._store()
+    entry = store.entry("two_square", 1, 2)
+    computed, passed = reproduce._delta_matches_det(entry, rec, store)
+    gaps = []
+    for r, R in rec.params["pairs"]:
+        spec = catalog.get("two_square", r=r, R=R).spec
+        det_abs = spectral.ingham_constants(spec, TranslationConfig(TWO_SQUARE_CONFIG)).det_abs
+        gaps.append(abs(det_abs - abs(spectral.two_square_delta(r, R))))
+    assert computed.hex() == max(gaps).hex()
+    assert passed
 
 
 def test_seeded_deltas_have_the_bits_of_the_scalar_closed_form():

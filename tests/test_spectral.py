@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import classes_oracle
-from conftest import lattice_specs
+from conftest import lattice_specs, trig_identity_residual
+from gram_oracle import phase
 
 from ingham import catalog, spectral
 from ingham.lattice import vec_dot
@@ -39,9 +40,7 @@ from ingham.spectral import (
     check_a2,
     hermitian_extremes,
     ingham_constants,
-    phase,
     phase_columns,
-    trig_identity_residual,
     two_square_delta,
     two_square_deltas,
 )
@@ -353,8 +352,11 @@ def test_scalar_two_square_delta_stays_in_python_floats(monkeypatch):
 
 
 @pytest.mark.parametrize("sides", [(0, 1, 1), (2, 2, 1), (1, 2**26, 1), (1, 2, 0), (1, 2, 2**26),
-                                   ([1, 3], [2, 3], 1)])
+                                   ([1, 3], [2, 3], 1), (Fraction(3, 2), 2, 1), (1.9, 2, 1),
+                                   (1, 2**70, 1), (np.uint64(2**63), 2**63 + 1, 1)])
 def test_two_square_deltas_refuse_sides_outside_the_exact_range(sides):
+    """Fractions and floats too: cast to int64 they were truncated, and
+    (3/2, 2) gave the delta of (1, 2)."""
     with pytest.raises(ValueError, match="two-square sides"):
         two_square_deltas(*sides)
 
