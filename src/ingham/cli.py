@@ -170,11 +170,14 @@ def cmd_verify(args) -> int:
     if holed:  # refused before the frame-bound work
         radii = "0,1,2,3" if args.witness_radii is None else args.witness_radii
         supports = [gram.SupportSet.centered(spec, k) for k in _radii(radii)]
+        # the witness is taken at the origin; config and hole print as given
+        origin, moved = gram._at_origin(spec, config, hole or (0.0,) * 4)
         try:
             if hole is not None:
-                gram._cell_of_rect(spec, config, hole)
-            else:
-                hole = gram.inscribed_hole(spec, config, args.hole_cell or 0, args.hole_fraction)
+                gram._cell_of_rect(spec, origin, moved)
+            else:  # moved is the zero rectangle moved: minus the shift
+                inner = gram.inscribed_hole(spec, origin, args.hole_cell or 0, args.hole_fraction)
+                hole, moved = tuple(a - b for a, b in zip(inner, moved)), inner
         except HoleOutsideDomainError as exc:  # the user's hole
             raise ValueError(f"hole: {exc}") from None
     fb = gram.frame_bound_check(spec, config, support)
@@ -191,7 +194,7 @@ def cmd_verify(args) -> int:
     }
     if supports is not None:
         try:
-            lambdas = gram.removal_witness(spec, config, hole, supports)
+            lambdas = gram.removal_witness(spec, origin, moved, supports)
         except FieldMismatchError as exc:  # the user's spec
             raise ValueError(f"hole: {exc}") from None
         data["hole"] = list(hole)

@@ -8,44 +8,17 @@ translated cubes, to the closed form
 
 with mu the difference of translate-plus-integer indices and
 phi(t) = (e^{2 pi i t} - 1)/(i t), phi(0) = 2 pi.  Whether a component of mu
-is zero or integer is decided in exact arithmetic, so Fourier orthogonality
-is exact and no quadrature enters the main path.
+is zero or integer is decided in exact arithmetic, so no quadrature enters.
+Each entry depends on the translate pair and the integer shift alone, so a
+matrix is gathered from one table over (pair, shift).  Owners:
 
-mu = (u_p - u_q) + (m_p - m_q) splits into a translate difference and an
-integer shift s.  `_differences` subtracts the translates' integer rows of
-`LatticeSpec.form` for all M^2 translate pairs (x, y) at once, so
-mu_c = (A + s_c*D + B*sqrt(d))/D with integers A and B, in the translates'
-one field Q(sqrt d): zero when A and B are, an integer when B is 0 and D
-divides A.  A support is every translate crossed with an integer box of
-A x B points (`SupportSet`), so each shift s_c lies in [-(A-1), A-1] or
-[-(B-1), B-1], and each matrix is one table indexed
-[x*M + y, s_0 + span_0, s_1 + span_1] from which `_assemble` gathers the
-S^2 entries, slab by slab, with no loop over translate pairs or entries:
-
-- `gram_matrix`: the phase sums of all pairs come from one `phase_columns`
-  call on the difference rows, phi of both axes from one `_phi` call over
-  (pair, axis shift), and the table is their product over det L;
-- `hole_gram_matrix`: delta_k = (L* mu)_k is (P + Q*sqrt f)/(rho*D) with
-  P and Q integer arrays, products of the integer rows of L* (over one
-  denominator rho per row) and the same difference rows, and `_delta` and
-  `_hole_entry` are one array evaluation over (pair, s_0, s_1);
-- `removal_witness`: one table of their difference serves every support
-  whose spans fit in its own, since each entry is a function of the pair
-  and the shift alone: a box with spans (t_0, t_1) reads the centred slice
-  [:, T_0 - t_0 : T_0 + t_0 + 1, T_1 - t_1 : T_1 + t_1 + 1] of the table
-  of spans (T_0, T_1).  Nested supports, radii 0..k, make one table, at
-  the largest support's spans.
-
-Integers stay integers: int64 arrays while every integer is below 2**53,
-Python ints past that, through the same expressions
-(`spectral._int_array`).  The floats are formed as float(QuadNumber) forms
-them (`qfield.quad_float`, `spectral._phase_angle`): from the correctly
-rounded integer quotients p/r and q/r, which depend on the rationals alone,
-not on the denominator they are written over.  The complex products and
-quotients are CPython's, written out on (re, im) pairs
-(`spectral._product`, `_over_i`).  So the tables have the bits of the
-scalar `inner_product` and `hole_inner_product` of `tests/gram_oracle.py`,
-the test oracles, which take one entry through the same kernels.
+- integer translate differences: `_differences`; the gather: `_assemble`;
+- the domain's table: `_gram_table`, with `_phi`; the hole's: `_hole_table`,
+  with delta = L* mu (`_delta`) and the hole's factor (`_hole_entry`);
+- the frame-bound verdict: `frame_bound_report`, with `FRAME_BOUND_TOL`;
+- the move to the origin: `_at_origin`; the witness: `removal_witness`;
+- the bits: the scalar oracles of `tests/gram_oracle.py` take one entry
+  through `_phi`, `_hole_entry` and `spectral._phase_angle`.
 """
 
 from __future__ import annotations
@@ -88,6 +61,10 @@ Rect = tuple[float, float, float, float]  # x0, y0, x1, y1
 # computed and 27 MB while the hole table is.
 MAX_SUPPORT = 4000
 SLAB_ROWS = 256
+
+# The frame-bound verdict, and the report's frame-bound `tol`, allow the Gram
+# spectrum past [c1_full, c2_full] by this times c2_full.
+FRAME_BOUND_TOL = 1e-6
 
 
 def _length(name: str, values: Sequence[int]) -> int:
@@ -191,8 +168,7 @@ def _phi(p, q, r: int, d: int) -> np.ndarray:
 
     Branches on the exactly-known arithmetic type of t: zero gives the cube
     edge 2 pi, any other integer gives exactly 0, and the quotient's divisor
-    is set to 1 there.  The oracle `inner_product` of `tests/gram_oracle.py`
-    calls it on the scalar parts of one QuadNumber.
+    is set to 1 there.
     """
     integer = (q == 0) & (p % r == 0)
     e = np.exp(1j * np.asarray(_phase_angle(p, q, r, d), dtype=float))
@@ -262,8 +238,8 @@ def _gram_table(
 ) -> np.ndarray:
     """gram_matrix's entries by [x*M + y, s_0 + span_0, s_1 + span_1]: each
     translate pair's phase sum, one `phase_columns` call whose columns are
-    added in the order of config.ns as the oracle `inner_product` adds
-    them, times phi of each axis over (pair, shift), over det L."""
+    added in the order of config.ns, times phi of each axis over (pair,
+    shift), over det L."""
     _check_size(spec, config.m)
     diffs, spans = _differences(spec, support)
     den, d, _ = spec.form
@@ -284,12 +260,26 @@ def _gram_table(
 def gram_matrix(
     spec: LatticeSpec, config: TranslationConfig, support: SupportSet
 ) -> np.ndarray:
-    """Hermitian S x S matrix of pairwise inner products over the domain.
-
-    Entry (a, b), a <= b, has the bits of the oracle
-    inner_product(items[a], items[b]) of `tests/gram_oracle.py`.
-    """
+    """Hermitian S x S matrix of pairwise inner products over the domain."""
     return _assemble(support, _gram_table(spec, config, support))
+
+
+def _at_origin(
+    spec: LatticeSpec, config: TranslationConfig, hole: Rect = (0.0, 0.0, 0.0, 0.0)
+) -> tuple[TranslationConfig, Rect]:
+    """The configuration translated to minimum 0, and the rectangle moved
+    with it by the ambient shift 2*pi*L^-1 n0 of its minima n0; both as
+    they are when n0 is 0.  Translating the domain turns a Gram matrix into
+    D G D^* with D diagonal and unitary, which keeps the spectrum, and the
+    float phases of a configuration far from the origin lose their digits
+    (at (10**15, -10**15) a negative lambda_min was read)."""
+    n0 = [min(c) for c in zip(*config.ns)]
+    if not any(n0):
+        return config, hole
+    sx, sy = (np.linalg.inv(ambient_l(spec)) @ (TWO_PI * np.array(n0, dtype=float))).tolist()
+    x0, y0, x1, y1 = hole
+    moved = TranslationConfig(tuple((x - n0[0], y - n0[1]) for x, y in config.ns))
+    return moved, (x0 - sx, y0 - sy, x1 - sx, y1 - sy)
 
 
 def frame_bound_check(
@@ -312,24 +302,17 @@ def frame_bound_report(
 ) -> FrameBoundReport:
     """The frame-bound verdict of the configuration on the support, given its
     `ingham_constants` (a caller that holds them, as the reproduction report
-    does, passes them; `frame_bound_check` computes them); the only place
-    the verdict rule is written.
+    does, passes them; `frame_bound_check` computes them), on the Gram
+    matrix of the configuration at the origin (`_at_origin`).
 
     Valid for every box, and by interlacing every support inside one: a*Ga is
     the domain integral of |f|^2 for f with coefficients a.  When (A2) fails
     the lower constant degrades to 0 and only the upper bound is asserted.
-
-    The Gram matrix is taken of the configuration translated to minimum 0,
-    as `ingham_constants` canonicalises it: translating the domain turns G
-    into D G D^* with D diagonal and unitary, which keeps the spectrum, and
-    the float phases of a configuration far from the origin lose their
-    digits (at (10**15, -10**15) a negative lambda_min was read).
     """
     _check_size(spec, config.m)
-    x0, y0 = (min(c) for c in zip(*config.ns))
-    at_origin = TranslationConfig(tuple((x - x0, y - y0) for x, y in config.ns))
+    at_origin, _ = _at_origin(spec, config)
     lam_min, lam_max = hermitian_extremes(gram_matrix(spec, at_origin, support))
-    eps = 1e-6 * constants.c2_full
+    eps = FRAME_BOUND_TOL * constants.c2_full
     if constants.satisfies_a2:
         passed = constants.c1_full - eps <= lam_min and lam_max <= constants.c2_full + eps
         c1 = constants.c1_full
@@ -426,13 +409,10 @@ def _delta(
     of L* is ((al_c + be_c*sqrt e)/rho)_c over one lcm rho, so delta_k is
     (P + Q*sqrt f)/(rho*den) with P = sum al_c*a_c + be_c*b_c*e and
     Q = sum al_c*b_c + be_c*a_c in integers, f the one field of the row and
-    the translates.  Its float is `qfield.quad_float`'s, whose bits depend on
-    the rationals alone, as float(QuadNumber) in the oracle
-    `hole_inner_product` of `tests/gram_oracle.py`.  When the row and the
-    translates lie in two fields, L* must be a homothety c*I (`_homothety`):
-    delta_k is then the exact product where mu_k is rational (b_k = 0), and
-    float(c) times the float of mu_k + s_k elsewhere, the branch the oracle
-    takes there.
+    the translates, and its float is `qfield.quad_float`'s.  When the row
+    and the translates lie in two fields, L* must be a homothety c*I
+    (`_homothety`): delta_k is then the exact product where mu_k is rational
+    (b_k = 0), and float(c) times the float of mu_k + s_k elsewhere.
     """
     den, d, _ = spec.form
     row = spec.l_star[k]
@@ -462,8 +442,7 @@ def _hole_entry(hole: Rect, deltas, zeros) -> np.ndarray:
     rounding (`_product`, `_over_i`).  An exactly zero delta_d contributes
     the side length, and the quotient's divisor is set to 1 there.  A float
     0.0 is an exactly nonzero delta_d that underflowed, and is refused: the
-    quotient has no float value.  The oracle `hole_inner_product` of
-    `tests/gram_oracle.py` calls it on one entry's scalar deltas."""
+    quotient has no float value."""
     x0, y0, x1, y1 = hole
     val = (1.0, 0.0)
     for df, zero, (lo, hi) in zip(deltas, zeros, ((x0, x1), (y0, y1))):
@@ -491,13 +470,9 @@ def _hole_table(spec: LatticeSpec, support: SupportSet, hole: Rect) -> np.ndarra
 def hole_gram_matrix(
     spec: LatticeSpec, config: TranslationConfig, support: SupportSet, hole: Rect
 ) -> np.ndarray:
-    """Gram matrix of the exponentials over the hole rectangle alone.
-
-    Entry (a, b), a <= b, is the oracle hole_inner_product(items[a],
-    items[b]) of `tests/gram_oracle.py`, which depends only on the
-    difference u_x - u_y of the translates and the shift m_a - m_b.  The hole is where it is: a configuration translated with it
-    gives another matrix.
-    """
+    """Gram matrix of the exponentials over the hole rectangle alone, which
+    stays where it is: a configuration translated with it gives another
+    matrix."""
     _cell_of_rect(spec, config, hole)
     return _assemble(support, _hole_table(spec, support, hole))
 
@@ -516,9 +491,9 @@ def removal_witness(
     commutes with float subtraction, so it has the bits of
     gram_matrix - hole_gram_matrix but for the sign of a zero imaginary part
     below the diagonal, where the two imaginary parts cancel: the conjugate
-    is -0.0 and the difference +0.0.  It is exactly Hermitian.  Like the
-    hole, it takes config.ns as they are, not translated to the origin as
-    `frame_bound_check` does.
+    is -0.0 and the difference +0.0.  It is exactly Hermitian.  The
+    configuration and the hole are first moved to the origin together
+    (`_at_origin`).
 
     One table serves every support whose spans fit in its own: an entry
     depends only on the translate pair and the shift, elementwise, so the
@@ -533,6 +508,7 @@ def removal_witness(
     _check_size(spec, config.m)
     for support in supports:
         _check_support(spec, support)
+    config, hole = _at_origin(spec, config, hole)
     _cell_of_rect(spec, config, hole)
     tables: list[np.ndarray] = []
     lambdas = [0.0] * len(supports)

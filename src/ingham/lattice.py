@@ -2,31 +2,17 @@
 
 A lattice is the union over j of l_star @ (u_j + Z^2), stored exactly.
 Membership, line-lattice containment and the minimal-translate certificate
-are decided in exact arithmetic; floating point appears only when points
-are realized for output.  A translate's class mod Z^2 has a hashable key,
-`_residue`, so duplicate translates and the classes a line lattice meets
-are found by dict lookups, in work bounded by the number of translates.
+are decided in exact arithmetic; floats appear only in realized points.  The
+module imports neither numpy nor any numeric module of the package, so the
+exact layer (this module, `qfield` and `catalog`) starts without them.
+Owners:
 
-Each LatticeSpec builds its tables once, on first use, and keeps them on
-the instance (cached properties that are not dataclass fields, so equality,
-hashing and repr see only name, l_star and us): `_inverse`, the exact
-l_star^-1; `_det_l`, |det l_star| as the float `det_l` returns;
-`_translate_index`, each translate's `_residue` key mapped to its
-index j, so membership of p is one lookup of the key of l_star^-1 p, formed
-from that preimage's integers without building a QuadNumber; `form`,
-the translates as integer rows over one denominator and one field; and
-`_hash`, the hash of those three fields.
-
-The translates' coordinates lie in one field Q(sqrt d), as every tiling of
-the catalog and every spec file has them: `validate_spec` and `form` refuse
-two irrational fields (`_translate_field`), so no layer handles a second.
-l_star may lie in another field (the two-square tilings).
-
-The module imports neither numpy nor any numeric module of the package, so
-the exact layer (this module, `qfield` and `catalog`) starts without them.
-It also holds the numpy-free pieces the catalog is built from:
-`TranslationConfig`, the integer vectors of a configuration, and the
-two-square (Pythagorean) tiling, `two_square_spec` and `TWO_SQUARE_CONFIG`.
+- a translate's class mod Z^2 as a key: `_residue`;
+- the translates' one field Q(sqrt d): `_translate_field` (l_star may lie
+  in another, as the two-square tilings' does);
+- the tables each spec builds once: `LatticeSpec`'s cached properties;
+- the structural invariants: `validate_spec`, with `DET_MIN` and `DET_MAX`;
+- membership: `contains`; the two-square tiling: `two_square_spec`.
 """
 
 from __future__ import annotations
@@ -245,7 +231,9 @@ class TranslationConfig:
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Exact description of a union-of-translates lattice in the plane."""
+    """Exact description of a union-of-translates lattice in the plane.  Its
+    tables are cached properties, built once on first use and not dataclass
+    fields, so equality, hashing and repr see only name, l_star and us."""
 
     name: str
     l_star: Mat2

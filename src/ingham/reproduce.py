@@ -1,31 +1,16 @@
 """One-shot reproduction harness over the catalog's expected-result tables.
 
-`KINDS` maps each ExpectedRecord kind to an evaluator that gives `(computed,
-passed)`; kinds doing the same work share one.  Evaluators read what they
-need from one `Store` that `build_report` makes for the report (`_store`)
-and drops when it returns: catalog entries, so each two-square spec is built
-once; grid surveys (12 asked for, 7 distinct), each the spec pass
-(`search.classify_reduction`) over a class reduction (`search.grid_reduction`)
-kept by (group, grid, m), so the four two-square ratios share one and the 7
-surveys make 4; connected surveys (5 asked for, 3 distinct); the
-`ingham_constants` of each (spec, configuration), whose `satisfies_a2` is
-the (A2) verdict, for the records and the frame-bound entries alike (21
-distinct); the domains of `geometry.omega_cells`; and the 2x2 cell-block
-classes, the public survey calls `search.translation_classes` of the
-block's m-subsets and `search.classify_configs` of the class
-representatives.  Each is computed on its first request, and nothing
-outlives the report.  The frame-bound entries (`_frame_bound_entry`) take
-their constants from the store into `gram.frame_bound_report`, the verdict
-`gram.frame_bound_check` gives.  The closed-form determinants, of the
-seeded sweep and of the pairs checked against |det E|, are one array
-evaluation of `spectral.two_square_deltas` per record.
+`build_report` evaluates every ExpectedRecord of the catalog and one
+frame-bound entry per tiling into report.json, deterministic (no
+timestamps, sorted keys, the one seed `catalog.SEED`), and writes it with
+the survey CSVs.  A record with a printed value documents a published
+figure that the data provably contradicts: it gates on the frozen computed
+value and surfaces the printed one.  Owners:
 
-The report is deterministic (no timestamps, sorted keys, fixed seeds) and is
-written with the survey CSVs, into a directory made before any record is
-evaluated.  Every grid survey gates on `spectral.a2_stable` (no |det E| near
-the (A2) threshold).  Records with a `printed` value document a published
-figure that the data provably contradicts; they gate on the frozen computed
-value and surface the printed one in the report.
+- each record kind's evaluator: `KINDS`; every result computed once: `_store`;
+- the (A2) stability gate of grid surveys: `_survey_kind`;
+- the frame-bound entries: `_frame_bound_entry`, by `gram.frame_bound_report`;
+- the two-square closed forms: `_delta_matches_det`, `_seeded_deltas`.
 """
 
 from __future__ import annotations
@@ -40,12 +25,9 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import catalog, geometry, search, spectral
-from .catalog import CatalogEntry, ExpectedRecord
-from .gram import SupportSet, frame_bound_report
+from . import catalog, geometry, gram, search, spectral
+from .catalog import SEED, CatalogEntry, ExpectedRecord
 from .lattice import LatticeSpec, TranslationConfig, minimality_certificate
-
-SEED = 20240801
 
 
 @dataclass(frozen=True)
@@ -280,14 +262,14 @@ def _tilings(store: Store, R: int):
 
 def _store() -> Store:
     """A store whose members keep each result by its arguments
-    (`functools.cache`).  One report asks it for 36 catalog entries, of which
-    16 are distinct; `grid` for 12 grid surveys, of which 7 are, and those
-    ask for 7 class reductions (`search.grid_reduction`, kept by group,
-    grid_max and m), of which 4 are (the four two-square ratios share one
-    group); `connected` for 5 connected surveys,
-    of which 3 are; for 34 constants of 21 configurations; for 11 domains of
-    4; and for 2 cell blocks of 1.  `build_report` makes one store and drops
-    it when it returns, so nothing is kept from one report to the next."""
+    (`functools.cache`).  `ingham reproduce --out` asks it for 36 catalog
+    entries, of which 16 are distinct; `grid` for 12 grid surveys, of which
+    7 are, and those ask for 7 class reductions (`search.grid_reduction`,
+    kept by group, grid_max and m), of which 4 are (the four two-square
+    ratios share one group); `connected` for 5 connected surveys, of which 3
+    are; for 34 constants of 21 configurations; for 11 domains of 4; and for
+    2 cell blocks of 1.  `build_report` makes one store and drops it when it
+    returns, so nothing is kept from one report to the next."""
     reduction = cache(search.grid_reduction)
 
     def grid(spec: LatticeSpec, grid_max: int) -> search.SurveyResult:
@@ -342,23 +324,23 @@ def _frame_bound_entry(entry: CatalogEntry, store: Store) -> dict:
     its constants from the store (`gram.frame_bound_report`)."""
     support = _acceptance_support(entry.spec)
     config = entry.default_configs[entry.primary_config]
-    fb = frame_bound_report(entry.spec, config, support, store.constants(entry.spec, config))
+    fb = gram.frame_bound_report(entry.spec, config, support, store.constants(entry.spec, config))
     rec = ExpectedRecord(
         kind="frame_bounds",
         key=f"{entry.primary_config}/S{len(support)}",
         want=[fb.c1_full, fb.c2_full],
         source="derived: Gram spectrum within the frame bounds",
-        tol=1e-6 * fb.c2_full,
+        tol=gram.FRAME_BOUND_TOL * fb.c2_full,
     )
     return _report_entry(entry.spec.name, rec, [fb.lambda_min, fb.lambda_max], fb.passed and fb.a2)
 
 
-def _acceptance_support(spec) -> SupportSet:
+def _acceptance_support(spec) -> gram.SupportSet:
     """Largest centered-box support with at most 50 exponentials."""
     boxes = [(nx, ny) for nx in range(1, 8) for ny in range(1, 8) if spec.m * nx * ny <= 50]
     nx, ny = max(boxes, key=lambda box: box[0] * box[1])
     xs, ys = (range(-(n // 2), n - n // 2) for n in (nx, ny))
-    return SupportSet.box(spec, xs, ys)
+    return gram.SupportSet.box(spec, xs, ys)
 
 
 def _write_outputs(out_dir: Path, report: dict, store: Store) -> None:

@@ -1,40 +1,21 @@
-"""Exhaustive surveys of translation configurations.
+"""Exhaustive surveys of translation configurations, columnar from
+enumeration to CSV.
 
-A survey is columnar from enumeration to CSV.  classify_all enumerates the
-m-subsets of an integer grid as an (N, m) index array into `grid_points`,
-built in numpy one block of rows at a time and stored by columns
-(`combination_table`), so its transpose is the C-contiguous (m, N) array
-`spectral.classes` reads, with no copy, and its rows' cells increase, so
-translates share their translation key; `spectral.classes` maps each row
-to the canonical configuration of its class under translation and the
-tiling's certified symmetries, on integer keys (see `spectral.classes`),
-and the spectral kernel (`spectral.spectra`) and `geometry.connected_rows`
-run on those representatives alone, in chunks of `spectral.CHUNK_ROWS`.  So
-a survey is two parts.  The spec-free `Reduction` (`grid_reduction`, or
-`_reduce` of any index table) holds the points, the index table, the
-classes under the group and each class's connectivity; it depends on the
-group, the grid and m alone.  The spec pass (`classify_reduction`) runs
-`spectra` and the (A2) verdict.  Specs of one group, such as the two-square
-tiling at every side ratio, can share one reduction; `classify_all` and
-`connected_survey` compose the two.  The result holds numpy columns
-(`SurveyRecords`): each value once per class and each row's class, with no
-per-row copy of a value; a `SurveyRecord` is built only when one is indexed
-or iterated.  Every configuration carries its class representative's
-values, so its bits do not depend on the survey, the grid or the list it
-came in.  Counts, rankings and CSV rows read the class
-columns, gathered through each row's class where they need rows.  The CSV
-formats each class's fields once, as one tail tuple (`_class_tails`), and
-each point's label once, as fixed-width byte strings; a chunk of rows is
-gathered from those tables into one packed record array and taken as one
-bytes object (`_row_chunks`).  `survey_csv_rows` decodes and splits each
-chunk's configuration strings once, gathers the chunk's tails through each
-row's class, and makes each row its configuration's 1-tuple plus its tail,
-one new tuple per row; `write_survey_csv` writes each chunk's bytes, with
-no per-row string.
-Surveys larger than MAX_SURVEY_CONFIGS are refused before enumeration.
-This module owns enumeration, columns, grouping and ranking; phases,
-symmetries, determinants, eigenvalues, the (A2) verdict and its thresholds
-belong to the kernel.
+A survey is two parts.  The spec-free `Reduction` holds the points, the
+(N, m) index table, the classes under a symmetry group (`spectral.classes`)
+and each class's connectivity; it depends on the group, the grid and m
+alone, so specs of one group share it.  The spec pass runs the kernel and
+the (A2) verdict on the class representatives, and every configuration
+carries its class's values.  Owners:
+
+- the grid's index table: `combination_table`; its limit: `MAX_SURVEY_CONFIGS`;
+- the reduction: `grid_reduction`, `_reduce`; the spec pass: `classify_reduction`;
+- the columns, each value once per class: `SurveyRecords`;
+- the ratio and the ranking: `_ratios`, `rank_by_conditioning`;
+- the CSV: `_class_tails` per class, `_row_chunks` per chunk of rows.
+
+Phases, symmetries, determinants, eigenvalues and the (A2) verdict belong to
+`spectral`.
 """
 
 from __future__ import annotations

@@ -3,64 +3,18 @@
 For translates u_1..u_M and translation vectors v_k = 2*pi*n_k the matrix
 E[j,k] = exp(2*pi*i*<u_j, n_k>) decides the two-sided estimate: (A2) holds
 when E is invertible, and the optimal constants are the extreme eigenvalues
-of E E^*.  `_phase_angle` is the only place an exact inner product becomes
-an angle: `phase_columns` takes it from the integer rows (a, b) of
-`LatticeSpec.form` (one denominator, the translates' one field Q(sqrt d)),
-bit for bit alike with the oracle `phase` of `tests/gram_oracle.py`, which
-takes it from a QuadNumber.  For points n, phase_columns forms
-the exponents P = a.n and Q = b.n in one batched integer matrix product and
-takes one np.exp; the integer arrays are int64 while every integer stays
-below 2**53, where numpy's true division rounds as Python's does, and
-Python ints past that, through the same expressions (`_int_array`).
-`spectra` is the only place determinants and eigenvalues of E E^* are
-taken.  It takes a point list and
-an (N, m) index array into it (`config_index` builds both from a
-configuration list) and walks the array in chunks of CHUNK_ROWS
-configurations, so its memory does not grow with the survey.
+of E E^*.  Translation and the tiling's certified symmetries of the square
+keep |det E|, the spectrum of E E^* and edge connectivity, so every kernel
+caller runs the kernel on class representatives alone, and a configuration
+takes its representative's bits whatever its batch.  Owners:
 
-Translating a configuration, or applying one of the tiling's certified
-symmetries of the square (`symmetries`), changes neither |det E| nor the
-spectrum of E E^*, nor edge connectivity.  `classes`, the only translation
-canonicalisation, maps configurations to canonical representatives under
-translation and a subgroup of D4: every kernel caller (`ingham_constants`,
-the surveys of `search`) passes the tiling's `symmetries` and runs the kernel
-on those alone, so a configuration takes its class representative's bits
-whatever its batch, order or chunk; `geometry.polyominoes` and
-`search.translation_classes` pass the identity alone, `D4[:1]`.  `classes`
-takes one of two paths by the batch's size alone.  One row, the single
-configuration of `ingham_constants` (and so of `check_a2`,
-`gram.frame_bound_check` and the CLI's constants and verify), goes through
-`_one_class` on Python tuples: the batch path's fixed cost of numpy
-calls, about 0.1 ms, was most of that call.  Every larger batch, each
-survey's included, holds configurations by columns, as (m, rows) arrays read from the input
-rows as they are, and their symmetry images as (m, G, rows), and sorts each
-image's cells in `_sort_cells`: a large batch of at most six cells by
-Batcher's odd-even merge network on m wires (`_network`), a fixed sequence
-of column-wise minimum/maximum, and a small one, or one of more cells, by
-np.sort.  The network needs NETWORK_ROWS_PER_EXCHANGE = 64 rows per
-compare-exchange, where it overtook np.sort at 43 to 96 for m = 2 to 6 (a
-grid survey has thousands); past six cells it gained nothing on real
-batches.  Each integer array of that path is stored in the narrowest of
-int16, int32 and int64 that its bound allows (`_int_type`, from the bound
-alone): the point codes and their differences, the translation key, by
-twice the code bound; the representatives' coordinates by the points' span;
-the image cell codes by radix = (box side + 1)**2; each image's word by
-radix**m, one int16 or int32 word below 2**31, else int64 words.  `_lex_ids`
-folds its key in int32 when the product of its bases is below 2**31, and
-`_ranks` takes any of these dtypes.  On a grid survey every one of them is
-int16 or int32, which halves the transient memory of the reduction.  Both
-paths give the same canonical configuration, bit for bit.
-`a2_holds` is
-the only place the (A2) verdict is decided: |det E| > A2_DET_TOL in floats, a
-heuristic.  `a2_stable` is the only place its stability is judged: a batch is
-stable when no |det E| lies between the ends of A2_SWEEP, so no threshold
-there moves a verdict; the report gates every grid survey on it.
-`_two_square_det` is the only place the closed-form determinant of the
-two-square tiling is written, from integer sides over one denominator, on
-(re, im) pairs of floats or float arrays in CPython's complex rounding
-(`_product`, which `gram` takes too): `two_square_delta` evaluates it for
-one pair of sides, `two_square_deltas` for arrays of them, bit for bit
-alike.
+- an exact inner product as an angle: `_phase_angle`; as E's columns:
+  `phase_columns`, on int64 or Python ints by bound (`_int_array`);
+- CPython's complex rounding on (re, im) pairs: `_product`;
+- the certified symmetries: `symmetries`; the classes: `classes`;
+- determinants and eigenvalues, by chunks of CHUNK_ROWS: `spectra`;
+- the (A2) verdict: `a2_holds`; its stability: `a2_stable`;
+- the two-square closed form: `_two_square_det`.
 """
 
 from __future__ import annotations
@@ -172,13 +126,14 @@ def _int_array(values, bound: int) -> np.ndarray:
 def _int_type(bound: int) -> type:
     """The narrowest of int16, int32 and int64 that holds every integer of
     absolute value below bound (at most 2**63), from the bound alone, as
-    `_int_array` picks int64 or Python ints."""
+    `_int_array` picks int64 or Python ints.  On a grid survey every array
+    `classes` stores so is int16 or int32, which halves its transient memory."""
     return np.int16 if bound <= 2**15 else np.int32 if bound <= 2**31 else np.int64
 
 
 # CPython's complex arithmetic on (re, im) pairs of floats or float arrays.
 # numpy's complex multiply may use fused multiply-add and its division another
-# formula, so neither keeps the bits of the scalar oracles.  A float y enters
+# formula, so neither keeps the bits of Python's complex.  A float y enters
 # as (y, 0.0), as Python 3.10-3.13 convert it before they multiply or divide;
 # the mixed-mode arithmetic of Python 3.14 does not, and there these pairs
 # would no longer have the scalar bits.
@@ -208,12 +163,10 @@ def _phase_angle(p, q, r: int, d: int):
 
 def phase_columns(form: tuple, points: Sequence[tuple[int, int]]) -> np.ndarray:
     """W[j, p] = exp(2*pi*i*<u_j, points[p]>) for the rows u_j of a
-    `LatticeSpec.form`, with the bits of the oracle
-    `phase(vec_dot(u_j, points[p]))` of `tests/gram_oracle.py`:
-    <u, n> = (P + Q*sqrt(d))/den, where P = a.n and Q = b.n are integer
-    matrix products of the rows (a, b) and the points, int64 or Python ints
-    by their bound (`_int_array`).  np.exp(1j*x) has the bits of
-    cmath.exp(1j*x)."""
+    `LatticeSpec.form`: <u, n> = (P + Q*sqrt(d))/den, where P = a.n and
+    Q = b.n are integer matrix products of the rows (a, b) and the points,
+    int64 or Python ints by their bound (`_int_array`).  np.exp(1j*x) has
+    the bits of cmath.exp(1j*x)."""
     den, d, rows = form
     width = max(map(abs, chain.from_iterable(chain.from_iterable(rows))))
     reach = max(map(abs, chain.from_iterable(points)), default=0)
@@ -407,12 +360,8 @@ def _network(m: int) -> tuple[tuple[int, int], ...]:
 
 def _sort_cells(cells: np.ndarray) -> None:
     """Sort an (m, ...) integer array along its first axis, in place: the
-    cells of each configuration, stored by columns.
-
-    A batch of at most six cells with at least NETWORK_ROWS_PER_EXCHANGE rows
-    per compare-exchange of `_network(m)` goes through the network, three
-    elementwise numpy calls per compare-exchange; any other through
-    ndarray.sort."""
+    cells of each configuration, stored by columns, by `_network(m)` or
+    ndarray.sort (`NETWORK_ROWS_PER_EXCHANGE`)."""
     m = len(cells)
     if m > 6 or cells[0].size < NETWORK_ROWS_PER_EXCHANGE * len(_network(m)):
         cells.sort(axis=0)
@@ -504,13 +453,11 @@ def classes(
     Rows are held by columns: the cells of the n rows as idx.T, an (m, n)
     array read as it is (C-contiguous for `search.combination_table`), and
     the images of the translation classes' representatives as (m, G, rows)
-    per chunk, each sorted over its first axis by `_sort_cells`: by a
-    compare-exchange network when a batch of at most six cells has at least
-    NETWORK_ROWS_PER_EXCHANGE rows per compare-exchange (the measured
-    crossover), else by np.sort.  The representatives' coordinates, at most
-    max(sx, sy), are stored in `_int_type(max(sx, sy) + 1)`.  Each image
-    cell gets one code x*base + y, base = box side + 1, below radix =
-    base**2 and stored in `_int_type(radix)`, int16 up to base 181; codes
+    per chunk, each sorted over its first axis by `_sort_cells`.  The
+    representatives' coordinates, at most max(sx, sy), are stored in
+    `_int_type(max(sx, sy) + 1)`.  Each image cell gets one code
+    x*base + y, base = box side + 1, below radix = base**2 and stored in
+    `_int_type(radix)`, int16 up to base 181; codes
     order as the cells (x, y) do, so sorting a row's codes, in that dtype,
     sorts its cells.  Folding the m sorted codes in radix `radix` by Horner's
     rule (column multiply-adds) keeps the order of the sequences.  While
@@ -539,9 +486,7 @@ def classes(
     sx, sy = pts.max(axis=0, initial=0).tolist()
     # one code per point while the codes fit a key column, else both coordinates
     # (half the gather of the coordinate offsets: on a grid survey the class
-    # reduction takes about a quarter less time and a third less memory); the
-    # codes lie in [0, bound), their differences, the key, in (-bound, bound),
-    # which `_lex_ids` shifts to [0, 2 * bound - 1) in the key's dtype
+    # reduction takes about a quarter less time and a third less memory)
     if (sx + 1) * (2 * sy + 1) <= KEY_LIMIT:
         codes, bound = pts[:, 0] * (2 * sy + 1) + pts[:, 1], (sx + 1) * (2 * sy + 1)
     else:
@@ -635,8 +580,8 @@ def spectra(
 
 
 def a2_holds(det_abs):
-    """The (A2) verdict |det E| > A2_DET_TOL, elementwise for a batch; the only
-    place the rule is written."""
+    """The (A2) verdict |det E| > A2_DET_TOL, a float heuristic, elementwise
+    for a batch; the only place the rule is written."""
     return det_abs > A2_DET_TOL
 
 

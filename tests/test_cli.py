@@ -10,12 +10,13 @@ import time
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingham
-from ingham import catalog, cli, gram, search, spectral
+from ingham import catalog, cli, geometry, gram, search, spectral
 from ingham.cli import main
 from ingham.errors import NotHermitianError
 from ingham.lattice import LatticeSpec
@@ -143,6 +144,30 @@ def test_verify_with_hole_witness(capsys, tmp_path):
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["support_size", "lambda_min"]
     assert len(rows) == 4
+
+
+@pytest.mark.parametrize("offset", [10**6, 10**15])
+@pytest.mark.parametrize("tiling, config", [("honeycomb", "0,0;1,0"),
+                                            ("snub_square", "0,0;1,0;0,1;1,1")])
+def test_verify_witness_is_the_same_at_every_offset(capsys, tiling, config, offset):
+    """verify places its inscribed hole in the configuration at the origin,
+    so a configuration moved by (offset, -offset) prints the unmoved
+    witness bit for bit, and its config and hole where they are given.
+    Before, snub_square's radius-3 lambda_min was off by 2.4e-7 relative at
+    10**6, and at 10**15 honeycomb's read -1.34 and snub_square's hole was
+    refused."""
+    cells = [tuple(map(int, cell.split(","))) for cell in config.split(";")]
+    moved = ";".join(f"{a + offset},{b - offset}" for a, b in cells)
+    runs = [run_cli(capsys, "verify", "--tiling", tiling, f"--config={c}", "--hole-fraction",
+                    "0.25") for c in (config, moved)]
+    assert [code for code, _, _ in runs] == [0, 0]
+    near, far = (json.loads(out) for _, out, _ in runs)
+    assert [w["lambda_min"].hex() for w in far["witness"]] == [
+        w["lambda_min"].hex() for w in near["witness"]]
+    assert far["config"] == moved
+    spec = catalog.get(tiling).spec
+    shift = np.linalg.solve(geometry.ambient_l(spec), 2 * np.pi * np.array([offset, -offset], float))
+    assert far["hole"] == pytest.approx(list(near["hole"] + np.tile(shift, 2)), rel=1e-12)
 
 
 def test_export_honeycomb_points(capsys):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import lattice_specs, quadrature_hole_inner_product, quadrature_inner_product
 from gram_oracle import hole_inner_product, inner_product, phase
 
-from ingham import catalog, gram, qfield, reproduce, spectral
+from ingham import catalog, geometry, gram, qfield, reproduce, spectral
 from ingham.errors import FieldMismatchError, HoleOutsideDomainError, SizeMismatchError
 from ingham.gram import (
     MAX_SUPPORT,
@@ -191,6 +191,27 @@ def test_frame_bounds_are_the_same_at_every_offset(offset):
         report = frame_bound_check(spec, config, support)
         assert report.passed, name
         assert frame_bound_check(spec, moved, support) == report, (name, offset)
+
+
+@pytest.mark.parametrize("name, config_name", [("honeycomb", "right"),
+                                                 ("snub_square", "square_block")])
+def test_removal_witness_moves_the_hole_with_the_configuration(name, config_name):
+    """A configuration moved by (10**3, -10**3), with its hole moved by the
+    same ambient shift 2*pi*L^-1 (10**3, -10**3), gives the unmoved
+    witness: both are taken back to the origin first.  What is left is the
+    rounding of the moved hole's corners, 1.2e-12 relative; taken where they
+    were given, the lambdas were 8.4e-11 (honeycomb) and 1.5e-10
+    (snub_square) off."""
+    entry = catalog.get(name)
+    spec, config = entry.spec, entry.default_configs[config_name]
+    hole = inscribed_hole(spec, config, 0, area_fraction=0.25)
+    n0 = (10**3, -(10**3))
+    moved = TranslationConfig(tuple((a + n0[0], b + n0[1]) for a, b in config.ns))
+    sx, sy = np.linalg.solve(geometry.ambient_l(spec), TWO_PI * np.array(n0, dtype=float))
+    far_hole = (hole[0] + sx, hole[1] + sy, hole[2] + sx, hole[3] + sy)
+    supports = [SupportSet.centered(spec, k) for k in range(4)]
+    want = removal_witness(spec, config, hole, supports)
+    assert removal_witness(spec, moved, far_hole, supports) == pytest.approx(want, rel=1e-11)
 
 
 def _hole_setup():

@@ -4,8 +4,12 @@ without numpy."""
 import importlib
 import json
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +130,45 @@ def test_the_exact_layer_runs_without_numpy():
     assert not seen["numpy"], seen["loaded"]
     assert '"name": "truncated_trihexagonal"' in seen["output"]
     assert "x,y,j,m0,m1" in seen["output"]
+
+
+def _written_references() -> list[tuple[str, str]]:
+    """(file, text) of each backquoted `module.name` and `tests/...` path in
+    the docstrings, strings and comments of the package's modules."""
+    found = []
+    for path in sorted(Path(ingham.__file__).parent.glob("*.py")):
+        with tokenize.open(path) as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type in (tokenize.STRING, tokenize.COMMENT):
+                    found += [(path.name, ref) for ref in re.findall(r"`([\w./]+)`", tok.string)]
+    return found
+
+
+def test_the_module_maps_name_what_exists():
+    """Module docstrings name the owner of each rule as `module.name`, and the
+    oracles as `tests/...` paths: each names an existing attribute of that
+    ingham submodule, or an existing file of the repository."""
+    submodules = {m.name for m in pkgutil.iter_modules(ingham.__path__)}
+    root = Path(__file__).resolve().parents[1]
+    checked = 0
+    for where, ref in _written_references():
+        module, _, name = ref.partition(".")
+        if ref.startswith("tests/"):
+            assert (root / ref).is_file(), (where, ref)
+        elif module in submodules and name.isidentifier():
+            assert hasattr(importlib.import_module(f"ingham.{module}"), name), (where, ref)
+        else:
+            continue
+        checked += 1
+    assert checked >= 20  # the scan reads the maps at all
+
+
+@pytest.mark.parametrize("module", ["spectral", "search", "gram", "reproduce", "lattice"])
+def test_each_module_map_names_what_the_module_holds(module):
+    """A bare `name` in a module map is an attribute of that module (its own
+    or imported) or an ingham submodule."""
+    submodules = {m.name for m in pkgutil.iter_modules(ingham.__path__)}
+    mod = importlib.import_module(f"ingham.{module}")
+    names = re.findall(r"`([A-Za-z_]\w*)`", mod.__doc__)
+    assert names
+    assert [n for n in names if not hasattr(mod, n) and n not in submodules] == []

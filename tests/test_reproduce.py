@@ -258,6 +258,28 @@ def test_frame_bounds_from_the_store_are_those_frame_bound_check_computes():
         assert e["pass"] is (want.passed and want.a2)
 
 
+def test_the_frame_bound_tolerance_is_one_constant(monkeypatch):
+    """`gram.FRAME_BOUND_TOL` sets both the verdict of `frame_bound_report`
+    and the report entry's `tol`: at -1e-6, honeycomb's Gram spectrum, which
+    lies 5.6e-7 of c2 inside its upper bound, fails, and the entry's tol
+    reads -1e-6 times c2."""
+    entry = catalog.get("honeycomb")
+    spec, config = entry.spec, entry.default_configs[entry.primary_config]
+    support = reproduce._acceptance_support(spec)
+    store = reproduce._store()
+    for tol, passed in ((1e-6, True), (-1e-6, False)):
+        monkeypatch.setattr(gram, "FRAME_BOUND_TOL", tol)
+        assert gram.frame_bound_check(spec, config, support).passed is passed
+        e = reproduce._frame_bound_entry(entry, store)
+        assert (e["pass"], e["tol"]) == (passed, tol * e["want"][1])
+
+
+def test_the_seed_is_one_constant():
+    """The delta_nonzero record draws with the seed the report names."""
+    (rec,) = [r for r in catalog.get("two_square", 1, 2).expected if r.kind == "delta_nonzero"]
+    assert rec.params["seed"] == catalog.SEED == build_report()["environment"]["seed"]
+
+
 def test_an_unusable_out_directory_is_refused_before_any_record(monkeypatch, capsys, tmp_path):
     from ingham.cli import main
 
