@@ -53,6 +53,11 @@ MAX_REALIZE_CANDIDATES = 500_000
 # refused too (`_least_gap_mod_1`).
 DET_MIN, DET_MAX = 1e-100, 1e100
 
+# Configuration coordinates lie in (-COORD_LIMIT, COORD_LIMIT), so the int64
+# offsets, moved cells and shifted key columns of `spectral.classes` stay
+# below 2**63; `_check_coordinates` refuses any other.
+COORD_LIMIT = 2**61
+
 
 def qvec(x: QuadNumber | Rational, y: QuadNumber | Rational) -> Vec2:
     cast = lambda v: v if isinstance(v, QuadNumber) else QuadNumber(v)
@@ -198,6 +203,12 @@ class RealizedPoint:
     m: tuple[int, int]
 
 
+def _check_coordinates(points: Sequence[tuple[int, int]]) -> None:
+    """Refuse (ValueError) a coordinate outside (-COORD_LIMIT, COORD_LIMIT)."""
+    if not all(-COORD_LIMIT < c < COORD_LIMIT for p in points for c in p):
+        raise ValueError(f"configuration coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})")
+
+
 @dataclass(frozen=True)
 class TranslationConfig:
     """Integer vectors n_k encoding v_k = 2*pi*n_k; (A1) holds by construction."""
@@ -218,11 +229,13 @@ class TranslationConfig:
 
     @classmethod
     def parse(cls, text: str) -> TranslationConfig:
-        """Parse the CLI syntax 'a,b;a,b;...'."""
+        """Parse the CLI syntax 'a,b;a,b;...'; a coordinate past COORD_LIMIT
+        is refused here, before any command makes a float of it."""
         try:
             ns = tuple((int(a), int(b)) for a, b in (pair.split(",") for pair in text.split(";")))
         except ValueError:  # not two integers in a pair
             raise ValueError(f"expected integer pairs 'a,b;a,b;...', got {text!r}") from None
+        _check_coordinates(ns)
         return cls(ns)
 
     def __str__(self) -> str:

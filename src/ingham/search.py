@@ -10,7 +10,8 @@ carries its class's values.  Owners:
 
 - the grid's index table: `combination_table`; its limit: `MAX_SURVEY_CONFIGS`;
 - the reduction: `grid_reduction`, `_reduce`; the spec pass: `classify_reduction`;
-- the columns, each value once per class: `SurveyRecords`;
+- the columns, each value once per class, and the narrowest exact dtypes of
+  their indices: `SurveyRecords`;
 - the ratio and the ranking: `_ratios`, `rank_by_conditioning`;
 - the CSV: `_class_tails` per class, `_row_chunks` per chunk of rows.
 
@@ -31,16 +32,20 @@ import numpy as np
 from .geometry import connected_rows, polyominoes
 from .lattice import LatticeSpec
 from .spectral import (
-    D4, Classes, Symmetry, a2_holds, chunks, classes, config_index, spectra, symmetries,
+    D4, Classes, Symmetry, _int_type, a2_holds, chunks, classes, config_index, spectra,
+    symmetries,
 )
 
 Config = tuple[tuple[int, int], ...]
 
 # Largest grid survey grid_reduction, and so classify_all, enumerates.  A
-# configuration costs its m indices (8 B each, at most 12) plus its 8 B class
-# index, at most 104 B, so the result of 2M configurations is at most 208 MB,
-# beside 26 B of values per class.  The index table is written in place, so
-# enumerating needs no memory beyond it (tracemalloc peak 8m B per
+# configuration costs its m indices plus its class index, in the dtypes
+# `SurveyRecords` keeps: an index 2 B for m >= 2, where a grid within this
+# limit has at most 2,000 points, and 4 B at m = 1; a class index 2 B below
+# 2**15 classes, else 4 B.  That is at most 2 max(m, 2) + 4 B, 28 B at m = 12,
+# so the result of 2M configurations is at most 56 MB, beside 26 B of values
+# per class.  The index table is written in place in its dtype, so
+# enumerating needs no memory beyond it (tracemalloc peak 2m B per
 # configuration).  While the survey runs, the class reduction adds about 40 B
 # per configuration (tracemalloc peak, snub square at grid 6; 38 B at grid 7,
 # m = 4: int16 codes and int32 words beside its intp class indices) and the
@@ -51,8 +56,9 @@ Config = tuple[tuple[int, int], ...]
 # and strings.  The full list of survey_csv_rows costs about 166 B per
 # configuration more (a 6-tuple, its list slot and its configuration string),
 # as rows share their class's tail: the survey benchmark (snub square at grid
-# 6, 211,876 configurations, its largest) peaks at about 93 MB resident.  Snub
-# square (M = 4) at grid 8 is 1.66M.
+# 6, 211,876 configurations, its largest) peaks at about 87 MB resident.  Snub
+# square (M = 4) at grid 8 is 1.66M, where `ingham survey --csv` peaks at about
+# 103 MB resident.
 MAX_SURVEY_CONFIGS = 2_000_000
 
 
@@ -84,12 +90,25 @@ class SurveyRecords(Sequence[SurveyRecord]):
     class columns.  Every class has a row, so an extreme or a set of values
     over the classes is that over the rows, and a count over the rows
     gathers through klass.  A SurveyRecord is built only when one is
-    indexed or iterated."""
+    indexed or iterated.
+
+    idx is kept in `spectral._int_type(len(points))` and klass in
+    `_int_type(K)` for K classes, the narrowest dtypes that hold them
+    exactly, whatever arrays every path that builds records passes in
+    (`__post_init__`; `MAX_SURVEY_CONFIGS` gives the bytes).  numpy gathers
+    with intp indices on its fast path and casts narrower ones anew at each
+    gather, so code that gathers with them casts once, a chunk at a time
+    where it works by chunks."""
 
     points: tuple[tuple[int, int], ...]
-    idx: np.ndarray  # (N, m) indices into points
-    klass: np.ndarray  # (N,) class of each row
+    idx: np.ndarray  # (N, m) indices into points, in _int_type(len(points))
+    klass: np.ndarray  # (N,) class of each row, in _int_type(K)
     classes: ClassColumns
+
+    def __post_init__(self) -> None:
+        narrow = lambda a, bound: a.astype(_int_type(bound), copy=False)
+        object.__setattr__(self, "idx", narrow(self.idx, len(self.points)))
+        object.__setattr__(self, "klass", narrow(self.klass, len(self.classes.a2)))
 
     @classmethod
     def of(cls, records: Sequence[SurveyRecord]) -> SurveyRecords:
@@ -105,7 +124,8 @@ class SurveyRecords(Sequence[SurveyRecord]):
 
     def __iter__(self) -> Iterator[SurveyRecord]:
         configs = (tuple(self.points[k] for k in row) for row in self.idx.tolist())
-        return map(SurveyRecord, configs, *(col[self.klass].tolist() for col in self.classes))
+        klass = self.klass.astype(np.intp)
+        return map(SurveyRecord, configs, *(col[klass].tolist() for col in self.classes))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -150,9 +170,11 @@ def config_count(grid_max: int, m: int) -> int:
 
 
 def combination_table(size: int, m: int) -> np.ndarray:
-    """The m-subsets of range(size) as a (C(size, m), m) intp array, in
-    lexicographic order: `np.array(list(combinations(range(size), m)))`,
-    stored by columns (order="F"), so its transpose, the (m, N) cells that
+    """The m-subsets of range(size) as a (C(size, m), m) array, in
+    lexicographic order: the values of
+    `np.array(list(combinations(range(size), m)))` in `spectral._int_type(size)`,
+    the dtype `SurveyRecords` keeps, so no intp table is ever made.  Stored
+    by columns (order="F"), so its transpose, the (m, N) cells that
     `spectral.classes` reads, is C-contiguous without a copy.
 
     Built in place, one block of rows per first element.  The table
@@ -162,7 +184,7 @@ def combination_table(size: int, m: int) -> np.ndarray:
     k:] holds T(size-k, m-k) + k, built for k = m-1 down to 0; its block
     i = 0 is already in place, and the block of each i > 0 is a copy of rows
     above it, one contiguous column at a time."""
-    out = np.empty((math.comb(size, m), m), dtype=np.intp, order="F")
+    out = np.empty((math.comb(size, m), m), dtype=_int_type(size), order="F")
     for k in range(m - 1, -1, -1):
         width = m - k  # T(size - k, width) + k goes into columns k:
         tail = math.comb(size - k - 1, width - 1)  # rows of T(size-k-1, width-1)
@@ -227,23 +249,17 @@ def classify_reduction(spec: LatticeSpec, red: Reduction) -> SurveyRecords:
     return SurveyRecords(red.points, red.idx, cls.of, columns)
 
 
-def _classify(
-    spec: LatticeSpec, points: Sequence[tuple[int, int]], idx: np.ndarray
-) -> SurveyRecords:
-    """The reduction under the tiling's symmetries and its spec pass."""
-    return classify_reduction(spec, _reduce(symmetries(spec), points, idx))
-
-
 def classify_configs(spec: LatticeSpec, configs: list[Config]) -> SurveyRecords:
     """Batched spectral classification of an explicit configuration list; an
     empty list gives no rows, and a configuration that repeats a cell, or
     has none, is refused (`config_index`)."""
     points, idx = config_index(configs)
-    return _classify(spec, points, idx if configs else idx.reshape(0, spec.m))
+    red = _reduce(symmetries(spec), points, idx if configs else idx.reshape(0, spec.m))
+    return classify_reduction(spec, red)
 
 
 def as_result(records: SurveyRecords) -> SurveyResult:
-    passing = int(np.count_nonzero(records.classes.a2[records.klass]))
+    passing = int(np.count_nonzero(records.classes.a2[records.klass.astype(np.intp)]))
     return SurveyResult(
         total=len(records),
         passing=passing,
@@ -262,9 +278,13 @@ def classify_all(spec: LatticeSpec, grid_max: int, m: int) -> SurveyResult:
 
 
 def connected_survey(spec: LatticeSpec) -> SurveyResult:
-    """Survey of the edge-connected configurations, `geometry.polyominoes`."""
+    """Survey of the edge-connected configurations, `geometry.polyominoes`,
+    whose every class is connected, as Redelmeier's algorithm builds only
+    connected shapes: no connectivity is computed."""
     shapes = polyominoes(spec.m)
-    return as_result(_classify(spec, shapes.points, shapes.idx))
+    cls = classes(symmetries(spec), shapes.points, shapes.idx)
+    red = Reduction(tuple(shapes.points), shapes.idx, cls, np.ones(len(cls.idx), dtype=bool))
+    return as_result(classify_reduction(spec, red))
 
 
 def _ratios(cols: ClassColumns) -> tuple[np.ndarray, np.ndarray]:
@@ -279,8 +299,9 @@ def rank_by_conditioning(result: SurveyResult) -> list[SurveyRecord]:
     idx rows compare as their configurations do, because points is sorted."""
     rec = result.records
     ratio, ok = _ratios(rec.classes)
-    rows = np.flatnonzero(ok[rec.klass])
-    order = np.lexsort((*rec.idx[rows].T[::-1], ratio[rec.klass[rows]]))
+    klass = rec.klass.astype(np.intp)
+    rows = np.flatnonzero(ok[klass])
+    order = np.lexsort((*rec.idx[rows].T[::-1], ratio[klass[rows]]))
     return [rec[i] for i in rows[order].tolist()]
 
 
@@ -315,10 +336,11 @@ def _class_tails(cols: ClassColumns) -> list[tuple[int, int, str, str, str]]:
 
 def _row_chunks(
     rec: SurveyRecords, lead: str, end: str, tails: list[str] | None = None
-) -> Iterator[tuple[slice, bytes]]:
+) -> Iterator[tuple[np.ndarray, bytes]]:
     """The rows as ASCII bytes, one chunk of `spectral.chunks` at a time
-    beside the chunk's rows: per row, lead, its configuration "a,b;c,d;...",
-    end and, given tails (one string per class), its class's tail.
+    beside the chunk's classes (intp): per row, lead, its configuration
+    "a,b;c,d;...", end and, given tails (one string per class), its class's
+    tail.
 
     The point labels are formatted once, as fixed-width byte strings, one
     table per cell: lead before the first cell's label, ";" after each label
@@ -337,12 +359,14 @@ def _row_chunks(
         fields.append(np.array(tails, dtype=bytes))
     row = np.dtype([(f"f{k}", field.dtype) for k, field in enumerate(fields)])
     for rows in chunks(len(rec)):
-        cols = [*rec.idx[rows].T, rec.klass[rows]]
-        buf = np.empty(len(cols[0]), dtype=row)
+        # the chunk's indices as intp, cast once (`SurveyRecords`)
+        klass = rec.klass[rows].astype(np.intp)
+        cols = [*rec.idx[rows].T.astype(np.intp), klass]
+        buf = np.empty(len(klass), dtype=row)
         for name, field, col in zip(row.names, fields, cols):
             buf[name] = field[col]
         text = buf.tobytes()
-        yield rows, text.translate(None, b"\0") if padded else text
+        yield klass, text.translate(None, b"\0") if padded else text
 
 
 def survey_csv_rows(result: SurveyResult) -> list[tuple]:
@@ -352,9 +376,9 @@ def survey_csv_rows(result: SurveyResult) -> list[tuple]:
     rec = result.records
     tails = np.fromiter(_class_tails(rec.classes), dtype=object)
     out: list[tuple] = []
-    for rows, text in _row_chunks(rec, "", "\n"):
+    for klass, text in _row_chunks(rec, "", "\n"):
         configs = text[:-1].decode("ascii").split("\n")
-        out.extend(map(add, zip(configs), tails[rec.klass[rows]].tolist()))
+        out.extend(map(add, zip(configs), tails[klass].tolist()))
     return out
 
 

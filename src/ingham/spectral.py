@@ -29,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import NotHermitianError, SizeMismatchError
-from .lattice import LatticeSpec, TranslationConfig, _two_square_fractions
+from .lattice import LatticeSpec, TranslationConfig, _check_coordinates, _two_square_fractions
 from .qfield import Rational
 
 # (A2) verdict: E counts as invertible when |det E| exceeds this.  An absolute
@@ -64,11 +64,6 @@ D4: tuple[Symmetry, ...] = (
     ((1, 0), (0, 1)), ((-1, 0), (0, -1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)),
     ((0, 1), (1, 0)), ((0, -1), (-1, 0)), ((0, 1), (-1, 0)), ((0, -1), (1, 0)),
 )
-
-# Configuration coordinates `classes` accepts lie in (-COORD_LIMIT,
-# COORD_LIMIT), so its int64 offsets, moved cells and shifted key columns stay
-# below 2**63.
-COORD_LIMIT = 2**61
 
 # `_lex_ids` keeps its int64 mixed-radix keys at or below this, and `classes`
 # its point codes and int64 image words.
@@ -451,7 +446,8 @@ def classes(
     refuse the same coordinates.  Any larger batch takes the path below.
 
     Rows are held by columns: the cells of the n rows as idx.T, an (m, n)
-    array read as it is (C-contiguous for `search.combination_table`), and
+    array read by chunks cast to intp (C-contiguous for
+    `search.combination_table`), and
     the images of the translation classes' representatives as (m, G, rows)
     per chunk, each sorted over its first axis by `_sort_cells`.  The
     representatives' coordinates, at most max(sx, sy), are stored in
@@ -475,8 +471,7 @@ def classes(
     representatives are decoded from their keys.  No dtype above reaches
     the result: the points are Python ints and idx and of intp.
     """
-    if not all(-COORD_LIMIT < c < COORD_LIMIT for p in points for c in p):
-        raise ValueError(f"configuration coordinates must lie in (-{COORD_LIMIT}, {COORD_LIMIT})")
+    _check_coordinates(points)
     n, m = idx.shape
     if n == 1:
         return _one_class(group, [points[k] for k in idx[0].tolist()])
@@ -491,7 +486,10 @@ def classes(
         codes, bound = pts[:, 0] * (2 * sy + 1) + pts[:, 1], (sx + 1) * (2 * sy + 1)
     else:
         codes, bound = pts, max(sx, sy) + 1
-    key = codes.astype(_int_type(2 * bound))[idx.T]  # (m, n): the rows' point codes by columns
+    codes = codes.astype(_int_type(2 * bound))
+    key = np.empty((m, n, *codes.shape[1:]), dtype=codes.dtype)  # the rows' point codes by columns
+    for part in chunks(n):  # indices cast to intp once per chunk (`search.SurveyRecords`)
+        key[:, part] = codes[idx[part].T.astype(np.intp, copy=False)]
     key = (key[1:] - key[0]).swapaxes(0, 1).reshape(n, (m - 1) * codes.ndim)
     translation_class, first = _lex_ids(key)
     del key  # before the image work
@@ -501,7 +499,7 @@ def classes(
     x = np.empty((m, len(first)), dtype=pts.dtype)
     y = np.empty_like(x)
     for part in chunks(len(first)):
-        reps = idx[first[part]].T
+        reps = idx[first[part]].T.astype(np.intp, copy=False)
         x[:, part], y[:, part] = pts[reps, 0], pts[reps, 1]
     x -= x.min(axis=0)
     y -= y.min(axis=0)

@@ -6,7 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ingham.spectral import COORD_LIMIT, Classes, _lex_ids, chunks
+from ingham.lattice import COORD_LIMIT
+from ingham.spectral import Classes, _lex_ids, chunks
 
 
 def classes(group, points: Sequence[tuple[int, int]], idx: np.ndarray) -> Classes:

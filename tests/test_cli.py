@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingham
-from ingham import catalog, cli, geometry, gram, search, spectral
+from ingham import catalog, cli, geometry, gram, lattice, search, spectral
 from ingham.cli import main
 from ingham.errors import NotHermitianError
 from ingham.lattice import LatticeSpec
@@ -793,6 +793,23 @@ def test_configuration_past_the_coordinate_limit_is_usage_error(capsys):
     )
     assert (code, out) == (2, "")
     assert "coordinates must lie in" in err
+
+
+@pytest.mark.parametrize("coordinate", [10**400, lattice.COORD_LIMIT, -lattice.COORD_LIMIT],
+                         ids=["10**400", "2**61", "-2**61"])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--tiling", "square", "--hole-fraction", "0.25"),
+    ("verify", "--tiling", "square", "--hole", "0.1,0.1,0.2,0.2"),
+    ("export", "--what", "domain", "--tiling", "square"),
+], ids=["verify-hole-fraction", "verify-hole", "export-domain"])
+def test_coordinates_past_the_limit_are_refused_before_any_float(capsys, argv, coordinate):
+    """A hole's placement and the domain's corners are floats of the
+    configuration: 10**400 ended in an OverflowError traceback there, and
+    export printed corners of 2**62 that had lost their digits."""
+    code, out, err = run_cli(capsys, *argv, f"--config={coordinate},0")
+    limit = lattice.COORD_LIMIT
+    assert (code, out) == (2, "")
+    assert err == f"usage error: configuration coordinates must lie in (-{limit}, {limit})\n"
 
 
 # -- no traceback on random argv ------------------------------------------------

@@ -583,7 +583,7 @@ def test_far_apart_supports_match_the_oracles():
 
 def test_supports_at_the_coordinate_limit_match_the_oracles():
     """Boxes of random size straddling the configuration limit
-    `spectral.COORD_LIMIT` = 2**61 and at 2**62 - 1, which an int64 shift
+    `lattice.COORD_LIMIT` = 2**61 and at 2**62 - 1, which an int64 shift
     between opposite corners would overflow.  Only shifts within the box
     enter a matrix, so supports have no coordinate limit."""
     spec, config, hole = _hole_setup()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ingham import catalog, search, spectral
+from ingham import catalog, lattice, search, spectral
 import polyomino_oracle
 from ingham.geometry import POLYOMINO_MAX, fixed_polyominoes
 from ingham.search import (
@@ -234,7 +234,7 @@ def test_translation_classes_refuse_a_configuration_with_no_cells():
 
 def test_translation_classes_refuse_coordinates_past_the_limit():
     with pytest.raises(ValueError, match="must lie in"):
-        translation_classes([((0, 0), (spectral.COORD_LIMIT, 0))])
+        translation_classes([((0, 0), (lattice.COORD_LIMIT, 0))])
 
 
 def test_a2_sweep_stability_catalog_surveys():
@@ -513,7 +513,7 @@ def _mixed_width_survey(name, seed):
     """A shuffled list of configurations whose point labels differ in width:
     one-digit, negative, multi-digit and near +-COORD_LIMIT coordinates."""
     spec = catalog.get(name).spec
-    limit = spectral.COORD_LIMIT
+    limit = lattice.COORD_LIMIT
     values = [0, 1, -1, 7, -8, 12, -345, 6789, -98765, limit - 1, 1 - limit, limit - 12345]
     rng = np.random.default_rng(seed)
     cells = [(x, y) for x in values for y in values]
@@ -785,12 +785,59 @@ def test_rank_by_conditioning_matches_the_record_sort(name):
         assert all(isinstance(r, SurveyRecord) for r in ranked)
 
 
+def _record_paths():
+    """(path, records, points and idx as intp, klass as intp) for every path
+    that builds survey records, each beside a reference built apart from it."""
+    from ingham import reproduce
+
+    snub, two = catalog.get("snub_square").spec, catalog.get("two_square", r=1, R=3).spec
+    points = grid_points(4)
+    table = np.array(list(combinations(range(len(points)), 4)))
+    of = lambda spec, pts, idx: spectral.classes(spectral.symmetries(spec), pts, idx).of
+    yield "grid", classify_all(snub, 4, 4).records, points, table, of(snub, points, table)
+    store = reproduce._store()
+    for spec in (two, catalog.get("two_square", r=1, R=2).spec):  # one shared reduction
+        got = store.grid(spec, 4).records
+        yield "report store", got, points, table, of(spec, points, table)
+    shapes = [s.cells for s in fixed_polyominoes(4)]
+    pts, idx = spectral.config_index(shapes)
+    yield "connected", connected_survey(snub).records, pts, idx, of(snub, pts, idx)
+    configs = list(enumerate_configs(2, 4))[::7]
+    pts, idx = spectral.config_index(configs)
+    yield "classify_configs", classify_configs(two, configs), pts, idx, of(two, pts, idx)
+    records = tuple(classify_all(two, 3, 4).records)
+    pts, idx = spectral.config_index([r.config for r in records])
+    yield "record tuple", SurveyResult(0, 0, 0, records).records, pts, idx, np.arange(len(idx))
+
+
+def test_every_record_path_keeps_indices_in_the_narrowest_exact_dtype():
+    """idx in _int_type(len(points)) and klass in _int_type(K), with the values
+    of intp references, and within the byte budget of MAX_SURVEY_CONFIGS'
+    comment: 2 max(m, 2) + 4 B per configuration."""
+    for path, rec, points, idx, klass in _record_paths():
+        assert rec.points == tuple(points), path
+        assert rec.idx.dtype == spectral._int_type(len(rec.points)), path
+        assert rec.klass.dtype == spectral._int_type(len(rec.classes.a2)), path
+        assert (idx.dtype, klass.dtype) == (np.intp, np.intp), path
+        assert np.array_equal(rec.idx, idx) and np.array_equal(rec.klass, klass), path
+        m = rec.idx.shape[1]
+        assert (rec.idx.nbytes + rec.klass.nbytes) / len(rec) <= 2 * max(m, 2) + 4, path
+
+
+def test_connected_survey_computes_no_connectivity(monkeypatch):
+    """Redelmeier's algorithm builds connected shapes only, so every class of a
+    connected survey is connected without `geometry.connected_rows`."""
+    monkeypatch.setattr(search, "connected_rows", lambda *args: 1 / 0)
+    result = connected_survey(catalog.get("snub_square").spec)
+    assert result.total == 19 and result.records.classes.connected.all()
+
+
 def test_combination_table_is_lexicographic_combinations():
     cases = [(n, m) for n in range(1, 13) for m in range(1, n + 1)] + [(49, 4), (25, 6)]
     for size, m in cases:
         table = combination_table(size, m)
         want = np.array(list(combinations(range(size), m)))
-        assert table.dtype == np.intp, (size, m)
+        assert table.dtype == spectral._int_type(size), (size, m)
         assert table.shape == want.shape == (math.comb(size, m), m), (size, m)
         assert np.array_equal(table, want), (size, m)
         assert table.T.flags.c_contiguous, (size, m)  # the (m, N) cells of `classes`, no copy

@@ -21,11 +21,10 @@ from ingham.errors import (
     NotHermitianError,
     SizeMismatchError,
 )
-from ingham.lattice import TWO_SQUARE_CONFIG, LatticeSpec, two_square_spec
+from ingham.lattice import COORD_LIMIT, TWO_SQUARE_CONFIG, LatticeSpec, two_square_spec
 from ingham.qfield import QuadNumber
 from ingham.spectral import (
     A2_SWEEP,
-    COORD_LIMIT,
     Classes,
     D4,
     KEY_LIMIT,
