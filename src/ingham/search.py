@@ -56,7 +56,7 @@ Config = tuple[tuple[int, int], ...]
 # and strings.  The full list of survey_csv_rows costs about 166 B per
 # configuration more (a 6-tuple, its list slot and its configuration string),
 # as rows share their class's tail: the survey benchmark (snub square at grid
-# 6, 211,876 configurations, its largest) peaks at about 87 MB resident.  Snub
+# 6, 211,876 configurations, its largest) peaks at about 83 MB resident.  Snub
 # square (M = 4) at grid 8 is 1.66M, where `ingham survey --csv` peaks at about
 # 103 MB resident.
 MAX_SURVEY_CONFIGS = 2_000_000

@@ -805,7 +805,7 @@ def _record_paths():
     configs = list(enumerate_configs(2, 4))[::7]
     pts, idx = spectral.config_index(configs)
     yield "classify_configs", classify_configs(two, configs), pts, idx, of(two, pts, idx)
-    records = tuple(classify_all(two, 3, 4).records)
+    records = tuple(classify_all(two, 5, 4).records)  # 58,905 classes of one row: int32
     pts, idx = spectral.config_index([r.config for r in records])
     yield "record tuple", SurveyResult(0, 0, 0, records).records, pts, idx, np.arange(len(idx))
 
@@ -814,6 +814,7 @@ def test_every_record_path_keeps_indices_in_the_narrowest_exact_dtype():
     """idx in _int_type(len(points)) and klass in _int_type(K), with the values
     of intp references, and within the byte budget of MAX_SURVEY_CONFIGS'
     comment: 2 max(m, 2) + 4 B per configuration."""
+    class_types = set()
     for path, rec, points, idx, klass in _record_paths():
         assert rec.points == tuple(points), path
         assert rec.idx.dtype == spectral._int_type(len(rec.points)), path
@@ -822,6 +823,8 @@ def test_every_record_path_keeps_indices_in_the_narrowest_exact_dtype():
         assert np.array_equal(rec.idx, idx) and np.array_equal(rec.klass, klass), path
         m = rec.idx.shape[1]
         assert (rec.idx.nbytes + rec.klass.nbytes) / len(rec) <= 2 * max(m, 2) + 4, path
+        class_types.add(rec.klass.dtype)
+    assert class_types == {np.dtype(np.int16), np.dtype(np.int32)}
 
 
 def test_connected_survey_computes_no_connectivity(monkeypatch):
