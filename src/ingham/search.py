@@ -41,10 +41,10 @@ Config = tuple[tuple[int, int], ...]
 # Largest grid survey grid_reduction, and so classify_all, enumerates.  A
 # configuration costs its m indices plus its class index, in the dtypes
 # `SurveyRecords` keeps: an index 2 B for m >= 2, where a grid within this
-# limit has at most 2,000 points, and 4 B at m = 1; a class index 2 B below
-# 2**15 classes, else 4 B.  That is at most 2 max(m, 2) + 4 B, 28 B at m = 12,
-# so the result of 2M configurations is at most 56 MB, beside 26 B of values
-# per class.  The index table is written in place in its dtype, so
+# limit has at most 2,000 points, and at most 4 B at m = 1; a class index 2 B
+# below 2**15 classes, else 4 B.  That is at most 2 max(m, 2) + 4 B, 28 B at
+# m = 12, so the result of 2M configurations is at most 56 MB, beside 26 B of
+# values per class.  The index table is written in place in its dtype, so
 # enumerating needs no memory beyond it (tracemalloc peak 2m B per
 # configuration).  While the survey runs, the class reduction adds about 40 B
 # per configuration (tracemalloc peak, snub square at grid 6; 38 B at grid 7,
